@@ -17,7 +17,9 @@ from .config import ParseError, ValidationError, parse_config
 from .elasticity import GreenKernel
 from .reduction3d import RadialLift, random_shell_points, residual_elasticity_3d, residual_order_3d
 from .simulator import ConfigInvalid, SimulationConfig, Simulation, write_run
-from .studies import StudyConfig, mms_convergence, run_study, write_study_csv
+from .studies import (
+    StudyConfig, member_weak_residual, mms_convergence, run_members, run_study, write_study_csv,
+)
 
 _CONFIG_ERRORS = (ParseError, ValidationError, ConfigInvalid, OSError)
 
@@ -57,24 +59,33 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _rejected_tag(termination) -> str:
+    if termination.status == "completed":
+        return ""
+    return f" (rejected at t = {termination.fail_time:.6g})"
+
+
+def _members_exit(terminations) -> int:
+    """Exit code of a study: 2 when any member stopped on a rejected step."""
+    return 2 if any(t.status != "completed" for t in terminations) else 0
+
+
 def _cmd_study(args) -> int:
     study = _load(args, StudyConfig)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if study.is_refinement:
-        from .diagnostics import weak_residual
-        from .studies import run_refinement
-
-        results = run_refinement(study)
+        results = run_members(study)
         lines = ["kappa,h,dt,weak_residual_max"]
         print("kappa      h           dt          weak_res")
         for res in results:
             cfg = res.config
-            wr = float(np.max(np.abs(weak_residual(res.trajectory, cfg.material))))
-            print(f"{cfg.reg.kappa:<10.5g} {cfg.grid.h:<11.5g} {cfg.reg.dt:<11.5g} {wr:.4e}")
+            wr = member_weak_residual(res)
+            tag = _rejected_tag(res.termination)
+            print(f"{cfg.reg.kappa:<10.5g} {cfg.grid.h:<11.5g} {cfg.reg.dt:<11.5g} {wr:.4e}{tag}")
             lines.append(f"{cfg.reg.kappa:.17g},{cfg.grid.h:.17g},{cfg.reg.dt:.17g},{wr:.17g}")
         (out / "refinement.csv").write_text("\n".join(lines) + "\n")
-        return 0
+        return _members_exit(res.termination for res in results)
     result = run_study(study)
     write_study_csv(out / "study.csv", result)
     print("kappa      D_kappa      margin       sup_energy   weak_res")
@@ -82,10 +93,10 @@ def _cmd_study(args) -> int:
         tag = " (ref)" if r.is_reference else ""
         print(
             f"{r.kappa:<10.5g} {r.d_kappa:<12.4e} {r.max_principle_margin:<12.4e} "
-            f"{r.sup_energy:<12.6g} {r.weak_residual_max:<.4e}{tag}"
+            f"{r.sup_energy:<12.6g} {r.weak_residual_max:<.4e}{tag}{_rejected_tag(r.termination)}"
         )
     print(f"distance sequence strictly decreasing: {result.strictly_decreasing}")
-    return 0
+    return _members_exit(r.termination for r in result.rows)
 
 
 def _cmd_verify_green(args) -> int:

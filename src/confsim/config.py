@@ -9,6 +9,7 @@ reproduces an equal config; the run hash is taken over that text.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Optional
 
@@ -79,16 +80,16 @@ _SCALAR_MATERIAL_KEYS = ("material.mu", "material.lambda", "material.e")
 def _convert(key: str, raw: str, line: int):
     kind = _CATALOG[key][0]
     try:
-        if kind == "float":
-            return float(raw)
         if kind == "int":
             return int(raw)
-        if kind == "floats":
-            parts = raw.split()
-            if not parts:
-                raise ValueError("empty value")
-            return tuple(float(p) for p in parts)
-        return raw.strip()
+        if kind == "str":
+            return raw.strip()
+        values = (float(raw),) if kind == "float" else tuple(float(p) for p in raw.split())
+        if not values:
+            raise ValueError("empty value")
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"non-finite value {raw.strip()!r}")
+        return values[0] if kind == "float" else values
     except ValueError as exc:
         raise ParseError(line, 1, f"cannot parse value for {key}: {exc}") from exc
 

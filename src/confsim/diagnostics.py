@@ -166,6 +166,21 @@ def _space_integral(values: np.ndarray, h: float) -> float:
     return float(trapezoid(values, dx=h))
 
 
+def primitive_field(s: ScalarField, kappa: float) -> ScalarField:
+    """Closed-form primitive of the smoothed modulus, evaluated at S_x."""
+    return ScalarField(s.grid, smoothed_abs_primitive(d1(s).values, kappa))
+
+
+def flux_field(s: ScalarField) -> ScalarField:
+    """Signed flux |S_x|S_x/2, the kappa = 0 primitive."""
+    return primitive_field(s, 0.0)
+
+
+def _flux_gradients(traj: Trajectory) -> list[ScalarField]:
+    """(|S_x|S_x)_x per frame; doubling the flux is exact in floating point."""
+    return [d1(ScalarField(traj.grid, 2.0 * flux_field(f).values)) for f in traj.s_frames]
+
+
 def _cumulative_time_trapz(times: np.ndarray, series: np.ndarray) -> np.ndarray:
     out = np.zeros(len(times))
     if len(times) > 1:
@@ -255,31 +270,25 @@ def _mixed_norm_series(times, fields, p, q) -> np.ndarray:
 
 
 def _primitive_w14_series(traj: Trajectory, kappa: float) -> np.ndarray:
+    """Cumulative L^{4/3}(0, t_k; W^{1,4/3}) norm of the gradient primitive."""
     h = traj.grid.h
     p = 4.0 / 3.0
-    per_frame = []
+    integrand = []
     for f in traj.s_frames:
-        prim = ScalarField(traj.grid, smoothed_abs_primitive(d1(f).values, kappa))
+        prim = primitive_field(f, kappa)
         norm_p = _space_integral(np.abs(prim.values) ** p, h)
         norm_dp = _space_integral(np.abs(d1(prim).values) ** p, h)
-        per_frame.append((norm_p + norm_dp) ** (1.0 / p))
-    per_frame = np.asarray(per_frame)
-    out = np.zeros(len(traj.times))
-    for k in range(1, len(traj.times)):
-        out[k] = float(trapezoid(per_frame[: k + 1] ** p, traj.times[: k + 1])) ** (1.0 / p)
-    return out
+        integrand.append(norm_p + norm_dp)
+    return _cumulative_time_trapz(traj.times, np.asarray(integrand)) ** (1.0 / p)
 
 
 def apriori_norms(traj: Trajectory, kappa: float) -> AprioriNorms:
     """Final values of the uniformly bounded norms of the solution."""
     grads = [d1(f) for f in traj.s_frames]
-    flux_grads = [
-        d1(ScalarField(traj.grid, np.abs(g.values) * g.values)) for g in grads
-    ]
     return AprioriNorms(
         st_l43=float(_st_l43_series(traj)[-1]),
         sx_l83_linf=norm_lp_time_lq_space(traj.times, grads, 8.0 / 3.0, math.inf),
-        flux_grad_l43=norm_lp_time_lq_space(traj.times, flux_grads, 4.0 / 3.0, 4.0 / 3.0),
+        flux_grad_l43=norm_lp_time_lq_space(traj.times, _flux_gradients(traj), 4.0 / 3.0, 4.0 / 3.0),
         primitive_w14_l43=float(_primitive_w14_series(traj, kappa)[-1]),
     )
 
@@ -301,7 +310,7 @@ def weak_residual_series(
     x = grid.x
     nt = len(traj.times)
     nphi = len(test_functions)
-    cnu_half = 0.5 * material.c * material.nu
+    cnu = material.c * material.nu
 
     pair_t = np.zeros((nt, nphi))
     pair_flux = np.zeros((nt, nphi))
@@ -313,7 +322,7 @@ def weak_residual_series(
         s = traj.s_frames[k]
         u = traj.u_frames[k]
         s_x = d1(s).values
-        flux = np.abs(s_x) * s_x
+        flux = flux_field(s).values
         force = driving_force_at(u, s, material).values
         kinetic = force * np.abs(s_x)
         for m, tf in enumerate(test_functions):
@@ -327,7 +336,7 @@ def weak_residual_series(
         a_cum = _cumulative_time_trapz(traj.times, pair_t[:, m])
         b_cum = _cumulative_time_trapz(traj.times, pair_flux[:, m])
         c_cum = _cumulative_time_trapz(traj.times, pair_force[:, m])
-        residuals[:, m] = a_cum - cnu_half * b_cum - c_cum + boundary[0, m] - boundary[:, m]
+        residuals[:, m] = a_cum - cnu * b_cum - c_cum + boundary[0, m] - boundary[:, m]
     return residuals
 
 
@@ -354,10 +363,7 @@ def dual_norm_estimate(traj: Trajectory, basis: Optional[Sequence[ScalarField]] 
     if not basis:
         return 0.0
     h = traj.grid.h
-    flux = []
-    for f in traj.s_frames:
-        g = d1(f).values
-        flux.append(0.5 * np.abs(g) * g)
+    flux = [flux_field(f).values for f in traj.s_frames]
     best = 0.0
     for psi in basis:
         acc = 0.0
@@ -383,7 +389,6 @@ def build_report(traj: Trajectory, config: SimulationConfig) -> DiagnosticsRepor
     """Assemble the full per-save-time report from a trajectory and its config."""
     energy = energy_monitor(traj, config.reg.kappa)
     grads = [d1(f) for f in traj.s_frames]
-    flux_grads = [d1(ScalarField(traj.grid, np.abs(g.values) * g.values)) for g in grads]
     # test functions vanish at the configured final time, so partial runs stay defined
     test_fns = default_test_functions(traj.grid, config.t_end)
     report = DiagnosticsReport(
@@ -393,7 +398,7 @@ def build_report(traj: Trajectory, config: SimulationConfig) -> DiagnosticsRepor
         dissipation=energy.dissipation,
         st_l43=_st_l43_series(traj),
         sx_l83_linf=_mixed_norm_series(traj.times, grads, 8.0 / 3.0, math.inf),
-        flux_grad_l43=_mixed_norm_series(traj.times, flux_grads, 4.0 / 3.0, 4.0 / 3.0),
+        flux_grad_l43=_mixed_norm_series(traj.times, _flux_gradients(traj), 4.0 / 3.0, 4.0 / 3.0),
         primitive_w14_l43=_primitive_w14_series(traj, config.reg.kappa),
         weak_residuals=weak_residual_series(traj, config.material, test_fns),
         cross_check=_cross_check_series(traj, config),

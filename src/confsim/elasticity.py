@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .grid_field import Grid, ScalarField, d1
+from .grid_field import Grid, ScalarField, d1, tridiag_solve
 from .material import MaterialParams
 
 
@@ -148,34 +147,26 @@ def solve_fd(rhs: ScalarField) -> ScalarField:
     h = grid.h
     x = grid.x
 
-    lower = np.zeros(n)
-    diag = np.zeros(n)
-    upper = np.zeros(n)
-    vec = np.zeros(n)
-
-    diag[0] = diag[-1] = 1.0
+    # rows 0 and n-1 pin the boundary values; rows 1..n-2 carry the stencil
     xi = x[1:-1]
+    diag = np.ones(n)
     diag[1:-1] = -2.0 / h**2 - 2.0 / xi**2
-    lower[0:-2] = 1.0 / h**2 - 1.0 / (xi * h)   # column j-1 entries for rows 1..n-2
-    upper[2:] = 1.0 / h**2 + 1.0 / (xi * h)     # column j+1 entries for rows 1..n-2
+    lower = np.append(1.0 / h**2 - 1.0 / (xi * h), 0.0)
+    upper = np.append(0.0, 1.0 / h**2 + 1.0 / (xi * h))
+    vec = np.zeros(n)
     vec[1:-1] = rhs.values[1:-1]
-
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[1:]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[:-1]
 
     def apply_matrix(v):
         out = diag * v
-        out[:-1] += upper[1:] * v[1:]
-        out[1:] += lower[:-1] * v[:-1]
+        out[:-1] += upper * v[1:]
+        out[1:] += lower * v[:-1]
         return out
 
     try:
-        u = solve_banded((1, 1), ab, vec)
+        u = tridiag_solve(lower, diag, upper, vec)
         # one step of iterative refinement keeps the discrete residual near
         # roundoff even on fine grids, where plain elimination leaves O(n*eps/h^2)
-        u -= solve_banded((1, 1), ab, apply_matrix(u) - vec)
+        u -= tridiag_solve(lower, diag, upper, apply_matrix(u) - vec)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - operator is invertible
         raise SingularSystem(str(exc)) from exc
     u[0] = 0.0

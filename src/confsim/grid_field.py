@@ -10,6 +10,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.integrate import trapezoid
+from scipy.linalg.lapack import dgtsv
 
 SUPPORTED_EXPONENTS = (4.0 / 3.0, 2.0, 8.0 / 3.0, math.inf)
 
@@ -129,6 +130,18 @@ def d2(f: ScalarField) -> ScalarField:
     out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
     out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
     return ScalarField(f.grid, out)
+
+
+def tridiag_solve(lower, diag, upper, rhs) -> np.ndarray:
+    """Solve the tridiagonal system with sub-, main and super-diagonals of lengths n-1, n, n-1.
+
+    LAPACK gtsv, elimination with partial pivoting; the inputs are left unchanged.
+    Raises np.linalg.LinAlgError when the matrix is singular.
+    """
+    *_, x, info = dgtsv(lower, diag, upper, rhs)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular tridiagonal matrix (LAPACK gtsv info {info})")
+    return x
 
 
 def norm_l2(f: ScalarField) -> float:

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .grid_field import Grid, ScalarField, d1
+from .grid_field import Grid, ScalarField, d1, tridiag_solve
 from .material import MaterialParams, double_well
 
 
@@ -210,16 +209,8 @@ def semi_implicit_step(
     beta = reg.theta * dt * coef[1:-1] / h**2
     diag = np.ones(n)
     diag[1:-1] += 2.0 * beta
-    lower = np.zeros(n)
-    upper = np.zeros(n)
-    lower[0:-2] = -beta
-    upper[2:] = -beta
-
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[1:]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[:-1]
-    new = solve_banded((1, 1), ab, rhs)
+    # rows 0 and n-1 are identity rows that pin the boundary values
+    new = tridiag_solve(np.append(-beta, 0.0), diag, np.append(0.0, -beta), rhs)
     new[0] = 0.0
     new[-1] = 0.0
 

@@ -3,31 +3,22 @@
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid_field import FLOAT_FMT, Grid, ScalarField, Trajectory, d1, norm_lp_time_lq_space
+from .grid_field import FLOAT_FMT, Grid, ScalarField, Trajectory, norm_lp_time_lq_space
 from .material import MaterialParams
-from .order_parameter import RegularizationParams, semi_implicit_step, smoothed_abs_primitive
+from .order_parameter import RegularizationParams, semi_implicit_step
 from .elasticity import solve_fd
-from .diagnostics import max_principle_check, energy_monitor, weak_residual
-from .simulator import RunResult, Simulation, SimulationConfig
+from .diagnostics import energy_monitor, flux_field, max_principle_check, primitive_field, weak_residual
+from .simulator import RunResult, Simulation, SimulationConfig, Termination
 
 
 class MismatchedGrids(ValueError):
     pass
-
-
-def study_threads() -> int:
-    env = os.environ.get("CONFSIM_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -97,6 +88,7 @@ class StudyRow:
     sup_energy: float
     weak_residual_max: float
     is_reference: bool
+    termination: Termination
 
 
 @dataclass
@@ -105,57 +97,56 @@ class StudyResult:
     strictly_decreasing: bool
 
 
-def _flux_fields(traj: Trajectory) -> list[ScalarField]:
-    out = []
-    for f in traj.s_frames:
-        g = d1(f).values
-        out.append(ScalarField(traj.grid, 0.5 * np.abs(g) * g))
-    return out
-
-
-def _primitive_fields(traj: Trajectory, kappa: float) -> list[ScalarField]:
-    return [
-        ScalarField(traj.grid, smoothed_abs_primitive(d1(f).values, kappa))
-        for f in traj.s_frames
-    ]
-
-
 def flux_distance(traj_a: Trajectory, traj_b: Trajectory) -> float:
     """L^{4/3}-in-time, L^2-in-space distance of the signed flux |S_x|S_x/2."""
     if traj_a.grid != traj_b.grid or len(traj_a.times) != len(traj_b.times):
         raise MismatchedGrids("study members must share grid and save schedule")
-    fa = _flux_fields(traj_a)
-    fb = _flux_fields(traj_b)
-    diff = [ScalarField(traj_a.grid, x.values - y.values) for x, y in zip(fa, fb)]
+    diff = [
+        ScalarField(traj_a.grid, flux_field(fa).values - flux_field(fb).values)
+        for fa, fb in zip(traj_a.s_frames, traj_b.s_frames)
+    ]
     return norm_lp_time_lq_space(traj_a.times, diff, 4.0 / 3.0, 2.0)
+
+
+def run_members(study: StudyConfig) -> list[RunResult]:
+    """Run every member of the study to its final time, one after another."""
+    return [Simulation(study.member_config(i)).run() for i in range(len(study.kappas))]
+
+
+def member_weak_residual(res: RunResult) -> float:
+    """Largest final weak-form residual of a member; nan if a step was rejected."""
+    if res.termination.status != "completed":
+        return math.nan
+    return float(np.max(np.abs(weak_residual(res.trajectory, res.config.material))))
 
 
 def run_study(study: StudyConfig) -> StudyResult:
     """Run every member, then measure each member's flux distance to the reference.
 
-    Members execute concurrently (bounded by CONFSIM_THREADS); aggregation is a
-    deterministic reduction over the completed results.  Reference distances
-    need a shared grid and save schedule, so refinement factors are rejected.
+    Members run one after another; aggregation is a deterministic reduction
+    over their results.  Reference distances need a shared grid and save
+    schedule, so refinement factors are rejected.  A member whose step was
+    rejected stops early, so its distances, and every member's when it is
+    the reference, are nan, and the sequence does not count as decreasing.
     """
     if study.is_refinement:
         raise MismatchedGrids("reference distances need unit refinement factors")
-    configs = [study.member_config(i) for i in range(len(study.kappas))]
-    with ThreadPoolExecutor(max_workers=study_threads()) as pool:
-        results: list[RunResult] = list(pool.map(lambda c: Simulation(c).run(), configs))
+    results = run_members(study)
 
     ref_idx = study.reference % len(study.kappas)
-    ref_traj = results[ref_idx].trajectory
-    ref_flux = _flux_fields(ref_traj)
-
+    ref = results[ref_idx]
     rows = []
     for i, (kappa, res) in enumerate(zip(study.kappas, results)):
         traj = res.trajectory
-        if traj.grid != ref_traj.grid or len(traj.times) != len(ref_traj.times):
-            raise MismatchedGrids("study members must share grid and save schedule")
-        d_kappa = flux_distance(traj, ref_traj)
-        prim = _primitive_fields(traj, kappa)
-        diff = [ScalarField(traj.grid, p.values - w.values) for p, w in zip(prim, ref_flux)]
-        d_prim = norm_lp_time_lq_space(traj.times, diff, 4.0 / 3.0, 2.0)
+        if res.termination.status == ref.termination.status == "completed":
+            d_kappa = flux_distance(traj, ref.trajectory)
+            diff = [
+                ScalarField(traj.grid, primitive_field(f, kappa).values - flux_field(r).values)
+                for f, r in zip(traj.s_frames, ref.trajectory.s_frames)
+            ]
+            d_prim = norm_lp_time_lq_space(traj.times, diff, 4.0 / 3.0, 2.0)
+        else:
+            d_kappa = d_prim = math.nan
         margin, _ = max_principle_check(traj)
         energy = energy_monitor(traj, kappa)
         rows.append(
@@ -167,13 +158,15 @@ def run_study(study: StudyConfig) -> StudyResult:
                 d_primitive=d_prim,
                 max_principle_margin=margin,
                 sup_energy=energy.sup_grad,
-                weak_residual_max=float(np.max(np.abs(weak_residual(traj, res.config.material)))),
+                weak_residual_max=member_weak_residual(res),
                 is_reference=(i == ref_idx),
+                termination=res.termination,
             )
         )
 
+    all_completed = all(r.termination.status == "completed" for r in rows)
     distances = [r.d_kappa for r in rows if not r.is_reference]
-    decreasing = all(b < a for a, b in zip(distances, distances[1:]))
+    decreasing = all_completed and all(b < a for a, b in zip(distances, distances[1:]))
     return StudyResult(rows, decreasing)
 
 
@@ -203,17 +196,8 @@ def halving_study(base: SimulationConfig, levels: int) -> StudyConfig:
     return StudyConfig(base=base, kappas=kappas, h_factor=2, dt_factor=2)
 
 
-def run_refinement(study: StudyConfig) -> list[RunResult]:
-    configs = [study.member_config(i) for i in range(len(study.kappas))]
-    with ThreadPoolExecutor(max_workers=study_threads()) as pool:
-        return list(pool.map(lambda c: Simulation(c).run(), configs))
-
-
 def weak_residual_refinement(base: SimulationConfig, levels: int = 3) -> list[float]:
-    results = run_refinement(halving_study(base, levels))
-    return [
-        float(np.max(np.abs(weak_residual(r.trajectory, r.config.material)))) for r in results
-    ]
+    return [member_weak_residual(r) for r in run_members(halving_study(base, levels))]
 
 
 # --- manufactured solutions --------------------------------------------------

@@ -71,6 +71,17 @@ class TestParsing:
         assert cfg.grid.n == 33
         assert cfg.reg.kappa == 0.5
 
+    @pytest.mark.parametrize(
+        "override", ["body.amplitude=inf", "body.coeffs=0 nan", "material.nu=inf"]
+    )
+    def test_non_finite_value_exits_one(self, tmp_path, capsys, override):
+        argv = ["run", "--out", str(tmp_path / "out"), "--set", "body.family=constant",
+                "--set", override]
+        assert main(argv) == 1
+        assert "non-finite value" in capsys.readouterr().err
+        with pytest.raises(ParseError, match="non-finite"):
+            parse_config_text(override.replace("=", " = ") + "\n")
+
     def test_override_unknown_key(self):
         with pytest.raises(ValidationError, match="unknown key"):
             parse_config_text("", overrides=["nope=1"])
@@ -188,14 +199,42 @@ class TestCliRun:
 
 
 class TestCliStudy:
-    def test_study_csv_columns(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CONFSIM_THREADS", "2")
+    def test_study_csv_columns(self, tmp_path):
         cfg_path = write_config(tmp_path, FAST + ["study.kappas = 0.5 0.25"])
         code = main(["study", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert code == 0
         text = (tmp_path / "out" / "study.csv").read_text().splitlines()
         assert text[0] == "kappa,h,dt,D_kappa,max_principle_margin,sup_energy,weak_residual_max"
         assert len(text) == 3
+
+    def test_rejected_members_exit_two(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, FAST + ["study.kappas = 0.5 0.25"])
+        code = main(["study", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--set", "reg.increment_guard=1e-12"])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert out.count("rejected at t = 0") == 2
+        assert "strictly decreasing: False" in out
+        text = (tmp_path / "out" / "study.csv").read_text().splitlines()
+        assert text[0] == "kappa,h,dt,D_kappa,max_principle_margin,sup_energy,weak_residual_max"
+        assert len(text) == 3
+
+    def test_rejected_reference_exits_two_without_traceback(self, tmp_path, capsys):
+        code = main(["study", "--out", str(tmp_path / "out"),
+                     "--set", "study.kappas=0.5 0.03125", "--set", "reg.increment_guard=0.05",
+                     "--set", "body.family=ramp", "--set", "body.rate=1e5"])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "(ref) (rejected at t = " in out
+        assert "strictly decreasing: False" in out
+        assert len((tmp_path / "out" / "study.csv").read_text().splitlines()) == 3
+
+    def test_rejected_refinement_member_exits_two(self, tmp_path, capsys):
+        lines = FAST + ["reg.kappa = 0.5", "study.kappas = 0.5 0.25", "study.h_factor = 2",
+                        "reg.increment_guard = 1e-12"]
+        cfg_path = write_config(tmp_path, lines)
+        assert main(["study", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().out.count("rejected at t = 0") == 2
 
     def test_sim_config_rejected_by_study(self, tmp_path):
         cfg_path = write_config(tmp_path, FAST)

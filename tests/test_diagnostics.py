@@ -3,17 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from confsim.grid_field import Grid, ScalarField, Trajectory
+from scipy.integrate import trapezoid
+
+from confsim.grid_field import Grid, ScalarField, Trajectory, d1
 from confsim.material import MaterialParams
 from confsim.order_parameter import RegularizationParams, semi_implicit_step
+from confsim.config import parse_config_text
 from confsim.diagnostics import (
+    _primitive_w14_series,
     apriori_norms,
     build_report,
     default_dual_basis,
     default_test_functions,
     dual_norm_estimate,
     energy_monitor,
+    flux_field,
     max_principle_check,
+    primitive_field,
     weak_residual,
     weak_residual_series,
 )
@@ -114,6 +120,41 @@ class TestAprioriNorms:
         assert all(np.isfinite(v) for v in norms.as_tuple())
 
 
+def primitive_w14_prefix_loop(traj, kappa):
+    """Reference: a trapezoid over every prefix of the per-frame norms."""
+    h = traj.grid.h
+    p = 4.0 / 3.0
+    per_frame = []
+    for f in traj.s_frames:
+        prim = primitive_field(f, kappa)
+        norm_p = trapezoid(np.abs(prim.values) ** p, dx=h)
+        norm_dp = trapezoid(np.abs(d1(prim).values) ** p, dx=h)
+        per_frame.append((norm_p + norm_dp) ** (1.0 / p))
+    per_frame = np.asarray(per_frame)
+    out = np.zeros(len(traj.times))
+    for k in range(1, len(traj.times)):
+        out[k] = float(trapezoid(per_frame[: k + 1] ** p, traj.times[: k + 1])) ** (1.0 / p)
+    return out
+
+
+class TestFluxAndPrimitive:
+    def test_flux_is_half_signed_square_of_gradient(self):
+        for s in diffusion_trajectory(steps=3).s_frames:
+            g = d1(s).values
+            assert np.array_equal(flux_field(s).values, 0.5 * np.abs(g) * g)
+            assert np.array_equal(2.0 * flux_field(s).values, np.abs(g) * g)
+
+    @pytest.mark.parametrize("kappa", [0.25, 0.03125])
+    def test_primitive_series_matches_prefix_loop(self, kappa):
+        result = run(make_config(kappa=kappa, t_end=8e-3, save_every=1))
+        traj = result.trajectory
+        assert len(traj.times) == 41
+        got = _primitive_w14_series(traj, kappa)
+        want = primitive_w14_prefix_loop(traj, kappa)
+        assert got[0] == want[0] == 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
 class TestWeakResidual:
     def test_zero_run_residual_zero(self):
         traj = zero_trajectory()
@@ -193,6 +234,21 @@ class TestKappaStudy:
         assert result.rows[1].is_reference
         assert result.rows[1].d_kappa == 0.0
         assert result.rows[0].d_kappa > 0.0
+
+    def test_rejected_member_breaks_the_decrease(self):
+        # the reference completes; the small-kappa member trips the guard part way
+        study = parse_config_text(
+            "study.kappas = 0.5 0.03125\nstudy.reference = 0\nreg.increment_guard = 0.05\n"
+            "body.family = ramp\nbody.rate = 1e5\n"
+        )
+        result = run_study(study)
+        ref, member = result.rows
+        assert ref.termination.status == "completed"
+        assert ref.d_kappa == 0.0
+        assert member.termination.status == "step-rejected"
+        assert member.termination.fail_time > 0.0
+        assert np.isnan(member.d_kappa) and np.isnan(member.weak_residual_max)
+        assert not result.strictly_decreasing
 
     def test_mismatched_grids_raise(self):
         t1 = diffusion_trajectory(steps=3)

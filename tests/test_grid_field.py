@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from confsim.grid_field import (
     Grid,
@@ -17,6 +18,7 @@ from confsim.grid_field import (
     norm_linf,
     norm_lp_time_lq_space,
     save_field,
+    tridiag_solve,
 )
 
 
@@ -145,6 +147,59 @@ class TestNorms:
         t_end = 2.5
         got = norm_lp_time_lq_space([0.0, t_end], [f, f], 2.0, 2.0)
         assert got == pytest.approx(math.sqrt(t_end) * norm_l2(f), rel=1e-12)
+
+
+def banded_reference(lower, diag, upper, rhs):
+    """The (3, n) banded block fed to scipy's general banded solver."""
+    ab = np.zeros((3, len(diag)))
+    ab[0, 1:] = upper
+    ab[1, :] = diag
+    ab[2, :-1] = lower
+    return solve_banded((1, 1), ab, rhs)
+
+
+def fd_operator(grid):
+    """Diagonals of the radial elasticity operator with pinned boundary rows."""
+    h, xi = grid.h, grid.x[1:-1]
+    diag = np.ones(grid.n)
+    diag[1:-1] = -2.0 / h**2 - 2.0 / xi**2
+    lower = np.append(1.0 / h**2 - 1.0 / (xi * h), 0.0)
+    upper = np.append(0.0, 1.0 / h**2 + 1.0 / (xi * h))
+    return lower, diag, upper
+
+
+class TestTridiagSolve:
+    @pytest.mark.parametrize("n", [3, 4, 129, 2049])
+    def test_matches_banded_solver_on_fd_operator(self, n):
+        lower, diag, upper = fd_operator(Grid(1.0, 2.0, n))
+        rhs = np.random.default_rng(n).normal(size=n)
+        got = tridiag_solve(lower, diag, upper, rhs)
+        assert np.array_equal(got, banded_reference(lower, diag, upper, rhs))
+
+    @pytest.mark.parametrize("n", [3, 4, 65, 129])
+    def test_matches_banded_solver_on_step_matrices(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(25):
+            beta = rng.uniform(0.0, 1e3, size=n - 2) * rng.uniform(size=n - 2)
+            diag = np.ones(n)
+            diag[1:-1] += 2.0 * beta
+            lower = np.append(-beta, 0.0)
+            upper = np.append(0.0, -beta)
+            rhs = rng.normal(size=n)
+            got = tridiag_solve(lower, diag, upper, rhs)
+            assert np.array_equal(got, banded_reference(lower, diag, upper, rhs))
+
+    def test_inputs_unchanged(self):
+        lower, diag, upper = fd_operator(Grid(1.0, 2.0, 17))
+        rhs = np.linspace(-1.0, 1.0, 17)
+        before = [a.copy() for a in (lower, diag, upper, rhs)]
+        tridiag_solve(lower, diag, upper, rhs)
+        for a, b in zip((lower, diag, upper, rhs), before):
+            assert np.array_equal(a, b)
+
+    def test_singular_matrix_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            tridiag_solve(np.zeros(2), np.array([1.0, 0.0, 1.0]), np.zeros(2), np.ones(3))
 
 
 class TestSerialization:
