@@ -125,9 +125,9 @@ def run_study(study: StudyConfig) -> StudyResult:
 
     Members run one after another; aggregation is a deterministic reduction
     over their results.  Reference distances need a shared grid and save
-    schedule, so refinement factors are rejected.  A member whose step was
-    rejected stops early, so its distances, and every member's when it is
-    the reference, are nan, and the sequence does not count as decreasing.
+    schedule, so refinement factors are rejected.  A rejected member stops
+    early: its distances are nan (every member's are when it is the
+    reference), and the sequence does not count as decreasing.
     """
     if study.is_refinement:
         raise MismatchedGrids("reference distances need unit refinement factors")
