@@ -345,8 +345,14 @@ def weak_residual(
     material: MaterialParams,
     test_functions: Optional[Sequence[TestFunction]] = None,
 ) -> np.ndarray:
-    """Final residual of the integral identity, one value per test function."""
+    """Final residual of the integral identity, one value per test function.
+
+    The default test functions vanish at the last saved time, so they need a
+    trajectory that spans a positive time: at least two frames.
+    """
     if test_functions is None:
+        if len(traj.times) < 2:
+            raise ValueError("the default test functions need at least two frames")
         test_functions = default_test_functions(traj.grid, float(traj.times[-1]))
     return weak_residual_series(traj, material, test_functions)[-1]
 

@@ -140,20 +140,30 @@ def elastic_rhs(s_x: ScalarField, b: ScalarField, params: MaterialParams) -> Sca
     return ScalarField(s_x.grid, (params.lam / params.mu) * s_x.values + b.values / params.mu)
 
 
-def solve_fd(rhs: ScalarField) -> ScalarField:
-    """Tridiagonal solve of u'' + (2/x) u' - (2/x^2) u = rhs, u = 0 at both ends."""
-    grid = rhs.grid
+@lru_cache(maxsize=8)
+def _fd_operator(grid: Grid):
+    """Sub-, main and super-diagonals of the FD operator, built once per grid.
+
+    Rows 0 and n-1 pin the boundary values; rows 1..n-2 carry the stencil.
+    The arrays are shared between calls and therefore read-only.
+    """
     n = grid.n
     h = grid.h
-    x = grid.x
-
-    # rows 0 and n-1 pin the boundary values; rows 1..n-2 carry the stencil
-    xi = x[1:-1]
+    xi = grid.x[1:-1]
     diag = np.ones(n)
     diag[1:-1] = -2.0 / h**2 - 2.0 / xi**2
     lower = np.append(1.0 / h**2 - 1.0 / (xi * h), 0.0)
     upper = np.append(0.0, 1.0 / h**2 + 1.0 / (xi * h))
-    vec = np.zeros(n)
+    for band in (lower, diag, upper):
+        band.flags.writeable = False
+    return lower, diag, upper
+
+
+def solve_fd(rhs: ScalarField) -> ScalarField:
+    """Tridiagonal solve of u'' + (2/x) u' - (2/x^2) u = rhs, u = 0 at both ends."""
+    grid = rhs.grid
+    lower, diag, upper = _fd_operator(grid)
+    vec = np.zeros(grid.n)
     vec[1:-1] = rhs.values[1:-1]
 
     def apply_matrix(v):

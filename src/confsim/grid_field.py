@@ -30,8 +30,9 @@ class Grid:
     def __post_init__(self):
         if not (0 < self.a < self.d):
             raise ValueError(f"require 0 < a < d, got a={self.a}, d={self.d}")
-        if self.n < 3:
-            raise ValueError(f"need at least 3 nodes, got {self.n}")
+        if self.n < 4:
+            # d2's one-sided boundary stencil reads four nodes
+            raise ValueError(f"need at least 4 nodes, got {self.n}")
 
     @property
     def h(self) -> float:

@@ -9,7 +9,6 @@ that coefficient at the current state and treats the diffusion implicitly
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,6 +16,21 @@ import numpy as np
 
 from .grid_field import Grid, ScalarField, d1, tridiag_solve
 from .material import MaterialParams, double_well
+
+
+# Ceiling on the mollifier window length and on the step count of one run.
+MAX_STEPS = 2**31
+
+
+def window_length(kappa_m: float, dt: float) -> int:
+    """Number of lags j*dt < kappa_m the mollifier window holds, at least one."""
+    ratio = kappa_m / dt
+    if not ratio <= MAX_STEPS:
+        raise ValueError(
+            f"mollifier window reg.kappa_m / reg.dt = {ratio:.3g} steps exceeds the ceiling "
+            f"of {MAX_STEPS}; raise reg.dt or lower reg.kappa_m"
+        )
+    return max(1, int(round(ratio)))
 
 
 class StepRejected(RuntimeError):
@@ -53,6 +67,7 @@ class RegularizationParams:
             object.__setattr__(self, "kappa_m", self.kappa)
         if not self.kappa_m > 0:
             raise ValueError(f"kappa_m must be positive, got {self.kappa_m}")
+        window_length(self.kappa_m, self.dt)
         if not self.increment_guard > 0:
             raise ValueError("increment_guard must be positive")
 
@@ -86,23 +101,34 @@ def _causal_bump(tau: np.ndarray) -> np.ndarray:
 class MollifierState:
     """Causal moving average of the order-parameter history.
 
-    Holds kernel weights sampled on the lags j*dt < kappa_m and a ring buffer
-    of past frames, most recent first.  Weights are nonnegative and sum to one
+    Holds kernel weights sampled on the lags j*dt < kappa_m and the last
+    frames, most recent first.  Weights are nonnegative and sum to one
     exactly, so a constant-in-time history is reproduced without error.  When
     fewer frames than the window needs are available (early time), the missing
     mass is assigned to the oldest frame, which equals the initial state.
+
+    The frames live in one mirrored ring buffer of shape (2r, n), allocated
+    on the first push, where r is the window length m capped at
+    ``max_frames``: 2*r*n floats.  Each push moves ``head`` down by one (mod r)
+    and writes the frame at rows ``head`` and ``head + r``, so ``frames`` is
+    always the contiguous view ``buf[head:head + k]``, which ``mollify``
+    reads without copying.  A run pushes at most n_steps + 1 frames, which
+    is the ``max_frames`` it passes.
     """
 
-    def __init__(self, kappa_m: float, dt: float):
+    def __init__(self, kappa_m: float, dt: float, max_frames: Optional[int] = None):
         if kappa_m <= 0 or dt <= 0:
             raise ValueError("kappa_m and dt must be positive")
         self.kappa_m = kappa_m
         self.dt = dt
-        m = max(1, int(round(kappa_m / dt)))
+        m = window_length(kappa_m, dt)
         tau = np.arange(m) / m
         w = _causal_bump(tau)
         self.weights = w / w.sum()
-        self.frames: deque[np.ndarray] = deque(maxlen=m)
+        self._rows = m if max_frames is None else max(1, min(m, max_frames))
+        self._buf: Optional[np.ndarray] = None
+        self._head = 0
+        self._count = 0
         self.time = None
         self._grid = None
 
@@ -116,8 +142,25 @@ class MollifierState:
         lags = np.arange(self.window_size) * self.dt
         return float(np.dot(self.weights, lags))
 
+    @property
+    def frames(self) -> np.ndarray:
+        """Buffered frames, most recent first: a read-only (k, n) view, k <= window_size."""
+        if self._buf is None:
+            return np.empty((0, 0))
+        view = self._buf[self._head:self._head + self._count]
+        view.flags.writeable = False
+        return view
+
     def push(self, f: ScalarField, t: float):
-        self.frames.appendleft(f.values.copy())
+        rows = self._rows
+        if self._buf is None:
+            self._buf = np.empty((2 * rows, f.grid.n))
+        elif self._count == rows < self.window_size:
+            raise ValueError(f"mollifier buffer holds at most {rows} frames (max_frames)")
+        self._head = (self._head - 1) % rows
+        self._buf[self._head] = f.values
+        self._buf[self._head + rows] = f.values
+        self._count = min(self._count + 1, rows)
         self.time = t
         self._grid = f.grid
 
@@ -125,27 +168,29 @@ class MollifierState:
         return [a.copy() for a in self.frames]
 
     def restore(self, arrays, grid: Grid, t: float):
-        self.frames.clear()
-        for a in arrays:
-            self.frames.append(np.asarray(a, dtype=float))
+        self._buf = None
+        self._head = 0
+        self._count = 0
+        for a in reversed(arrays):
+            self.push(ScalarField(grid, a), t)
         self.time = t
         self._grid = grid
 
 
 def mollify(state: MollifierState, t: float) -> ScalarField:
     """Kernel-weighted average over the window (t - kappa_m, t]."""
-    if not state.frames:
+    frames = state.frames
+    k = len(frames)
+    if k == 0:
         raise InsufficientHistory("no frames buffered")
     if state.time is not None and abs(t - state.time) > 1e-9 * max(1.0, abs(t)):
         raise ValueError(f"mollifier buffer is at t = {state.time}, asked for t = {t}")
-    k = len(state.frames)
     w = state.weights
-    stacked = np.stack(state.frames)
     if k >= state.window_size:
-        values = w @ stacked
+        values = w @ frames
     else:
-        values = w[:k] @ stacked
-        values += (1.0 - w[:k].sum()) * stacked[-1]
+        values = w[:k] @ frames
+        values += (1.0 - w[:k].sum()) * frames[-1]
     return ScalarField(state._grid, values)
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from .grid_field import FLOAT_FMT, Grid, ScalarField, Trajectory, d1, load_field, save_field
 from .material import MaterialParams, TensorSpec
 from .order_parameter import (
+    MAX_STEPS,
     MollifierState,
     RegularizationParams,
     StepRejected,
@@ -136,6 +137,12 @@ class SimulationConfig:
             raise ConfigInvalid(f"save_every must be >= 1, got {self.save_every}")
         if self.elasticity_path not in ("direct", "green", "both-verify"):
             raise ConfigInvalid(f"unknown elasticity path {self.elasticity_path!r}")
+        steps = self.t_end / self.reg.dt
+        if not steps <= MAX_STEPS:
+            raise ConfigInvalid(
+                f"run.t_end / reg.dt = {steps:.3g} steps exceeds the ceiling of {MAX_STEPS}; "
+                "raise reg.dt or lower run.t_end"
+            )
 
     @property
     def n_steps(self) -> int:
@@ -173,7 +180,7 @@ class Simulation:
             if config.elasticity_path in ("green", "both-verify")
             else None
         )
-        self.mollifier = MollifierState(config.reg.kappa_m, config.reg.dt)
+        self.mollifier = MollifierState(config.reg.kappa_m, config.reg.dt, config.n_steps + 1)
         if _restore is None:
             self.step_index = 0
             self.s = config.init.build(self.grid)

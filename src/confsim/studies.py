@@ -49,6 +49,8 @@ class StudyConfig:
         if self.h_factor < 1 or self.dt_factor < 1:
             raise ValueError("refinement factors must be >= 1")
         self.kappas[self.reference]  # raises IndexError for a bad reference
+        for index in range(len(ks)):
+            self.member_config(index)  # a refined member must be a valid config too
 
     @property
     def is_refinement(self) -> bool:

@@ -161,6 +161,26 @@ class TestCliRun:
         assert code == 1
         assert "kappa" in capsys.readouterr().err
 
+    def test_three_node_grid_exits_one(self, tmp_path, capsys):
+        code = main(["run", "--out", str(tmp_path / "out"), "--set", "grid.n=3"])
+        assert code == 1
+        assert "need at least 4 nodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, names",
+        [
+            (["reg.dt=1e-300", "run.t_end=1"], "reg.kappa_m / reg.dt"),
+            (["reg.dt=1e-12", "reg.kappa_m=1e-12", "run.t_end=1"], "run.t_end / reg.dt"),
+        ],
+    )
+    def test_step_ceiling_exits_one(self, tmp_path, capsys, overrides, names):
+        argv = ["run", "--out", str(tmp_path / "out")]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert names in err and "exceeds the ceiling" in err
+
     def test_missing_config_exits_one(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path / "o")]) == 1
 
@@ -254,6 +274,14 @@ class TestCliStudy:
         assert text[0] == "kappa,h,dt,weak_residual_max"
         assert len(text) == 3
         assert "weak_res" in capsys.readouterr().out
+
+    def test_refined_member_beyond_step_ceiling_exits_one(self, tmp_path, capsys):
+        # the third member's step is 1e-3 / 2**40: rejected before any member runs
+        argv = ["study", "--out", str(tmp_path / "out"), "--set", "study.kappas=0.5 0.25 0.125",
+                "--set", "study.dt_factor=1048576", "--set", "reg.dt=1e-3"]
+        assert main(argv) == 1
+        assert "exceeds the ceiling" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCliTools:

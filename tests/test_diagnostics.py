@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,14 @@ class TestWeakResidual:
         )
         res = weak_residual(traj, MAT, [zero_fn])
         assert res[0] == 0.0
+
+    def test_one_frame_with_default_test_functions_raises(self):
+        traj = diffusion_trajectory(steps=0)
+        assert len(traj.times) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would fail here
+            with pytest.raises(ValueError, match="at least two frames"):
+                weak_residual(traj, MAT)
 
     def test_series_starts_at_zero(self, desk_config):
         result = run(desk_config)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from confsim.grid_field import Grid, ScalarField, d1
+from confsim.grid_field import Grid, ScalarField, d1, tridiag_solve
 from confsim.material import MaterialParams
 from confsim.elasticity import (
     GreenKernel,
     OutOfDomain,
+    _fd_operator,
     elastic_rhs,
     fd_residual,
     homogeneous_solutions,
@@ -185,6 +186,31 @@ class TestDirectSolve:
         g = ScalarField(grid, rng.normal(size=grid.n))
         u = solve_fd(g)
         assert fd_residual(u, g) < 1e-12
+
+    def test_operator_built_once_per_grid(self):
+        bands = _fd_operator(Grid(A, D, 65))
+        assert bands is _fd_operator(Grid(A, D, 65))
+        assert not any(band.flags.writeable for band in bands)
+
+    @pytest.mark.parametrize("n", [4, 129, 2049])
+    def test_matches_operator_rebuilt_per_call(self, n):
+        # the diagonals and the refinement step exactly as assembled per call before caching
+        grid = Grid(A, D, n)
+        h, xi = grid.h, grid.x[1:-1]
+        diag = np.ones(n)
+        diag[1:-1] = -2.0 / h**2 - 2.0 / xi**2
+        lower = np.append(1.0 / h**2 - 1.0 / (xi * h), 0.0)
+        upper = np.append(0.0, 1.0 / h**2 + 1.0 / (xi * h))
+        g = np.random.default_rng(n).normal(size=n)
+        vec = np.zeros(n)
+        vec[1:-1] = g[1:-1]
+        u = tridiag_solve(lower, diag, upper, vec)
+        au = diag * u
+        au[:-1] += upper * u[1:]
+        au[1:] += lower * u[:-1]
+        u -= tridiag_solve(lower, diag, upper, au - vec)
+        u[0] = u[-1] = 0.0
+        assert np.array_equal(solve_fd(ScalarField(grid, g)).values, u)
 
     def test_discrete_energy_identity(self):
         # sum (x^2 u_x^2 + 2 u^2) h = -sum x^2 g u h up to O(h^2)

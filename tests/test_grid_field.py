@@ -34,6 +34,8 @@ class TestGrid:
             Grid(-1.0, 1.0, 11)
         with pytest.raises(ValueError):
             Grid(1.0, 2.0, 2)
+        with pytest.raises(ValueError, match="at least 4 nodes"):
+            Grid(1.0, 2.0, 3)  # d2's boundary stencil reads four nodes
 
     def test_nodes(self):
         grid = Grid(1.0, 2.0, 5)
@@ -158,10 +160,14 @@ def banded_reference(lower, diag, upper, rhs):
     return solve_banded((1, 1), ab, rhs)
 
 
-def fd_operator(grid):
-    """Diagonals of the radial elasticity operator with pinned boundary rows."""
-    h, xi = grid.h, grid.x[1:-1]
-    diag = np.ones(grid.n)
+def fd_operator(n, a=1.0, d=2.0):
+    """Diagonals of the radial elasticity operator with pinned boundary rows.
+
+    Built from the node formula rather than a Grid, so that n = 3 works too.
+    """
+    h = (d - a) / (n - 1)
+    xi = np.linspace(a, d, n)[1:-1]
+    diag = np.ones(n)
     diag[1:-1] = -2.0 / h**2 - 2.0 / xi**2
     lower = np.append(1.0 / h**2 - 1.0 / (xi * h), 0.0)
     upper = np.append(0.0, 1.0 / h**2 + 1.0 / (xi * h))
@@ -171,7 +177,7 @@ def fd_operator(grid):
 class TestTridiagSolve:
     @pytest.mark.parametrize("n", [3, 4, 129, 2049])
     def test_matches_banded_solver_on_fd_operator(self, n):
-        lower, diag, upper = fd_operator(Grid(1.0, 2.0, n))
+        lower, diag, upper = fd_operator(n)
         rhs = np.random.default_rng(n).normal(size=n)
         got = tridiag_solve(lower, diag, upper, rhs)
         assert np.array_equal(got, banded_reference(lower, diag, upper, rhs))
@@ -190,7 +196,7 @@ class TestTridiagSolve:
             assert np.array_equal(got, banded_reference(lower, diag, upper, rhs))
 
     def test_inputs_unchanged(self):
-        lower, diag, upper = fd_operator(Grid(1.0, 2.0, 17))
+        lower, diag, upper = fd_operator(17)
         rhs = np.linspace(-1.0, 1.0, 17)
         before = [a.copy() for a in (lower, diag, upper, rhs)]
         tridiag_solve(lower, diag, upper, rhs)

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -153,6 +154,90 @@ class TestMollifier:
         state = MollifierState(kappa_m=0.02, dt=1e-3)
         with pytest.raises(InsufficientHistory):
             mollify(state, 0.0)
+
+
+class DequeMollifier:
+    """Reference: a deque of frame copies, stacked on every call."""
+
+    def __init__(self, weights):
+        self.weights = weights
+        self.frames = deque(maxlen=len(weights))
+
+    def push(self, values):
+        self.frames.appendleft(values.copy())
+
+    def mollify(self):
+        k = len(self.frames)
+        w = self.weights
+        stacked = np.stack(self.frames)
+        if k >= len(w):
+            return w @ stacked
+        values = w[:k] @ stacked
+        values += (1.0 - w[:k].sum()) * stacked[-1]
+        return values
+
+
+class TestMollifierRingBuffer:
+    @pytest.mark.parametrize("m", [1, 2, 37])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_deque_reference_bit_for_bit(self, m, seed):
+        dt = 1e-3
+        state = MollifierState(kappa_m=m * dt, dt=dt)
+        assert state.window_size == m
+        ref = DequeMollifier(state.weights)
+        rng = np.random.default_rng(seed)
+        # below, at and well past the window: the ring wraps several times
+        for k in range(1, 4 * m + 6):
+            values = rng.normal(size=GRID.n)
+            state.push(ScalarField(GRID, values), k * dt)
+            ref.push(values)
+            assert len(state.frames) == min(k, m)
+            assert np.array_equal(state.frames, np.stack(ref.frames))
+            assert np.array_equal(mollify(state, k * dt).values, ref.mollify())
+
+    def test_frames_view_is_read_only(self):
+        state = MollifierState(kappa_m=0.003, dt=1e-3)
+        state.push(bump(), 0.0)
+        with pytest.raises(ValueError):
+            state.frames[0, 1] = 1.0
+
+    def test_max_frames_caps_the_buffer(self):
+        dt = 1e-3
+        state = MollifierState(kappa_m=37 * dt, dt=dt, max_frames=5)
+        ref = DequeMollifier(state.weights)
+        rng = np.random.default_rng(5)
+        for k in range(1, 6):
+            values = rng.normal(size=GRID.n)
+            state.push(ScalarField(GRID, values), k * dt)
+            ref.push(values)
+            assert np.array_equal(mollify(state, k * dt).values, ref.mollify())
+        with pytest.raises(ValueError, match="at most 5 frames"):
+            state.push(bump(), 6 * dt)
+
+    @pytest.mark.parametrize("pushes", [3, 7, 20])
+    def test_restore_continues_bit_for_bit(self, pushes):
+        dt = 1e-3
+        rng = np.random.default_rng(pushes)
+        history = [rng.normal(size=GRID.n) for _ in range(pushes + 10)]
+        whole = MollifierState(kappa_m=7 * dt, dt=dt)
+        for k, values in enumerate(history[:pushes]):
+            whole.push(ScalarField(GRID, values), k * dt)
+        arrays = whole.state_arrays()
+        assert len(arrays) == min(pushes, 7)
+        restored = MollifierState(kappa_m=7 * dt, dt=dt)
+        restored.restore([a.tolist() for a in arrays], GRID, (pushes - 1) * dt)
+        for k, values in enumerate(history[pushes:], start=pushes):
+            for state in (whole, restored):
+                state.push(ScalarField(GRID, values), k * dt)
+            assert np.array_equal(mollify(restored, k * dt).values, mollify(whole, k * dt).values)
+
+
+class TestStepCeiling:
+    def test_window_beyond_ceiling_rejected(self):
+        with pytest.raises(ValueError, match="reg.kappa_m / reg.dt"):
+            RegularizationParams(kappa=0.25, dt=1e-300)
+        with pytest.raises(ValueError, match="exceeds the ceiling"):
+            MollifierState(kappa_m=1.0, dt=1e-300)
 
 
 class TestDrivingForce:

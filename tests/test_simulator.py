@@ -1,5 +1,11 @@
+import functools
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confsim.grid_field import ScalarField
 from confsim.simulator import (
@@ -89,6 +95,31 @@ class TestSnapshotRestart:
         s_all = np.vstack([part1.trajectory.s_matrix(), part2.trajectory.s_matrix()[1:]])
         u_all = np.vstack([part1.trajectory.u_matrix(), part2.trajectory.u_matrix()[1:]])
         assert np.array_equal(times, whole.trajectory.times)
+        assert np.array_equal(s_all, whole.trajectory.s_matrix())
+        assert np.array_equal(u_all, whole.trajectory.u_matrix())
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _short_window_run(window):
+        cfg = make_config(n=33, t_end=8e-3, dt=2e-4, save_every=1, kappa_m=window * 2e-4)
+        return cfg, Simulation(cfg).run()
+
+    @settings(max_examples=30, deadline=None)
+    @given(window=st.integers(1, 8), split=st.integers(0, 40))
+    def test_split_after_wrap_is_bit_identical(self, window, split):
+        # a window of a few steps: most split steps fall after the ring has wrapped
+        cfg, whole = self._short_window_run(window)
+        assert cfg.n_steps == 40
+        first = Simulation(cfg)
+        part1 = first.run(until_step=split)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_snapshot(Path(tmp) / "snap.json", first)
+            part2 = load_snapshot(Path(tmp) / "snap.json", cfg).run()
+
+        steps = np.concatenate([part1.trajectory.steps, part2.trajectory.steps[1:]])
+        s_all = np.vstack([part1.trajectory.s_matrix(), part2.trajectory.s_matrix()[1:]])
+        u_all = np.vstack([part1.trajectory.u_matrix(), part2.trajectory.u_matrix()[1:]])
+        assert np.array_equal(steps, whole.trajectory.steps)
         assert np.array_equal(s_all, whole.trajectory.s_matrix())
         assert np.array_equal(u_all, whole.trajectory.u_matrix())
 
