@@ -321,10 +321,10 @@ def weak_residual_series(
         t = traj.times[k]
         s = traj.s_frames[k]
         u = traj.u_frames[k]
-        s_x = d1(s).values
+        s_x = d1(s)
         flux = flux_field(s).values
-        force = driving_force_at(u, s, material).values
-        kinetic = force * np.abs(s_x)
+        force = driving_force_at(u, s, s_x, material).values
+        kinetic = force * np.abs(s_x.values)
         for m, tf in enumerate(test_functions):
             pair_t[k, m] = _space_integral(s.values * tf.phi_t(t, x), h)
             pair_flux[k, m] = _space_integral(flux * tf.phi_x(t, x), h)

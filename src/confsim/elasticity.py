@@ -13,8 +13,11 @@ built from them is continuous, symmetric, vanishes on the boundary and its
 x-derivative jumps by 1/y^2 across x = y.
 
 Two solution paths are provided: ``solve_fd`` (tridiagonal elimination, the
-production path, O(n) per call) and ``solve_green`` (quadrature against the
-closed-form kernel, the independent verification path).
+production path) and ``solve_green`` (trapezoid quadrature against the
+closed-form kernel, the independent verification path).  Both are O(n) per
+call.  The kernel is separable, u1(min) u2(max) / c, so the quadrature is one
+prefix sum weighted by u2(x) and one suffix sum weighted by u1(x); neither
+path holds an n x n matrix.
 """
 
 from __future__ import annotations
@@ -198,59 +201,49 @@ def fd_residual(u: ScalarField, rhs: ScalarField) -> float:
 
 
 @lru_cache(maxsize=8)
-def _green_matrices(a: float, d: float, n: int):
-    """Dense quadrature matrices (A, BC) on the shared grid.
+def _green_weights(grid: Grid):
+    """Per-node coefficient vectors of the Green quadrature, built once per grid.
 
-    u = (1/mu) A @ b - (lam/mu) BC @ s, where A integrates G(x,y) y^2 * b and
-    BC integrates (2 G y + G_y y^2) * s with the derivative branch split at
-    the node y = x.
+    With trapezoid weights w_j, ``solve_green`` evaluates
+        u_i = sum_j G(x_i, y_j) y_j^2 w_j b_j / mu
+              - (lam/mu) sum_j (2 G(x_i, y_j) y_j + G_y(x_i, y_j) y_j^2) w_j s_j,
+    where G_y takes its left branch for j < i and its right branch for j > i,
+    and the node y_j = x_i carries both one-sided values with weight h/2 each.
+    The kernel is separable, G = u1(y) u2(x) / c for y <= x and u1(x) u2(y) / c
+    for y > x, so
+        u_i = u2_i sum_{j <= i} L_j + u1_i sum_{j > i} R_j + diag_i (lam/mu) s_i
+    with L_j = b_left_j b_j / mu - s_left_j (lam/mu) s_j (and R_j likewise).
+    ``diag`` takes the strict j < i branch's node term back out of the prefix
+    sum and puts the split node values in.  The arrays are shared between
+    calls and therefore read-only.
     """
-    kernel = GreenKernel(a, d)
-    grid = Grid(a, d, n)
+    kernel = GreenKernel(grid.a, grid.d)
     x = grid.x
     h = grid.h
     c = kernel.norm_const
-
     u1 = kernel.u1(x)
     u2 = kernel.u2(x)
     u1p = kernel.u1_prime(x)
     u2p = kernel.u2_prime(x)
 
-    # G[i, j] = u1(min) u2(max) / c
-    lo = np.minimum.outer(x, x)
-    hi = np.maximum.outer(x, x)
-    g = kernel.u1(lo) * kernel.u2(hi) / c
-
-    w = np.full(n, h)
+    w = np.full(grid.n, h)
     w[0] = w[-1] = 0.5 * h
+    x2w = x**2 * w / c
+    b_left = u1 * x2w
+    b_right = u2 * x2w
+    s_left = 2.0 * u1 * x * w / c + u1p * x2w
+    s_right = 2.0 * u2 * x * w / c + u2p * x2w
 
-    a_mat = g * (x**2 * w)[None, :]
+    # the shared node y = x_i: the end of [a, x_i] and the start of [x_i, d]
+    split = np.zeros(grid.n)
+    split[1:] += 0.5 * h * u2[1:] * u1p[1:]
+    split[:-1] += 0.5 * h * u1[:-1] * u2p[:-1]
+    diag = u2 * u1p * x2w - split * x**2 / c
 
-    # continuous part of the coupling kernel
-    bc = 2.0 * g * (x * w)[None, :]
-
-    # derivative part, branch dependent: rows are evaluation points x_i
-    j = np.arange(n)
-    gy_left = np.outer(u2, u1p)   # value for y_j < x_i (column j, row i)
-    gy_right = np.outer(u1, u2p)  # value for y_j > x_i
-    left_mask = j[None, :] < j[:, None]
-    right_mask = j[None, :] > j[:, None]
-    dpart = np.zeros((n, n))
-    dpart[left_mask] = gy_left[left_mask]
-    dpart[right_mask] = gy_right[right_mask]
-    # trapezoid weights of the split [a, x_i] + [x_i, d] quadratures
-    wsplit = np.full((n, n), h)
-    wsplit[:, 0] = 0.5 * h
-    wsplit[:, -1] = 0.5 * h
-    dpart = dpart * wsplit
-    # the shared node y = x_i carries both one-sided values, each with h/2
-    diag_vals = np.zeros(n)
-    diag_vals[1:] += 0.5 * h * u2[1:] * u1p[1:]      # end of the left segment
-    diag_vals[:-1] += 0.5 * h * u1[:-1] * u2p[:-1]   # start of the right segment
-    dpart[j, j] = diag_vals
-    bc += dpart * (x**2)[None, :] / c
-
-    return a_mat, bc
+    table = (u1, u2, b_left, s_left, b_right, s_right, diag)
+    for vec in table:
+        vec.flags.writeable = False
+    return table
 
 
 def solve_green(
@@ -260,14 +253,25 @@ def solve_green(
 
     Uses the integrated-by-parts form in which only the (mollified) order
     parameter enters, not its derivative; boundary values are pinned to zero.
+    The separable kernel turns the quadrature into one prefix and one suffix
+    sum (see ``_green_weights``), O(n) per call.
     """
     grid = s_moll.grid
     if b.grid != grid:
         raise ValueError("fields must share a grid")
     if (kernel.a, kernel.d) != (grid.a, grid.d):
         raise ValueError("kernel interval does not match the grid")
-    a_mat, bc = _green_matrices(grid.a, grid.d, grid.n)
-    u = a_mat @ b.values / params.mu - (params.lam / params.mu) * (bc @ s_moll.values)
+    u1, u2, b_left, s_left, b_right, s_right, diag = _green_weights(grid)
+    b_mu = b.values / params.mu
+    s_lam = (params.lam / params.mu) * s_moll.values
+    # prefix sums over j <= i, and suffix sums over j > i by a reversed
+    # cumulative sum shifted by one node
+    left = (b_left * b_mu - s_left * s_lam).cumsum()
+    right = np.zeros(grid.n)
+    right[:-1] = (b_right * b_mu - s_right * s_lam)[:0:-1].cumsum()[::-1]
+    u = u2 * left
+    u += u1 * right
+    u += diag * s_lam
     u[0] = 0.0
     u[-1] = 0.0
     return ScalarField(grid, u)

@@ -224,13 +224,15 @@ def semi_implicit_step(
     material: MaterialParams,
     reg: RegularizationParams,
     dt: Optional[float] = None,
+    s_x: Optional[ScalarField] = None,
 ) -> ScalarField:
     """One frozen-coefficient step of the regularized evolution equation.
 
     The diffusion coefficient c*nu*|s_x|_kappa is taken from the current state
     (bounded below by c*nu*kappa, so the system is never singular), diffusion
     is advanced with weight theta, the reaction -force*(|s_x|_kappa - kappa)
-    explicitly.  Boundary values are pinned to exactly zero.
+    explicitly.  Boundary values are pinned to exactly zero.  ``s_x`` is
+    d1(s), passed by a caller that has already computed it.
     """
     if dt is None:
         dt = reg.dt
@@ -238,8 +240,9 @@ def semi_implicit_step(
     n = grid.n
     h = grid.h
 
-    s_x = d1(s).values
-    mod = np.hypot(s_x, reg.kappa)
+    if s_x is None:
+        s_x = d1(s)
+    mod = np.hypot(s_x.values, reg.kappa)
     coef = material.c * material.nu * mod
 
     rhs = s.values.copy()
@@ -254,8 +257,12 @@ def semi_implicit_step(
     beta = reg.theta * dt * coef[1:-1] / h**2
     diag = np.ones(n)
     diag[1:-1] += 2.0 * beta
-    # rows 0 and n-1 are identity rows that pin the boundary values
-    new = tridiag_solve(np.append(-beta, 0.0), diag, np.append(0.0, -beta), rhs)
+    # rows 0 and n-1 are identity rows that pin the boundary values, so the
+    # sub-diagonal is (-beta, 0) and the super-diagonal (0, -beta): two
+    # overlapping views of one array (gtsv leaves its inputs unchanged)
+    off = np.zeros(n)
+    off[1:-1] = -beta
+    new = tridiag_solve(off[1:], diag, off[:-1], rhs)
     new[0] = 0.0
     new[-1] = 0.0
 

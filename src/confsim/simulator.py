@@ -230,11 +230,12 @@ class Simulation:
         self._record_frame(u, s_moll, b, disc)
 
         while self.step_index < stop:
-            force = driving_force_at(u, self.s, cfg.material)
+            s_x = d1(self.s)
+            force = driving_force_at(u, self.s, s_x, cfg.material)
             t_next = cfg.step_time(self.step_index + 1)
             dt_n = t_next - self.time
             try:
-                self.s = semi_implicit_step(self.s, force, cfg.material, cfg.reg, dt=dt_n)
+                self.s = semi_implicit_step(self.s, force, cfg.material, cfg.reg, dt=dt_n, s_x=s_x)
             except StepRejected:
                 status = Termination("step-rejected", self.time)
                 break
@@ -285,8 +286,11 @@ class Simulation:
         return cls(config, _restore=payload)
 
 
-def driving_force_at(u: ScalarField, s: ScalarField, material: MaterialParams) -> ScalarField:
-    return driving_force(u, d1(u), s, d1(s), material)
+def driving_force_at(
+    u: ScalarField, s: ScalarField, s_x: ScalarField, material: MaterialParams
+) -> ScalarField:
+    """Driving force on the state (u, s), given s_x = d1(s)."""
+    return driving_force(u, d1(u), s, s_x, material)
 
 
 def run(config: SimulationConfig) -> RunResult:

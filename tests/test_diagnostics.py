@@ -1,8 +1,12 @@
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scipy.integrate import trapezoid
 
@@ -233,6 +237,20 @@ class TestReportRecompute:
         traj, cfg, diag_text = load_run(tmp_path / "out")
         rebuilt = build_report(traj, cfg)
         assert rebuilt.to_csv_text() == diag_text
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(4, 40),
+        save_every=st.integers(1, 5),
+        steps=st.integers(1, 12),
+        path=st.sampled_from(["direct", "green", "both-verify"]),
+    )
+    def test_recompute_from_disk_is_bit_exact_for_random_configs(self, n, save_every, steps, path):
+        cfg = make_config(n=n, t_end=steps * 2e-4, save_every=save_every, path=path)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_run(Path(tmp) / "out", run(cfg))
+            traj, loaded, diag_text = load_run(Path(tmp) / "out")
+        assert build_report(traj, loaded).to_csv_text() == diag_text
 
 
 class TestKappaStudy:

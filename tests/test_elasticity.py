@@ -10,6 +10,7 @@ from confsim.elasticity import (
     GreenKernel,
     OutOfDomain,
     _fd_operator,
+    _green_weights,
     elastic_rhs,
     fd_residual,
     homogeneous_solutions,
@@ -266,3 +267,92 @@ class TestGreenSolve:
             hs.append(grid.h)
         rate = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert rate >= 1.9
+
+
+def dense_green_matrices(a, d, n):
+    """The dense (A, BC) quadrature matrices solve_green once applied, kept as the reference.
+
+    u = (1/mu) A @ b - (lam/mu) BC @ s, where A integrates G(x,y) y^2 * b and
+    BC integrates (2 G y + G_y y^2) * s with the derivative branch split at
+    the node y = x.
+    """
+    kernel = GreenKernel(a, d)
+    grid = Grid(a, d, n)
+    x = grid.x
+    h = grid.h
+    c = kernel.norm_const
+
+    u1 = kernel.u1(x)
+    u2 = kernel.u2(x)
+    u1p = kernel.u1_prime(x)
+    u2p = kernel.u2_prime(x)
+
+    lo = np.minimum.outer(x, x)
+    hi = np.maximum.outer(x, x)
+    g = kernel.u1(lo) * kernel.u2(hi) / c
+    # the n x n temporaries are dropped as soon as they are used: at n=2049
+    # each one is 34 MB
+    del lo, hi
+
+    w = np.full(n, h)
+    w[0] = w[-1] = 0.5 * h
+
+    a_mat = g * (x**2 * w)[None, :]
+    bc = 2.0 * g * (x * w)[None, :]
+
+    j = np.arange(n)
+    gy_left = np.outer(u2, u1p)
+    gy_right = np.outer(u1, u2p)
+    left_mask = j[None, :] < j[:, None]
+    right_mask = j[None, :] > j[:, None]
+    dpart = np.zeros((n, n))
+    dpart[left_mask] = gy_left[left_mask]
+    dpart[right_mask] = gy_right[right_mask]
+    del gy_left, gy_right, left_mask, right_mask
+    wsplit = np.full((n, n), h)
+    wsplit[:, 0] = 0.5 * h
+    wsplit[:, -1] = 0.5 * h
+    dpart = dpart * wsplit
+    del wsplit
+    diag_vals = np.zeros(n)
+    diag_vals[1:] += 0.5 * h * u2[1:] * u1p[1:]
+    diag_vals[:-1] += 0.5 * h * u1[:-1] * u2p[:-1]
+    dpart[j, j] = diag_vals
+    bc += dpart * (x**2)[None, :] / c
+    return a_mat, bc
+
+
+class TestGreenPrefixSums:
+    @pytest.mark.parametrize("n", [4, 5, 129, 2049])
+    def test_matches_dense_quadrature(self, n):
+        grid = Grid(A, D, n)
+        kernel = GreenKernel(A, D)
+        p = params()
+        a_mat, bc = dense_green_matrices(A, D, n)
+        rng = np.random.default_rng(n)
+        zero = np.zeros(n)
+        cases = {
+            "b only": (zero, rng.uniform(-1, 1, n)),
+            "s only": (rng.uniform(-1, 1, n), zero),
+            "mixed": (rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)),
+        }
+        for label, (s, b) in cases.items():
+            expected = a_mat @ b / p.mu - (p.lam / p.mu) * (bc @ s)
+            expected[0] = expected[-1] = 0.0
+            u = solve_green(kernel, ScalarField(grid, s), ScalarField(grid, b), p).values
+            assert u[0] == 0.0 and u[-1] == 0.0, label
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(u - expected)) <= 1e-13 * scale, label
+
+    def test_weights_built_once_per_grid(self):
+        table = _green_weights(Grid(A, D, 65))
+        assert table is _green_weights(Grid(A, D, 65))
+        assert not any(vec.flags.writeable for vec in table)
+
+    def test_mismatched_interval_or_grid_rejected(self):
+        grid = Grid(A, D, 33)
+        z = ScalarField.zeros(grid)
+        with pytest.raises(ValueError, match="kernel interval"):
+            solve_green(GreenKernel(A, 3.0), z, z, params())
+        with pytest.raises(ValueError, match="share a grid"):
+            solve_green(GreenKernel(A, D), z, ScalarField.zeros(Grid(A, D, 17)), params())
