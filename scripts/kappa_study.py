@@ -12,8 +12,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from confsim.config import default_config
-from confsim.studies import StudyConfig, run_study, write_study_csv
+from confsim.config import StudyConfig, default_config
+from confsim.studies import run_study, write_study_csv
 
 
 def main():

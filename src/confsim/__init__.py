@@ -23,17 +23,17 @@ from .order_parameter import (
     smoothed_abs,
     smoothed_abs_primitive,
 )
-from .simulator import (
+from .reduction3d import RadialLift, lift_fields, residual_elasticity_3d, residual_order_3d
+from .config import (
     BodyForce,
     InitialData,
-    RunResult,
-    Simulation,
+    ParseError,
     SimulationConfig,
-    load_run,
-    load_snapshot,
-    run,
-    save_snapshot,
-    write_run,
+    StudyConfig,
+    ValidationError,
+    default_config,
+    parse_config,
+    parse_config_text,
 )
 from .diagnostics import (
     DiagnosticsReport,
@@ -44,8 +44,15 @@ from .diagnostics import (
     max_principle_check,
     weak_residual,
 )
-from .studies import StudyConfig, mms_convergence, run_study, weak_residual_refinement
-from .reduction3d import RadialLift, lift_fields, residual_elasticity_3d, residual_order_3d
-from .config import ParseError, ValidationError, default_config, parse_config, parse_config_text
+from .simulator import (
+    RunResult,
+    Simulation,
+    load_run,
+    load_snapshot,
+    run,
+    save_snapshot,
+    write_run,
+)
+from .studies import mms_convergence, run_study, weak_residual_refinement
 
 __version__ = "0.1.0"

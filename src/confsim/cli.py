@@ -13,13 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ParseError, ValidationError, parse_config
+from .config import (
+    ConfigInvalid, ParseError, SimulationConfig, StudyConfig, ValidationError, apply_overrides,
+    build_config, parse_config,
+)
 from .elasticity import GreenKernel
 from .reduction3d import RadialLift, random_shell_points, residual_elasticity_3d, residual_order_3d
-from .simulator import ConfigInvalid, SimulationConfig, Simulation, write_run
-from .studies import (
-    StudyConfig, member_weak_residual, mms_convergence, run_members, run_study, write_study_csv,
-)
+from .simulator import Simulation, load_run, write_run
+from .studies import member_weak_residual, mms_convergence, run_members, run_study, write_study_csv
 
 _CONFIG_ERRORS = (ParseError, ValidationError, ConfigInvalid, OSError)
 
@@ -28,8 +29,6 @@ def _load(args, want) -> object:
     if args.config:
         cfg = parse_config(args.config, overrides=args.set)
     else:
-        from .config import build_config, apply_overrides
-
         cfg = build_config(apply_overrides({}, args.set))
     if not isinstance(cfg, want):
         raise ValidationError(
@@ -131,12 +130,20 @@ def _cmd_verify_green(args) -> int:
 
 
 def _cmd_check_reduction(args) -> int:
-    from .simulator import load_run
-
+    if args.samples < 1:
+        raise ValidationError("samples", f"--samples must be at least 1, got {args.samples}")
+    if not args.h3 > 0:
+        raise ValidationError("h3", f"--h3 must be positive, got {args.h3}")
     traj, cfg, _ = load_run(args.run)
     if cfg.tensor_spec is None:
         raise ValidationError(
             "tensor_spec", "check-reduction needs a run configured with material.tensor.*"
+        )
+    width = cfg.grid.d - cfg.grid.a
+    if not 6 * args.h3 < width:
+        # samples keep 3*h3 from each wall, so the shell must be wider than 6*h3
+        raise ValidationError(
+            "h3", f"--h3 = {args.h3} needs 6*h3 < d - a = {width:g}; sample margin is 3*h3"
         )
     tensor, misfit = cfg.tensor_spec.build()
     if len(traj.times) < 2:

@@ -1,23 +1,32 @@
-"""Structured key-value config files: parsing, validation, canonical echo.
+"""Typed run and study configs, and the key-value files they are read from.
 
-The format is one ``key = value`` pair per line, ``#`` comments, flat dotted
-keys.  Parsing is strict: unknown keys are rejected so sweep typos cannot
-silently fall back to defaults.  ``echo_lines`` renders a config canonically
-(every key, sorted, floats at 17 significant digits) and re-parsing the echo
-reproduces an equal config; the run hash is taken over that text.
+``SimulationConfig`` (with its ``InitialData`` and ``BodyForce`` families)
+and ``StudyConfig`` are the validated schema every layer above this one
+consumes.  The file format is one ``key = value`` pair per line, ``#``
+comments, flat dotted keys.  Parsing is strict: unknown keys are rejected so
+sweep typos cannot silently fall back to defaults.  ``echo_lines`` renders a
+config canonically (every key, sorted, floats at 17 significant digits) and
+re-parsing the echo reproduces an equal config; ``config_digest``, the run
+hash, is taken over that text.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .grid_field import FLOAT_FMT, Grid
+import numpy as np
+
+from .grid_field import FLOAT_FMT, Grid, ScalarField
 from .material import AssumptionViolated, MaterialParams, TensorSpec
-from .order_parameter import RegularizationParams
-from .simulator import BodyForce, InitialData, SimulationConfig
-from .studies import StudyConfig
+from .order_parameter import MAX_STEPS, RegularizationParams
+
+
+class ConfigInvalid(ValueError):
+    pass
 
 
 class ParseError(ValueError):
@@ -31,6 +40,172 @@ class ValidationError(ValueError):
     def __init__(self, invariant: str, message: str):
         self.invariant = invariant
         super().__init__(f"{invariant}: {message}")
+
+
+def _smooth_ramp(s: np.ndarray) -> np.ndarray:
+    """C-infinity transition, exactly 0 for s <= 0 and exactly 1 for s >= 1."""
+    out = np.zeros_like(s)
+    mid = (s > 0.0) & (s < 1.0)
+    f = np.exp(-1.0 / s[mid])
+    g = np.exp(-1.0 / (1.0 - s[mid]))
+    out[mid] = f / (f + g)
+    out[s >= 1.0] = 1.0
+    return out
+
+
+@dataclass(frozen=True)
+class InitialData:
+    """Initial order parameter; both families lie in the zero-boundary class.
+
+    "plateau" is compactly supported with smooth shoulders, so all derivatives
+    vanish at the boundary; "bump" is a half sine.
+    """
+
+    family: str = "plateau"
+    amplitude: float = 0.8
+    support_lo: float = 0.3
+    support_hi: float = 0.7
+    shoulder: float = 0.15
+
+    def __post_init__(self):
+        if self.family not in ("plateau", "bump"):
+            raise ConfigInvalid(f"unknown initial-data family {self.family!r}")
+        if self.family == "plateau":
+            if not (0.0 < self.support_lo < self.support_hi < 1.0):
+                raise ConfigInvalid("plateau support must satisfy 0 < lo < hi < 1")
+            if not self.shoulder > 0:
+                raise ConfigInvalid("plateau shoulder width must be positive")
+
+    def build(self, grid: Grid) -> ScalarField:
+        xi = (grid.x - grid.a) / (grid.d - grid.a)
+        if self.family == "bump":
+            values = self.amplitude * np.sin(np.pi * xi)
+        else:
+            rise = _smooth_ramp((xi - self.support_lo) / self.shoulder)
+            fall = _smooth_ramp((self.support_hi - xi) / self.shoulder)
+            values = self.amplitude * rise * fall
+        values[0] = 0.0
+        values[-1] = 0.0
+        return ScalarField(grid, values)
+
+
+@dataclass(frozen=True)
+class BodyForce:
+    """Radial volume force family; continuous in t with continuous t-derivative."""
+
+    family: str = "zero"
+    amplitude: float = 0.0
+    coeffs: tuple = (0.0,)
+    rate: float = 0.0
+
+    def __post_init__(self):
+        if self.family not in ("zero", "constant", "poly", "ramp"):
+            raise ConfigInvalid(f"unknown body-force family {self.family!r}")
+
+    def evaluate(self, t: float, grid: Grid) -> ScalarField:
+        if self.family == "zero":
+            values = np.zeros(grid.n)
+        elif self.family == "constant":
+            values = np.full(grid.n, self.amplitude)
+        elif self.family == "poly":
+            values = np.zeros(grid.n)
+            for k, ck in enumerate(self.coeffs):
+                values += ck * (grid.x - grid.a) ** k
+        else:  # ramp
+            values = np.full(grid.n, self.amplitude + self.rate * t)
+        return ScalarField(grid, values)
+
+
+@dataclass(frozen=True)
+class SimulationConfig:
+    grid: Grid
+    material: MaterialParams
+    reg: RegularizationParams
+    t_end: float
+    save_every: int = 10
+    elasticity_path: str = "direct"
+    init: InitialData = field(default_factory=InitialData)
+    body: BodyForce = field(default_factory=BodyForce)
+    tensor_spec: Optional[TensorSpec] = None
+
+    def __post_init__(self):
+        if not self.t_end > 0:
+            raise ConfigInvalid(f"t_end must be positive, got {self.t_end}")
+        if self.save_every < 1:
+            raise ConfigInvalid(f"save_every must be >= 1, got {self.save_every}")
+        if self.elasticity_path not in ("direct", "green", "both-verify"):
+            raise ConfigInvalid(f"unknown elasticity path {self.elasticity_path!r}")
+        steps = self.t_end / self.reg.dt
+        if not steps <= MAX_STEPS:
+            raise ConfigInvalid(
+                f"run.t_end / reg.dt = {steps:.3g} steps exceeds the ceiling of {MAX_STEPS}; "
+                "raise reg.dt or lower run.t_end"
+            )
+
+    @property
+    def n_steps(self) -> int:
+        return int(np.ceil(self.t_end / self.reg.dt - 1e-9))
+
+    def step_time(self, n: int) -> float:
+        return min(n * self.reg.dt, self.t_end)
+
+
+@dataclass(frozen=True)
+class StudyConfig:
+    """A family of runs over a decreasing regularization sequence.
+
+    With the default unit factors all members share the grid and time step
+    (the setting in which reference distances are defined).  Factors above one
+    refine the mesh and the step per member, turning the sequence into a
+    simultaneous refinement path.
+    """
+
+    base: SimulationConfig
+    kappas: tuple
+    reference: int = -1
+    h_factor: int = 1
+    dt_factor: int = 1
+
+    def __post_init__(self):
+        ks = tuple(float(k) for k in self.kappas)
+        if len(ks) < 2:
+            raise ValueError("a study needs at least two kappa values")
+        if any(not (0 < k <= 1) for k in ks):
+            raise ValueError("kappa values must lie in (0, 1]")
+        if any(b <= a for a, b in zip(ks[1:], ks[:-1])):
+            raise ValueError("kappa values must be strictly decreasing")
+        object.__setattr__(self, "kappas", ks)
+        if self.h_factor < 1 or self.dt_factor < 1:
+            raise ValueError("refinement factors must be >= 1")
+        self.kappas[self.reference]  # raises IndexError for a bad reference
+        for index in range(len(ks)):
+            self.member_config(index)  # a refined member must be a valid config too
+
+    @property
+    def is_refinement(self) -> bool:
+        return self.h_factor > 1 or self.dt_factor > 1
+
+    def member_config(self, index: int) -> SimulationConfig:
+        kappa = self.kappas[index]
+        base = self.base
+        reg = base.reg
+        # a mollifier width equal to kappa is treated as coupled and swept along
+        kappa_m = kappa if reg.kappa_m == reg.kappa else reg.kappa_m
+        hf = self.h_factor**index
+        tf = self.dt_factor**index
+        grid = Grid(base.grid.a, base.grid.d, (base.grid.n - 1) * hf + 1)
+        return replace(
+            base,
+            grid=grid,
+            save_every=base.save_every * tf,
+            reg=RegularizationParams(
+                kappa=kappa,
+                dt=reg.dt / tf,
+                theta=reg.theta,
+                kappa_m=kappa_m,
+                increment_guard=reg.increment_guard,
+            ),
+        )
 
 
 # key -> (kind, default); None default means "optional, absent unless set"
@@ -319,6 +494,15 @@ def _echo_pairs(sim: SimulationConfig) -> dict:
         else:
             pairs["material.misfit"] = ("floats", spec.misfit)
     return pairs
+
+
+def config_echo(config) -> str:
+    """Canonical key-value rendering; parsing it back yields an equal config."""
+    return "\n".join(echo_lines(config)) + "\n"
+
+
+def config_digest(config) -> str:
+    return hashlib.sha256(config_echo(config).encode()).hexdigest()
 
 
 def default_config() -> SimulationConfig:

@@ -28,14 +28,18 @@ from .grid_field import (
     norm_lp_time_lq_space,
 )
 from .material import MaterialParams
-from .order_parameter import smoothed_abs, smoothed_abs_primitive
+from .order_parameter import driving_force, smoothed_abs, smoothed_abs_primitive
 from .elasticity import GreenKernel, elastic_rhs, solve_fd, solve_green
-from .simulator import SimulationConfig, driving_force_at
+from .config import SimulationConfig
 
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Separable space-time test function vanishing at x = a, d and at t = t_end."""
+    """Separable space-time test function vanishing at x = a, d and at t = t_end.
+
+    Each callable takes (t, x) and must broadcast over a (K, 1) column of
+    times against the (n,) grid nodes, giving values for all frames at once.
+    """
 
     phi: Callable
     phi_t: Callable
@@ -305,38 +309,30 @@ def weak_residual_series(
     makes every row meaningful, and the final row (where phi vanishes) is the
     residual of the weak formulation itself.
     """
-    grid = traj.grid
-    h = grid.h
-    x = grid.x
-    nt = len(traj.times)
-    nphi = len(test_functions)
+    h = traj.grid.h
+    x = traj.grid.x
+    t = traj.times[:, None]
     cnu = material.c * material.nu
 
-    pair_t = np.zeros((nt, nphi))
-    pair_flux = np.zeros((nt, nphi))
-    pair_force = np.zeros((nt, nphi))
-    boundary = np.zeros((nt, nphi))
+    s = traj.s_matrix()
+    flux = np.empty_like(s)
+    kinetic = np.empty_like(s)
+    for k, (s_k, u_k) in enumerate(zip(traj.s_frames, traj.u_frames)):
+        s_x = d1(s_k)
+        flux[k] = flux_field(s_k).values
+        kinetic[k] = driving_force(u_k, d1(u_k), s_k, s_x, material).values * np.abs(s_x.values)
 
-    for k in range(nt):
-        t = traj.times[k]
-        s = traj.s_frames[k]
-        u = traj.u_frames[k]
-        s_x = d1(s)
-        flux = flux_field(s).values
-        force = driving_force_at(u, s, s_x, material).values
-        kinetic = force * np.abs(s_x.values)
-        for m, tf in enumerate(test_functions):
-            pair_t[k, m] = _space_integral(s.values * tf.phi_t(t, x), h)
-            pair_flux[k, m] = _space_integral(flux * tf.phi_x(t, x), h)
-            pair_force[k, m] = _space_integral(kinetic * tf.phi(t, x), h)
-            boundary[k, m] = _space_integral(s.values * tf.phi(t, x), h)
-
-    residuals = np.zeros((nt, nphi))
-    for m in range(nphi):
-        a_cum = _cumulative_time_trapz(traj.times, pair_t[:, m])
-        b_cum = _cumulative_time_trapz(traj.times, pair_flux[:, m])
-        c_cum = _cumulative_time_trapz(traj.times, pair_force[:, m])
-        residuals[:, m] = a_cum - cnu * b_cum - c_cum + boundary[0, m] - boundary[:, m]
+    residuals = np.zeros((len(traj.times), len(test_functions)))
+    for m, tf in enumerate(test_functions):
+        phi = tf.phi(t, x)
+        pair_t = trapezoid(s * tf.phi_t(t, x), dx=h, axis=1)
+        pair_flux = trapezoid(flux * tf.phi_x(t, x), dx=h, axis=1)
+        pair_force = trapezoid(kinetic * phi, dx=h, axis=1)
+        boundary = trapezoid(s * phi, dx=h, axis=1)
+        a_cum = _cumulative_time_trapz(traj.times, pair_t)
+        b_cum = _cumulative_time_trapz(traj.times, pair_flux)
+        c_cum = _cumulative_time_trapz(traj.times, pair_force)
+        residuals[:, m] = a_cum - cnu * b_cum - c_cum + boundary[0] - boundary
     return residuals
 
 

@@ -4,36 +4,29 @@ A single simulation is self-contained and deterministic: the schedule is a
 pure function of the step index, there is no randomness, and identical configs
 produce bit-identical outputs.  Snapshots capture the mollifier history window,
 the current time and the config hash, so a restarted run continues exactly.
+A finished run carries its diagnostics report; ``write_run``/``load_run``
+persist it with the frames and the config echo.  The typed config lives in
+``config`` and the monitors in ``diagnostics``, both below this module.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .grid_field import FLOAT_FMT, Grid, ScalarField, Trajectory, d1, load_field, save_field
-from .material import MaterialParams, TensorSpec
-from .order_parameter import (
-    MAX_STEPS,
-    MollifierState,
-    RegularizationParams,
-    StepRejected,
-    driving_force,
-    mollify,
-    semi_implicit_step,
-)
+from . import diagnostics
+from .grid_field import FLOAT_FMT, ScalarField, Trajectory, d1, load_field, save_field
+from .order_parameter import MollifierState, StepRejected, driving_force, mollify, semi_implicit_step
 from .elasticity import GreenKernel, fd_residual, elastic_rhs, solve_elasticity
+# BodyForce is not used here by name: bench/tracer.py reaches it as simulator.BodyForce.
+from .config import BodyForce, SimulationConfig, config_digest, config_echo, parse_config_text
 
 SNAPSHOT_VERSION = 1
-
-
-class ConfigInvalid(ValueError):
-    pass
 
 
 class ChecksumMismatch(RuntimeError):
@@ -42,114 +35,6 @@ class ChecksumMismatch(RuntimeError):
 
 class VersionMismatch(RuntimeError):
     pass
-
-
-def _smooth_ramp(s: np.ndarray) -> np.ndarray:
-    """C-infinity transition, exactly 0 for s <= 0 and exactly 1 for s >= 1."""
-    out = np.zeros_like(s)
-    mid = (s > 0.0) & (s < 1.0)
-    f = np.exp(-1.0 / s[mid])
-    g = np.exp(-1.0 / (1.0 - s[mid]))
-    out[mid] = f / (f + g)
-    out[s >= 1.0] = 1.0
-    return out
-
-
-@dataclass(frozen=True)
-class InitialData:
-    """Initial order parameter; both families lie in the zero-boundary class.
-
-    "plateau" is compactly supported with smooth shoulders, so all derivatives
-    vanish at the boundary; "bump" is a half sine.
-    """
-
-    family: str = "plateau"
-    amplitude: float = 0.8
-    support_lo: float = 0.3
-    support_hi: float = 0.7
-    shoulder: float = 0.15
-
-    def __post_init__(self):
-        if self.family not in ("plateau", "bump"):
-            raise ConfigInvalid(f"unknown initial-data family {self.family!r}")
-        if self.family == "plateau":
-            if not (0.0 < self.support_lo < self.support_hi < 1.0):
-                raise ConfigInvalid("plateau support must satisfy 0 < lo < hi < 1")
-            if not self.shoulder > 0:
-                raise ConfigInvalid("plateau shoulder width must be positive")
-
-    def build(self, grid: Grid) -> ScalarField:
-        xi = (grid.x - grid.a) / (grid.d - grid.a)
-        if self.family == "bump":
-            values = self.amplitude * np.sin(np.pi * xi)
-        else:
-            rise = _smooth_ramp((xi - self.support_lo) / self.shoulder)
-            fall = _smooth_ramp((self.support_hi - xi) / self.shoulder)
-            values = self.amplitude * rise * fall
-        values[0] = 0.0
-        values[-1] = 0.0
-        return ScalarField(grid, values)
-
-
-@dataclass(frozen=True)
-class BodyForce:
-    """Radial volume force family; continuous in t with continuous t-derivative."""
-
-    family: str = "zero"
-    amplitude: float = 0.0
-    coeffs: tuple = (0.0,)
-    rate: float = 0.0
-
-    def __post_init__(self):
-        if self.family not in ("zero", "constant", "poly", "ramp"):
-            raise ConfigInvalid(f"unknown body-force family {self.family!r}")
-
-    def evaluate(self, t: float, grid: Grid) -> ScalarField:
-        if self.family == "zero":
-            values = np.zeros(grid.n)
-        elif self.family == "constant":
-            values = np.full(grid.n, self.amplitude)
-        elif self.family == "poly":
-            values = np.zeros(grid.n)
-            for k, ck in enumerate(self.coeffs):
-                values += ck * (grid.x - grid.a) ** k
-        else:  # ramp
-            values = np.full(grid.n, self.amplitude + self.rate * t)
-        return ScalarField(grid, values)
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    grid: Grid
-    material: MaterialParams
-    reg: RegularizationParams
-    t_end: float
-    save_every: int = 10
-    elasticity_path: str = "direct"
-    init: InitialData = field(default_factory=InitialData)
-    body: BodyForce = field(default_factory=BodyForce)
-    tensor_spec: Optional[TensorSpec] = None
-
-    def __post_init__(self):
-        if not self.t_end > 0:
-            raise ConfigInvalid(f"t_end must be positive, got {self.t_end}")
-        if self.save_every < 1:
-            raise ConfigInvalid(f"save_every must be >= 1, got {self.save_every}")
-        if self.elasticity_path not in ("direct", "green", "both-verify"):
-            raise ConfigInvalid(f"unknown elasticity path {self.elasticity_path!r}")
-        steps = self.t_end / self.reg.dt
-        if not steps <= MAX_STEPS:
-            raise ConfigInvalid(
-                f"run.t_end / reg.dt = {steps:.3g} steps exceeds the ceiling of {MAX_STEPS}; "
-                "raise reg.dt or lower run.t_end"
-            )
-
-    @property
-    def n_steps(self) -> int:
-        return int(np.ceil(self.t_end / self.reg.dt - 1e-9))
-
-    def step_time(self, n: int) -> float:
-        return min(n * self.reg.dt, self.t_end)
 
 
 @dataclass(frozen=True)
@@ -161,7 +46,7 @@ class Termination:
 @dataclass
 class RunResult:
     trajectory: Trajectory
-    report: "object"  # DiagnosticsReport; duck typed to keep module layering flat
+    report: diagnostics.DiagnosticsReport
     termination: Termination
     elasticity_residual_max: float
     path_discrepancy_max: Optional[float]
@@ -231,7 +116,7 @@ class Simulation:
 
         while self.step_index < stop:
             s_x = d1(self.s)
-            force = driving_force_at(u, self.s, s_x, cfg.material)
+            force = driving_force(u, d1(u), self.s, s_x, cfg.material)
             t_next = cfg.step_time(self.step_index + 1)
             dt_n = t_next - self.time
             try:
@@ -249,12 +134,9 @@ class Simulation:
         traj = Trajectory(
             np.array(self.times), list(self.s_frames), list(self.u_frames), np.array(self.frame_steps)
         )
-        from . import diagnostics  # deferred: diagnostics consumes trajectories
-
-        report = diagnostics.build_report(traj, self.config)
         return RunResult(
             trajectory=traj,
-            report=report,
+            report=diagnostics.build_report(traj, self.config),
             termination=status,
             elasticity_residual_max=self.residual_max,
             path_discrepancy_max=self.discrepancy_max,
@@ -284,13 +166,6 @@ class Simulation:
         if payload["config_hash"] != config_digest(config):
             raise ChecksumMismatch("snapshot was produced by a different config")
         return cls(config, _restore=payload)
-
-
-def driving_force_at(
-    u: ScalarField, s: ScalarField, s_x: ScalarField, material: MaterialParams
-) -> ScalarField:
-    """Driving force on the state (u, s), given s_x = d1(s)."""
-    return driving_force(u, d1(u), s, s_x, material)
 
 
 def run(config: SimulationConfig) -> RunResult:
@@ -324,17 +199,6 @@ def load_snapshot(path, config: SimulationConfig) -> Simulation:
 # --- run-directory persistence ---------------------------------------------
 
 
-def config_echo(config: SimulationConfig) -> str:
-    """Canonical key-value rendering; parsing it back yields an equal config."""
-    from .config import echo_lines  # deferred: config imports simulator types
-
-    return "\n".join(echo_lines(config)) + "\n"
-
-
-def config_digest(config: SimulationConfig) -> str:
-    return hashlib.sha256(config_echo(config).encode()).hexdigest()
-
-
 def write_run(out_dir, result: RunResult):
     """Persist frames, diagnostics and metadata under ``out_dir``."""
     out = Path(out_dir)
@@ -362,8 +226,6 @@ def write_run(out_dir, result: RunResult):
 
 def load_run(run_dir):
     """Read back a persisted run: (trajectory, config, diagnostics text)."""
-    from .config import parse_config_text
-
     out = Path(run_dir)
     meta = out.read_text() if out.is_file() else (out / "meta.txt").read_text()
     config_text = meta.split("[config]", 1)[1]

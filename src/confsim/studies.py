@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -13,70 +13,13 @@ from .grid_field import FLOAT_FMT, Grid, ScalarField, Trajectory, norm_lp_time_l
 from .material import MaterialParams
 from .order_parameter import RegularizationParams, semi_implicit_step
 from .elasticity import solve_fd
+from .config import SimulationConfig, StudyConfig
 from .diagnostics import energy_monitor, flux_field, max_principle_check, primitive_field, weak_residual
-from .simulator import RunResult, Simulation, SimulationConfig, Termination
+from .simulator import RunResult, Simulation, Termination
 
 
 class MismatchedGrids(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class StudyConfig:
-    """A family of runs over a decreasing regularization sequence.
-
-    With the default unit factors all members share the grid and time step
-    (the setting in which reference distances are defined).  Factors above one
-    refine the mesh and the step per member, turning the sequence into a
-    simultaneous refinement path.
-    """
-
-    base: SimulationConfig
-    kappas: tuple
-    reference: int = -1
-    h_factor: int = 1
-    dt_factor: int = 1
-
-    def __post_init__(self):
-        ks = tuple(float(k) for k in self.kappas)
-        if len(ks) < 2:
-            raise ValueError("a study needs at least two kappa values")
-        if any(not (0 < k <= 1) for k in ks):
-            raise ValueError("kappa values must lie in (0, 1]")
-        if any(b <= a for a, b in zip(ks[1:], ks[:-1])):
-            raise ValueError("kappa values must be strictly decreasing")
-        object.__setattr__(self, "kappas", ks)
-        if self.h_factor < 1 or self.dt_factor < 1:
-            raise ValueError("refinement factors must be >= 1")
-        self.kappas[self.reference]  # raises IndexError for a bad reference
-        for index in range(len(ks)):
-            self.member_config(index)  # a refined member must be a valid config too
-
-    @property
-    def is_refinement(self) -> bool:
-        return self.h_factor > 1 or self.dt_factor > 1
-
-    def member_config(self, index: int) -> SimulationConfig:
-        kappa = self.kappas[index]
-        base = self.base
-        reg = base.reg
-        # a mollifier width equal to kappa is treated as coupled and swept along
-        kappa_m = kappa if reg.kappa_m == reg.kappa else reg.kappa_m
-        hf = self.h_factor**index
-        tf = self.dt_factor**index
-        grid = Grid(base.grid.a, base.grid.d, (base.grid.n - 1) * hf + 1)
-        return replace(
-            base,
-            grid=grid,
-            save_every=base.save_every * tf,
-            reg=RegularizationParams(
-                kappa=kappa,
-                dt=reg.dt / tf,
-                theta=reg.theta,
-                kappa_m=kappa_m,
-                increment_guard=reg.increment_guard,
-            ),
-        )
 
 
 @dataclass

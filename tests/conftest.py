@@ -3,7 +3,7 @@ import pytest
 from confsim.grid_field import Grid
 from confsim.material import MaterialParams
 from confsim.order_parameter import RegularizationParams
-from confsim.simulator import BodyForce, InitialData, SimulationConfig
+from confsim.config import BodyForce, InitialData, SimulationConfig
 
 
 def make_config(

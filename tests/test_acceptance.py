@@ -15,8 +15,9 @@ from confsim.material import MaterialParams
 from confsim.order_parameter import smoothed_abs_primitive
 from confsim.elasticity import GreenKernel, elastic_rhs, solve_fd, solve_green
 from confsim.diagnostics import apriori_norms, build_report, energy_monitor, max_principle_check
-from confsim.simulator import BodyForce, Simulation, load_run, load_snapshot, run, save_snapshot, write_run
-from confsim.studies import StudyConfig, elasticity_errors, fit_slope, run_study, weak_residual_refinement
+from confsim.config import BodyForce, StudyConfig
+from confsim.simulator import Simulation, load_run, load_snapshot, run, save_snapshot, write_run
+from confsim.studies import elasticity_errors, fit_slope, run_study, weak_residual_refinement
 from confsim.reduction3d import random_shell_points, residual_elasticity_3d, residual_order_3d
 
 from conftest import make_config

@@ -3,13 +3,16 @@ import pytest
 from confsim.cli import main
 from confsim.config import (
     ParseError,
+    SimulationConfig,
+    StudyConfig,
     ValidationError,
+    config_digest,
+    config_echo,
     default_config,
     echo_lines,
     parse_config_text,
 )
-from confsim.simulator import SimulationConfig, config_digest, config_echo, load_run
-from confsim.studies import StudyConfig
+from confsim.simulator import load_run
 
 FAST = [
     "grid.n = 33",
@@ -291,7 +294,7 @@ class TestCliTools:
         assert "symmetry" in out
         assert "derivative jump" in out
 
-    def test_check_reduction(self, tmp_path, capsys):
+    def tensor_run(self, tmp_path):
         lines = FAST + [
             "material.tensor.family = diagonal",
             "material.tensor.mu0 = 2",
@@ -299,10 +302,34 @@ class TestCliTools:
         ]
         cfg_path = write_config(tmp_path, lines)
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
-        code = main(["check-reduction", "--run", str(tmp_path / "out"), "--samples", "10", "--h3", "0.005"])
+        return str(tmp_path / "out")
+
+    def test_check_reduction(self, tmp_path, capsys):
+        run_dir = self.tensor_run(tmp_path)
+        code = main(["check-reduction", "--run", run_dir, "--samples", "10", "--h3", "0.005"])
         assert code == 0
         out = capsys.readouterr().out
         assert "elasticity balance" in out
+
+    @pytest.mark.parametrize(
+        "flag, value, invariant",
+        [
+            ("--samples", "0", "samples"),
+            ("--samples", "-3", "samples"),
+            ("--h3", "0", "h3"),
+            ("--h3", "-1", "h3"),
+            ("--h3", "nan", "h3"),
+            ("--h3", "10", "h3"),
+            ("--h3", "0.16666666666666667", "h3"),  # 6*h3 == d - a on the unit shell
+        ],
+    )
+    def test_check_reduction_bad_arguments_exit_one(self, tmp_path, capsys, flag, value, invariant):
+        run_dir = self.tensor_run(tmp_path)
+        capsys.readouterr()
+        assert main(["check-reduction", "--run", run_dir, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {invariant}: ")
+        assert "residual" not in captured.out
 
     def test_check_reduction_requires_tensor_config(self, tmp_path):
         cfg_path = write_config(tmp_path, FAST)

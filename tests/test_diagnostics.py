@@ -12,9 +12,10 @@ from scipy.integrate import trapezoid
 
 from confsim.grid_field import Grid, ScalarField, Trajectory, d1
 from confsim.material import MaterialParams
-from confsim.order_parameter import RegularizationParams, semi_implicit_step
-from confsim.config import parse_config_text
+from confsim.order_parameter import RegularizationParams, driving_force, semi_implicit_step
+from confsim.config import BodyForce, StudyConfig, parse_config_text
 from confsim.diagnostics import (
+    _cumulative_time_trapz,
     _primitive_w14_series,
     apriori_norms,
     build_report,
@@ -31,7 +32,6 @@ from confsim.diagnostics import (
 from confsim.simulator import run, write_run, load_run
 from confsim.studies import (
     MismatchedGrids,
-    StudyConfig,
     flux_distance,
     mms_convergence,
     run_study,
@@ -160,7 +160,47 @@ class TestFluxAndPrimitive:
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
+def frame_loop_weak_residual_series(traj, material, test_functions):
+    """The per-frame, per-test-function loop that weak_residual_series replaced."""
+    h, x = traj.grid.h, traj.grid.x
+    nt, nphi = len(traj.times), len(test_functions)
+    pairs = np.zeros((4, nt, nphi))
+    for k in range(nt):
+        t, s, u = traj.times[k], traj.s_frames[k], traj.u_frames[k]
+        s_x = d1(s)
+        flux = flux_field(s).values
+        kinetic = driving_force(u, d1(u), s, s_x, material).values * np.abs(s_x.values)
+        for m, tf in enumerate(test_functions):
+            pairs[0, k, m] = trapezoid(s.values * tf.phi_t(t, x), dx=h)
+            pairs[1, k, m] = trapezoid(flux * tf.phi_x(t, x), dx=h)
+            pairs[2, k, m] = trapezoid(kinetic * tf.phi(t, x), dx=h)
+            pairs[3, k, m] = trapezoid(s.values * tf.phi(t, x), dx=h)
+    cnu = material.c * material.nu
+    residuals = np.zeros((nt, nphi))
+    for m in range(nphi):
+        a_cum, b_cum, c_cum = (_cumulative_time_trapz(traj.times, pairs[i, :, m]) for i in range(3))
+        residuals[:, m] = a_cum - cnu * b_cum - c_cum + pairs[3, 0, m] - pairs[3, :, m]
+    return residuals
+
+
 class TestWeakResidual:
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(n=65, save_every=1),
+            dict(n=129, save_every=5, t_end=6e-3, body=BodyForce(family="ramp", amplitude=0.1, rate=5.0)),
+            dict(n=513, save_every=4, lam=-0.3, family="bump"),
+        ],
+    )
+    def test_series_matches_frame_loop_bit_for_bit(self, kw):
+        cfg = make_config(**kw)
+        traj = run(cfg).trajectory
+        fns = default_test_functions(cfg.grid, cfg.t_end)
+        got = weak_residual_series(traj, cfg.material, fns)
+        want = frame_loop_weak_residual_series(traj, cfg.material, fns)
+        assert got.shape == (len(traj.times), len(fns))
+        assert np.array_equal(got, want)
+
     def test_zero_run_residual_zero(self):
         traj = zero_trajectory()
         res = weak_residual(traj, MAT)

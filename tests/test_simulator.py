@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confsim.grid_field import ScalarField
+from confsim.config import BodyForce
 from confsim.simulator import (
-    BodyForce,
     ChecksumMismatch,
     Simulation,
     VersionMismatch,
