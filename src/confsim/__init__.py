@@ -1,6 +1,6 @@
 """Radial phase-transition simulator with configurational-force coupling."""
 
-from .grid_field import Grid, ScalarField, Trajectory, d1, d2, norm_l2, norm_linf
+from .grid_field import Grid, ScalarField, Trajectory, d1, d2, norm_l2
 from .material import (
     AssumptionViolated,
     ElasticityTensor,
@@ -35,15 +35,7 @@ from .config import (
     parse_config,
     parse_config_text,
 )
-from .diagnostics import (
-    DiagnosticsReport,
-    apriori_norms,
-    build_report,
-    dual_norm_estimate,
-    energy_monitor,
-    max_principle_check,
-    weak_residual,
-)
+from .diagnostics import DiagnosticsReport, build_report, energy_monitor, weak_residual
 from .simulator import (
     RunResult,
     Simulation,

@@ -149,10 +149,11 @@ def _cmd_check_reduction(args) -> int:
     if len(traj.times) < 2:
         raise ValidationError("frames", "need at least two saved frames")
     k = len(traj.times) - 1
-    b0 = cfg.body.evaluate(float(traj.times[k - 1]), traj.grid)
-    lift0 = RadialLift.from_frames(traj.u_frames[k - 1], traj.s_frames[k - 1], b0, tensor, misfit)
-    b1 = cfg.body.evaluate(float(traj.times[k]), traj.grid)
-    lift1 = RadialLift.from_frames(traj.u_frames[k], traj.s_frames[k], b1, tensor, misfit)
+    s, u = traj.s_matrix(), traj.u_matrix()
+    b0 = cfg.body.evaluate(float(traj.times[k - 1]), cfg.grid)
+    lift0 = RadialLift.from_frames(cfg.grid, u[k - 1], s[k - 1], b0, tensor, misfit)
+    b1 = cfg.body.evaluate(float(traj.times[k]), cfg.grid)
+    lift1 = RadialLift.from_frames(cfg.grid, u[k], s[k], b1, tensor, misfit)
     dt = float(traj.times[k] - traj.times[k - 1])
 
     rng = np.random.default_rng(11)

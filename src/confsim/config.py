@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid_field import FLOAT_FMT, Grid, ScalarField
+from .grid_field import FLOAT_FMT, Grid
 from .material import AssumptionViolated, MaterialParams, TensorSpec
 from .order_parameter import MAX_STEPS, RegularizationParams
 
@@ -76,7 +76,7 @@ class InitialData:
             if not self.shoulder > 0:
                 raise ConfigInvalid("plateau shoulder width must be positive")
 
-    def build(self, grid: Grid) -> ScalarField:
+    def build(self, grid: Grid) -> np.ndarray:
         xi = (grid.x - grid.a) / (grid.d - grid.a)
         if self.family == "bump":
             values = self.amplitude * np.sin(np.pi * xi)
@@ -86,7 +86,7 @@ class InitialData:
             values = self.amplitude * rise * fall
         values[0] = 0.0
         values[-1] = 0.0
-        return ScalarField(grid, values)
+        return values
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class BodyForce:
         if self.family not in ("zero", "constant", "poly", "ramp"):
             raise ConfigInvalid(f"unknown body-force family {self.family!r}")
 
-    def evaluate(self, t: float, grid: Grid) -> ScalarField:
+    def evaluate(self, t: float, grid: Grid) -> np.ndarray:
         if self.family == "zero":
             values = np.zeros(grid.n)
         elif self.family == "constant":
@@ -113,7 +113,7 @@ class BodyForce:
                 values += ck * (grid.x - grid.a) ** k
         else:  # ramp
             values = np.full(grid.n, self.amplitude + self.rate * t)
-        return ScalarField(grid, values)
+        return values
 
 
 @dataclass(frozen=True)
@@ -313,14 +313,17 @@ def _build_material(raw: dict) -> tuple[MaterialParams, Optional[TensorSpec]]:
                     "material.tensor.entries", "material.misfit", "material.misfit_iso"):
             if key in raw:
                 raise ValidationError("tensor_spec", f"{key} requires material.tensor.family")
-        params = MaterialParams(
-            c=c,
-            nu=nu,
-            mu=raw.get("material.mu", _CATALOG["material.mu"][1]),
-            lam=raw.get("material.lambda", _CATALOG["material.lambda"][1]),
-            e=raw.get("material.e", _CATALOG["material.e"][1]),
-            well_weight=ww,
-        )
+        try:
+            params = MaterialParams(
+                c=c,
+                nu=nu,
+                mu=raw.get("material.mu", _CATALOG["material.mu"][1]),
+                lam=raw.get("material.lambda", _CATALOG["material.lambda"][1]),
+                e=raw.get("material.e", _CATALOG["material.e"][1]),
+                well_weight=ww,
+            )
+        except ValueError as exc:
+            raise ValidationError("material", str(exc)) from exc
         return params, None
     for key in _SCALAR_MATERIAL_KEYS:
         if key in raw:

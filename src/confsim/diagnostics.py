@@ -5,7 +5,9 @@ report from persisted frames reproduces diagnostics.csv bit-exactly.  The
 monitors track the quantities that stay bounded uniformly in the gradient
 regularization: the gradient energy, the accumulated degenerate dissipation,
 the time-derivative and flux-gradient norms, and the integral identity
-residual against a fixed basket of space-time test functions.
+residual against a fixed basket of space-time test functions.  Each one
+stacks the saved frames once into a (frames, nodes) array and applies the
+grid-on-last-axis stencils and norms to all frames together.
 """
 
 from __future__ import annotations
@@ -17,16 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.integrate import trapezoid
 
-from .grid_field import (
-    FLOAT_FMT,
-    Grid,
-    ScalarField,
-    Trajectory,
-    d1,
-    d2,
-    norm_l2,
-    norm_lp_time_lq_space,
-)
+from .grid_field import FLOAT_FMT, Grid, Trajectory, d1, d2, norm_l2, norm_lp_time_lq_space
 from .material import MaterialParams
 from .order_parameter import driving_force, smoothed_abs, smoothed_abs_primitive
 from .elasticity import GreenKernel, elastic_rhs, solve_fd, solve_green
@@ -64,22 +57,6 @@ def default_test_functions(grid: Grid, t_end: float, count: int = 5) -> list[Tes
 
         fns.append(TestFunction(phi, phi_t, phi_x, f"mode{m}"))
     return fns
-
-
-def default_dual_basis(grid: Grid, count: int = 4) -> list[ScalarField]:
-    """sin^3 modes: value and two derivatives vanish at the boundary.
-
-    Each member is normalized to unit size in the discrete H^2 norm, so the
-    pairing supremum over the basis is a lower-bound proxy for the negative
-    norm of order two.
-    """
-    basis = []
-    length = grid.d - grid.a
-    for m in range(1, count + 1):
-        raw = ScalarField(grid, np.sin(m * math.pi * (grid.x - grid.a) / length) ** 3)
-        h2 = math.sqrt(norm_l2(raw) ** 2 + norm_l2(d1(raw)) ** 2 + norm_l2(d2(raw)) ** 2)
-        basis.append(ScalarField(grid, raw.values / h2))
-    return basis
 
 
 @dataclass
@@ -159,30 +136,19 @@ class DiagnosticsReport:
         return "\n".join(lines) + "\n"
 
 
-def max_principle_check(traj: Trajectory, tol: float = 1e-8) -> tuple[float, bool]:
-    """Margin by which the running sup of |S| exceeds the initial sup."""
-    s = traj.s_matrix()
-    margin = float(np.max(np.abs(s)) - np.max(np.abs(s[0])))
-    return margin, margin <= tol
-
-
-def _space_integral(values: np.ndarray, h: float) -> float:
-    return float(trapezoid(values, dx=h))
-
-
-def primitive_field(s: ScalarField, kappa: float) -> ScalarField:
+def primitive_field(s: np.ndarray, h: float, kappa: float) -> np.ndarray:
     """Closed-form primitive of the smoothed modulus, evaluated at S_x."""
-    return ScalarField(s.grid, smoothed_abs_primitive(d1(s).values, kappa))
+    return smoothed_abs_primitive(d1(s, h), kappa)
 
 
-def flux_field(s: ScalarField) -> ScalarField:
+def flux_field(s: np.ndarray, h: float) -> np.ndarray:
     """Signed flux |S_x|S_x/2, the kappa = 0 primitive."""
-    return primitive_field(s, 0.0)
+    return primitive_field(s, h, 0.0)
 
 
-def _flux_gradients(traj: Trajectory) -> list[ScalarField]:
-    """(|S_x|S_x)_x per frame; doubling the flux is exact in floating point."""
-    return [d1(ScalarField(traj.grid, 2.0 * flux_field(f).values)) for f in traj.s_frames]
+def _flux_gradients(s: np.ndarray, h: float) -> np.ndarray:
+    """(|S_x|S_x)_x of every frame; doubling the flux is exact in floating point."""
+    return d1(2.0 * flux_field(s, h), h)
 
 
 def _cumulative_time_trapz(times: np.ndarray, series: np.ndarray) -> np.ndarray:
@@ -219,13 +185,10 @@ def energy_monitor(traj: Trajectory, kappa: float) -> EnergySeries:
     is adjusted so the bound holds exactly over the recorded slopes.
     """
     h = traj.grid.h
-    grad_sq = np.array([norm_l2(d1(f)) ** 2 for f in traj.s_frames])
-    integrand = np.array(
-        [
-            _space_integral(smoothed_abs(d1(f).values, kappa) * d2(f).values ** 2, h)
-            for f in traj.s_frames
-        ]
-    )
+    s = traj.s_matrix()
+    s_x = d1(s, h)
+    grad_sq = norm_l2(s_x, h) ** 2
+    integrand = trapezoid(smoothed_abs(s_x, kappa) * d2(s, h) ** 2, dx=h, axis=-1)
     dissipation = _cumulative_time_trapz(traj.times, integrand)
     holds = bool(np.all(np.isfinite(grad_sq)) and np.all(np.isfinite(dissipation)))
     c1, c2 = 0.0, 0.0
@@ -240,61 +203,31 @@ def energy_monitor(traj: Trajectory, kappa: float) -> EnergySeries:
     return EnergySeries(traj.times, grad_sq, dissipation, c1, c2, holds)
 
 
-@dataclass
-class AprioriNorms:
-    st_l43: float
-    sx_l83_linf: float
-    flux_grad_l43: float
-    primitive_w14_l43: float
-
-    def as_tuple(self):
-        return (self.st_l43, self.sx_l83_linf, self.flux_grad_l43, self.primitive_w14_l43)
-
-
-def _st_l43_series(traj: Trajectory) -> np.ndarray:
+def _st_l43_series(times: np.ndarray, s: np.ndarray, h: float) -> np.ndarray:
     """Cumulative L^{4/3} space-time norm of the discrete time derivative."""
-    h = traj.grid.h
     p = 4.0 / 3.0
-    out = np.zeros(len(traj.times))
-    acc = 0.0
-    for k in range(len(traj.times) - 1):
-        dt = traj.times[k + 1] - traj.times[k]
-        v = (traj.s_frames[k + 1].values - traj.s_frames[k].values) / dt
-        acc += dt * _space_integral(np.abs(v) ** p, h)
-        out[k + 1] = acc ** (1.0 / p)
+    dt = np.diff(times)
+    rate = np.diff(s, axis=0) / dt[:, None]
+    out = np.zeros(len(times))
+    out[1:] = np.cumsum(dt * trapezoid(np.abs(rate) ** p, dx=h, axis=-1)) ** (1.0 / p)
     return out
 
 
-def _mixed_norm_series(times, fields, p, q) -> np.ndarray:
+def _mixed_norm_series(times: np.ndarray, values: np.ndarray, h: float, p: float, q: float) -> np.ndarray:
     """Cumulative mixed norms over the truncated trajectories [0, t_k]."""
     out = np.zeros(len(times))
     for k in range(1, len(times)):
-        out[k] = norm_lp_time_lq_space(times[: k + 1], fields[: k + 1], p, q)
+        out[k] = norm_lp_time_lq_space(times[: k + 1], values[: k + 1], h, p, q)
     return out
 
 
-def _primitive_w14_series(traj: Trajectory, kappa: float) -> np.ndarray:
+def _primitive_w14_series(times: np.ndarray, s: np.ndarray, h: float, kappa: float) -> np.ndarray:
     """Cumulative L^{4/3}(0, t_k; W^{1,4/3}) norm of the gradient primitive."""
-    h = traj.grid.h
     p = 4.0 / 3.0
-    integrand = []
-    for f in traj.s_frames:
-        prim = primitive_field(f, kappa)
-        norm_p = _space_integral(np.abs(prim.values) ** p, h)
-        norm_dp = _space_integral(np.abs(d1(prim).values) ** p, h)
-        integrand.append(norm_p + norm_dp)
-    return _cumulative_time_trapz(traj.times, np.asarray(integrand)) ** (1.0 / p)
-
-
-def apriori_norms(traj: Trajectory, kappa: float) -> AprioriNorms:
-    """Final values of the uniformly bounded norms of the solution."""
-    grads = [d1(f) for f in traj.s_frames]
-    return AprioriNorms(
-        st_l43=float(_st_l43_series(traj)[-1]),
-        sx_l83_linf=norm_lp_time_lq_space(traj.times, grads, 8.0 / 3.0, math.inf),
-        flux_grad_l43=norm_lp_time_lq_space(traj.times, _flux_gradients(traj), 4.0 / 3.0, 4.0 / 3.0),
-        primitive_w14_l43=float(_primitive_w14_series(traj, kappa)[-1]),
-    )
+    prim = primitive_field(s, h, kappa)
+    integrand = trapezoid(np.abs(prim) ** p, dx=h, axis=-1)
+    integrand += trapezoid(np.abs(d1(prim, h)) ** p, dx=h, axis=-1)
+    return _cumulative_time_trapz(times, integrand) ** (1.0 / p)
 
 
 def weak_residual_series(
@@ -315,12 +248,10 @@ def weak_residual_series(
     cnu = material.c * material.nu
 
     s = traj.s_matrix()
-    flux = np.empty_like(s)
-    kinetic = np.empty_like(s)
-    for k, (s_k, u_k) in enumerate(zip(traj.s_frames, traj.u_frames)):
-        s_x = d1(s_k)
-        flux[k] = flux_field(s_k).values
-        kinetic[k] = driving_force(u_k, d1(u_k), s_k, s_x, material).values * np.abs(s_x.values)
+    u = traj.u_matrix()
+    s_x = d1(s, h)
+    flux = flux_field(s, h)
+    kinetic = driving_force(u, d1(u, h), s, s_x, x, material) * np.abs(s_x)
 
     residuals = np.zeros((len(traj.times), len(test_functions)))
     for m, tf in enumerate(test_functions):
@@ -353,55 +284,37 @@ def weak_residual(
     return weak_residual_series(traj, material, test_functions)[-1]
 
 
-def dual_norm_estimate(traj: Trajectory, basis: Optional[Sequence[ScalarField]] = None) -> float:
-    """Lower-bound proxy for the negative-order norm of the flux time derivative.
-
-    Accumulates |(w(t_{k+1}) - w(t_k), psi)| over time for w = |S_x|S_x/2 and
-    takes the sup over an H^2-normalized basis.  Reported as a monitor; it
-    bounds the true dual norm from below only.
-    """
-    if basis is None:
-        basis = default_dual_basis(traj.grid)
-    if not basis:
-        return 0.0
-    h = traj.grid.h
-    flux = [flux_field(f).values for f in traj.s_frames]
-    best = 0.0
-    for psi in basis:
-        acc = 0.0
-        for k in range(len(flux) - 1):
-            acc += abs(_space_integral((flux[k + 1] - flux[k]) * psi.values, h))
-        best = max(best, acc)
-    return best
-
-
 def _cross_check_series(traj: Trajectory, config: SimulationConfig) -> np.ndarray:
     """Max-norm gap between the two elasticity paths applied to each saved frame."""
-    kernel = GreenKernel(traj.grid.a, traj.grid.d)
+    grid = traj.grid
+    kernel = GreenKernel(grid.a, grid.d)
+    s_x = d1(traj.s_matrix(), grid.h)
     out = np.zeros(len(traj.times))
     for k, (t, s) in enumerate(zip(traj.times, traj.s_frames)):
-        b = config.body.evaluate(float(t), traj.grid)
-        u_fd = solve_fd(elastic_rhs(d1(s), b, config.material))
+        b = config.body.evaluate(float(t), grid)
+        u_fd = solve_fd(elastic_rhs(s_x[k], b, config.material), grid)
         u_green = solve_green(kernel, s, b, config.material)
-        out[k] = float(np.max(np.abs(u_fd.values - u_green.values)))
+        out[k] = float(np.max(np.abs(u_fd - u_green)))
     return out
 
 
 def build_report(traj: Trajectory, config: SimulationConfig) -> DiagnosticsReport:
     """Assemble the full per-save-time report from a trajectory and its config."""
-    energy = energy_monitor(traj, config.reg.kappa)
-    grads = [d1(f) for f in traj.s_frames]
+    kappa = config.reg.kappa
+    h = traj.grid.h
+    s = traj.s_matrix()
+    energy = energy_monitor(traj, kappa)
     # test functions vanish at the configured final time, so partial runs stay defined
     test_fns = default_test_functions(traj.grid, config.t_end)
     report = DiagnosticsReport(
         times=traj.times.copy(),
-        max_abs_s=np.array([float(np.max(np.abs(f.values))) for f in traj.s_frames]),
+        max_abs_s=np.max(np.abs(s), axis=-1),
         grad_norm_sq=energy.grad_norm_sq,
         dissipation=energy.dissipation,
-        st_l43=_st_l43_series(traj),
-        sx_l83_linf=_mixed_norm_series(traj.times, grads, 8.0 / 3.0, math.inf),
-        flux_grad_l43=_mixed_norm_series(traj.times, _flux_gradients(traj), 4.0 / 3.0, 4.0 / 3.0),
-        primitive_w14_l43=_primitive_w14_series(traj, config.reg.kappa),
+        st_l43=_st_l43_series(traj.times, s, h),
+        sx_l83_linf=_mixed_norm_series(traj.times, d1(s, h), h, 8.0 / 3.0, math.inf),
+        flux_grad_l43=_mixed_norm_series(traj.times, _flux_gradients(s, h), h, 4.0 / 3.0, 4.0 / 3.0),
+        primitive_w14_l43=_primitive_w14_series(traj.times, s, h, kappa),
         weak_residuals=weak_residual_series(traj, config.material, test_fns),
         cross_check=_cross_check_series(traj, config),
     )

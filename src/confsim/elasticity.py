@@ -136,11 +136,9 @@ class GreenKernel:
         return (x**2 * fpp + 2.0 * x * fp - 2.0 * f) * other / self.norm_const
 
 
-def elastic_rhs(s_x: ScalarField, b: ScalarField, params: MaterialParams) -> ScalarField:
+def elastic_rhs(s_x: np.ndarray, b: np.ndarray, params: MaterialParams) -> np.ndarray:
     """(lam/mu) * s_x + b/mu, the right-hand side of the displacement equation."""
-    if s_x.grid != b.grid:
-        raise ValueError("fields must share a grid")
-    return ScalarField(s_x.grid, (params.lam / params.mu) * s_x.values + b.values / params.mu)
+    return (params.lam / params.mu) * s_x + b / params.mu
 
 
 @lru_cache(maxsize=8)
@@ -162,12 +160,11 @@ def _fd_operator(grid: Grid):
     return lower, diag, upper
 
 
-def solve_fd(rhs: ScalarField) -> ScalarField:
+def solve_fd(rhs: np.ndarray, grid: Grid) -> np.ndarray:
     """Tridiagonal solve of u'' + (2/x) u' - (2/x^2) u = rhs, u = 0 at both ends."""
-    grid = rhs.grid
     lower, diag, upper = _fd_operator(grid)
     vec = np.zeros(grid.n)
-    vec[1:-1] = rhs.values[1:-1]
+    vec[1:-1] = rhs[1:-1]
 
     def apply_matrix(v):
         out = diag * v
@@ -184,19 +181,17 @@ def solve_fd(rhs: ScalarField) -> ScalarField:
         raise SingularSystem(str(exc)) from exc
     u[0] = 0.0
     u[-1] = 0.0
-    return ScalarField(grid, u)
+    return u
 
 
-def fd_residual(u: ScalarField, rhs: ScalarField) -> float:
+def fd_residual(u: np.ndarray, rhs: np.ndarray, grid: Grid) -> float:
     """Max-norm residual of the discrete interior equations for a candidate u."""
-    grid = u.grid
     h = grid.h
     x = grid.x[1:-1]
-    v = u.values
-    lhs = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
-    lhs += (v[2:] - v[:-2]) / (2.0 * h) * (2.0 / x)
-    lhs -= 2.0 / x**2 * v[1:-1]
-    r = lhs - rhs.values[1:-1]
+    lhs = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
+    lhs += (u[2:] - u[:-2]) / (2.0 * h) * (2.0 / x)
+    lhs -= 2.0 / x**2 * u[1:-1]
+    r = lhs - rhs[1:-1]
     return float(np.max(np.abs(r))) if r.size else 0.0
 
 
@@ -247,22 +242,23 @@ def _green_weights(grid: Grid):
 
 
 def solve_green(
-    kernel: GreenKernel, s_moll: ScalarField, b: ScalarField, params: MaterialParams
-) -> ScalarField:
+    kernel: GreenKernel, s_moll: ScalarField, b: np.ndarray, params: MaterialParams
+) -> np.ndarray:
     """Quadrature evaluation of the kernel representation of the displacement.
 
     Uses the integrated-by-parts form in which only the (mollified) order
     parameter enters, not its derivative; boundary values are pinned to zero.
     The separable kernel turns the quadrature into one prefix and one suffix
-    sum (see ``_green_weights``), O(n) per call.
+    sum (see ``_green_weights``), O(n) per call.  ``s_moll`` carries its grid
+    as a ``ScalarField``; ``b`` holds nodal values on that grid.
     """
     grid = s_moll.grid
-    if b.grid != grid:
-        raise ValueError("fields must share a grid")
+    if b.shape != (grid.n,):
+        raise ValueError(f"expected {grid.n} body-force values, got {b.shape}")
     if (kernel.a, kernel.d) != (grid.a, grid.d):
         raise ValueError("kernel interval does not match the grid")
     u1, u2, b_left, s_left, b_right, s_right, diag = _green_weights(grid)
-    b_mu = b.values / params.mu
+    b_mu = b / params.mu
     s_lam = (params.lam / params.mu) * s_moll.values
     # prefix sums over j <= i, and suffix sums over j > i by a reversed
     # cumulative sum shifted by one node
@@ -274,12 +270,13 @@ def solve_green(
     u += diag * s_lam
     u[0] = 0.0
     u[-1] = 0.0
-    return ScalarField(grid, u)
+    return u
 
 
 def solve_elasticity(
-    s_moll: ScalarField,
-    b: ScalarField,
+    s_moll: np.ndarray,
+    b: np.ndarray,
+    grid: Grid,
     params: MaterialParams,
     path: str = "direct",
     kernel: GreenKernel | None = None,
@@ -292,11 +289,11 @@ def solve_elasticity(
     if path not in ("direct", "green", "both-verify"):
         raise ValueError(f"unknown elasticity path {path!r}")
     if path in ("green", "both-verify") and kernel is None:
-        kernel = GreenKernel(s_moll.grid.a, s_moll.grid.d)
+        kernel = GreenKernel(grid.a, grid.d)
     if path == "green":
-        return solve_green(kernel, s_moll, b, params), None
-    u_fd = solve_fd(elastic_rhs(d1(s_moll), b, params))
+        return solve_green(kernel, ScalarField(grid, s_moll), b, params), None
+    u_fd = solve_fd(elastic_rhs(d1(s_moll, grid.h), b, params), grid)
     if path == "direct":
         return u_fd, None
-    u_green = solve_green(kernel, s_moll, b, params)
-    return u_fd, float(np.max(np.abs(u_fd.values - u_green.values)))
+    u_green = solve_green(kernel, ScalarField(grid, s_moll), b, params)
+    return u_fd, float(np.max(np.abs(u_fd - u_green)))

@@ -1,4 +1,12 @@
-"""Uniform radial grid, nodal scalar fields, stencils and discrete norms."""
+"""Uniform radial grid, stencils and discrete norms on nodal arrays.
+
+A nodal field is a plain float ndarray whose last axis runs over the grid
+nodes; the ``Grid`` (or its spacing ``h``) is passed beside it.  The same
+stencils and norms therefore serve one frame of shape (n,) and a stack of
+frames of shape (K, n), row by row.  ``ScalarField`` pairs values with their
+grid only at the edge: the frames of a ``Trajectory`` and the field files of
+``save_field``/``load_field``.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +14,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
-
 import numpy as np
 from scipy.integrate import trapezoid
 from scipy.linalg.lapack import dgtsv
@@ -47,6 +53,8 @@ class Grid:
 
 @dataclass
 class ScalarField:
+    """Nodal values with their grid, for the trajectory and file edge."""
+
     grid: Grid
     values: np.ndarray
 
@@ -54,23 +62,6 @@ class ScalarField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.n,):
             raise ValueError(f"expected {self.grid.n} values, got {self.values.shape}")
-
-    def validate(self, dirichlet_zero: bool = False):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field contains non-finite values")
-        if dirichlet_zero and (self.values[0] != 0.0 or self.values[-1] != 0.0):
-            raise ValueError("Dirichlet-zero field has nonzero boundary values")
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "ScalarField":
-        return cls(grid, np.zeros(grid.n))
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "ScalarField":
-        return cls(grid, np.asarray(fn(grid.x), dtype=float))
 
 
 @dataclass
@@ -101,36 +92,38 @@ class Trajectory:
         return self.s_frames[0].grid
 
     def s_matrix(self) -> np.ndarray:
+        """S of every frame as one (frames, nodes) array."""
         return np.stack([f.values for f in self.s_frames])
 
     def u_matrix(self) -> np.ndarray:
+        """u of every frame as one (frames, nodes) array."""
         return np.stack([f.values for f in self.u_frames])
 
 
-def d1(f: ScalarField) -> ScalarField:
-    """First derivative: central interior, one-sided second order at the ends."""
-    v = f.values
-    h = f.grid.h
+def d1(v: np.ndarray, h: float) -> np.ndarray:
+    """First derivative along the last axis: central interior, one-sided second order at the ends."""
+    # the transposes put the node axis first, so one frame indexes to scalars
     out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return ScalarField(f.grid, out)
+    vt, ot = v.T, out.T
+    ot[1:-1] = (vt[2:] - vt[:-2]) / (2.0 * h)
+    ot[0] = (-3.0 * vt[0] + 4.0 * vt[1] - vt[2]) / (2.0 * h)
+    ot[-1] = (3.0 * vt[-1] - 4.0 * vt[-2] + vt[-3]) / (2.0 * h)
+    return out
 
 
-def d2(f: ScalarField) -> ScalarField:
-    """Second derivative, 3-point interior stencil.
+def d2(v: np.ndarray, h: float) -> np.ndarray:
+    """Second derivative along the last axis, 3-point interior stencil.
 
     Boundary nodes get the one-sided 4-point value; callers that assemble
     interior equations never read them.
     """
-    v = f.values
-    h2 = f.grid.h ** 2
+    h2 = h**2
     out = np.empty_like(v)
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
-    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
-    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
-    return ScalarField(f.grid, out)
+    vt, ot = v.T, out.T
+    ot[1:-1] = (vt[2:] - 2.0 * vt[1:-1] + vt[:-2]) / h2
+    ot[0] = (2.0 * vt[0] - 5.0 * vt[1] + 4.0 * vt[2] - vt[3]) / h2
+    ot[-1] = (2.0 * vt[-1] - 5.0 * vt[-2] + 4.0 * vt[-3] - vt[-4]) / h2
+    return out
 
 
 def tridiag_solve(lower, diag, upper, rhs) -> np.ndarray:
@@ -145,30 +138,23 @@ def tridiag_solve(lower, diag, upper, rhs) -> np.ndarray:
     return x
 
 
-def norm_l2(f: ScalarField) -> float:
-    return float(np.sqrt(trapezoid(f.values**2, dx=f.grid.h)))
+def norm_l2(v: np.ndarray, h: float):
+    """Trapezoid L^2 norm along the last axis: a float for one frame, an array for a stack."""
+    return np.sqrt(trapezoid(v**2, dx=h, axis=-1))
 
 
-def norm_linf(f: ScalarField) -> float:
-    return float(np.max(np.abs(f.values)))
-
-
-def _space_norm(values: np.ndarray, h: float, q: float) -> float:
-    if q == math.inf:
-        return float(np.max(np.abs(values)))
-    return float(trapezoid(np.abs(values) ** q, dx=h)) ** (1.0 / q)
-
-
-def norm_lp_time_lq_space(times: np.ndarray, fields: Sequence[ScalarField], p: float, q: float) -> float:
-    """Mixed norm (int ||f(t)||_q^p dt)^(1/p), trapezoid in both variables."""
+def norm_lp_time_lq_space(times: np.ndarray, values: np.ndarray, h: float, p: float, q: float) -> float:
+    """Mixed norm (int ||f(t)||_q^p dt)^(1/p) of a (frames, nodes) array, trapezoid in both variables."""
     for exponent in (p, q):
         if not any(abs(exponent - s) < 1e-14 or (exponent == math.inf and s == math.inf) for s in SUPPORTED_EXPONENTS):
             raise UnsupportedExponent(f"exponent {exponent} not supported")
     times = np.asarray(times, dtype=float)
-    if len(times) != len(fields):
+    if len(times) != len(values):
         raise ValueError("times and fields must have equal length")
-    h = fields[0].grid.h
-    per_frame = np.array([_space_norm(f.values, h, q) for f in fields])
+    if q == math.inf:
+        per_frame = np.max(np.abs(values), axis=-1)
+    else:
+        per_frame = trapezoid(np.abs(values) ** q, dx=h, axis=-1) ** (1.0 / q)
     if p == math.inf:
         return float(np.max(per_frame))
     return float(trapezoid(per_frame**p, times)) ** (1.0 / p)

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid_field import Grid, ScalarField, d1, tridiag_solve
+from .grid_field import d1, tridiag_solve
 from .material import MaterialParams, double_well
 
 
@@ -130,7 +130,6 @@ class MollifierState:
         self._head = 0
         self._count = 0
         self.time = None
-        self._grid = None
 
     @property
     def window_size(self) -> int:
@@ -151,33 +150,30 @@ class MollifierState:
         view.flags.writeable = False
         return view
 
-    def push(self, f: ScalarField, t: float):
+    def push(self, values: np.ndarray, t: float):
         rows = self._rows
         if self._buf is None:
-            self._buf = np.empty((2 * rows, f.grid.n))
+            self._buf = np.empty((2 * rows, len(values)))
         elif self._count == rows < self.window_size:
             raise ValueError(f"mollifier buffer holds at most {rows} frames (max_frames)")
         self._head = (self._head - 1) % rows
-        self._buf[self._head] = f.values
-        self._buf[self._head + rows] = f.values
+        self._buf[self._head] = values
+        self._buf[self._head + rows] = values
         self._count = min(self._count + 1, rows)
         self.time = t
-        self._grid = f.grid
 
     def state_arrays(self) -> list[np.ndarray]:
         return [a.copy() for a in self.frames]
 
-    def restore(self, arrays, grid: Grid, t: float):
+    def restore(self, arrays, t: float):
         self._buf = None
         self._head = 0
         self._count = 0
         for a in reversed(arrays):
-            self.push(ScalarField(grid, a), t)
-        self.time = t
-        self._grid = grid
+            self.push(a, t)
 
 
-def mollify(state: MollifierState, t: float) -> ScalarField:
+def mollify(state: MollifierState, t: float) -> np.ndarray:
     """Kernel-weighted average over the window (t - kappa_m, t]."""
     frames = state.frames
     k = len(frames)
@@ -191,65 +187,59 @@ def mollify(state: MollifierState, t: float) -> ScalarField:
     else:
         values = w[:k] @ frames
         values += (1.0 - w[:k].sum()) * frames[-1]
-    return ScalarField(state._grid, values)
+    return values
 
 
 def driving_force(
-    u: ScalarField,
-    u_x: ScalarField,
-    s: ScalarField,
-    s_x: ScalarField,
+    u: np.ndarray,
+    u_x: np.ndarray,
+    s: np.ndarray,
+    s_x: np.ndarray,
+    x: np.ndarray,
     params: MaterialParams,
-) -> ScalarField:
+) -> np.ndarray:
     """Configurational driving force acting on the order parameter.
 
     Pointwise c*(-lam*(u_x + 2u/x) + e*s + well'(s)) minus the curvature-like
     correction 2*c*nu/x * s_x; bounded because the grid keeps x >= a > 0.
+    The fields may be single frames or (frames, nodes) stacks over the nodes x.
     """
-    grid = u.grid
-    if any(f.grid != grid for f in (u_x, s, s_x)):
-        raise ValueError("fields must share a grid")
-    x = grid.x
-    _, well_prime = double_well(s.values, params.well_weight)
-    f1 = params.c * (
-        -params.lam * (u_x.values + 2.0 * u.values / x) + params.e * s.values + well_prime
-    )
-    f = f1 - (2.0 * params.c * params.nu / x) * s_x.values
-    return ScalarField(grid, f)
+    _, well_prime = double_well(s, params.well_weight)
+    f1 = params.c * (-params.lam * (u_x + 2.0 * u / x) + params.e * s + well_prime)
+    return f1 - (2.0 * params.c * params.nu / x) * s_x
 
 
 def semi_implicit_step(
-    s: ScalarField,
-    force: ScalarField,
+    s: np.ndarray,
+    force: np.ndarray,
+    h: float,
     material: MaterialParams,
     reg: RegularizationParams,
     dt: Optional[float] = None,
-    s_x: Optional[ScalarField] = None,
-) -> ScalarField:
+    s_x: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """One frozen-coefficient step of the regularized evolution equation.
 
     The diffusion coefficient c*nu*|s_x|_kappa is taken from the current state
     (bounded below by c*nu*kappa, so the system is never singular), diffusion
     is advanced with weight theta, the reaction -force*(|s_x|_kappa - kappa)
     explicitly.  Boundary values are pinned to exactly zero.  ``s_x`` is
-    d1(s), passed by a caller that has already computed it.
+    d1(s, h), passed by a caller that has already computed it.
     """
     if dt is None:
         dt = reg.dt
-    grid = s.grid
-    n = grid.n
-    h = grid.h
+    n = len(s)
 
     if s_x is None:
-        s_x = d1(s)
-    mod = np.hypot(s_x.values, reg.kappa)
+        s_x = d1(s, h)
+    mod = np.hypot(s_x, reg.kappa)
     coef = material.c * material.nu * mod
 
-    rhs = s.values.copy()
-    reaction = -force.values * (mod - reg.kappa)
+    rhs = s.copy()
+    reaction = -force * (mod - reg.kappa)
     rhs[1:-1] += dt * reaction[1:-1]
     if reg.theta < 1.0:
-        lap = (s.values[2:] - 2.0 * s.values[1:-1] + s.values[:-2]) / h**2
+        lap = (s[2:] - 2.0 * s[1:-1] + s[:-2]) / h**2
         rhs[1:-1] += dt * (1.0 - reg.theta) * coef[1:-1] * lap
     rhs[0] = 0.0
     rhs[-1] = 0.0
@@ -266,7 +256,7 @@ def semi_implicit_step(
     new[0] = 0.0
     new[-1] = 0.0
 
-    increment = float(np.max(np.abs(new - s.values)))
+    increment = float(np.max(np.abs(new - s)))
     if not np.isfinite(increment) or increment > reg.increment_guard:
         raise StepRejected(increment, reg.increment_guard)
-    return ScalarField(grid, new)
+    return new

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .grid_field import ScalarField
+from .grid_field import Grid
 from .material import (
     ElasticityTensor,
     MaterialParams,
@@ -52,17 +52,17 @@ class RadialLift:
     @classmethod
     def from_frames(
         cls,
-        u_frame: ScalarField,
-        s_frame: ScalarField,
-        b_frame: ScalarField,
+        grid: Grid,
+        u_frame: np.ndarray,
+        s_frame: np.ndarray,
+        b_frame: np.ndarray,
         tensor: ElasticityTensor,
         misfit: MisfitStrain,
     ) -> "RadialLift":
-        """Cubic interpolation of nodal frames; reproduces nodal values exactly."""
-        grid = u_frame.grid
-        u_sp = CubicSpline(grid.x, u_frame.values)
-        s_sp = CubicSpline(grid.x, s_frame.values)
-        b_sp = CubicSpline(grid.x, b_frame.values)
+        """Cubic interpolation of nodal frames on ``grid``; reproduces nodal values exactly."""
+        u_sp = CubicSpline(grid.x, u_frame)
+        s_sp = CubicSpline(grid.x, s_frame)
+        b_sp = CubicSpline(grid.x, b_frame)
         return cls.from_callables(
             grid.a, grid.d, u_sp, u_sp.derivative(), s_sp, b_sp, tensor, misfit
         )

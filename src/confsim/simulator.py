@@ -73,8 +73,8 @@ class Simulation:
         else:
             self.step_index = _restore["step_index"]
             arrays = _restore["history"]
-            self.mollifier.restore(arrays, self.grid, _restore["time"])
-            self.s = ScalarField(self.grid, np.asarray(arrays[0], dtype=float).copy())
+            self.mollifier.restore(arrays, _restore["time"])
+            self.s = np.array(arrays[0], dtype=float)
         self.time = config.step_time(self.step_index)
         self._reset_recording()
 
@@ -90,23 +90,26 @@ class Simulation:
         s_moll = mollify(self.mollifier, t)
         b = self.config.body.evaluate(t, self.grid)
         u, disc = solve_elasticity(
-            s_moll, b, self.config.material, self.config.elasticity_path, self.kernel
+            s_moll, b, self.grid, self.config.material, self.config.elasticity_path, self.kernel
         )
         return u, s_moll, b, disc
 
-    def _record_frame(self, u: ScalarField, s_moll: ScalarField, b: ScalarField, disc):
+    def _record_frame(self, u: np.ndarray, s_moll: np.ndarray, b: np.ndarray, disc):
+        # every step makes new s and u arrays, so the frames need no copy
         self.times.append(self.time)
-        self.s_frames.append(self.s.copy())
-        self.u_frames.append(u.copy())
+        self.s_frames.append(ScalarField(self.grid, self.s))
+        self.u_frames.append(ScalarField(self.grid, u))
         self.frame_steps.append(self.step_index)
         if self.config.elasticity_path != "green":
-            rhs = elastic_rhs(d1(s_moll), b, self.config.material)
-            self.residual_max = max(self.residual_max, fd_residual(u, rhs))
+            rhs = elastic_rhs(d1(s_moll, self.grid.h), b, self.config.material)
+            self.residual_max = max(self.residual_max, fd_residual(u, rhs, self.grid))
         if disc is not None:
             self.discrepancy_max = max(self.discrepancy_max or 0.0, disc)
 
     def run(self, until_step: Optional[int] = None) -> RunResult:
         cfg = self.config
+        h = self.grid.h
+        x = self.grid.x
         n_total = cfg.n_steps
         stop = n_total if until_step is None else min(until_step, n_total)
         status = Termination("completed")
@@ -115,12 +118,12 @@ class Simulation:
         self._record_frame(u, s_moll, b, disc)
 
         while self.step_index < stop:
-            s_x = d1(self.s)
-            force = driving_force(u, d1(u), self.s, s_x, cfg.material)
+            s_x = d1(self.s, h)
+            force = driving_force(u, d1(u, h), self.s, s_x, x, cfg.material)
             t_next = cfg.step_time(self.step_index + 1)
             dt_n = t_next - self.time
             try:
-                self.s = semi_implicit_step(self.s, force, cfg.material, cfg.reg, dt=dt_n, s_x=s_x)
+                self.s = semi_implicit_step(self.s, force, h, cfg.material, cfg.reg, dt=dt_n, s_x=s_x)
             except StepRejected:
                 status = Termination("step-rejected", self.time)
                 break

@@ -9,12 +9,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid_field import FLOAT_FMT, Grid, ScalarField, Trajectory, norm_lp_time_lq_space
+from .grid_field import FLOAT_FMT, Grid, Trajectory, norm_lp_time_lq_space
 from .material import MaterialParams
 from .order_parameter import RegularizationParams, semi_implicit_step
 from .elasticity import solve_fd
 from .config import SimulationConfig, StudyConfig
-from .diagnostics import energy_monitor, flux_field, max_principle_check, primitive_field, weak_residual
+from .diagnostics import energy_monitor, flux_field, primitive_field, weak_residual
 from .simulator import RunResult, Simulation, Termination
 
 
@@ -46,11 +46,9 @@ def flux_distance(traj_a: Trajectory, traj_b: Trajectory) -> float:
     """L^{4/3}-in-time, L^2-in-space distance of the signed flux |S_x|S_x/2."""
     if traj_a.grid != traj_b.grid or len(traj_a.times) != len(traj_b.times):
         raise MismatchedGrids("study members must share grid and save schedule")
-    diff = [
-        ScalarField(traj_a.grid, flux_field(fa).values - flux_field(fb).values)
-        for fa, fb in zip(traj_a.s_frames, traj_b.s_frames)
-    ]
-    return norm_lp_time_lq_space(traj_a.times, diff, 4.0 / 3.0, 2.0)
+    h = traj_a.grid.h
+    diff = flux_field(traj_a.s_matrix(), h) - flux_field(traj_b.s_matrix(), h)
+    return norm_lp_time_lq_space(traj_a.times, diff, h, 4.0 / 3.0, 2.0)
 
 
 def run_members(study: StudyConfig) -> list[RunResult]:
@@ -85,14 +83,11 @@ def run_study(study: StudyConfig) -> StudyResult:
         traj = res.trajectory
         if res.termination.status == ref.termination.status == "completed":
             d_kappa = flux_distance(traj, ref.trajectory)
-            diff = [
-                ScalarField(traj.grid, primitive_field(f, kappa).values - flux_field(r).values)
-                for f, r in zip(traj.s_frames, ref.trajectory.s_frames)
-            ]
-            d_prim = norm_lp_time_lq_space(traj.times, diff, 4.0 / 3.0, 2.0)
+            h = traj.grid.h
+            diff = primitive_field(traj.s_matrix(), h, kappa) - flux_field(ref.trajectory.s_matrix(), h)
+            d_prim = norm_lp_time_lq_space(traj.times, diff, h, 4.0 / 3.0, 2.0)
         else:
             d_kappa = d_prim = math.nan
-        margin, _ = max_principle_check(traj)
         energy = energy_monitor(traj, kappa)
         rows.append(
             StudyRow(
@@ -101,7 +96,7 @@ def run_study(study: StudyConfig) -> StudyResult:
                 dt=res.config.reg.dt,
                 d_kappa=d_kappa,
                 d_primitive=d_prim,
-                max_principle_margin=margin,
+                max_principle_margin=res.report.max_principle_margin,
                 sup_energy=energy.sup_grad,
                 weak_residual_max=member_weak_residual(res),
                 is_reference=(i == ref_idx),
@@ -182,9 +177,8 @@ def elasticity_errors(a: float, d: float, grid_sizes: Sequence[int], quadratic: 
     errors = []
     for n in grid_sizes:
         grid = Grid(a, d, n)
-        rhs = ScalarField.from_function(grid, g_star)
-        u = solve_fd(rhs)
-        errors.append(float(np.max(np.abs(u.values - u_star(grid.x)))))
+        u = solve_fd(g_star(grid.x), grid)
+        errors.append(float(np.max(np.abs(u - u_star(grid.x)))))
     return errors
 
 
@@ -196,12 +190,10 @@ def fit_slope(hs: Sequence[float], errors: Sequence[float]) -> float:
 
 
 def _explicit_reference(
-    s0: ScalarField, material: MaterialParams, kappa: float, t_end: float, dt: float
-) -> ScalarField:
+    s0: np.ndarray, h: float, material: MaterialParams, kappa: float, t_end: float, dt: float
+) -> np.ndarray:
     """Forward-Euler integration of the force-free evolution, used as an oracle."""
-    grid = s0.grid
-    h = grid.h
-    v = s0.values.copy()
+    v = s0.copy()
     n_steps = int(round(t_end / dt))
     for _ in range(n_steps):
         s_x = np.empty_like(v)
@@ -212,17 +204,17 @@ def _explicit_reference(
         lap[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
         v = v + dt * coef * lap
         v[0] = v[-1] = 0.0
-    return ScalarField(grid, v)
+    return v
 
 
 def _implicit_forcefree(
-    s0: ScalarField, material: MaterialParams, kappa: float, t_end: float, dt: float
-) -> ScalarField:
+    s0: np.ndarray, h: float, material: MaterialParams, kappa: float, t_end: float, dt: float
+) -> np.ndarray:
     reg = RegularizationParams(kappa=kappa, dt=dt, theta=1.0, increment_guard=1e9)
-    zero = ScalarField.zeros(s0.grid)
+    zero = np.zeros_like(s0)
     s = s0
     for _ in range(int(round(t_end / dt))):
-        s = semi_implicit_step(s, zero, material, reg)
+        s = semi_implicit_step(s, zero, h, material, reg)
     return s
 
 
@@ -263,16 +255,16 @@ def mms_convergence(
     # rate in dt at fixed grid; the forward-Euler reference is Richardson
     # extrapolated so its own O(dt_ref) bias stays below the measured errors
     grid = Grid(a, d, 65)
-    s0 = ScalarField(grid, 0.5 * np.sin(math.pi * (grid.x - a) / (d - a)))
-    s0.values[0] = s0.values[-1] = 0.0
+    s0 = 0.5 * np.sin(math.pi * (grid.x - a) / (d - a))
+    s0[0] = s0[-1] = 0.0
     t_end = 2.0e-3
     dts = [4.0e-4, 2.0e-4, 1.0e-4]
     dt_ref = dts[-1] / 256.0
-    ref_coarse = _explicit_reference(s0, material, kappa, t_end, dt_ref)
-    ref_fine = _explicit_reference(s0, material, kappa, t_end, dt_ref / 2.0)
-    ref = ScalarField(grid, 2.0 * ref_fine.values - ref_coarse.values)
+    ref_coarse = _explicit_reference(s0, grid.h, material, kappa, t_end, dt_ref)
+    ref_fine = _explicit_reference(s0, grid.h, material, kappa, t_end, dt_ref / 2.0)
+    ref = 2.0 * ref_fine - ref_coarse
     dt_errors = [
-        float(np.max(np.abs(_implicit_forcefree(s0, material, kappa, t_end, dt).values - ref.values)))
+        float(np.max(np.abs(_implicit_forcefree(s0, grid.h, material, kappa, t_end, dt) - ref)))
         for dt in dts
     ]
     dt_slope = fit_slope(dts, dt_errors)
@@ -286,19 +278,19 @@ def mms_convergence(
     def run_level(level: int):
         n = (base_n - 1) * 2**level + 1
         g = Grid(a, d, n)
-        s = ScalarField(g, 0.5 * np.sin(math.pi * (g.x - a) / (d - a)))
-        s.values[0] = s.values[-1] = 0.0
+        s = 0.5 * np.sin(math.pi * (g.x - a) / (d - a))
+        s[0] = s[-1] = 0.0
         dt = 1.0e-3 / 4.0**level
-        return _implicit_forcefree(s, material, kappa, t_end_h, dt)
+        return _implicit_forcefree(s, g.h, material, kappa, t_end_h, dt), g.h
 
-    fine = run_level(ref_level)
+    fine, _ = run_level(ref_level)
     h_errors = []
     h_list = []
     for level in levels:
-        coarse = run_level(level)
+        coarse, h = run_level(level)
         stride = 2 ** (ref_level - level)
-        h_errors.append(float(np.max(np.abs(coarse.values - fine.values[::stride]))))
-        h_list.append(coarse.grid.h)
+        h_errors.append(float(np.max(np.abs(coarse - fine[::stride]))))
+        h_list.append(h)
     h_slope = fit_slope(h_list, h_errors)
 
     return MMSResult(

@@ -14,7 +14,7 @@ from confsim.grid_field import Grid, ScalarField, d1
 from confsim.material import MaterialParams
 from confsim.order_parameter import smoothed_abs_primitive
 from confsim.elasticity import GreenKernel, elastic_rhs, solve_fd, solve_green
-from confsim.diagnostics import apriori_norms, build_report, energy_monitor, max_principle_check
+from confsim.diagnostics import build_report, energy_monitor
 from confsim.config import BodyForce, StudyConfig
 from confsim.simulator import Simulation, load_run, load_snapshot, run, save_snapshot, write_run
 from confsim.studies import elasticity_errors, fit_slope, run_study, weak_residual_refinement
@@ -85,11 +85,11 @@ def test_criterion_02_elasticity_cross_oracle():
     for _ in range(10):
         cs = rng.uniform(-1, 1, 3)
         cb = rng.uniform(-1, 1, 3)
-        s = ScalarField(grid, sum(c * np.sin((m + 1) * math.pi * xi) for m, c in enumerate(cs)))
-        b = ScalarField(grid, sum(c * xi**m for m, c in enumerate(cb)))
-        u_fd = solve_fd(elastic_rhs(d1(s), b, mat))
-        u_gr = solve_green(kernel, s, b, mat)
-        worst = max(worst, float(np.max(np.abs(u_fd.values - u_gr.values))))
+        s = sum(c * np.sin((m + 1) * math.pi * xi) for m, c in enumerate(cs))
+        b = sum(c * xi**m for m, c in enumerate(cb))
+        u_fd = solve_fd(elastic_rhs(d1(s, grid.h), b, mat), grid)
+        u_gr = solve_green(kernel, ScalarField(grid, s), b, mat)
+        worst = max(worst, float(np.max(np.abs(u_fd - u_gr))))
 
     sizes = [65, 129, 257]
     errs = elasticity_errors(A, D, sizes)
@@ -108,9 +108,7 @@ def test_criterion_03_maximum_principle_matrix():
                     n=129, kappa=kappa, dt=2e-4, t_end=0.02, save_every=10,
                     family=family, body=body,
                 )
-                result = run(cfg)
-                margin, _ = max_principle_check(result.trajectory)
-                worst = max(worst, margin)
+                worst = max(worst, run(cfg).report.max_principle_margin)
     ok = worst <= 1e-8
     report(3, ok, f"max-principle margin over 12-run matrix: {worst:.2e}")
 
@@ -129,10 +127,11 @@ def test_criterion_04_energy_uniformity(kappa_sweep_runs):
 
 
 def test_criterion_05_apriori_norm_uniformity(kappa_sweep_runs):
+    # St_L43, Sx_L83_Linf and flux_grad_L43 at the final time
     table = np.array(
         [
-            apriori_norms(kappa_sweep_runs[k].trajectory, k).as_tuple()[:3]
-            for k in KAPPA_SWEEP
+            [series[-1] for series in (rep.st_l43, rep.sx_l83_linf, rep.flux_grad_l43)]
+            for rep in (kappa_sweep_runs[k].report for k in KAPPA_SWEEP)
         ]
     )
     finite = bool(np.all(np.isfinite(table)))

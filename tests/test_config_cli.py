@@ -170,6 +170,23 @@ class TestCliRun:
         assert "need at least 4 nodes" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("material.e=-1", "e must be nonnegative"),
+            ("material.mu=0", "mu must be positive"),
+            ("material.c=-1", "c must be positive"),
+            ("material.nu=0", "nu must be positive"),
+            ("material.well_weight=0", "well_weight must be positive"),
+        ],
+    )
+    def test_bad_material_scalar_exits_one(self, tmp_path, capsys, override, message):
+        code = main(["run", "--out", str(tmp_path / "out"), "--set", override])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: material: {message}, got {float(override.split('=')[1])}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "overrides, names",
         [
             (["reg.dt=1e-300", "run.t_end=1"], "reg.kappa_m / reg.dt"),

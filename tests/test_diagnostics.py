@@ -10,21 +10,24 @@ from hypothesis import strategies as st
 
 from scipy.integrate import trapezoid
 
-from confsim.grid_field import Grid, ScalarField, Trajectory, d1
+from confsim.grid_field import Grid, ScalarField, Trajectory, d1, d2
 from confsim.material import MaterialParams
-from confsim.order_parameter import RegularizationParams, driving_force, semi_implicit_step
+from confsim.order_parameter import (
+    RegularizationParams,
+    driving_force,
+    semi_implicit_step,
+    smoothed_abs,
+)
 from confsim.config import BodyForce, StudyConfig, parse_config_text
 from confsim.diagnostics import (
     _cumulative_time_trapz,
+    _flux_gradients,
     _primitive_w14_series,
-    apriori_norms,
+    _st_l43_series,
     build_report,
-    default_dual_basis,
     default_test_functions,
-    dual_norm_estimate,
     energy_monitor,
     flux_field,
-    max_principle_check,
     primitive_field,
     weak_residual,
     weak_residual_series,
@@ -45,7 +48,7 @@ MAT = MaterialParams(c=1.0, nu=0.1, mu=2.0, lam=0.2, e=0.06, well_weight=1.0)
 
 
 def zero_trajectory(n_frames=5, t_end=1e-2):
-    z = ScalarField.zeros(GRID)
+    z = ScalarField(GRID, np.zeros(GRID.n))
     times = np.linspace(0.0, t_end, n_frames)
     return Trajectory(times, [z] * n_frames, [z] * n_frames, np.arange(n_frames))
 
@@ -55,33 +58,47 @@ def diffusion_trajectory(amp=0.7, steps=20, dt=2e-4, kappa=0.25):
     xi = (GRID.x - GRID.a) / (GRID.d - GRID.a)
     v = amp * np.sin(math.pi * xi)
     v[0] = v[-1] = 0.0
-    s = ScalarField(GRID, v)
     reg = RegularizationParams(kappa=kappa, dt=dt)
-    zero = ScalarField.zeros(GRID)
-    frames = [s]
+    zero = np.zeros(GRID.n)
+    frames = [v]
     for _ in range(steps):
-        s = semi_implicit_step(s, zero, MAT, reg)
-        frames.append(s)
+        frames.append(semi_implicit_step(frames[-1], zero, GRID.h, MAT, reg))
     times = np.arange(steps + 1) * dt
-    return Trajectory(times, frames, [zero] * (steps + 1), np.arange(steps + 1))
+    z = ScalarField(GRID, zero)
+    return Trajectory(
+        times, [ScalarField(GRID, f) for f in frames], [z] * (steps + 1), np.arange(steps + 1)
+    )
+
+
+def report_of(traj, t_end=None):
+    """The diagnostics report of a trajectory on GRID under the desk material."""
+    cfg = make_config(n=GRID.n, t_end=t_end or float(traj.times[-1]))
+    return build_report(traj, cfg)
+
+
+def apriori_row(report):
+    """The report's uniformly bounded norms at its last save time."""
+    return (
+        report.st_l43[-1],
+        report.sx_l83_linf[-1],
+        report.flux_grad_l43[-1],
+        report.primitive_w14_l43[-1],
+    )
 
 
 class TestMaxPrinciple:
     def test_zero_run(self):
-        margin, ok = max_principle_check(zero_trajectory())
-        assert margin == 0.0
-        assert ok
+        assert report_of(zero_trajectory()).max_principle_margin == 0.0
 
     def test_diffusion_only_run_passes(self):
-        margin, ok = max_principle_check(diffusion_trajectory())
-        assert ok
+        assert report_of(diffusion_trajectory()).max_principle_margin <= 1e-8
 
     def test_violation_reported_not_thrown(self):
         grow = [ScalarField(GRID, k * 0.1 * np.ones(GRID.n)) for k in range(3)]
-        z = ScalarField.zeros(GRID)
+        z = ScalarField(GRID, np.zeros(GRID.n))
         traj = Trajectory(np.array([0.0, 1.0, 2.0]), grow, [z] * 3, np.arange(3))
-        margin, ok = max_principle_check(traj)
-        assert not ok
+        margin = report_of(traj).max_principle_margin
+        assert margin > 1e-8
         assert margin == pytest.approx(0.2)
 
 
@@ -105,24 +122,25 @@ class TestEnergyMonitor:
 
 
 class TestAprioriNorms:
+    """The a priori bounded norms, read from the report's last row."""
+
     def test_zero_run(self):
-        norms = apriori_norms(zero_trajectory(), kappa=0.25)
-        assert norms.as_tuple() == (0.0, 0.0, 0.0, 0.0)
+        assert apriori_row(report_of(zero_trajectory())) == (0.0, 0.0, 0.0, 0.0)
 
     def test_monotone_under_time_truncation(self):
         traj = diffusion_trajectory(steps=20)
-        full = apriori_norms(traj, kappa=0.25)
+        t_end = float(traj.times[-1])
+        full = report_of(traj, t_end)
         half = Trajectory(
             traj.times[:11], traj.s_frames[:11], traj.u_frames[:11], traj.steps[:11]
         )
-        truncated = apriori_norms(half, kappa=0.25)
-        for a, b in zip(truncated.as_tuple(), full.as_tuple()):
+        truncated = report_of(half, t_end)
+        for a, b in zip(apriori_row(truncated), apriori_row(full)):
             assert a <= b + 1e-15
 
     def test_all_finite_on_default_run(self, desk_config):
         result = run(desk_config)
-        norms = apriori_norms(result.trajectory, desk_config.reg.kappa)
-        assert all(np.isfinite(v) for v in norms.as_tuple())
+        assert all(np.isfinite(v) for v in apriori_row(result.report))
 
 
 def primitive_w14_prefix_loop(traj, kappa):
@@ -131,9 +149,9 @@ def primitive_w14_prefix_loop(traj, kappa):
     p = 4.0 / 3.0
     per_frame = []
     for f in traj.s_frames:
-        prim = primitive_field(f, kappa)
-        norm_p = trapezoid(np.abs(prim.values) ** p, dx=h)
-        norm_dp = trapezoid(np.abs(d1(prim).values) ** p, dx=h)
+        prim = primitive_field(f.values, h, kappa)
+        norm_p = trapezoid(np.abs(prim) ** p, dx=h)
+        norm_dp = trapezoid(np.abs(d1(prim, h)) ** p, dx=h)
         per_frame.append((norm_p + norm_dp) ** (1.0 / p))
     per_frame = np.asarray(per_frame)
     out = np.zeros(len(traj.times))
@@ -144,20 +162,130 @@ def primitive_w14_prefix_loop(traj, kappa):
 
 class TestFluxAndPrimitive:
     def test_flux_is_half_signed_square_of_gradient(self):
-        for s in diffusion_trajectory(steps=3).s_frames:
-            g = d1(s).values
-            assert np.array_equal(flux_field(s).values, 0.5 * np.abs(g) * g)
-            assert np.array_equal(2.0 * flux_field(s).values, np.abs(g) * g)
+        s = diffusion_trajectory(steps=3).s_matrix()
+        g = d1(s, GRID.h)
+        assert np.array_equal(flux_field(s, GRID.h), 0.5 * np.abs(g) * g)
+        assert np.array_equal(2.0 * flux_field(s, GRID.h), np.abs(g) * g)
 
     @pytest.mark.parametrize("kappa", [0.25, 0.03125])
     def test_primitive_series_matches_prefix_loop(self, kappa):
         result = run(make_config(kappa=kappa, t_end=8e-3, save_every=1))
         traj = result.trajectory
         assert len(traj.times) == 41
-        got = _primitive_w14_series(traj, kappa)
+        got = _primitive_w14_series(traj.times, traj.s_matrix(), traj.grid.h, kappa)
         want = primitive_w14_prefix_loop(traj, kappa)
         assert got[0] == want[0] == 0.0
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def space_norm(values, h, q):
+    """The per-frame space norm the mixed norms were built from, one frame at a time."""
+    if q == math.inf:
+        return float(np.max(np.abs(values)))
+    return float(trapezoid(np.abs(values) ** q, dx=h)) ** (1.0 / q)
+
+
+def mixed_norm_series_loop(times, frames, h, p, q):
+    """Reference: the mixed norm of every prefix through a per-frame space norm."""
+    out = np.zeros(len(times))
+    for k in range(1, len(times)):
+        per_frame = np.array([space_norm(f, h, q) for f in frames[: k + 1]])
+        if p == math.inf:
+            out[k] = np.max(per_frame)
+        else:
+            out[k] = float(trapezoid(per_frame**p, times[: k + 1])) ** (1.0 / p)
+    return out
+
+
+def energy_loop(traj, kappa):
+    """Reference: gradient energy and dissipation integrand, one frame at a time."""
+    h = traj.grid.h
+    grad_sq, integrand = [], []
+    for f in traj.s_frames:
+        g = d1(f.values, h)
+        grad_sq.append(float(np.sqrt(trapezoid(g**2, dx=h))) ** 2)
+        integrand.append(float(trapezoid(smoothed_abs(g, kappa) * d2(f.values, h) ** 2, dx=h)))
+    return np.array(grad_sq), _cumulative_time_trapz(traj.times, np.array(integrand))
+
+
+def st_l43_loop(traj):
+    """Reference: the running L^{4/3} space-time norm of the difference quotients."""
+    h = traj.grid.h
+    p = 4.0 / 3.0
+    out = np.zeros(len(traj.times))
+    acc = 0.0
+    for k in range(len(traj.times) - 1):
+        dt = traj.times[k + 1] - traj.times[k]
+        v = (traj.s_frames[k + 1].values - traj.s_frames[k].values) / dt
+        acc += dt * float(trapezoid(np.abs(v) ** p, dx=h))
+        out[k + 1] = acc ** (1.0 / p)
+    return out
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        dict(kappa=0.25, t_end=8e-3, save_every=1),
+        dict(n=129, kappa=0.0625, t_end=6e-3, save_every=3, theta=0.6,
+             body=BodyForce(family="ramp", amplitude=0.1, rate=5.0)),
+    ],
+    ids=["desk", "theta-ramp"],
+)
+def stacked_run(request):
+    cfg = make_config(**request.param)
+    return cfg, run(cfg)
+
+
+class TestMonitorsMatchFrameLoops:
+    """Each monitor on the (frames, nodes) stack against its frame-by-frame loop.
+
+    Columns that raise a per-frame value to a power may differ in the last
+    bit: numpy's array power and Python's float power round independently.
+    """
+
+    def test_energy(self, stacked_run):
+        cfg, result = stacked_run
+        series = energy_monitor(result.trajectory, cfg.reg.kappa)
+        grad_sq, dissipation = energy_loop(result.trajectory, cfg.reg.kappa)
+        np.testing.assert_allclose(series.grad_norm_sq, grad_sq, rtol=1e-14, atol=0.0)
+        assert np.array_equal(series.dissipation, dissipation)
+
+    def test_st_l43(self, stacked_run):
+        _, result = stacked_run
+        traj = result.trajectory
+        got = _st_l43_series(traj.times, traj.s_matrix(), traj.grid.h)
+        np.testing.assert_allclose(got, st_l43_loop(traj), rtol=1e-14, atol=0.0)
+
+    def test_flux_gradients(self, stacked_run):
+        _, result = stacked_run
+        traj = result.trajectory
+        h = traj.grid.h
+        want = [d1(2.0 * flux_field(f.values, h), h) for f in traj.s_frames]
+        assert np.array_equal(_flux_gradients(traj.s_matrix(), h), np.array(want))
+
+    def test_mixed_norms(self, stacked_run):
+        _, result = stacked_run
+        traj, report = result.trajectory, result.report
+        h = traj.grid.h
+        grads = [d1(f.values, h) for f in traj.s_frames]
+        flux_grads = [d1(2.0 * flux_field(f.values, h), h) for f in traj.s_frames]
+        np.testing.assert_allclose(
+            report.sx_l83_linf,
+            mixed_norm_series_loop(traj.times, grads, h, 8.0 / 3.0, math.inf),
+            rtol=1e-14,
+            atol=0.0,
+        )
+        np.testing.assert_allclose(
+            report.flux_grad_l43,
+            mixed_norm_series_loop(traj.times, flux_grads, h, 4.0 / 3.0, 4.0 / 3.0),
+            rtol=1e-14,
+            atol=0.0,
+        )
+
+    def test_max_abs_s(self, stacked_run):
+        _, result = stacked_run
+        want = [float(np.max(np.abs(f.values))) for f in result.trajectory.s_frames]
+        assert np.array_equal(result.report.max_abs_s, want)
 
 
 def frame_loop_weak_residual_series(traj, material, test_functions):
@@ -166,15 +294,15 @@ def frame_loop_weak_residual_series(traj, material, test_functions):
     nt, nphi = len(traj.times), len(test_functions)
     pairs = np.zeros((4, nt, nphi))
     for k in range(nt):
-        t, s, u = traj.times[k], traj.s_frames[k], traj.u_frames[k]
-        s_x = d1(s)
-        flux = flux_field(s).values
-        kinetic = driving_force(u, d1(u), s, s_x, material).values * np.abs(s_x.values)
+        t, s, u = traj.times[k], traj.s_frames[k].values, traj.u_frames[k].values
+        s_x = d1(s, h)
+        flux = flux_field(s, h)
+        kinetic = driving_force(u, d1(u, h), s, s_x, x, material) * np.abs(s_x)
         for m, tf in enumerate(test_functions):
-            pairs[0, k, m] = trapezoid(s.values * tf.phi_t(t, x), dx=h)
+            pairs[0, k, m] = trapezoid(s * tf.phi_t(t, x), dx=h)
             pairs[1, k, m] = trapezoid(flux * tf.phi_x(t, x), dx=h)
             pairs[2, k, m] = trapezoid(kinetic * tf.phi(t, x), dx=h)
-            pairs[3, k, m] = trapezoid(s.values * tf.phi(t, x), dx=h)
+            pairs[3, k, m] = trapezoid(s * tf.phi(t, x), dx=h)
     cnu = material.c * material.nu
     residuals = np.zeros((nt, nphi))
     for m in range(nphi):
@@ -239,37 +367,6 @@ class TestWeakResidual:
         assert values[1] < values[0]
 
 
-class TestDualNorm:
-    def test_zero_run(self):
-        assert dual_norm_estimate(zero_trajectory()) == 0.0
-
-    def test_empty_basis(self):
-        assert dual_norm_estimate(diffusion_trajectory(steps=3), basis=[]) == 0.0
-
-    def test_zero_basis_function(self):
-        traj = diffusion_trajectory(steps=3)
-        z = ScalarField.zeros(GRID)
-        assert dual_norm_estimate(traj, basis=[z]) == 0.0
-
-    def test_basis_is_h2_normalized(self):
-        from confsim.grid_field import d1, d2, norm_l2
-
-        for psi in default_dual_basis(GRID):
-            h2 = math.sqrt(
-                norm_l2(psi) ** 2 + norm_l2(d1(psi)) ** 2 + norm_l2(d2(psi)) ** 2
-            )
-            assert h2 == pytest.approx(1.0, abs=1e-12)
-
-    def test_stable_across_kappa_halvings(self):
-        values = []
-        for kappa in (0.5, 0.25, 0.125):
-            cfg = make_config(n=65, kappa=kappa, dt=2e-4, t_end=4e-3, save_every=2)
-            res = run(cfg)
-            values.append(dual_norm_estimate(res.trajectory))
-        assert min(values) > 0.0
-        assert max(values) / min(values) < 2.0
-
-
 class TestReportRecompute:
     def test_report_recomputed_from_persisted_frames_is_bit_exact(self, tmp_path, desk_config):
         result = run(desk_config)
@@ -320,7 +417,7 @@ class TestKappaStudy:
     def test_mismatched_grids_raise(self):
         t1 = diffusion_trajectory(steps=3)
         other_grid = Grid(1.0, 2.0, 33)
-        z = ScalarField.zeros(other_grid)
+        z = ScalarField(other_grid, np.zeros(other_grid.n))
         t2 = Trajectory(t1.times[:4], [z] * 4, [z] * 4, np.arange(4))
         with pytest.raises(MismatchedGrids):
             flux_distance(t1, t2)

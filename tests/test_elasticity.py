@@ -120,34 +120,32 @@ class TestGreenKernel:
 class TestElasticRhs:
     def test_zero_fields(self):
         grid = Grid(A, D, 17)
-        z = ScalarField.zeros(grid)
-        assert np.all(elastic_rhs(z, z, params()).values == 0.0)
+        z = np.zeros(grid.n)
+        assert np.all(elastic_rhs(z, z, params()) == 0.0)
 
     def test_lambda_zero_reduces_to_body_term(self):
         grid = Grid(A, D, 17)
         rng = np.random.default_rng(5)
-        s_x = ScalarField(grid, rng.normal(size=grid.n))
-        b = ScalarField(grid, rng.normal(size=grid.n))
+        s_x, b = rng.normal(size=(2, grid.n))
         p = params(mu=2.0, lam=0.0)
         out = elastic_rhs(s_x, b, p)
-        assert np.array_equal(out.values, b.values / 2.0)
+        assert np.array_equal(out, b / 2.0)
 
     def test_matches_pointwise_formula(self):
         grid = Grid(A, D, 17)
         rng = np.random.default_rng(6)
-        s_x = ScalarField(grid, rng.normal(size=grid.n))
-        b = ScalarField(grid, rng.normal(size=grid.n))
+        s_x, b = rng.normal(size=(2, grid.n))
         p = params()
         out = elastic_rhs(s_x, b, p)
-        expected = (p.lam / p.mu) * s_x.values + b.values / p.mu
-        assert np.max(np.abs(out.values - expected)) < 1e-15
+        expected = (p.lam / p.mu) * s_x + b / p.mu
+        assert np.max(np.abs(out - expected)) < 1e-15
 
 
 class TestDirectSolve:
     def test_zero_rhs_gives_zero(self):
         grid = Grid(A, D, 65)
-        u = solve_fd(ScalarField.zeros(grid))
-        assert np.all(u.values == 0.0)
+        u = solve_fd(np.zeros(grid.n), grid)
+        assert np.all(u == 0.0)
 
     def test_quadratic_is_reproduced_exactly(self):
         # second-order stencils are exact on quadratics, so the discrete
@@ -156,16 +154,16 @@ class TestDirectSolve:
         u_star = (grid.x - A) * (D - grid.x)
         up = (A + D) - 2.0 * grid.x
         g = -2.0 + 2.0 * up / grid.x - 2.0 * u_star / grid.x**2
-        u = solve_fd(ScalarField(grid, g))
-        assert np.max(np.abs(u.values - u_star)) < 1e-11
+        u = solve_fd(g, grid)
+        assert np.max(np.abs(u - u_star)) < 1e-11
 
     def test_sine_convergence_rate(self):
         errs, hs = [], []
         for n in (65, 129, 257):
             grid = Grid(A, D, n)
             u_star, g = sine_case(grid)
-            u = solve_fd(ScalarField(grid, g))
-            errs.append(np.max(np.abs(u.values - u_star)))
+            u = solve_fd(g, grid)
+            errs.append(np.max(np.abs(u - u_star)))
             hs.append(grid.h)
         rate = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert rate == pytest.approx(2.0, abs=0.2)
@@ -173,20 +171,18 @@ class TestDirectSolve:
     def test_linearity(self):
         grid = Grid(A, D, 65)
         rng = np.random.default_rng(7)
-        g1 = ScalarField(grid, rng.normal(size=grid.n))
-        g2 = ScalarField(grid, rng.normal(size=grid.n))
+        g1, g2 = rng.normal(size=(2, grid.n))
         alpha, beta = 1.7, -0.6
-        combo = ScalarField(grid, alpha * g1.values + beta * g2.values)
-        lhs = solve_fd(combo).values
-        rhs = alpha * solve_fd(g1).values + beta * solve_fd(g2).values
+        lhs = solve_fd(alpha * g1 + beta * g2, grid)
+        rhs = alpha * solve_fd(g1, grid) + beta * solve_fd(g2, grid)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_discrete_residual(self):
         grid = Grid(A, D, 129)
         rng = np.random.default_rng(8)
-        g = ScalarField(grid, rng.normal(size=grid.n))
-        u = solve_fd(g)
-        assert fd_residual(u, g) < 1e-12
+        g = rng.normal(size=grid.n)
+        u = solve_fd(g, grid)
+        assert fd_residual(u, g, grid) < 1e-12
 
     def test_operator_built_once_per_grid(self):
         bands = _fd_operator(Grid(A, D, 65))
@@ -211,18 +207,17 @@ class TestDirectSolve:
         au[1:] += lower * u[:-1]
         u -= tridiag_solve(lower, diag, upper, au - vec)
         u[0] = u[-1] = 0.0
-        assert np.array_equal(solve_fd(ScalarField(grid, g)).values, u)
+        assert np.array_equal(solve_fd(g, grid), u)
 
     def test_discrete_energy_identity(self):
         # sum (x^2 u_x^2 + 2 u^2) h = -sum x^2 g u h up to O(h^2)
         def mismatch(n):
             grid = Grid(A, D, n)
             _, g = sine_case(grid)
-            gf = ScalarField(grid, g)
-            u = solve_fd(gf)
-            u_x = d1(u).values
-            lhs = trapezoid(grid.x**2 * u_x**2 + 2.0 * u.values**2, dx=grid.h)
-            rhs = -trapezoid(grid.x**2 * g * u.values, dx=grid.h)
+            u = solve_fd(g, grid)
+            u_x = d1(u, grid.h)
+            lhs = trapezoid(grid.x**2 * u_x**2 + 2.0 * u**2, dx=grid.h)
+            rhs = -trapezoid(grid.x**2 * g * u, dx=grid.h)
             return abs(lhs - rhs)
 
         m1, m2 = mismatch(65), mismatch(129)
@@ -232,9 +227,9 @@ class TestDirectSolve:
 class TestGreenSolve:
     def test_zero_inputs(self):
         grid = Grid(A, D, 65)
-        z = ScalarField.zeros(grid)
-        u = solve_green(GreenKernel(A, D), z, z, params())
-        assert np.all(u.values == 0.0)
+        z = np.zeros(grid.n)
+        u = solve_green(GreenKernel(A, D), ScalarField(grid, z), z, params())
+        assert np.all(u == 0.0)
 
     def test_cross_agreement_with_direct(self):
         grid = Grid(A, D, 129)
@@ -246,13 +241,11 @@ class TestGreenSolve:
         for _ in range(10):
             coeff_s = rng.uniform(-1, 1, 3)
             coeff_b = rng.uniform(-1, 1, 3)
-            s = ScalarField(
-                grid, sum(c * np.sin((m + 1) * math.pi * xi) for m, c in enumerate(coeff_s))
-            )
-            b = ScalarField(grid, sum(c * xi**m for m, c in enumerate(coeff_b)))
-            u_direct = solve_fd(elastic_rhs(d1(s), b, p))
-            u_green = solve_green(kernel, s, b, p)
-            assert np.max(np.abs(u_direct.values - u_green.values)) < tol
+            s = sum(c * np.sin((m + 1) * math.pi * xi) for m, c in enumerate(coeff_s))
+            b = sum(c * xi**m for m, c in enumerate(coeff_b))
+            u_direct = solve_fd(elastic_rhs(d1(s, grid.h), b, p), grid)
+            u_green = solve_green(kernel, ScalarField(grid, s), b, p)
+            assert np.max(np.abs(u_direct - u_green)) < tol
 
     def test_manufactured_recovery_rate(self):
         # with no gradient coupling, b = mu * g drives u to the closed form
@@ -261,9 +254,9 @@ class TestGreenSolve:
         for n in (65, 129, 257):
             grid = Grid(A, D, n)
             u_star, g = sine_case(grid)
-            b = ScalarField(grid, p.mu * g)
-            u = solve_green(GreenKernel(A, D), ScalarField.zeros(grid), b, p)
-            errs.append(np.max(np.abs(u.values - u_star)))
+            zero = ScalarField(grid, np.zeros(grid.n))
+            u = solve_green(GreenKernel(A, D), zero, p.mu * g, p)
+            errs.append(np.max(np.abs(u - u_star)))
             hs.append(grid.h)
         rate = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert rate >= 1.9
@@ -339,7 +332,7 @@ class TestGreenPrefixSums:
         for label, (s, b) in cases.items():
             expected = a_mat @ b / p.mu - (p.lam / p.mu) * (bc @ s)
             expected[0] = expected[-1] = 0.0
-            u = solve_green(kernel, ScalarField(grid, s), ScalarField(grid, b), p).values
+            u = solve_green(kernel, ScalarField(grid, s), b, p)
             assert u[0] == 0.0 and u[-1] == 0.0, label
             scale = np.max(np.abs(expected))
             assert np.max(np.abs(u - expected)) <= 1e-13 * scale, label
@@ -351,8 +344,8 @@ class TestGreenPrefixSums:
 
     def test_mismatched_interval_or_grid_rejected(self):
         grid = Grid(A, D, 33)
-        z = ScalarField.zeros(grid)
+        z = ScalarField(grid, np.zeros(grid.n))
         with pytest.raises(ValueError, match="kernel interval"):
-            solve_green(GreenKernel(A, 3.0), z, z, params())
-        with pytest.raises(ValueError, match="share a grid"):
-            solve_green(GreenKernel(A, D), z, ScalarField.zeros(Grid(A, D, 17)), params())
+            solve_green(GreenKernel(A, 3.0), z, z.values, params())
+        with pytest.raises(ValueError, match="expected 33 body-force values"):
+            solve_green(GreenKernel(A, D), z, np.zeros(17), params())

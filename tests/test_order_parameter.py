@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from confsim.grid_field import Grid, ScalarField, d1
+from confsim.grid_field import Grid, d1
 from confsim.material import MaterialParams
 from confsim.order_parameter import (
     InsufficientHistory,
@@ -34,22 +34,19 @@ def bump(grid=GRID, amp=0.5):
     xi = (grid.x - grid.a) / (grid.d - grid.a)
     v = amp * np.sin(math.pi * xi)
     v[0] = v[-1] = 0.0
-    return ScalarField(grid, v)
+    return v
 
 
-def explicit_euler(s, force, mat, kappa, dt):
+def explicit_euler(s, force, mat, kappa, dt, h=GRID.h):
     """Independent forward-Euler oracle for a single step."""
-    grid = s.grid
-    h = grid.h
-    v = s.values.copy()
-    s_x = d1(s).values
+    s_x = d1(s, h)
     mod = np.sqrt(kappa**2 + s_x**2)
     coef = mat.c * mat.nu * mod
-    lap = np.zeros_like(v)
-    lap[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / h**2
-    new = v + dt * (coef * lap - force.values * (mod - kappa))
+    lap = np.zeros_like(s)
+    lap[1:-1] = (s[2:] - 2 * s[1:-1] + s[:-2]) / h**2
+    new = s + dt * (coef * lap - force * (mod - kappa))
     new[0] = new[-1] = 0.0
-    return ScalarField(grid, new)
+    return new
 
 
 class TestSmoothedAbs:
@@ -120,7 +117,7 @@ class TestMollifier:
         for k in range(state.window_size + 3):
             state.push(f, k * 1e-3)
         out = mollify(state, state.time)
-        assert np.max(np.abs(out.values - f.values)) < 1e-14
+        assert np.max(np.abs(out - f)) < 1e-14
 
     def test_delta_limit(self):
         # window shorter than the step: single weight on the newest frame
@@ -129,7 +126,7 @@ class TestMollifier:
         state.push(bump(amp=0.1), 0.0)
         state.push(bump(amp=0.9), 1e-3)
         out = mollify(state, 1e-3)
-        assert np.array_equal(out.values, bump(amp=0.9).values)
+        assert np.array_equal(out, bump(amp=0.9))
 
     def test_linear_in_time_shifts_by_first_moment(self):
         dt = 1e-3
@@ -137,18 +134,18 @@ class TestMollifier:
         ones = np.ones(GRID.n)
         times = [k * dt for k in range(state.window_size + 5)]
         for t in times:
-            state.push(ScalarField(GRID, t * ones), t)
+            state.push(t * ones, t)
         t_now = times[-1]
         out = mollify(state, t_now)
         expected = t_now - state.first_moment
-        assert np.max(np.abs(out.values - expected)) < 1e-14
+        assert np.max(np.abs(out - expected)) < 1e-14
 
     def test_early_history_padded_with_initial_frame(self):
         state = MollifierState(kappa_m=0.02, dt=1e-3)
         f0 = bump(amp=0.3)
         state.push(f0, 0.0)
         out = mollify(state, 0.0)
-        assert np.max(np.abs(out.values - f0.values)) < 1e-15
+        assert np.max(np.abs(out - f0)) < 1e-15
 
     def test_empty_history_raises(self):
         state = MollifierState(kappa_m=0.02, dt=1e-3)
@@ -189,11 +186,11 @@ class TestMollifierRingBuffer:
         # below, at and well past the window: the ring wraps several times
         for k in range(1, 4 * m + 6):
             values = rng.normal(size=GRID.n)
-            state.push(ScalarField(GRID, values), k * dt)
+            state.push(values, k * dt)
             ref.push(values)
             assert len(state.frames) == min(k, m)
             assert np.array_equal(state.frames, np.stack(ref.frames))
-            assert np.array_equal(mollify(state, k * dt).values, ref.mollify())
+            assert np.array_equal(mollify(state, k * dt), ref.mollify())
 
     def test_frames_view_is_read_only(self):
         state = MollifierState(kappa_m=0.003, dt=1e-3)
@@ -208,9 +205,9 @@ class TestMollifierRingBuffer:
         rng = np.random.default_rng(5)
         for k in range(1, 6):
             values = rng.normal(size=GRID.n)
-            state.push(ScalarField(GRID, values), k * dt)
+            state.push(values, k * dt)
             ref.push(values)
-            assert np.array_equal(mollify(state, k * dt).values, ref.mollify())
+            assert np.array_equal(mollify(state, k * dt), ref.mollify())
         with pytest.raises(ValueError, match="at most 5 frames"):
             state.push(bump(), 6 * dt)
 
@@ -221,15 +218,15 @@ class TestMollifierRingBuffer:
         history = [rng.normal(size=GRID.n) for _ in range(pushes + 10)]
         whole = MollifierState(kappa_m=7 * dt, dt=dt)
         for k, values in enumerate(history[:pushes]):
-            whole.push(ScalarField(GRID, values), k * dt)
+            whole.push(values, k * dt)
         arrays = whole.state_arrays()
         assert len(arrays) == min(pushes, 7)
         restored = MollifierState(kappa_m=7 * dt, dt=dt)
-        restored.restore([a.tolist() for a in arrays], GRID, (pushes - 1) * dt)
+        restored.restore([a.tolist() for a in arrays], (pushes - 1) * dt)
         for k, values in enumerate(history[pushes:], start=pushes):
             for state in (whole, restored):
-                state.push(ScalarField(GRID, values), k * dt)
-            assert np.array_equal(mollify(restored, k * dt).values, mollify(whole, k * dt).values)
+                state.push(values, k * dt)
+            assert np.array_equal(mollify(restored, k * dt), mollify(whole, k * dt))
 
 
 class TestStepCeiling:
@@ -242,88 +239,96 @@ class TestStepCeiling:
 
 class TestDrivingForce:
     def test_rest_state(self):
-        z = ScalarField.zeros(GRID)
-        out = driving_force(z, z, z, z, material())
-        assert np.all(out.values == 0.0)
+        z = np.zeros(GRID.n)
+        out = driving_force(z, z, z, z, GRID.x, material())
+        assert np.all(out == 0.0)
 
     def test_half_state_reduces_to_misfit_term(self):
         mat = material(lam=0.0, nu=1e-12, e=0.5)
         # nu must stay positive; kill the gradient correction via s_x = 0
-        z = ScalarField.zeros(GRID)
-        half = ScalarField(GRID, np.full(GRID.n, 0.5))
-        out = driving_force(z, z, half, z, mat)
-        assert np.max(np.abs(out.values - mat.c * mat.e * 0.5)) < 1e-14
+        z = np.zeros(GRID.n)
+        half = np.full(GRID.n, 0.5)
+        out = driving_force(z, z, half, z, GRID.x, mat)
+        assert np.max(np.abs(out - mat.c * mat.e * 0.5)) < 1e-14
 
     def test_matches_pointwise_formula(self):
         rng = np.random.default_rng(12)
         mat = material()
-        fields = [ScalarField(GRID, rng.normal(size=GRID.n)) for _ in range(4)]
-        u, u_x, s, s_x = fields
-        out = driving_force(u, u_x, s, s_x, mat)
-        well_prime = 2.0 * mat.well_weight * s.values * (1 - s.values) * (1 - 2 * s.values)
-        expected = mat.c * (
-            -mat.lam * (u_x.values + 2 * u.values / GRID.x) + mat.e * s.values + well_prime
-        )
-        expected -= (2 * mat.c * mat.nu / GRID.x) * s_x.values
-        assert np.max(np.abs(out.values - expected)) < 1e-14
+        u, u_x, s, s_x = rng.normal(size=(4, GRID.n))
+        out = driving_force(u, u_x, s, s_x, GRID.x, mat)
+        well_prime = 2.0 * mat.well_weight * s * (1 - s) * (1 - 2 * s)
+        expected = mat.c * (-mat.lam * (u_x + 2 * u / GRID.x) + mat.e * s + well_prime)
+        expected -= (2 * mat.c * mat.nu / GRID.x) * s_x
+        assert np.max(np.abs(out - expected)) < 1e-14
+
+    def test_stack_matches_rows_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        mat = material()
+        u, s = rng.normal(size=(2, 6, GRID.n))
+        out = driving_force(u, d1(u, GRID.h), s, d1(s, GRID.h), GRID.x, mat)
+        assert out.shape == (6, GRID.n)
+        for k in range(6):
+            row = driving_force(u[k], d1(u[k], GRID.h), s[k], d1(s[k], GRID.h), GRID.x, mat)
+            assert np.array_equal(out[k], row)
 
 
 class TestSemiImplicitStep:
     def test_rest_state_is_fixed_point(self):
-        z = ScalarField.zeros(GRID)
+        z = np.zeros(GRID.n)
         reg = RegularizationParams(kappa=0.25, dt=1e-3)
-        out = semi_implicit_step(z, z, material(), reg)
-        assert np.all(out.values == 0.0)
+        out = semi_implicit_step(z, z, GRID.h, material(), reg)
+        assert np.all(out == 0.0)
 
     def test_maximum_principle_with_zero_force(self):
         s = bump(amp=0.7)
         reg = RegularizationParams(kappa=0.25, dt=5e-4, theta=1.0)
         mat = material()
-        out = semi_implicit_step(s, ScalarField.zeros(GRID), mat, reg)
-        assert np.max(np.abs(out.values)) <= np.max(np.abs(s.values)) + 1e-12
+        zero = np.zeros(GRID.n)
+        out = semi_implicit_step(s, zero, GRID.h, mat, reg)
+        assert np.max(np.abs(out)) <= np.max(np.abs(s)) + 1e-12
         # oracle: many tiny explicit steps land near the implicit result
         oracle = s
         for _ in range(100):
-            oracle = explicit_euler(oracle, ScalarField.zeros(GRID), mat, 0.25, 5e-6)
-        assert np.max(np.abs(oracle.values)) <= np.max(np.abs(s.values)) + 1e-12
-        assert np.max(np.abs(out.values - oracle.values)) < 5e-4 * 0.1
+            oracle = explicit_euler(oracle, zero, mat, 0.25, 5e-6)
+        assert np.max(np.abs(oracle)) <= np.max(np.abs(s)) + 1e-12
+        assert np.max(np.abs(out - oracle)) < 5e-4 * 0.1
 
     def test_consistent_with_forward_euler(self):
         s = bump(amp=0.6)
         mat = material()
-        force = ScalarField(GRID, np.cos(2 * GRID.x))
+        force = np.cos(2 * GRID.x)
         diffs = []
         for dt in (1e-6, 5e-7):
             reg = RegularizationParams(kappa=0.25, dt=dt, theta=1.0)
-            implicit = semi_implicit_step(s, force, mat, reg)
+            implicit = semi_implicit_step(s, force, GRID.h, mat, reg)
             explicit = explicit_euler(s, force, mat, 0.25, dt)
-            diffs.append(np.max(np.abs(implicit.values - explicit.values)))
+            diffs.append(np.max(np.abs(implicit - explicit)))
         assert diffs[0] < 1e-8
         assert diffs[0] / diffs[1] == pytest.approx(4.0, abs=0.8)
 
     def test_boundaries_pinned_exactly(self):
         rng = np.random.default_rng(13)
         s = bump(amp=0.5)
-        force = ScalarField(GRID, rng.normal(size=GRID.n))
+        force = rng.normal(size=GRID.n)
         reg = RegularizationParams(kappa=0.1, dt=1e-4)
-        out = semi_implicit_step(s, force, material(), reg)
-        assert out.values[0] == 0.0
-        assert out.values[-1] == 0.0
+        out = semi_implicit_step(s, force, GRID.h, material(), reg)
+        assert out[0] == 0.0
+        assert out[-1] == 0.0
 
     def test_unconditional_stability_fully_implicit(self):
         s = bump(amp=0.9)
         mat = material()
         for dt in (1e-3, 1e-1, 10.0):
             reg = RegularizationParams(kappa=0.25, dt=dt, theta=1.0, increment_guard=1e9)
-            out = semi_implicit_step(s, ScalarField.zeros(GRID), mat, reg)
-            assert np.max(np.abs(out.values)) <= np.max(np.abs(s.values)) + 1e-12
+            out = semi_implicit_step(s, np.zeros(GRID.n), GRID.h, mat, reg)
+            assert np.max(np.abs(out)) <= np.max(np.abs(s)) + 1e-12
 
     def test_guard_trips(self):
         s = bump(amp=0.9)
-        force = ScalarField(GRID, np.full(GRID.n, -50.0))
+        force = np.full(GRID.n, -50.0)
         reg = RegularizationParams(kappa=0.25, dt=1.0, theta=1.0, increment_guard=0.5)
         with pytest.raises(StepRejected) as err:
-            semi_implicit_step(s, force, material(), reg)
+            semi_implicit_step(s, force, GRID.h, material(), reg)
         assert err.value.increment > 0.5
 
     def test_param_invariants(self):

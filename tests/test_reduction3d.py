@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from confsim.material import ElasticityTensor
-from confsim.grid_field import Grid, ScalarField
+from confsim.grid_field import Grid
 from confsim.elasticity import OutOfDomain
 from confsim.reduction3d import (
     RadialLift,
@@ -67,11 +67,9 @@ class TestLift:
 
     def test_from_frames_reproduces_nodes(self):
         grid = Grid(A, D, 65)
-        uf = ScalarField(grid, u_hat(grid.x))
-        sf = ScalarField(grid, s_hat(grid.x))
-        bf = ScalarField(grid, matched_body(grid.x))
-        lift = RadialLift.from_frames(uf, sf, bf, TENSOR, MISFIT)
-        assert np.max(np.abs(lift.u_hat(grid.x) - uf.values)) < 1e-14
+        uf = u_hat(grid.x)
+        lift = RadialLift.from_frames(grid, uf, s_hat(grid.x), matched_body(grid.x), TENSOR, MISFIT)
+        assert np.max(np.abs(lift.u_hat(grid.x) - uf)) < 1e-14
         assert lift.lam == pytest.approx(MU0 * BETA)
 
     def test_sample_frame_is_orthonormal(self):
@@ -184,7 +182,9 @@ class TestOrderResidual:
             for idx in (k - 1, k):
                 b = cfg.body.evaluate(float(traj.times[idx]), traj.grid)
                 lifts.append(
-                    RadialLift.from_frames(traj.u_frames[idx], traj.s_frames[idx], b, TENSOR, MISFIT)
+                    RadialLift.from_frames(
+                        cfg.grid, traj.u_frames[idx].values, traj.s_frames[idx].values, b, TENSOR, MISFIT
+                    )
                 )
             dt_frames = float(traj.times[k] - traj.times[k - 1])
             pts = random_shell_points(A, D, 30, np.random.default_rng(55), margin=0.15)
