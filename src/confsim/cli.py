@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes are the machine-readable channel: 0 success, 1 config/validation
-failure, 2 numerical failure (rejected step).  stdout carries human-readable
+failure, 2 numerical failure (a rejected step, or a run whose monitors
+overflowed to inf or nan).  stdout carries human-readable
 tables only; outputs land in the directory given by --out.
 """
 
@@ -17,6 +18,7 @@ from .config import (
     ConfigInvalid, ParseError, SimulationConfig, StudyConfig, ValidationError, apply_overrides,
     build_config, parse_config,
 )
+from .diagnostics import NonFiniteReport
 from .elasticity import GreenKernel
 from .reduction3d import RadialLift, random_shell_points, residual_elasticity_3d, residual_order_3d
 from .simulator import Simulation, load_run, write_run
@@ -218,6 +220,9 @@ def main(argv=None) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except NonFiniteReport as exc:
+        print(f"error: run overflowed: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

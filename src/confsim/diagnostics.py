@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import trapezoid
 
-from .grid_field import FLOAT_FMT, Grid, Trajectory, d1, d2, norm_l2, norm_lp_time_lq_space
+from .grid_field import (
+    FLOAT_FMT, Grid, Trajectory, d1, d2, norm_l2, norm_lp_time_lq_space, trapezoid,
+)
 from .material import MaterialParams
 from .order_parameter import driving_force, smoothed_abs, smoothed_abs_primitive
 from .elasticity import GreenKernel, elastic_rhs, solve_fd, solve_green
@@ -59,6 +60,10 @@ def default_test_functions(grid: Grid, t_end: float, count: int = 5) -> list[Tes
     return fns
 
 
+class NonFiniteReport(ValueError):
+    """A monitor series holds inf or nan: the run overflowed."""
+
+
 @dataclass
 class DiagnosticsReport:
     times: np.ndarray
@@ -88,9 +93,11 @@ class DiagnosticsReport:
             if len(series) != nt:
                 raise ValueError(f"series {name} has wrong length")
             if not np.all(np.isfinite(series)):
-                raise ValueError(f"series {name} contains non-finite entries")
-        if self.weak_residuals.shape[0] != nt or not np.all(np.isfinite(self.weak_residuals)):
+                raise NonFiniteReport(f"series {name} contains non-finite entries")
+        if self.weak_residuals.shape[0] != nt:
             raise ValueError("weak residual table malformed")
+        if not np.all(np.isfinite(self.weak_residuals)):
+            raise NonFiniteReport("weak residual table contains non-finite entries")
 
     @property
     def max_principle_margin(self) -> float:

@@ -6,6 +6,9 @@ stencils and norms therefore serve one frame of shape (n,) and a stack of
 frames of shape (K, n), row by row.  ``ScalarField`` pairs values with their
 grid only at the edge: the frames of a ``Trajectory`` and the field files of
 ``save_field``/``load_field``.
+
+Quadrature is the local ``trapezoid``, which does scipy's arithmetic bit for
+bit; the only scipy import is LAPACK ``dgtsv`` behind ``tridiag_solve``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 import numpy as np
-from scipy.integrate import trapezoid
 from scipy.linalg.lapack import dgtsv
 
 SUPPORTED_EXPONENTS = (4.0 / 3.0, 2.0, 8.0 / 3.0, math.inf)
@@ -136,6 +138,27 @@ def tridiag_solve(lower, diag, upper, rhs) -> np.ndarray:
     if info != 0:
         raise np.linalg.LinAlgError(f"singular tridiagonal matrix (LAPACK gtsv info {info})")
     return x
+
+
+def trapezoid(y, x=None, dx: float = 1.0, axis: int = -1):
+    """Composite trapezoid rule along ``axis``, spacing ``dx`` or ``np.diff(x)``.
+
+    The same operations in the same order as ``scipy.integrate.trapezoid``, so
+    the result is bit-identical to it.
+    """
+    y = np.asarray(y)
+    upper = [slice(None)] * y.ndim
+    lower = [slice(None)] * y.ndim
+    upper[axis] = slice(1, None)
+    lower[axis] = slice(None, -1)
+    if x is None:
+        d = dx
+    else:
+        # a 1-D x runs along ``axis``
+        shape = [1] * y.ndim
+        shape[axis] = -1
+        d = np.diff(np.asarray(x, dtype=float)).reshape(shape)
+    return np.sum(d * (y[tuple(upper)] + y[tuple(lower)]) / 2.0, axis=axis)
 
 
 def norm_l2(v: np.ndarray, h: float):

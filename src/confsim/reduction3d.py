@@ -7,6 +7,8 @@ re-solving in 3D.  All differencing uses an orthonormal frame adapted to each
 sample point (radial direction plus a tangential completion); for radial
 fields the residual norms are then independent of the tangential choice and
 of rigid rotations of the sample set, up to floating-point roundoff.
+Nodal frames are interpolated by ``UniformSpline.not_a_knot``, a local
+not-a-knot cubic spline solved with ``tridiag_solve``.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .grid_field import Grid
+from .grid_field import Grid, tridiag_solve
 from .material import (
     ElasticityTensor,
     MaterialParams,
@@ -26,6 +27,58 @@ from .material import (
     scalar_coefficients,
 )
 from .elasticity import OutOfDomain
+
+
+@dataclass(frozen=True)
+class UniformSpline:
+    """Piecewise polynomial on the grid nodes; ``coeffs`` is (degree + 1, n - 1), highest power first.
+
+    Evaluation is in the local variable r - x_i on [x_i, x_{i+1}); points
+    outside [a, d] use the end pieces.
+    """
+
+    x: np.ndarray
+    coeffs: np.ndarray
+
+    @classmethod
+    def not_a_knot(cls, grid: Grid, y: np.ndarray) -> "UniformSpline":
+        """Cubic spline through (x_i, y_i) with a continuous third derivative at x_1 and x_{n-2}.
+
+        The second derivatives M satisfy M_{i-1} + 4 M_i + M_{i+1} = 6 y''_i
+        (y'' the 3-point difference) at the interior nodes.  Not-a-knot gives
+        M_0 = 2 M_1 - M_2 and M_{n-1} = 2 M_{n-2} - M_{n-3}; substituted, the
+        interior system is tridiagonal with diagonal (6, 4, ..., 4, 6).
+        """
+        y = np.asarray(y, dtype=float)
+        h = grid.h
+        m = grid.n - 2
+        rhs = 6.0 * (y[2:] - 2.0 * y[1:-1] + y[:-2]) / h**2
+        diag = np.full(m, 4.0)
+        diag[[0, -1]] = 6.0
+        lower = np.ones(m - 1)
+        upper = np.ones(m - 1)
+        upper[0] = 0.0
+        lower[-1] = 0.0
+        interior = tridiag_solve(lower, diag, upper, rhs)
+        second = np.concatenate(
+            ([2.0 * interior[0] - interior[1]], interior, [2.0 * interior[-1] - interior[-2]])
+        )
+        slope = (y[1:] - y[:-1]) / h - h * (2.0 * second[:-1] + second[1:]) / 6.0
+        coeffs = np.stack([(second[1:] - second[:-1]) / (6.0 * h), second[:-1] / 2.0, slope, y[:-1]])
+        return cls(grid.x, coeffs)
+
+    def __call__(self, r):
+        r = np.asarray(r, dtype=float)
+        i = np.clip(np.searchsorted(self.x, r, side="right") - 1, 0, len(self.x) - 2)
+        t = r - self.x[i]
+        out = self.coeffs[0, i]
+        for c in self.coeffs[1:]:
+            out = out * t + c[i]
+        return out
+
+    def derivative(self) -> "UniformSpline":
+        degree = len(self.coeffs) - 1
+        return UniformSpline(self.x, self.coeffs[:-1] * np.arange(degree, 0, -1)[:, None])
 
 
 @dataclass(frozen=True)
@@ -59,10 +112,10 @@ class RadialLift:
         tensor: ElasticityTensor,
         misfit: MisfitStrain,
     ) -> "RadialLift":
-        """Cubic interpolation of nodal frames on ``grid``; reproduces nodal values exactly."""
-        u_sp = CubicSpline(grid.x, u_frame)
-        s_sp = CubicSpline(grid.x, s_frame)
-        b_sp = CubicSpline(grid.x, b_frame)
+        """Not-a-knot cubic interpolation of nodal frames on ``grid``; reproduces nodal values exactly."""
+        u_sp = UniformSpline.not_a_knot(grid, u_frame)
+        s_sp = UniformSpline.not_a_knot(grid, s_frame)
+        b_sp = UniformSpline.not_a_knot(grid, b_frame)
         return cls.from_callables(
             grid.a, grid.d, u_sp, u_sp.derivative(), s_sp, b_sp, tensor, misfit
         )

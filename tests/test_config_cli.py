@@ -186,6 +186,18 @@ class TestCliRun:
         assert err == [f"error: material: {message}, got {float(override.split('=')[1])}"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "override, series",
+        [("init.amplitude=1e308", "grad_norm_sq"), ("material.lambda=1e308", "cross_check")],
+    )
+    def test_overflow_exits_two(self, tmp_path, capsys, override, series):
+        code = main(["run", "--out", str(tmp_path / "out"), "--set", override, "--set", "run.t_end=0.002"])
+        assert code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: run overflowed: series {series} contains non-finite entries"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "overrides, names",
         [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from scipy.linalg import solve_banded
 
 from confsim.grid_field import (
@@ -17,6 +18,7 @@ from confsim.grid_field import (
     norm_l2,
     norm_lp_time_lq_space,
     save_field,
+    trapezoid,
     tridiag_solve,
 )
 
@@ -160,6 +162,39 @@ class TestNorms:
         t_end = 2.5
         got = norm_lp_time_lq_space([0.0, t_end], np.stack([f, f]), grid.h, 2.0, 2.0)
         assert got == pytest.approx(math.sqrt(t_end) * norm_l2(f, grid.h), rel=1e-12)
+
+
+class TestTrapezoid:
+    """The local rule against scipy's, which stays in the tests as the oracle."""
+
+    rng = np.random.default_rng(3)
+    ROW = rng.normal(size=129)
+    STACK = rng.normal(size=(7, 129))
+    TIMES = np.cumsum(rng.uniform(0.1, 1.0, size=7))
+
+    @pytest.mark.parametrize(
+        "y, kwargs",
+        [
+            (ROW, {}),
+            (ROW, {"dx": 1.0 / 128}),
+            (ROW, {"dx": 0.3, "axis": -1}),
+            (STACK, {"dx": 1.0 / 128}),
+            (STACK, {"dx": 1.0 / 128, "axis": -1}),
+            (STACK, {"dx": 1.0 / 128, "axis": 1}),
+            (STACK[:, 5], {"x": TIMES}),
+            (STACK, {"x": TIMES, "axis": 0}),
+            (STACK.T, {"x": TIMES}),
+        ],
+    )
+    def test_bit_identical_to_scipy(self, y, kwargs):
+        got = trapezoid(y, **kwargs)
+        want = integrate.trapezoid(y, **kwargs)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+    def test_exact_for_linear(self):
+        x = np.array([0.0, 0.5, 2.0])
+        assert trapezoid(3.0 * x + 1.0, x) == 8.0
 
 
 def banded_reference(lower, diag, upper, rhs):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from confsim.material import ElasticityTensor
 from confsim.grid_field import Grid
 from confsim.elasticity import OutOfDomain
 from confsim.reduction3d import (
     RadialLift,
+    UniformSpline,
     lift_fields,
     random_shell_points,
     residual_elasticity_3d,
@@ -77,6 +79,48 @@ class TestLift:
         for x in random_shell_points(A, D, 10, rng, margin=0.05):
             frame = sample_frame(x)
             assert np.max(np.abs(frame @ frame.T - np.eye(3))) < 1e-14
+
+
+class TestUniformSpline:
+    """The local not-a-knot spline against scipy's ``CubicSpline``, kept here as the oracle."""
+
+    PROFILES = [
+        lambda x: np.sin(3.0 * x) + x**2,
+        lambda x: np.exp(-x) * np.cos(7.0 * x),
+        lambda x: 1.0e3 * np.tanh(5.0 * (x - 1.5)),
+    ]
+
+    @staticmethod
+    def rel_err(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [4, 5, 65, 129, 2049])
+    @pytest.mark.parametrize("profile", range(3))
+    def test_matches_cubic_spline(self, n, profile):
+        grid = Grid(A, D, n)
+        y = self.PROFILES[profile](grid.x)
+        spline = UniformSpline.not_a_knot(grid, y)
+        oracle = CubicSpline(grid.x, y)
+        midpoints = 0.5 * (grid.x[1:] + grid.x[:-1])
+        points = np.concatenate([grid.x, midpoints, [A, D]])
+        assert self.rel_err(spline(points), oracle(points)) < 1e-12
+        assert self.rel_err(spline.derivative()(points), oracle.derivative()(points)) < 1e-12
+        for end in (A, D):
+            assert abs(spline(end) - oracle(end)) <= 1e-12 * np.max(np.abs(y))
+
+    def test_exact_for_cubics(self):
+        grid = Grid(A, D, 9)
+        cubic = lambda x: 2.0 * x**3 - x**2 + 0.5
+        spline = UniformSpline.not_a_knot(grid, cubic(grid.x))
+        r = np.linspace(A, D, 37)
+        assert np.max(np.abs(spline(r) - cubic(r))) < 1e-13
+        assert np.max(np.abs(spline.derivative()(r) - (6.0 * r**2 - 2.0 * r))) < 1e-12
+
+    def test_scalar_in_scalar_out(self):
+        grid = Grid(A, D, 17)
+        spline = UniformSpline.not_a_knot(grid, s_hat(grid.x))
+        assert np.ndim(spline(1.3)) == 0
+        assert float(spline(grid.x[4])) == s_hat(grid.x[4])
 
 
 class TestElasticityResidual:

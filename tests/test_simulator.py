@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confsim.config import BodyForce
+from confsim.diagnostics import NonFiniteReport
 from confsim.simulator import (
     ChecksumMismatch,
     Simulation,
@@ -174,6 +175,14 @@ class TestGuard:
         assert result.termination.status == "step-rejected"
         assert result.termination.fail_time is not None
         assert len(result.trajectory.times) >= 1
+
+
+class TestOverflow:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_report_is_typed(self):
+        with pytest.raises(NonFiniteReport, match="non-finite"):
+            run(make_config(amplitude=1e308, t_end=1e-3))
+        assert issubclass(NonFiniteReport, ValueError)
 
 
 class TestRunPersistence:
