@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Exit codes are the machine-readable channel: 0 success, 1 config/validation
-failure, 2 numerical failure (a rejected step, or a run whose monitors
-overflowed to inf or nan).  stdout carries human-readable
-tables only; outputs land in the directory given by --out.
+Exit codes are the machine-readable channel: 0 success, 1 bad input (a
+config or validation failure, or a damaged run directory), 2 numerical
+failure (a rejected step, or a run whose monitors overflowed to inf or nan).
+stdout carries human-readable tables only; outputs land in the directory
+given by --out.  numpy's floating-point warnings are silenced while a command
+runs, so an overflow reaches stderr as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -20,11 +22,14 @@ from .config import (
 )
 from .diagnostics import NonFiniteReport
 from .elasticity import GreenKernel
+from .grid_field import FieldFileError
 from .reduction3d import RadialLift, random_shell_points, residual_elasticity_3d, residual_order_3d
 from .simulator import Simulation, load_run, write_run
-from .studies import member_weak_residual, mms_convergence, run_members, run_study, write_study_csv
+from .studies import (
+    member_termination, member_weak_residual, mms_convergence, run_members, run_study, write_study_csv,
+)
 
-_CONFIG_ERRORS = (ParseError, ValidationError, ConfigInvalid, OSError)
+_INPUT_ERRORS = (ParseError, ValidationError, ConfigInvalid, FieldFileError, OSError)
 
 
 def _load(args, want) -> object:
@@ -63,11 +68,13 @@ def _cmd_run(args) -> int:
 def _rejected_tag(termination) -> str:
     if termination.status == "completed":
         return ""
+    if termination.fail_time is None:
+        return f" ({termination.status})"
     return f" (rejected at t = {termination.fail_time:.6g})"
 
 
 def _members_exit(terminations) -> int:
-    """Exit code of a study: 2 when any member stopped on a rejected step."""
+    """Exit code of a study: 2 when any member stopped on a rejected step or overflowed."""
     return 2 if any(t.status != "completed" for t in terminations) else 0
 
 
@@ -77,16 +84,17 @@ def _cmd_study(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if study.is_refinement:
         results = run_members(study)
+        terminations = [member_termination(res) for res in results]
         lines = ["kappa,h,dt,weak_residual_max"]
         print("kappa      h           dt          weak_res")
-        for res in results:
-            cfg = res.config
+        for i, res in enumerate(results):
+            cfg = study.member_config(i)
             wr = member_weak_residual(res)
-            tag = _rejected_tag(res.termination)
+            tag = _rejected_tag(terminations[i])
             print(f"{cfg.reg.kappa:<10.5g} {cfg.grid.h:<11.5g} {cfg.reg.dt:<11.5g} {wr:.4e}{tag}")
             lines.append(f"{cfg.reg.kappa:.17g},{cfg.grid.h:.17g},{cfg.reg.dt:.17g},{wr:.17g}")
         (out / "refinement.csv").write_text("\n".join(lines) + "\n")
-        return _members_exit(res.termination for res in results)
+        return _members_exit(terminations)
     result = run_study(study)
     write_study_csv(out / "study.csv", result)
     print("kappa      D_kappa      margin       sup_energy   weak_res")
@@ -216,8 +224,9 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except _CONFIG_ERRORS as exc:
+        with np.errstate(all="ignore"):
+            return _HANDLERS[args.command](args)
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NonFiniteReport as exc:

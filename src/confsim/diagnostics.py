@@ -7,7 +7,9 @@ regularization: the gradient energy, the accumulated degenerate dissipation,
 the time-derivative and flux-gradient norms, and the integral identity
 residual against a fixed basket of space-time test functions.  Each one
 stacks the saved frames once into a (frames, nodes) array and applies the
-grid-on-last-axis stencils and norms to all frames together.
+grid-on-last-axis stencils and norms to all frames together.  Running
+(cumulative) series are one pass over per-frame values, so every monitor
+costs O(frames x nodes).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .grid_field import (
-    FLOAT_FMT, Grid, Trajectory, d1, d2, norm_l2, norm_lp_time_lq_space, trapezoid,
+    FLOAT_SLOT, Grid, Trajectory, d1, d2, norm_l2, norm_lp_time_lq_space, space_norms, trapezoid,
 )
 from .material import MaterialParams
 from .order_parameter import driving_force, smoothed_abs, smoothed_abs_primitive
@@ -125,22 +127,21 @@ class DiagnosticsReport:
         ]
         header += [f"weak_res_{m + 1}" for m in range(n_phi)]
         header.append("elasticity_cross_check")
-        lines = [",".join(header)]
-        for k in range(len(self.times)):
-            row = [
-                self.times[k],
-                self.max_abs_s[k],
-                self.grad_norm_sq[k],
-                self.dissipation[k],
-                self.st_l43[k],
-                self.sx_l83_linf[k],
-                self.flux_grad_l43[k],
-                self.primitive_w14_l43[k],
-                *self.weak_residuals[k],
-                self.cross_check[k],
-            ]
-            lines.append(",".join(FLOAT_FMT.format(v) for v in row))
-        return "\n".join(lines) + "\n"
+        columns = [
+            self.times,
+            self.max_abs_s,
+            self.grad_norm_sq,
+            self.dissipation,
+            self.st_l43,
+            self.sx_l83_linf,
+            self.flux_grad_l43,
+            self.primitive_w14_l43,
+            *self.weak_residuals.T,
+            self.cross_check,
+        ]
+        row = ",".join([FLOAT_SLOT] * len(columns)) + "\n"
+        rows = zip(*(c.tolist() for c in columns))
+        return ",".join(header) + "\n" + "".join(row % values for values in rows)
 
 
 def primitive_field(s: np.ndarray, h: float, kappa: float) -> np.ndarray:
@@ -221,10 +222,16 @@ def _st_l43_series(times: np.ndarray, s: np.ndarray, h: float) -> np.ndarray:
 
 
 def _mixed_norm_series(times: np.ndarray, values: np.ndarray, h: float, p: float, q: float) -> np.ndarray:
-    """Cumulative mixed norms over the truncated trajectories [0, t_k]."""
+    """Cumulative mixed norms over the truncated trajectories [0, t_k], for finite p.
+
+    One space norm per frame, then a running time integral; the last row is
+    the whole-run ``norm_lp_time_lq_space``.
+    """
     out = np.zeros(len(times))
-    for k in range(1, len(times)):
-        out[k] = norm_lp_time_lq_space(times[: k + 1], values[: k + 1], h, p, q)
+    if len(times) < 2:
+        return out
+    out[1:-1] = _cumulative_time_trapz(times, space_norms(values, h, q) ** p)[1:-1] ** (1.0 / p)
+    out[-1] = norm_lp_time_lq_space(times, values, h, p, q)
     return out
 
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from pathlib import Path
+from functools import cached_property, lru_cache
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
@@ -25,6 +24,10 @@ SUPPORTED_EXPONENTS = (4.0 / 3.0, 2.0, 8.0 / 3.0, math.inf)
 
 class UnsupportedExponent(ValueError):
     pass
+
+
+class FieldFileError(ValueError):
+    """A field file is malformed or was written on a different grid."""
 
 
 @dataclass(frozen=True)
@@ -166,6 +169,13 @@ def norm_l2(v: np.ndarray, h: float):
     return np.sqrt(trapezoid(v**2, dx=h, axis=-1))
 
 
+def space_norms(values: np.ndarray, h: float, q: float):
+    """Trapezoid L^q norm (max norm for q = inf) along the last axis: one per frame of a stack."""
+    if q == math.inf:
+        return np.max(np.abs(values), axis=-1)
+    return trapezoid(np.abs(values) ** q, dx=h, axis=-1) ** (1.0 / q)
+
+
 def norm_lp_time_lq_space(times: np.ndarray, values: np.ndarray, h: float, p: float, q: float) -> float:
     """Mixed norm (int ||f(t)||_q^p dt)^(1/p) of a (frames, nodes) array, trapezoid in both variables."""
     for exponent in (p, q):
@@ -174,34 +184,51 @@ def norm_lp_time_lq_space(times: np.ndarray, values: np.ndarray, h: float, p: fl
     times = np.asarray(times, dtype=float)
     if len(times) != len(values):
         raise ValueError("times and fields must have equal length")
-    if q == math.inf:
-        per_frame = np.max(np.abs(values), axis=-1)
-    else:
-        per_frame = trapezoid(np.abs(values) ** q, dx=h, axis=-1) ** (1.0 / q)
+    per_frame = space_norms(values, h, q)
     if p == math.inf:
         return float(np.max(per_frame))
     return float(trapezoid(per_frame**p, times)) ** (1.0 / p)
 
 
 FLOAT_FMT = "{:.17g}"
+# The same text for the % operator: FLOAT_SLOT % v == FLOAT_FMT.format(v) for
+# every float, nan, inf and -0.0 included.
+FLOAT_SLOT = "%.17g"
+
+
+@lru_cache(maxsize=8)
+def _field_template(grid: Grid) -> str:
+    """Body of a field file as a %-template: the x column written out, a slot per value."""
+    return "".join(f"{FLOAT_FMT.format(x)},{FLOAT_SLOT}\n" for x in grid.x.tolist())
 
 
 def save_field(path, f: ScalarField, t: float):
     """Two-column text (x, value) with the frame time in the header."""
-    lines = [f"# t = {FLOAT_FMT.format(t)}", "x,value"]
-    for x, v in zip(f.grid.x, f.values):
-        lines.append(f"{FLOAT_FMT.format(x)},{FLOAT_FMT.format(v)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    body = _field_template(f.grid) % tuple(f.values.tolist())
+    with open(path, "w") as fh:
+        fh.write(f"# t = {FLOAT_FMT.format(t)}\nx,value\n{body}")
 
 
 def load_field(path, grid: Grid | None = None) -> tuple[ScalarField, float]:
-    text = Path(path).read_text().strip().splitlines()
-    t = float(text[0].split("=", 1)[1])
-    xs, vs = [], []
-    for line in text[2:]:
-        sx, sv = line.split(",")
-        xs.append(float(sx))
-        vs.append(float(sv))
+    """Read a field file; with ``grid``, its x column must be the grid's nodes bit for bit.
+
+    Raises ``FieldFileError`` naming the file when it cannot be parsed or
+    belongs to another grid (17 significant digits read back exactly).
+    """
+    with open(path) as fh:
+        head, sep, body = fh.read().partition("\nx,value\n")
+    try:
+        if not (sep and head.startswith("# t =")):
+            raise ValueError("no '# t =' and 'x,value' header")
+        t = float(head.split("=", 1)[1])
+        table = np.array(body.replace(",", "\n").split(), dtype=float).reshape(-1, 2)
+    except ValueError as exc:
+        raise FieldFileError(f"{path}: not a field file: {exc}") from None
+    xs = table[:, 0]
     if grid is None:
         grid = Grid(xs[0], xs[-1], len(xs))
-    return ScalarField(grid, np.array(vs)), t
+    elif len(xs) != grid.n:
+        raise FieldFileError(f"{path}: expected {grid.n} nodes, got {len(xs)}")
+    elif not np.array_equal(xs, grid.x):
+        raise FieldFileError(f"{path}: x column differs from the grid on [{grid.a:g}, {grid.d:g}]")
+    return ScalarField(grid, np.ascontiguousarray(table[:, 1])), t

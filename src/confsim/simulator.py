@@ -39,7 +39,7 @@ class VersionMismatch(RuntimeError):
 
 @dataclass(frozen=True)
 class Termination:
-    status: str  # completed | step-rejected
+    status: str  # completed | step-rejected | overflowed (a study member)
     fail_time: Optional[float] = None
 
 
@@ -209,9 +209,10 @@ def write_run(out_dir, result: RunResult):
     frames.mkdir(parents=True, exist_ok=True)
     traj = result.trajectory
     index_lines = ["k,step,time"]
+    # frame paths as strings: a Path per file costs as much as formatting it
     for k, (t, s, u, step) in enumerate(zip(traj.times, traj.s_frames, traj.u_frames, traj.steps)):
-        save_field(frames / f"S_{k:06d}.csv", s, t)
-        save_field(frames / f"u_{k:06d}.csv", u, t)
+        save_field(f"{frames}/S_{k:06d}.csv", s, t)
+        save_field(f"{frames}/u_{k:06d}.csv", u, t)
         index_lines.append(f"{k},{step},{FLOAT_FMT.format(t)}")
     (frames / "index.csv").write_text("\n".join(index_lines) + "\n")
     (out / "diagnostics.csv").write_text(result.report.to_csv_text())
@@ -233,13 +234,14 @@ def load_run(run_dir):
     meta = out.read_text() if out.is_file() else (out / "meta.txt").read_text()
     config_text = meta.split("[config]", 1)[1]
     config = parse_config_text(config_text)
-    index = (out / "frames" / "index.csv").read_text().strip().splitlines()[1:]
+    frames = out / "frames"
+    index = (frames / "index.csv").read_text().strip().splitlines()[1:]
     times, steps, s_frames, u_frames = [], [], [], []
     grid = config.grid
     for line in index:
         k, step, t = line.split(",")
-        s, ts = load_field(out / "frames" / f"S_{int(k):06d}.csv", grid)
-        u, _ = load_field(out / "frames" / f"u_{int(k):06d}.csv", grid)
+        s, ts = load_field(f"{frames}/S_{int(k):06d}.csv", grid)
+        u, _ = load_field(f"{frames}/u_{int(k):06d}.csv", grid)
         times.append(float(t))
         steps.append(int(step))
         s_frames.append(s)

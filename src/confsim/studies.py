@@ -14,8 +14,11 @@ from .material import MaterialParams
 from .order_parameter import RegularizationParams, semi_implicit_step
 from .elasticity import solve_fd
 from .config import SimulationConfig, StudyConfig
-from .diagnostics import energy_monitor, flux_field, primitive_field, weak_residual
+from .diagnostics import NonFiniteReport, energy_monitor, flux_field, primitive_field, weak_residual
 from .simulator import RunResult, Simulation, Termination
+
+# A member whose report overflowed to inf or nan; it has no fail time.
+OVERFLOWED = Termination("overflowed")
 
 
 class MismatchedGrids(ValueError):
@@ -51,14 +54,27 @@ def flux_distance(traj_a: Trajectory, traj_b: Trajectory) -> float:
     return norm_lp_time_lq_space(traj_a.times, diff, h, 4.0 / 3.0, 2.0)
 
 
-def run_members(study: StudyConfig) -> list[RunResult]:
-    """Run every member of the study to its final time, one after another."""
-    return [Simulation(study.member_config(i)).run() for i in range(len(study.kappas))]
+def run_members(study: StudyConfig) -> list[Optional[RunResult]]:
+    """Run every member of the study to its final time, one after another.
+
+    A member whose report overflows is None, and the members after it still run.
+    """
+    results = []
+    for i in range(len(study.kappas)):
+        try:
+            results.append(Simulation(study.member_config(i)).run())
+        except NonFiniteReport:
+            results.append(None)
+    return results
 
 
-def member_weak_residual(res: RunResult) -> float:
-    """Largest final weak-form residual of a member; nan if a step was rejected."""
-    if res.termination.status != "completed":
+def member_termination(res: Optional[RunResult]) -> Termination:
+    return OVERFLOWED if res is None else res.termination
+
+
+def member_weak_residual(res: Optional[RunResult]) -> float:
+    """Largest final weak-form residual of a member; nan if it was rejected or overflowed."""
+    if member_termination(res).status != "completed":
         return math.nan
     return float(np.max(np.abs(weak_residual(res.trajectory, res.config.material))))
 
@@ -69,8 +85,9 @@ def run_study(study: StudyConfig) -> StudyResult:
     Members run one after another; aggregation is a deterministic reduction
     over their results.  Reference distances need a shared grid and save
     schedule, so refinement factors are rejected.  A rejected member stops
-    early: its distances are nan (every member's are when it is the
-    reference), and the sequence does not count as decreasing.
+    early and an overflowed member has no report: their distances are nan
+    (every member's are when the reference is one), an overflowed member's
+    other columns are nan too, and the sequence does not count as decreasing.
     """
     if study.is_refinement:
         raise MismatchedGrids("reference distances need unit refinement factors")
@@ -78,29 +95,33 @@ def run_study(study: StudyConfig) -> StudyResult:
 
     ref_idx = study.reference % len(study.kappas)
     ref = results[ref_idx]
+    ref_completed = member_termination(ref).status == "completed"
     rows = []
     for i, (kappa, res) in enumerate(zip(study.kappas, results)):
-        traj = res.trajectory
-        if res.termination.status == ref.termination.status == "completed":
-            d_kappa = flux_distance(traj, ref.trajectory)
-            h = traj.grid.h
-            diff = primitive_field(traj.s_matrix(), h, kappa) - flux_field(ref.trajectory.s_matrix(), h)
-            d_prim = norm_lp_time_lq_space(traj.times, diff, h, 4.0 / 3.0, 2.0)
-        else:
-            d_kappa = d_prim = math.nan
-        energy = energy_monitor(traj, kappa)
+        cfg = study.member_config(i)
+        termination = member_termination(res)
+        d_kappa = d_prim = margin = sup_energy = math.nan
+        if res is not None:
+            traj = res.trajectory
+            margin = res.report.max_principle_margin
+            sup_energy = energy_monitor(traj, kappa).sup_grad
+            if termination.status == "completed" and ref_completed:
+                d_kappa = flux_distance(traj, ref.trajectory)
+                h = traj.grid.h
+                diff = primitive_field(traj.s_matrix(), h, kappa) - flux_field(ref.trajectory.s_matrix(), h)
+                d_prim = norm_lp_time_lq_space(traj.times, diff, h, 4.0 / 3.0, 2.0)
         rows.append(
             StudyRow(
                 kappa=kappa,
-                h=traj.grid.h,
-                dt=res.config.reg.dt,
+                h=cfg.grid.h,
+                dt=cfg.reg.dt,
                 d_kappa=d_kappa,
                 d_primitive=d_prim,
-                max_principle_margin=res.report.max_principle_margin,
-                sup_energy=energy.sup_grad,
+                max_principle_margin=margin,
+                sup_energy=sup_energy,
                 weak_residual_max=member_weak_residual(res),
                 is_reference=(i == ref_idx),
-                termination=res.termination,
+                termination=termination,
             )
         )
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from confsim.cli import main
@@ -198,6 +199,17 @@ class TestCliRun:
         assert errors == [f"error: run overflowed: series {series} contains non-finite entries"]
         assert not (tmp_path / "out").exists()
 
+    def test_overflow_writes_one_stderr_line(self, tmp_path, capsys):
+        # no RuntimeWarning filter here: the command itself must keep numpy quiet
+        before = np.geterr()
+        argv = ["run", "--out", str(tmp_path / "out"), "--set", "init.amplitude=1e308",
+                "--set", "run.t_end=0.002"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: run overflowed: series grad_norm_sq contains non-finite entries"
+        ]
+        assert np.geterr() == before
+
     @pytest.mark.parametrize(
         "overrides, names",
         [
@@ -288,6 +300,27 @@ class TestCliStudy:
         assert main(["study", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().out.count("rejected at t = 0") == 2
 
+    def test_overflowed_members_keep_their_rows(self, tmp_path, capsys):
+        argv = ["study", "--out", str(tmp_path / "out"), "--set", "init.amplitude=1e308",
+                "--set", "run.t_end=0.002", "--set", "study.kappas=0.5 0.25"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.count("(overflowed)") == 2
+        assert "(ref) (overflowed)" in captured.out
+        assert "strictly decreasing: False" in captured.out
+        text = (tmp_path / "out" / "study.csv").read_text().splitlines()
+        assert text[0] == "kappa,h,dt,D_kappa,max_principle_margin,sup_energy,weak_residual_max"
+        assert [line.split(",", 3)[3] for line in text[1:]] == ["nan,nan,nan,nan"] * 2
+
+    def test_overflowed_refinement_member_exits_two(self, tmp_path, capsys):
+        argv = ["study", "--out", str(tmp_path / "out"), "--set", "init.amplitude=1e308",
+                "--set", "run.t_end=0.002", "--set", "study.kappas=0.5 0.25",
+                "--set", "study.h_factor=2", "--set", "grid.n=17"]
+        assert main(argv) == 2
+        assert capsys.readouterr().out.count("nan (overflowed)") == 2
+        assert len((tmp_path / "out" / "refinement.csv").read_text().splitlines()) == 3
+
     def test_sim_config_rejected_by_study(self, tmp_path):
         cfg_path = write_config(tmp_path, FAST)
         assert main(["study", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
@@ -359,6 +392,17 @@ class TestCliTools:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {invariant}: ")
         assert "residual" not in captured.out
+
+    def test_damaged_run_directory_exits_one(self, tmp_path, capsys):
+        run_dir = self.tensor_run(tmp_path)
+        frame = tmp_path / "out" / "frames" / "S_000001.csv"
+        lines = frame.read_text().splitlines()
+        frame.write_text("\n".join(lines[:7] + lines[8:]) + "\n")
+        capsys.readouterr()
+        assert main(["check-reduction", "--run", run_dir]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and err[0].endswith("S_000001.csv: expected 33 nodes, got 32")
 
     def test_check_reduction_requires_tensor_config(self, tmp_path):
         cfg_path = write_config(tmp_path, FAST)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from scipy.integrate import trapezoid
 
-from confsim.grid_field import Grid, ScalarField, Trajectory, d1, d2
+from confsim import diagnostics
+from confsim.grid_field import FLOAT_FMT, Grid, ScalarField, Trajectory, d1, d2, norm_lp_time_lq_space
 from confsim.material import MaterialParams
 from confsim.order_parameter import (
     RegularizationParams,
@@ -20,6 +21,7 @@ from confsim.order_parameter import (
 )
 from confsim.config import BodyForce, StudyConfig, parse_config_text
 from confsim.diagnostics import (
+    DiagnosticsReport,
     _cumulative_time_trapz,
     _flux_gradients,
     _primitive_w14_series,
@@ -36,10 +38,13 @@ from confsim.simulator import run, write_run, load_run
 from confsim.studies import (
     MismatchedGrids,
     flux_distance,
+    OVERFLOWED,
     mms_convergence,
     run_study,
     weak_residual_refinement,
 )
+from confsim import studies
+from confsim.diagnostics import NonFiniteReport
 
 from conftest import make_config
 
@@ -197,6 +202,14 @@ def mixed_norm_series_loop(times, frames, h, p, q):
     return out
 
 
+def quadratic_mixed_norm_series(times, values, h, p, q):
+    """Reference: one whole mixed norm per prefix [0, t_k], the O(K^2) assembly."""
+    out = np.zeros(len(times))
+    for k in range(1, len(times)):
+        out[k] = norm_lp_time_lq_space(times[: k + 1], values[: k + 1], h, p, q)
+    return out
+
+
 def energy_loop(traj, kappa):
     """Reference: gradient energy and dissipation integrand, one frame at a time."""
     h = traj.grid.h
@@ -267,20 +280,33 @@ class TestMonitorsMatchFrameLoops:
         _, result = stacked_run
         traj, report = result.trajectory, result.report
         h = traj.grid.h
-        grads = [d1(f.values, h) for f in traj.s_frames]
-        flux_grads = [d1(2.0 * flux_field(f.values, h), h) for f in traj.s_frames]
-        np.testing.assert_allclose(
-            report.sx_l83_linf,
-            mixed_norm_series_loop(traj.times, grads, h, 8.0 / 3.0, math.inf),
-            rtol=1e-14,
-            atol=0.0,
-        )
-        np.testing.assert_allclose(
-            report.flux_grad_l43,
-            mixed_norm_series_loop(traj.times, flux_grads, h, 4.0 / 3.0, 4.0 / 3.0),
-            rtol=1e-14,
-            atol=0.0,
-        )
+        s = traj.s_matrix()
+        for got, values, p, q in [
+            (report.sx_l83_linf, d1(s, h), 8.0 / 3.0, math.inf),
+            (report.flux_grad_l43, _flux_gradients(s, h), 4.0 / 3.0, 4.0 / 3.0),
+        ]:
+            frames = list(values)
+            np.testing.assert_allclose(
+                got, mixed_norm_series_loop(traj.times, frames, h, p, q), rtol=1e-14, atol=0.0
+            )
+            want = quadratic_mixed_norm_series(traj.times, values, h, p, q)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+            # the last row is the whole-run norm, bit for bit
+            assert got[0] == 0.0 and got[-1] == want[-1]
+            assert got[-1] == norm_lp_time_lq_space(traj.times, values, h, p, q)
+
+    def test_report_makes_one_whole_run_norm_per_mixed_column(self, stacked_run, monkeypatch):
+        cfg, result = stacked_run
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return norm_lp_time_lq_space(*args)
+
+        monkeypatch.setattr(diagnostics, "norm_lp_time_lq_space", counting)
+        rebuilt = build_report(result.trajectory, cfg)
+        assert calls == [len(result.trajectory.times)] * 2
+        assert rebuilt.to_csv_text() == result.report.to_csv_text()
 
     def test_max_abs_s(self, stacked_run):
         _, result = stacked_run
@@ -367,7 +393,40 @@ class TestWeakResidual:
         assert values[1] < values[0]
 
 
+def reference_csv_text(report):
+    """The per-value writer that to_csv_text replaced, kept as the reference."""
+    header = ["time", "max_abs_S", "grad_norm_sq", "dissipation", "St_L43", "Sx_L83_Linf",
+              "flux_grad_L43", "primitive_W14_L43"]
+    header += [f"weak_res_{m + 1}" for m in range(report.weak_residuals.shape[1])]
+    lines = [",".join(header + ["elasticity_cross_check"])]
+    for k in range(len(report.times)):
+        row = [
+            report.times[k], report.max_abs_s[k], report.grad_norm_sq[k], report.dissipation[k],
+            report.st_l43[k], report.sx_l83_linf[k], report.flux_grad_l43[k],
+            report.primitive_w14_l43[k], *report.weak_residuals[k], report.cross_check[k],
+        ]
+        lines.append(",".join(FLOAT_FMT.format(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 class TestReportRecompute:
+    @pytest.mark.parametrize("n_frames, n_phi", [(1, 0), (3, 5), (201, 5)])
+    def test_csv_text_matches_reference_writer(self, n_frames, n_phi):
+        rng = np.random.default_rng(n_frames)
+        special = [-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]
+
+        def series(*shape):
+            values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+            flat = values.reshape(-1)
+            flat[: min(len(flat), len(special))] = special[: len(flat)]
+            rng.shuffle(flat)
+            return values
+
+        report = DiagnosticsReport(
+            *(series(n_frames) for _ in range(8)), series(n_frames, n_phi), series(n_frames)
+        )
+        assert report.to_csv_text() == reference_csv_text(report)
+
     def test_report_recomputed_from_persisted_frames_is_bit_exact(self, tmp_path, desk_config):
         result = run(desk_config)
         write_run(tmp_path / "out", result)
@@ -413,6 +472,37 @@ class TestKappaStudy:
         assert member.termination.fail_time > 0.0
         assert np.isnan(member.d_kappa) and np.isnan(member.weak_residual_max)
         assert not result.strictly_decreasing
+
+    @pytest.mark.parametrize("reference", [-1, 1])
+    def test_overflowed_member_keeps_a_row(self, monkeypatch, reference):
+        base = make_config(n=33, t_end=2e-3, dt=2e-4, save_every=2)
+        study = StudyConfig(base=base, kappas=(0.5, 0.25, 0.125), reference=reference)
+        plain = run_study(study)
+        plain_run = studies.Simulation.run
+
+        def overflow_second_member(sim, *args, **kwargs):
+            if sim.config.reg.kappa == 0.25:
+                raise NonFiniteReport("series grad_norm_sq contains non-finite entries")
+            return plain_run(sim, *args, **kwargs)
+
+        monkeypatch.setattr(studies.Simulation, "run", overflow_second_member)
+        result = run_study(study)
+        bad = result.rows[1]
+        assert bad.termination == OVERFLOWED and bad.termination.fail_time is None
+        assert (bad.kappa, bad.h, bad.dt) == (0.25, plain.rows[1].h, plain.rows[1].dt)
+        for value in (bad.d_kappa, bad.d_primitive, bad.max_principle_margin, bad.sup_energy,
+                      bad.weak_residual_max):
+            assert math.isnan(value)
+        assert not result.strictly_decreasing
+        for i in (0, 2):
+            row, want = result.rows[i], plain.rows[i]
+            assert row.termination.status == "completed"
+            assert row.sup_energy == want.sup_energy
+            assert row.weak_residual_max == want.weak_residual_max
+            if bad.is_reference:
+                assert math.isnan(row.d_kappa) and math.isnan(row.d_primitive)
+            else:
+                assert row.d_kappa == want.d_kappa and row.d_primitive == want.d_primitive
 
     def test_mismatched_grids_raise(self):
         t1 = diffusion_trajectory(steps=3)

@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from scipy import integrate
 from scipy.linalg import solve_banded
 
 from confsim.grid_field import (
+    FLOAT_FMT,
+    FieldFileError,
     Grid,
     ScalarField,
     Trajectory,
@@ -21,6 +25,9 @@ from confsim.grid_field import (
     trapezoid,
     tridiag_solve,
 )
+from confsim import simulator
+
+from conftest import make_config
 
 
 def field(grid, fn):
@@ -254,6 +261,28 @@ class TestTridiagSolve:
             tridiag_solve(np.zeros(2), np.array([1.0, 0.0, 1.0]), np.zeros(2), np.ones(3))
 
 
+def reference_save_field(path, f, t):
+    """The per-line writer that save_field replaced, kept as the reference."""
+    lines = [f"# t = {FLOAT_FMT.format(t)}", "x,value"]
+    for x, v in zip(f.grid.x, f.values):
+        lines.append(f"{FLOAT_FMT.format(x)},{FLOAT_FMT.format(v)}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def reference_load_field(path):
+    """The per-line reader that load_field replaced: (values, t)."""
+    text = Path(path).read_text().strip().splitlines()
+    t = float(text[0].split("=", 1)[1])
+    return np.array([float(line.split(",")[1]) for line in text[2:]]), t
+
+
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf, 1.0 / 3.0]
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a, dtype=float).view(np.uint64), np.asarray(b, dtype=float).view(np.uint64))
+
+
 class TestSerialization:
     def test_field_round_trip(self, tmp_path):
         grid = Grid(1.0, 2.0, 33)
@@ -263,6 +292,91 @@ class TestSerialization:
         g, t = load_field(tmp_path / "f.csv", grid)
         assert t == 0.125
         assert np.array_equal(f.values, g.values)
+
+    @pytest.mark.parametrize("n", [4, 129, 2049])
+    def test_same_bytes_and_bits_as_reference(self, tmp_path, n):
+        grid = Grid(0.75, 2.5, n)
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+        values[: min(n, len(SPECIAL_VALUES))] = SPECIAL_VALUES[:n]
+        rng.shuffle(values)
+        f = ScalarField(grid, values)
+        for t in (0.0, 0.1 + 0.2, 5e-324):
+            save_field(tmp_path / "new.csv", f, t)
+            reference_save_field(tmp_path / "ref.csv", f, t)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+            g, t_back = load_field(tmp_path / "ref.csv", grid)
+            want, t_want = reference_load_field(tmp_path / "ref.csv")
+            assert t_back == t_want == t
+            assert same_bits(g.values, values) and same_bits(want, values)
+            assert g.values.flags.c_contiguous
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        values=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=4, max_size=40),
+        t=st.floats(0.0, 1e3),
+    )
+    def test_random_values_match_reference(self, values, t):
+        # canonical nan: the text "nan" carries no sign or payload
+        values = np.where(np.isnan(values), np.nan, values)
+        f = ScalarField(Grid(1.0, 3.0, len(values)), values)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_field(Path(tmp) / "new.csv", f, t)
+            reference_save_field(Path(tmp) / "ref.csv", f, t)
+            assert (Path(tmp) / "new.csv").read_bytes() == (Path(tmp) / "ref.csv").read_bytes()
+            g, t_back = load_field(Path(tmp) / "new.csv", f.grid)
+        assert t_back == t
+        assert same_bits(g.values, values)
+
+    def test_without_grid_the_file_gives_the_grid(self, tmp_path):
+        grid = Grid(1.0, 2.0, 17)
+        save_field(tmp_path / "f.csv", ScalarField(grid, grid.x**2), t=0.5)
+        g, _ = load_field(tmp_path / "f.csv")
+        assert g.grid == grid and np.array_equal(g.values, grid.x**2)
+
+    def test_deleted_line_names_the_file(self, tmp_path):
+        grid = Grid(1.0, 2.0, 33)
+        path = tmp_path / "S_000001.csv"
+        save_field(path, ScalarField(grid, np.zeros(grid.n)), t=0.5)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:10] + lines[11:]) + "\n")
+        with pytest.raises(FieldFileError, match=r"S_000001\.csv: expected 33 nodes, got 32"):
+            load_field(path, grid)
+
+    def test_other_grid_rejected(self, tmp_path):
+        save_field(tmp_path / "f.csv", ScalarField(Grid(1.0, 2.0, 33), np.zeros(33)), t=0.5)
+        with pytest.raises(FieldFileError, match="x column differs"):
+            load_field(tmp_path / "f.csv", Grid(1.0, 2.5, 33))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text.replace("x,value", "x;value"),
+            lambda text: text.replace(",0\n", ",zero\n", 1),
+            lambda text: text.replace(",0\n", "\n", 1),
+        ],
+        ids=["header", "value", "missing-value"],
+    )
+    def test_malformed_file_names_the_file(self, tmp_path, edit):
+        grid = Grid(1.0, 2.0, 9)
+        path = tmp_path / "u_000003.csv"
+        save_field(path, ScalarField(grid, np.zeros(grid.n)), t=0.5)
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(FieldFileError, match=r"u_000003\.csv"):
+            load_field(path, grid)
+
+    def test_run_written_by_reference_writer_loads_bit_identically(self, tmp_path, monkeypatch):
+        result = simulator.run(make_config(n=33, t_end=2e-3, save_every=1))
+        simulator.write_run(tmp_path / "new", result)
+        monkeypatch.setattr(simulator, "save_field", reference_save_field)
+        simulator.write_run(tmp_path / "ref", result)
+        for ref_file in sorted((tmp_path / "ref").rglob("*.csv")):
+            assert ref_file.read_bytes() == (tmp_path / "new" / ref_file.relative_to(tmp_path / "ref")).read_bytes()
+        traj, _, diag_text = simulator.load_run(tmp_path / "ref")
+        assert same_bits(traj.s_matrix(), result.trajectory.s_matrix())
+        assert same_bits(traj.u_matrix(), result.trajectory.u_matrix())
+        assert same_bits(traj.times, result.trajectory.times)
+        assert diag_text == result.report.to_csv_text()
 
     def test_trajectory_validation(self):
         grid = Grid(1.0, 2.0, 5)
