@@ -8,16 +8,23 @@ grid only at the edge: the frames of a ``Trajectory`` and the field files of
 ``save_field``/``load_field``.
 
 Quadrature is the local ``trapezoid``, which does scipy's arithmetic bit for
-bit; the only scipy import is LAPACK ``dgtsv`` behind ``tridiag_solve``.
+bit.  From scipy the package uses only LAPACK ``dgtsv`` behind
+``tridiag_solve``, taken from scipy's compiled ``scipy.linalg._flapack``
+extension loaded by file, so that a cold start does not run ``scipy.linalg``'s
+package init (about 0.3 s, almost all of it modules the package never uses).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+import scipy
 
 SUPPORTED_EXPONENTS = (4.0 / 3.0, 2.0, 8.0 / 3.0, math.inf)
 
@@ -27,7 +34,39 @@ class UnsupportedExponent(ValueError):
 
 
 class FieldFileError(ValueError):
-    """A field file is malformed or was written on a different grid."""
+    """A field or run file is malformed, or a field file was written on a different grid."""
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, without importing the ``scipy.linalg`` package.
+
+    The extension is the one ``scipy.linalg.lapack`` wraps.  It is registered
+    in ``sys.modules`` under its own name, so a later ``import scipy.linalg``
+    reuses it rather than loading it again, and ``dgtsv`` here is
+    ``scipy.linalg.lapack.dgtsv`` whichever is imported first
+    (``tests/test_layering.py`` checks both orders).
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    directory = os.path.join(scipy.__path__[0], "linalg")
+    finder = importlib.machinery.FileFinder(
+        directory, (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    )
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"scipy's compiled LAPACK extension _flapack not found in {directory}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+dgtsv = _load_flapack().dgtsv
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics
-from .grid_field import FLOAT_FMT, ScalarField, Trajectory, d1, load_field, save_field
+from .grid_field import FLOAT_FMT, FieldFileError, ScalarField, Trajectory, d1, load_field, save_field
 from .order_parameter import MollifierState, StepRejected, driving_force, mollify, semi_implicit_step
 from .elasticity import GreenKernel, fd_residual, elastic_rhs, solve_elasticity
 # BodyForce is not used here by name: bench/tracer.py reaches it as simulator.BodyForce.
@@ -229,21 +229,32 @@ def write_run(out_dir, result: RunResult):
 
 
 def load_run(run_dir):
-    """Read back a persisted run: (trajectory, config, diagnostics text)."""
+    """Read back a persisted run: (trajectory, config, diagnostics text).
+
+    Raises ``FieldFileError`` naming the file when ``meta.txt`` has no
+    ``[config]`` line or an ``index.csv`` line is not ``k,step,time``.
+    """
     out = Path(run_dir)
-    meta = out.read_text() if out.is_file() else (out / "meta.txt").read_text()
-    config_text = meta.split("[config]", 1)[1]
+    meta_path = out / "meta.txt"
+    _, sep, config_text = meta_path.read_text().partition("[config]")
+    if not sep:
+        raise FieldFileError(f"{meta_path}: no [config] line")
     config = parse_config_text(config_text)
     frames = out / "frames"
-    index = (frames / "index.csv").read_text().strip().splitlines()[1:]
+    index_path = frames / "index.csv"
+    index = index_path.read_text().strip().splitlines()[1:]
     times, steps, s_frames, u_frames = [], [], [], []
     grid = config.grid
-    for line in index:
-        k, step, t = line.split(",")
-        s, ts = load_field(f"{frames}/S_{int(k):06d}.csv", grid)
-        u, _ = load_field(f"{frames}/u_{int(k):06d}.csv", grid)
-        times.append(float(t))
-        steps.append(int(step))
+    for lineno, line in enumerate(index, start=2):
+        try:
+            k, step, t = line.split(",")
+            k, step, t = int(k), int(step), float(t)
+        except ValueError:
+            raise FieldFileError(f"{index_path}: line {lineno}: expected 'k,step,time', got {line!r}") from None
+        s, _ = load_field(f"{frames}/S_{k:06d}.csv", grid)
+        u, _ = load_field(f"{frames}/u_{k:06d}.csv", grid)
+        times.append(t)
+        steps.append(step)
         s_frames.append(s)
         u_frames.append(u)
     traj = Trajectory(np.array(times), s_frames, u_frames, np.array(steps))

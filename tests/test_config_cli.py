@@ -404,6 +404,28 @@ class TestCliTools:
         assert len(err) == 1
         assert err[0].startswith("error: ") and err[0].endswith("S_000001.csv: expected 33 nodes, got 32")
 
+    @pytest.mark.parametrize(
+        "name, damage, message",
+        [
+            ("meta.txt", lambda text: text.replace("[config]\n", ""), "meta.txt: no [config] line"),
+            (
+                "frames/index.csv",
+                lambda text: text.replace("\n1,", "\n1;"),
+                "index.csv: line 3: expected 'k,step,time', got '1;",
+            ),
+        ],
+        ids=["meta_without_config", "index_with_semicolon"],
+    )
+    def test_damaged_run_metadata_exits_one(self, tmp_path, capsys, name, damage, message):
+        run_dir = self.tensor_run(tmp_path)
+        path = tmp_path / "out" / name
+        path.write_text(damage(path.read_text()))
+        capsys.readouterr()
+        assert main(["check-reduction", "--run", run_dir]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and message in err[0]
+
     def test_check_reduction_requires_tensor_config(self, tmp_path):
         cfg_path = write_config(tmp_path, FAST)
         main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])

@@ -5,9 +5,13 @@ elasticity, reduction3d -> config -> diagnostics -> simulator -> studies ->
 cli.  A module may import only modules listed before it in ``ORDER``, so the
 intra-package import graph is acyclic and needs no deferred imports.
 
-From scipy the package imports only LAPACK (``scipy.linalg.lapack``), so a
-cold start does not load ``scipy.integrate``, ``scipy.interpolate`` and the
-subpackages they pull in; the tests still use those as oracles.
+From scipy the package imports only the top-level ``scipy`` package, in
+``grid_field``, which loads the compiled LAPACK extension
+``scipy.linalg._flapack`` by file for ``dgtsv``.  Beyond what ``import numpy,
+scipy`` loads, a cold start therefore runs neither ``scipy.linalg``'s package
+init (and the ``numpy.f2py``, ``numpy.ma`` and ``numpy.testing`` it pulls in)
+nor ``scipy.integrate``, ``scipy.interpolate`` and their subpackages; the
+tests still use those as oracles.
 """
 
 import ast
@@ -90,16 +94,20 @@ def test_imports_point_down(name):
     assert not upward, f"{name}.py imports at or above its layer: {upward}"
 
 
-SCIPY_ALLOWED = "scipy.linalg.lapack"
+SCIPY_IMPORTER = "grid_field"
 SCIPY_HEAVY = ("scipy.integrate", "scipy.interpolate", "scipy.special", "scipy.optimize", "scipy.sparse")
+NOT_AT_COLD_START = ("scipy.linalg", "numpy.f2py", "numpy.ma", "numpy.testing")
 
 
 def scipy_imports(tree):
-    """(line, module) for every import that names a scipy module in ``tree``."""
+    """(line, module) for every import that names a scipy module in ``tree``.
+
+    ``from scipy import x`` is reported as ``scipy.x``: it may load a subpackage.
+    """
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
         elif isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         else:
@@ -110,18 +118,37 @@ def scipy_imports(tree):
 
 @pytest.mark.parametrize("name", MODULES)
 def test_scipy_only_for_lapack(name):
-    other = [f"line {line}: {mod}" for line, mod in scipy_imports(parse(name)) if mod != SCIPY_ALLOWED]
-    assert not other, f"{name}.py imports scipy beyond {SCIPY_ALLOWED}: {other}"
+    allowed = ["scipy"] if name == SCIPY_IMPORTER else []
+    other = [f"line {line}: {mod}" for line, mod in scipy_imports(parse(name)) if mod not in allowed]
+    assert not other, f"{name}.py imports scipy beyond {allowed or 'nothing'}: {other}"
+
+
+def run_probe(code):
+    """stdout of ``python -c code`` in a fresh interpreter that can import confsim."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return done.stdout
 
 
 def test_cold_start_loads_no_heavy_scipy():
+    # Only what confsim adds over ``import numpy, scipy`` counts: numpy 1.x
+    # imports numpy.ma and numpy.testing from its own __init__.
     probe = (
-        "import sys, confsim, confsim.cli; "
-        f"print(' '.join(m for m in sys.modules if m.startswith({SCIPY_HEAVY!r})))"
+        "import sys, numpy, scipy; before = set(sys.modules); "
+        "import confsim, confsim.cli; "
+        f"print(' '.join(m for m in set(sys.modules) - before "
+        f"if m.startswith({SCIPY_HEAVY!r}) or m in {NOT_AT_COLD_START!r}))"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    assert run_probe(probe).split() == []
+
+
+@pytest.mark.parametrize(
+    "first, second", [("confsim.grid_field", "scipy.linalg.lapack"), ("scipy.linalg.lapack", "confsim.grid_field")]
+)
+def test_dgtsv_is_scipy_lapack_dgtsv(first, second):
+    probe = (
+        f"import sys, {first}, {second}; "
+        "print(sys.modules['confsim.grid_field'].dgtsv is sys.modules['scipy.linalg.lapack'].dgtsv)"
     )
-    assert done.stdout.split() == []
+    assert run_probe(probe).split() == ["True"]
