@@ -161,26 +161,31 @@ def _fd_operator(grid: Grid):
 
 
 def solve_fd(rhs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Tridiagonal solve of u'' + (2/x) u' - (2/x^2) u = rhs, u = 0 at both ends."""
+    """Tridiagonal solve of u'' + (2/x) u' - (2/x^2) u = rhs, u = 0 at both ends.
+
+    ``rhs`` may be a (B, n) stack: its rows go to LAPACK as B right-hand
+    sides of one solve, and each row's u equals its own solve bit for bit.
+    """
     lower, diag, upper = _fd_operator(grid)
-    vec = np.zeros(grid.n)
-    vec[1:-1] = rhs[1:-1]
+    vec = np.zeros(rhs.shape)
+    vec[..., 1:-1] = rhs[..., 1:-1]
 
     def apply_matrix(v):
         out = diag * v
-        out[:-1] += upper * v[1:]
-        out[1:] += lower * v[:-1]
+        out[..., :-1] += upper * v[..., 1:]
+        out[..., 1:] += lower * v[..., :-1]
         return out
 
+    # the transposes hand LAPACK a stack's rows as the columns it solves for
     try:
-        u = tridiag_solve(lower, diag, upper, vec)
+        u = tridiag_solve(lower, diag, upper, vec.T).T
         # one step of iterative refinement keeps the discrete residual near
         # roundoff even on fine grids, where plain elimination leaves O(n*eps/h^2)
-        u -= tridiag_solve(lower, diag, upper, apply_matrix(u) - vec)
+        u -= tridiag_solve(lower, diag, upper, (apply_matrix(u) - vec).T).T
     except np.linalg.LinAlgError as exc:  # pragma: no cover - operator is invertible
         raise SingularSystem(str(exc)) from exc
-    u[0] = 0.0
-    u[-1] = 0.0
+    u[..., 0] = 0.0
+    u[..., -1] = 0.0
     return u
 
 
@@ -284,16 +289,24 @@ def solve_elasticity(
     """Dispatch between the two solution paths.
 
     Returns (u, discrepancy) where discrepancy is the max-norm difference of
-    the paths when ``path`` is "both-verify", else None.
+    the paths when ``path`` is "both-verify", else None.  ``s_moll`` may be a
+    (B, n) stack of members under the one body force ``b``; u is then (B, n)
+    and the discrepancy an array of B values.  The Green quadrature takes one
+    member per call.
     """
     if path not in ("direct", "green", "both-verify"):
         raise ValueError(f"unknown elasticity path {path!r}")
     if path in ("green", "both-verify") and kernel is None:
         kernel = GreenKernel(grid.a, grid.d)
+    if path != "direct":
+        if s_moll.ndim == 1:
+            u_green = solve_green(kernel, ScalarField(grid, s_moll), b, params)
+        else:
+            u_green = np.array([solve_green(kernel, ScalarField(grid, row), b, params) for row in s_moll])
     if path == "green":
-        return solve_green(kernel, ScalarField(grid, s_moll), b, params), None
+        return u_green, None
     u_fd = solve_fd(elastic_rhs(d1(s_moll, grid.h), b, params), grid)
     if path == "direct":
         return u_fd, None
-    u_green = solve_green(kernel, ScalarField(grid, s_moll), b, params)
-    return u_fd, float(np.max(np.abs(u_fd - u_green)))
+    disc = np.max(np.abs(u_fd - u_green), axis=-1)
+    return u_fd, float(disc) if s_moll.ndim == 1 else disc

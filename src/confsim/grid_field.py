@@ -173,7 +173,8 @@ def d2(v: np.ndarray, h: float) -> np.ndarray:
 def tridiag_solve(lower, diag, upper, rhs) -> np.ndarray:
     """Solve the tridiagonal system with sub-, main and super-diagonals of lengths n-1, n, n-1.
 
-    LAPACK gtsv, elimination with partial pivoting; the inputs are left unchanged.
+    ``rhs`` is one vector of length n or an (n, k) array of k columns.  LAPACK
+    gtsv, elimination with partial pivoting; the inputs are left unchanged.
     Raises np.linalg.LinAlgError when the matrix is singular.
     """
     *_, x, info = dgtsv(lower, diag, upper, rhs)

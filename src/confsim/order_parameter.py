@@ -9,13 +9,14 @@ that coefficient at the current state and treats the diffusion implicitly
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .grid_field import d1, tridiag_solve
-from .material import MaterialParams, double_well
+from .material import MaterialParams
 
 
 # Ceiling on the mollifier window length and on the step count of one run.
@@ -34,11 +35,18 @@ def window_length(kappa_m: float, dt: float) -> int:
 
 
 class StepRejected(RuntimeError):
-    """The increment guard tripped; the time step is too large for the state."""
+    """The increment guard tripped; the time step is too large for the state.
 
-    def __init__(self, increment: float, guard: float):
+    For a batch of members, ``rejected`` is the boolean mask of the rejected
+    rows, ``increment`` is the first rejected row's, and ``new`` holds every
+    row's solution, valid in the rows that were not rejected.
+    """
+
+    def __init__(self, increment: float, guard: float, rejected=None, new=None):
         self.increment = increment
         self.guard = guard
+        self.rejected = rejected
+        self.new = new
         super().__init__(f"step increment {increment:.3e} exceeds guard {guard:.3e}")
 
 
@@ -204,9 +212,19 @@ def driving_force(
     correction 2*c*nu/x * s_x; bounded because the grid keeps x >= a > 0.
     The fields may be single frames or (frames, nodes) stacks over the nodes x.
     """
-    _, well_prime = double_well(s, params.well_weight)
+    # the derivative of material.double_well, in its operation order
+    well_prime = 2.0 * params.well_weight * s * (1.0 - s) * (1.0 - 2.0 * s)
     f1 = params.c * (-params.lam * (u_x + 2.0 * u / x) + params.e * s + well_prime)
     return f1 - (2.0 * params.c * params.nu / x) * s_x
+
+
+def _pin_ends(solution: np.ndarray, s: np.ndarray):
+    """A step's solution in the shape of ``s`` with its boundary values pinned
+    to zero, and its increment over ``s`` per row."""
+    new = solution.reshape(s.shape)
+    new[..., 0] = 0.0
+    new[..., -1] = 0.0
+    return new, np.abs(new - s).max(axis=-1)
 
 
 def semi_implicit_step(
@@ -217,6 +235,7 @@ def semi_implicit_step(
     reg: RegularizationParams,
     dt: Optional[float] = None,
     s_x: Optional[np.ndarray] = None,
+    kappa=None,
 ) -> np.ndarray:
     """One frozen-coefficient step of the regularized evolution equation.
 
@@ -225,38 +244,54 @@ def semi_implicit_step(
     is advanced with weight theta, the reaction -force*(|s_x|_kappa - kappa)
     explicitly.  Boundary values are pinned to exactly zero.  ``s_x`` is
     d1(s, h), passed by a caller that has already computed it.
+
+    ``s`` may also be a (B, n) batch of members that share ``reg`` except
+    ``kappa``, a (B, 1) column (``reg.kappa`` when None).  Their B systems are
+    solved as one of size B*n: each member's identity boundary rows couple it
+    to no other, so elimination keeps the members apart and every row equals
+    its own solve bit for bit.  Across those rows 0 * inf is nan, so when a
+    row's solution is not finite each row is solved again on its own.
     """
     if dt is None:
         dt = reg.dt
-    n = len(s)
+    if kappa is None:
+        kappa = reg.kappa
 
     if s_x is None:
         s_x = d1(s, h)
-    mod = np.hypot(s_x, reg.kappa)
+    mod = np.hypot(s_x, kappa)
     coef = material.c * material.nu * mod
 
     rhs = s.copy()
-    reaction = -force * (mod - reg.kappa)
-    rhs[1:-1] += dt * reaction[1:-1]
+    reaction = -force * (mod - kappa)
+    rhs[..., 1:-1] += dt * reaction[..., 1:-1]
     if reg.theta < 1.0:
-        lap = (s[2:] - 2.0 * s[1:-1] + s[:-2]) / h**2
-        rhs[1:-1] += dt * (1.0 - reg.theta) * coef[1:-1] * lap
-    rhs[0] = 0.0
-    rhs[-1] = 0.0
+        lap = (s[..., 2:] - 2.0 * s[..., 1:-1] + s[..., :-2]) / h**2
+        rhs[..., 1:-1] += dt * (1.0 - reg.theta) * coef[..., 1:-1] * lap
+    rhs[..., 0] = 0.0
+    rhs[..., -1] = 0.0
 
-    beta = reg.theta * dt * coef[1:-1] / h**2
-    diag = np.ones(n)
-    diag[1:-1] += 2.0 * beta
-    # rows 0 and n-1 are identity rows that pin the boundary values, so the
-    # sub-diagonal is (-beta, 0) and the super-diagonal (0, -beta): two
-    # overlapping views of one array (gtsv leaves its inputs unchanged)
-    off = np.zeros(n)
-    off[1:-1] = -beta
-    new = tridiag_solve(off[1:], diag, off[:-1], rhs)
-    new[0] = 0.0
-    new[-1] = 0.0
-
-    increment = float(np.max(np.abs(new - s)))
-    if not np.isfinite(increment) or increment > reg.increment_guard:
-        raise StepRejected(increment, reg.increment_guard)
+    beta = reg.theta * dt * coef[..., 1:-1] / h**2
+    diag = np.ones(s.shape)
+    diag[..., 1:-1] += 2.0 * beta
+    # rows 0 and n-1 of each member are identity rows that pin the boundary
+    # values, so the sub-diagonal is (-beta, 0) and the super-diagonal
+    # (0, -beta): two overlapping views of one array (gtsv leaves its inputs
+    # unchanged); a batch is the same two views of the flattened rows
+    off = np.zeros(s.shape)
+    off[..., 1:-1] = -beta
+    flat = off.ravel()
+    new, increment = _pin_ends(tridiag_solve(flat[1:], diag.ravel(), flat[:-1], rhs.ravel()), s)
+    # the cap also rejects an infinite increment when the guard is infinite
+    limit = min(reg.increment_guard, sys.float_info.max)
+    ok = increment <= limit
+    if s.ndim == 2 and not np.isfinite(increment).all():
+        rows = [tridiag_solve(o[1:], d, o[:-1], r) for o, d, r in zip(off, diag, rhs)]
+        new, increment = _pin_ends(np.array(rows), s)
+        ok = increment <= limit
+    if not ok.all():
+        if s.ndim == 1:
+            raise StepRejected(float(increment), reg.increment_guard)
+        rejected = ~ok
+        raise StepRejected(float(increment[rejected][0]), reg.increment_guard, rejected, new)
     return new

@@ -2,7 +2,10 @@
 
 A single simulation is self-contained and deterministic: the schedule is a
 pure function of the step index, there is no randomness, and identical configs
-produce bit-identical outputs.  Snapshots capture the mollifier history window,
+produce bit-identical outputs.  ``march`` advances simulations that share
+grid, schedule, material, body force and elasticity path in lockstep, as
+(B, n) arrays, each member bit-identical to its run alone; ``Simulation.run``
+is its one-member case.  Snapshots capture the mollifier history window,
 the current time and the config hash, so a restarted run continues exactly.
 A finished run carries its diagnostics report; ``write_run``/``load_run``
 persist it with the frames and the config echo.  The typed config lives in
@@ -15,7 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -76,6 +79,8 @@ class Simulation:
             self.mollifier.restore(arrays, _restore["time"])
             self.s = np.array(arrays[0], dtype=float)
         self.time = config.step_time(self.step_index)
+        self.u: Optional[np.ndarray] = None  # displacement of the current state, once solved
+        self.termination = Termination("completed")
         self._reset_recording()
 
     def _reset_recording(self):
@@ -85,14 +90,6 @@ class Simulation:
         self.frame_steps: list[int] = []
         self.residual_max = 0.0
         self.discrepancy_max = None
-
-    def _solve_for_u(self, t: float):
-        s_moll = mollify(self.mollifier, t)
-        b = self.config.body.evaluate(t, self.grid)
-        u, disc = solve_elasticity(
-            s_moll, b, self.grid, self.config.material, self.config.elasticity_path, self.kernel
-        )
-        return u, s_moll, b, disc
 
     def _record_frame(self, u: np.ndarray, s_moll: np.ndarray, b: np.ndarray, disc):
         # every step makes new s and u arrays, so the frames need no copy
@@ -107,40 +104,19 @@ class Simulation:
             self.discrepancy_max = max(self.discrepancy_max or 0.0, disc)
 
     def run(self, until_step: Optional[int] = None) -> RunResult:
-        cfg = self.config
-        h = self.grid.h
-        x = self.grid.x
-        n_total = cfg.n_steps
-        stop = n_total if until_step is None else min(until_step, n_total)
-        status = Termination("completed")
+        """March to ``until_step`` (the final step when None) and report every frame recorded so far.
 
-        u, s_moll, b, disc = self._solve_for_u(self.time)
-        self._record_frame(u, s_moll, b, disc)
-
-        while self.step_index < stop:
-            s_x = d1(self.s, h)
-            force = driving_force(u, d1(u, h), self.s, s_x, x, cfg.material)
-            t_next = cfg.step_time(self.step_index + 1)
-            dt_n = t_next - self.time
-            try:
-                self.s = semi_implicit_step(self.s, force, h, cfg.material, cfg.reg, dt=dt_n, s_x=s_x)
-            except StepRejected:
-                status = Termination("step-rejected", self.time)
-                break
-            self.step_index += 1
-            self.time = t_next
-            self.mollifier.push(self.s, self.time)
-            u, s_moll, b, disc = self._solve_for_u(self.time)
-            if self.step_index % cfg.save_every == 0 or self.step_index == stop:
-                self._record_frame(u, s_moll, b, disc)
-
+        A second call continues where the first stopped; after a rejected
+        step, or once the run is at its stop, it marches nothing further.
+        """
+        march([self], until_step)
         traj = Trajectory(
             np.array(self.times), list(self.s_frames), list(self.u_frames), np.array(self.frame_steps)
         )
         return RunResult(
             trajectory=traj,
             report=diagnostics.build_report(traj, self.config),
-            termination=status,
+            termination=self.termination,
             elasticity_residual_max=self.residual_max,
             path_discrepancy_max=self.discrepancy_max,
             config=self.config,
@@ -174,6 +150,111 @@ class Simulation:
 def run(config: SimulationConfig) -> RunResult:
     """Run a configured simulation to its final time."""
     return Simulation(config).run()
+
+
+def _lockstep_key(config: SimulationConfig) -> tuple:
+    """What members marched together share: the config but kappa, kappa_m and the initial data."""
+    reg = config.reg
+    return (
+        config.grid, config.t_end, config.save_every, config.material, config.body,
+        config.elasticity_path, reg.dt, reg.theta, reg.increment_guard,
+    )
+
+
+def _stack(rows: list[np.ndarray]) -> np.ndarray:
+    """Members' rows as one array: (B, n), or the row itself for a lone member.
+
+    A lone member keeps the (n,) shape of a run alone, because numpy's per-call
+    cost on a (1, n) stack makes each of a step's small operations slower.
+    """
+    return rows[0] if len(rows) == 1 else np.array(rows)
+
+
+def _rows(batch: np.ndarray):
+    """The members' rows of a batch made by ``_stack``."""
+    return (batch,) if batch.ndim == 1 else batch
+
+
+def _solve_for_u(sims: list[Simulation], t: float):
+    """Displacements of the members at time t: (u, s_moll, b, discrepancy), batched by ``_stack``."""
+    cfg = sims[0].config
+    s_moll = _stack([mollify(sim.mollifier, t) for sim in sims])
+    b = cfg.body.evaluate(t, cfg.grid)
+    u, disc = solve_elasticity(s_moll, b, cfg.grid, cfg.material, cfg.elasticity_path, sims[0].kernel)
+    return u, s_moll, b, disc
+
+
+def _record_frames(sims: list[Simulation], u, s_moll, b, disc):
+    discs = [None] * len(sims) if disc is None else np.atleast_1d(disc).tolist()
+    for sim, u_row, moll_row, d in zip(sims, _rows(u), _rows(s_moll), discs):
+        sim._record_frame(u_row, moll_row, b, d)
+
+
+def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
+    """Advance the simulations together to ``until_step`` (the final step when None).
+
+    The members may differ in ``reg.kappa``, ``reg.kappa_m`` and initial data
+    only, and must stand at the same step.  S and u are held as (B, n)
+    arrays (``_stack``).  Each time step makes one derivative pair, one
+    driving force, one order-parameter step (one solve of size B*n), one
+    body force and one elasticity solve with B right-hand sides; each member
+    mollifies and pushes its own window.  A member whose step is rejected stops there with
+    its own termination while the others go on, and a member that already
+    stopped on a rejected step is left as it is.  Every member records the
+    frames, S and u of its run alone, bit for bit.
+    """
+    active = [sim for sim in sims if sim.termination.status == "completed"]
+    if not active:
+        return
+    lead = active[0]
+    cfg = lead.config
+    key = _lockstep_key(cfg)
+    if any(_lockstep_key(sim.config) != key or sim.step_index != lead.step_index for sim in active):
+        raise ValueError("simulations marched together must share all config but kappa, kappa_m and "
+                         "initial data, and stand at the same step")
+    fresh = [sim for sim in active if sim.u is None]
+    if fresh:
+        u, s_moll, b, disc = _solve_for_u(fresh, lead.time)
+        _record_frames(fresh, u, s_moll, b, disc)
+        for sim, row in zip(fresh, _rows(u)):
+            sim.u = row
+
+    stop = cfg.n_steps if until_step is None else min(until_step, cfg.n_steps)
+    h = cfg.grid.h
+    x = cfg.grid.x
+    step, time = lead.step_index, lead.time
+    s = _stack([sim.s for sim in active])
+    u = _stack([sim.u for sim in active])
+    # a lone member steps with its own reg.kappa, a batch with a column of them
+    kappa = None if s.ndim == 1 else np.array([[sim.config.reg.kappa] for sim in active])
+    while step < stop:
+        s_x = d1(s, h)
+        force = driving_force(u, d1(u, h), s, s_x, x, cfg.material)
+        t_next = cfg.step_time(step + 1)
+        try:
+            s = semi_implicit_step(s, force, h, cfg.material, cfg.reg, dt=t_next - time, s_x=s_x, kappa=kappa)
+        except StepRejected as exc:
+            rejected = np.ones(1, dtype=bool) if exc.rejected is None else exc.rejected
+            for sim, row, stopped in zip(active, _rows(u), rejected):
+                if stopped:
+                    sim.termination = Termination("step-rejected", time)
+                    sim.u = row
+            kept = ~rejected
+            active = [sim for sim, keep in zip(active, kept) if keep]
+            if not active:
+                return
+            # kappa is None only for a lone member, whose rejection returned above
+            s, kappa = exc.new[kept], kappa[kept]
+        step += 1
+        time = t_next
+        for sim, row in zip(active, _rows(s)):
+            sim.step_index, sim.time, sim.s = step, time, row
+            sim.mollifier.push(row, time)
+        u, s_moll, b, disc = _solve_for_u(active, time)
+        if step % cfg.save_every == 0 or step == stop:
+            _record_frames(active, u, s_moll, b, disc)
+    for sim, row in zip(active, _rows(u)):
+        sim.u = row
 
 
 # --- snapshot files --------------------------------------------------------

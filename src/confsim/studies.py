@@ -1,4 +1,8 @@
-"""Study harnesses: regularization refinement, mesh/time refinement, manufactured solutions."""
+"""Study harnesses: regularization refinement, mesh/time refinement, manufactured solutions.
+
+The members of a study on one grid march in lockstep (``simulator.march``);
+the members of a refinement study, whose grids differ, march one at a time.
+"""
 
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from .order_parameter import RegularizationParams, semi_implicit_step
 from .elasticity import solve_fd
 from .config import SimulationConfig, StudyConfig
 from .diagnostics import NonFiniteReport, energy_monitor, flux_field, primitive_field, weak_residual
-from .simulator import RunResult, Simulation, Termination
+from .simulator import RunResult, Simulation, Termination, march
 
 # A member whose report overflowed to inf or nan; it has no fail time.
 OVERFLOWED = Termination("overflowed")
@@ -55,14 +59,23 @@ def flux_distance(traj_a: Trajectory, traj_b: Trajectory) -> float:
 
 
 def run_members(study: StudyConfig) -> list[Optional[RunResult]]:
-    """Run every member of the study to its final time, one after another.
+    """Run every member of the study to its final time.
 
-    A member whose report overflows is None, and the members after it still run.
+    Members on a shared grid march in lockstep, then each finishes through
+    its own ``Simulation.run``, which builds its report.  Refinement members
+    march one at a time.  A member whose report overflows is None, and the
+    other members are unaffected.
     """
+    if study.is_refinement:
+        # built one at a time, so one member's mollifier history is held at once
+        sims = (Simulation(study.member_config(i)) for i in range(len(study.kappas)))
+    else:
+        sims = [Simulation(study.member_config(i)) for i in range(len(study.kappas))]
+        march(sims)
     results = []
-    for i in range(len(study.kappas)):
+    for sim in sims:
         try:
-            results.append(Simulation(study.member_config(i)).run())
+            results.append(sim.run())
         except NonFiniteReport:
             results.append(None)
     return results
@@ -82,12 +95,13 @@ def member_weak_residual(res: Optional[RunResult]) -> float:
 def run_study(study: StudyConfig) -> StudyResult:
     """Run every member, then measure each member's flux distance to the reference.
 
-    Members run one after another; aggregation is a deterministic reduction
-    over their results.  Reference distances need a shared grid and save
-    schedule, so refinement factors are rejected.  A rejected member stops
-    early and an overflowed member has no report: their distances are nan
-    (every member's are when the reference is one), an overflowed member's
-    other columns are nan too, and the sequence does not count as decreasing.
+    Members march in lockstep (``run_members``); aggregation is a
+    deterministic reduction over their results.  Reference distances need a
+    shared grid and save schedule, so refinement factors are rejected.  A
+    rejected member stops early and an overflowed member has no report: their
+    distances are nan (every member's are when the reference is one), an
+    overflowed member's other columns are nan too, and the sequence does not
+    count as decreasing.
     """
     if study.is_refinement:
         raise MismatchedGrids("reference distances need unit refinement factors")

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import tempfile
 import warnings
@@ -34,7 +35,7 @@ from confsim.diagnostics import (
     weak_residual,
     weak_residual_series,
 )
-from confsim.simulator import run, write_run, load_run
+from confsim.simulator import Simulation, run, write_run, load_run
 from confsim.studies import (
     MismatchedGrids,
     flux_distance,
@@ -42,11 +43,14 @@ from confsim.studies import (
     mms_convergence,
     run_study,
     weak_residual_refinement,
+    write_study_csv,
 )
 from confsim import studies
 from confsim.diagnostics import NonFiniteReport
 
 from conftest import make_config
+
+BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 GRID = Grid(1.0, 2.0, 65)
 MAT = MaterialParams(c=1.0, nu=0.1, mu=2.0, lam=0.2, e=0.06, well_weight=1.0)
@@ -503,6 +507,20 @@ class TestKappaStudy:
                 assert math.isnan(row.d_kappa) and math.isnan(row.d_primitive)
             else:
                 assert row.d_kappa == want.d_kappa and row.d_primitive == want.d_primitive
+
+    def test_study_csv_matches_members_run_one_by_one(self, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        study = parse_config_text(workloads.config_text("kappa_study", 0))
+        write_study_csv(tmp_path / "lockstep.csv", run_study(study))
+
+        def one_by_one(study):
+            return [Simulation(study.member_config(i)).run() for i in range(len(study.kappas))]
+
+        monkeypatch.setattr(studies, "run_members", one_by_one)
+        write_study_csv(tmp_path / "serial.csv", run_study(study))
+        assert (tmp_path / "lockstep.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
     def test_mismatched_grids_raise(self):
         t1 = diffusion_trajectory(steps=3)

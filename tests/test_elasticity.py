@@ -14,6 +14,7 @@ from confsim.elasticity import (
     elastic_rhs,
     fd_residual,
     homogeneous_solutions,
+    solve_elasticity,
     solve_fd,
     solve_green,
 )
@@ -209,6 +210,15 @@ class TestDirectSolve:
         u[0] = u[-1] = 0.0
         assert np.array_equal(solve_fd(g, grid), u)
 
+    @pytest.mark.parametrize("n", [4, 129, 2049])
+    def test_stack_matches_rows_bit_for_bit(self, n):
+        grid = Grid(A, D, n)
+        g = np.random.default_rng(n + 1).normal(size=(5, n))
+        u = solve_fd(g, grid)
+        assert u.shape == (5, n)
+        for k in range(5):
+            assert np.array_equal(u[k], solve_fd(g[k], grid))
+
     def test_discrete_energy_identity(self):
         # sum (x^2 u_x^2 + 2 u^2) h = -sum x^2 g u h up to O(h^2)
         def mismatch(n):
@@ -349,3 +359,21 @@ class TestGreenPrefixSums:
             solve_green(GreenKernel(A, 3.0), z, z.values, params())
         with pytest.raises(ValueError, match="expected 33 body-force values"):
             solve_green(GreenKernel(A, D), z, np.zeros(17), params())
+
+
+class TestSolveElasticity:
+    @pytest.mark.parametrize("path", ["direct", "green", "both-verify"])
+    def test_stack_matches_rows_bit_for_bit(self, path):
+        grid = Grid(A, D, 65)
+        rng = np.random.default_rng(21)
+        s = rng.normal(size=(3, grid.n))
+        b = rng.normal(size=grid.n)
+        u, disc = solve_elasticity(s, b, grid, params(), path)
+        assert u.shape == (3, grid.n)
+        for k in range(3):
+            u_k, disc_k = solve_elasticity(s[k], b, grid, params(), path)
+            assert np.array_equal(u[k], u_k)
+            if path == "both-verify":
+                assert isinstance(disc_k, float) and disc[k] == disc_k
+            else:
+                assert disc is None and disc_k is None

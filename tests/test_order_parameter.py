@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from confsim.grid_field import Grid, d1
-from confsim.material import MaterialParams
+from confsim.material import MaterialParams, double_well
 from confsim.order_parameter import (
     InsufficientHistory,
     MollifierState,
@@ -261,6 +261,15 @@ class TestDrivingForce:
         expected -= (2 * mat.c * mat.nu / GRID.x) * s_x
         assert np.max(np.abs(out - expected)) < 1e-14
 
+    def test_equals_the_double_well_derivative_bit_for_bit(self):
+        rng = np.random.default_rng(16)
+        mat = material(well_weight=1.7)
+        u, u_x, s, s_x = rng.normal(size=(4, GRID.n))
+        _, well_prime = double_well(s, mat.well_weight)
+        expected = mat.c * (-mat.lam * (u_x + 2.0 * u / GRID.x) + mat.e * s + well_prime)
+        expected = expected - (2.0 * mat.c * mat.nu / GRID.x) * s_x
+        assert np.array_equal(driving_force(u, u_x, s, s_x, GRID.x, mat), expected)
+
     def test_stack_matches_rows_bit_for_bit(self):
         rng = np.random.default_rng(14)
         mat = material()
@@ -330,6 +339,47 @@ class TestSemiImplicitStep:
         with pytest.raises(StepRejected) as err:
             semi_implicit_step(s, force, GRID.h, material(), reg)
         assert err.value.increment > 0.5
+
+    @pytest.mark.parametrize("theta", [0.6, 1.0])
+    def test_batch_matches_rows_bit_for_bit(self, theta):
+        rng = np.random.default_rng(15)
+        kappas = np.array([[0.5], [0.125], [0.03125]])
+        s = np.stack([bump(amp=a) for a in (0.9, 0.5, 0.2)])
+        force = rng.normal(size=s.shape)
+        s_x = d1(s, GRID.h)
+        reg = RegularizationParams(kappa=0.25, dt=1e-4, theta=theta)
+        out = semi_implicit_step(s, force, GRID.h, material(), reg, s_x=s_x, kappa=kappas)
+        for k, kappa in enumerate(kappas[:, 0]):
+            own = RegularizationParams(kappa=kappa, dt=1e-4, theta=theta)
+            assert np.array_equal(out[k], semi_implicit_step(s[k], force[k], GRID.h, material(), own))
+
+    @pytest.mark.parametrize("where", ["force", "s"])
+    def test_non_finite_row_stays_apart(self, where):
+        # 0 * inf = nan would carry row 0's overflow across the shared solve
+        s = np.stack([bump(amp=0.6), bump(amp=0.4)])
+        force = np.ones_like(s)
+        {"force": force, "s": s}[where][0, 10] = np.inf
+        regs = [RegularizationParams(kappa=k, dt=1e-4) for k in (0.25, 0.125)]
+        mat = material()
+        with np.errstate(all="ignore"):
+            with pytest.raises(StepRejected) as alone:
+                semi_implicit_step(s[0], force[0], GRID.h, mat, regs[0])
+            row1 = semi_implicit_step(s[1], force[1], GRID.h, mat, regs[1])
+            with pytest.raises(StepRejected) as batch:
+                semi_implicit_step(s, force, GRID.h, mat, regs[0], kappa=np.array([[0.25], [0.125]]))
+        assert batch.value.rejected.tolist() == [True, False]
+        assert np.array_equal(batch.value.increment, alone.value.increment, equal_nan=True)
+        assert np.array_equal(batch.value.new[1], row1)
+
+    def test_batch_rejects_only_the_rows_over_the_guard(self):
+        s = np.stack([bump(amp=0.9), bump(amp=0.9)])
+        force = np.stack([np.full(GRID.n, -50.0), np.zeros(GRID.n)])
+        reg = RegularizationParams(kappa=0.25, dt=1.0, theta=1.0, increment_guard=0.5)
+        with pytest.raises(StepRejected) as err:
+            semi_implicit_step(s, force, GRID.h, material(), reg)
+        assert err.value.rejected.tolist() == [True, False]
+        assert err.value.increment > 0.5
+        assert np.array_equal(err.value.new[1], semi_implicit_step(s[1], force[1], GRID.h, material(), reg))
 
     def test_param_invariants(self):
         with pytest.raises(ValueError, match="kappa must lie in"):

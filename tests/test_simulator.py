@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confsim.config import BodyForce
+from dataclasses import replace
+
+from confsim.config import BodyForce, InitialData, parse_config_text
 from confsim.diagnostics import NonFiniteReport
 from confsim.simulator import (
     ChecksumMismatch,
@@ -15,6 +17,7 @@ from confsim.simulator import (
     VersionMismatch,
     load_run,
     load_snapshot,
+    march,
     run,
     save_snapshot,
     write_run,
@@ -166,6 +169,90 @@ class TestSnapshotRestart:
         other = make_config(kappa=0.5)
         with pytest.raises(ChecksumMismatch):
             load_snapshot(path, other)
+
+
+def assert_same_run(got, want):
+    assert got.termination == want.termination
+    assert np.array_equal(got.trajectory.times, want.trajectory.times)
+    assert np.array_equal(got.trajectory.steps, want.trajectory.steps)
+    assert np.array_equal(got.trajectory.s_matrix(), want.trajectory.s_matrix())
+    assert np.array_equal(got.trajectory.u_matrix(), want.trajectory.u_matrix())
+    assert got.report.to_csv_text() == want.report.to_csv_text()
+    assert got.elasticity_residual_max == want.elasticity_residual_max
+    assert got.path_discrepancy_max == want.path_discrepancy_max
+
+
+class TestContinuedRun:
+    def test_second_call_continues_without_repeating_a_frame(self):
+        cfg = make_config(t_end=0.004, save_every=5)
+        whole = Simulation(cfg).run()
+        sim = Simulation(cfg)
+        sim.run(until_step=10)
+        assert_same_run(sim.run(), whole)
+
+    def test_stopped_run_marches_no_further(self):
+        sim = Simulation(make_config(increment_guard=1e-12))
+        first = sim.run()
+        assert first.termination.status == "step-rejected"
+        assert_same_run(sim.run(), first)
+
+
+class TestLockstep:
+    BODY = BodyForce(family="ramp", amplitude=0.2, rate=50.0)
+
+    def member(self, kappa, window, amplitude, lo, hi, theta, path):
+        cfg = make_config(n=33, t_end=4e-3, dt=2e-4, save_every=3, kappa=kappa, theta=theta,
+                          kappa_m=None if window is None else window * 2e-4, path=path, body=self.BODY)
+        return replace(cfg, init=InitialData(amplitude=amplitude, support_lo=lo, support_hi=hi))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        members=st.lists(
+            st.tuples(
+                st.floats(0.02, 1.0),
+                st.sampled_from([None, 1, 3, 8]),  # mollifier window in steps; None couples it to kappa
+                st.floats(0.3, 0.95),
+                st.floats(0.2, 0.35),
+                st.floats(0.6, 0.8),
+            ),
+            min_size=2,
+            max_size=3,
+        ),
+        theta=st.sampled_from([0.6, 1.0]),
+        path=st.sampled_from(["direct", "both-verify"]),
+    )
+    def test_each_member_matches_its_run_alone(self, members, theta, path):
+        configs = [self.member(*m, theta, path) for m in members]
+        sims = [Simulation(cfg) for cfg in configs]
+        march(sims)
+        for sim, cfg in zip(sims, configs):
+            assert_same_run(sim.run(), Simulation(cfg).run())
+
+    @pytest.mark.parametrize("kappas", [(0.5, 0.03125), (0.03125, 0.5, 0.25)])
+    def test_rejected_member_stops_alone(self, kappas):
+        base = parse_config_text(
+            "reg.increment_guard = 0.05\nbody.family = ramp\nbody.rate = 1e5\n"
+        )
+        configs = [replace(base, reg=replace(base.reg, kappa=k, kappa_m=k)) for k in kappas]
+        sims = [Simulation(cfg) for cfg in configs]
+        march(sims)
+        results = [sim.run() for sim in sims]
+        statuses = [r.termination.status for r in results]
+        assert statuses == ["step-rejected" if k == 0.03125 else "completed" for k in kappas]
+        for sim, got, cfg in zip(sims, results, configs):
+            assert_same_run(got, Simulation(cfg).run())
+            if got.termination.status == "step-rejected":
+                # the time of the last accepted state, where the rejected step started
+                assert got.termination.fail_time == cfg.step_time(sim.step_index) > 0.0
+                assert got.trajectory.steps[-1] <= sim.step_index < cfg.n_steps
+
+    def test_members_must_share_all_but_kappa_and_step(self):
+        with pytest.raises(ValueError, match="marched together"):
+            march([Simulation(make_config(n=33)), Simulation(make_config(n=65))])
+        ahead = Simulation(make_config(kappa=0.5))
+        ahead.run(until_step=2)
+        with pytest.raises(ValueError, match="marched together"):
+            march([Simulation(make_config()), ahead])
 
 
 class TestGuard:
