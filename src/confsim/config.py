@@ -252,7 +252,8 @@ _CATALOG = {
 _SCALAR_MATERIAL_KEYS = ("material.mu", "material.lambda", "material.e")
 
 
-def _convert(key: str, raw: str, line: int):
+def _convert(key: str, raw: str):
+    """``raw`` as the catalog type of ``key``; a ValueError names the key."""
     kind = _CATALOG[key][0]
     try:
         if kind == "int":
@@ -266,7 +267,7 @@ def _convert(key: str, raw: str, line: int):
             raise ValueError(f"non-finite value {raw.strip()!r}")
         return values[0] if kind == "float" else values
     except ValueError as exc:
-        raise ParseError(line, 1, f"cannot parse value for {key}: {exc}") from exc
+        raise ValueError(f"cannot parse value for {key}: {exc}") from exc
 
 
 def parse_pairs(text: str) -> dict:
@@ -286,7 +287,10 @@ def parse_pairs(text: str) -> dict:
             raise ValidationError("unknown_key", f"unknown config key {key!r}")
         if key in raw:
             raise ParseError(lineno, 1, f"duplicate key {key!r}")
-        raw[key] = _convert(key, value.strip(), lineno)
+        try:
+            raw[key] = _convert(key, value.strip())
+        except ValueError as exc:
+            raise ParseError(lineno, 1, str(exc)) from exc
     return raw
 
 
@@ -299,7 +303,10 @@ def apply_overrides(raw: dict, overrides) -> dict:
         key = key.strip()
         if key not in _CATALOG:
             raise ValidationError("unknown_key", f"override references unknown key {key!r}")
-        out[key] = _convert(key, value.strip(), 0)
+        try:
+            out[key] = _convert(key, value.strip())
+        except ValueError as exc:
+            raise ConfigInvalid(f"--set {item}: {exc}") from exc
     return out
 
 

@@ -17,7 +17,11 @@ production path) and ``solve_green`` (trapezoid quadrature against the
 closed-form kernel, the independent verification path).  Both are O(n) per
 call.  The kernel is separable, u1(min) u2(max) / c, so the quadrature is one
 prefix sum weighted by u2(x) and one suffix sum weighted by u1(x); neither
-path holds an n x n matrix.
+path holds an n x n matrix.  ``solve_elasticity`` returns u by one path:
+the quadrature on "green", the FD solve on "direct" and on "both-verify",
+whose check against the quadrature the simulator makes on the frames it
+records.  ``fd_residual`` and the FD solve's refinement step apply the one
+cached operator of ``_fd_operator``.
 """
 
 from __future__ import annotations
@@ -37,20 +41,6 @@ class OutOfDomain(ValueError):
 
 class SingularSystem(RuntimeError):
     pass
-
-
-def homogeneous_solutions(a: float, d: float):
-    """Closed-form solutions of (x^2 u')' - 2u = 0 vanishing at a and at d."""
-    if not (0 < a < d):
-        raise ValueError("require 0 < a < d")
-
-    def u1(x):
-        return x - a**3 / x**2
-
-    def u2(x):
-        return x - d**3 / x**2
-
-    return u1, u2
 
 
 @dataclass(frozen=True)
@@ -112,16 +102,6 @@ class GreenKernel:
         out = out / self.norm_const
         return float(out) if out.ndim == 0 else out
 
-    def eval_dy_left(self, x, y):
-        """d/dy for y < x."""
-        self._check(x, y)
-        return self.u1_prime(y) * self.u2(x) / self.norm_const
-
-    def eval_dy_right(self, x, y):
-        """d/dy for y > x."""
-        self._check(x, y)
-        return self.u1(x) * self.u2_prime(y) / self.norm_const
-
     def operator_residual(self, x, y):
         """(x^2 G_x)_x - 2 G evaluated off the diagonal with analytic derivatives."""
         self._check(x, y)
@@ -134,6 +114,12 @@ class GreenKernel:
             f, fp, fpp = self.u2(x), self.u2_prime(x), self.u2_second(x)
             other = self.u1(y)
         return (x**2 * fpp + 2.0 * x * fp - 2.0 * f) * other / self.norm_const
+
+
+def homogeneous_solutions(a: float, d: float):
+    """Closed-form solutions of (x^2 u')' - 2u = 0 vanishing at a and at d."""
+    kernel = GreenKernel(a, d)
+    return kernel.u1, kernel.u2
 
 
 def elastic_rhs(s_x: np.ndarray, b: np.ndarray, params: MaterialParams) -> np.ndarray:
@@ -160,6 +146,15 @@ def _fd_operator(grid: Grid):
     return lower, diag, upper
 
 
+def _fd_apply(u: np.ndarray, grid: Grid) -> np.ndarray:
+    """The FD operator of ``_fd_operator`` applied to u along its last axis."""
+    lower, diag, upper = _fd_operator(grid)
+    out = diag * u
+    out[..., :-1] += upper * u[..., 1:]
+    out[..., 1:] += lower * u[..., :-1]
+    return out
+
+
 def solve_fd(rhs: np.ndarray, grid: Grid) -> np.ndarray:
     """Tridiagonal solve of u'' + (2/x) u' - (2/x^2) u = rhs, u = 0 at both ends.
 
@@ -169,19 +164,12 @@ def solve_fd(rhs: np.ndarray, grid: Grid) -> np.ndarray:
     lower, diag, upper = _fd_operator(grid)
     vec = np.zeros(rhs.shape)
     vec[..., 1:-1] = rhs[..., 1:-1]
-
-    def apply_matrix(v):
-        out = diag * v
-        out[..., :-1] += upper * v[..., 1:]
-        out[..., 1:] += lower * v[..., :-1]
-        return out
-
     # the transposes hand LAPACK a stack's rows as the columns it solves for
     try:
         u = tridiag_solve(lower, diag, upper, vec.T).T
         # one step of iterative refinement keeps the discrete residual near
         # roundoff even on fine grids, where plain elimination leaves O(n*eps/h^2)
-        u -= tridiag_solve(lower, diag, upper, (apply_matrix(u) - vec).T).T
+        u -= tridiag_solve(lower, diag, upper, (_fd_apply(u, grid) - vec).T).T
     except np.linalg.LinAlgError as exc:  # pragma: no cover - operator is invertible
         raise SingularSystem(str(exc)) from exc
     u[..., 0] = 0.0
@@ -191,12 +179,7 @@ def solve_fd(rhs: np.ndarray, grid: Grid) -> np.ndarray:
 
 def fd_residual(u: np.ndarray, rhs: np.ndarray, grid: Grid) -> float:
     """Max-norm residual of the discrete interior equations for a candidate u."""
-    h = grid.h
-    x = grid.x[1:-1]
-    lhs = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
-    lhs += (u[2:] - u[:-2]) / (2.0 * h) * (2.0 / x)
-    lhs -= 2.0 / x**2 * u[1:-1]
-    r = lhs - rhs[1:-1]
+    r = _fd_apply(u, grid)[1:-1] - rhs[1:-1]
     return float(np.max(np.abs(r))) if r.size else 0.0
 
 
@@ -284,29 +267,20 @@ def solve_elasticity(
     grid: Grid,
     params: MaterialParams,
     path: str = "direct",
-    kernel: GreenKernel | None = None,
-):
-    """Dispatch between the two solution paths.
+) -> np.ndarray:
+    """The displacement u by the configured path.
 
-    Returns (u, discrepancy) where discrepancy is the max-norm difference of
-    the paths when ``path`` is "both-verify", else None.  ``s_moll`` may be a
-    (B, n) stack of members under the one body force ``b``; u is then (B, n)
-    and the discrepancy an array of B values.  The Green quadrature takes one
-    member per call.
+    "green" evaluates the Green quadrature; "direct" and "both-verify" solve
+    by finite differences (a "both-verify" run checks the Green quadrature
+    against the frames it records).  ``s_moll`` may be a (B, n) stack of
+    members under the one body force ``b``; u is then (B, n).  The Green
+    quadrature takes one member per call.
     """
     if path not in ("direct", "green", "both-verify"):
         raise ValueError(f"unknown elasticity path {path!r}")
-    if path in ("green", "both-verify") and kernel is None:
-        kernel = GreenKernel(grid.a, grid.d)
-    if path != "direct":
-        if s_moll.ndim == 1:
-            u_green = solve_green(kernel, ScalarField(grid, s_moll), b, params)
-        else:
-            u_green = np.array([solve_green(kernel, ScalarField(grid, row), b, params) for row in s_moll])
-    if path == "green":
-        return u_green, None
-    u_fd = solve_fd(elastic_rhs(d1(s_moll, grid.h), b, params), grid)
-    if path == "direct":
-        return u_fd, None
-    disc = np.max(np.abs(u_fd - u_green), axis=-1)
-    return u_fd, float(disc) if s_moll.ndim == 1 else disc
+    if path != "green":
+        return solve_fd(elastic_rhs(d1(s_moll, grid.h), b, params), grid)
+    kernel = GreenKernel(grid.a, grid.d)
+    if s_moll.ndim == 1:
+        return solve_green(kernel, ScalarField(grid, s_moll), b, params)
+    return np.array([solve_green(kernel, ScalarField(grid, row), b, params) for row in s_moll])

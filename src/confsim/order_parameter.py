@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid_field import d1, tridiag_solve
+from .grid_field import d1, d2, tridiag_solve
 from .material import MaterialParams
 
 
@@ -266,8 +266,7 @@ def semi_implicit_step(
     reaction = -force * (mod - kappa)
     rhs[..., 1:-1] += dt * reaction[..., 1:-1]
     if reg.theta < 1.0:
-        lap = (s[..., 2:] - 2.0 * s[..., 1:-1] + s[..., :-2]) / h**2
-        rhs[..., 1:-1] += dt * (1.0 - reg.theta) * coef[..., 1:-1] * lap
+        rhs[..., 1:-1] += dt * (1.0 - reg.theta) * coef[..., 1:-1] * d2(s, h)[..., 1:-1]
     rhs[..., 0] = 0.0
     rhs[..., -1] = 0.0
 

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import diagnostics
+from . import diagnostics, elasticity
 from .grid_field import FLOAT_FMT, FieldFileError, ScalarField, Trajectory, d1, load_field, save_field
 from .order_parameter import MollifierState, StepRejected, driving_force, mollify, semi_implicit_step
 from .elasticity import GreenKernel, fd_residual, elastic_rhs, solve_elasticity
@@ -63,11 +63,6 @@ class Simulation:
     def __init__(self, config: SimulationConfig, _restore=None):
         self.config = config
         self.grid = config.grid
-        self.kernel = (
-            GreenKernel(self.grid.a, self.grid.d)
-            if config.elasticity_path in ("green", "both-verify")
-            else None
-        )
         self.mollifier = MollifierState(config.reg.kappa_m, config.reg.dt, config.n_steps + 1)
         if _restore is None:
             self.step_index = 0
@@ -91,17 +86,22 @@ class Simulation:
         self.residual_max = 0.0
         self.discrepancy_max = None
 
-    def _record_frame(self, u: np.ndarray, s_moll: np.ndarray, b: np.ndarray, disc):
+    def _record_frame(self, u: np.ndarray, s_moll: np.ndarray, b: np.ndarray):
+        """Save S and u; off "green" track u's FD residual, on "both-verify" its gap to the Green path."""
         # every step makes new s and u arrays, so the frames need no copy
         self.times.append(self.time)
         self.s_frames.append(ScalarField(self.grid, self.s))
         self.u_frames.append(ScalarField(self.grid, u))
         self.frame_steps.append(self.step_index)
-        if self.config.elasticity_path != "green":
-            rhs = elastic_rhs(d1(s_moll, self.grid.h), b, self.config.material)
+        path, material = self.config.elasticity_path, self.config.material
+        if path != "green":
+            rhs = elastic_rhs(d1(s_moll, self.grid.h), b, material)
             self.residual_max = max(self.residual_max, fd_residual(u, rhs, self.grid))
-        if disc is not None:
-            self.discrepancy_max = max(self.discrepancy_max or 0.0, disc)
+        if path == "both-verify":
+            # looked up on the module, where bench/tracer.py wraps it
+            u_green = elasticity.solve_green(GreenKernel(self.grid.a, self.grid.d),
+                                             ScalarField(self.grid, s_moll), b, material)
+            self.discrepancy_max = max(self.discrepancy_max or 0.0, float(np.max(np.abs(u - u_green))))
 
     def run(self, until_step: Optional[int] = None) -> RunResult:
         """March to ``until_step`` (the final step when None) and report every frame recorded so far.
@@ -176,18 +176,16 @@ def _rows(batch: np.ndarray):
 
 
 def _solve_for_u(sims: list[Simulation], t: float):
-    """Displacements of the members at time t: (u, s_moll, b, discrepancy), batched by ``_stack``."""
+    """Displacements of the members at time t: (u, s_moll, b), batched by ``_stack``."""
     cfg = sims[0].config
     s_moll = _stack([mollify(sim.mollifier, t) for sim in sims])
     b = cfg.body.evaluate(t, cfg.grid)
-    u, disc = solve_elasticity(s_moll, b, cfg.grid, cfg.material, cfg.elasticity_path, sims[0].kernel)
-    return u, s_moll, b, disc
+    return solve_elasticity(s_moll, b, cfg.grid, cfg.material, cfg.elasticity_path), s_moll, b
 
 
-def _record_frames(sims: list[Simulation], u, s_moll, b, disc):
-    discs = [None] * len(sims) if disc is None else np.atleast_1d(disc).tolist()
-    for sim, u_row, moll_row, d in zip(sims, _rows(u), _rows(s_moll), discs):
-        sim._record_frame(u_row, moll_row, b, d)
+def _record_frames(sims: list[Simulation], u, s_moll, b):
+    for sim, u_row, moll_row in zip(sims, _rows(u), _rows(s_moll)):
+        sim._record_frame(u_row, moll_row, b)
 
 
 def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
@@ -198,10 +196,12 @@ def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
     arrays (``_stack``).  Each time step makes one derivative pair, one
     driving force, one order-parameter step (one solve of size B*n), one
     body force and one elasticity solve with B right-hand sides; each member
-    mollifies and pushes its own window.  A member whose step is rejected stops there with
-    its own termination while the others go on, and a member that already
-    stopped on a rejected step is left as it is.  Every member records the
-    frames, S and u of its run alone, bit for bit.
+    mollifies and pushes its own window.  On "both-verify" the Green
+    quadrature checks the recorded frames only (``Simulation._record_frame``).
+    A member whose step is rejected stops there with its own termination
+    while the others go on, and a member that already stopped on a rejected
+    step is left as it is.  Every member records the frames, S and u of its
+    run alone, bit for bit.
     """
     active = [sim for sim in sims if sim.termination.status == "completed"]
     if not active:
@@ -214,8 +214,8 @@ def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
                          "initial data, and stand at the same step")
     fresh = [sim for sim in active if sim.u is None]
     if fresh:
-        u, s_moll, b, disc = _solve_for_u(fresh, lead.time)
-        _record_frames(fresh, u, s_moll, b, disc)
+        u, s_moll, b = _solve_for_u(fresh, lead.time)
+        _record_frames(fresh, u, s_moll, b)
         for sim, row in zip(fresh, _rows(u)):
             sim.u = row
 
@@ -250,9 +250,9 @@ def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
         for sim, row in zip(active, _rows(s)):
             sim.step_index, sim.time, sim.s = step, time, row
             sim.mollifier.push(row, time)
-        u, s_moll, b, disc = _solve_for_u(active, time)
+        u, s_moll, b = _solve_for_u(active, time)
         if step % cfg.save_every == 0 or step == stop:
-            _record_frames(active, u, s_moll, b, disc)
+            _record_frames(active, u, s_moll, b)
     for sim, row in zip(active, _rows(u)):
         sim.u = row
 

@@ -3,6 +3,7 @@ import pytest
 
 from confsim.cli import main
 from confsim.config import (
+    ConfigInvalid,
     ParseError,
     SimulationConfig,
     StudyConfig,
@@ -85,6 +86,16 @@ class TestParsing:
         assert "non-finite value" in capsys.readouterr().err
         with pytest.raises(ParseError, match="non-finite"):
             parse_config_text(override.replace("=", " = ") + "\n")
+
+    def test_bad_override_value_names_the_override(self, tmp_path, capsys):
+        code = main(["run", "--out", str(tmp_path / "out"), "--set", "reg.increment_guard=inf"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --set reg.increment_guard=inf: cannot parse value for reg.increment_guard: "
+            "non-finite value 'inf'"
+        ]
+        with pytest.raises(ConfigInvalid, match="^--set grid.n=6.5: cannot parse value for grid.n"):
+            parse_config_text("", overrides=["grid.n=6.5"])
 
     def test_override_unknown_key(self):
         with pytest.raises(ValidationError, match="unknown key"):

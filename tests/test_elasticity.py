@@ -368,12 +368,7 @@ class TestSolveElasticity:
         rng = np.random.default_rng(21)
         s = rng.normal(size=(3, grid.n))
         b = rng.normal(size=grid.n)
-        u, disc = solve_elasticity(s, b, grid, params(), path)
+        u = solve_elasticity(s, b, grid, params(), path)
         assert u.shape == (3, grid.n)
         for k in range(3):
-            u_k, disc_k = solve_elasticity(s[k], b, grid, params(), path)
-            assert np.array_equal(u[k], u_k)
-            if path == "both-verify":
-                assert isinstance(disc_k, float) and disc[k] == disc_k
-            else:
-                assert disc is None and disc_k is None
+            assert np.array_equal(u[k], solve_elasticity(s[k], b, grid, params(), path))

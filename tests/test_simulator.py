@@ -22,7 +22,10 @@ from confsim.simulator import (
     save_snapshot,
     write_run,
 )
-from confsim.elasticity import solve_fd
+from confsim import elasticity
+from confsim.elasticity import GreenKernel, solve_fd, solve_green
+from confsim.grid_field import ScalarField
+from confsim.order_parameter import mollify
 
 from conftest import make_config
 
@@ -75,6 +78,46 @@ class TestElasticityPaths:
         result = run(cfg)
         assert result.path_discrepancy_max is not None
         assert result.path_discrepancy_max < max(1e-6, 5.0 * cfg.grid.h**2)
+
+    def test_both_verify_solves_green_once_per_saved_frame(self, monkeypatch):
+        green = elasticity.solve_green
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return green(*args)
+
+        monkeypatch.setattr(elasticity, "solve_green", counting)
+        cfg = make_config(path="both-verify")
+        result = run(cfg)
+        assert cfg.n_steps == 20
+        assert len(calls) == len(result.trajectory.times) == 5
+        calls.clear()
+        sims = [Simulation(cfg), Simulation(replace(cfg, reg=replace(cfg.reg, kappa=0.5)))]
+        march(sims)
+        assert len(calls) == sum(len(sim.times) for sim in sims) == 10
+
+    def test_both_verify_gap_uses_each_frames_mollified_s_and_body_force(self):
+        cfg = make_config(path="both-verify", t_end=2e-3, save_every=1)
+        kernel = GreenKernel(cfg.grid.a, cfg.grid.d)
+        sim = Simulation(cfg)
+        gaps = []
+        for step in range(cfg.n_steps + 1):
+            sim.run(until_step=step)
+            s_moll = ScalarField(cfg.grid, mollify(sim.mollifier, sim.time))
+            u_green = solve_green(kernel, s_moll, cfg.body.evaluate(sim.time, cfg.grid), cfg.material)
+            gaps.append(np.max(np.abs(sim.u - u_green)))
+        assert sim.run().path_discrepancy_max == max(gaps)
+
+    def test_both_verify_run_equals_direct_run(self):
+        cfg = make_config(path="both-verify", t_end=0.01, save_every=3, kappa=0.125)
+        checked = run(cfg)
+        direct = run(replace(cfg, elasticity_path="direct"))
+        assert np.array_equal(checked.trajectory.s_matrix(), direct.trajectory.s_matrix())
+        assert np.array_equal(checked.trajectory.u_matrix(), direct.trajectory.u_matrix())
+        assert checked.report.to_csv_text() == direct.report.to_csv_text()
+        assert checked.elasticity_residual_max == direct.elasticity_residual_max
+        assert direct.path_discrepancy_max is None and checked.path_discrepancy_max > 0.0
 
     def test_green_path_runs(self):
         cfg = make_config(path="green", t_end=1e-3)
