@@ -3,18 +3,22 @@
 ``SimulationConfig`` (with its ``InitialData`` and ``BodyForce`` families)
 and ``StudyConfig`` are the validated schema every layer above this one
 consumes.  The file format is one ``key = value`` pair per line, ``#``
-comments, flat dotted keys.  Parsing is strict: unknown keys are rejected so
-sweep typos cannot silently fall back to defaults.  ``echo_lines`` renders a
-config canonically (every key, sorted, floats at 17 significant digits) and
-re-parsing the echo reproduces an equal config; ``config_digest``, the run
-hash, is taken over that text.
+comments, flat dotted keys.  ``_CATALOG`` is the single table of keys: it
+gives each key's type, its default and the attribute of the built config that
+holds it, and parsing, building and the echo all read it.  Parsing is strict:
+unknown keys are rejected so sweep typos cannot silently fall back to
+defaults, and so are keys the config would not read (material scalars next to
+a tensor family, tensor keys of another family).  ``echo_lines`` renders a
+config canonically (every key it reads, sorted, floats at 17 significant
+digits) and re-parsing the echo reproduces an equal config;
+``config_digest``, the run hash, is taken over that text.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -122,10 +126,10 @@ class SimulationConfig:
     material: MaterialParams
     reg: RegularizationParams
     t_end: float
-    save_every: int = 10
-    elasticity_path: str = "direct"
-    init: InitialData = field(default_factory=InitialData)
-    body: BodyForce = field(default_factory=BodyForce)
+    save_every: int
+    elasticity_path: str
+    init: InitialData
+    body: BodyForce
     tensor_spec: Optional[TensorSpec] = None
 
     def __post_init__(self):
@@ -147,7 +151,8 @@ class SimulationConfig:
         return int(np.ceil(self.t_end / self.reg.dt - 1e-9))
 
     def step_time(self, n: int) -> float:
-        return min(n * self.reg.dt, self.t_end)
+        """Time after step n; the last step lands on t_end exactly, not on n_steps * dt."""
+        return self.t_end if n >= self.n_steps else n * self.reg.dt
 
 
 @dataclass(frozen=True)
@@ -198,58 +203,68 @@ class StudyConfig:
             base,
             grid=grid,
             save_every=base.save_every * tf,
-            reg=RegularizationParams(
-                kappa=kappa,
-                dt=reg.dt / tf,
-                theta=reg.theta,
-                kappa_m=kappa_m,
-                increment_guard=reg.increment_guard,
-            ),
+            reg=replace(reg, kappa=kappa, dt=reg.dt / tf, kappa_m=kappa_m),
         )
 
 
-# key -> (kind, default); None default means "optional, absent unless set"
+# key -> (kind, default, part, field): the value's type, its default (None
+# means "optional, absent unless set") and the attribute of the built config
+# that holds it.  The part is a component of the SimulationConfig ("run" is the
+# SimulationConfig itself) or "study", the StudyConfig.
 _CATALOG = {
-    "grid.a": ("float", 1.0),
-    "grid.d": ("float", 2.0),
-    "grid.n": ("int", 129),
-    "material.c": ("float", 1.0),
-    "material.nu": ("float", 0.1),
-    "material.well_weight": ("float", 1.0),
-    "material.mu": ("float", 2.0),
-    "material.lambda": ("float", 0.2),
-    "material.e": ("float", 0.06),
-    "material.tensor.family": ("str", None),
-    "material.tensor.mu0": ("float", None),
-    "material.tensor.lambda_L": ("float", None),
-    "material.tensor.mu_L": ("float", None),
-    "material.tensor.entries": ("floats", None),
-    "material.misfit": ("floats", None),
-    "material.misfit_iso": ("float", None),
-    "reg.kappa": ("float", 0.25),
-    "reg.kappa_m": ("float", None),
-    "reg.dt": ("float", 2.0e-4),
-    "reg.theta": ("float", 1.0),
-    "reg.increment_guard": ("float", 1.0),
-    "run.t_end": ("float", 0.02),
-    "run.save_every": ("int", 10),
-    "run.elasticity_path": ("str", "direct"),
-    "init.family": ("str", "plateau"),
-    "init.amplitude": ("float", 0.8),
-    "init.support_lo": ("float", 0.3),
-    "init.support_hi": ("float", 0.7),
-    "init.shoulder": ("float", 0.15),
-    "body.family": ("str", "zero"),
-    "body.amplitude": ("float", 0.0),
-    "body.coeffs": ("floats", (0.0,)),
-    "body.rate": ("float", 0.0),
-    "study.kappas": ("floats", None),
-    "study.reference": ("int", -1),
-    "study.h_factor": ("int", 1),
-    "study.dt_factor": ("int", 1),
+    "grid.a": ("float", 1.0, "grid", "a"),
+    "grid.d": ("float", 2.0, "grid", "d"),
+    "grid.n": ("int", 129, "grid", "n"),
+    "material.c": ("float", 1.0, "material", "c"),
+    "material.nu": ("float", 0.1, "material", "nu"),
+    "material.well_weight": ("float", 1.0, "material", "well_weight"),
+    "material.mu": ("float", 2.0, "material", "mu"),
+    "material.lambda": ("float", 0.2, "material", "lam"),
+    "material.e": ("float", 0.06, "material", "e"),
+    "material.tensor.family": ("str", None, "tensor_spec", "family"),
+    "material.tensor.mu0": ("float", None, "tensor_spec", "mu0"),
+    "material.tensor.lambda_L": ("float", None, "tensor_spec", "lambda_l"),
+    "material.tensor.mu_L": ("float", None, "tensor_spec", "mu_l"),
+    "material.tensor.entries": ("floats", None, "tensor_spec", "entries"),
+    "material.misfit": ("floats", None, "tensor_spec", "misfit"),
+    "material.misfit_iso": ("float", None, "tensor_spec", "misfit_iso"),
+    "reg.kappa": ("float", 0.25, "reg", "kappa"),
+    "reg.kappa_m": ("float", None, "reg", "kappa_m"),
+    "reg.dt": ("float", 2.0e-4, "reg", "dt"),
+    "reg.theta": ("float", 1.0, "reg", "theta"),
+    "reg.increment_guard": ("float", 1.0, "reg", "increment_guard"),
+    "run.t_end": ("float", 0.02, "run", "t_end"),
+    "run.save_every": ("int", 10, "run", "save_every"),
+    "run.elasticity_path": ("str", "direct", "run", "elasticity_path"),
+    "init.family": ("str", "plateau", "init", "family"),
+    "init.amplitude": ("float", 0.8, "init", "amplitude"),
+    "init.support_lo": ("float", 0.3, "init", "support_lo"),
+    "init.support_hi": ("float", 0.7, "init", "support_hi"),
+    "init.shoulder": ("float", 0.15, "init", "shoulder"),
+    "body.family": ("str", "zero", "body", "family"),
+    "body.amplitude": ("float", 0.0, "body", "amplitude"),
+    "body.coeffs": ("floats", (0.0,), "body", "coeffs"),
+    "body.rate": ("float", 0.0, "body", "rate"),
+    "study.kappas": ("floats", None, "study", "kappas"),
+    "study.reference": ("int", -1, "study", "reference"),
+    "study.h_factor": ("int", 1, "study", "h_factor"),
+    "study.dt_factor": ("int", 1, "study", "dt_factor"),
 }
 
+# derived from the tensor when a tensor family is given, so not set then
 _SCALAR_MATERIAL_KEYS = ("material.mu", "material.lambda", "material.e")
+
+# the tensor keys each family reads; a family's config may set no other
+_FAMILY_KEYS = {
+    "diagonal": ("material.tensor.mu0",),
+    "isotropic": ("material.tensor.lambda_L", "material.tensor.mu_L"),
+    "entries": ("material.tensor.entries",),
+}
+
+
+def _unread_tensor_keys(family: str) -> list[str]:
+    """The tensor keys that ``family`` does not read: those of the other families."""
+    return [key for fam, keys in _FAMILY_KEYS.items() if fam != family for key in keys]
 
 
 def _convert(key: str, raw: str):
@@ -310,49 +325,46 @@ def apply_overrides(raw: dict, overrides) -> dict:
     return out
 
 
+def _part_kwargs(raw: dict, part: str, skip=()) -> dict:
+    """Constructor arguments of one part: its keys' set values or their defaults."""
+    out = {}
+    for key, (_, default, key_part, attr) in _CATALOG.items():
+        if key_part == part and key not in skip:
+            value = raw.get(key, default)
+            if value is not None:
+                out[attr] = value
+    return out
+
+
 def _build_material(raw: dict) -> tuple[MaterialParams, Optional[TensorSpec]]:
-    c = raw.get("material.c", _CATALOG["material.c"][1])
-    nu = raw.get("material.nu", _CATALOG["material.nu"][1])
-    ww = raw.get("material.well_weight", _CATALOG["material.well_weight"][1])
     family = raw.get("material.tensor.family")
     if family is None:
-        for key in ("material.tensor.mu0", "material.tensor.lambda_L", "material.tensor.mu_L",
-                    "material.tensor.entries", "material.misfit", "material.misfit_iso"):
-            if key in raw:
+        for key, (_, _, part, _) in _CATALOG.items():
+            if part == "tensor_spec" and key in raw:
                 raise ValidationError("tensor_spec", f"{key} requires material.tensor.family")
         try:
-            params = MaterialParams(
-                c=c,
-                nu=nu,
-                mu=raw.get("material.mu", _CATALOG["material.mu"][1]),
-                lam=raw.get("material.lambda", _CATALOG["material.lambda"][1]),
-                e=raw.get("material.e", _CATALOG["material.e"][1]),
-                well_weight=ww,
-            )
+            return MaterialParams(**_part_kwargs(raw, "material")), None
         except ValueError as exc:
             raise ValidationError("material", str(exc)) from exc
-        return params, None
     for key in _SCALAR_MATERIAL_KEYS:
         if key in raw:
             raise ValidationError(
                 "tensor_spec", f"{key} conflicts with material.tensor.family; scalars are derived"
             )
+    if family in _FAMILY_KEYS:  # an unknown family is named by TensorSpec.build
+        for key in _unread_tensor_keys(family):
+            if key in raw:
+                raise ValidationError("tensor_spec", f"{key} is not read by tensor family {family!r}")
     if ("material.misfit" in raw) == ("material.misfit_iso" in raw):
         raise ValidationError(
             "tensor_spec", "tensor family needs exactly one of material.misfit / material.misfit_iso"
         )
-    spec = TensorSpec(
-        family=family,
-        mu0=raw.get("material.tensor.mu0", 0.0),
-        lambda_l=raw.get("material.tensor.lambda_L", 0.0),
-        mu_l=raw.get("material.tensor.mu_L", 0.0),
-        entries=raw.get("material.tensor.entries"),
-        misfit=raw.get("material.misfit"),
-        misfit_iso=raw.get("material.misfit_iso"),
-    )
+    spec = TensorSpec(**_part_kwargs(raw, "tensor_spec"))
     try:
         tensor, misfit = spec.build()
-        params = MaterialParams.from_tensors(tensor, misfit, c=c, nu=nu, well_weight=ww)
+        params = MaterialParams.from_tensors(
+            tensor, misfit, **_part_kwargs(raw, "material", skip=_SCALAR_MATERIAL_KEYS)
+        )
     except AssumptionViolated as exc:
         failed = [cond.name for cond in exc.report.conditions if not cond.passed]
         raise ValidationError(
@@ -365,49 +377,24 @@ def _build_material(raw: dict) -> tuple[MaterialParams, Optional[TensorSpec]]:
 
 def build_config(raw: dict):
     """Typed, fully validated config from raw pairs; study keys switch the type."""
-
-    def get(key):
-        return raw.get(key, _CATALOG[key][1])
-
     try:
-        grid = Grid(a=get("grid.a"), d=get("grid.d"), n=get("grid.n"))
+        grid = Grid(**_part_kwargs(raw, "grid"))
     except ValueError as exc:
         raise ValidationError("grid", str(exc)) from exc
     material, tensor_spec = _build_material(raw)
     try:
-        reg = RegularizationParams(
-            kappa=get("reg.kappa"),
-            dt=get("reg.dt"),
-            theta=get("reg.theta"),
-            kappa_m=raw.get("reg.kappa_m"),
-            increment_guard=get("reg.increment_guard"),
-        )
+        reg = RegularizationParams(**_part_kwargs(raw, "reg"))
     except ValueError as exc:
         raise ValidationError("regularization", str(exc)) from exc
     try:
-        init = InitialData(
-            family=get("init.family"),
-            amplitude=get("init.amplitude"),
-            support_lo=get("init.support_lo"),
-            support_hi=get("init.support_hi"),
-            shoulder=get("init.shoulder"),
-        )
-        body = BodyForce(
-            family=get("body.family"),
-            amplitude=get("body.amplitude"),
-            coeffs=get("body.coeffs"),
-            rate=get("body.rate"),
-        )
         sim = SimulationConfig(
             grid=grid,
             material=material,
             reg=reg,
-            t_end=get("run.t_end"),
-            save_every=get("run.save_every"),
-            elasticity_path=get("run.elasticity_path"),
-            init=init,
-            body=body,
+            init=InitialData(**_part_kwargs(raw, "init")),
+            body=BodyForce(**_part_kwargs(raw, "body")),
             tensor_spec=tensor_spec,
+            **_part_kwargs(raw, "run"),
         )
     except ValueError as exc:
         raise ValidationError("config", str(exc)) from exc
@@ -416,13 +403,7 @@ def build_config(raw: dict):
         if "study.kappas" not in raw:
             raise ValidationError("study", "study config requires study.kappas")
         try:
-            return StudyConfig(
-                base=sim,
-                kappas=raw["study.kappas"],
-                reference=get("study.reference"),
-                h_factor=get("study.h_factor"),
-                dt_factor=get("study.dt_factor"),
-            )
+            return StudyConfig(base=sim, **_part_kwargs(raw, "study"))
         except (ValueError, IndexError) as exc:
             raise ValidationError("study", str(exc)) from exc
     return sim
@@ -447,63 +428,24 @@ def _fmt(kind: str, value) -> str:
 
 
 def echo_lines(config) -> list[str]:
-    """Canonical rendering: every applicable key, sorted, defaults resolved."""
-    if isinstance(config, StudyConfig):
-        pairs = _echo_pairs(config.base)
-        pairs["study.kappas"] = ("floats", config.kappas)
-        pairs["study.reference"] = ("int", config.reference)
-        pairs["study.h_factor"] = ("int", config.h_factor)
-        pairs["study.dt_factor"] = ("int", config.dt_factor)
-    else:
-        pairs = _echo_pairs(config)
-    return [f"{key} = {_fmt(kind, value)}" for key, (kind, value) in sorted(pairs.items())]
-
-
-def _echo_pairs(sim: SimulationConfig) -> dict:
-    pairs = {
-        "grid.a": ("float", sim.grid.a),
-        "grid.d": ("float", sim.grid.d),
-        "grid.n": ("int", sim.grid.n),
-        "material.c": ("float", sim.material.c),
-        "material.nu": ("float", sim.material.nu),
-        "material.well_weight": ("float", sim.material.well_weight),
-        "reg.kappa": ("float", sim.reg.kappa),
-        "reg.kappa_m": ("float", sim.reg.kappa_m),
-        "reg.dt": ("float", sim.reg.dt),
-        "reg.theta": ("float", sim.reg.theta),
-        "reg.increment_guard": ("float", sim.reg.increment_guard),
-        "run.t_end": ("float", sim.t_end),
-        "run.save_every": ("int", sim.save_every),
-        "run.elasticity_path": ("str", sim.elasticity_path),
-        "init.family": ("str", sim.init.family),
-        "init.amplitude": ("float", sim.init.amplitude),
-        "init.support_lo": ("float", sim.init.support_lo),
-        "init.support_hi": ("float", sim.init.support_hi),
-        "init.shoulder": ("float", sim.init.shoulder),
-        "body.family": ("str", sim.body.family),
-        "body.amplitude": ("float", sim.body.amplitude),
-        "body.coeffs": ("floats", sim.body.coeffs),
-        "body.rate": ("float", sim.body.rate),
-    }
+    """Canonical rendering: every key the config reads, sorted, defaults resolved."""
+    study = config if isinstance(config, StudyConfig) else None
+    sim = config.base if study is not None else config
     spec = sim.tensor_spec
-    if spec is None:
-        pairs["material.mu"] = ("float", sim.material.mu)
-        pairs["material.lambda"] = ("float", sim.material.lam)
-        pairs["material.e"] = ("float", sim.material.e)
-    else:
-        pairs["material.tensor.family"] = ("str", spec.family)
-        if spec.family == "diagonal":
-            pairs["material.tensor.mu0"] = ("float", spec.mu0)
-        elif spec.family == "isotropic":
-            pairs["material.tensor.lambda_L"] = ("float", spec.lambda_l)
-            pairs["material.tensor.mu_L"] = ("float", spec.mu_l)
-        else:
-            pairs["material.tensor.entries"] = ("floats", spec.entries)
-        if spec.misfit_iso is not None:
-            pairs["material.misfit_iso"] = ("float", spec.misfit_iso)
-        else:
-            pairs["material.misfit"] = ("floats", spec.misfit)
-    return pairs
+    parts = {
+        "grid": sim.grid, "material": sim.material, "tensor_spec": spec, "reg": sim.reg,
+        "init": sim.init, "body": sim.body, "run": sim, "study": study,
+    }
+    unread = () if spec is None else (*_SCALAR_MATERIAL_KEYS, *_unread_tensor_keys(spec.family))
+    lines = []
+    for key in sorted(_CATALOG):
+        kind, _, part, attr = _CATALOG[key]
+        if parts[part] is None or key in unread:
+            continue
+        value = getattr(parts[part], attr)
+        if value is not None:  # the misfit form that was not given
+            lines.append(f"{key} = {_fmt(kind, value)}")
+    return lines
 
 
 def config_echo(config) -> str:

@@ -1,9 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from confsim.cli import main
 from confsim.config import (
+    _CATALOG,
+    BodyForce,
     ConfigInvalid,
+    InitialData,
     ParseError,
     SimulationConfig,
     StudyConfig,
@@ -13,7 +18,9 @@ from confsim.config import (
     default_config,
     echo_lines,
     parse_config_text,
+    parse_pairs,
 )
+from confsim.material import ElasticityTensor, TensorSpec
 from confsim.simulator import load_run
 
 FAST = [
@@ -22,6 +29,72 @@ FAST = [
     "reg.dt = 2e-4",
     "run.save_every = 2",
 ]
+
+
+DIAGONAL = [
+    "material.tensor.family = diagonal",
+    "material.tensor.mu0 = 2",
+    "material.misfit_iso = 0.1",
+]
+ENTRIES = " ".join(str(v) for v in ElasticityTensor.diagonal_family(1.5).entries.ravel())
+STUDY = ["study.kappas = 0.5 0.25"]
+
+# a valid non-default value of each catalog key, then the keys that value needs
+CATALOG_CASES = {
+    "grid.a": ["grid.a = 0.5"],
+    "grid.d": ["grid.d = 3"],
+    "grid.n": ["grid.n = 65"],
+    "material.c": ["material.c = 1.5"],
+    "material.nu": ["material.nu = 0.2"],
+    "material.well_weight": ["material.well_weight = 0.5"],
+    "material.mu": ["material.mu = 3"],
+    "material.lambda": ["material.lambda = 0.37"],
+    "material.e": ["material.e = 0.1"],
+    "material.tensor.family": DIAGONAL,
+    "material.tensor.mu0": [
+        "material.tensor.mu0 = 2.5", "material.tensor.family = diagonal", "material.misfit_iso = 0.1",
+    ],
+    "material.tensor.entries": [
+        f"material.tensor.entries = {ENTRIES}", "material.tensor.family = entries",
+        "material.misfit_iso = 0.1",
+    ],
+    "material.misfit": [
+        "material.misfit = 0.1 0 0 0 0.1 0 0 0 0.1", "material.tensor.family = diagonal",
+        "material.tensor.mu0 = 2",
+    ],
+    "material.misfit_iso": [
+        "material.misfit_iso = 0.2", "material.tensor.family = diagonal", "material.tensor.mu0 = 2",
+    ],
+    "reg.kappa": ["reg.kappa = 0.125"],
+    "reg.kappa_m": ["reg.kappa_m = 0.01"],
+    "reg.dt": ["reg.dt = 1e-4"],
+    "reg.theta": ["reg.theta = 0.6"],
+    "reg.increment_guard": ["reg.increment_guard = 0.5"],
+    "run.t_end": ["run.t_end = 0.01"],
+    "run.save_every": ["run.save_every = 3"],
+    "run.elasticity_path": ["run.elasticity_path = both-verify"],
+    "init.family": ["init.family = bump"],
+    "init.amplitude": ["init.amplitude = 0.5"],
+    "init.support_lo": ["init.support_lo = 0.2"],
+    "init.support_hi": ["init.support_hi = 0.8"],
+    "init.shoulder": ["init.shoulder = 0.1"],
+    "body.family": ["body.family = constant"],
+    "body.amplitude": ["body.amplitude = 0.3"],
+    "body.coeffs": ["body.coeffs = 0.1 0.2 -0.3", "body.family = poly"],
+    "body.rate": ["body.rate = 2", "body.family = ramp"],
+    "study.kappas": ["study.kappas = 0.5 0.25 0.125"],
+    "study.reference": ["study.reference = 0", *STUDY],
+    "study.h_factor": ["study.h_factor = 2", *STUDY],
+    "study.dt_factor": ["study.dt_factor = 2", *STUDY],
+}
+# the keys each tensor family reads, with values it accepts
+FAMILY_LINES = {
+    "diagonal": ["material.tensor.mu0 = 2"],
+    "isotropic": ["material.tensor.lambda_L = 0", "material.tensor.mu_L = 1"],
+    "entries": [f"material.tensor.entries = {ENTRIES}"],
+}
+# no isotropic tensor passes the structural conditions, so no parsed config sets these
+ISOTROPIC_KEYS = ("material.tensor.lambda_L", "material.tensor.mu_L")
 
 
 def write_config(tmp_path, lines, name="case.cfg"):
@@ -40,6 +113,8 @@ class TestParsing:
         assert cfg.reg.kappa_m == 0.25
         assert cfg.material.mu == 2.0
         assert cfg.elasticity_path == "direct"
+        # the families' own defaults are the catalog's
+        assert (cfg.init, cfg.body) == (InitialData(), BodyForce())
 
     def test_comments_and_blanks(self):
         cfg = parse_config_text("# comment\n\ngrid.n = 65  # trailing\n")
@@ -136,6 +211,41 @@ class TestEchoRoundTrip:
         cfg = default_config()
         assert config_digest(cfg) == config_digest(parse_config_text(config_echo(cfg)))
 
+    def test_digest_is_pinned(self):
+        # the echo bytes are a run's identity in meta.txt: changing them is a format change
+        assert config_digest(default_config()) == (
+            "2abd8742983fa921fb664ea17af9e40cf20103130bfda606172e28c0c408740c"
+        )
+        assert config_digest(parse_config_text("\n".join(DIAGONAL))) == (
+            "e7f90c9b25efade993ea936e40cbbb0e73ca949fd353ad17f7b01c44291fdda1"
+        )
+
+
+class TestCatalog:
+    @pytest.mark.parametrize("key", sorted(set(_CATALOG) - set(ISOTROPIC_KEYS)))
+    def test_key_is_echoed_and_round_trips(self, key):
+        lines = CATALOG_CASES[key]
+        given = parse_pairs("\n".join(lines))
+        assert given[key] != _CATALOG[key][1]
+        cfg = parse_config_text("\n".join(lines))
+        echoed = parse_pairs(config_echo(cfg))
+        assert echoed[key] == given[key]
+        # every other echoed key reads back as set or as its default
+        expected = {k: given.get(k, default) for k, (_, default, _, _) in _CATALOG.items()}
+        known = [k for k in echoed if expected[k] is not None]
+        assert {k: echoed[k] for k in known} == {k: expected[k] for k in known}
+        assert parse_config_text(config_echo(cfg)) == cfg
+
+    def test_isotropic_keys_are_echoed(self):
+        spec = TensorSpec("isotropic", lambda_l=0.5, mu_l=0.75, misfit_iso=0.1)
+        cfg = replace(parse_config_text("\n".join(DIAGONAL)), tensor_spec=spec)
+        lines = echo_lines(cfg)
+        assert "material.tensor.lambda_L = 0.5" in lines
+        assert "material.tensor.mu_L = 0.75" in lines
+        assert not any(line.startswith("material.tensor.mu0") for line in lines)
+        with pytest.raises(ValidationError, match="structural conditions"):
+            parse_config_text(config_echo(cfg))
+
 
 class TestTensorValidation:
     def test_isotropic_fails_structural_conditions(self):
@@ -151,6 +261,34 @@ class TestTensorValidation:
     def test_scalar_keys_conflict_with_tensor(self):
         text = "material.tensor.family = diagonal\nmaterial.tensor.mu0 = 1\nmaterial.misfit_iso = 0.1\nmaterial.mu = 3\n"
         with pytest.raises(ValidationError, match="conflicts"):
+            parse_config_text(text)
+
+    @pytest.mark.parametrize(
+        "family, foreign",
+        [
+            pytest.param(family, line, id=f"{family}-{line.split(' = ')[0]}")
+            for family in FAMILY_LINES
+            for other, lines in FAMILY_LINES.items()
+            if other != family
+            for line in lines
+        ],
+    )
+    def test_key_of_another_family_exits_one(self, tmp_path, capsys, family, foreign):
+        lines = [f"material.tensor.family = {family}", *FAMILY_LINES[family], "material.misfit_iso = 0.1"]
+        cfg_path = write_config(tmp_path, lines + [foreign])
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        key = foreign.split(" = ")[0]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: tensor_spec: {key} is not read by tensor family '{family}'"
+        ]
+        assert not (tmp_path / "out").exists()
+        if family != "isotropic":  # no isotropic tensor passes the structural conditions
+            cfg = parse_config_text("\n".join(lines))
+            assert parse_config_text(config_echo(cfg)) == cfg
+
+    def test_unknown_family_is_named_before_foreign_keys(self):
+        text = "material.tensor.family = cubic\nmaterial.tensor.lambda_L = 1\nmaterial.misfit_iso = 0.1\n"
+        with pytest.raises(ValidationError, match="unknown tensor family 'cubic'"):
             parse_config_text(text)
 
     def test_misfit_required(self):

@@ -60,6 +60,15 @@ class TestTrajectoryContract:
             assert np.all(np.isfinite(frames))
             assert np.all(frames[:, [0, -1]] == 0.0)
 
+    def test_last_frame_lands_on_t_end(self):
+        # 100 * 7e-4 is 0.06999999999999999 in floating point, one ulp short of t_end
+        cfg = make_config(n=17, dt=7e-4, t_end=0.07, save_every=50)
+        assert cfg.n_steps == 100
+        assert cfg.step_time(cfg.n_steps) == cfg.t_end
+        traj = run(cfg).trajectory
+        traj.validate(t_end=cfg.t_end)
+        assert list(traj.times) == [0.0, 50 * 7e-4, 0.07]
+
     def test_saved_u_frames_satisfy_discrete_equation(self, desk_config):
         result = run(desk_config)
         assert result.elasticity_residual_max < 1e-10
