@@ -22,7 +22,7 @@ from .config import (
 )
 from .diagnostics import NonFiniteReport
 from .elasticity import GreenKernel
-from .grid_field import FieldFileError
+from .grid_field import FieldFileError, csv_text
 from .reduction3d import RadialLift, random_shell_points, residual_elasticity_3d, residual_order_3d
 from .simulator import Simulation, load_run, write_run
 from .studies import (
@@ -30,6 +30,7 @@ from .studies import (
 )
 
 _INPUT_ERRORS = (ParseError, ValidationError, ConfigInvalid, FieldFileError, OSError)
+_REFINEMENT_COLUMNS = ("kappa", "h", "dt", "weak_residual_max")
 
 
 def _load(args, want) -> object:
@@ -85,15 +86,15 @@ def _cmd_study(args) -> int:
     if study.is_refinement:
         results = run_members(study)
         terminations = [member_termination(res) for res in results]
-        lines = ["kappa,h,dt,weak_residual_max"]
+        rows = []
         print("kappa      h           dt          weak_res")
         for i, res in enumerate(results):
             cfg = study.member_config(i)
             wr = member_weak_residual(res)
             tag = _rejected_tag(terminations[i])
             print(f"{cfg.reg.kappa:<10.5g} {cfg.grid.h:<11.5g} {cfg.reg.dt:<11.5g} {wr:.4e}{tag}")
-            lines.append(f"{cfg.reg.kappa:.17g},{cfg.grid.h:.17g},{cfg.reg.dt:.17g},{wr:.17g}")
-        (out / "refinement.csv").write_text("\n".join(lines) + "\n")
+            rows.append((cfg.reg.kappa, cfg.grid.h, cfg.reg.dt, wr))
+        (out / "refinement.csv").write_text(csv_text(_REFINEMENT_COLUMNS, list(zip(*rows))))
         return _members_exit(terminations)
     result = run_study(study)
     write_study_csv(out / "study.csv", result)

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid_field import FLOAT_FMT, Grid
+from .grid_field import FLOAT_SLOT, Grid
 from .material import AssumptionViolated, MaterialParams, TensorSpec
 from .order_parameter import MAX_STEPS, RegularizationParams
 
@@ -421,9 +421,9 @@ def parse_config(path, overrides=None):
 
 def _fmt(kind: str, value) -> str:
     if kind == "float":
-        return FLOAT_FMT.format(value)
+        return FLOAT_SLOT % value
     if kind == "floats":
-        return " ".join(FLOAT_FMT.format(v) for v in value)
+        return " ".join(FLOAT_SLOT % v for v in value)
     return str(value)
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .grid_field import (
-    FLOAT_SLOT, Grid, Trajectory, d1, d2, norm_l2, norm_lp_time_lq_space, space_norms, trapezoid,
+    Grid, Trajectory, csv_text, d1, d2, norm_l2, norm_lp_time_lq_space, space_norms, trapezoid,
 )
 from .material import MaterialParams
 from .order_parameter import driving_force, smoothed_abs, smoothed_abs_primitive
@@ -66,6 +66,22 @@ class NonFiniteReport(ValueError):
     """A monitor series holds inf or nan: the run overflowed."""
 
 
+# The columns of diagnostics.csv in file order, (csv name, report attribute); the
+# (frames, m) weak-residual table fills the m columns weak_res_1 .. weak_res_m.
+_COLUMNS = (
+    ("time", "times"),
+    ("max_abs_S", "max_abs_s"),
+    ("grad_norm_sq", "grad_norm_sq"),
+    ("dissipation", "dissipation"),
+    ("St_L43", "st_l43"),
+    ("Sx_L83_Linf", "sx_l83_linf"),
+    ("flux_grad_L43", "flux_grad_l43"),
+    ("primitive_W14_L43", "primitive_w14_l43"),
+    ("weak_res_", "weak_residuals"),
+    ("elasticity_cross_check", "cross_check"),
+)
+
+
 @dataclass
 class DiagnosticsReport:
     times: np.ndarray
@@ -81,16 +97,9 @@ class DiagnosticsReport:
 
     def validate(self):
         nt = len(self.times)
-        for name in (
-            "max_abs_s",
-            "grad_norm_sq",
-            "dissipation",
-            "st_l43",
-            "sx_l83_linf",
-            "flux_grad_l43",
-            "primitive_w14_l43",
-            "cross_check",
-        ):
+        for _, name in _COLUMNS[1:]:
+            if name == "weak_residuals":
+                continue
             series = getattr(self, name)
             if len(series) != nt:
                 raise ValueError(f"series {name} has wrong length")
@@ -114,34 +123,15 @@ class DiagnosticsReport:
         return float(np.max(np.abs(self.weak_residuals[-1])))
 
     def to_csv_text(self) -> str:
-        n_phi = self.weak_residuals.shape[1]
-        header = [
-            "time",
-            "max_abs_S",
-            "grad_norm_sq",
-            "dissipation",
-            "St_L43",
-            "Sx_L83_Linf",
-            "flux_grad_L43",
-            "primitive_W14_L43",
-        ]
-        header += [f"weak_res_{m + 1}" for m in range(n_phi)]
-        header.append("elasticity_cross_check")
-        columns = [
-            self.times,
-            self.max_abs_s,
-            self.grad_norm_sq,
-            self.dissipation,
-            self.st_l43,
-            self.sx_l83_linf,
-            self.flux_grad_l43,
-            self.primitive_w14_l43,
-            *self.weak_residuals.T,
-            self.cross_check,
-        ]
-        row = ",".join([FLOAT_SLOT] * len(columns)) + "\n"
-        rows = zip(*(c.tolist() for c in columns))
-        return ",".join(header) + "\n" + "".join(row % values for values in rows)
+        header, columns = [], []
+        for name, attr in _COLUMNS:
+            if attr == "weak_residuals":
+                header += [f"{name}{m + 1}" for m in range(self.weak_residuals.shape[1])]
+                columns += list(self.weak_residuals.T)
+            else:
+                header.append(name)
+                columns.append(getattr(self, attr))
+        return csv_text(header, columns)
 
 
 def primitive_field(s: np.ndarray, h: float, kappa: float) -> np.ndarray:

@@ -230,23 +230,30 @@ def norm_lp_time_lq_space(times: np.ndarray, values: np.ndarray, h: float, p: fl
     return float(trapezoid(per_frame**p, times)) ** (1.0 / p)
 
 
-FLOAT_FMT = "{:.17g}"
-# The same text for the % operator: FLOAT_SLOT % v == FLOAT_FMT.format(v) for
-# every float, nan, inf and -0.0 included.
+# Every float confsim writes, for the % operator: 17 significant digits read
+# back bit for bit, and nan, inf and -0.0 keep their text.
 FLOAT_SLOT = "%.17g"
+
+
+def csv_text(header, columns) -> str:
+    """A CSV table: the header line, then one ``FLOAT_SLOT`` row per entry of the equal-length ``columns``."""
+    row = ",".join([FLOAT_SLOT] * len(columns)) + "\n"
+    # an array's values as Python numbers, which % formats faster than numpy scalars
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns), strict=True)
+    return ",".join(header) + "\n" + "".join(row % values for values in rows)
 
 
 @lru_cache(maxsize=8)
 def _field_template(grid: Grid) -> str:
     """Body of a field file as a %-template: the x column written out, a slot per value."""
-    return "".join(f"{FLOAT_FMT.format(x)},{FLOAT_SLOT}\n" for x in grid.x.tolist())
+    return "".join(f"{FLOAT_SLOT % x},{FLOAT_SLOT}\n" for x in grid.x.tolist())
 
 
 def save_field(path, f: ScalarField, t: float):
     """Two-column text (x, value) with the frame time in the header."""
     body = _field_template(f.grid) % tuple(f.values.tolist())
     with open(path, "w") as fh:
-        fh.write(f"# t = {FLOAT_FMT.format(t)}\nx,value\n{body}")
+        fh.write(f"# t = {FLOAT_SLOT % t}\nx,value\n{body}")
 
 
 def load_field(path, grid: Grid | None = None) -> tuple[ScalarField, float]:

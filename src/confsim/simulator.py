@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -23,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import diagnostics, elasticity
-from .grid_field import FLOAT_FMT, FieldFileError, ScalarField, Trajectory, d1, load_field, save_field
+from .grid_field import FLOAT_SLOT, FieldFileError, ScalarField, Trajectory, csv_text, d1, load_field, save_field
 from .order_parameter import MollifierState, StepRejected, driving_force, mollify, semi_implicit_step
 from .elasticity import GreenKernel, fd_residual, elastic_rhs, solve_elasticity
 # BodyForce is not used here by name: bench/tracer.py reaches it as simulator.BodyForce.
@@ -284,18 +285,24 @@ def load_snapshot(path, config: SimulationConfig) -> Simulation:
 
 
 def write_run(out_dir, result: RunResult):
-    """Persist frames, diagnostics and metadata under ``out_dir``."""
+    """Persist frames, diagnostics and metadata under ``out_dir``, over any earlier run there."""
     out = Path(out_dir)
     frames = out / "frames"
     frames.mkdir(parents=True, exist_ok=True)
     traj = result.trajectory
-    index_lines = ["k,step,time"]
     # frame paths as strings: a Path per file costs as much as formatting it
-    for k, (t, s, u, step) in enumerate(zip(traj.times, traj.s_frames, traj.u_frames, traj.steps)):
+    for k, (t, s, u) in enumerate(zip(traj.times, traj.s_frames, traj.u_frames)):
         save_field(f"{frames}/S_{k:06d}.csv", s, t)
         save_field(f"{frames}/u_{k:06d}.csv", u, t)
-        index_lines.append(f"{k},{step},{FLOAT_FMT.format(t)}")
-    (frames / "index.csv").write_text("\n".join(index_lines) + "\n")
+    # a longer run written here before left frames k >= K, one block as every write makes 0..K-1
+    k = len(traj.times)
+    while any(os.path.exists(f"{frames}/{p}_{k:06d}.csv") for p in "Su"):
+        for p in "Su":
+            Path(f"{frames}/{p}_{k:06d}.csv").unlink(missing_ok=True)
+        k += 1
+    # k and step are integers, which csv_text writes without a point
+    index = csv_text(("k", "step", "time"), (range(len(traj.times)), traj.steps, traj.times))
+    (frames / "index.csv").write_text(index)
     (out / "diagnostics.csv").write_text(result.report.to_csv_text())
     meta = [
         "# confsim run metadata",
@@ -303,7 +310,7 @@ def write_run(out_dir, result: RunResult):
         f"termination = {result.termination.status}",
     ]
     if result.termination.fail_time is not None:
-        meta.append(f"fail_time = {FLOAT_FMT.format(result.termination.fail_time)}")
+        meta.append(f"fail_time = {FLOAT_SLOT % result.termination.fail_time}")
     meta.append("[config]")
     meta.append(config_echo(result.config).rstrip("\n"))
     (out / "meta.txt").write_text("\n".join(meta) + "\n")

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid_field import FLOAT_FMT, Grid, Trajectory, norm_lp_time_lq_space
+from .grid_field import Grid, Trajectory, csv_text, norm_lp_time_lq_space
 from .material import MaterialParams
 from .order_parameter import RegularizationParams, semi_implicit_step
 from .elasticity import solve_fd
@@ -145,24 +145,13 @@ def run_study(study: StudyConfig) -> StudyResult:
     return StudyResult(rows, decreasing)
 
 
+# The columns of study.csv in file order, each the StudyRow field of its name in lower case.
+_STUDY_COLUMNS = ("kappa", "h", "dt", "D_kappa", "max_principle_margin", "sup_energy", "weak_residual_max")
+
+
 def write_study_csv(path, result: StudyResult):
-    lines = ["kappa,h,dt,D_kappa,max_principle_margin,sup_energy,weak_residual_max"]
-    for r in result.rows:
-        lines.append(
-            ",".join(
-                FLOAT_FMT.format(v)
-                for v in (
-                    r.kappa,
-                    r.h,
-                    r.dt,
-                    r.d_kappa,
-                    r.max_principle_margin,
-                    r.sup_energy,
-                    r.weak_residual_max,
-                )
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = [[getattr(r, field) for r in result.rows] for field in map(str.lower, _STUDY_COLUMNS)]
+    Path(path).write_text(csv_text(_STUDY_COLUMNS, columns))
 
 
 def halving_study(base: SimulationConfig, levels: int) -> StudyConfig:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
 from confsim import diagnostics
-from confsim.grid_field import FLOAT_FMT, Grid, ScalarField, Trajectory, d1, d2, norm_lp_time_lq_space
+from confsim.grid_field import Grid, ScalarField, Trajectory, d1, d2, norm_lp_time_lq_space
 from confsim.material import MaterialParams
 from confsim.order_parameter import (
     RegularizationParams,
@@ -395,6 +395,9 @@ class TestWeakResidual:
         base = make_config(n=33, kappa=1.0, dt=4e-4, t_end=0.02, save_every=2, amplitude=0.5)
         values = weak_residual_refinement(base, levels=2)
         assert values[1] < values[0]
+
+
+FLOAT_FMT = "{:.17g}"
 
 
 def reference_csv_text(report):

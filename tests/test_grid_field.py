@@ -10,7 +10,6 @@ from scipy import integrate
 from scipy.linalg import solve_banded
 
 from confsim.grid_field import (
-    FLOAT_FMT,
     FieldFileError,
     Grid,
     ScalarField,
@@ -259,6 +258,9 @@ class TestTridiagSolve:
     def test_singular_matrix_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
             tridiag_solve(np.zeros(2), np.array([1.0, 0.0, 1.0]), np.zeros(2), np.ones(3))
+
+
+FLOAT_FMT = "{:.17g}"
 
 
 def reference_save_field(path, f, t):

@@ -1,0 +1,194 @@
+"""Every CSV table confsim writes goes through ``grid_field.csv_text``.
+
+The writers each table had before are kept here as references, and the
+files written today must match them byte for byte: ``diagnostics.csv``,
+``frames/index.csv``, ``study.csv`` and ``refinement.csv``.
+"""
+
+import dataclasses
+import itertools
+import math
+import os
+
+import numpy as np
+import pytest
+
+from confsim import diagnostics
+from confsim.cli import main
+from confsim.config import parse_config, parse_config_text
+from confsim.diagnostics import DiagnosticsReport, NonFiniteReport
+from confsim.grid_field import csv_text
+from confsim.simulator import load_run, run, write_run
+from confsim.studies import member_weak_residual, run_members, run_study, write_study_csv
+
+from conftest import make_config
+
+FMT = "{:.17g}"
+
+
+def reference_diagnostics_csv(report):
+    """The hand-listed DiagnosticsReport.to_csv_text that the column table replaced."""
+    n_phi = report.weak_residuals.shape[1]
+    header = ["time", "max_abs_S", "grad_norm_sq", "dissipation", "St_L43", "Sx_L83_Linf",
+              "flux_grad_L43", "primitive_W14_L43"]
+    header += [f"weak_res_{m + 1}" for m in range(n_phi)]
+    header.append("elasticity_cross_check")
+    columns = [
+        report.times, report.max_abs_s, report.grad_norm_sq, report.dissipation, report.st_l43,
+        report.sx_l83_linf, report.flux_grad_l43, report.primitive_w14_l43,
+        *report.weak_residuals.T, report.cross_check,
+    ]
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = zip(*(c.tolist() for c in columns))
+    return ",".join(header) + "\n" + "".join(row % values for values in rows)
+
+
+def reference_validate(report):
+    """The hand-listed DiagnosticsReport.validate that the column table replaced."""
+    nt = len(report.times)
+    for name in ("max_abs_s", "grad_norm_sq", "dissipation", "st_l43", "sx_l83_linf", "flux_grad_l43",
+                 "primitive_w14_l43", "cross_check"):
+        series = getattr(report, name)
+        if len(series) != nt:
+            raise ValueError(f"series {name} has wrong length")
+        if not np.all(np.isfinite(series)):
+            raise NonFiniteReport(f"series {name} contains non-finite entries")
+    if report.weak_residuals.shape[0] != nt:
+        raise ValueError("weak residual table malformed")
+    if not np.all(np.isfinite(report.weak_residuals)):
+        raise NonFiniteReport("weak residual table contains non-finite entries")
+
+
+def reference_index_csv(traj):
+    """The per-frame index lines that write_run built before csv_text."""
+    lines = ["k,step,time"]
+    for k, (t, step) in enumerate(zip(traj.times, traj.steps)):
+        lines.append(f"{k},{step},{FMT.format(t)}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_study_csv(result):
+    """The per-value write_study_csv that csv_text replaced."""
+    lines = ["kappa,h,dt,D_kappa,max_principle_margin,sup_energy,weak_residual_max"]
+    for r in result.rows:
+        values = (r.kappa, r.h, r.dt, r.d_kappa, r.max_principle_margin, r.sup_energy, r.weak_residual_max)
+        lines.append(",".join(FMT.format(v) for v in values))
+    return "\n".join(lines) + "\n"
+
+
+def reference_refinement_csv(study, results):
+    """The f-string lines of the refinement branch of ``confsim study`` that csv_text replaced."""
+    lines = ["kappa,h,dt,weak_residual_max"]
+    for i, res in enumerate(results):
+        cfg = study.member_config(i)
+        wr = member_weak_residual(res)
+        lines.append(f"{cfg.reg.kappa:.17g},{cfg.grid.h:.17g},{cfg.reg.dt:.17g},{wr:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvText:
+    def test_header_then_one_row_per_entry(self):
+        text = csv_text(("a", "b"), ([1.0, -0.0], np.array([math.nan, 0.1 + 0.2])))
+        assert text == "a,b\n1,nan\n-0,0.30000000000000004\n"
+
+    def test_no_rows_is_the_header(self):
+        assert csv_text(("a", "b"), ([], [])) == "a,b\n"
+
+    def test_columns_of_unequal_length_raise(self):
+        with pytest.raises(ValueError):
+            csv_text(("a", "b"), ([1.0, 2.0], [1.0]))
+
+
+class TestDiagnosticsColumns:
+    def test_every_array_field_is_one_table_entry(self):
+        arrays = [f.name for f in dataclasses.fields(DiagnosticsReport) if f.type == "np.ndarray"]
+        attrs = [attr for _, attr in diagnostics._COLUMNS]
+        names = [name for name, _ in diagnostics._COLUMNS]
+        assert len(arrays) == 10
+        assert sorted(attrs) == sorted(arrays)
+        assert len(set(names)) == len(names)
+
+    @pytest.mark.parametrize("path", ["direct", "both-verify"])
+    def test_run_diagnostics_match_reference_writer(self, tmp_path, path):
+        result = run(make_config(n=33, t_end=2e-3, save_every=2, path=path))
+        write_run(tmp_path, result)
+        want = reference_diagnostics_csv(result.report)
+        assert (tmp_path / "diagnostics.csv").read_bytes() == want.encode()
+        assert (tmp_path / "frames" / "index.csv").read_bytes() == reference_index_csv(result.trajectory).encode()
+
+    @pytest.mark.parametrize("n_phi", [0, 5])
+    def test_validate_raises_as_the_reference(self, n_phi):
+        rng = np.random.default_rng(n_phi)
+        fields = [f.name for f in dataclasses.fields(DiagnosticsReport)]
+        good = {name: rng.normal(size=(4, n_phi) if name == "weak_residuals" else 4) for name in fields}
+
+        def outcome(check, report):
+            try:
+                check(report)
+            except ValueError as exc:
+                return type(exc), str(exc)
+            return None
+
+        def nan_at_end(v):
+            v = v.copy()
+            v.reshape(-1)[-1:] = math.nan
+            return v
+
+        breaks = [nan_at_end, lambda v: v[:-1]]
+        # every pair of broken series, so the first failure reported is pinned too
+        for (a, break_a), (b, break_b) in itertools.product(itertools.product(fields[1:], breaks), repeat=2):
+            values = dict(good)
+            values[a] = break_a(values[a])
+            values[b] = break_b(values[b])
+            report = DiagnosticsReport(**values)
+            assert outcome(DiagnosticsReport.validate, report) == outcome(reference_validate, report)
+        assert outcome(DiagnosticsReport.validate, DiagnosticsReport(**good)) is None
+
+
+class TestStudyTables:
+    def test_study_csv_with_a_rejected_member_matches_reference_writer(self, tmp_path):
+        study = parse_config_text(
+            "study.kappas = 0.5 0.03125\nstudy.reference = 0\nreg.increment_guard = 0.05\n"
+            "body.family = ramp\nbody.rate = 1e5\n"
+        )
+        result = run_study(study)
+        assert result.rows[1].termination.status == "step-rejected"
+        write_study_csv(tmp_path / "study.csv", result)
+        text = (tmp_path / "study.csv").read_text()
+        assert text.splitlines()[2].endswith(",nan")
+        assert (tmp_path / "study.csv").read_bytes() == reference_study_csv(result).encode()
+
+    @pytest.mark.parametrize("guard", ["1e9", "1e-12"], ids=["completed", "rejected"])
+    def test_refinement_csv_matches_reference_writer(self, tmp_path, guard):
+        cfg_path = tmp_path / "refine.cfg"
+        cfg_path.write_text(
+            "grid.n = 17\nrun.t_end = 2e-3\nreg.dt = 2e-4\nrun.save_every = 2\nreg.kappa = 0.5\n"
+            f"study.kappas = 0.5 0.25\nstudy.h_factor = 2\nreg.increment_guard = {guard}\n"
+        )
+        code = main(["study", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == (0 if guard == "1e9" else 2)
+        study = parse_config(cfg_path)
+        want = reference_refinement_csv(study, run_members(study))
+        assert (tmp_path / "out" / "refinement.csv").read_bytes() == want.encode()
+
+
+class TestStaleFrames:
+    def test_shorter_run_removes_the_longer_runs_frames(self, tmp_path):
+        long = run(make_config(n=17, t_end=4e-3, save_every=1))
+        short = run(make_config(n=17, t_end=4e-4, save_every=1))
+        assert (len(long.trajectory.times), len(short.trajectory.times)) == (21, 3)
+        write_run(tmp_path, long)
+        write_run(tmp_path, short)
+        frames = sorted(os.listdir(tmp_path / "frames"))
+        want = ["index.csv"] + [f"{p}_{k:06d}.csv" for p in "Su" for k in range(3)]
+        assert frames == sorted(want)
+        traj, _, diag_text = load_run(tmp_path)
+        assert np.array_equal(traj.s_matrix(), short.trajectory.s_matrix())
+        assert diag_text == short.report.to_csv_text()
+
+    def test_rewrite_of_the_same_run_keeps_every_frame(self, tmp_path):
+        result = run(make_config(n=17, t_end=1e-3, save_every=1))
+        write_run(tmp_path, result)
+        before = {p.name: p.read_bytes() for p in (tmp_path / "frames").iterdir()}
+        write_run(tmp_path, result)
+        assert {p.name: p.read_bytes() for p in (tmp_path / "frames").iterdir()} == before
