@@ -1,0 +1,35 @@
+#!/usr/bin/env bash
+# Run the example scripts and the confsim CLI end to end, in a fresh temporary
+# directory that is removed afterwards.  CI runs this with
+# PYTHONWARNINGS=error::RuntimeWarning, so that a stray numpy warning fails a
+# script as it fails the suite.
+#
+# usage: scripts/ci_scripts.sh
+set -euo pipefail
+root="$(cd "$(dirname "$0")/.." && pwd)"
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+cd "$work"
+
+confsim() {
+  PYTHONPATH="$root/src" python3 -m confsim.cli "$@"
+}
+
+for script in run_demo kappa_study refinement_study; do
+  python3 "$root/scripts/$script.py"
+done
+for path in green both-verify; do
+  confsim run --out "run-$path" --set run.elasticity_path=$path --set run.t_end=0.004
+done
+# a tensor run: its echo in meta.txt is re-parsed by load_run
+tensor=(--set material.tensor.family=diagonal --set material.tensor.mu0=2 --set material.misfit_iso=0.1
+        --set grid.n=33)
+confsim run --out run-tensor "${tensor[@]}" --set run.t_end=0.002
+confsim check-reduction --run run-tensor
+# a shorter run written over it: S.csv and u.csv are replaced, and read back whole
+confsim run --out run-tensor "${tensor[@]}" --set run.t_end=0.001
+confsim check-reduction --run run-tensor
+# both study tables: study.csv of a kappa study, refinement.csv of a refinement study
+confsim study --out study-kappa --set "study.kappas=0.5 0.25 0.125" --set run.t_end=0.004
+confsim study --out study-refinement --set "study.kappas=0.5 0.25" --set reg.kappa=0.5 --set study.h_factor=2 \
+  --set grid.n=33 --set run.t_end=0.004

@@ -182,7 +182,8 @@ class StudyConfig:
         object.__setattr__(self, "kappas", ks)
         if self.h_factor < 1 or self.dt_factor < 1:
             raise ValueError("refinement factors must be >= 1")
-        self.kappas[self.reference]  # raises IndexError for a bad reference
+        if not -len(ks) <= self.reference < len(ks):
+            raise ValueError(f"study.reference = {self.reference} is out of range for {len(ks)} kappas")
         for index in range(len(ks)):
             self.member_config(index)  # a refined member must be a valid config too
 
@@ -366,10 +367,7 @@ def _build_material(raw: dict) -> tuple[MaterialParams, Optional[TensorSpec]]:
             tensor, misfit, **_part_kwargs(raw, "material", skip=_SCALAR_MATERIAL_KEYS)
         )
     except AssumptionViolated as exc:
-        failed = [cond.name for cond in exc.report.conditions if not cond.passed]
-        raise ValidationError(
-            "tensor_assumptions", f"tensor fails structural conditions: {', '.join(failed)}"
-        ) from exc
+        raise ValidationError("tensor_assumptions", f"tensor fails structural conditions: {exc.failed}") from exc
     except ValueError as exc:
         raise ValidationError("tensor_spec", str(exc)) from exc
     return params, spec
@@ -404,7 +402,7 @@ def build_config(raw: dict):
             raise ValidationError("study", "study config requires study.kappas")
         try:
             return StudyConfig(base=sim, **_part_kwargs(raw, "study"))
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise ValidationError("study", str(exc)) from exc
     return sim
 

@@ -4,8 +4,8 @@ A nodal field is a plain float ndarray whose last axis runs over the grid
 nodes; the ``Grid`` (or its spacing ``h``) is passed beside it.  The same
 stencils and norms therefore serve one frame of shape (n,) and a stack of
 frames of shape (K, n), row by row.  ``ScalarField`` pairs values with their
-grid only at the edge: the frames of a ``Trajectory`` and the field files of
-``save_field``/``load_field``.
+grid only at the edge, in the frames of a ``Trajectory``.  ``csv_text`` writes
+every table confsim writes; the run directory's layout is ``simulator``'s.
 
 Quadrature is the local ``trapezoid``, which does scipy's arithmetic bit for
 bit.  From scipy the package uses only LAPACK ``dgtsv`` behind
@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 import numpy as np
 import scipy
 
@@ -34,7 +34,7 @@ class UnsupportedExponent(ValueError):
 
 
 class FieldFileError(ValueError):
-    """A field or run file is malformed, or a field file was written on a different grid."""
+    """A run file is malformed, or a field table was written on a different grid."""
 
 
 def _load_flapack():
@@ -97,7 +97,7 @@ class Grid:
 
 @dataclass
 class ScalarField:
-    """Nodal values with their grid, for the trajectory and file edge."""
+    """Nodal values with their grid, for the trajectory edge."""
 
     grid: Grid
     values: np.ndarray
@@ -241,41 +241,3 @@ def csv_text(header, columns) -> str:
     # an array's values as Python numbers, which % formats faster than numpy scalars
     rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns), strict=True)
     return ",".join(header) + "\n" + "".join(row % values for values in rows)
-
-
-@lru_cache(maxsize=8)
-def _field_template(grid: Grid) -> str:
-    """Body of a field file as a %-template: the x column written out, a slot per value."""
-    return "".join(f"{FLOAT_SLOT % x},{FLOAT_SLOT}\n" for x in grid.x.tolist())
-
-
-def save_field(path, f: ScalarField, t: float):
-    """Two-column text (x, value) with the frame time in the header."""
-    body = _field_template(f.grid) % tuple(f.values.tolist())
-    with open(path, "w") as fh:
-        fh.write(f"# t = {FLOAT_SLOT % t}\nx,value\n{body}")
-
-
-def load_field(path, grid: Grid | None = None) -> tuple[ScalarField, float]:
-    """Read a field file; with ``grid``, its x column must be the grid's nodes bit for bit.
-
-    Raises ``FieldFileError`` naming the file when it cannot be parsed or
-    belongs to another grid (17 significant digits read back exactly).
-    """
-    with open(path) as fh:
-        head, sep, body = fh.read().partition("\nx,value\n")
-    try:
-        if not (sep and head.startswith("# t =")):
-            raise ValueError("no '# t =' and 'x,value' header")
-        t = float(head.split("=", 1)[1])
-        table = np.array(body.replace(",", "\n").split(), dtype=float).reshape(-1, 2)
-    except ValueError as exc:
-        raise FieldFileError(f"{path}: not a field file: {exc}") from None
-    xs = table[:, 0]
-    if grid is None:
-        grid = Grid(xs[0], xs[-1], len(xs))
-    elif len(xs) != grid.n:
-        raise FieldFileError(f"{path}: expected {grid.n} nodes, got {len(xs)}")
-    elif not np.array_equal(xs, grid.x):
-        raise FieldFileError(f"{path}: x column differs from the grid on [{grid.a:g}, {grid.d:g}]")
-    return ScalarField(grid, np.ascontiguousarray(table[:, 1])), t

@@ -43,8 +43,11 @@ class AssumptionViolated(ValueError):
 
     def __init__(self, report: "AssumptionReport"):
         self.report = report
-        failed = [c.name for c in report.conditions if not c.passed and c.name in SCALAR_GATE]
-        super().__init__(f"tensor assumptions violated: {', '.join(failed)}")
+        # the gate conditions that fail, each with its first offending index
+        self.failed = ", ".join(
+            f"{c.name} at {c.first_violation}" for c in report.conditions if not c.passed and c.name in SCALAR_GATE
+        )
+        super().__init__(f"tensor assumptions violated: {self.failed}")
 
 
 @dataclass(frozen=True)

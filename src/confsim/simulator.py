@@ -8,7 +8,9 @@ grid, schedule, material, body force and elasticity path in lockstep, as
 is its one-member case.  Snapshots capture the mollifier history window,
 the current time and the config hash, so a restarted run continues exactly.
 A finished run carries its diagnostics report; ``write_run``/``load_run``
-persist it with the frames and the config echo.  The typed config lives in
+persist it with the config echo and one table per field, ``S.csv`` and
+``u.csv``, a row per saved frame.  The run directory's layout is known to this
+module alone.  The typed config lives in
 ``config`` and the monitors in ``diagnostics``, both below this module.
 """
 
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -24,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import diagnostics, elasticity
-from .grid_field import FLOAT_SLOT, FieldFileError, ScalarField, Trajectory, csv_text, d1, load_field, save_field
+from .grid_field import FLOAT_SLOT, FieldFileError, ScalarField, Trajectory, csv_text, d1
 from .order_parameter import MollifierState, StepRejected, driving_force, mollify, semi_implicit_step
 from .elasticity import GreenKernel, fd_residual, elastic_rhs, solve_elasticity
 # BodyForce is not used here by name: bench/tracer.py reaches it as simulator.BodyForce.
@@ -52,7 +53,7 @@ class RunResult:
     trajectory: Trajectory
     report: diagnostics.DiagnosticsReport
     termination: Termination
-    elasticity_residual_max: float
+    elasticity_residual_max: Optional[float]  # None on "green", which has no FD residual
     path_discrepancy_max: Optional[float]
     config: SimulationConfig
     config_hash: str
@@ -84,7 +85,7 @@ class Simulation:
         self.s_frames: list[ScalarField] = []
         self.u_frames: list[ScalarField] = []
         self.frame_steps: list[int] = []
-        self.residual_max = 0.0
+        self.residual_max = None
         self.discrepancy_max = None
 
     def _record_frame(self, u: np.ndarray, s_moll: np.ndarray, b: np.ndarray):
@@ -97,7 +98,7 @@ class Simulation:
         path, material = self.config.elasticity_path, self.config.material
         if path != "green":
             rhs = elastic_rhs(d1(s_moll, self.grid.h), b, material)
-            self.residual_max = max(self.residual_max, fd_residual(u, rhs, self.grid))
+            self.residual_max = max(self.residual_max or 0.0, fd_residual(u, rhs, self.grid))
         if path == "both-verify":
             # looked up on the module, where bench/tracer.py wraps it
             u_green = elasticity.solve_green(GreenKernel(self.grid.a, self.grid.d),
@@ -285,24 +286,18 @@ def load_snapshot(path, config: SimulationConfig) -> Simulation:
 
 
 def write_run(out_dir, result: RunResult):
-    """Persist frames, diagnostics and metadata under ``out_dir``, over any earlier run there."""
+    """Persist the field tables, diagnostics and metadata under ``out_dir``, over any earlier run there.
+
+    ``S.csv`` and ``u.csv`` hold one row per saved frame: its step, its time
+    and the field at every node, under the header ``step,time,<x_0>,...``.
+    """
     out = Path(out_dir)
-    frames = out / "frames"
-    frames.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     traj = result.trajectory
-    # frame paths as strings: a Path per file costs as much as formatting it
-    for k, (t, s, u) in enumerate(zip(traj.times, traj.s_frames, traj.u_frames)):
-        save_field(f"{frames}/S_{k:06d}.csv", s, t)
-        save_field(f"{frames}/u_{k:06d}.csv", u, t)
-    # a longer run written here before left frames k >= K, one block as every write makes 0..K-1
-    k = len(traj.times)
-    while any(os.path.exists(f"{frames}/{p}_{k:06d}.csv") for p in "Su"):
-        for p in "Su":
-            Path(f"{frames}/{p}_{k:06d}.csv").unlink(missing_ok=True)
-        k += 1
-    # k and step are integers, which csv_text writes without a point
-    index = csv_text(("k", "step", "time"), (range(len(traj.times)), traj.steps, traj.times))
-    (frames / "index.csv").write_text(index)
+    # step is an integer, which csv_text writes without a point
+    header = ("step", "time", *(FLOAT_SLOT % x for x in traj.grid.x.tolist()))
+    for name, values in (("S", traj.s_matrix()), ("u", traj.u_matrix())):
+        (out / f"{name}.csv").write_text(csv_text(header, (traj.steps, traj.times, *values.T.tolist())))
     (out / "diagnostics.csv").write_text(result.report.to_csv_text())
     meta = [
         "# confsim run metadata",
@@ -316,11 +311,48 @@ def write_run(out_dir, result: RunResult):
     (out / "meta.txt").write_text("\n".join(meta) + "\n")
 
 
+def _read_field_table(path: Path, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Steps, times and (frames, nodes) values of a field table written by ``write_run``.
+
+    Raises ``FieldFileError`` naming the file when the x header is not the
+    nodes of ``grid`` bit for bit (17 significant digits read back exactly),
+    or a row is ragged or holds a value that does not parse.
+    """
+    header, *rows = path.read_text().splitlines() or [""]
+    names = header.split(",")
+    if names[:2] != ["step", "time"]:
+        raise FieldFileError(f"{path}: header does not start with 'step,time'")
+    try:
+        x = np.array(names[2:], dtype=float)
+    except ValueError as exc:
+        raise FieldFileError(f"{path}: x header: {exc}") from None
+    if len(x) != grid.n:
+        raise FieldFileError(f"{path}: expected {grid.n} nodes, got {len(x)}")
+    if not np.array_equal(x, grid.x):
+        raise FieldFileError(f"{path}: x header differs from the grid on [{grid.a:g}, {grid.d:g}]")
+    if not rows:
+        raise FieldFileError(f"{path}: no frames")
+    steps = np.empty(len(rows), dtype=int)
+    times = np.empty(len(rows))
+    values = np.empty((len(rows), grid.n))
+    # row by row, so that a short row cannot borrow values from the next
+    for k, line in enumerate(rows):
+        cells = line.split(",")
+        if len(cells) != grid.n + 2:
+            raise FieldFileError(f"{path}: line {k + 2}: expected {grid.n + 2} values, got {len(cells)}")
+        try:
+            steps[k], times[k], values[k] = int(cells[0]), float(cells[1]), cells[2:]
+        except ValueError as exc:
+            raise FieldFileError(f"{path}: line {k + 2}: {exc}") from None
+    return steps, times, values
+
+
 def load_run(run_dir):
     """Read back a persisted run: (trajectory, config, diagnostics text).
 
     Raises ``FieldFileError`` naming the file when ``meta.txt`` has no
-    ``[config]`` line or an ``index.csv`` line is not ``k,step,time``.
+    ``[config]`` line, a field table is damaged or of another grid, or
+    ``S.csv`` and ``u.csv`` disagree on their steps or times.
     """
     out = Path(run_dir)
     meta_path = out / "meta.txt"
@@ -328,23 +360,13 @@ def load_run(run_dir):
     if not sep:
         raise FieldFileError(f"{meta_path}: no [config] line")
     config = parse_config_text(config_text)
-    frames = out / "frames"
-    index_path = frames / "index.csv"
-    index = index_path.read_text().strip().splitlines()[1:]
-    times, steps, s_frames, u_frames = [], [], [], []
     grid = config.grid
-    for lineno, line in enumerate(index, start=2):
-        try:
-            k, step, t = line.split(",")
-            k, step, t = int(k), int(step), float(t)
-        except ValueError:
-            raise FieldFileError(f"{index_path}: line {lineno}: expected 'k,step,time', got {line!r}") from None
-        s, _ = load_field(f"{frames}/S_{k:06d}.csv", grid)
-        u, _ = load_field(f"{frames}/u_{k:06d}.csv", grid)
-        times.append(t)
-        steps.append(step)
-        s_frames.append(s)
-        u_frames.append(u)
-    traj = Trajectory(np.array(times), s_frames, u_frames, np.array(steps))
+    steps, times, s = _read_field_table(out / "S.csv", grid)
+    u_steps, u_times, u = _read_field_table(out / "u.csv", grid)
+    if not (np.array_equal(u_steps, steps) and np.array_equal(u_times, times)):
+        raise FieldFileError(f"{out / 'u.csv'}: steps or times differ from those of S.csv")
+    traj = Trajectory(
+        times, [ScalarField(grid, row) for row in s], [ScalarField(grid, row) for row in u], steps
+    )
     diag_text = (out / "diagnostics.csv").read_text()
     return traj, config, diag_text

@@ -258,6 +258,19 @@ class TestTensorValidation:
         with pytest.raises(ValidationError, match="zero_unless_k_equals_j"):
             parse_config_text(text)
 
+    def test_error_names_only_the_failed_gate_conditions(self, tmp_path, capsys):
+        # the diagonal family with one entry off the k == j pattern; full_symmetry fails too but does not gate
+        entries = ElasticityTensor.diagonal_family(1.5).entries.copy()
+        entries[0, 1, 2, 0] = 0.5
+        values = " ".join(repr(float(v)) for v in entries.ravel())
+        argv = ["run", "--out", str(tmp_path / "out"), "--set", "material.tensor.family=entries",
+                "--set", f"material.tensor.entries={values}", "--set", "material.misfit_iso=0.1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: tensor_assumptions: tensor fails structural conditions: zero_unless_k_equals_j at (0, 1, 2, 0)"
+        ]
+        assert not (tmp_path / "out").exists()
+
     def test_scalar_keys_conflict_with_tensor(self):
         text = "material.tensor.family = diagonal\nmaterial.tensor.mu0 = 1\nmaterial.misfit_iso = 0.1\nmaterial.mu = 3\n"
         with pytest.raises(ValidationError, match="conflicts"):
@@ -304,9 +317,20 @@ class TestCliRun:
         out = tmp_path / "out"
         assert (out / "meta.txt").exists()
         assert (out / "diagnostics.csv").exists()
-        assert (out / "frames" / "S_000000.csv").exists()
-        assert (out / "frames" / "index.csv").exists()
-        assert "max principle margin" in capsys.readouterr().out
+        assert (out / "S.csv").exists() and (out / "u.csv").exists()
+        assert not (out / "frames").exists()
+        stdout = capsys.readouterr().out
+        assert "max principle margin" in stdout
+        assert "elasticity residual : " in stdout
+
+    def test_green_run_reports_no_elasticity_residual(self, tmp_path, capsys):
+        # the green path never evaluates the FD residual, so it has none to report
+        code = main(["run", "--out", str(tmp_path / "out"), "--set", "run.elasticity_path=green",
+                     "--set", "run.t_end=0.002"])
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert "max principle margin" in stdout
+        assert "elasticity residual" not in stdout
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, ["reg.kappa = 7"])
@@ -387,7 +411,7 @@ class TestCliRun:
         assert code == 2
         # diagnostics and the frames recorded so far are still flushed
         assert (tmp_path / "out" / "diagnostics.csv").exists()
-        assert (tmp_path / "out" / "frames" / "S_000000.csv").exists()
+        assert len((tmp_path / "out" / "S.csv").read_text().splitlines()) == 2
         meta = (tmp_path / "out" / "meta.txt").read_text()
         assert "termination = step-rejected" in meta
 
@@ -419,6 +443,16 @@ class TestCliStudy:
         text = (tmp_path / "out" / "study.csv").read_text().splitlines()
         assert text[0] == "kappa,h,dt,D_kappa,max_principle_margin,sup_energy,weak_residual_max"
         assert len(text) == 3
+
+    @pytest.mark.parametrize("reference", ["5", "-3"])
+    def test_reference_out_of_range_exits_one(self, tmp_path, capsys, reference):
+        argv = ["study", "--out", str(tmp_path / "out"), "--set", "study.kappas=0.5 0.25",
+                "--set", f"study.reference={reference}"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: study: study.reference = {reference} is out of range for 2 kappas"
+        ]
+        assert not (tmp_path / "out").exists()
 
     def test_rejected_members_exit_two(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, FAST + ["study.kappas = 0.5 0.25"])
@@ -542,38 +576,63 @@ class TestCliTools:
         assert captured.err.startswith(f"error: {invariant}: ")
         assert "residual" not in captured.out
 
-    def test_damaged_run_directory_exits_one(self, tmp_path, capsys):
-        run_dir = self.tensor_run(tmp_path)
-        frame = tmp_path / "out" / "frames" / "S_000001.csv"
-        lines = frame.read_text().splitlines()
-        frame.write_text("\n".join(lines[:7] + lines[8:]) + "\n")
+    def check_reduction_error(self, run_dir, capsys) -> str:
+        """The one stderr line of ``check-reduction`` on ``run_dir``, which must exit 1."""
         capsys.readouterr()
         assert main(["check-reduction", "--run", run_dir]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: ") and err[0].endswith("S_000001.csv: expected 33 nodes, got 32")
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "residual" not in captured.out
+        return err[0]
+
+    def test_damaged_run_directory_exits_one(self, tmp_path, capsys):
+        # the layout of earlier versions: frames/S_<k>.csv, frames/u_<k>.csv and frames/index.csv
+        run_dir = self.tensor_run(tmp_path)
+        out = tmp_path / "out"
+        (out / "frames").mkdir()
+        for name in ("S", "u"):
+            (out / f"{name}.csv").rename(out / "frames" / f"{name}_000000.csv")
+        (out / "frames" / "index.csv").write_text("k,step,time\n0,0,0\n")
+        error = self.check_reduction_error(run_dir, capsys)
+        assert str(out / "S.csv") in error
+
+    @pytest.mark.parametrize(
+        "file, edit, message",
+        [
+            ("u.csv", None, "No such file"),
+            ("S.csv", lambda text: text.replace(",0\n", "\n", 1), "line 2: expected 35 values, got 34"),
+            (
+                "u.csv",
+                lambda text: text.replace("step,time,1,", "step,time,1.0000000000000002,", 1),
+                "x header differs from the grid on [1, 2]",
+            ),
+            ("u.csv", lambda text: text.replace("\n10,", "\n11,", 1), "steps or times differ from those of"),
+            ("S.csv", lambda text: text.replace("step,", "step;", 1), "header does not start with 'step,time'"),
+            ("u.csv", lambda text: text.splitlines()[0] + "\n", "no frames"),
+        ],
+        ids=["missing_u", "ragged_row", "other_grid_x", "steps_differ", "header_with_semicolon", "header_only"],
+    )
+    def test_damaged_field_table_exits_one(self, tmp_path, capsys, file, edit, message):
+        run_dir = self.tensor_run(tmp_path)
+        path = tmp_path / "out" / file
+        if edit is None:
+            path.unlink()
+        else:
+            path.write_text(edit(path.read_text()))
+        error = self.check_reduction_error(run_dir, capsys)
+        assert str(path) in error and message in error
 
     @pytest.mark.parametrize(
         "name, damage, message",
-        [
-            ("meta.txt", lambda text: text.replace("[config]\n", ""), "meta.txt: no [config] line"),
-            (
-                "frames/index.csv",
-                lambda text: text.replace("\n1,", "\n1;"),
-                "index.csv: line 3: expected 'k,step,time', got '1;",
-            ),
-        ],
-        ids=["meta_without_config", "index_with_semicolon"],
+        [("meta.txt", lambda text: text.replace("[config]\n", ""), "meta.txt: no [config] line")],
+        ids=["meta_without_config"],
     )
     def test_damaged_run_metadata_exits_one(self, tmp_path, capsys, name, damage, message):
         run_dir = self.tensor_run(tmp_path)
         path = tmp_path / "out" / name
         path.write_text(damage(path.read_text()))
-        capsys.readouterr()
-        assert main(["check-reduction", "--run", run_dir]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: ") and message in err[0]
+        assert message in self.check_reduction_error(run_dir, capsys)
 
     def test_check_reduction_requires_tensor_config(self, tmp_path):
         cfg_path = write_config(tmp_path, FAST)

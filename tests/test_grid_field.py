@@ -1,5 +1,8 @@
 import math
+import re
 import tempfile
+from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +20,8 @@ from confsim.grid_field import (
     UnsupportedExponent,
     d1,
     d2,
-    load_field,
     norm_l2,
     norm_lp_time_lq_space,
-    save_field,
     trapezoid,
     tridiag_solve,
 )
@@ -263,19 +264,12 @@ class TestTridiagSolve:
 FLOAT_FMT = "{:.17g}"
 
 
-def reference_save_field(path, f, t):
-    """The per-line writer that save_field replaced, kept as the reference."""
-    lines = [f"# t = {FLOAT_FMT.format(t)}", "x,value"]
-    for x, v in zip(f.grid.x, f.values):
-        lines.append(f"{FLOAT_FMT.format(x)},{FLOAT_FMT.format(v)}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def reference_load_field(path):
-    """The per-line reader that load_field replaced: (values, t)."""
-    text = Path(path).read_text().strip().splitlines()
-    t = float(text[0].split("=", 1)[1])
-    return np.array([float(line.split(",")[1]) for line in text[2:]]), t
+def reference_field_table(grid, steps, times, values):
+    """A per-line writer of a run's field table, kept as the reference for write_run's S.csv and u.csv."""
+    lines = [",".join(["step", "time"] + [FLOAT_FMT.format(x) for x in grid.x])]
+    for step, t, row in zip(steps, times, values):
+        lines.append(",".join([str(int(step)), FLOAT_FMT.format(t)] + [FLOAT_FMT.format(v) for v in row]))
+    return "\n".join(lines) + "\n"
 
 
 SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf, 1.0 / 3.0]
@@ -285,99 +279,124 @@ def same_bits(a, b):
     return np.array_equal(np.asarray(a, dtype=float).view(np.uint64), np.asarray(b, dtype=float).view(np.uint64))
 
 
+@lru_cache(maxsize=None)
+def _one_frame_run(n):
+    """A run of one frame on n nodes: its step 0 is rejected."""
+    return simulator.run(make_config(n=n, increment_guard=1e-12))
+
+
+def with_frames(result, s, u, times=None):
+    """``result`` with its frames' S and u replaced by the rows of ``s`` and ``u`` (and their times)."""
+    traj = result.trajectory
+    grid = traj.grid
+    frames = Trajectory(
+        traj.times if times is None else times,
+        [ScalarField(grid, row) for row in s],
+        [ScalarField(grid, row) for row in u],
+        traj.steps,
+    )
+    return replace(result, trajectory=frames)
+
+
+def rewrite(path, edit):
+    path.write_text(edit(path.read_text()))
+
+
 class TestSerialization:
+    """The run's field tables, S.csv and u.csv: their bytes, their read-back and the reader's checks."""
+
     def test_field_round_trip(self, tmp_path):
-        grid = Grid(1.0, 2.0, 33)
-        rng = np.random.default_rng(3)
-        f = ScalarField(grid, rng.normal(size=grid.n))
-        save_field(tmp_path / "f.csv", f, t=0.125)
-        g, t = load_field(tmp_path / "f.csv", grid)
-        assert t == 0.125
-        assert np.array_equal(f.values, g.values)
+        # one row per frame under step, time and the grid's nodes; every column reads back exactly
+        result = simulator.run(make_config(n=33, t_end=2e-3, save_every=2))
+        simulator.write_run(tmp_path, result)
+        traj = result.trajectory
+        for name, want in (("S.csv", traj.s_matrix()), ("u.csv", traj.u_matrix())):
+            header, *rows = (tmp_path / name).read_text().splitlines()
+            assert header.split(",")[:2] == ["step", "time"]
+            assert same_bits([float(x) for x in header.split(",")[2:]], traj.grid.x)
+            table = np.array([row.split(",") for row in rows], dtype=float)
+            assert [row.split(",")[0] for row in rows] == [str(k) for k in traj.steps]
+            assert same_bits(table[:, 1], traj.times) and same_bits(table[:, 2:], want)
 
     @pytest.mark.parametrize("n", [4, 129, 2049])
     def test_same_bytes_and_bits_as_reference(self, tmp_path, n):
-        grid = Grid(0.75, 2.5, n)
+        result = simulator.run(make_config(n=n, t_end=4e-4, save_every=1))
         rng = np.random.default_rng(n)
-        values = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
-        values[: min(n, len(SPECIAL_VALUES))] = SPECIAL_VALUES[:n]
-        rng.shuffle(values)
-        f = ScalarField(grid, values)
-        for t in (0.0, 0.1 + 0.2, 5e-324):
-            save_field(tmp_path / "new.csv", f, t)
-            reference_save_field(tmp_path / "ref.csv", f, t)
-            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-            g, t_back = load_field(tmp_path / "ref.csv", grid)
-            want, t_want = reference_load_field(tmp_path / "ref.csv")
-            assert t_back == t_want == t
-            assert same_bits(g.values, values) and same_bits(want, values)
-            assert g.values.flags.c_contiguous
+        values = rng.normal(size=(2, 3, n)) * 10.0 ** rng.integers(-300, 300, size=(2, 3, n))
+        values.reshape(-1)[: len(SPECIAL_VALUES)] = SPECIAL_VALUES
+        rng.shuffle(values.reshape(-1))
+        times = np.array([0.0, 0.1 + 0.2, 1e300])
+        simulator.write_run(tmp_path, with_frames(result, values[0], values[1], times))
+        grid, steps = result.trajectory.grid, result.trajectory.steps
+        for name, want in zip(("S.csv", "u.csv"), values):
+            assert (tmp_path / name).read_bytes() == reference_field_table(grid, steps, times, want).encode()
+        traj, _, _ = simulator.load_run(tmp_path)
+        assert same_bits(traj.s_matrix(), values[0]) and same_bits(traj.u_matrix(), values[1])
+        assert same_bits(traj.times, times)
+        assert all(f.values.flags.c_contiguous for f in traj.s_frames + traj.u_frames)
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        values=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=4, max_size=40),
-        t=st.floats(0.0, 1e3),
-    )
-    def test_random_values_match_reference(self, values, t):
+    @given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=8, max_size=80))
+    def test_random_values_match_reference(self, values):
+        n = len(values) // 2
         # canonical nan: the text "nan" carries no sign or payload
-        values = np.where(np.isnan(values), np.nan, values)
-        f = ScalarField(Grid(1.0, 3.0, len(values)), values)
+        values = np.where(np.isnan(values), np.nan, values)[: 2 * n].reshape(2, 1, n)
+        result = _one_frame_run(n)
         with tempfile.TemporaryDirectory() as tmp:
-            save_field(Path(tmp) / "new.csv", f, t)
-            reference_save_field(Path(tmp) / "ref.csv", f, t)
-            assert (Path(tmp) / "new.csv").read_bytes() == (Path(tmp) / "ref.csv").read_bytes()
-            g, t_back = load_field(Path(tmp) / "new.csv", f.grid)
-        assert t_back == t
-        assert same_bits(g.values, values)
-
-    def test_without_grid_the_file_gives_the_grid(self, tmp_path):
-        grid = Grid(1.0, 2.0, 17)
-        save_field(tmp_path / "f.csv", ScalarField(grid, grid.x**2), t=0.5)
-        g, _ = load_field(tmp_path / "f.csv")
-        assert g.grid == grid and np.array_equal(g.values, grid.x**2)
+            simulator.write_run(tmp, with_frames(result, values[0], values[1]))
+            grid, traj = result.trajectory.grid, result.trajectory
+            for name, want in zip(("S.csv", "u.csv"), values):
+                text = reference_field_table(grid, traj.steps, traj.times, want)
+                assert (Path(tmp) / name).read_text() == text
+            back, _, _ = simulator.load_run(tmp)
+        assert same_bits(back.s_matrix(), values[0]) and same_bits(back.u_matrix(), values[1])
 
     def test_deleted_line_names_the_file(self, tmp_path):
-        grid = Grid(1.0, 2.0, 33)
-        path = tmp_path / "S_000001.csv"
-        save_field(path, ScalarField(grid, np.zeros(grid.n)), t=0.5)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:10] + lines[11:]) + "\n")
-        with pytest.raises(FieldFileError, match=r"S_000001\.csv: expected 33 nodes, got 32"):
-            load_field(path, grid)
+        simulator.write_run(tmp_path, simulator.run(make_config(n=33, t_end=2e-3, save_every=2)))
+        rewrite(tmp_path / "S.csv", lambda text: "".join(text.splitlines(keepends=True)[:3]))
+        with pytest.raises(FieldFileError, match=r"u\.csv: steps or times differ from those of .*S\.csv"):
+            simulator.load_run(tmp_path)
 
     def test_other_grid_rejected(self, tmp_path):
-        save_field(tmp_path / "f.csv", ScalarField(Grid(1.0, 2.0, 33), np.zeros(33)), t=0.5)
-        with pytest.raises(FieldFileError, match="x column differs"):
-            load_field(tmp_path / "f.csv", Grid(1.0, 2.5, 33))
+        for name, grid in (("mine", (1.0, 2.0, 33)), ("wider", (1.0, 2.5, 33)), ("finer", (1.0, 2.0, 65))):
+            cfg = replace(make_config(n=33, t_end=4e-4, save_every=1), grid=Grid(*grid))
+            simulator.write_run(tmp_path / name, simulator.run(cfg))
+        (tmp_path / "mine" / "u.csv").write_bytes((tmp_path / "wider" / "u.csv").read_bytes())
+        with pytest.raises(FieldFileError, match=r"u\.csv: x header differs from the grid on \[1, 2\]"):
+            simulator.load_run(tmp_path / "mine")
+        (tmp_path / "mine" / "S.csv").write_bytes((tmp_path / "finer" / "S.csv").read_bytes())
+        with pytest.raises(FieldFileError, match=r"S\.csv: expected 33 nodes, got 65"):
+            simulator.load_run(tmp_path / "mine")
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, message",
         [
-            lambda text: text.replace("x,value", "x;value"),
-            lambda text: text.replace(",0\n", ",zero\n", 1),
-            lambda text: text.replace(",0\n", "\n", 1),
+            (lambda text: text.replace("step,time", "step;time"), "header does not start with 'step,time'"),
+            (lambda text: text.replace(",0\n", ",zero\n", 1), "line 2: could not convert string to float: 'zero'"),
+            (lambda text: text.replace(",0\n", "\n", 1), "line 2: expected 11 values, got 10"),
         ],
         ids=["header", "value", "missing-value"],
     )
-    def test_malformed_file_names_the_file(self, tmp_path, edit):
-        grid = Grid(1.0, 2.0, 9)
-        path = tmp_path / "u_000003.csv"
-        save_field(path, ScalarField(grid, np.zeros(grid.n)), t=0.5)
-        path.write_text(edit(path.read_text()))
-        with pytest.raises(FieldFileError, match=r"u_000003\.csv"):
-            load_field(path, grid)
+    def test_malformed_file_names_the_file(self, tmp_path, edit, message):
+        simulator.write_run(tmp_path, simulator.run(make_config(n=9, t_end=4e-4, save_every=1)))
+        rewrite(tmp_path / "u.csv", edit)
+        with pytest.raises(FieldFileError, match=r"u\.csv: " + re.escape(message)):
+            simulator.load_run(tmp_path)
 
-    def test_run_written_by_reference_writer_loads_bit_identically(self, tmp_path, monkeypatch):
+    def test_run_written_by_reference_writer_loads_bit_identically(self, tmp_path):
         result = simulator.run(make_config(n=33, t_end=2e-3, save_every=1))
         simulator.write_run(tmp_path / "new", result)
-        monkeypatch.setattr(simulator, "save_field", reference_save_field)
         simulator.write_run(tmp_path / "ref", result)
-        for ref_file in sorted((tmp_path / "ref").rglob("*.csv")):
-            assert ref_file.read_bytes() == (tmp_path / "new" / ref_file.relative_to(tmp_path / "ref")).read_bytes()
-        traj, _, diag_text = simulator.load_run(tmp_path / "ref")
-        assert same_bits(traj.s_matrix(), result.trajectory.s_matrix())
-        assert same_bits(traj.u_matrix(), result.trajectory.u_matrix())
-        assert same_bits(traj.times, result.trajectory.times)
+        traj = result.trajectory
+        for name, values in (("S.csv", traj.s_matrix()), ("u.csv", traj.u_matrix())):
+            (tmp_path / "ref" / name).write_text(reference_field_table(traj.grid, traj.steps, traj.times, values))
+        assert sorted(p.name for p in (tmp_path / "new").iterdir()) == ["S.csv", "diagnostics.csv", "meta.txt", "u.csv"]
+        for ref_file in (tmp_path / "ref").iterdir():
+            assert ref_file.read_bytes() == (tmp_path / "new" / ref_file.name).read_bytes()
+        back, _, diag_text = simulator.load_run(tmp_path / "ref")
+        assert same_bits(back.s_matrix(), traj.s_matrix())
+        assert same_bits(back.u_matrix(), traj.u_matrix())
+        assert same_bits(back.times, traj.times)
         assert diag_text == result.report.to_csv_text()
 
     def test_trajectory_validation(self):

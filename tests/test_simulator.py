@@ -24,7 +24,7 @@ from confsim.simulator import (
 )
 from confsim import elasticity
 from confsim.elasticity import GreenKernel, solve_fd, solve_green
-from confsim.grid_field import ScalarField
+from confsim.grid_field import ScalarField, Trajectory
 from confsim.order_parameter import mollify
 
 from conftest import make_config
@@ -324,7 +324,47 @@ class TestOverflow:
         assert issubclass(NonFiniteReport, ValueError)
 
 
+def run_with_frames(n: int, frames: int):
+    """A run on n nodes that saves ``frames`` frames; a one-frame run is one whose step 0 is rejected."""
+    if frames == 1:
+        result = run(make_config(n=n, increment_guard=1e-12))
+        assert result.termination.status == "step-rejected"
+    else:
+        result = run(make_config(n=n, t_end=(frames - 1) * 2e-4, save_every=1))
+    assert len(result.trajectory.times) == frames
+    return result
+
+
+NEAR_EXTREMES = [-0.0, 1e300, -1e300, 9.999999999999999e299, -1.0000000000000001e300, 5e-324]
+
+
 class TestRunPersistence:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(4, 257),
+        frames=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        specials=st.lists(st.sampled_from(NEAR_EXTREMES), min_size=1, max_size=8),  # one frame on 4 nodes has 8 values
+    )
+    def test_write_then_load_is_bit_exact(self, n, frames, seed, specials):
+        # a real run's report and config beside synthetic frames of the same count
+        result = run_with_frames(n, frames)
+        grid = result.config.grid
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(2, frames, n)) * 10.0 ** rng.integers(-300, 301, size=(2, frames, n))
+        values.reshape(-1)[rng.choice(values.size, size=len(specials), replace=False)] = specials
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-9, 1.0, size=frames - 1))])
+        steps = np.concatenate([[0], np.cumsum(rng.integers(1, 1000, size=frames - 1))])
+        traj = Trajectory(times, [ScalarField(grid, row) for row in values[0]],
+                          [ScalarField(grid, row) for row in values[1]], steps)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_run(tmp, replace(result, trajectory=traj))
+            back, cfg, diag_text = load_run(tmp)
+        assert cfg == result.config and diag_text == result.report.to_csv_text()
+        for got, want in ((back.s_matrix(), values[0]), (back.u_matrix(), values[1]), (back.times, times)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(back.steps, steps)
+
     def test_write_and_load_round_trip(self, tmp_path, desk_config):
         result = run(desk_config)
         write_run(tmp_path / "out", result)

@@ -2,7 +2,8 @@
 
 The writers each table had before are kept here as references, and the
 files written today must match them byte for byte: ``diagnostics.csv``,
-``frames/index.csv``, ``study.csv`` and ``refinement.csv``.
+``study.csv`` and ``refinement.csv``.  The run's field tables ``S.csv`` and
+``u.csv`` have their byte reference in ``tests/test_grid_field.py``.
 """
 
 import dataclasses
@@ -59,14 +60,6 @@ def reference_validate(report):
         raise NonFiniteReport("weak residual table contains non-finite entries")
 
 
-def reference_index_csv(traj):
-    """The per-frame index lines that write_run built before csv_text."""
-    lines = ["k,step,time"]
-    for k, (t, step) in enumerate(zip(traj.times, traj.steps)):
-        lines.append(f"{k},{step},{FMT.format(t)}")
-    return "\n".join(lines) + "\n"
-
-
 def reference_study_csv(result):
     """The per-value write_study_csv that csv_text replaced."""
     lines = ["kappa,h,dt,D_kappa,max_principle_margin,sup_energy,weak_residual_max"]
@@ -114,7 +107,6 @@ class TestDiagnosticsColumns:
         write_run(tmp_path, result)
         want = reference_diagnostics_csv(result.report)
         assert (tmp_path / "diagnostics.csv").read_bytes() == want.encode()
-        assert (tmp_path / "frames" / "index.csv").read_bytes() == reference_index_csv(result.trajectory).encode()
 
     @pytest.mark.parametrize("n_phi", [0, 5])
     def test_validate_raises_as_the_reference(self, n_phi):
@@ -173,22 +165,26 @@ class TestStudyTables:
 
 
 class TestStaleFrames:
+    """Writing a run over an earlier one leaves nothing of the earlier run to read."""
+
     def test_shorter_run_removes_the_longer_runs_frames(self, tmp_path):
         long = run(make_config(n=17, t_end=4e-3, save_every=1))
         short = run(make_config(n=17, t_end=4e-4, save_every=1))
         assert (len(long.trajectory.times), len(short.trajectory.times)) == (21, 3)
         write_run(tmp_path, long)
         write_run(tmp_path, short)
-        frames = sorted(os.listdir(tmp_path / "frames"))
-        want = ["index.csv"] + [f"{p}_{k:06d}.csv" for p in "Su" for k in range(3)]
-        assert frames == sorted(want)
+        assert sorted(os.listdir(tmp_path)) == ["S.csv", "diagnostics.csv", "meta.txt", "u.csv"]
         traj, _, diag_text = load_run(tmp_path)
         assert np.array_equal(traj.s_matrix(), short.trajectory.s_matrix())
+        assert np.array_equal(traj.u_matrix(), short.trajectory.u_matrix())
+        assert np.array_equal(traj.times, short.trajectory.times)
+        assert np.array_equal(traj.steps, short.trajectory.steps)
         assert diag_text == short.report.to_csv_text()
 
     def test_rewrite_of_the_same_run_keeps_every_frame(self, tmp_path):
         result = run(make_config(n=17, t_end=1e-3, save_every=1))
         write_run(tmp_path, result)
-        before = {p.name: p.read_bytes() for p in (tmp_path / "frames").iterdir()}
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         write_run(tmp_path, result)
-        assert {p.name: p.read_bytes() for p in (tmp_path / "frames").iterdir()} == before
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert len((tmp_path / "S.csv").read_text().splitlines()) == 1 + len(result.trajectory.times)
