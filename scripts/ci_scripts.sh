@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Run the example scripts and the confsim CLI end to end, in a fresh temporary
-# directory that is removed afterwards.  CI runs this with
+# Run the example scripts and every confsim CLI subcommand end to end, in a
+# fresh temporary directory that is removed afterwards.  CI runs this with
 # PYTHONWARNINGS=error::RuntimeWarning, so that a stray numpy warning fails a
 # script as it fails the suite.
 #
@@ -29,6 +29,18 @@ confsim check-reduction --run run-tensor
 # a shorter run written over it: S.csv and u.csv are replaced, and read back whole
 confsim run --out run-tensor "${tensor[@]}" --set run.t_end=0.001
 confsim check-reduction --run run-tensor
+# a copy whose meta.txt config was edited after the run: its config_hash no longer
+# matches, so check-reduction must exit 1
+cp -r run-tensor run-tensor-edited
+sed -i 's/^material\.nu = .*/material.nu = 5/' run-tensor-edited/meta.txt
+status=0
+confsim check-reduction --run run-tensor-edited || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "check-reduction on an edited meta.txt exited $status, expected 1" >&2
+  exit 1
+fi
+confsim verify-green
+confsim mms
 # both study tables: study.csv of a kappa study, refinement.csv of a refinement study
 confsim study --out study-kappa --set "study.kappas=0.5 0.25 0.125" --set run.t_end=0.004
 confsim study --out study-refinement --set "study.kappas=0.5 0.25" --set reg.kappa=0.5 --set study.h_factor=2 \

@@ -162,9 +162,6 @@ class EnergySeries:
     times: np.ndarray
     grad_norm_sq: np.ndarray
     dissipation: np.ndarray
-    fitted_c1: float
-    fitted_c2: float
-    holds: bool
 
     @property
     def sup_grad(self) -> float:
@@ -176,29 +173,13 @@ class EnergySeries:
 
 
 def energy_monitor(traj: Trajectory, kappa: float) -> EnergySeries:
-    """Gradient energy and accumulated degenerate dissipation.
-
-    Also fits constants for the differential inequality
-    d/dt ||S_x||^2 <= C1 ||S_x||^2 + C2 satisfied between save times; the pair
-    is adjusted so the bound holds exactly over the recorded slopes.
-    """
+    """Gradient energy and accumulated degenerate dissipation."""
     h = traj.grid.h
     s = traj.s_matrix()
     s_x = d1(s, h)
     grad_sq = norm_l2(s_x, h) ** 2
     integrand = trapezoid(smoothed_abs(s_x, kappa) * d2(s, h) ** 2, dx=h, axis=-1)
-    dissipation = _cumulative_time_trapz(traj.times, integrand)
-    holds = bool(np.all(np.isfinite(grad_sq)) and np.all(np.isfinite(dissipation)))
-    c1, c2 = 0.0, 0.0
-    if len(traj.times) > 1 and holds:
-        slopes = np.diff(grad_sq) / np.diff(traj.times)
-        means = 0.5 * (grad_sq[1:] + grad_sq[:-1])
-        denom = float(np.dot(means - means.mean(), means - means.mean()))
-        if denom > 0:
-            c1 = float(np.dot(means - means.mean(), slopes - slopes.mean()) / denom)
-        c1 = max(c1, 0.0)
-        c2 = float(np.max(slopes - c1 * means, initial=0.0))
-    return EnergySeries(traj.times, grad_sq, dissipation, c1, c2, holds)
+    return EnergySeries(traj.times, grad_sq, _cumulative_time_trapz(traj.times, integrand))
 
 
 def _st_l43_series(times: np.ndarray, s: np.ndarray, h: float) -> np.ndarray:

@@ -3,12 +3,17 @@
 A rank-4 stiffness tensor maps symmetric strain matrices to stress.  For the
 radial reduction to be exact the tensor and the misfit strain have to satisfy
 six structural conditions; ``check_tensor_assumptions`` tests all of them
-entrywise and reports per-condition pass/fail instead of raising.  When the
+entrywise, as one table of violation masks, and reports per-condition
+pass/fail with the first offending index instead of raising.  When the
 conditions hold, three scalars fully describe the coupling:
 
 * ``mu``      -- the common diagonal value of C_il = D_ij^jl,
 * ``lam``     -- the common diagonal value of E_kl = sum_ij D_ij^kl eps_ij,
 * ``e``       -- the quadratic form of the tensor on the misfit strain.
+
+``scalar_coefficients`` extracts them and ``MaterialParams.from_tensors``
+stores them; ``MaterialParams`` is the one place every layer above reads
+them from.
 
 Entries are stored positionally as ``entries[i, j, k, l]`` where (i, j) are
 the contraction indices against a strain and (k, l) index the output stress.
@@ -76,13 +81,6 @@ class AssumptionReport:
     @property
     def scalars_defined(self) -> bool:
         return all(self[name].passed for name in SCALAR_GATE)
-
-    def summary(self) -> str:
-        lines = []
-        for c in self.conditions:
-            status = "pass" if c.passed else f"FAIL at {c.first_violation}"
-            lines.append(f"{c.name:34s} {status}")
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -180,87 +178,46 @@ class MisfitStrain:
 def check_tensor_assumptions(tensor: ElasticityTensor, misfit: MisfitStrain) -> AssumptionReport:
     """Test the six structural conditions to absolute tolerance 1e-12.
 
-    A failing condition is a report entry, never an exception.  The recorded
-    violation is the first offending index tuple in lexicographic order.
+    A failing condition is a report entry, never an exception.  Each
+    condition is a boolean violation mask plus the map from the mask's first
+    offending index, in lexicographic order, to the reported index.
     """
     d = tensor.entries
     tol = ASSUMPTION_TOL
-    results = []
-
-    def first_bad(mask) -> Optional[tuple]:
-        idx = np.argwhere(mask)
-        if idx.size == 0:
-            return None
-        return tuple(int(v) for v in idx[0])
-
+    off = ~np.eye(3, dtype=bool)
+    same = lambda *idx: idx
     # pair exchange plus both minor symmetries, entrywise
-    sym_bad = (
+    symmetry = (
         (np.abs(d - d.transpose(2, 3, 0, 1)) > tol)
         | (np.abs(d - d.transpose(1, 0, 2, 3)) > tol)
         | (np.abs(d - d.transpose(0, 1, 3, 2)) > tol)
     )
-    results.append(ConditionResult("full_symmetry", not sym_bad.any(), first_bad(sym_bad)))
-
     # entries with first output index different from second input index vanish
-    k_ne_j = np.ones((3, 3, 3, 3), dtype=bool)
-    for j in range(3):
-        k_ne_j[:, j, j, :] = False
-    zero_bad = k_ne_j & (np.abs(d) > tol)
-    results.append(ConditionResult("zero_unless_k_equals_j", not zero_bad.any(), first_bad(zero_bad)))
-
-    # the contracted block d[i, j, j, l]: off-diagonal in (i, l) vanishes and
-    # the diagonal block is the same for every j
-    block = np.stack([d[:, j, j, :] for j in range(3)])  # (j, i, l)
-    off = ~np.eye(3, dtype=bool)
-    block_bad = None
-    ok = True
-    for j in range(3):
-        viol = off & (np.abs(block[j]) > tol)
-        if viol.any():
-            ok = False
-            i, l = first_bad(viol)
-            block_bad = (i, j, j, l)
-            break
-    if ok:
-        for j in range(1, 3):
-            viol = np.abs(block[j] - block[0]) > tol
-            if viol.any():
-                ok = False
-                i, l = first_bad(viol)
-                block_bad = (i, j, j, l)
-                break
-    results.append(ConditionResult("reduced_block_diagonal", ok, block_bad))
-
+    k_ne_j = off[None, :, :, None] & (np.abs(d) > tol)
+    # the contracted block d[i, j, j, l], as (j, i, l): off-diagonal in (i, l)
+    # vanishes and, when it does, the block is the same for every j
+    block = np.einsum("ijjl->jil", d)
+    block_bad = off & (np.abs(block) > tol)
+    if not block_bad.any():
+        block_bad = np.abs(block - block[0]) > tol
     # C_il taken from the j = 0 representative; its diagonal must be constant
-    c_mat = block[0]
-    diag = np.diag(c_mat)
-    shear_bad = np.abs(diag - diag[0]) > tol
-    viol = np.argwhere(shear_bad)
-    results.append(
-        ConditionResult(
-            "shear_scalar_constant",
-            not shear_bad.any(),
-            (int(viol[0][0]), 0, 0, int(viol[0][0])) if viol.size else None,
-        )
-    )
-
-    e_mat = np.einsum("ijkl,ij->kl", d, misfit.entries)
-    e_off_bad = off & (np.abs(e_mat) > tol)
-    results.append(
-        ConditionResult("misfit_coupling_offdiagonal_zero", not e_off_bad.any(), first_bad(e_off_bad))
-    )
-
+    shear = np.diag(block[0])
+    e_mat = tensor.apply(misfit.entries)
     e_diag = np.diag(e_mat)
-    e_diag_bad = np.abs(e_diag - e_diag[0]) > tol
-    viol = np.argwhere(e_diag_bad)
-    results.append(
-        ConditionResult(
-            "misfit_coupling_isotropic",
-            not e_diag_bad.any(),
-            (int(viol[0][0]), int(viol[0][0])) if viol.size else None,
-        )
-    )
-
+    table = {
+        "full_symmetry": (symmetry, same),
+        "zero_unless_k_equals_j": (k_ne_j, same),
+        "reduced_block_diagonal": (block_bad, lambda j, i, l: (i, j, j, l)),
+        "shear_scalar_constant": (np.abs(shear - shear[0]) > tol, lambda i: (i, 0, 0, i)),
+        "misfit_coupling_offdiagonal_zero": (off & (np.abs(e_mat) > tol), same),
+        "misfit_coupling_isotropic": (np.abs(e_diag - e_diag[0]) > tol, lambda k: (k, k)),
+    }
+    results = []
+    for name in CONDITION_NAMES:
+        mask, place = table[name]
+        bad = np.argwhere(mask)
+        first = place(*(int(v) for v in bad[0])) if len(bad) else None
+        results.append(ConditionResult(name, first is None, first))
     return AssumptionReport(tuple(results))
 
 
@@ -274,12 +231,9 @@ def scalar_coefficients(tensor: ElasticityTensor, misfit: MisfitStrain) -> tuple
     report = check_tensor_assumptions(tensor, misfit)
     if not report.scalars_defined:
         raise AssumptionViolated(report)
-    d = tensor.entries
-    mu = float(d[0, 0, 0, 0])  # C_00 via the j = 0 representative
-    e_mat = np.einsum("ijkl,ij->kl", d, misfit.entries)
-    lam = float(e_mat[0, 0])
-    e = float(np.einsum("ijkl,ij,kl->", d, misfit.entries, misfit.entries))
-    return mu, lam, e
+    mu = float(tensor.entries[0, 0, 0, 0])  # C_00 via the j = 0 representative
+    lam = float(tensor.apply(misfit.entries)[0, 0])
+    return mu, lam, tensor.quadratic_form(misfit.entries)
 
 
 def double_well(s, well_weight: float = 1.0):

@@ -8,7 +8,10 @@ sample point (radial direction plus a tangential completion); for radial
 fields the residual norms are then independent of the tangential choice and
 of rigid rotations of the sample set, up to floating-point roundoff.
 Nodal frames are interpolated by ``UniformSpline.not_a_knot``, a local
-not-a-knot cubic spline solved with ``tridiag_solve``.
+not-a-knot cubic spline solved with ``tridiag_solve``.  A ``RadialLift``
+holds the profiles and the stiffness and misfit tensors only; the reduced
+scalars lam and e are read from the ``MaterialParams`` given to
+``residual_order_3d``, the same values the radial run marched with.
 """
 
 from __future__ import annotations
@@ -19,13 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .grid_field import Grid, tridiag_solve
-from .material import (
-    ElasticityTensor,
-    MaterialParams,
-    MisfitStrain,
-    double_well,
-    scalar_coefficients,
-)
+from .material import ElasticityTensor, MaterialParams, MisfitStrain, double_well
 from .elasticity import OutOfDomain
 
 
@@ -83,7 +80,11 @@ class UniformSpline:
 
 @dataclass(frozen=True)
 class RadialLift:
-    """Radial profiles plus the material tensors, ready for 3D evaluation."""
+    """Radial profiles plus the material tensors, ready for 3D evaluation.
+
+    The tensors give the 3D stress; the reduced scalars are not kept here but
+    read from the ``MaterialParams`` of ``residual_order_3d``.
+    """
 
     a: float
     d: float
@@ -93,14 +94,6 @@ class RadialLift:
     b_hat: Callable
     tensor: ElasticityTensor
     misfit: MisfitStrain
-    mu: float
-    lam: float
-    e: float
-
-    @classmethod
-    def from_callables(cls, a, d, u_hat, u_hat_r, s_hat, b_hat, tensor, misfit) -> "RadialLift":
-        mu, lam, e = scalar_coefficients(tensor, misfit)
-        return cls(a, d, u_hat, u_hat_r, s_hat, b_hat, tensor, misfit, mu, lam, e)
 
     @classmethod
     def from_frames(
@@ -116,9 +109,7 @@ class RadialLift:
         u_sp = UniformSpline.not_a_knot(grid, u_frame)
         s_sp = UniformSpline.not_a_knot(grid, s_frame)
         b_sp = UniformSpline.not_a_knot(grid, b_frame)
-        return cls.from_callables(
-            grid.a, grid.d, u_sp, u_sp.derivative(), s_sp, b_sp, tensor, misfit
-        )
+        return cls(grid.a, grid.d, u_sp, u_sp.derivative(), s_sp, b_sp, tensor, misfit)
 
 
 def lift_fields(lift: RadialLift, x: np.ndarray):
@@ -228,7 +219,10 @@ def residual_order_3d(
     Time enters by a forward difference of the lifted order parameter; spatial
     derivatives are centered differences at the first frame.  Also reports, per
     sample, the gap in the algebraic identity that reduces the strain pairing
-    (D eps(grad u)) . misfit to lam * (u_hat' + 2 u_hat / r).
+    (D eps(grad u)) . misfit to lam * (u_hat' + 2 u_hat / r).  The pairing
+    uses the lift's tensors; lam, e and the kinetic constants come from
+    ``material``, which for a tensor config holds the scalars derived from
+    those same tensors (``MaterialParams.from_tensors``).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     res = np.zeros(len(points))
@@ -252,11 +246,11 @@ def residual_order_3d(
         eps = 0.5 * (grad + grad.T)
         pairing = float(np.sum(lift0.tensor.apply(eps) * lift0.misfit.entries))
         ident[idx] = abs(
-            pairing - lift0.lam * (float(lift0.u_hat_r(r)) + 2.0 * float(lift0.u_hat(r)) / r)
+            pairing - material.lam * (float(lift0.u_hat_r(r)) + 2.0 * float(lift0.u_hat(r)) / r)
         )
 
         _, well_prime = double_well(s0, material.well_weight)
-        psi_s = -pairing + lift0.e * s0 + well_prime
+        psi_s = -pairing + material.e * s0 + well_prime
         res[idx] = abs(
             s_t + material.c * (psi_s - material.nu * lap_s) * np.linalg.norm(grad_s)
         )

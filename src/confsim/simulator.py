@@ -351,15 +351,21 @@ def load_run(run_dir):
     """Read back a persisted run: (trajectory, config, diagnostics text).
 
     Raises ``FieldFileError`` naming the file when ``meta.txt`` has no
-    ``[config]`` line, a field table is damaged or of another grid, or
-    ``S.csv`` and ``u.csv`` disagree on their steps or times.
+    ``[config]`` line or its ``config_hash`` is missing or is not the digest
+    of the config below that line, a field table is damaged or of another
+    grid, or ``S.csv`` and ``u.csv`` disagree on their steps or times.
     """
     out = Path(run_dir)
     meta_path = out / "meta.txt"
-    _, sep, config_text = meta_path.read_text().partition("[config]")
+    head, sep, config_text = meta_path.read_text().partition("[config]")
     if not sep:
         raise FieldFileError(f"{meta_path}: no [config] line")
     config = parse_config_text(config_text)
+    stated = [line.partition(" = ")[2] for line in head.splitlines() if line.startswith("config_hash = ")]
+    if not stated:
+        raise FieldFileError(f"{meta_path}: no config_hash line")
+    if stated != [config_digest(config)]:
+        raise FieldFileError(f"{meta_path}: config_hash differs from the digest of its [config] section")
     grid = config.grid
     steps, times, s = _read_field_table(out / "S.csv", grid)
     u_steps, u_times, u = _read_field_table(out / "u.csv", grid)

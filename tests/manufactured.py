@@ -44,7 +44,7 @@ def matched_body(r, mu=MU0, lam=MU0 * BETA):
 
 
 def manufactured_lift():
-    return RadialLift.from_callables(A, D, u_hat, u_hat_r, s_hat, matched_body, TENSOR, MISFIT)
+    return RadialLift(A, D, u_hat, u_hat_r, s_hat, matched_body, TENSOR, MISFIT)
 
 
 def make_order_lifts(dt):
@@ -53,7 +53,7 @@ def make_order_lifts(dt):
     def psi_s0(r):
         pairing = MU0 * BETA * (u_hat_r(r) + 2.0 * u_hat(r) / r)
         _, well_prime = double_well(s_hat(r), MAT.well_weight)
-        return -pairing + 3.0 * MU0 * BETA**2 * s_hat(r) + well_prime
+        return -pairing + MAT.e * s_hat(r) + well_prime
 
     def velocity(r):
         lap = s_hat_rr(r) + 2.0 * s_hat_r(r) / r
@@ -63,9 +63,7 @@ def make_order_lifts(dt):
         return s_hat(r) + dt * velocity(r)
 
     lift0 = manufactured_lift()
-    lift1 = RadialLift.from_callables(
-        A, D, u_hat, u_hat_r, s_hat_later, matched_body, TENSOR, MISFIT
-    )
+    lift1 = RadialLift(A, D, u_hat, u_hat_r, s_hat_later, matched_body, TENSOR, MISFIT)
     return lift0, lift1
 
 

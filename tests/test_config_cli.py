@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -625,13 +626,27 @@ class TestCliTools:
 
     @pytest.mark.parametrize(
         "name, damage, message",
-        [("meta.txt", lambda text: text.replace("[config]\n", ""), "meta.txt: no [config] line")],
-        ids=["meta_without_config"],
+        [
+            ("meta.txt", lambda text: text.replace("[config]\n", ""), "meta.txt: no [config] line"),
+            (
+                "meta.txt",
+                lambda text: re.sub(r"(?m)^material\.nu = .*$", "material.nu = 5", text),
+                "meta.txt: config_hash differs from the digest of its [config] section",
+            ),
+            (
+                "meta.txt",
+                lambda text: re.sub(r"(?m)^config_hash = .*\n", "", text),
+                "meta.txt: no config_hash line",
+            ),
+        ],
+        ids=["meta_without_config", "config_edited", "meta_without_hash"],
     )
     def test_damaged_run_metadata_exits_one(self, tmp_path, capsys, name, damage, message):
         run_dir = self.tensor_run(tmp_path)
         path = tmp_path / "out" / name
-        path.write_text(damage(path.read_text()))
+        text = path.read_text()
+        assert damage(text) != text
+        path.write_text(damage(text))
         assert message in self.check_reduction_error(run_dir, capsys)
 
     def test_check_reduction_requires_tensor_config(self, tmp_path):

@@ -178,6 +178,42 @@ class TestAssumptionChecks:
         assert lam == pytest.approx(mu0 * beta, rel=1e-12, abs=1e-15)
         assert e == pytest.approx(3.0 * mu0 * beta**2, rel=1e-12, abs=1e-15)
 
+    @given(
+        base=st.sampled_from(["zero", "diagonal", "isotropic"]),
+        scale=st.floats(0.5, 3.0),
+        perturbations=st.lists(
+            st.tuples(
+                st.tuples(*[st.integers(0, 2)] * 4),
+                st.sampled_from([0.5, -1.0, 1e-13]),
+            ),
+            max_size=3,
+        ),
+        misfit_kind=st.sampled_from(["zero", "spherical", "symmetric"]),
+        misfit_values=st.lists(st.floats(-0.5, 0.5), min_size=6, max_size=6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_report_matches_oracle_on_perturbed_families(
+        self, base, scale, perturbations, misfit_kind, misfit_values
+    ):
+        # a perturbation of 1e-13 stays below the tolerance and must not count
+        tensor = {
+            "zero": ElasticityTensor.zeros(),
+            "diagonal": ElasticityTensor.diagonal_family(scale),
+            "isotropic": ElasticityTensor.isotropic(0.7 * scale, scale),
+        }[base]
+        d = tensor.entries.copy()
+        for index, delta in perturbations:
+            d[index] += delta
+        if misfit_kind == "zero":
+            eps = np.zeros((3, 3))
+        elif misfit_kind == "spherical":
+            eps = misfit_values[0] * np.eye(3)
+        else:
+            eps = np.zeros((3, 3))
+            eps[np.triu_indices(3)] = misfit_values
+            eps = eps + np.triu(eps, 1).T
+        assert_matches_oracle(ElasticityTensor(d), MisfitStrain(eps))
+
     def test_mu_independent_of_representative_indices(self):
         d = ElasticityTensor.diagonal_family(1.7).entries
         values = [d[l, j, j, l] for j in range(3) for l in range(3)]

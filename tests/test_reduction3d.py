@@ -20,8 +20,6 @@ from manufactured import (
     D,
     MAT,
     MISFIT,
-    MU0,
-    BETA,
     TENSOR,
     make_order_lifts,
     manufactured_lift,
@@ -70,9 +68,10 @@ class TestLift:
     def test_from_frames_reproduces_nodes(self):
         grid = Grid(A, D, 65)
         uf = u_hat(grid.x)
-        lift = RadialLift.from_frames(grid, uf, s_hat(grid.x), matched_body(grid.x), TENSOR, MISFIT)
+        sf = s_hat(grid.x)
+        lift = RadialLift.from_frames(grid, uf, sf, matched_body(grid.x), TENSOR, MISFIT)
         assert np.max(np.abs(lift.u_hat(grid.x) - uf)) < 1e-14
-        assert lift.lam == pytest.approx(MU0 * BETA)
+        assert np.max(np.abs(lift.s_hat(grid.x) - sf)) < 1e-14
 
     def test_sample_frame_is_orthonormal(self):
         rng = np.random.default_rng(22)
@@ -126,7 +125,7 @@ class TestUniformSpline:
 class TestElasticityResidual:
     def test_zero_fields(self):
         zero = lambda r: 0.0 * np.asarray(r)
-        lift = RadialLift.from_callables(A, D, zero, zero, zero, zero, TENSOR, MISFIT)
+        lift = RadialLift(A, D, zero, zero, zero, zero, TENSOR, MISFIT)
         rng = np.random.default_rng(23)
         pts = random_shell_points(A, D, 10, rng, margin=0.1)
         res = residual_elasticity_3d(lift, pts, h3=0.01)
@@ -143,7 +142,7 @@ class TestElasticityResidual:
 
     def test_stiffness_perturbation_is_detected(self):
         lift = manufactured_lift()
-        perturbed = RadialLift.from_callables(
+        perturbed = RadialLift(
             A, D, u_hat, lift.u_hat_r, s_hat, matched_body,
             ElasticityTensor(1.1 * TENSOR.entries), MISFIT,
         )
@@ -166,7 +165,7 @@ class TestElasticityResidual:
 class TestOrderResidual:
     def test_zero_fields(self):
         zero = lambda r: 0.0 * np.asarray(r)
-        lift = RadialLift.from_callables(A, D, zero, zero, zero, zero, TENSOR, MISFIT)
+        lift = RadialLift(A, D, zero, zero, zero, zero, TENSOR, MISFIT)
         rng = np.random.default_rng(27)
         pts = random_shell_points(A, D, 10, rng, margin=0.1)
         res = residual_order_3d(lift, lift, 1e-3, pts, MAT, h3=0.01)
