@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -146,8 +147,9 @@ class SimulationConfig:
                 "raise reg.dt or lower run.t_end"
             )
 
-    @property
+    @cached_property
     def n_steps(self) -> int:
+        """Steps to t_end, computed once per config."""
         return int(np.ceil(self.t_end / self.reg.dt - 1e-9))
 
     def step_time(self, n: int) -> float:

@@ -21,7 +21,8 @@ path holds an n x n matrix.  ``solve_elasticity`` returns u by one path:
 the quadrature on "green", the FD solve on "direct" and on "both-verify",
 whose check against the quadrature the simulator makes on the frames it
 records.  ``fd_residual`` and the FD solve's refinement step apply the one
-cached operator of ``_fd_operator``.
+cached operator of ``_fd_operator``, and both of the FD solve's solves use
+its LU factors, cached with it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid_field import Grid, ScalarField, d1, tridiag_solve
+from .grid_field import Grid, ScalarField, d1, tridiag_factor, tridiag_factor_solve
 from .material import MaterialParams
 
 
@@ -129,7 +130,7 @@ def elastic_rhs(s_x: np.ndarray, b: np.ndarray, params: MaterialParams) -> np.nd
 
 @lru_cache(maxsize=8)
 def _fd_operator(grid: Grid):
-    """Sub-, main and super-diagonals of the FD operator, built once per grid.
+    """Sub-, main and super-diagonals of the FD operator and its LU factors, built once per grid.
 
     Rows 0 and n-1 pin the boundary values; rows 1..n-2 carry the stencil.
     The arrays are shared between calls and therefore read-only.
@@ -143,15 +144,19 @@ def _fd_operator(grid: Grid):
     upper = np.append(0.0, 1.0 / h**2 + 1.0 / (xi * h))
     for band in (lower, diag, upper):
         band.flags.writeable = False
-    return lower, diag, upper
+    return lower, diag, upper, tridiag_factor(lower, diag, upper)
 
 
-def _fd_apply(u: np.ndarray, grid: Grid) -> np.ndarray:
+def _fd_apply(u: np.ndarray, operator) -> np.ndarray:
     """The FD operator of ``_fd_operator`` applied to u along its last axis."""
-    lower, diag, upper = _fd_operator(grid)
+    lower, diag, upper, _ = operator
     out = diag * u
-    out[..., :-1] += upper * u[..., 1:]
-    out[..., 1:] += lower * u[..., :-1]
+    term = upper * u[..., 1:]
+    head = out[..., :-1]
+    head += term
+    np.multiply(lower, u[..., :-1], out=term)
+    tail = out[..., 1:]
+    tail += term
     return out
 
 
@@ -160,18 +165,23 @@ def solve_fd(rhs: np.ndarray, grid: Grid) -> np.ndarray:
 
     ``rhs`` may be a (B, n) stack: its rows go to LAPACK as B right-hand
     sides of one solve, and each row's u equals its own solve bit for bit.
+    Both solves, the first and the refinement step, use the operator's
+    cached factors.
     """
-    lower, diag, upper = _fd_operator(grid)
+    try:
+        operator = _fd_operator(grid)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - operator is invertible
+        raise SingularSystem(str(exc)) from exc
+    factors = operator[3]
     vec = np.zeros(rhs.shape)
     vec[..., 1:-1] = rhs[..., 1:-1]
     # the transposes hand LAPACK a stack's rows as the columns it solves for
-    try:
-        u = tridiag_solve(lower, diag, upper, vec.T).T
-        # one step of iterative refinement keeps the discrete residual near
-        # roundoff even on fine grids, where plain elimination leaves O(n*eps/h^2)
-        u -= tridiag_solve(lower, diag, upper, (_fd_apply(u, grid) - vec).T).T
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - operator is invertible
-        raise SingularSystem(str(exc)) from exc
+    u = tridiag_factor_solve(factors, vec.T).T
+    # one step of iterative refinement keeps the discrete residual near
+    # roundoff even on fine grids, where plain elimination leaves O(n*eps/h^2)
+    residual = _fd_apply(u, operator)
+    residual -= vec
+    u -= tridiag_factor_solve(factors, residual.T).T
     u[..., 0] = 0.0
     u[..., -1] = 0.0
     return u
@@ -179,7 +189,7 @@ def solve_fd(rhs: np.ndarray, grid: Grid) -> np.ndarray:
 
 def fd_residual(u: np.ndarray, rhs: np.ndarray, grid: Grid) -> float:
     """Max-norm residual of the discrete interior equations for a candidate u."""
-    r = _fd_apply(u, grid)[1:-1] - rhs[1:-1]
+    r = _fd_apply(u, _fd_operator(grid))[1:-1] - rhs[1:-1]
     return float(np.max(np.abs(r))) if r.size else 0.0
 
 

@@ -9,9 +9,15 @@ every table confsim writes; the run directory's layout is ``simulator``'s.
 
 Quadrature is the local ``trapezoid``, which does scipy's arithmetic bit for
 bit.  From scipy the package uses only LAPACK ``dgtsv`` behind
-``tridiag_solve``, taken from scipy's compiled ``scipy.linalg._flapack``
-extension loaded by file, so that a cold start does not run ``scipy.linalg``'s
-package init (about 0.3 s, almost all of it modules the package never uses).
+``tridiag_solve``, and ``dgttrf``/``dgttrs`` behind ``tridiag_factor`` and
+``tridiag_factor_solve`` for a matrix solved against many times, taken from
+scipy's compiled ``scipy.linalg._flapack`` extension loaded by file, so that a
+cold start does not run ``scipy.linalg``'s package init (about 0.3 s, almost
+all of it modules the package never uses).
+
+``d1`` does its arithmetic in place on the array it allocates, with the
+operations and grouping of the plain expression, so its bits are the
+expression's; the step functions built on it follow the same rule.
 """
 
 from __future__ import annotations
@@ -43,8 +49,8 @@ def _load_flapack():
     The extension is the one ``scipy.linalg.lapack`` wraps.  It is registered
     in ``sys.modules`` under its own name, so a later ``import scipy.linalg``
     reuses it rather than loading it again, and ``dgtsv`` here is
-    ``scipy.linalg.lapack.dgtsv`` whichever is imported first
-    (``tests/test_layering.py`` checks both orders).
+    ``scipy.linalg.lapack.dgtsv`` whichever is imported first, as are
+    ``dgttrf`` and ``dgttrs`` (``tests/test_layering.py`` checks both orders).
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
@@ -66,7 +72,8 @@ def _load_flapack():
     return module
 
 
-dgtsv = _load_flapack().dgtsv
+_flapack = _load_flapack()
+dgtsv, dgttrf, dgttrs = _flapack.dgtsv, _flapack.dgttrf, _flapack.dgttrs
 
 
 @dataclass(frozen=True)
@@ -145,13 +152,26 @@ class Trajectory:
 
 
 def d1(v: np.ndarray, h: float) -> np.ndarray:
-    """First derivative along the last axis: central interior, one-sided second order at the ends."""
-    # the transposes put the node axis first, so one frame indexes to scalars
-    out = np.empty_like(v)
+    """First derivative along the last axis: central interior, one-sided second order at the ends.
+
+    Interior (v[i+1] - v[i-1]) / (2h); ends (-3 v[0] + 4 v[1] - v[2]) / (2h)
+    and (3 v[-1] - 4 v[-2] + v[-3]) / (2h).
+    """
+    out = np.empty(v.shape)
+    h2 = 2.0 * h
+    # the transposes put the node axis first
     vt, ot = v.T, out.T
-    ot[1:-1] = (vt[2:] - vt[:-2]) / (2.0 * h)
-    ot[0] = (-3.0 * vt[0] + 4.0 * vt[1] - vt[2]) / (2.0 * h)
-    ot[-1] = (3.0 * vt[-1] - 4.0 * vt[-2] + vt[-3]) / (2.0 * h)
+    inner = ot[1:-1]
+    np.subtract(vt[2:], vt[:-2], out=inner)
+    inner /= h2
+    if v.ndim == 1:
+        # Python floats do the float64 arithmetic of numpy scalars, at less cost per operation
+        item = v.item
+        out[0] = (-3.0 * item(0) + 4.0 * item(1) - item(2)) / h2
+        out[-1] = (3.0 * item(-1) - 4.0 * item(-2) + item(-3)) / h2
+    else:
+        ot[0] = (-3.0 * vt[0] + 4.0 * vt[1] - vt[2]) / h2
+        ot[-1] = (3.0 * vt[-1] - 4.0 * vt[-2] + vt[-3]) / h2
     return out
 
 
@@ -170,16 +190,47 @@ def d2(v: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def tridiag_solve(lower, diag, upper, rhs) -> np.ndarray:
+def tridiag_solve(lower, diag, upper, rhs, overwrite: bool = False) -> np.ndarray:
     """Solve the tridiagonal system with sub-, main and super-diagonals of lengths n-1, n, n-1.
 
     ``rhs`` is one vector of length n or an (n, k) array of k columns.  LAPACK
-    gtsv, elimination with partial pivoting; the inputs are left unchanged.
-    Raises np.linalg.LinAlgError when the matrix is singular.
+    gtsv, elimination with partial pivoting.  The inputs are left unchanged
+    unless ``overwrite`` is set: LAPACK then works in the four arrays
+    themselves when they are contiguous float64, so they must be the
+    caller's own and share no memory, and the solution is returned in
+    ``rhs``.  Raises np.linalg.LinAlgError when the matrix is singular.
     """
-    *_, x, info = dgtsv(lower, diag, upper, rhs)
+    *_, x, info = dgtsv(lower, diag, upper, rhs, overwrite, overwrite, overwrite, overwrite)
     if info != 0:
         raise np.linalg.LinAlgError(f"singular tridiagonal matrix (LAPACK gtsv info {info})")
+    return x
+
+
+def tridiag_factor(lower, diag, upper) -> tuple:
+    """LU factors of the tridiagonal matrix of ``tridiag_solve``, for ``tridiag_factor_solve``.
+
+    LAPACK gttrf, the elimination with partial pivoting that gtsv performs.
+    The factors are read-only arrays, so that they may be shared.
+    Raises np.linalg.LinAlgError when the matrix is singular.
+    """
+    *factors, info = dgttrf(lower, diag, upper)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular tridiagonal matrix (LAPACK gttrf info {info})")
+    for part in factors:
+        part.flags.writeable = False
+    return tuple(factors)
+
+
+def tridiag_factor_solve(factors: tuple, rhs) -> np.ndarray:
+    """Solve with the factors of ``tridiag_factor``; ``rhs`` as for ``tridiag_solve``.
+
+    LAPACK gttrs applies the multipliers and back substitution that gtsv
+    applies while it eliminates, so the solution equals ``tridiag_solve``'s
+    bit for bit.  ``rhs`` is left unchanged.
+    """
+    x, info = dgttrs(*factors, rhs)
+    if info != 0:  # pragma: no cover - gttrs fails only on malformed arguments
+        raise ValueError(f"LAPACK gttrs info {info}")
     return x
 
 

@@ -22,6 +22,8 @@ from .material import MaterialParams
 # Ceiling on the mollifier window length and on the step count of one run.
 MAX_STEPS = 2**31
 
+_FLOAT_MAX = sys.float_info.max
+
 
 def window_length(kappa_m: float, dt: float) -> int:
     """Number of lags j*dt < kappa_m the mollifier window holds, at least one."""
@@ -212,10 +214,29 @@ def driving_force(
     correction 2*c*nu/x * s_x; bounded because the grid keeps x >= a > 0.
     The fields may be single frames or (frames, nodes) stacks over the nodes x.
     """
-    # the derivative of material.double_well, in its operation order
-    well_prime = 2.0 * params.well_weight * s * (1.0 - s) * (1.0 - 2.0 * s)
-    f1 = params.c * (-params.lam * (u_x + 2.0 * u / x) + params.e * s + well_prime)
-    return f1 - (2.0 * params.c * params.nu / x) * s_x
+    # In place, with the operations and grouping of
+    #   well_prime = 2.0 * W * s * (1.0 - s) * (1.0 - 2.0 * s)   (material.double_well's derivative)
+    #   f1 = c * (-lam * (u_x + 2.0 * u / x) + e * s + well_prime)
+    #   f1 - (2.0 * c * nu / x) * s_x
+    well_prime = np.multiply(s, 2.0 * params.well_weight)
+    term = np.subtract(1.0, s)
+    well_prime *= term
+    np.multiply(s, 2.0, out=term)
+    np.subtract(1.0, term, out=term)
+    well_prime *= term
+    elastic = np.multiply(u, 2.0)
+    elastic /= x
+    elastic += u_x
+    elastic *= -params.lam
+    np.multiply(s, params.e, out=term)
+    # u and s may differ in a leading axis of length one, so this sum takes their broadcast shape
+    f1 = elastic + term
+    f1 += well_prime
+    f1 *= params.c
+    curvature = np.divide(2.0 * params.c * params.nu, x)
+    np.multiply(curvature, s_x, out=term)
+    f1 -= term
+    return f1
 
 
 def _pin_ends(solution: np.ndarray, s: np.ndarray):
@@ -259,38 +280,62 @@ def semi_implicit_step(
 
     if s_x is None:
         s_x = d1(s, h)
+    # In place, with the operations and grouping of
+    #   mod = hypot(s_x, kappa);  coef = c * nu * mod
+    #   rhs = s + dt * (-force * (mod - kappa))  [+ dt * (1 - theta) * coef * d2(s, h)]
+    #   beta = theta * dt * coef / h**2
+    # except that the reaction's sign moves onto the sum: IEEE rounding is
+    # symmetric in sign, so s - dt * (force * y) is s + dt * (-force * y) bit
+    # for bit.  Every node is computed and the end nodes are then overwritten.
     mod = np.hypot(s_x, kappa)
-    coef = material.c * material.nu * mod
-
-    rhs = s.copy()
-    reaction = -force * (mod - kappa)
-    rhs[..., 1:-1] += dt * reaction[..., 1:-1]
+    coef = np.multiply(mod, material.c * material.nu)
+    reaction = mod  # dt * force * (mod - kappa), in mod's array
+    reaction -= kappa
+    reaction *= force
+    reaction *= dt
+    rhs = np.subtract(s, reaction, out=reaction)
     if reg.theta < 1.0:
-        rhs[..., 1:-1] += dt * (1.0 - reg.theta) * coef[..., 1:-1] * d2(s, h)[..., 1:-1]
+        explicit = np.multiply(coef, dt * (1.0 - reg.theta))
+        explicit *= d2(s, h)
+        rhs += explicit
     rhs[..., 0] = 0.0
     rhs[..., -1] = 0.0
 
-    beta = reg.theta * dt * coef[..., 1:-1] / h**2
-    diag = np.ones(s.shape)
-    diag[..., 1:-1] += 2.0 * beta
+    beta = coef
+    beta *= reg.theta * dt
+    beta /= h**2
     # rows 0 and n-1 of each member are identity rows that pin the boundary
-    # values, so the sub-diagonal is (-beta, 0) and the super-diagonal
-    # (0, -beta): two overlapping views of one array (gtsv leaves its inputs
-    # unchanged); a batch is the same two views of the flattened rows
-    off = np.zeros(s.shape)
-    off[..., 1:-1] = -beta
+    # values, so the diagonal is (1, 1 + 2 beta, 1), the sub-diagonal
+    # (-beta, 0) and the super-diagonal (0, -beta): two overlapping views of
+    # one array; a batch is the same two views of the flattened rows
+    diag = np.multiply(beta, 2.0)
+    diag += 1.0
+    diag[..., 0] = 1.0
+    diag[..., -1] = 1.0
+    off = np.negative(beta, out=beta)
+    off[..., 0] = 0.0
+    off[..., -1] = 0.0
+    # the cap also rejects an infinite increment when the guard is infinite
+    limit = min(reg.increment_guard, _FLOAT_MAX)
+    if s.ndim == 1:
+        # a lone row: LAPACK works in the arrays made here, so the
+        # super-diagonal gets its own copy, and rhs becomes the solution
+        new = tridiag_solve(off[1:], diag, off[:-1].copy(), rhs, overwrite=True)
+        new[0] = 0.0
+        new[-1] = 0.0
+        change = new - s
+        increment = np.abs(change, out=change).max()
+        if not increment <= limit:
+            raise StepRejected(float(increment), reg.increment_guard)
+        return new
+    # gtsv leaves these inputs unchanged, for the per-row solves below
     flat = off.ravel()
     new, increment = _pin_ends(tridiag_solve(flat[1:], diag.ravel(), flat[:-1], rhs.ravel()), s)
-    # the cap also rejects an infinite increment when the guard is infinite
-    limit = min(reg.increment_guard, sys.float_info.max)
-    ok = increment <= limit
-    if s.ndim == 2 and not np.isfinite(increment).all():
+    if not np.isfinite(increment).all():
         rows = [tridiag_solve(o[1:], d, o[:-1], r) for o, d, r in zip(off, diag, rhs)]
         new, increment = _pin_ends(np.array(rows), s)
-        ok = increment <= limit
+    ok = increment <= limit
     if not ok.all():
-        if s.ndim == 1:
-            raise StepRejected(float(increment), reg.increment_guard)
         rejected = ~ok
         raise StepRejected(float(increment[rejected][0]), reg.increment_guard, rejected, new)
     return new

@@ -221,20 +221,22 @@ def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
         for sim, row in zip(fresh, _rows(u)):
             sim.u = row
 
+    # what the members share, looked up once
+    grid, material, reg, body, path = cfg.grid, cfg.material, cfg.reg, cfg.body, cfg.elasticity_path
+    h, x, save_every, step_time = grid.h, grid.x, cfg.save_every, cfg.step_time
     stop = cfg.n_steps if until_step is None else min(until_step, cfg.n_steps)
-    h = cfg.grid.h
-    x = cfg.grid.x
     step, time = lead.step_index, lead.time
     s = _stack([sim.s for sim in active])
     u = _stack([sim.u for sim in active])
     # a lone member steps with its own reg.kappa, a batch with a column of them
-    kappa = None if s.ndim == 1 else np.array([[sim.config.reg.kappa] for sim in active])
+    lone = s.ndim == 1
+    kappa = None if lone else np.array([[sim.config.reg.kappa] for sim in active])
     while step < stop:
         s_x = d1(s, h)
-        force = driving_force(u, d1(u, h), s, s_x, x, cfg.material)
-        t_next = cfg.step_time(step + 1)
+        force = driving_force(u, d1(u, h), s, s_x, x, material)
+        t_next = step_time(step + 1)
         try:
-            s = semi_implicit_step(s, force, h, cfg.material, cfg.reg, dt=t_next - time, s_x=s_x, kappa=kappa)
+            s = semi_implicit_step(s, force, h, material, reg, dt=t_next - time, s_x=s_x, kappa=kappa)
         except StepRejected as exc:
             rejected = np.ones(1, dtype=bool) if exc.rejected is None else exc.rejected
             for sim, row, stopped in zip(active, _rows(u), rejected):
@@ -249,11 +251,19 @@ def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
             s, kappa = exc.new[kept], kappa[kept]
         step += 1
         time = t_next
-        for sim, row in zip(active, _rows(s)):
-            sim.step_index, sim.time, sim.s = step, time, row
-            sim.mollifier.push(row, time)
-        u, s_moll, b = _solve_for_u(active, time)
-        if step % cfg.save_every == 0 or step == stop:
+        # _solve_for_u's work, without its per-member lists for a lone member
+        if lone:
+            lead.step_index, lead.time, lead.s = step, time, s
+            lead.mollifier.push(s, time)
+            s_moll = mollify(lead.mollifier, time)
+        else:
+            for sim, row in zip(active, s):
+                sim.step_index, sim.time, sim.s = step, time, row
+                sim.mollifier.push(row, time)
+            s_moll = _stack([mollify(sim.mollifier, time) for sim in active])
+        b = body.evaluate(time, grid)
+        u = solve_elasticity(s_moll, b, grid, material, path)
+        if step % save_every == 0 or step == stop:
             _record_frames(active, u, s_moll, b)
     for sim, row in zip(active, _rows(u)):
         sim.u = row

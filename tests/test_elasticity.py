@@ -186,9 +186,11 @@ class TestDirectSolve:
         assert fd_residual(u, g, grid) < 1e-12
 
     def test_operator_built_once_per_grid(self):
-        bands = _fd_operator(Grid(A, D, 65))
-        assert bands is _fd_operator(Grid(A, D, 65))
-        assert not any(band.flags.writeable for band in bands)
+        operator = _fd_operator(Grid(A, D, 65))
+        assert operator is _fd_operator(Grid(A, D, 65))
+        lower, diag, upper, factors = operator
+        assert len(factors) == 5  # gttrf's dl, d, du, du2 and ipiv
+        assert not any(array.flags.writeable for array in (lower, diag, upper, *factors))
 
     @pytest.mark.parametrize("n", [4, 129, 2049])
     def test_matches_operator_rebuilt_per_call(self, n):

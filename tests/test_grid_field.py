@@ -23,6 +23,8 @@ from confsim.grid_field import (
     norm_l2,
     norm_lp_time_lq_space,
     trapezoid,
+    tridiag_factor,
+    tridiag_factor_solve,
     tridiag_solve,
 )
 from confsim import simulator
@@ -259,6 +261,42 @@ class TestTridiagSolve:
     def test_singular_matrix_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
             tridiag_solve(np.zeros(2), np.array([1.0, 0.0, 1.0]), np.zeros(2), np.ones(3))
+        with pytest.raises(np.linalg.LinAlgError):
+            tridiag_factor(np.zeros(2), np.array([1.0, 0.0, 1.0]), np.zeros(2))
+
+    @pytest.mark.parametrize("n", [3, 4, 33, 129, 2049])
+    @pytest.mark.parametrize("columns", [None, 1, 2, 201])
+    def test_factor_solve_matches_gtsv(self, n, columns):
+        rng = np.random.default_rng(n)
+        beta = rng.uniform(0.0, 1e3, size=n - 2)
+        diag = np.ones(n)
+        diag[1:-1] += 2.0 * beta
+        # the FD operator and a matrix of the order-parameter step, as solve_fd and the step build them
+        for bands in (fd_operator(n), (np.append(-beta, 0.0), diag, np.append(0.0, -beta))):
+            factors = tridiag_factor(*bands)
+            rhs = rng.normal(size=n if columns is None else (n, columns))
+            for b in (rhs, np.asfortranarray(rhs)):
+                assert same_bits(tridiag_factor_solve(factors, b), tridiag_solve(*bands, b))
+
+    def test_factors_are_read_only_and_inputs_unchanged(self):
+        bands = fd_operator(17)
+        rhs = np.linspace(-1.0, 1.0, 17)
+        before = [a.copy() for a in (*bands, rhs)]
+        factors = tridiag_factor(*bands)
+        tridiag_factor_solve(factors, rhs)
+        assert not any(part.flags.writeable for part in factors)
+        for a, b in zip((*bands, rhs), before):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_overwrite_solves_in_the_callers_arrays(self, columns):
+        lower, diag, upper = fd_operator(33)
+        rhs = np.random.default_rng(2).normal(size=33 if columns is None else (33, columns))
+        want = tridiag_solve(lower, diag, upper, rhs)
+        arrays = [a.copy(order="F") for a in (lower, diag, upper, rhs)]
+        got = tridiag_solve(*arrays, overwrite=True)
+        assert same_bits(got, want)
+        assert np.shares_memory(got, arrays[3])
 
 
 FLOAT_FMT = "{:.17g}"

@@ -7,11 +7,12 @@ intra-package import graph is acyclic and needs no deferred imports.
 
 From scipy the package imports only the top-level ``scipy`` package, in
 ``grid_field``, which loads the compiled LAPACK extension
-``scipy.linalg._flapack`` by file for ``dgtsv``.  Beyond what ``import numpy,
-scipy`` loads, a cold start therefore runs neither ``scipy.linalg``'s package
-init (and the ``numpy.f2py``, ``numpy.ma`` and ``numpy.testing`` it pulls in)
-nor ``scipy.integrate``, ``scipy.interpolate`` and their subpackages; the
-tests still use those as oracles.
+``scipy.linalg._flapack`` by file for ``dgtsv``, ``dgttrf`` and ``dgttrs``.
+Beyond what ``import numpy, scipy`` loads, a cold start therefore runs
+neither ``scipy.linalg``'s package init (and the ``numpy.f2py``, ``numpy.ma``
+and ``numpy.testing`` it pulls in) nor ``scipy.integrate``,
+``scipy.interpolate`` and their subpackages; the tests still use those as
+oracles.
 """
 
 import ast
@@ -147,8 +148,10 @@ def test_cold_start_loads_no_heavy_scipy():
     "first, second", [("confsim.grid_field", "scipy.linalg.lapack"), ("scipy.linalg.lapack", "confsim.grid_field")]
 )
 def test_dgtsv_is_scipy_lapack_dgtsv(first, second):
+    # the factor and solve pair too, which also shows that the extension provides them
     probe = (
         f"import sys, {first}, {second}; "
-        "print(sys.modules['confsim.grid_field'].dgtsv is sys.modules['scipy.linalg.lapack'].dgtsv)"
+        "ours, theirs = sys.modules['confsim.grid_field'], sys.modules['scipy.linalg.lapack']; "
+        "print(*(getattr(ours, name) is getattr(theirs, name) for name in ('dgtsv', 'dgttrf', 'dgttrs')))"
     )
-    assert run_probe(probe).split() == ["True"]
+    assert run_probe(probe).split() == ["True", "True", "True"]

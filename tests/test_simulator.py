@@ -69,6 +69,14 @@ class TestTrajectoryContract:
         traj.validate(t_end=cfg.t_end)
         assert list(traj.times) == [0.0, 50 * 7e-4, 0.07]
 
+    def test_step_count_computed_once_per_config(self, monkeypatch):
+        cfg = make_config(n=17, dt=7e-4, t_end=0.07, save_every=50)
+        assert cfg.n_steps == 100
+        # every later step_time reads the stored count
+        monkeypatch.setattr(np, "ceil", lambda *args: pytest.fail("n_steps recomputed"))
+        assert [cfg.step_time(k) for k in (99, 100, 101)] == [99 * 7e-4, 0.07, 0.07]
+        assert cfg.n_steps == 100
+
     def test_saved_u_frames_satisfy_discrete_equation(self, desk_config):
         result = run(desk_config)
         assert result.elasticity_residual_max < 1e-10

@@ -1,0 +1,318 @@
+"""The time step's functions against the plain expressions they replaced.
+
+``d1``, ``driving_force``, ``semi_implicit_step`` and ``solve_fd`` do their
+arithmetic in place on arrays they allocate, and ``solve_fd`` solves with
+the LU factors cached with the FD operator.  The expressions and the two
+``dgtsv`` solves they were written as are kept here as references, and the
+functions must equal them bit for bit, signed zeros included: on drawn
+states, on a batch with a non-finite row, and along whole runs.  The
+functions must leave their inputs unwritten, and a run's recorded frames
+must own their memory.
+"""
+
+import sys
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from confsim import elasticity, simulator
+from confsim.config import InitialData
+from confsim.elasticity import solve_fd
+from confsim.grid_field import Grid, d1, d2, tridiag_solve
+from confsim.material import MaterialParams
+from confsim.order_parameter import RegularizationParams, StepRejected, driving_force, semi_implicit_step
+from confsim.simulator import Simulation, march
+
+from conftest import make_config
+
+
+def reference_d1(v, h):
+    out = np.empty_like(v)
+    vt, ot = v.T, out.T
+    ot[1:-1] = (vt[2:] - vt[:-2]) / (2.0 * h)
+    ot[0] = (-3.0 * vt[0] + 4.0 * vt[1] - vt[2]) / (2.0 * h)
+    ot[-1] = (3.0 * vt[-1] - 4.0 * vt[-2] + vt[-3]) / (2.0 * h)
+    return out
+
+
+def reference_driving_force(u, u_x, s, s_x, x, params):
+    well_prime = 2.0 * params.well_weight * s * (1.0 - s) * (1.0 - 2.0 * s)
+    f1 = params.c * (-params.lam * (u_x + 2.0 * u / x) + params.e * s + well_prime)
+    return f1 - (2.0 * params.c * params.nu / x) * s_x
+
+
+def _reference_pin_ends(solution, s):
+    new = solution.reshape(s.shape)
+    new[..., 0] = 0.0
+    new[..., -1] = 0.0
+    return new, np.abs(new - s).max(axis=-1)
+
+
+def reference_semi_implicit_step(s, force, h, material, reg, dt=None, s_x=None, kappa=None):
+    if dt is None:
+        dt = reg.dt
+    if kappa is None:
+        kappa = reg.kappa
+    if s_x is None:
+        s_x = reference_d1(s, h)
+    mod = np.hypot(s_x, kappa)
+    coef = material.c * material.nu * mod
+    rhs = s.copy()
+    reaction = -force * (mod - kappa)
+    rhs[..., 1:-1] += dt * reaction[..., 1:-1]
+    if reg.theta < 1.0:
+        rhs[..., 1:-1] += dt * (1.0 - reg.theta) * coef[..., 1:-1] * d2(s, h)[..., 1:-1]
+    rhs[..., 0] = 0.0
+    rhs[..., -1] = 0.0
+    beta = reg.theta * dt * coef[..., 1:-1] / h**2
+    diag = np.ones(s.shape)
+    diag[..., 1:-1] += 2.0 * beta
+    off = np.zeros(s.shape)
+    off[..., 1:-1] = -beta
+    flat = off.ravel()
+    new, increment = _reference_pin_ends(tridiag_solve(flat[1:], diag.ravel(), flat[:-1], rhs.ravel()), s)
+    limit = min(reg.increment_guard, sys.float_info.max)
+    ok = increment <= limit
+    if s.ndim == 2 and not np.isfinite(increment).all():
+        rows = [tridiag_solve(o[1:], d, o[:-1], r) for o, d, r in zip(off, diag, rhs)]
+        new, increment = _reference_pin_ends(np.array(rows), s)
+        ok = increment <= limit
+    if not ok.all():
+        if s.ndim == 1:
+            raise StepRejected(float(increment), reg.increment_guard)
+        rejected = ~ok
+        raise StepRejected(float(increment[rejected][0]), reg.increment_guard, rejected, new)
+    return new
+
+
+def reference_solve_fd(rhs, grid):
+    """Two gtsv solves, the second the refinement step, on bands assembled per call."""
+    n, h, xi = grid.n, grid.h, grid.x[1:-1]
+    diag = np.ones(n)
+    diag[1:-1] = -2.0 / h**2 - 2.0 / xi**2
+    lower = np.append(1.0 / h**2 - 1.0 / (xi * h), 0.0)
+    upper = np.append(0.0, 1.0 / h**2 + 1.0 / (xi * h))
+    vec = np.zeros(rhs.shape)
+    vec[..., 1:-1] = rhs[..., 1:-1]
+    u = tridiag_solve(lower, diag, upper, vec.T).T
+    applied = diag * u
+    applied[..., :-1] += upper * u[..., 1:]
+    applied[..., 1:] += lower * u[..., :-1]
+    u -= tridiag_solve(lower, diag, upper, (applied - vec).T).T
+    u[..., 0] = 0.0
+    u[..., -1] = 0.0
+    return u
+
+
+def same_bits(a, b):
+    """Equal shapes and values, the sign of every zero included; any nan matches any nan."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        a.shape == b.shape
+        and np.array_equal(a, b, equal_nan=True)
+        and np.array_equal(np.signbit(a) & ~np.isnan(a), np.signbit(b) & ~np.isnan(b))
+    )
+
+
+def step_outcome(step, *args, **kwargs):
+    """(accepted?, new, increment, rejected rows) of one step, rejected or not."""
+    try:
+        return True, step(*args, **kwargs), None, None
+    except StepRejected as exc:
+        return False, exc.new, exc.increment, exc.rejected
+
+
+def assert_same_outcome(got, want):
+    assert got[0] == want[0]
+    for g, w in zip(got[1:3], want[1:3]):
+        assert (g is None and w is None) or same_bits(g, w)
+    assert (got[3] is None and want[3] is None) or np.array_equal(got[3], want[3])
+
+
+@st.composite
+def step_states(draw):
+    """A lone row or a (B, n) batch with a kappa column, its force, grid and step parameters."""
+    n = draw(st.sampled_from([4, 33, 129, 2049]))
+    rows = draw(st.sampled_from([None, 2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n,) if rows is None else (rows, n)
+    grid = Grid(1.0, 2.0, n)
+    amplitude = draw(st.floats(1e-3, 1.5))
+    s, u, force = amplitude * rng.uniform(-1.0, 1.0, size=(3, *shape))
+    if draw(st.booleans()):
+        s[..., 0] = s[..., -1] = 0.0  # a state the step produced
+    material = MaterialParams(
+        c=draw(st.floats(0.1, 2.0)), nu=draw(st.floats(0.01, 1.0)), mu=2.0,
+        lam=draw(st.floats(-1.0, 1.0)), e=draw(st.floats(0.0, 0.5)), well_weight=draw(st.floats(0.01, 3.0)),
+    )
+    reg = RegularizationParams(
+        kappa=draw(st.floats(1e-3, 1.0)),
+        dt=draw(st.sampled_from([1e-5, 2e-4, 1e-2])),
+        theta=draw(st.sampled_from([1.0, 0.5])),
+        increment_guard=draw(st.sampled_from([1e-3, 1.0, np.inf])),
+    )
+    kappa = None if rows is None else rng.uniform(1e-3, 1.0, size=(rows, 1))
+    return grid, s, u, force, material, reg, kappa
+
+
+class TestAgainstExpressions:
+    @settings(max_examples=60, deadline=None)
+    @given(state=step_states())
+    def test_d1(self, state):
+        grid, s, *_ = state
+        assert same_bits(d1(s, grid.h), reference_d1(s, grid.h))
+
+    @settings(max_examples=60, deadline=None)
+    @given(state=step_states())
+    def test_driving_force(self, state):
+        grid, s, u, _, material, *_ = state
+        s_x, u_x = d1(s, grid.h), d1(u, grid.h)
+        got = driving_force(u, u_x, s, s_x, grid.x, material)
+        assert same_bits(got, reference_driving_force(u, u_x, s, s_x, grid.x, material))
+
+    def test_driving_force_of_a_batch_of_one_under_a_lone_displacement(self):
+        # a batch that rejected all members but one keeps S as (1, n) while u is (n,)
+        grid = Grid(1.0, 2.0, 33)
+        rng = np.random.default_rng(3)
+        s, u = rng.uniform(-1.0, 1.0, size=(1, grid.n)), rng.uniform(-1.0, 1.0, size=grid.n)
+        material = make_config().material
+        args = (u, d1(u, grid.h), s, d1(s, grid.h), grid.x, material)
+        got = driving_force(*args)
+        assert got.shape == (1, grid.n)
+        assert same_bits(got, reference_driving_force(*args))
+
+    @settings(max_examples=80, deadline=None)
+    @given(state=step_states(), pass_s_x=st.booleans())
+    def test_semi_implicit_step(self, state, pass_s_x):
+        grid, s, _, force, material, reg, kappa = state
+        s_x = d1(s, grid.h) if pass_s_x else None
+        args = (s, force, grid.h, material, reg)
+        got = step_outcome(semi_implicit_step, *args, s_x=s_x, kappa=kappa)
+        assert_same_outcome(got, step_outcome(reference_semi_implicit_step, *args, s_x=s_x, kappa=kappa))
+
+    @settings(max_examples=40, deadline=None)
+    @given(state=step_states())
+    def test_solve_fd(self, state):
+        grid, s, u, *_ = state
+        assert same_bits(solve_fd(u, grid), reference_solve_fd(u, grid))
+
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    @pytest.mark.parametrize("where", ["force", "s"])
+    def test_batch_with_a_non_finite_row(self, theta, where):
+        # the joint solve spreads row 0's nan, so every row is solved again on its own
+        grid = Grid(1.0, 2.0, 129)
+        xi = (grid.x - grid.a) / (grid.d - grid.a)
+        s = np.outer([0.6, 0.4, 0.2], np.sin(np.pi * xi))
+        force = np.random.default_rng(11).uniform(-0.5, 0.5, size=s.shape)
+        {"force": force, "s": s}[where][0, 40] = np.inf
+        reg = RegularizationParams(kappa=0.25, dt=1e-4, theta=theta)
+        args = (s, force, grid.h, make_config().material, reg)
+        kappa = np.array([[0.25], [0.125], [0.5]])
+        with np.errstate(all="ignore"):
+            got = step_outcome(semi_implicit_step, *args, kappa=kappa)
+            want = step_outcome(reference_semi_implicit_step, *args, kappa=kappa)
+        assert not got[0] and got[3].tolist() == [True, False, False]
+        assert_same_outcome(got, want)
+
+
+def run_on_reference_functions(monkeypatch, march_them):
+    """What ``march_them()`` returns when the step's functions are the reference expressions."""
+    with monkeypatch.context() as patch:
+        for module, name, reference in (
+            (simulator, "d1", reference_d1),
+            (simulator, "driving_force", reference_driving_force),
+            (simulator, "semi_implicit_step", reference_semi_implicit_step),
+            (elasticity, "d1", reference_d1),
+            (elasticity, "solve_fd", reference_solve_fd),
+        ):
+            patch.setattr(module, name, reference)
+        return march_them()
+
+
+def assert_same_runs(got, want):
+    for a, b in zip(got, want, strict=True):
+        for field in ("s_matrix", "u_matrix"):
+            assert same_bits(getattr(a.trajectory, field)(), getattr(b.trajectory, field)())
+        assert a.report.to_csv_text() == b.report.to_csv_text()
+        assert a.termination == b.termination
+        assert a.elasticity_residual_max == b.elasticity_residual_max
+        assert a.path_discrepancy_max == b.path_discrepancy_max
+
+
+class TestRunsAgainstExpressions:
+    """Whole runs, so that the functions meet every state a run reaches."""
+
+    @pytest.mark.parametrize(
+        "n, theta, path", [(129, 1.0, "direct"), (33, 0.5, "both-verify"), (2049, 1.0, "direct")]
+    )
+    def test_lone_run(self, monkeypatch, n, theta, path):
+        cfg = make_config(n=n, t_end=2e-3 if n == 2049 else 8e-3, theta=theta, kappa_m=1e-3, path=path)
+        got = [simulator.run(cfg)]
+        assert_same_runs(got, run_on_reference_functions(monkeypatch, lambda: [simulator.run(cfg)]))
+
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_lockstep_batch(self, monkeypatch, theta):
+        configs = [make_config(n=65, t_end=8e-3, theta=theta, kappa=k, kappa_m=1e-3) for k in (0.5, 0.0625, 0.25)]
+
+        def march_them():
+            sims = [Simulation(cfg) for cfg in configs]
+            march(sims)
+            return [sim.run() for sim in sims]
+
+        assert_same_runs(march_them(), run_on_reference_functions(monkeypatch, march_them))
+
+
+def read_only(*arrays):
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+class TestNoAliasing:
+    @pytest.mark.parametrize("rows", [None, 3])
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_read_only_inputs(self, rows, theta):
+        # an in-place write into a caller's array would raise here
+        cfg = make_config(n=33, theta=theta)
+        grid, material, reg = cfg.grid, cfg.material, cfg.reg
+        rng = np.random.default_rng(5)
+        shape = (grid.n,) if rows is None else (rows, grid.n)
+        s, u, force = read_only(*rng.uniform(-0.5, 0.5, size=(3, *shape)))
+        s_x, u_x = read_only(d1(s, grid.h), d1(u, grid.h))
+        kappa = None if rows is None else np.array([[0.5], [0.25], [0.125]])
+        if kappa is not None:
+            read_only(kappa)
+        inputs = [s, u, force, s_x, u_x, grid.x] + ([] if kappa is None else [kappa])
+        outputs = [
+            d1(s, grid.h),
+            driving_force(u, u_x, s, s_x, grid.x, material),
+            semi_implicit_step(s, force, grid.h, material, reg, s_x=s_x, kappa=kappa),
+            semi_implicit_step(s, force, grid.h, material, reg, kappa=kappa),
+            solve_fd(u, grid),
+        ]
+        for out in outputs:
+            assert out.flags.writeable
+            assert not any(np.shares_memory(out, given) for given in inputs)
+
+    def test_recorded_frames_own_their_memory(self):
+        # frames are recorded without a copy, so each must be an array no other frame and no
+        # mollifier window writes into
+        configs = [
+            replace(make_config(n=33, t_end=3e-3, save_every=1, kappa=k, kappa_m=1e-3),
+                    init=InitialData(amplitude=amplitude))
+            for k, amplitude in ((0.5, 0.8), (0.125, 0.6))
+        ]
+        lone = Simulation(configs[0])
+        batch = [Simulation(cfg) for cfg in configs]
+        march(batch)
+        results = [lone.run()] + [sim.run() for sim in batch]
+        frames = [f.values for r in results for f in (*r.trajectory.s_frames, *r.trajectory.u_frames)]
+        assert len(frames) == 3 * 2 * 16
+        for i, frame in enumerate(frames):
+            assert not any(np.shares_memory(frame, other) for other in frames[i + 1:])
+            # the whole ring buffer, both of its mirrored halves
+            assert not any(np.shares_memory(frame, sim.mollifier._buf) for sim in [lone, *batch])
+
