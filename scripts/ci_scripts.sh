@@ -21,6 +21,10 @@ done
 for path in green both-verify; do
   confsim run --out "run-$path" --set run.elasticity_path=$path --set run.t_end=0.004
 done
+# a time-dependent body force saved every step: the report's body force for a column of
+# times, its one Green quadrature of all frames, and each saved frame's reused FD rhs
+confsim run --out run-ramp --set run.elasticity_path=both-verify --set run.save_every=1 --set run.t_end=0.004 \
+  --set body.family=ramp --set body.amplitude=0.2 --set body.rate=5
 # a tensor run: its echo in meta.txt is re-parsed by load_run
 tensor=(--set material.tensor.family=diagonal --set material.tensor.mu0=2 --set material.misfit_iso=0.1
         --set grid.n=33)
@@ -45,3 +49,6 @@ confsim mms
 confsim study --out study-kappa --set "study.kappas=0.5 0.25 0.125" --set run.t_end=0.004
 confsim study --out study-refinement --set "study.kappas=0.5 0.25" --set reg.kappa=0.5 --set study.h_factor=2 \
   --set grid.n=33 --set run.t_end=0.004
+# a study marched on the Green path: one quadrature per step for the whole lockstep batch
+confsim study --out study-green --set "study.kappas=0.5 0.25 0.125" --set run.elasticity_path=green \
+  --set run.t_end=0.004

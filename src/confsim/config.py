@@ -107,17 +107,23 @@ class BodyForce:
         if self.family not in ("zero", "constant", "poly", "ramp"):
             raise ConfigInvalid(f"unknown body-force family {self.family!r}")
 
-    def evaluate(self, t: float, grid: Grid) -> np.ndarray:
+    def evaluate(self, t, grid: Grid) -> np.ndarray:
+        """Nodal values at time ``t``: (n,) at one time, (K, n) at a (K, 1) column of times.
+
+        Each row of a column's values equals the values at its time alone, bit for bit.
+        """
+        # np.shape of a lone float costs more than the zero family's whole evaluation
+        shape = (grid.n,) if isinstance(t, float) else np.shape(t)[:-1] + (grid.n,)
         if self.family == "zero":
-            values = np.zeros(grid.n)
+            values = np.zeros(shape)
         elif self.family == "constant":
-            values = np.full(grid.n, self.amplitude)
+            values = np.full(shape, self.amplitude)
         elif self.family == "poly":
-            values = np.zeros(grid.n)
+            values = np.zeros(shape)
             for k, ck in enumerate(self.coeffs):
                 values += ck * (grid.x - grid.a) ** k
         else:  # ramp
-            values = np.full(grid.n, self.amplitude + self.rate * t)
+            values = np.full(shape, self.amplitude + self.rate * t)
         return values
 
 

@@ -6,10 +6,12 @@ monitors track the quantities that stay bounded uniformly in the gradient
 regularization: the gradient energy, the accumulated degenerate dissipation,
 the time-derivative and flux-gradient norms, and the integral identity
 residual against a fixed basket of space-time test functions.  Each one
-stacks the saved frames once into a (frames, nodes) array and applies the
-grid-on-last-axis stencils and norms to all frames together.  Running
-(cumulative) series are one pass over per-frame values, so every monitor
-costs O(frames x nodes).
+applies the grid-on-last-axis stencils and norms to all frames together, on
+(frames, nodes) arrays.  ``build_report`` stacks S and u and takes
+S_x = d1(S) once per report and hands them to the monitors; a monitor called
+alone stacks what it needs itself.  The elasticity cross-check solves every
+frame in one FD call and one Green call.  Running (cumulative) series are
+one pass over per-frame values, so every monitor costs O(frames x nodes).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .grid_field import (
-    Grid, Trajectory, csv_text, d1, d2, norm_l2, norm_lp_time_lq_space, space_norms, trapezoid,
+    Grid, ScalarField, Trajectory, csv_text, d1, d2, norm_l2, norm_lp_time_lq_space, space_norms, trapezoid,
 )
 from .material import MaterialParams
 from .order_parameter import driving_force, smoothed_abs, smoothed_abs_primitive
@@ -144,9 +146,10 @@ def flux_field(s: np.ndarray, h: float) -> np.ndarray:
     return primitive_field(s, h, 0.0)
 
 
-def _flux_gradients(s: np.ndarray, h: float) -> np.ndarray:
-    """(|S_x|S_x)_x of every frame; doubling the flux is exact in floating point."""
-    return d1(2.0 * flux_field(s, h), h)
+def _flux_gradients(s: np.ndarray, h: float, *, s_x: Optional[np.ndarray] = None) -> np.ndarray:
+    """(|S_x|S_x)_x of every frame, from ``s_x`` = d1(s) when given; doubling the flux is exact."""
+    flux = flux_field(s, h) if s_x is None else smoothed_abs_primitive(s_x, 0.0)
+    return d1(2.0 * flux, h)
 
 
 def _cumulative_time_trapz(times: np.ndarray, series: np.ndarray) -> np.ndarray:
@@ -172,11 +175,19 @@ class EnergySeries:
         return float(self.dissipation[-1])
 
 
-def energy_monitor(traj: Trajectory, kappa: float) -> EnergySeries:
-    """Gradient energy and accumulated degenerate dissipation."""
+def energy_monitor(
+    traj: Trajectory, kappa: float, *, s: Optional[np.ndarray] = None, s_x: Optional[np.ndarray] = None
+) -> EnergySeries:
+    """Gradient energy and accumulated degenerate dissipation.
+
+    ``s`` and ``s_x``, the stacked S frames and d1 of them, are computed
+    from the trajectory unless the caller passes them.
+    """
     h = traj.grid.h
-    s = traj.s_matrix()
-    s_x = d1(s, h)
+    if s is None:
+        s = traj.s_matrix()
+    if s_x is None:
+        s_x = d1(s, h)
     grad_sq = norm_l2(s_x, h) ** 2
     integrand = trapezoid(smoothed_abs(s_x, kappa) * d2(s, h) ** 2, dx=h, axis=-1)
     return EnergySeries(traj.times, grad_sq, _cumulative_time_trapz(traj.times, integrand))
@@ -206,10 +217,15 @@ def _mixed_norm_series(times: np.ndarray, values: np.ndarray, h: float, p: float
     return out
 
 
-def _primitive_w14_series(times: np.ndarray, s: np.ndarray, h: float, kappa: float) -> np.ndarray:
-    """Cumulative L^{4/3}(0, t_k; W^{1,4/3}) norm of the gradient primitive."""
+def _primitive_w14_series(
+    times: np.ndarray, s: np.ndarray, h: float, kappa: float, *, s_x: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Cumulative L^{4/3}(0, t_k; W^{1,4/3}) norm of the gradient primitive.
+
+    The primitive is taken of ``s_x`` = d1(s) when the caller passes it.
+    """
     p = 4.0 / 3.0
-    prim = primitive_field(s, h, kappa)
+    prim = primitive_field(s, h, kappa) if s_x is None else smoothed_abs_primitive(s_x, kappa)
     integrand = trapezoid(np.abs(prim) ** p, dx=h, axis=-1)
     integrand += trapezoid(np.abs(d1(prim, h)) ** p, dx=h, axis=-1)
     return _cumulative_time_trapz(times, integrand) ** (1.0 / p)
@@ -219,23 +235,32 @@ def weak_residual_series(
     traj: Trajectory,
     material: MaterialParams,
     test_functions: Sequence[TestFunction],
+    *,
+    s: Optional[np.ndarray] = None,
+    u: Optional[np.ndarray] = None,
+    s_x: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Integral-identity residual accumulated over [0, t_k], one column per test function.
 
     The identity pairs the solution against phi_t, the flux |S_x|S_x/2 against
     phi_x and the kinetic term against phi; a boundary correction -(S(t),phi(t))
     makes every row meaningful, and the final row (where phi vanishes) is the
-    residual of the weak formulation itself.
+    residual of the weak formulation itself.  The stacked frames ``s`` and
+    ``u`` and ``s_x`` = d1(s) are computed from the trajectory unless the
+    caller passes them.
     """
     h = traj.grid.h
     x = traj.grid.x
     t = traj.times[:, None]
     cnu = material.c * material.nu
 
-    s = traj.s_matrix()
-    u = traj.u_matrix()
-    s_x = d1(s, h)
-    flux = flux_field(s, h)
+    if s is None:
+        s = traj.s_matrix()
+    if u is None:
+        u = traj.u_matrix()
+    if s_x is None:
+        s_x = d1(s, h)
+    flux = smoothed_abs_primitive(s_x, 0.0)
     kinetic = driving_force(u, d1(u, h), s, s_x, x, material) * np.abs(s_x)
 
     residuals = np.zeros((len(traj.times), len(test_functions)))
@@ -269,26 +294,39 @@ def weak_residual(
     return weak_residual_series(traj, material, test_functions)[-1]
 
 
-def _cross_check_series(traj: Trajectory, config: SimulationConfig) -> np.ndarray:
-    """Max-norm gap between the two elasticity paths applied to each saved frame."""
+def _cross_check_series(
+    traj: Trajectory,
+    config: SimulationConfig,
+    *,
+    s: Optional[np.ndarray] = None,
+    s_x: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Max-norm gap between the two elasticity paths applied to each saved frame.
+
+    One body-force evaluation, one FD solve and one Green quadrature take
+    every frame at once, each row equal to its frame's own; ``s`` and ``s_x``
+    are as for ``energy_monitor``.
+    """
     grid = traj.grid
-    kernel = GreenKernel(grid.a, grid.d)
-    b = np.array([config.body.evaluate(float(t), grid) for t in traj.times])
-    # one FD solve for all frames; each row equals its frame's own solve
-    u_fd = solve_fd(elastic_rhs(d1(traj.s_matrix(), grid.h), b, config.material), grid)
-    out = np.zeros(len(traj.times))
-    for k, s in enumerate(traj.s_frames):
-        u_green = solve_green(kernel, s, b[k], config.material)
-        out[k] = float(np.max(np.abs(u_fd[k] - u_green)))
-    return out
+    if s is None:
+        s = traj.s_matrix()
+    if s_x is None:
+        s_x = d1(s, grid.h)
+    b = config.body.evaluate(traj.times[:, None], grid)
+    u_fd = solve_fd(elastic_rhs(s_x, b, config.material), grid)
+    u_green = solve_green(GreenKernel(grid.a, grid.d), ScalarField(grid, s), b, config.material)
+    return np.max(np.abs(u_fd - u_green), axis=-1)
 
 
 def build_report(traj: Trajectory, config: SimulationConfig) -> DiagnosticsReport:
     """Assemble the full per-save-time report from a trajectory and its config."""
     kappa = config.reg.kappa
     h = traj.grid.h
+    # one stack of each field and one S_x, shared by every monitor
     s = traj.s_matrix()
-    energy = energy_monitor(traj, kappa)
+    u = traj.u_matrix()
+    s_x = d1(s, h)
+    energy = energy_monitor(traj, kappa, s=s, s_x=s_x)
     # test functions vanish at the configured final time, so partial runs stay defined
     test_fns = default_test_functions(traj.grid, config.t_end)
     report = DiagnosticsReport(
@@ -297,11 +335,11 @@ def build_report(traj: Trajectory, config: SimulationConfig) -> DiagnosticsRepor
         grad_norm_sq=energy.grad_norm_sq,
         dissipation=energy.dissipation,
         st_l43=_st_l43_series(traj.times, s, h),
-        sx_l83_linf=_mixed_norm_series(traj.times, d1(s, h), h, 8.0 / 3.0, math.inf),
-        flux_grad_l43=_mixed_norm_series(traj.times, _flux_gradients(s, h), h, 4.0 / 3.0, 4.0 / 3.0),
-        primitive_w14_l43=_primitive_w14_series(traj.times, s, h, kappa),
-        weak_residuals=weak_residual_series(traj, config.material, test_fns),
-        cross_check=_cross_check_series(traj, config),
+        sx_l83_linf=_mixed_norm_series(traj.times, s_x, h, 8.0 / 3.0, math.inf),
+        flux_grad_l43=_mixed_norm_series(traj.times, _flux_gradients(s, h, s_x=s_x), h, 4.0 / 3.0, 4.0 / 3.0),
+        primitive_w14_l43=_primitive_w14_series(traj.times, s, h, kappa, s_x=s_x),
+        weak_residuals=weak_residual_series(traj, config.material, test_fns, s=s, u=u, s_x=s_x),
+        cross_check=_cross_check_series(traj, config, s=s, s_x=s_x),
     )
     report.validate()
     return report

@@ -15,20 +15,22 @@ x-derivative jumps by 1/y^2 across x = y.
 Two solution paths are provided: ``solve_fd`` (tridiagonal elimination, the
 production path) and ``solve_green`` (trapezoid quadrature against the
 closed-form kernel, the independent verification path).  Both are O(n) per
-call.  The kernel is separable, u1(min) u2(max) / c, so the quadrature is one
+frame.  The kernel is separable, u1(min) u2(max) / c, so the quadrature is one
 prefix sum weighted by u2(x) and one suffix sum weighted by u1(x); neither
-path holds an n x n matrix.  ``solve_elasticity`` returns u by one path:
-the quadrature on "green", the FD solve on "direct" and on "both-verify",
-whose check against the quadrature the simulator makes on the frames it
-records.  ``fd_residual`` and the FD solve's refinement step apply the one
-cached operator of ``_fd_operator``, and both of the FD solve's solves use
-its LU factors, cached with it.
+path holds an n x n matrix, and both solve a (K, n) stack of frames in one
+call, each frame bit for bit as alone.  ``solve_elasticity`` returns u by
+one path: the quadrature on "green", the FD solve on "direct" and on
+"both-verify", whose check against the quadrature the simulator makes on
+the frames it records.  ``fd_residual`` and the FD solve's refinement step
+apply the one cached operator of ``_fd_operator``, and both of the FD
+solve's solves use its LU factors, cached with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -247,11 +249,14 @@ def solve_green(
     Uses the integrated-by-parts form in which only the (mollified) order
     parameter enters, not its derivative; boundary values are pinned to zero.
     The separable kernel turns the quadrature into one prefix and one suffix
-    sum (see ``_green_weights``), O(n) per call.  ``s_moll`` carries its grid
-    as a ``ScalarField``; ``b`` holds nodal values on that grid.
+    sum (see ``_green_weights``), O(n) per frame.  ``s_moll`` carries its grid
+    as a ``ScalarField`` of one frame or a stack of frames, such as (K, n);
+    ``b`` holds nodal values on that grid, one row or a row per frame.  The
+    sums run along the last axis, and a cumulative sum adds in order, so each
+    frame of a stack equals its own solve bit for bit.
     """
     grid = s_moll.grid
-    if b.shape != (grid.n,):
+    if b.ndim == 0 or b.shape[-1] != grid.n:
         raise ValueError(f"expected {grid.n} body-force values, got {b.shape}")
     if (kernel.a, kernel.d) != (grid.a, grid.d):
         raise ValueError("kernel interval does not match the grid")
@@ -260,14 +265,14 @@ def solve_green(
     s_lam = (params.lam / params.mu) * s_moll.values
     # prefix sums over j <= i, and suffix sums over j > i by a reversed
     # cumulative sum shifted by one node
-    left = (b_left * b_mu - s_left * s_lam).cumsum()
-    right = np.zeros(grid.n)
-    right[:-1] = (b_right * b_mu - s_right * s_lam)[:0:-1].cumsum()[::-1]
+    left = (b_left * b_mu - s_left * s_lam).cumsum(axis=-1)
+    right = np.zeros(left.shape)
+    right[..., :-1] = (b_right * b_mu - s_right * s_lam)[..., :0:-1].cumsum(axis=-1)[..., ::-1]
     u = u2 * left
     u += u1 * right
     u += diag * s_lam
-    u[0] = 0.0
-    u[-1] = 0.0
+    u[..., 0] = 0.0
+    u[..., -1] = 0.0
     return u
 
 
@@ -277,20 +282,20 @@ def solve_elasticity(
     grid: Grid,
     params: MaterialParams,
     path: str = "direct",
-) -> np.ndarray:
-    """The displacement u by the configured path.
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The displacement u by the configured path, and the FD right-hand side it solved.
 
     "green" evaluates the Green quadrature; "direct" and "both-verify" solve
     by finite differences (a "both-verify" run checks the Green quadrature
     against the frames it records).  ``s_moll`` may be a (B, n) stack of
-    members under the one body force ``b``; u is then (B, n).  The Green
-    quadrature takes one member per call.
+    members under the one body force ``b``; u is then (B, n), and both paths
+    solve the stack in one call.  The result is ``(u, rhs)``: rhs is the
+    ``elastic_rhs`` the FD solve was given, for a caller that checks u's FD
+    residual, and None on "green".
     """
     if path not in ("direct", "green", "both-verify"):
         raise ValueError(f"unknown elasticity path {path!r}")
-    if path != "green":
-        return solve_fd(elastic_rhs(d1(s_moll, grid.h), b, params), grid)
-    kernel = GreenKernel(grid.a, grid.d)
-    if s_moll.ndim == 1:
-        return solve_green(kernel, ScalarField(grid, s_moll), b, params)
-    return np.array([solve_green(kernel, ScalarField(grid, row), b, params) for row in s_moll])
+    if path == "green":
+        return solve_green(GreenKernel(grid.a, grid.d), ScalarField(grid, s_moll), b, params), None
+    rhs = elastic_rhs(d1(s_moll, grid.h), b, params)
+    return solve_fd(rhs, grid), rhs

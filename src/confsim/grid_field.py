@@ -4,8 +4,10 @@ A nodal field is a plain float ndarray whose last axis runs over the grid
 nodes; the ``Grid`` (or its spacing ``h``) is passed beside it.  The same
 stencils and norms therefore serve one frame of shape (n,) and a stack of
 frames of shape (K, n), row by row.  ``ScalarField`` pairs values with their
-grid only at the edge, in the frames of a ``Trajectory``.  ``csv_text`` writes
-every table confsim writes; the run directory's layout is ``simulator``'s.
+grid only at the edge: in the frames of a ``Trajectory``, and as the
+argument of the Green quadrature, which takes a frame or a stack.
+``csv_text`` writes every table confsim writes; the run directory's layout
+is ``simulator``'s.
 
 Quadrature is the local ``trapezoid``, which does scipy's arithmetic bit for
 bit.  From scipy the package uses only LAPACK ``dgtsv`` behind
@@ -104,15 +106,19 @@ class Grid:
 
 @dataclass
 class ScalarField:
-    """Nodal values with their grid, for the trajectory edge."""
+    """Nodal values with their grid, for the trajectory edge and the Green quadrature.
+
+    ``values`` is one frame of shape (n,) or a stack of frames whose last
+    axis runs over the grid nodes, such as (K, n).
+    """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n,):
-            raise ValueError(f"expected {self.grid.n} values, got {self.values.shape}")
+        if self.values.ndim == 0 or self.values.shape[-1] != self.grid.n:
+            raise ValueError(f"expected {self.grid.n} values along the last axis, got {self.values.shape}")
 
 
 @dataclass

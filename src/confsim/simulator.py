@@ -27,7 +27,7 @@ import numpy as np
 from . import diagnostics, elasticity
 from .grid_field import FLOAT_SLOT, FieldFileError, ScalarField, Trajectory, csv_text, d1
 from .order_parameter import MollifierState, StepRejected, driving_force, mollify, semi_implicit_step
-from .elasticity import GreenKernel, fd_residual, elastic_rhs, solve_elasticity
+from .elasticity import GreenKernel, fd_residual, solve_elasticity
 # BodyForce is not used here by name: bench/tracer.py reaches it as simulator.BodyForce.
 from .config import BodyForce, SimulationConfig, config_digest, config_echo, parse_config_text
 
@@ -88,16 +88,18 @@ class Simulation:
         self.residual_max = None
         self.discrepancy_max = None
 
-    def _record_frame(self, u: np.ndarray, s_moll: np.ndarray, b: np.ndarray):
-        """Save S and u; off "green" track u's FD residual, on "both-verify" its gap to the Green path."""
+    def _record_frame(self, u: np.ndarray, s_moll: np.ndarray, b: np.ndarray, rhs: Optional[np.ndarray]):
+        """Save S and u; off "green" track u's FD residual, on "both-verify" its gap to the Green path.
+
+        ``rhs`` is the right-hand side u was solved against, None on "green".
+        """
         # every step makes new s and u arrays, so the frames need no copy
         self.times.append(self.time)
         self.s_frames.append(ScalarField(self.grid, self.s))
         self.u_frames.append(ScalarField(self.grid, u))
         self.frame_steps.append(self.step_index)
         path, material = self.config.elasticity_path, self.config.material
-        if path != "green":
-            rhs = elastic_rhs(d1(s_moll, self.grid.h), b, material)
+        if rhs is not None:
             self.residual_max = max(self.residual_max or 0.0, fd_residual(u, rhs, self.grid))
         if path == "both-verify":
             # looked up on the module, where bench/tracer.py wraps it
@@ -178,16 +180,18 @@ def _rows(batch: np.ndarray):
 
 
 def _solve_for_u(sims: list[Simulation], t: float):
-    """Displacements of the members at time t: (u, s_moll, b), batched by ``_stack``."""
+    """Displacements of the members at time t: (u, rhs, s_moll, b), batched by ``_stack``."""
     cfg = sims[0].config
     s_moll = _stack([mollify(sim.mollifier, t) for sim in sims])
     b = cfg.body.evaluate(t, cfg.grid)
-    return solve_elasticity(s_moll, b, cfg.grid, cfg.material, cfg.elasticity_path), s_moll, b
+    u, rhs = solve_elasticity(s_moll, b, cfg.grid, cfg.material, cfg.elasticity_path)
+    return u, rhs, s_moll, b
 
 
-def _record_frames(sims: list[Simulation], u, s_moll, b):
-    for sim, u_row, moll_row in zip(sims, _rows(u), _rows(s_moll)):
-        sim._record_frame(u_row, moll_row, b)
+def _record_frames(sims: list[Simulation], u, rhs, s_moll, b):
+    rhs_rows = [None] * len(sims) if rhs is None else _rows(rhs)
+    for sim, u_row, rhs_row, moll_row in zip(sims, _rows(u), rhs_rows, _rows(s_moll)):
+        sim._record_frame(u_row, moll_row, b, rhs_row)
 
 
 def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
@@ -198,8 +202,10 @@ def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
     arrays (``_stack``).  Each time step makes one derivative pair, one
     driving force, one order-parameter step (one solve of size B*n), one
     body force and one elasticity solve with B right-hand sides; each member
-    mollifies and pushes its own window.  On "both-verify" the Green
-    quadrature checks the recorded frames only (``Simulation._record_frame``).
+    mollifies and pushes its own window.  A recorded frame's FD residual is
+    taken against the right-hand side of that solve, and on "both-verify"
+    the Green quadrature checks the recorded frames only
+    (``Simulation._record_frame``).
     A member whose step is rejected stops there with its own termination
     while the others go on, and a member that already stopped on a rejected
     step is left as it is.  Every member records the frames, S and u of its
@@ -216,8 +222,8 @@ def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
                          "initial data, and stand at the same step")
     fresh = [sim for sim in active if sim.u is None]
     if fresh:
-        u, s_moll, b = _solve_for_u(fresh, lead.time)
-        _record_frames(fresh, u, s_moll, b)
+        u, rhs, s_moll, b = _solve_for_u(fresh, lead.time)
+        _record_frames(fresh, u, rhs, s_moll, b)
         for sim, row in zip(fresh, _rows(u)):
             sim.u = row
 
@@ -262,9 +268,9 @@ def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
                 sim.mollifier.push(row, time)
             s_moll = _stack([mollify(sim.mollifier, time) for sim in active])
         b = body.evaluate(time, grid)
-        u = solve_elasticity(s_moll, b, grid, material, path)
+        u, rhs = solve_elasticity(s_moll, b, grid, material, path)
         if step % save_every == 0 or step == stop:
-            _record_frames(active, u, s_moll, b)
+            _record_frames(active, u, rhs, s_moll, b)
     for sim, row in zip(active, _rows(u)):
         sim.u = row
 

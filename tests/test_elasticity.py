@@ -370,7 +370,10 @@ class TestSolveElasticity:
         rng = np.random.default_rng(21)
         s = rng.normal(size=(3, grid.n))
         b = rng.normal(size=grid.n)
-        u = solve_elasticity(s, b, grid, params(), path)
+        u, rhs = solve_elasticity(s, b, grid, params(), path)
         assert u.shape == (3, grid.n)
+        assert (rhs is None) == (path == "green")
         for k in range(3):
-            assert np.array_equal(u[k], solve_elasticity(s[k], b, grid, params(), path))
+            u_k, rhs_k = solve_elasticity(s[k], b, grid, params(), path)
+            assert np.array_equal(u[k], u_k)
+            assert rhs is None or np.array_equal(rhs[k], rhs_k)

@@ -451,7 +451,8 @@ class TestScalarField:
     def test_validation(self):
         grid = Grid(1.0, 2.0, 5)
         assert ScalarField(grid, [0, 1, 2, 1, 0]).values.dtype == float
-        with pytest.raises(ValueError, match="expected 5 values"):
-            ScalarField(grid, np.zeros(4))
-        with pytest.raises(ValueError, match="expected 5 values"):
-            ScalarField(grid, np.zeros((2, 5)))
+        # a stack of frames is a field too, its last axis the grid
+        assert ScalarField(grid, np.zeros((2, 5))).values.shape == (2, 5)
+        for shape in ((4,), (2, 4), ()):
+            with pytest.raises(ValueError, match="expected 5 values"):
+                ScalarField(grid, np.zeros(shape))
