@@ -111,9 +111,16 @@ class BodyForce:
         """Nodal values at time ``t``: (n,) at one time, (K, n) at a (K, 1) column of times.
 
         Each row of a column's values equals the values at its time alone, bit for bit.
+        Times in any other layout, such as a flat (K,) array, raise ValueError.
         """
         # np.shape of a lone float costs more than the zero family's whole evaluation
-        shape = (grid.n,) if isinstance(t, float) else np.shape(t)[:-1] + (grid.n,)
+        if isinstance(t, float):
+            shape = (grid.n,)
+        else:
+            t_shape = np.shape(t)
+            if t_shape and t_shape[-1] != 1:
+                raise ValueError(f"times of shape {t_shape} are not a scalar or a (K, 1) column")
+            shape = t_shape[:-1] + (grid.n,)
         if self.family == "zero":
             values = np.zeros(shape)
         elif self.family == "constant":

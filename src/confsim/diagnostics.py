@@ -146,10 +146,9 @@ def flux_field(s: np.ndarray, h: float) -> np.ndarray:
     return primitive_field(s, h, 0.0)
 
 
-def _flux_gradients(s: np.ndarray, h: float, *, s_x: Optional[np.ndarray] = None) -> np.ndarray:
-    """(|S_x|S_x)_x of every frame, from ``s_x`` = d1(s) when given; doubling the flux is exact."""
-    flux = flux_field(s, h) if s_x is None else smoothed_abs_primitive(s_x, 0.0)
-    return d1(2.0 * flux, h)
+def _flux_gradients(s_x: np.ndarray, h: float) -> np.ndarray:
+    """(|S_x|S_x)_x of every frame from its S_x; doubling the flux is exact."""
+    return d1(2.0 * smoothed_abs_primitive(s_x, 0.0), h)
 
 
 def _cumulative_time_trapz(times: np.ndarray, series: np.ndarray) -> np.ndarray:
@@ -294,24 +293,14 @@ def weak_residual(
     return weak_residual_series(traj, material, test_functions)[-1]
 
 
-def _cross_check_series(
-    traj: Trajectory,
-    config: SimulationConfig,
-    *,
-    s: Optional[np.ndarray] = None,
-    s_x: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def _cross_check_series(traj: Trajectory, config: SimulationConfig, s: np.ndarray, s_x: np.ndarray) -> np.ndarray:
     """Max-norm gap between the two elasticity paths applied to each saved frame.
 
     One body-force evaluation, one FD solve and one Green quadrature take
-    every frame at once, each row equal to its frame's own; ``s`` and ``s_x``
-    are as for ``energy_monitor``.
+    every frame at once, each row equal to its frame's own; ``s`` is the
+    stacked S frames and ``s_x`` d1 of them.
     """
     grid = traj.grid
-    if s is None:
-        s = traj.s_matrix()
-    if s_x is None:
-        s_x = d1(s, grid.h)
     b = config.body.evaluate(traj.times[:, None], grid)
     u_fd = solve_fd(elastic_rhs(s_x, b, config.material), grid)
     u_green = solve_green(GreenKernel(grid.a, grid.d), ScalarField(grid, s), b, config.material)
@@ -336,10 +325,10 @@ def build_report(traj: Trajectory, config: SimulationConfig) -> DiagnosticsRepor
         dissipation=energy.dissipation,
         st_l43=_st_l43_series(traj.times, s, h),
         sx_l83_linf=_mixed_norm_series(traj.times, s_x, h, 8.0 / 3.0, math.inf),
-        flux_grad_l43=_mixed_norm_series(traj.times, _flux_gradients(s, h, s_x=s_x), h, 4.0 / 3.0, 4.0 / 3.0),
+        flux_grad_l43=_mixed_norm_series(traj.times, _flux_gradients(s_x, h), h, 4.0 / 3.0, 4.0 / 3.0),
         primitive_w14_l43=_primitive_w14_series(traj.times, s, h, kappa, s_x=s_x),
         weak_residuals=weak_residual_series(traj, config.material, test_fns, s=s, u=u, s_x=s_x),
-        cross_check=_cross_check_series(traj, config, s=s, s_x=s_x),
+        cross_check=_cross_check_series(traj, config, s, s_x),
     )
     report.validate()
     return report

@@ -270,7 +270,7 @@ class TestMonitorsMatchFrameLoops:
         traj = result.trajectory
         h = traj.grid.h
         want = [d1(2.0 * flux_field(f.values, h), h) for f in traj.s_frames]
-        assert np.array_equal(_flux_gradients(traj.s_matrix(), h), np.array(want))
+        assert np.array_equal(_flux_gradients(d1(traj.s_matrix(), h), h), np.array(want))
 
     def test_mixed_norms(self, stacked_run):
         _, result = stacked_run
@@ -279,7 +279,7 @@ class TestMonitorsMatchFrameLoops:
         s = traj.s_matrix()
         for got, values, p, q in [
             (report.sx_l83_linf, d1(s, h), 8.0 / 3.0, math.inf),
-            (report.flux_grad_l43, _flux_gradients(s, h), 4.0 / 3.0, 4.0 / 3.0),
+            (report.flux_grad_l43, _flux_gradients(d1(s, h), h), 4.0 / 3.0, 4.0 / 3.0),
         ]:
             frames = list(values)
             np.testing.assert_allclose(

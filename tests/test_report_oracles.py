@@ -24,13 +24,13 @@ from confsim.config import BodyForce
 from confsim.diagnostics import (
     DiagnosticsReport,
     NonFiniteReport,
-    _flux_gradients,
     _mixed_norm_series,
     _primitive_w14_series,
     _st_l43_series,
     build_report,
     default_test_functions,
     energy_monitor,
+    flux_field,
     weak_residual_series,
 )
 from confsim.elasticity import GreenKernel, _green_weights, elastic_rhs, fd_residual, solve_fd, solve_green
@@ -101,7 +101,7 @@ def reference_build_report(traj, config):
         dissipation=energy.dissipation,
         st_l43=_st_l43_series(traj.times, s, h),
         sx_l83_linf=_mixed_norm_series(traj.times, d1(s, h), h, 8.0 / 3.0, np.inf),
-        flux_grad_l43=_mixed_norm_series(traj.times, _flux_gradients(s, h), h, 4.0 / 3.0, 4.0 / 3.0),
+        flux_grad_l43=_mixed_norm_series(traj.times, d1(2.0 * flux_field(s, h), h), h, 4.0 / 3.0, 4.0 / 3.0),
         primitive_w14_l43=_primitive_w14_series(traj.times, s, h, kappa),
         weak_residuals=weak_residual_series(traj, config.material, test_fns),
         cross_check=reference_cross_check_series(traj, config),
@@ -178,6 +178,12 @@ class TestAgainstReferences:
         for row, t in zip(got, times):
             assert same_bits(row, reference_body_evaluate(body, float(t), grid))
             assert same_bits(body.evaluate(float(t), grid), row)
+        if frames > 1:
+            # a flat array of times would lay them along x; it is refused, not misread
+            with pytest.raises(ValueError):
+                body.evaluate(times, grid)
+            with pytest.raises(ValueError):
+                body.evaluate(times.reshape(1, frames), grid)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.sampled_from([4, 33, 129, 2049]), frames=st.sampled_from([1, 2, 201]),
