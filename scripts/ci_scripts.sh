@@ -18,9 +18,14 @@ confsim() {
 for script in run_demo kappa_study refinement_study; do
   python3 "$root/scripts/$script.py"
 done
-for path in green both-verify; do
-  confsim run --out "run-$path" --set run.elasticity_path=$path --set run.t_end=0.004
-done
+confsim run --out run-both-verify --set run.elasticity_path=both-verify --set run.t_end=0.004
+# the Green quadrature is the oracle only: a run that asks to march on it must exit 1
+status=0
+confsim run --out run-green --set run.elasticity_path=green || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "run on run.elasticity_path=green exited $status, expected 1" >&2
+  exit 1
+fi
 # a time-dependent body force saved every step: the report's body force for a column of
 # times, its one Green quadrature of all frames, and each saved frame's reused FD rhs
 confsim run --out run-ramp --set run.elasticity_path=both-verify --set run.save_every=1 --set run.t_end=0.004 \
@@ -49,6 +54,6 @@ confsim mms
 confsim study --out study-kappa --set "study.kappas=0.5 0.25 0.125" --set run.t_end=0.004
 confsim study --out study-refinement --set "study.kappas=0.5 0.25" --set reg.kappa=0.5 --set study.h_factor=2 \
   --set grid.n=33 --set run.t_end=0.004
-# a study marched on the Green path: one quadrature per step for the whole lockstep batch
-confsim study --out study-green --set "study.kappas=0.5 0.25 0.125" --set run.elasticity_path=green \
+# a lockstep study checked against the Green quadrature on every member's saved frames
+confsim study --out study-both-verify --set "study.kappas=0.5 0.25 0.125" --set run.elasticity_path=both-verify \
   --set run.t_end=0.004

@@ -57,8 +57,7 @@ def _cmd_run(args) -> int:
     print(f"max principle margin: {report.max_principle_margin:.3e}")
     print(f"sup gradient energy : {report.sup_energy:.6g}")
     print(f"weak residual (max) : {report.weak_residual_max:.3e}")
-    if result.elasticity_residual_max is not None:
-        print(f"elasticity residual : {result.elasticity_residual_max:.3e}")
+    print(f"elasticity residual : {result.elasticity_residual_max:.3e}")
     if result.path_discrepancy_max is not None:
         print(f"path discrepancy    : {result.path_discrepancy_max:.3e}")
     if result.termination.status != "completed":

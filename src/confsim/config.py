@@ -151,8 +151,10 @@ class SimulationConfig:
             raise ConfigInvalid(f"t_end must be positive, got {self.t_end}")
         if self.save_every < 1:
             raise ConfigInvalid(f"save_every must be >= 1, got {self.save_every}")
-        if self.elasticity_path not in ("direct", "green", "both-verify"):
-            raise ConfigInvalid(f"unknown elasticity path {self.elasticity_path!r}")
+        if self.elasticity_path not in ("direct", "both-verify"):
+            raise ConfigInvalid(
+                f"unknown elasticity path {self.elasticity_path!r}; expected direct or both-verify"
+            )
         steps = self.t_end / self.reg.dt
         if not steps <= MAX_STEPS:
             raise ConfigInvalid(
@@ -162,8 +164,8 @@ class SimulationConfig:
 
     @cached_property
     def n_steps(self) -> int:
-        """Steps to t_end, computed once per config."""
-        return int(np.ceil(self.t_end / self.reg.dt - 1e-9))
+        """Steps to t_end, at least one, computed once per config."""
+        return max(1, int(np.ceil(self.t_end / self.reg.dt - 1e-9)))
 
     def step_time(self, n: int) -> float:
         """Time after step n; the last step lands on t_end exactly, not on n_steps * dt."""

@@ -216,15 +216,10 @@ def _mixed_norm_series(times: np.ndarray, values: np.ndarray, h: float, p: float
     return out
 
 
-def _primitive_w14_series(
-    times: np.ndarray, s: np.ndarray, h: float, kappa: float, *, s_x: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Cumulative L^{4/3}(0, t_k; W^{1,4/3}) norm of the gradient primitive.
-
-    The primitive is taken of ``s_x`` = d1(s) when the caller passes it.
-    """
+def _primitive_w14_series(times: np.ndarray, s_x: np.ndarray, h: float, kappa: float) -> np.ndarray:
+    """Cumulative L^{4/3}(0, t_k; W^{1,4/3}) norm of the gradient primitive, from S_x of every frame."""
     p = 4.0 / 3.0
-    prim = primitive_field(s, h, kappa) if s_x is None else smoothed_abs_primitive(s_x, kappa)
+    prim = smoothed_abs_primitive(s_x, kappa)
     integrand = trapezoid(np.abs(prim) ** p, dx=h, axis=-1)
     integrand += trapezoid(np.abs(d1(prim, h)) ** p, dx=h, axis=-1)
     return _cumulative_time_trapz(times, integrand) ** (1.0 / p)
@@ -326,7 +321,7 @@ def build_report(traj: Trajectory, config: SimulationConfig) -> DiagnosticsRepor
         st_l43=_st_l43_series(traj.times, s, h),
         sx_l83_linf=_mixed_norm_series(traj.times, s_x, h, 8.0 / 3.0, math.inf),
         flux_grad_l43=_mixed_norm_series(traj.times, _flux_gradients(s_x, h), h, 4.0 / 3.0, 4.0 / 3.0),
-        primitive_w14_l43=_primitive_w14_series(traj.times, s, h, kappa, s_x=s_x),
+        primitive_w14_l43=_primitive_w14_series(traj.times, s_x, h, kappa),
         weak_residuals=weak_residual_series(traj, config.material, test_fns, s=s, u=u, s_x=s_x),
         cross_check=_cross_check_series(traj, config, s, s_x),
     )

@@ -13,24 +13,22 @@ built from them is continuous, symmetric, vanishes on the boundary and its
 x-derivative jumps by 1/y^2 across x = y.
 
 Two solution paths are provided: ``solve_fd`` (tridiagonal elimination, the
-production path) and ``solve_green`` (trapezoid quadrature against the
-closed-form kernel, the independent verification path).  Both are O(n) per
-frame.  The kernel is separable, u1(min) u2(max) / c, so the quadrature is one
-prefix sum weighted by u2(x) and one suffix sum weighted by u1(x); neither
-path holds an n x n matrix, and both solve a (K, n) stack of frames in one
-call, each frame bit for bit as alone.  ``solve_elasticity`` returns u by
-one path: the quadrature on "green", the FD solve on "direct" and on
-"both-verify", whose check against the quadrature the simulator makes on
-the frames it records.  ``fd_residual`` and the FD solve's refinement step
-apply the one cached operator of ``_fd_operator``, and both of the FD
-solve's solves use its LU factors, cached with it.
+path every run marches with) and ``solve_green`` (trapezoid quadrature against
+the closed-form kernel, the independent oracle of the report's cross-check
+and of a "both-verify" run's recorded frames).  Both are O(n) per frame.  The
+kernel is separable, u1(min) u2(max) / c, so the quadrature is one prefix sum
+weighted by u2(x) and one suffix sum weighted by u1(x); neither path holds an
+n x n matrix, and both solve a (K, n) stack of frames in one call, each frame
+bit for bit as alone.  ``solve_elasticity``, the simulator's per-step solve,
+is the FD solve of the displacement equation.  ``fd_residual`` and the FD
+solve's refinement step apply the one cached operator of ``_fd_operator``,
+and both of the FD solve's solves use its LU factors, cached with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -277,25 +275,14 @@ def solve_green(
 
 
 def solve_elasticity(
-    s_moll: np.ndarray,
-    b: np.ndarray,
-    grid: Grid,
-    params: MaterialParams,
-    path: str = "direct",
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """The displacement u by the configured path, and the FD right-hand side it solved.
+    s_moll: np.ndarray, b: np.ndarray, grid: Grid, params: MaterialParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """The displacement u by the FD solve, and the right-hand side it solved.
 
-    "green" evaluates the Green quadrature; "direct" and "both-verify" solve
-    by finite differences (a "both-verify" run checks the Green quadrature
-    against the frames it records).  ``s_moll`` may be a (B, n) stack of
-    members under the one body force ``b``; u is then (B, n), and both paths
-    solve the stack in one call.  The result is ``(u, rhs)``: rhs is the
-    ``elastic_rhs`` the FD solve was given, for a caller that checks u's FD
-    residual, and None on "green".
+    ``s_moll`` may be a (B, n) stack of members under the one body force
+    ``b``; u is then (B, n), solved in one call.  The result is
+    ``(u, rhs)``: rhs is the ``elastic_rhs`` the FD solve was given, for a
+    caller that checks u's FD residual.
     """
-    if path not in ("direct", "green", "both-verify"):
-        raise ValueError(f"unknown elasticity path {path!r}")
-    if path == "green":
-        return solve_green(GreenKernel(grid.a, grid.d), ScalarField(grid, s_moll), b, params), None
     rhs = elastic_rhs(d1(s_moll, grid.h), b, params)
     return solve_fd(rhs, grid), rhs

@@ -2,16 +2,18 @@
 
 A single simulation is self-contained and deterministic: the schedule is a
 pure function of the step index, there is no randomness, and identical configs
-produce bit-identical outputs.  ``march`` advances simulations that share
-grid, schedule, material, body force and elasticity path in lockstep, as
-(B, n) arrays, each member bit-identical to its run alone; ``Simulation.run``
-is its one-member case.  Snapshots capture the mollifier history window,
-the current time and the config hash, so a restarted run continues exactly.
-A finished run carries its diagnostics report; ``write_run``/``load_run``
-persist it with the config echo and one table per field, ``S.csv`` and
-``u.csv``, a row per saved frame.  The run directory's layout is known to this
-module alone.  The typed config lives in
-``config`` and the monitors in ``diagnostics``, both below this module.
+produce bit-identical outputs.  Every step solves elasticity by finite
+differences and every recorded frame's FD residual is kept; a "both-verify"
+run also checks each recorded frame against the Green quadrature.
+``march`` advances simulations that share grid, schedule, material, body
+force and elasticity path in lockstep, as (B, n) arrays, each member
+bit-identical to its run alone; ``Simulation.run`` is its one-member case.
+Snapshots capture the mollifier history window, the current time and the
+config hash, so a restarted run continues exactly.  A finished run carries its
+diagnostics report; ``write_run``/``load_run`` persist it with the config echo
+and one table per field, ``S.csv`` and ``u.csv``, a row per saved frame.  The
+run directory's layout is known to this module alone.  The typed config lives
+in ``config`` and the monitors in ``diagnostics``, both below this module.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ class RunResult:
     trajectory: Trajectory
     report: diagnostics.DiagnosticsReport
     termination: Termination
-    elasticity_residual_max: Optional[float]  # None on "green", which has no FD residual
+    elasticity_residual_max: float
     path_discrepancy_max: Optional[float]
     config: SimulationConfig
     config_hash: str
@@ -85,26 +87,21 @@ class Simulation:
         self.s_frames: list[ScalarField] = []
         self.u_frames: list[ScalarField] = []
         self.frame_steps: list[int] = []
-        self.residual_max = None
+        self.residual_max = 0.0
         self.discrepancy_max = None
 
-    def _record_frame(self, u: np.ndarray, s_moll: np.ndarray, b: np.ndarray, rhs: Optional[np.ndarray]):
-        """Save S and u; off "green" track u's FD residual, on "both-verify" its gap to the Green path.
-
-        ``rhs`` is the right-hand side u was solved against, None on "green".
-        """
+    def _record_frame(self, u: np.ndarray, s_moll: np.ndarray, b: np.ndarray, rhs: np.ndarray):
+        """Save S and u; track u's FD residual against ``rhs``, on "both-verify" its gap to the Green path."""
         # every step makes new s and u arrays, so the frames need no copy
         self.times.append(self.time)
         self.s_frames.append(ScalarField(self.grid, self.s))
         self.u_frames.append(ScalarField(self.grid, u))
         self.frame_steps.append(self.step_index)
-        path, material = self.config.elasticity_path, self.config.material
-        if rhs is not None:
-            self.residual_max = max(self.residual_max or 0.0, fd_residual(u, rhs, self.grid))
-        if path == "both-verify":
+        self.residual_max = max(self.residual_max, fd_residual(u, rhs, self.grid))
+        if self.config.elasticity_path == "both-verify":
             # looked up on the module, where bench/tracer.py wraps it
             u_green = elasticity.solve_green(GreenKernel(self.grid.a, self.grid.d),
-                                             ScalarField(self.grid, s_moll), b, material)
+                                             ScalarField(self.grid, s_moll), b, self.config.material)
             self.discrepancy_max = max(self.discrepancy_max or 0.0, float(np.max(np.abs(u - u_green))))
 
     def run(self, until_step: Optional[int] = None) -> RunResult:
@@ -184,13 +181,12 @@ def _solve_for_u(sims: list[Simulation], t: float):
     cfg = sims[0].config
     s_moll = _stack([mollify(sim.mollifier, t) for sim in sims])
     b = cfg.body.evaluate(t, cfg.grid)
-    u, rhs = solve_elasticity(s_moll, b, cfg.grid, cfg.material, cfg.elasticity_path)
+    u, rhs = solve_elasticity(s_moll, b, cfg.grid, cfg.material)
     return u, rhs, s_moll, b
 
 
 def _record_frames(sims: list[Simulation], u, rhs, s_moll, b):
-    rhs_rows = [None] * len(sims) if rhs is None else _rows(rhs)
-    for sim, u_row, rhs_row, moll_row in zip(sims, _rows(u), rhs_rows, _rows(s_moll)):
+    for sim, u_row, rhs_row, moll_row in zip(sims, _rows(u), _rows(rhs), _rows(s_moll)):
         sim._record_frame(u_row, moll_row, b, rhs_row)
 
 
@@ -228,7 +224,7 @@ def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
             sim.u = row
 
     # what the members share, looked up once
-    grid, material, reg, body, path = cfg.grid, cfg.material, cfg.reg, cfg.body, cfg.elasticity_path
+    grid, material, reg, body = cfg.grid, cfg.material, cfg.reg, cfg.body
     h, x, save_every, step_time = grid.h, grid.x, cfg.save_every, cfg.step_time
     stop = cfg.n_steps if until_step is None else min(until_step, cfg.n_steps)
     step, time = lead.step_index, lead.time
@@ -268,7 +264,7 @@ def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
                 sim.mollifier.push(row, time)
             s_moll = _stack([mollify(sim.mollifier, time) for sim in active])
         b = body.evaluate(time, grid)
-        u, rhs = solve_elasticity(s_moll, b, grid, material, path)
+        u, rhs = solve_elasticity(s_moll, b, grid, material)
         if step % save_every == 0 or step == stop:
             _record_frames(active, u, rhs, s_moll, b)
     for sim, row in zip(active, _rows(u)):
@@ -332,7 +328,9 @@ def _read_field_table(path: Path, grid) -> tuple[np.ndarray, np.ndarray, np.ndar
 
     Raises ``FieldFileError`` naming the file when the x header is not the
     nodes of ``grid`` bit for bit (17 significant digits read back exactly),
-    or a row is ragged or holds a value that does not parse.
+    a row is ragged or holds a value that does not parse, or the times do not
+    increase strictly.  The first time need not be 0: a run resumed from a
+    snapshot starts at the snapshot's time.
     """
     header, *rows = path.read_text().splitlines() or [""]
     names = header.split(",")
@@ -360,6 +358,8 @@ def _read_field_table(path: Path, grid) -> tuple[np.ndarray, np.ndarray, np.ndar
             steps[k], times[k], values[k] = int(cells[0]), float(cells[1]), cells[2:]
         except ValueError as exc:
             raise FieldFileError(f"{path}: line {k + 2}: {exc}") from None
+    if not np.all(np.diff(times) > 0):
+        raise FieldFileError(f"{path}: times do not increase strictly")
     return steps, times, values
 
 

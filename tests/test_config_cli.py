@@ -324,14 +324,30 @@ class TestCliRun:
         assert "max principle margin" in stdout
         assert "elasticity residual : " in stdout
 
-    def test_green_run_reports_no_elasticity_residual(self, tmp_path, capsys):
-        # the green path never evaluates the FD residual, so it has none to report
-        code = main(["run", "--out", str(tmp_path / "out"), "--set", "run.elasticity_path=green",
+    @pytest.mark.parametrize("command", ["run", "study"])
+    def test_green_path_exits_one(self, tmp_path, capsys, command):
+        # the Green quadrature is the oracle only: no run marches on it
+        study = command == "study"
+        lines = FAST + ["run.elasticity_path = green"] + ["study.kappas = 0.5 0.25"] * study
+        from_file = ["--config", str(write_config(tmp_path, lines))]
+        from_set = ["--set", "run.elasticity_path=green"] + ["--set", "study.kappas=0.5 0.25"] * study
+        for args in (from_file, from_set):
+            assert main([command, "--out", str(tmp_path / "out"), *args]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [
+                "error: config: unknown elasticity path 'green'; expected direct or both-verify"
+            ]
+            assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path", ["direct", "both-verify"])
+    def test_every_path_reports_elasticity_residual(self, tmp_path, capsys, path):
+        code = main(["run", "--out", str(tmp_path / "out"), "--set", f"run.elasticity_path={path}",
                      "--set", "run.t_end=0.002"])
         assert code == 0
         stdout = capsys.readouterr().out
-        assert "max principle margin" in stdout
-        assert "elasticity residual" not in stdout
+        assert "elasticity residual : " in stdout
+        assert ("path discrepancy" in stdout) == (path == "both-verify")
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, ["reg.kappa = 7"])
@@ -611,8 +627,13 @@ class TestCliTools:
             ("u.csv", lambda text: text.replace("\n10,", "\n11,", 1), "steps or times differ from those of"),
             ("S.csv", lambda text: text.replace("step,", "step;", 1), "header does not start with 'step,time'"),
             ("u.csv", lambda text: text.splitlines()[0] + "\n", "no frames"),
+            # a copy of the last row: dt = 0 between the last two frames
+            ("S.csv", lambda text: text + text.splitlines()[-1] + "\n", "times do not increase strictly"),
         ],
-        ids=["missing_u", "ragged_row", "other_grid_x", "steps_differ", "header_with_semicolon", "header_only"],
+        ids=[
+            "missing_u", "ragged_row", "other_grid_x", "steps_differ", "header_with_semicolon", "header_only",
+            "repeated_time",
+        ],
     )
     def test_damaged_field_table_exits_one(self, tmp_path, capsys, file, edit, message):
         run_dir = self.tensor_run(tmp_path)
@@ -638,8 +659,13 @@ class TestCliTools:
                 lambda text: re.sub(r"(?m)^config_hash = .*\n", "", text),
                 "meta.txt: no config_hash line",
             ),
+            (
+                "meta.txt",
+                lambda text: text.replace("run.elasticity_path = direct", "run.elasticity_path = green"),
+                "unknown elasticity path 'green'; expected direct or both-verify",
+            ),
         ],
-        ids=["meta_without_config", "config_edited", "meta_without_hash"],
+        ids=["meta_without_config", "config_edited", "meta_without_hash", "green_path"],
     )
     def test_damaged_run_metadata_exits_one(self, tmp_path, capsys, name, damage, message):
         run_dir = self.tensor_run(tmp_path)
@@ -648,6 +674,16 @@ class TestCliTools:
         assert damage(text) != text
         path.write_text(damage(text))
         assert message in self.check_reduction_error(run_dir, capsys)
+
+    def test_run_need_not_start_at_time_zero(self, tmp_path):
+        # a run resumed from a snapshot saves its first frame at the snapshot's time
+        run_dir = self.tensor_run(tmp_path)
+        for name in ("S", "u"):
+            path = tmp_path / "out" / f"{name}.csv"
+            header, _, *rows = path.read_text().splitlines()
+            path.write_text("\n".join([header, *rows]) + "\n")
+        traj, _, _ = load_run(run_dir)
+        assert traj.times[0] > 0.0 and len(traj.times) == 5
 
     def test_check_reduction_requires_tensor_config(self, tmp_path):
         cfg_path = write_config(tmp_path, FAST)

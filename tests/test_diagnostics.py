@@ -173,7 +173,7 @@ class TestFluxAndPrimitive:
         result = run(make_config(kappa=kappa, t_end=8e-3, save_every=1))
         traj = result.trajectory
         assert len(traj.times) == 41
-        got = _primitive_w14_series(traj.times, traj.s_matrix(), traj.grid.h, kappa)
+        got = _primitive_w14_series(traj.times, d1(traj.s_matrix(), traj.grid.h), traj.grid.h, kappa)
         want = primitive_w14_prefix_loop(traj, kappa)
         assert got[0] == want[0] == 0.0
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
@@ -438,7 +438,7 @@ class TestReportRecompute:
         n=st.integers(4, 40),
         save_every=st.integers(1, 5),
         steps=st.integers(1, 12),
-        path=st.sampled_from(["direct", "green", "both-verify"]),
+        path=st.sampled_from(["direct", "both-verify"]),
     )
     def test_recompute_from_disk_is_bit_exact_for_random_configs(self, n, save_every, steps, path):
         cfg = make_config(n=n, t_end=steps * 2e-4, save_every=save_every, path=path)

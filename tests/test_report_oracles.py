@@ -12,8 +12,6 @@ saved frame's FD residual must be the one of the right-hand side its step
 solved against.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
@@ -102,7 +100,7 @@ def reference_build_report(traj, config):
         st_l43=_st_l43_series(traj.times, s, h),
         sx_l83_linf=_mixed_norm_series(traj.times, d1(s, h), h, 8.0 / 3.0, np.inf),
         flux_grad_l43=_mixed_norm_series(traj.times, d1(2.0 * flux_field(s, h), h), h, 4.0 / 3.0, 4.0 / 3.0),
-        primitive_w14_l43=_primitive_w14_series(traj.times, s, h, kappa),
+        primitive_w14_l43=_primitive_w14_series(traj.times, d1(s, h), h, kappa),
         weak_residuals=weak_residual_series(traj, config.material, test_fns),
         cross_check=reference_cross_check_series(traj, config),
     )
@@ -247,7 +245,7 @@ def counting(monkeypatch, owners, name):
 
 
 class TestOnePass:
-    @pytest.mark.parametrize("path", ["direct", "both-verify", "green"])
+    @pytest.mark.parametrize("path", ["direct", "both-verify"])
     def test_one_green_call_and_one_stack_per_report(self, monkeypatch, path):
         result = simulator.run(make_config(path=path, t_end=4e-3, save_every=2))
         frames = len(result.trajectory.times)
@@ -317,11 +315,3 @@ class TestRecordedResidual:
             assert len(found) == len(result.trajectory.times) == 16
             assert result.elasticity_residual_max == max(found)
             assert result.report.to_csv_text() == reference_build_report(result.trajectory, sim.config).to_csv_text()
-
-    def test_green_path_has_no_residual(self, monkeypatch):
-        cfg = replace(saving_every_step(), elasticity_path="green")
-        rhs_calls = counting(monkeypatch, [elasticity, simulator], "elastic_rhs")
-        sims = [Simulation(cfg), Simulation(replace(cfg, reg=replace(cfg.reg, kappa=0.5)))]
-        march(sims)
-        assert rhs_calls == []
-        assert all(sim.residual_max is None for sim in sims)

@@ -69,6 +69,15 @@ class TestTrajectoryContract:
         traj.validate(t_end=cfg.t_end)
         assert list(traj.times) == [0.0, 50 * 7e-4, 0.07]
 
+    def test_t_end_far_below_dt_takes_one_step(self):
+        # t_end / dt rounds to zero steps; the one step lands on t_end
+        cfg = make_config(n=17, t_end=1e-13)
+        assert cfg.n_steps == 1
+        traj = run(cfg).trajectory
+        traj.validate(t_end=cfg.t_end)
+        assert list(traj.times) == [0.0, 1e-13]
+        assert list(traj.steps) == [0, 1]
+
     def test_step_count_computed_once_per_config(self, monkeypatch):
         cfg = make_config(n=17, dt=7e-4, t_end=0.07, save_every=50)
         assert cfg.n_steps == 100
@@ -135,11 +144,6 @@ class TestElasticityPaths:
         assert checked.report.to_csv_text() == direct.report.to_csv_text()
         assert checked.elasticity_residual_max == direct.elasticity_residual_max
         assert direct.path_discrepancy_max is None and checked.path_discrepancy_max > 0.0
-
-    def test_green_path_runs(self):
-        cfg = make_config(path="green", t_end=1e-3)
-        result = run(cfg)
-        assert result.termination.status == "completed"
 
 
 class TestSnapshotRestart:
