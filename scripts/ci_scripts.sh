@@ -30,6 +30,9 @@ fi
 # times, its one Green quadrature of all frames, and each saved frame's reused FD rhs
 confsim run --out run-ramp --set run.elasticity_path=both-verify --set run.save_every=1 --set run.t_end=0.004 \
   --set body.family=ramp --set body.amplitude=0.2 --set body.rate=5
+# 150 frames saved every step: each (frames, nodes) stack of the report is larger than the
+# allocator's mmap threshold, and the report's in-place kernels run end to end
+confsim run --out run-dense --set run.save_every=1 --set run.t_end=0.03
 # a tensor run: its echo in meta.txt is re-parsed by load_run
 tensor=(--set material.tensor.family=diagonal --set material.tensor.mu0=2 --set material.misfit_iso=0.1
         --set grid.n=33)

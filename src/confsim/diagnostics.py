@@ -12,6 +12,10 @@ S_x = d1(S) once per report and hands them to the monitors; a monitor called
 alone stacks what it needs itself.  The elasticity cross-check solves every
 frame in one FD call and one Green call.  Running (cumulative) series are
 one pass over per-frame values, so every monitor costs O(frames x nodes).
+The monitors do their arithmetic in place, with the operations and grouping
+of the plain expressions written beside them, so that a report of many
+frames allocates few (frames, nodes) arrays and its bits are the
+expressions'.
 """
 
 from __future__ import annotations
@@ -148,7 +152,9 @@ def flux_field(s: np.ndarray, h: float) -> np.ndarray:
 
 def _flux_gradients(s_x: np.ndarray, h: float) -> np.ndarray:
     """(|S_x|S_x)_x of every frame from its S_x; doubling the flux is exact."""
-    return d1(2.0 * smoothed_abs_primitive(s_x, 0.0), h)
+    flux = smoothed_abs_primitive(s_x, 0.0)
+    flux *= 2.0
+    return d1(flux, h)
 
 
 def _cumulative_time_trapz(times: np.ndarray, series: np.ndarray) -> np.ndarray:
@@ -188,7 +194,12 @@ def energy_monitor(
     if s_x is None:
         s_x = d1(s, h)
     grad_sq = norm_l2(s_x, h) ** 2
-    integrand = trapezoid(smoothed_abs(s_x, kappa) * d2(s, h) ** 2, dx=h, axis=-1)
+    # smoothed_abs(s_x, kappa) * d2(s, h) ** 2, in place
+    lap_sq = d2(s, h)
+    lap_sq **= 2
+    integrand = smoothed_abs(s_x, kappa)
+    integrand *= lap_sq
+    integrand = trapezoid(integrand, dx=h, axis=-1, overwrite_y=True)
     return EnergySeries(traj.times, grad_sq, _cumulative_time_trapz(traj.times, integrand))
 
 
@@ -196,9 +207,13 @@ def _st_l43_series(times: np.ndarray, s: np.ndarray, h: float) -> np.ndarray:
     """Cumulative L^{4/3} space-time norm of the discrete time derivative."""
     p = 4.0 / 3.0
     dt = np.diff(times)
-    rate = np.diff(s, axis=0) / dt[:, None]
+    # np.abs(np.diff(s, axis=0) / dt[:, None]) ** p, in place
+    rate = np.diff(s, axis=0)
+    rate /= dt[:, None]
+    np.abs(rate, out=rate)
+    rate **= p
     out = np.zeros(len(times))
-    out[1:] = np.cumsum(dt * trapezoid(np.abs(rate) ** p, dx=h, axis=-1)) ** (1.0 / p)
+    out[1:] = np.cumsum(dt * trapezoid(rate, dx=h, axis=-1, overwrite_y=True)) ** (1.0 / p)
     return out
 
 
@@ -220,8 +235,13 @@ def _primitive_w14_series(times: np.ndarray, s_x: np.ndarray, h: float, kappa: f
     """Cumulative L^{4/3}(0, t_k; W^{1,4/3}) norm of the gradient primitive, from S_x of every frame."""
     p = 4.0 / 3.0
     prim = smoothed_abs_primitive(s_x, kappa)
-    integrand = trapezoid(np.abs(prim) ** p, dx=h, axis=-1)
-    integrand += trapezoid(np.abs(d1(prim, h)) ** p, dx=h, axis=-1)
+    grad = d1(prim, h)
+    # trapezoid(np.abs(f) ** p) of prim and of its gradient, each in its own array
+    for f in (prim, grad):
+        np.abs(f, out=f)
+        f **= p
+    integrand = trapezoid(prim, dx=h, axis=-1, overwrite_y=True)
+    integrand += trapezoid(grad, dx=h, axis=-1, overwrite_y=True)
     return _cumulative_time_trapz(times, integrand) ** (1.0 / p)
 
 
@@ -254,16 +274,20 @@ def weak_residual_series(
         u = traj.u_matrix()
     if s_x is None:
         s_x = d1(s, h)
+    # driving_force(...) * np.abs(s_x), in place; then one work array holds
+    # each product below
+    kinetic = driving_force(u, d1(u, h), s, s_x, x, material)
+    work = np.abs(s_x)
+    kinetic *= work
     flux = smoothed_abs_primitive(s_x, 0.0)
-    kinetic = driving_force(u, d1(u, h), s, s_x, x, material) * np.abs(s_x)
 
     residuals = np.zeros((len(traj.times), len(test_functions)))
     for m, tf in enumerate(test_functions):
+        pair_t = trapezoid(np.multiply(s, tf.phi_t(t, x), out=work), dx=h, axis=1, overwrite_y=True)
+        pair_flux = trapezoid(np.multiply(flux, tf.phi_x(t, x), out=work), dx=h, axis=1, overwrite_y=True)
         phi = tf.phi(t, x)
-        pair_t = trapezoid(s * tf.phi_t(t, x), dx=h, axis=1)
-        pair_flux = trapezoid(flux * tf.phi_x(t, x), dx=h, axis=1)
-        pair_force = trapezoid(kinetic * phi, dx=h, axis=1)
-        boundary = trapezoid(s * phi, dx=h, axis=1)
+        pair_force = trapezoid(np.multiply(kinetic, phi, out=work), dx=h, axis=1, overwrite_y=True)
+        boundary = trapezoid(np.multiply(s, phi, out=work), dx=h, axis=1, overwrite_y=True)
         a_cum = _cumulative_time_trapz(traj.times, pair_t)
         b_cum = _cumulative_time_trapz(traj.times, pair_flux)
         c_cum = _cumulative_time_trapz(traj.times, pair_force)
@@ -299,7 +323,9 @@ def _cross_check_series(traj: Trajectory, config: SimulationConfig, s: np.ndarra
     b = config.body.evaluate(traj.times[:, None], grid)
     u_fd = solve_fd(elastic_rhs(s_x, b, config.material), grid)
     u_green = solve_green(GreenKernel(grid.a, grid.d), ScalarField(grid, s), b, config.material)
-    return np.max(np.abs(u_fd - u_green), axis=-1)
+    # np.abs(u_fd - u_green), in place
+    gap = np.subtract(u_fd, u_green, out=u_fd)
+    return np.max(np.abs(gap, out=gap), axis=-1)
 
 
 def build_report(traj: Trajectory, config: SimulationConfig) -> DiagnosticsReport:

@@ -124,8 +124,13 @@ def homogeneous_solutions(a: float, d: float):
 
 
 def elastic_rhs(s_x: np.ndarray, b: np.ndarray, params: MaterialParams) -> np.ndarray:
-    """(lam/mu) * s_x + b/mu, the right-hand side of the displacement equation."""
-    return (params.lam / params.mu) * s_x + b / params.mu
+    """(lam/mu) * s_x + b/mu, the right-hand side of the displacement equation.
+
+    ``b`` is one row of nodal values or has the shape of ``s_x``.
+    """
+    rhs = np.multiply(s_x, params.lam / params.mu)
+    rhs += np.divide(b, params.mu)
+    return rhs
 
 
 @lru_cache(maxsize=8)
@@ -173,24 +178,29 @@ def solve_fd(rhs: np.ndarray, grid: Grid) -> np.ndarray:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - operator is invertible
         raise SingularSystem(str(exc)) from exc
     factors = operator[3]
-    vec = np.zeros(rhs.shape)
-    vec[..., 1:-1] = rhs[..., 1:-1]
-    # the transposes hand LAPACK a stack's rows as the columns it solves for
-    u = tridiag_factor_solve(factors, vec.T).T
+    # u starts as rhs with the boundary data 0 at the end nodes; the
+    # transposes put the node axis first, and hand LAPACK a stack's rows as
+    # the columns it solves for, in the array itself
+    u = np.array(rhs, dtype=float, order="C")
+    nodes = u.T
+    nodes[0] = nodes[-1] = 0.0
+    u = tridiag_factor_solve(factors, u.T, overwrite=True).T
     # one step of iterative refinement keeps the discrete residual near
-    # roundoff even on fine grids, where plain elimination leaves O(n*eps/h^2)
+    # roundoff even on fine grids, where plain elimination leaves O(n*eps/h^2);
+    # the right-hand side is 0 at the end nodes, and x - 0.0 is x bit for bit
     residual = _fd_apply(u, operator)
-    residual -= vec
-    u -= tridiag_factor_solve(factors, residual.T).T
-    u[..., 0] = 0.0
-    u[..., -1] = 0.0
+    residual.T[1:-1] -= rhs.T[1:-1]
+    u -= tridiag_factor_solve(factors, residual.T, overwrite=True).T
+    nodes = u.T
+    nodes[0] = nodes[-1] = 0.0
     return u
 
 
 def fd_residual(u: np.ndarray, rhs: np.ndarray, grid: Grid) -> float:
     """Max-norm residual of the discrete interior equations for a candidate u."""
-    r = _fd_apply(u, _fd_operator(grid))[1:-1] - rhs[1:-1]
-    return float(np.max(np.abs(r))) if r.size else 0.0
+    r = _fd_apply(u, _fd_operator(grid))[1:-1]
+    r -= rhs[1:-1]
+    return float(np.abs(r, out=r).max()) if r.size else 0.0
 
 
 @lru_cache(maxsize=8)
@@ -260,15 +270,31 @@ def solve_green(
         raise ValueError("kernel interval does not match the grid")
     u1, u2, b_left, s_left, b_right, s_right, diag = _green_weights(grid)
     b_mu = b / params.mu
-    s_lam = (params.lam / params.mu) * s_moll.values
-    # prefix sums over j <= i, and suffix sums over j > i by a reversed
-    # cumulative sum shifted by one node
-    left = (b_left * b_mu - s_left * s_lam).cumsum(axis=-1)
-    right = np.zeros(left.shape)
-    right[..., :-1] = (b_right * b_mu - s_right * s_lam)[..., :0:-1].cumsum(axis=-1)[..., ::-1]
-    u = u2 * left
-    u += u1 * right
-    u += diag * s_lam
+    s_lam = np.multiply(s_moll.values, params.lam / params.mu)
+    # In place, with the operations and grouping of
+    #   left = (b_left * b_mu - s_left * s_lam).cumsum(axis=-1)
+    #   right[..., :-1] = (b_right * b_mu - s_right * s_lam)[..., :0:-1].cumsum(axis=-1)[..., ::-1]
+    #   u = u2 * left + u1 * right + diag * s_lam
+    # that is prefix sums over j <= i, and suffix sums over j > i by a
+    # reversed cumulative sum shifted by one node.  b is one row or a row
+    # per frame, so s_lam has the shape of the sums.
+    shape = s_lam.shape
+    term = np.multiply(s_lam, s_left)
+    left = np.multiply(b_mu, b_left, out=np.empty(shape))
+    left -= term
+    np.cumsum(left, axis=-1, out=left)
+    np.multiply(s_lam, s_right, out=term)
+    weighted = np.multiply(b_mu, b_right, out=b_mu if b_mu.shape == shape else np.empty(shape))
+    weighted -= term
+    right = term
+    np.cumsum(weighted[..., :0:-1], axis=-1, out=right[..., -2::-1])
+    right[..., -1] = 0.0
+    u = left
+    u *= u2
+    right *= u1
+    u += right
+    s_lam *= diag
+    u += s_lam
     u[..., 0] = 0.0
     u[..., -1] = 0.0
     return u

@@ -17,9 +17,12 @@ scipy's compiled ``scipy.linalg._flapack`` extension loaded by file, so that a
 cold start does not run ``scipy.linalg``'s package init (about 0.3 s, almost
 all of it modules the package never uses).
 
-``d1`` does its arithmetic in place on the array it allocates, with the
-operations and grouping of the plain expression, so its bits are the
-expression's; the step functions built on it follow the same rule.
+``d1``, ``d2``, ``trapezoid`` and the norms do their arithmetic in place on
+the arrays they allocate, with the operations and grouping of the plain
+expressions, so their bits are the expressions'; the step functions and the
+report's monitors built on them follow the same rule.  A (K, n) stack of a
+long run is larger than the C allocator's mmap threshold, so each temporary
+spared is a mapping, its page faults and its unmapping spared.
 """
 
 from __future__ import annotations
@@ -123,7 +126,11 @@ class ScalarField:
 
 @dataclass
 class Trajectory:
-    """Saved frames of the two unknowns over increasing times in [0, t_end]."""
+    """Saved frames of the two unknowns over increasing times, the last at most t_end.
+
+    The first time need not be 0: a run resumed from a snapshot starts at
+    the snapshot's time.
+    """
 
     times: np.ndarray
     s_frames: list[ScalarField]
@@ -137,8 +144,6 @@ class Trajectory:
     def validate(self, t_end: float | None = None):
         if len(self.times) != len(self.s_frames) or len(self.times) != len(self.u_frames):
             raise ValueError("frame count mismatch")
-        if self.times[0] != 0.0:
-            raise ValueError("first frame must be at t = 0")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("save times must be strictly increasing")
         if t_end is not None and self.times[-1] != t_end:
@@ -157,6 +162,18 @@ class Trajectory:
         return np.stack([f.values for f in self.u_frames])
 
 
+def _interior(v: np.ndarray, out: np.ndarray):
+    """The values a 3-point stencil reads and the interior nodes it writes, node axis first.
+
+    A C-contiguous stack is taken as one flattened row, so that the
+    interior of every row is one pass; the values that pass leaves at each
+    row junction are end nodes, which the end stencils then overwrite.
+    """
+    if v.ndim > 1 and v.flags.c_contiguous:
+        return v.reshape(-1), out.reshape(-1)[1:-1]
+    return v.T, out.T[1:-1]
+
+
 def d1(v: np.ndarray, h: float) -> np.ndarray:
     """First derivative along the last axis: central interior, one-sided second order at the ends.
 
@@ -165,10 +182,8 @@ def d1(v: np.ndarray, h: float) -> np.ndarray:
     """
     out = np.empty(v.shape)
     h2 = 2.0 * h
-    # the transposes put the node axis first
-    vt, ot = v.T, out.T
-    inner = ot[1:-1]
-    np.subtract(vt[2:], vt[:-2], out=inner)
+    src, inner = _interior(v, out)
+    np.subtract(src[2:], src[:-2], out=inner)
     inner /= h2
     if v.ndim == 1:
         # Python floats do the float64 arithmetic of numpy scalars, at less cost per operation
@@ -176,6 +191,8 @@ def d1(v: np.ndarray, h: float) -> np.ndarray:
         out[0] = (-3.0 * item(0) + 4.0 * item(1) - item(2)) / h2
         out[-1] = (3.0 * item(-1) - 4.0 * item(-2) + item(-3)) / h2
     else:
+        # the transposes put the node axis first
+        vt, ot = v.T, out.T
         ot[0] = (-3.0 * vt[0] + 4.0 * vt[1] - vt[2]) / h2
         ot[-1] = (3.0 * vt[-1] - 4.0 * vt[-2] + vt[-3]) / h2
     return out
@@ -188,9 +205,14 @@ def d2(v: np.ndarray, h: float) -> np.ndarray:
     interior equations never read them.
     """
     h2 = h**2
-    out = np.empty_like(v)
+    out = np.empty(v.shape)
+    src, inner = _interior(v, out)
+    # In place, with the operations and grouping of (v[i+1] - 2.0 * v[i] + v[i-1]) / h2
+    np.multiply(src[1:-1], 2.0, out=inner)
+    np.subtract(src[2:], inner, out=inner)
+    inner += src[:-2]
+    inner /= h2
     vt, ot = v.T, out.T
-    ot[1:-1] = (vt[2:] - 2.0 * vt[1:-1] + vt[:-2]) / h2
     ot[0] = (2.0 * vt[0] - 5.0 * vt[1] + 4.0 * vt[2] - vt[3]) / h2
     ot[-1] = (2.0 * vt[-1] - 5.0 * vt[-2] + 4.0 * vt[-3] - vt[-4]) / h2
     return out
@@ -227,26 +249,43 @@ def tridiag_factor(lower, diag, upper) -> tuple:
     return tuple(factors)
 
 
-def tridiag_factor_solve(factors: tuple, rhs) -> np.ndarray:
+def tridiag_factor_solve(factors: tuple, rhs, overwrite: bool = False) -> np.ndarray:
     """Solve with the factors of ``tridiag_factor``; ``rhs`` as for ``tridiag_solve``.
 
     LAPACK gttrs applies the multipliers and back substitution that gtsv
     applies while it eliminates, so the solution equals ``tridiag_solve``'s
-    bit for bit.  ``rhs`` is left unchanged.
+    bit for bit.  ``rhs`` is left unchanged unless ``overwrite`` is set:
+    LAPACK then works in ``rhs`` itself when it is Fortran-contiguous
+    float64, such as the transpose of a C-contiguous (K, n) stack, and the
+    solution is returned in it.
     """
-    x, info = dgttrs(*factors, rhs)
+    # positional: trans "N" (the matrix itself), then overwrite_b
+    x, info = dgttrs(*factors, rhs, "N", overwrite)
     if info != 0:  # pragma: no cover - gttrs fails only on malformed arguments
         raise ValueError(f"LAPACK gttrs info {info}")
     return x
 
 
-def trapezoid(y, x=None, dx: float = 1.0, axis: int = -1):
+def trapezoid(y, x=None, dx: float = 1.0, axis: int = -1, *, overwrite_y: bool = False):
     """Composite trapezoid rule along ``axis``, spacing ``dx`` or ``np.diff(x)``.
 
     The same operations in the same order as ``scipy.integrate.trapezoid``, so
-    the result is bit-identical to it.
+    the result is bit-identical to it.  With ``overwrite_y`` the rule may work
+    in ``y`` itself, which the caller then no longer reads: it does so for a
+    C-contiguous float64 ``y`` integrated along its last axis with ``dx``.
     """
     y = np.asarray(y)
+    if overwrite_y and x is None and y.dtype == np.float64 and y.flags.c_contiguous and axis in (-1, y.ndim - 1):
+        # the terms over the flattened rows, each written over the first node
+        # of its pair: numpy runs this forward overlap without a copy (it would
+        # copy rather than misread), and the term left on each row's last node
+        # joins two rows and is not summed
+        flat = y.reshape(-1)
+        total = flat[:-1]
+        np.add(flat[1:], total, out=total)
+        total *= dx
+        total /= 2.0
+        return np.sum(y[..., :-1], axis=-1)
     upper = [slice(None)] * y.ndim
     lower = [slice(None)] * y.ndim
     upper[axis] = slice(1, None)
@@ -258,19 +297,33 @@ def trapezoid(y, x=None, dx: float = 1.0, axis: int = -1):
         shape = [1] * y.ndim
         shape[axis] = -1
         d = np.diff(np.asarray(x, dtype=float)).reshape(shape)
-    return np.sum(d * (y[tuple(upper)] + y[tuple(lower)]) / 2.0, axis=axis)
+    # In place in one temporary, with the operations and grouping of
+    # d * (y[upper] + y[lower]) / 2.0; integers add exactly before the product
+    total = np.add(y[tuple(upper)], y[tuple(lower)])
+    if total.dtype == np.float64:
+        total *= d
+        total /= 2.0
+    else:
+        total = d * total / 2.0
+    return np.sum(total, axis=axis)
 
 
 def norm_l2(v: np.ndarray, h: float):
     """Trapezoid L^2 norm along the last axis: a float for one frame, an array for a stack."""
-    return np.sqrt(trapezoid(v**2, dx=h, axis=-1))
+    return np.sqrt(trapezoid(v**2, dx=h, axis=-1, overwrite_y=True))
 
 
 def space_norms(values: np.ndarray, h: float, q: float):
     """Trapezoid L^q norm (max norm for q = inf) along the last axis: one per frame of a stack."""
+    magnitude = np.abs(values)
     if q == math.inf:
-        return np.max(np.abs(values), axis=-1)
-    return trapezoid(np.abs(values) ** q, dx=h, axis=-1) ** (1.0 / q)
+        return np.max(magnitude, axis=-1)
+    if magnitude.dtype == np.float64:
+        # the in-place power takes the ufunc of ``** q``: numpy's square for q = 2
+        magnitude **= q
+    else:
+        magnitude = magnitude**q
+    return trapezoid(magnitude, dx=h, axis=-1, overwrite_y=True) ** (1.0 / q)
 
 
 def norm_lp_time_lq_space(times: np.ndarray, values: np.ndarray, h: float, p: float, q: float) -> float:

@@ -94,11 +94,23 @@ def smoothed_abs_primitive(p, kappa: float):
     of p that reduces to p|p|/2 at kappa = 0.
     """
     p = np.asarray(p, dtype=float)
+    if p.ndim == 0:
+        if kappa == 0.0:
+            return float(0.5 * p * np.abs(p))
+        return float(0.5 * (p * np.hypot(p, kappa) + kappa**2 * np.arcsinh(p / kappa)))
+    # In place, with the operations and grouping of the expressions above
     if kappa == 0.0:
-        out = 0.5 * p * np.abs(p)
-    else:
-        out = 0.5 * (p * np.hypot(p, kappa) + kappa**2 * np.arcsinh(p / kappa))
-    return float(out) if out.ndim == 0 else out
+        out = np.multiply(p, 0.5)
+        out *= np.abs(p)
+        return out
+    out = np.hypot(p, kappa)
+    out *= p
+    term = np.divide(p, kappa)
+    np.arcsinh(term, out=term)
+    term *= kappa**2
+    out += term
+    out *= 0.5
+    return out
 
 
 def _causal_bump(tau: np.ndarray) -> np.ndarray:

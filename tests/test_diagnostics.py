@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -446,6 +447,35 @@ class TestReportRecompute:
             write_run(Path(tmp) / "out", run(cfg))
             traj, loaded, diag_text = load_run(Path(tmp) / "out")
         assert build_report(traj, loaded).to_csv_text() == diag_text
+
+
+class TestReportMemory:
+    # the peak of one report's traced memory, in (frames, nodes) stacks
+    PEAK_STACKS = 10.0
+
+    def test_peak_of_a_long_report(self):
+        # 201 frames of 129 nodes, a run that saves every step: each stack is
+        # larger than the allocator's mmap threshold.  The monitors work in
+        # place, so the report holds a few stacks at a time, S, u and S_x
+        # among them, not a fresh stack per operation
+        cfg = make_config(n=129, t_end=0.04, save_every=1, body=BodyForce("ramp", amplitude=0.2, rate=5.0))
+        grid = cfg.grid
+        rng = np.random.default_rng(0)
+        times = np.linspace(0.0, cfg.t_end, 201)
+        s = rng.uniform(-1.0, 1.0, size=(201, grid.n))
+        u = rng.uniform(-1e-2, 1e-2, size=(201, grid.n))
+        traj = Trajectory(
+            times, [ScalarField(grid, row) for row in s], [ScalarField(grid, row) for row in u], np.arange(201)
+        )
+        # the per-grid caches of the two elasticity paths, filled before the count
+        build_report(traj, cfg)
+        tracemalloc.start()
+        try:
+            build_report(traj, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PEAK_STACKS * s.nbytes, peak / s.nbytes
 
 
 class TestKappaStudy:

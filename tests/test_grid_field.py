@@ -120,6 +120,34 @@ class TestStencils:
             for row, values in zip(got, stack):
                 assert np.array_equal(row, op(values, grid.h))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(4, 40),
+        rows=st.integers(1, 9),
+        h=st.floats(1e-3, 1.0),
+        layout=st.sampled_from(["c", "fortran", "strided", "reversed", "batch"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_flat_rows_equal_row_by_row(self, n, rows, h, layout, seed):
+        # a C-contiguous stack takes the interior over its flattened rows in one
+        # pass, every other layout the per-axis path: each row is its own d1 or d2
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-3, 4, size=(rows, 1))
+        base[rng.random(base.shape) < 0.1] = 0.0
+        stack = {
+            "c": base,
+            "fortran": np.asfortranarray(base),
+            "strided": np.repeat(base, 2, axis=1)[:, ::2],
+            "reversed": base[::-1],
+            "batch": np.stack([base, -base]),
+        }[layout]
+        assert stack.flags.c_contiguous == (layout in ("c", "batch")) or rows == 1
+        for op in (d1, d2):
+            got = op(stack, h)
+            assert got.shape == stack.shape
+            for row, values in zip(got.reshape(-1, n), stack.reshape(-1, n)):
+                assert np.array_equal(row, op(np.array(values), h))
+
     def test_norms_of_a_stack_are_the_row_norms(self):
         grid = Grid(1.0, 2.0, 33)
         stack = np.random.default_rng(4).normal(size=(5, grid.n))
@@ -180,6 +208,10 @@ class TestTrapezoid:
     ROW = rng.normal(size=129)
     STACK = rng.normal(size=(7, 129))
     TIMES = np.cumsum(rng.uniform(0.1, 1.0, size=7))
+    # a long run's report: larger than the allocator's mmap threshold
+    REPORT_STACK = rng.normal(size=(201, 129))
+    # integers beyond 2**53 add exactly only as integers, before the product with dx
+    INTS = rng.integers(-(2**61), 2**61, size=(7, 129))
 
     @pytest.mark.parametrize(
         "y, kwargs",
@@ -193,6 +225,11 @@ class TestTrapezoid:
             (STACK[:, 5], {"x": TIMES}),
             (STACK, {"x": TIMES, "axis": 0}),
             (STACK.T, {"x": TIMES}),
+            (REPORT_STACK, {"dx": 1.0 / 128}),
+            (REPORT_STACK, {"x": np.cumsum(rng.uniform(0.1, 1.0, size=201)), "axis": 0}),
+            (INTS, {}),
+            (INTS, {"dx": 0.3}),
+            (INTS[:, 5], {"x": TIMES}),
         ],
     )
     def test_bit_identical_to_scipy(self, y, kwargs):
@@ -200,6 +237,18 @@ class TestTrapezoid:
         want = integrate.trapezoid(y, **kwargs)
         assert np.shape(got) == np.shape(want)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("y", [ROW, STACK, REPORT_STACK, STACK.T, STACK[:, ::2], INTS])
+    def test_overwrite_gives_the_same_bits(self, y):
+        # the rule works in y only for a C-contiguous float64 y; any other y
+        # takes the ordinary path, and its layout sets the order of the sums
+        want = trapezoid(y, dx=0.3)
+        work = y.copy(order="K")
+        got = trapezoid(work, dx=0.3, overwrite_y=True)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+        if work.dtype != np.float64 or not work.flags.c_contiguous:
+            assert np.array_equal(work, y)
 
     def test_exact_for_linear(self):
         x = np.array([0.0, 0.5, 2.0])
@@ -276,7 +325,9 @@ class TestTridiagSolve:
             factors = tridiag_factor(*bands)
             rhs = rng.normal(size=n if columns is None else (n, columns))
             for b in (rhs, np.asfortranarray(rhs)):
-                assert same_bits(tridiag_factor_solve(factors, b), tridiag_solve(*bands, b))
+                want = tridiag_solve(*bands, b)
+                assert same_bits(tridiag_factor_solve(factors, b), want)
+                assert same_bits(tridiag_factor_solve(factors, b.copy(order="K"), overwrite=True), want)
 
     def test_factors_are_read_only_and_inputs_unchanged(self):
         bands = fd_operator(17)
@@ -297,6 +348,10 @@ class TestTridiagSolve:
         got = tridiag_solve(*arrays, overwrite=True)
         assert same_bits(got, want)
         assert np.shares_memory(got, arrays[3])
+        work = rhs.copy(order="F")
+        got = tridiag_factor_solve(tridiag_factor(lower, diag, upper), work, overwrite=True)
+        assert same_bits(got, want)
+        assert np.shares_memory(got, work)
 
 
 FLOAT_FMT = "{:.17g}"
@@ -442,8 +497,10 @@ class TestSerialization:
         z = ScalarField(grid, np.zeros(grid.n))
         traj = Trajectory(np.array([0.0, 0.5, 1.0]), [z] * 3, [z] * 3, np.array([0, 1, 2]))
         traj.validate(t_end=1.0)
-        bad = Trajectory(np.array([0.1, 0.5]), [z] * 2, [z] * 2, np.array([0, 1]))
-        with pytest.raises(ValueError):
+        # a run resumed from a snapshot starts at the snapshot's time
+        Trajectory(np.array([0.1, 0.5]), [z] * 2, [z] * 2, np.array([1, 2])).validate(t_end=0.5)
+        bad = Trajectory(np.array([0.1, 0.5, 0.5]), [z] * 3, [z] * 3, np.array([0, 1, 2]))
+        with pytest.raises(ValueError, match="strictly increasing"):
             bad.validate()
 
 

@@ -189,6 +189,21 @@ class TestSnapshotRestart:
         assert np.array_equal(s_all, whole.trajectory.s_matrix())
         assert np.array_equal(u_all, whole.trajectory.u_matrix())
 
+    def test_resumed_trajectory_validates(self, tmp_path):
+        # a run resumed from a snapshot starts at the snapshot's time, and its
+        # trajectory, as marched and as read back, is a valid trajectory
+        cfg = make_config(n=33, t_end=4e-3, dt=2e-4, save_every=5)
+        first = Simulation(cfg)
+        first.run(until_step=7)
+        save_snapshot(tmp_path / "snap.json", first)
+        resumed = load_snapshot(tmp_path / "snap.json", cfg).run()
+        traj = resumed.trajectory
+        assert traj.times[0] == first.time > 0.0
+        traj.validate(t_end=cfg.t_end)
+        write_run(tmp_path / "run", resumed)
+        back, _, _ = load_run(tmp_path / "run")
+        back.validate(t_end=cfg.t_end)
+
     def test_round_trip_equality(self, tmp_path, desk_config):
         sim = Simulation(desk_config)
         sim.run(until_step=10)
