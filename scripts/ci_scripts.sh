@@ -26,6 +26,13 @@ if [ "$status" -ne 1 ]; then
   echo "run on run.elasticity_path=green exited $status, expected 1" >&2
   exit 1
 fi
+# every step is backward Euler: the implicitness weight of earlier versions is an unknown key
+status=0
+confsim run --out run-theta --set reg.theta=0.5 || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "run on reg.theta=0.5 exited $status, expected 1" >&2
+  exit 1
+fi
 # a time-dependent body force saved every step: the report's body force for a column of
 # times, its one Green quadrature of all frames, and each saved frame's reused FD rhs
 confsim run --out run-ramp --set run.elasticity_path=both-verify --set run.save_every=1 --set run.t_end=0.004 \
@@ -49,6 +56,16 @@ status=0
 confsim check-reduction --run run-tensor-edited || status=$?
 if [ "$status" -ne 1 ]; then
   echo "check-reduction on an edited meta.txt exited $status, expected 1" >&2
+  exit 1
+fi
+# a copy whose meta.txt names reg.theta, as run directories of earlier versions do
+cp -r run-tensor run-tensor-theta
+sed -i 's/^\[config\]$/[config]\nreg.theta = 1/' run-tensor-theta/meta.txt
+grep -q '^reg\.theta = 1$' run-tensor-theta/meta.txt
+status=0
+confsim check-reduction --run run-tensor-theta || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "check-reduction on a meta.txt with reg.theta exited $status, expected 1" >&2
   exit 1
 fi
 confsim verify-green

@@ -249,7 +249,6 @@ _CATALOG = {
     "reg.kappa": ("float", 0.25, "reg", "kappa"),
     "reg.kappa_m": ("float", None, "reg", "kappa_m"),
     "reg.dt": ("float", 2.0e-4, "reg", "dt"),
-    "reg.theta": ("float", 1.0, "reg", "theta"),
     "reg.increment_guard": ("float", 1.0, "reg", "increment_guard"),
     "run.t_end": ("float", 0.02, "run", "t_end"),
     "run.save_every": ("int", 10, "run", "save_every"),

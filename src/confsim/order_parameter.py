@@ -3,8 +3,8 @@
 The evolution law is degenerate where the spatial gradient vanishes, so the
 modulus |p| is replaced by the smooth surrogate sqrt(kappa^2 + p^2) >= kappa,
 making the equation uniformly parabolic for kappa > 0.  The time step freezes
-that coefficient at the current state and treats the diffusion implicitly
-(weight theta), the reaction explicitly, guarded by a maximum-increment check.
+that coefficient at the current state, advances the diffusion by backward
+Euler and the reaction explicitly, guarded by a maximum-increment check.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid_field import d1, d2, tridiag_solve
+from .grid_field import d1, tridiag_solve
 from .material import MaterialParams
 
 
@@ -58,11 +58,10 @@ class InsufficientHistory(RuntimeError):
 
 @dataclass(frozen=True)
 class RegularizationParams:
-    """kappa in (0, 1], time step, implicitness weight and mollifier width."""
+    """kappa in (0, 1], time step, mollifier width and increment guard."""
 
     kappa: float
     dt: float
-    theta: float = 1.0
     kappa_m: Optional[float] = None  # mollifier window width; defaults to kappa
     increment_guard: float = 1.0
 
@@ -71,8 +70,6 @@ class RegularizationParams:
             raise ValueError(f"kappa must lie in (0, 1], got {self.kappa}")
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if not (0.5 <= self.theta <= 1.0):
-            raise ValueError(f"theta must lie in [0.5, 1], got {self.theta}")
         if self.kappa_m is None:
             object.__setattr__(self, "kappa_m", self.kappa)
         if not self.kappa_m > 0:
@@ -265,37 +262,33 @@ def semi_implicit_step(
     force: np.ndarray,
     h: float,
     material: MaterialParams,
-    reg: RegularizationParams,
-    dt: Optional[float] = None,
+    dt: float,
+    kappa,
+    guard: float,
     s_x: Optional[np.ndarray] = None,
-    kappa=None,
 ) -> np.ndarray:
     """One frozen-coefficient step of the regularized evolution equation.
 
     The diffusion coefficient c*nu*|s_x|_kappa is taken from the current state
     (bounded below by c*nu*kappa, so the system is never singular), diffusion
-    is advanced with weight theta, the reaction -force*(|s_x|_kappa - kappa)
+    is advanced by backward Euler, the reaction -force*(|s_x|_kappa - kappa)
     explicitly.  Boundary values are pinned to exactly zero.  ``s_x`` is
-    d1(s, h), passed by a caller that has already computed it.
+    d1(s, h), passed by a caller that has already computed it.  A step whose
+    largest increment exceeds ``guard`` raises ``StepRejected``.
 
-    ``s`` may also be a (B, n) batch of members that share ``reg`` except
-    ``kappa``, a (B, 1) column (``reg.kappa`` when None).  Their B systems are
-    solved as one of size B*n: each member's identity boundary rows couple it
-    to no other, so elimination keeps the members apart and every row equals
-    its own solve bit for bit.  Across those rows 0 * inf is nan, so when a
-    row's solution is not finite each row is solved again on its own.
+    ``s`` may also be a (B, n) batch of members that share everything but
+    ``kappa``, then a (B, 1) column.  Their B systems are solved as one of
+    size B*n: each member's identity boundary rows couple it to no other, so
+    elimination keeps the members apart and every row equals its own solve
+    bit for bit.  Across those rows 0 * inf is nan, so when a row's solution
+    is not finite each row is solved again on its own.
     """
-    if dt is None:
-        dt = reg.dt
-    if kappa is None:
-        kappa = reg.kappa
-
     if s_x is None:
         s_x = d1(s, h)
     # In place, with the operations and grouping of
     #   mod = hypot(s_x, kappa);  coef = c * nu * mod
-    #   rhs = s + dt * (-force * (mod - kappa))  [+ dt * (1 - theta) * coef * d2(s, h)]
-    #   beta = theta * dt * coef / h**2
+    #   rhs = s + dt * (-force * (mod - kappa))
+    #   beta = dt * coef / h**2
     # except that the reaction's sign moves onto the sum: IEEE rounding is
     # symmetric in sign, so s - dt * (force * y) is s + dt * (-force * y) bit
     # for bit.  Every node is computed and the end nodes are then overwritten.
@@ -306,15 +299,11 @@ def semi_implicit_step(
     reaction *= force
     reaction *= dt
     rhs = np.subtract(s, reaction, out=reaction)
-    if reg.theta < 1.0:
-        explicit = np.multiply(coef, dt * (1.0 - reg.theta))
-        explicit *= d2(s, h)
-        rhs += explicit
     rhs[..., 0] = 0.0
     rhs[..., -1] = 0.0
 
     beta = coef
-    beta *= reg.theta * dt
+    beta *= dt
     beta /= h**2
     # rows 0 and n-1 of each member are identity rows that pin the boundary
     # values, so the diagonal is (1, 1 + 2 beta, 1), the sub-diagonal
@@ -328,7 +317,7 @@ def semi_implicit_step(
     off[..., 0] = 0.0
     off[..., -1] = 0.0
     # the cap also rejects an infinite increment when the guard is infinite
-    limit = min(reg.increment_guard, _FLOAT_MAX)
+    limit = min(guard, _FLOAT_MAX)
     if s.ndim == 1:
         # a lone row: LAPACK works in the arrays made here, so the
         # super-diagonal gets its own copy, and rhs becomes the solution
@@ -338,7 +327,7 @@ def semi_implicit_step(
         change = new - s
         increment = np.abs(change, out=change).max()
         if not increment <= limit:
-            raise StepRejected(float(increment), reg.increment_guard)
+            raise StepRejected(float(increment), guard)
         return new
     # gtsv leaves these inputs unchanged, for the per-row solves below
     flat = off.ravel()
@@ -349,5 +338,5 @@ def semi_implicit_step(
     ok = increment <= limit
     if not ok.all():
         rejected = ~ok
-        raise StepRejected(float(increment[rejected][0]), reg.increment_guard, rejected, new)
+        raise StepRejected(float(increment[rejected][0]), guard, rejected, new)
     return new

@@ -31,7 +31,10 @@ from .grid_field import FLOAT_SLOT, FieldFileError, ScalarField, Trajectory, csv
 from .order_parameter import MollifierState, StepRejected, driving_force, mollify, semi_implicit_step
 from .elasticity import GreenKernel, fd_residual, solve_elasticity
 # BodyForce is not used here by name: bench/tracer.py reaches it as simulator.BodyForce.
-from .config import BodyForce, SimulationConfig, config_digest, config_echo, parse_config_text
+from .config import (
+    BodyForce, ConfigInvalid, ParseError, SimulationConfig, ValidationError, config_digest, config_echo,
+    parse_config_text,
+)
 
 SNAPSHOT_VERSION = 1
 
@@ -58,7 +61,6 @@ class RunResult:
     elasticity_residual_max: float
     path_discrepancy_max: Optional[float]
     config: SimulationConfig
-    config_hash: str
 
 
 class Simulation:
@@ -80,9 +82,6 @@ class Simulation:
         self.time = config.step_time(self.step_index)
         self.u: Optional[np.ndarray] = None  # displacement of the current state, once solved
         self.termination = Termination("completed")
-        self._reset_recording()
-
-    def _reset_recording(self):
         self.times: list[float] = []
         self.s_frames: list[ScalarField] = []
         self.u_frames: list[ScalarField] = []
@@ -121,7 +120,6 @@ class Simulation:
             elasticity_residual_max=self.residual_max,
             path_discrepancy_max=self.discrepancy_max,
             config=self.config,
-            config_hash=config_digest(self.config),
         )
 
     # --- snapshot support -------------------------------------------------
@@ -158,7 +156,7 @@ def _lockstep_key(config: SimulationConfig) -> tuple:
     reg = config.reg
     return (
         config.grid, config.t_end, config.save_every, config.material, config.body,
-        config.elasticity_path, reg.dt, reg.theta, reg.increment_guard,
+        config.elasticity_path, reg.dt, reg.increment_guard,
     )
 
 
@@ -232,13 +230,13 @@ def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
     u = _stack([sim.u for sim in active])
     # a lone member steps with its own reg.kappa, a batch with a column of them
     lone = s.ndim == 1
-    kappa = None if lone else np.array([[sim.config.reg.kappa] for sim in active])
+    kappa = reg.kappa if lone else np.array([[sim.config.reg.kappa] for sim in active])
     while step < stop:
         s_x = d1(s, h)
         force = driving_force(u, d1(u, h), s, s_x, x, material)
         t_next = step_time(step + 1)
         try:
-            s = semi_implicit_step(s, force, h, material, reg, dt=t_next - time, s_x=s_x, kappa=kappa)
+            s = semi_implicit_step(s, force, h, material, t_next - time, kappa, reg.increment_guard, s_x)
         except StepRejected as exc:
             rejected = np.ones(1, dtype=bool) if exc.rejected is None else exc.rejected
             for sim, row, stopped in zip(active, _rows(u), rejected):
@@ -249,7 +247,7 @@ def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
             active = [sim for sim, keep in zip(active, kept) if keep]
             if not active:
                 return
-            # kappa is None only for a lone member, whose rejection returned above
+            # kappa is a float only for a lone member, whose rejection returned above
             s, kappa = exc.new[kept], kappa[kept]
         step += 1
         time = t_next
@@ -313,7 +311,7 @@ def write_run(out_dir, result: RunResult):
     (out / "diagnostics.csv").write_text(result.report.to_csv_text())
     meta = [
         "# confsim run metadata",
-        f"config_hash = {result.config_hash}",
+        f"config_hash = {config_digest(result.config)}",
         f"termination = {result.termination.status}",
     ]
     if result.termination.fail_time is not None:
@@ -367,8 +365,9 @@ def load_run(run_dir):
     """Read back a persisted run: (trajectory, config, diagnostics text).
 
     Raises ``FieldFileError`` naming the file when ``meta.txt`` has no
-    ``[config]`` line or its ``config_hash`` is missing or is not the digest
-    of the config below that line, a field table is damaged or of another
+    ``[config]`` line, the config below that line does not parse (a key
+    that an older version wrote, say), or its ``config_hash`` is missing or
+    is not the digest of that config, a field table is damaged or of another
     grid, or ``S.csv`` and ``u.csv`` disagree on their steps or times.
     """
     out = Path(run_dir)
@@ -376,7 +375,10 @@ def load_run(run_dir):
     head, sep, config_text = meta_path.read_text().partition("[config]")
     if not sep:
         raise FieldFileError(f"{meta_path}: no [config] line")
-    config = parse_config_text(config_text)
+    try:
+        config = parse_config_text(config_text)
+    except (ParseError, ValidationError, ConfigInvalid) as exc:
+        raise FieldFileError(f"{meta_path}: {exc}") from None
     stated = [line.partition(" = ")[2] for line in head.splitlines() if line.startswith("config_hash = ")]
     if not stated:
         raise FieldFileError(f"{meta_path}: no config_hash line")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .grid_field import Grid, Trajectory, csv_text, norm_lp_time_lq_space
 from .material import MaterialParams
-from .order_parameter import RegularizationParams, semi_implicit_step
+from .order_parameter import semi_implicit_step
 from .elasticity import solve_fd
 from .config import SimulationConfig, StudyConfig
 from .diagnostics import NonFiniteReport, energy_monitor, flux_field, primitive_field, weak_residual
@@ -234,11 +234,10 @@ def _explicit_reference(
 def _implicit_forcefree(
     s0: np.ndarray, h: float, material: MaterialParams, kappa: float, t_end: float, dt: float
 ) -> np.ndarray:
-    reg = RegularizationParams(kappa=kappa, dt=dt, theta=1.0, increment_guard=1e9)
     zero = np.zeros_like(s0)
     s = s0
     for _ in range(int(round(t_end / dt))):
-        s = semi_implicit_step(s, zero, h, material, reg)
+        s = semi_implicit_step(s, zero, h, material, dt, kappa, 1e9)
     return s
 
 

@@ -69,7 +69,6 @@ CATALOG_CASES = {
     "reg.kappa": ["reg.kappa = 0.125"],
     "reg.kappa_m": ["reg.kappa_m = 0.01"],
     "reg.dt": ["reg.dt = 1e-4"],
-    "reg.theta": ["reg.theta = 0.6"],
     "reg.increment_guard": ["reg.increment_guard = 0.5"],
     "run.t_end": ["run.t_end = 0.01"],
     "run.save_every": ["run.save_every = 3"],
@@ -215,10 +214,10 @@ class TestEchoRoundTrip:
     def test_digest_is_pinned(self):
         # the echo bytes are a run's identity in meta.txt: changing them is a format change
         assert config_digest(default_config()) == (
-            "2abd8742983fa921fb664ea17af9e40cf20103130bfda606172e28c0c408740c"
+            "450e1c24661df6221c58fdd4f7c2f689bc831c93a18133f3cadcf22caf4fe497"
         )
         assert config_digest(parse_config_text("\n".join(DIAGONAL))) == (
-            "e7f90c9b25efade993ea936e40cbbb0e73ca949fd353ad17f7b01c44291fdda1"
+            "940bb31f3d236006d64b1490ea58decec2092c8caf5bc118df092d50f8964b95"
         )
 
 
@@ -337,6 +336,20 @@ class TestCliRun:
             assert captured.err.splitlines() == [
                 "error: config: unknown elasticity path 'green'; expected direct or both-verify"
             ]
+            assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_theta_key_exits_one(self, tmp_path, capsys):
+        # the implicitness weight of earlier versions: every step is backward Euler now
+        from_file = ["--config", str(write_config(tmp_path, FAST + ["reg.theta = 1"]))]
+        from_set = ["--set", "reg.theta=0.5"]
+        for args, error in (
+            (from_file, "error: unknown_key: unknown config key 'reg.theta'"),
+            (from_set, "error: unknown_key: override references unknown key 'reg.theta'"),
+        ):
+            assert main(["run", "--out", str(tmp_path / "out"), *args]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [error]
             assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
@@ -662,10 +675,16 @@ class TestCliTools:
             (
                 "meta.txt",
                 lambda text: text.replace("run.elasticity_path = direct", "run.elasticity_path = green"),
-                "unknown elasticity path 'green'; expected direct or both-verify",
+                "meta.txt: config: unknown elasticity path 'green'; expected direct or both-verify",
+            ),
+            # the implicitness weight, a key of earlier versions
+            (
+                "meta.txt",
+                lambda text: text.replace("[config]\n", "[config]\nreg.theta = 1\n"),
+                "meta.txt: unknown_key: unknown config key 'reg.theta'",
             ),
         ],
-        ids=["meta_without_config", "config_edited", "meta_without_hash", "green_path"],
+        ids=["meta_without_config", "config_edited", "meta_without_hash", "green_path", "theta_key"],
     )
     def test_damaged_run_metadata_exits_one(self, tmp_path, capsys, name, damage, message):
         run_dir = self.tensor_run(tmp_path)

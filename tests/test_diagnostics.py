@@ -16,7 +16,6 @@ from confsim import diagnostics
 from confsim.grid_field import Grid, ScalarField, Trajectory, d1, d2, norm_lp_time_lq_space
 from confsim.material import MaterialParams
 from confsim.order_parameter import (
-    RegularizationParams,
     driving_force,
     semi_implicit_step,
     smoothed_abs,
@@ -68,11 +67,10 @@ def diffusion_trajectory(amp=0.7, steps=20, dt=2e-4, kappa=0.25):
     xi = (GRID.x - GRID.a) / (GRID.d - GRID.a)
     v = amp * np.sin(math.pi * xi)
     v[0] = v[-1] = 0.0
-    reg = RegularizationParams(kappa=kappa, dt=dt)
     zero = np.zeros(GRID.n)
     frames = [v]
     for _ in range(steps):
-        frames.append(semi_implicit_step(frames[-1], zero, GRID.h, MAT, reg))
+        frames.append(semi_implicit_step(frames[-1], zero, GRID.h, MAT, dt, kappa, 1.0))
     times = np.arange(steps + 1) * dt
     z = ScalarField(GRID, zero)
     return Trajectory(
@@ -236,10 +234,10 @@ def st_l43_loop(traj):
     scope="module",
     params=[
         dict(kappa=0.25, t_end=8e-3, save_every=1),
-        dict(n=129, kappa=0.0625, t_end=6e-3, save_every=3, theta=0.6,
+        dict(n=129, kappa=0.0625, t_end=6e-3, save_every=3,
              body=BodyForce(family="ramp", amplitude=0.1, rate=5.0)),
     ],
-    ids=["desk", "theta-ramp"],
+    ids=["desk", "ramp"],
 )
 def stacked_run(request):
     cfg = make_config(**request.param)

@@ -284,16 +284,14 @@ class TestDrivingForce:
 class TestSemiImplicitStep:
     def test_rest_state_is_fixed_point(self):
         z = np.zeros(GRID.n)
-        reg = RegularizationParams(kappa=0.25, dt=1e-3)
-        out = semi_implicit_step(z, z, GRID.h, material(), reg)
+        out = semi_implicit_step(z, z, GRID.h, material(), 1e-3, 0.25, 1.0)
         assert np.all(out == 0.0)
 
     def test_maximum_principle_with_zero_force(self):
         s = bump(amp=0.7)
-        reg = RegularizationParams(kappa=0.25, dt=5e-4, theta=1.0)
         mat = material()
         zero = np.zeros(GRID.n)
-        out = semi_implicit_step(s, zero, GRID.h, mat, reg)
+        out = semi_implicit_step(s, zero, GRID.h, mat, 5e-4, 0.25, 1.0)
         assert np.max(np.abs(out)) <= np.max(np.abs(s)) + 1e-12
         # oracle: many tiny explicit steps land near the implicit result
         oracle = s
@@ -308,8 +306,7 @@ class TestSemiImplicitStep:
         force = np.cos(2 * GRID.x)
         diffs = []
         for dt in (1e-6, 5e-7):
-            reg = RegularizationParams(kappa=0.25, dt=dt, theta=1.0)
-            implicit = semi_implicit_step(s, force, GRID.h, mat, reg)
+            implicit = semi_implicit_step(s, force, GRID.h, mat, dt, 0.25, 1.0)
             explicit = explicit_euler(s, force, mat, 0.25, dt)
             diffs.append(np.max(np.abs(implicit - explicit)))
         assert diffs[0] < 1e-8
@@ -319,8 +316,7 @@ class TestSemiImplicitStep:
         rng = np.random.default_rng(13)
         s = bump(amp=0.5)
         force = rng.normal(size=GRID.n)
-        reg = RegularizationParams(kappa=0.1, dt=1e-4)
-        out = semi_implicit_step(s, force, GRID.h, material(), reg)
+        out = semi_implicit_step(s, force, GRID.h, material(), 1e-4, 0.1, 1.0)
         assert out[0] == 0.0
         assert out[-1] == 0.0
 
@@ -328,30 +324,26 @@ class TestSemiImplicitStep:
         s = bump(amp=0.9)
         mat = material()
         for dt in (1e-3, 1e-1, 10.0):
-            reg = RegularizationParams(kappa=0.25, dt=dt, theta=1.0, increment_guard=1e9)
-            out = semi_implicit_step(s, np.zeros(GRID.n), GRID.h, mat, reg)
+            out = semi_implicit_step(s, np.zeros(GRID.n), GRID.h, mat, dt, 0.25, 1e9)
             assert np.max(np.abs(out)) <= np.max(np.abs(s)) + 1e-12
 
     def test_guard_trips(self):
         s = bump(amp=0.9)
         force = np.full(GRID.n, -50.0)
-        reg = RegularizationParams(kappa=0.25, dt=1.0, theta=1.0, increment_guard=0.5)
         with pytest.raises(StepRejected) as err:
-            semi_implicit_step(s, force, GRID.h, material(), reg)
+            semi_implicit_step(s, force, GRID.h, material(), 1.0, 0.25, 0.5)
         assert err.value.increment > 0.5
 
-    @pytest.mark.parametrize("theta", [0.6, 1.0])
-    def test_batch_matches_rows_bit_for_bit(self, theta):
+    def test_batch_matches_rows_bit_for_bit(self):
         rng = np.random.default_rng(15)
         kappas = np.array([[0.5], [0.125], [0.03125]])
         s = np.stack([bump(amp=a) for a in (0.9, 0.5, 0.2)])
         force = rng.normal(size=s.shape)
         s_x = d1(s, GRID.h)
-        reg = RegularizationParams(kappa=0.25, dt=1e-4, theta=theta)
-        out = semi_implicit_step(s, force, GRID.h, material(), reg, s_x=s_x, kappa=kappas)
+        out = semi_implicit_step(s, force, GRID.h, material(), 1e-4, kappas, 1.0, s_x)
         for k, kappa in enumerate(kappas[:, 0]):
-            own = RegularizationParams(kappa=kappa, dt=1e-4, theta=theta)
-            assert np.array_equal(out[k], semi_implicit_step(s[k], force[k], GRID.h, material(), own))
+            row = semi_implicit_step(s[k], force[k], GRID.h, material(), 1e-4, kappa, 1.0)
+            assert np.array_equal(out[k], row)
 
     @pytest.mark.parametrize("where", ["force", "s"])
     def test_non_finite_row_stays_apart(self, where):
@@ -359,14 +351,13 @@ class TestSemiImplicitStep:
         s = np.stack([bump(amp=0.6), bump(amp=0.4)])
         force = np.ones_like(s)
         {"force": force, "s": s}[where][0, 10] = np.inf
-        regs = [RegularizationParams(kappa=k, dt=1e-4) for k in (0.25, 0.125)]
         mat = material()
         with np.errstate(all="ignore"):
             with pytest.raises(StepRejected) as alone:
-                semi_implicit_step(s[0], force[0], GRID.h, mat, regs[0])
-            row1 = semi_implicit_step(s[1], force[1], GRID.h, mat, regs[1])
+                semi_implicit_step(s[0], force[0], GRID.h, mat, 1e-4, 0.25, 1.0)
+            row1 = semi_implicit_step(s[1], force[1], GRID.h, mat, 1e-4, 0.125, 1.0)
             with pytest.raises(StepRejected) as batch:
-                semi_implicit_step(s, force, GRID.h, mat, regs[0], kappa=np.array([[0.25], [0.125]]))
+                semi_implicit_step(s, force, GRID.h, mat, 1e-4, np.array([[0.25], [0.125]]), 1.0)
         assert batch.value.rejected.tolist() == [True, False]
         assert np.array_equal(batch.value.increment, alone.value.increment, equal_nan=True)
         assert np.array_equal(batch.value.new[1], row1)
@@ -374,12 +365,12 @@ class TestSemiImplicitStep:
     def test_batch_rejects_only_the_rows_over_the_guard(self):
         s = np.stack([bump(amp=0.9), bump(amp=0.9)])
         force = np.stack([np.full(GRID.n, -50.0), np.zeros(GRID.n)])
-        reg = RegularizationParams(kappa=0.25, dt=1.0, theta=1.0, increment_guard=0.5)
+        step = (1.0, 0.25, 0.5)  # dt, kappa, guard
         with pytest.raises(StepRejected) as err:
-            semi_implicit_step(s, force, GRID.h, material(), reg)
+            semi_implicit_step(s, force, GRID.h, material(), *step)
         assert err.value.rejected.tolist() == [True, False]
         assert err.value.increment > 0.5
-        assert np.array_equal(err.value.new[1], semi_implicit_step(s[1], force[1], GRID.h, material(), reg))
+        assert np.array_equal(err.value.new[1], semi_implicit_step(s[1], force[1], GRID.h, material(), *step))
 
     def test_param_invariants(self):
         with pytest.raises(ValueError, match="kappa must lie in"):
@@ -388,7 +379,5 @@ class TestSemiImplicitStep:
             RegularizationParams(kappa=0.0, dt=1e-3)
         with pytest.raises(ValueError, match="dt must be positive"):
             RegularizationParams(kappa=0.5, dt=0.0)
-        with pytest.raises(ValueError, match="theta"):
-            RegularizationParams(kappa=0.5, dt=1e-3, theta=0.2)
         reg = RegularizationParams(kappa=0.5, dt=1e-3)
         assert reg.kappa_m == 0.5

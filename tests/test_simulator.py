@@ -279,8 +279,8 @@ class TestContinuedRun:
 class TestLockstep:
     BODY = BodyForce(family="ramp", amplitude=0.2, rate=50.0)
 
-    def member(self, kappa, window, amplitude, lo, hi, theta, path):
-        cfg = make_config(n=33, t_end=4e-3, dt=2e-4, save_every=3, kappa=kappa, theta=theta,
+    def member(self, kappa, window, amplitude, lo, hi, path):
+        cfg = make_config(n=33, t_end=4e-3, dt=2e-4, save_every=3, kappa=kappa,
                           kappa_m=None if window is None else window * 2e-4, path=path, body=self.BODY)
         return replace(cfg, init=InitialData(amplitude=amplitude, support_lo=lo, support_hi=hi))
 
@@ -297,11 +297,10 @@ class TestLockstep:
             min_size=2,
             max_size=3,
         ),
-        theta=st.sampled_from([0.6, 1.0]),
         path=st.sampled_from(["direct", "both-verify"]),
     )
-    def test_each_member_matches_its_run_alone(self, members, theta, path):
-        configs = [self.member(*m, theta, path) for m in members]
+    def test_each_member_matches_its_run_alone(self, members, path):
+        configs = [self.member(*m, path) for m in members]
         sims = [Simulation(cfg) for cfg in configs]
         march(sims)
         for sim, cfg in zip(sims, configs):

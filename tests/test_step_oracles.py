@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 from confsim import elasticity, simulator
 from confsim.config import InitialData
 from confsim.elasticity import solve_fd
-from confsim.grid_field import Grid, d1, d2, tridiag_solve
+from confsim.grid_field import Grid, d1, tridiag_solve
 from confsim.material import MaterialParams
-from confsim.order_parameter import RegularizationParams, StepRejected, driving_force, semi_implicit_step
+from confsim.order_parameter import StepRejected, driving_force, semi_implicit_step
 from confsim.simulator import Simulation, march
 
 from conftest import make_config
@@ -51,11 +51,7 @@ def _reference_pin_ends(solution, s):
     return new, np.abs(new - s).max(axis=-1)
 
 
-def reference_semi_implicit_step(s, force, h, material, reg, dt=None, s_x=None, kappa=None):
-    if dt is None:
-        dt = reg.dt
-    if kappa is None:
-        kappa = reg.kappa
+def reference_semi_implicit_step(s, force, h, material, dt, kappa, guard, s_x=None):
     if s_x is None:
         s_x = reference_d1(s, h)
     mod = np.hypot(s_x, kappa)
@@ -63,18 +59,16 @@ def reference_semi_implicit_step(s, force, h, material, reg, dt=None, s_x=None, 
     rhs = s.copy()
     reaction = -force * (mod - kappa)
     rhs[..., 1:-1] += dt * reaction[..., 1:-1]
-    if reg.theta < 1.0:
-        rhs[..., 1:-1] += dt * (1.0 - reg.theta) * coef[..., 1:-1] * d2(s, h)[..., 1:-1]
     rhs[..., 0] = 0.0
     rhs[..., -1] = 0.0
-    beta = reg.theta * dt * coef[..., 1:-1] / h**2
+    beta = dt * coef[..., 1:-1] / h**2
     diag = np.ones(s.shape)
     diag[..., 1:-1] += 2.0 * beta
     off = np.zeros(s.shape)
     off[..., 1:-1] = -beta
     flat = off.ravel()
     new, increment = _reference_pin_ends(tridiag_solve(flat[1:], diag.ravel(), flat[:-1], rhs.ravel()), s)
-    limit = min(reg.increment_guard, sys.float_info.max)
+    limit = min(guard, sys.float_info.max)
     ok = increment <= limit
     if s.ndim == 2 and not np.isfinite(increment).all():
         rows = [tridiag_solve(o[1:], d, o[:-1], r) for o, d, r in zip(off, diag, rhs)]
@@ -82,9 +76,9 @@ def reference_semi_implicit_step(s, force, h, material, reg, dt=None, s_x=None, 
         ok = increment <= limit
     if not ok.all():
         if s.ndim == 1:
-            raise StepRejected(float(increment), reg.increment_guard)
+            raise StepRejected(float(increment), guard)
         rejected = ~ok
-        raise StepRejected(float(increment[rejected][0]), reg.increment_guard, rejected, new)
+        raise StepRejected(float(increment[rejected][0]), guard, rejected, new)
     return new
 
 
@@ -134,7 +128,10 @@ def assert_same_outcome(got, want):
 
 @st.composite
 def step_states(draw):
-    """A lone row or a (B, n) batch with a kappa column, its force, grid and step parameters."""
+    """A lone row or a (B, n) batch, its force, grid, material and step (dt, kappa, guard).
+
+    A batch's kappa is a (B, 1) column.
+    """
     n = draw(st.sampled_from([4, 33, 129, 2049]))
     rows = draw(st.sampled_from([None, 2, 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -148,14 +145,10 @@ def step_states(draw):
         c=draw(st.floats(0.1, 2.0)), nu=draw(st.floats(0.01, 1.0)), mu=2.0,
         lam=draw(st.floats(-1.0, 1.0)), e=draw(st.floats(0.0, 0.5)), well_weight=draw(st.floats(0.01, 3.0)),
     )
-    reg = RegularizationParams(
-        kappa=draw(st.floats(1e-3, 1.0)),
-        dt=draw(st.sampled_from([1e-5, 2e-4, 1e-2])),
-        theta=draw(st.sampled_from([1.0, 0.5])),
-        increment_guard=draw(st.sampled_from([1e-3, 1.0, np.inf])),
-    )
-    kappa = None if rows is None else rng.uniform(1e-3, 1.0, size=(rows, 1))
-    return grid, s, u, force, material, reg, kappa
+    dt = draw(st.sampled_from([1e-5, 2e-4, 1e-2]))
+    kappa = draw(st.floats(1e-3, 1.0)) if rows is None else rng.uniform(1e-3, 1.0, size=(rows, 1))
+    guard = draw(st.sampled_from([1e-3, 1.0, np.inf]))
+    return grid, s, u, force, material, (dt, kappa, guard)
 
 
 class TestAgainstExpressions:
@@ -187,11 +180,11 @@ class TestAgainstExpressions:
     @settings(max_examples=80, deadline=None)
     @given(state=step_states(), pass_s_x=st.booleans())
     def test_semi_implicit_step(self, state, pass_s_x):
-        grid, s, _, force, material, reg, kappa = state
+        grid, s, _, force, material, step = state
         s_x = d1(s, grid.h) if pass_s_x else None
-        args = (s, force, grid.h, material, reg)
-        got = step_outcome(semi_implicit_step, *args, s_x=s_x, kappa=kappa)
-        assert_same_outcome(got, step_outcome(reference_semi_implicit_step, *args, s_x=s_x, kappa=kappa))
+        args = (s, force, grid.h, material, *step)
+        got = step_outcome(semi_implicit_step, *args, s_x=s_x)
+        assert_same_outcome(got, step_outcome(reference_semi_implicit_step, *args, s_x=s_x))
 
     @settings(max_examples=40, deadline=None)
     @given(state=step_states())
@@ -199,21 +192,19 @@ class TestAgainstExpressions:
         grid, s, u, *_ = state
         assert same_bits(solve_fd(u, grid), reference_solve_fd(u, grid))
 
-    @pytest.mark.parametrize("theta", [1.0, 0.5])
     @pytest.mark.parametrize("where", ["force", "s"])
-    def test_batch_with_a_non_finite_row(self, theta, where):
+    def test_batch_with_a_non_finite_row(self, where):
         # the joint solve spreads row 0's nan, so every row is solved again on its own
         grid = Grid(1.0, 2.0, 129)
         xi = (grid.x - grid.a) / (grid.d - grid.a)
         s = np.outer([0.6, 0.4, 0.2], np.sin(np.pi * xi))
         force = np.random.default_rng(11).uniform(-0.5, 0.5, size=s.shape)
         {"force": force, "s": s}[where][0, 40] = np.inf
-        reg = RegularizationParams(kappa=0.25, dt=1e-4, theta=theta)
-        args = (s, force, grid.h, make_config().material, reg)
         kappa = np.array([[0.25], [0.125], [0.5]])
+        args = (s, force, grid.h, make_config().material, 1e-4, kappa, 1.0)
         with np.errstate(all="ignore"):
-            got = step_outcome(semi_implicit_step, *args, kappa=kappa)
-            want = step_outcome(reference_semi_implicit_step, *args, kappa=kappa)
+            got = step_outcome(semi_implicit_step, *args)
+            want = step_outcome(reference_semi_implicit_step, *args)
         assert not got[0] and got[3].tolist() == [True, False, False]
         assert_same_outcome(got, want)
 
@@ -245,17 +236,14 @@ def assert_same_runs(got, want):
 class TestRunsAgainstExpressions:
     """Whole runs, so that the functions meet every state a run reaches."""
 
-    @pytest.mark.parametrize(
-        "n, theta, path", [(129, 1.0, "direct"), (33, 0.5, "both-verify"), (2049, 1.0, "direct")]
-    )
-    def test_lone_run(self, monkeypatch, n, theta, path):
-        cfg = make_config(n=n, t_end=2e-3 if n == 2049 else 8e-3, theta=theta, kappa_m=1e-3, path=path)
+    @pytest.mark.parametrize("n, path", [(129, "direct"), (33, "both-verify"), (2049, "direct")])
+    def test_lone_run(self, monkeypatch, n, path):
+        cfg = make_config(n=n, t_end=2e-3 if n == 2049 else 8e-3, kappa_m=1e-3, path=path)
         got = [simulator.run(cfg)]
         assert_same_runs(got, run_on_reference_functions(monkeypatch, lambda: [simulator.run(cfg)]))
 
-    @pytest.mark.parametrize("theta", [1.0, 0.5])
-    def test_lockstep_batch(self, monkeypatch, theta):
-        configs = [make_config(n=65, t_end=8e-3, theta=theta, kappa=k, kappa_m=1e-3) for k in (0.5, 0.0625, 0.25)]
+    def test_lockstep_batch(self, monkeypatch):
+        configs = [make_config(n=65, t_end=8e-3, kappa=k, kappa_m=1e-3) for k in (0.5, 0.0625, 0.25)]
 
         def march_them():
             sims = [Simulation(cfg) for cfg in configs]
@@ -273,24 +261,22 @@ def read_only(*arrays):
 
 class TestNoAliasing:
     @pytest.mark.parametrize("rows", [None, 3])
-    @pytest.mark.parametrize("theta", [1.0, 0.5])
-    def test_read_only_inputs(self, rows, theta):
+    def test_read_only_inputs(self, rows):
         # an in-place write into a caller's array would raise here
-        cfg = make_config(n=33, theta=theta)
+        cfg = make_config(n=33)
         grid, material, reg = cfg.grid, cfg.material, cfg.reg
         rng = np.random.default_rng(5)
         shape = (grid.n,) if rows is None else (rows, grid.n)
         s, u, force = read_only(*rng.uniform(-0.5, 0.5, size=(3, *shape)))
         s_x, u_x = read_only(d1(s, grid.h), d1(u, grid.h))
-        kappa = None if rows is None else np.array([[0.5], [0.25], [0.125]])
-        if kappa is not None:
-            read_only(kappa)
-        inputs = [s, u, force, s_x, u_x, grid.x] + ([] if kappa is None else [kappa])
+        kappa = reg.kappa if rows is None else read_only(np.array([[0.5], [0.25], [0.125]]))[0]
+        inputs = [s, u, force, s_x, u_x, grid.x] + ([] if rows is None else [kappa])
+        step = (reg.dt, kappa, reg.increment_guard)
         outputs = [
             d1(s, grid.h),
             driving_force(u, u_x, s, s_x, grid.x, material),
-            semi_implicit_step(s, force, grid.h, material, reg, s_x=s_x, kappa=kappa),
-            semi_implicit_step(s, force, grid.h, material, reg, kappa=kappa),
+            semi_implicit_step(s, force, grid.h, material, *step, s_x=s_x),
+            semi_implicit_step(s, force, grid.h, material, *step),
             solve_fd(u, grid),
         ]
         for out in outputs:
