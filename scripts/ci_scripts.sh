@@ -40,6 +40,9 @@ confsim run --out run-ramp --set run.elasticity_path=both-verify --set run.save_
 # 150 frames saved every step: each (frames, nodes) stack of the report is larger than the
 # allocator's mmap threshold, and the report's in-place kernels run end to end
 confsim run --out run-dense --set run.save_every=1 --set run.t_end=0.03
+# a 100-step mollifier window that fills at step 99 and stays full for 300 steps: the
+# full-window average in blocks of order_parameter.BLOCK steps, over several blocks
+PYTHONWARNINGS=error::RuntimeWarning confsim run --out run-full-window --set reg.kappa_m=0.02 --set run.t_end=0.08
 # a tensor run: its echo in meta.txt is re-parsed by load_run
 tensor=(--set material.tensor.family=diagonal --set material.tensor.mu0=2 --set material.misfit_iso=0.1
         --set grid.n=33)

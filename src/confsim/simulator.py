@@ -77,7 +77,8 @@ class Simulation:
         else:
             self.step_index = _restore["step_index"]
             arrays = _restore["history"]
-            self.mollifier.restore(arrays, _restore["time"])
+            # a run pushes its initial state and then one frame per step
+            self.mollifier.restore(arrays, _restore["time"], self.step_index + 1)
             self.s = np.array(arrays[0], dtype=float)
         self.time = config.step_time(self.step_index)
         self.u: Optional[np.ndarray] = None  # displacement of the current state, once solved
@@ -376,7 +377,8 @@ def load_run(run_dir):
     if not sep:
         raise FieldFileError(f"{meta_path}: no [config] line")
     try:
-        config = parse_config_text(config_text)
+        # a blank line for each line above [config] keeps a ParseError's line number the file's
+        config = parse_config_text("\n" * head.count("\n") + config_text)
     except (ParseError, ValidationError, ConfigInvalid) as exc:
         raise FieldFileError(f"{meta_path}: {exc}") from None
     stated = [line.partition(" = ")[2] for line in head.splitlines() if line.startswith("config_hash = ")]

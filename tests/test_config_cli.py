@@ -694,6 +694,16 @@ class TestCliTools:
         path.write_text(damage(text))
         assert message in self.check_reduction_error(run_dir, capsys)
 
+    def test_parse_error_names_the_line_of_meta_txt(self, tmp_path, capsys):
+        run_dir = self.tensor_run(tmp_path)
+        path = tmp_path / "out" / "meta.txt"
+        lines = path.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith("material.nu = "))
+        lines[lineno - 1] = "this is broken"
+        path.write_text("\n".join(lines) + "\n")
+        error = self.check_reduction_error(run_dir, capsys)
+        assert f"meta.txt: line {lineno}, column 1: expected 'key = value', got 'this is broken'" in error
+
     def test_run_need_not_start_at_time_zero(self, tmp_path):
         # a run resumed from a snapshot saves its first frame at the snapshot's time
         run_dir = self.tensor_run(tmp_path)

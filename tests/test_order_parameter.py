@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from confsim.grid_field import Grid, d1
 from confsim.material import MaterialParams, double_well
 from confsim.order_parameter import (
+    BLOCK,
     InsufficientHistory,
     MollifierState,
     RegularizationParams,
@@ -174,8 +175,27 @@ class DequeMollifier:
         return values
 
 
+def fsum_mollify(weights, frames):
+    """A full window's average with every product rounded once and the sum
+    rounded once (``math.fsum``), and the sum of the products' magnitudes."""
+    products = weights[:, None] * frames
+    return np.array([math.fsum(col) for col in products.T]), np.abs(products).sum(axis=0)
+
+
+def dot_error_bound(m: int) -> float:
+    """gamma_{m+3} = (m + 3) u / (1 - (m + 3) u), u = 2^-53.
+
+    Any order of summing m products differs from the exact sum by at most
+    gamma_m times the sum of their magnitudes, and the blocked form (two
+    partial sums and one addition) by at most gamma_{m+1}; ``fsum_mollify``
+    is within 2u of the exact sum, so either form is within gamma_{m+3} of it.
+    """
+    u = 2.0**-53
+    return (m + 3) * u / (1.0 - (m + 3) * u)
+
+
 class TestMollifierRingBuffer:
-    @pytest.mark.parametrize("m", [1, 2, 37])
+    @pytest.mark.parametrize("m", [1, 2, 37, BLOCK, 100])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_deque_reference_bit_for_bit(self, m, seed):
         dt = 1e-3
@@ -183,14 +203,25 @@ class TestMollifierRingBuffer:
         assert state.window_size == m
         ref = DequeMollifier(state.weights)
         rng = np.random.default_rng(seed)
-        # below, at and well past the window: the ring wraps several times
+        # below, at and well past the window: the ring wraps several times,
+        # and a window longer than BLOCK stays full for several blocks
         for k in range(1, 4 * m + 6):
             values = rng.normal(size=GRID.n)
             state.push(values, k * dt)
             ref.push(values)
             assert len(state.frames) == min(k, m)
             assert np.array_equal(state.frames, np.stack(ref.frames))
-            assert np.array_equal(mollify(state, k * dt), ref.mollify())
+            got = mollify(state, k * dt)
+            if k < m:
+                # the filling window is the old expression, bit for bit
+                assert np.array_equal(got, ref.mollify())
+                continue
+            # a full window sums in blocks; it and the one-product form
+            # (the reference) both meet the roundoff bound of a dot product
+            exact, magnitude = fsum_mollify(state.weights, state.frames)
+            bound = dot_error_bound(m) * magnitude
+            assert np.all(np.abs(got - exact) <= bound)
+            assert np.all(np.abs(ref.mollify() - exact) <= bound)
 
     def test_frames_view_is_read_only(self):
         state = MollifierState(kappa_m=0.003, dt=1e-3)
@@ -222,11 +253,42 @@ class TestMollifierRingBuffer:
         arrays = whole.state_arrays()
         assert len(arrays) == min(pushes, 7)
         restored = MollifierState(kappa_m=7 * dt, dt=dt)
-        restored.restore([a.tolist() for a in arrays], (pushes - 1) * dt)
+        restored.restore([a.tolist() for a in arrays], (pushes - 1) * dt, pushes)
         for k, values in enumerate(history[pushes:], start=pushes):
             for state in (whole, restored):
                 state.push(values, k * dt)
             assert np.array_equal(mollify(restored, k * dt), mollify(whole, k * dt))
+
+    # m = 100: the window fills at frame 99, inside the block of frames 64-127
+    @pytest.mark.parametrize("pushes", [100, 101, 128, 129, 150, 191, 192, 300])
+    def test_restore_inside_a_block_is_bit_identical(self, pushes):
+        # the restored state forms the block's products from its window, with
+        # zero rows for the frames that left since the block began
+        dt = 1e-3
+        rng = np.random.default_rng(pushes)
+        history = rng.normal(size=(pushes + 2 * BLOCK + 5, GRID.n))
+        whole = MollifierState(kappa_m=100 * dt, dt=dt)
+        for k, values in enumerate(history[:pushes]):
+            whole.push(values, k * dt)
+            mollify(whole, k * dt)
+        restored = MollifierState(kappa_m=100 * dt, dt=dt)
+        restored.restore(whole.state_arrays(), (pushes - 1) * dt, pushes)
+        assert np.array_equal(mollify(restored, (pushes - 1) * dt), mollify(whole, (pushes - 1) * dt))
+        for k, values in enumerate(history[pushes:], start=pushes):
+            for state in (whole, restored):
+                state.push(values, k * dt)
+            assert np.array_equal(mollify(restored, k * dt), mollify(whole, k * dt))
+
+    def test_block_weights_built_on_the_first_full_window(self):
+        dt = 1e-3
+        state = MollifierState(kappa_m=100 * dt, dt=dt)
+        for k in range(100):
+            state.push(bump(), k * dt)
+            mollify(state, k * dt)
+            assert (state._block_weights is None) == (k < 99)
+        w = state.weights
+        assert state._block_weights.shape == (BLOCK, 100)
+        assert np.array_equal(state._block_weights[5], np.concatenate([w[5:], np.zeros(5)]))
 
 
 class TestStepCeiling:

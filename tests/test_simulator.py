@@ -25,7 +25,7 @@ from confsim.simulator import (
 from confsim import elasticity
 from confsim.elasticity import GreenKernel, solve_fd, solve_green
 from confsim.grid_field import ScalarField, Trajectory
-from confsim.order_parameter import mollify
+from confsim.order_parameter import BLOCK, mollify
 
 from conftest import make_config
 
@@ -189,6 +189,33 @@ class TestSnapshotRestart:
         assert np.array_equal(s_all, whole.trajectory.s_matrix())
         assert np.array_equal(u_all, whole.trajectory.u_matrix())
 
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _long_window_run():
+        # a 100-step window, longer than BLOCK: full from step 99 (inside the
+        # block of steps 64-127) through the full blocks 128-191, 192-255 and
+        # 256-319 to step 320
+        cfg = make_config(n=33, t_end=0.064, dt=2e-4, save_every=1, kappa_m=100 * 2e-4)
+        assert cfg.n_steps == 320 and BLOCK == 64
+        return cfg, Simulation(cfg).run()
+
+    @pytest.mark.parametrize("split", [99, 110, 150, 192, 270])
+    def test_split_in_a_full_window_block_is_bit_identical(self, tmp_path, split):
+        # inside the block where the window fills, inside the first and the
+        # third full blocks, and on a block boundary
+        cfg, whole = self._long_window_run()
+        first = Simulation(cfg)
+        part1 = first.run(until_step=split)
+        save_snapshot(tmp_path / "snap.json", first)
+        part2 = load_snapshot(tmp_path / "snap.json", cfg).run()
+
+        steps = np.concatenate([part1.trajectory.steps, part2.trajectory.steps[1:]])
+        s_all = np.vstack([part1.trajectory.s_matrix(), part2.trajectory.s_matrix()[1:]])
+        u_all = np.vstack([part1.trajectory.u_matrix(), part2.trajectory.u_matrix()[1:]])
+        assert np.array_equal(steps, whole.trajectory.steps)
+        assert np.array_equal(s_all, whole.trajectory.s_matrix())
+        assert np.array_equal(u_all, whole.trajectory.u_matrix())
+
     def test_resumed_trajectory_validates(self, tmp_path):
         # a run resumed from a snapshot starts at the snapshot's time, and its
         # trajectory, as marched and as read back, is a valid trajectory
@@ -301,6 +328,20 @@ class TestLockstep:
     )
     def test_each_member_matches_its_run_alone(self, members, path):
         configs = [self.member(*m, path) for m in members]
+        sims = [Simulation(cfg) for cfg in configs]
+        march(sims)
+        for sim, cfg in zip(sims, configs):
+            assert_same_run(sim.run(), Simulation(cfg).run())
+
+    @pytest.mark.parametrize("windows", [(70, 150), (150, 100, 70)])
+    def test_full_window_blocks_match_each_run_alone(self, windows):
+        # windows longer than BLOCK and of different lengths, each full for
+        # more than a block: every member blocks its own window
+        configs = [
+            replace(self.member(0.5 / (i + 1), window, 0.8, 0.3, 0.7, "direct"), t_end=0.07, save_every=10)
+            for i, window in enumerate(windows)
+        ]
+        assert min(windows) > BLOCK and all(cfg.n_steps - max(windows) > BLOCK for cfg in configs)
         sims = [Simulation(cfg) for cfg in configs]
         march(sims)
         for sim, cfg in zip(sims, configs):
