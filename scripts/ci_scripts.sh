@@ -40,6 +40,16 @@ confsim run --out run-ramp --set run.elasticity_path=both-verify --set run.save_
 # 150 frames saved every step: each (frames, nodes) stack of the report is larger than the
 # allocator's mmap threshold, and the report's in-place kernels run end to end
 confsim run --out run-dense --set run.save_every=1 --set run.t_end=0.03
+# a run directory of the one-file-per-frame layout of earlier versions: writing a run into
+# it must exit 1 and leave its frames/ in place
+mkdir -p run-old-layout/frames
+echo "k,step,time" > run-old-layout/frames/index.csv
+status=0
+confsim run --out run-old-layout --set run.t_end=0.002 || status=$?
+if [ "$status" -ne 1 ] || [ ! -f run-old-layout/frames/index.csv ] || [ -e run-old-layout/S.csv ]; then
+  echo "run into an old-layout directory exited $status, expected 1 with frames/ left in place" >&2
+  exit 1
+fi
 # a 100-step mollifier window that fills at step 99 and stays full for 300 steps: the
 # full-window average in blocks of order_parameter.BLOCK steps, over several blocks
 PYTHONWARNINGS=error::RuntimeWarning confsim run --out run-full-window --set reg.kappa_m=0.02 --set run.t_end=0.08
@@ -80,3 +90,7 @@ confsim study --out study-refinement --set "study.kappas=0.5 0.25" --set reg.kap
 # a lockstep study checked against the Green quadrature on every member's saved frames
 confsim study --out study-both-verify --set "study.kappas=0.5 0.25 0.125" --set run.elasticity_path=both-verify \
   --set run.t_end=0.004
+# a lockstep study under a ramp body force saved every step: each member's run() checks its
+# frames in one stacked FD residual, and its report pairs the weak residual's test functions
+PYTHONWARNINGS=error::RuntimeWarning confsim study --out study-ramp --set "study.kappas=0.5 0.25 0.125" \
+  --set run.save_every=1 --set run.t_end=0.004 --set body.family=ramp --set body.amplitude=0.2 --set body.rate=5

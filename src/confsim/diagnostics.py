@@ -5,13 +5,16 @@ report from persisted frames reproduces diagnostics.csv bit-exactly.  The
 monitors track the quantities that stay bounded uniformly in the gradient
 regularization: the gradient energy, the accumulated degenerate dissipation,
 the time-derivative and flux-gradient norms, and the integral identity
-residual against a fixed basket of space-time test functions.  Each one
-applies the grid-on-last-axis stencils and norms to all frames together, on
-(frames, nodes) arrays.  ``build_report`` stacks S and u and takes
-S_x = d1(S) once per report and hands them to the monitors; a monitor called
-alone stacks what it needs itself.  The elasticity cross-check solves every
-frame in one FD call and one Green call.  Running (cumulative) series are
-one pass over per-frame values, so every monitor costs O(frames x nodes).
+residual against a fixed basket of separable space-time test functions
+a(t) b(x).  Each one applies the grid-on-last-axis stencils and norms to all
+frames together, on (frames, nodes) arrays.  ``build_report`` stacks S and u
+and takes S_x = d1(S) and the smoothed modulus of S_x once per report and
+hands them to the monitors; a monitor called alone stacks what it needs
+itself.  The weak residual pairs all frames with all test functions in three
+(frames, nodes) @ (nodes, functions) products, and the elasticity
+cross-check solves every frame in one FD call and one Green call.  Running
+(cumulative) series are one pass over per-frame values, so every monitor
+costs O(frames x nodes).
 The monitors do their arithmetic in place, with the operations and grouping
 of the plain expressions written beside them, so that a report of many
 frames allocates few (frames, nodes) arrays and its bits are the
@@ -37,34 +40,42 @@ from .config import SimulationConfig
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Separable space-time test function vanishing at x = a, d and at t = t_end.
+    """Separable space-time test function phi(t, x) = time(t) * space(x).
 
-    Each callable takes (t, x) and must broadcast over a (K, 1) column of
-    times against the (n,) grid nodes, giving values for all frames at once.
+    ``time`` and ``time_t`` (its derivative) take an array of times and
+    ``space`` and ``space_x`` (its derivative) an array of nodes; each returns
+    its values at those points, or a constant that stands for all of them.
+    phi should vanish at x = a, d and at the last time the identity is read.
     """
 
-    phi: Callable
-    phi_t: Callable
-    phi_x: Callable
+    time: Callable
+    time_t: Callable
+    space: Callable
+    space_x: Callable
     label: str
 
 
 def default_test_functions(grid: Grid, t_end: float, count: int = 5) -> list[TestFunction]:
+    """(1 - t/t_end) sin(m pi (x - a)/(d - a)) for m = 1 .. count."""
     fns = []
     length = grid.d - grid.a
+
+    def time(t):
+        return 1.0 - t / t_end
+
+    def time_t(t):
+        return -1.0 / t_end
+
     for m in range(1, count + 1):
         km = m * math.pi / length
 
-        def phi(t, x, km=km, a=grid.a):
-            return (1.0 - t / t_end) * np.sin(km * (x - a))
+        def space(x, km=km, a=grid.a):
+            return np.sin(km * (x - a))
 
-        def phi_t(t, x, km=km, a=grid.a):
-            return -np.sin(km * (x - a)) / t_end
+        def space_x(x, km=km, a=grid.a):
+            return km * np.cos(km * (x - a))
 
-        def phi_x(t, x, km=km, a=grid.a):
-            return (1.0 - t / t_end) * km * np.cos(km * (x - a))
-
-        fns.append(TestFunction(phi, phi_t, phi_x, f"mode{m}"))
+        fns.append(TestFunction(time, time_t, space, space_x, f"mode{m}"))
     return fns
 
 
@@ -158,10 +169,15 @@ def _flux_gradients(s_x: np.ndarray, h: float) -> np.ndarray:
 
 
 def _cumulative_time_trapz(times: np.ndarray, series: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(times))
+    """Running trapezoid integral in time of a (K,) series, or of each column of a (K, M) table.
+
+    A column's integral is the bits of that column integrated alone.
+    """
+    out = np.zeros(series.shape)
     if len(times) > 1:
-        increments = 0.5 * np.diff(times) * (series[1:] + series[:-1])
-        out[1:] = np.cumsum(increments)
+        dt = np.diff(times).reshape((-1,) + (1,) * (series.ndim - 1))
+        increments = 0.5 * dt * (series[1:] + series[:-1])
+        out[1:] = np.cumsum(increments, axis=0)
     return out
 
 
@@ -181,11 +197,17 @@ class EnergySeries:
 
 
 def energy_monitor(
-    traj: Trajectory, kappa: float, *, s: Optional[np.ndarray] = None, s_x: Optional[np.ndarray] = None
+    traj: Trajectory,
+    kappa: float,
+    *,
+    s: Optional[np.ndarray] = None,
+    s_x: Optional[np.ndarray] = None,
+    modulus: Optional[np.ndarray] = None,
 ) -> EnergySeries:
     """Gradient energy and accumulated degenerate dissipation.
 
-    ``s`` and ``s_x``, the stacked S frames and d1 of them, are computed
+    ``s`` and ``s_x``, the stacked S frames and d1 of them, and ``modulus``
+    = smoothed_abs(s_x, kappa), which the call leaves as it is, are computed
     from the trajectory unless the caller passes them.
     """
     h = traj.grid.h
@@ -193,12 +215,14 @@ def energy_monitor(
         s = traj.s_matrix()
     if s_x is None:
         s_x = d1(s, h)
+    if modulus is None:
+        modulus = smoothed_abs(s_x, kappa)
     grad_sq = norm_l2(s_x, h) ** 2
-    # smoothed_abs(s_x, kappa) * d2(s, h) ** 2, in place
-    lap_sq = d2(s, h)
-    lap_sq **= 2
-    integrand = smoothed_abs(s_x, kappa)
-    integrand *= lap_sq
+    # smoothed_abs(s_x, kappa) * d2(s, h) ** 2, in place (a product is the
+    # same bits in either order)
+    integrand = d2(s, h)
+    integrand **= 2
+    integrand *= modulus
     integrand = trapezoid(integrand, dx=h, axis=-1, overwrite_y=True)
     return EnergySeries(traj.times, grad_sq, _cumulative_time_trapz(traj.times, integrand))
 
@@ -231,10 +255,16 @@ def _mixed_norm_series(times: np.ndarray, values: np.ndarray, h: float, p: float
     return out
 
 
-def _primitive_w14_series(times: np.ndarray, s_x: np.ndarray, h: float, kappa: float) -> np.ndarray:
-    """Cumulative L^{4/3}(0, t_k; W^{1,4/3}) norm of the gradient primitive, from S_x of every frame."""
+def _primitive_w14_series(
+    times: np.ndarray, s_x: np.ndarray, h: float, kappa: float, modulus: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Cumulative L^{4/3}(0, t_k; W^{1,4/3}) norm of the gradient primitive, from S_x of every frame.
+
+    A caller that holds ``modulus`` = smoothed_abs(s_x, kappa) may pass it
+    for the call to work in; it no longer reads it afterwards.
+    """
     p = 4.0 / 3.0
-    prim = smoothed_abs_primitive(s_x, kappa)
+    prim = smoothed_abs_primitive(s_x, kappa, modulus=modulus)
     grad = d1(prim, h)
     # trapezoid(np.abs(f) ** p) of prim and of its gradient, each in its own array
     for f in (prim, grad):
@@ -243,6 +273,14 @@ def _primitive_w14_series(times: np.ndarray, s_x: np.ndarray, h: float, kappa: f
     integrand = trapezoid(prim, dx=h, axis=-1, overwrite_y=True)
     integrand += trapezoid(grad, dx=h, axis=-1, overwrite_y=True)
     return _cumulative_time_trapz(times, integrand) ** (1.0 / p)
+
+
+def _tabulate(factors: Sequence[Callable], points: np.ndarray) -> np.ndarray:
+    """(points, M) table whose column m holds ``factors[m]`` at every point."""
+    table = np.empty((len(points), len(factors)))
+    for m, factor in enumerate(factors):
+        table[:, m] = factor(points)
+    return table
 
 
 def weak_residual_series(
@@ -262,10 +300,17 @@ def weak_residual_series(
     residual of the weak formulation itself.  The stacked frames ``s`` and
     ``u`` and ``s_x`` = d1(s) are computed from the trajectory unless the
     caller passes them.
+
+    Every phi is a(t) b(x), so the space pairings of all frames and test
+    functions are three (K, n) @ (n, M) products with the (n, M) tables of b
+    and b_x, the trapezoid weights folded in: (S, phi_t) = a_t (S, b),
+    (S, phi) = a (S, b), (flux, phi_x) = a (flux, b_x) and
+    (kinetic, phi) = a (kinetic, b), with a and a_t tabulated on the saved
+    times as (K, M) arrays.
     """
     h = traj.grid.h
     x = traj.grid.x
-    t = traj.times[:, None]
+    times = traj.times
     cnu = material.c * material.nu
 
     if s is None:
@@ -274,25 +319,29 @@ def weak_residual_series(
         u = traj.u_matrix()
     if s_x is None:
         s_x = d1(s, h)
-    # driving_force(...) * np.abs(s_x), in place; then one work array holds
-    # each product below
-    kinetic = driving_force(u, d1(u, h), s, s_x, x, material)
-    work = np.abs(s_x)
-    kinetic *= work
-    flux = smoothed_abs_primitive(s_x, 0.0)
+    weights = np.full((len(x), 1), h)
+    weights[0] = weights[-1] = 0.5 * h
+    space = _tabulate([tf.space for tf in test_functions], x)
+    space *= weights
+    space_x = _tabulate([tf.space_x for tf in test_functions], x)
+    space_x *= weights
+    time = _tabulate([tf.time for tf in test_functions], times)
+    time_t = _tabulate([tf.time_t for tf in test_functions], times)
 
-    residuals = np.zeros((len(traj.times), len(test_functions)))
-    for m, tf in enumerate(test_functions):
-        pair_t = trapezoid(np.multiply(s, tf.phi_t(t, x), out=work), dx=h, axis=1, overwrite_y=True)
-        pair_flux = trapezoid(np.multiply(flux, tf.phi_x(t, x), out=work), dx=h, axis=1, overwrite_y=True)
-        phi = tf.phi(t, x)
-        pair_force = trapezoid(np.multiply(kinetic, phi, out=work), dx=h, axis=1, overwrite_y=True)
-        boundary = trapezoid(np.multiply(s, phi, out=work), dx=h, axis=1, overwrite_y=True)
-        a_cum = _cumulative_time_trapz(traj.times, pair_t)
-        b_cum = _cumulative_time_trapz(traj.times, pair_flux)
-        c_cum = _cumulative_time_trapz(traj.times, pair_force)
-        residuals[:, m] = a_cum - cnu * b_cum - c_cum + boundary[0] - boundary
-    return residuals
+    # driving_force(...) * np.abs(s_x), in place; each (K, n) integrand is
+    # released once paired
+    kinetic = driving_force(u, d1(u, h), s, s_x, x, material)
+    kinetic *= np.abs(s_x)
+    pair_force = time * (kinetic @ space)
+    del kinetic
+    pair_flux = time * (smoothed_abs_primitive(s_x, 0.0) @ space_x)
+    s_space = s @ space
+    pair_t = time_t * s_space
+    boundary = time * s_space
+    a_cum = _cumulative_time_trapz(times, pair_t)
+    b_cum = _cumulative_time_trapz(times, pair_flux)
+    c_cum = _cumulative_time_trapz(times, pair_force)
+    return a_cum - cnu * b_cum - c_cum + boundary[0] - boundary
 
 
 def weak_residual(
@@ -336,7 +385,12 @@ def build_report(traj: Trajectory, config: SimulationConfig) -> DiagnosticsRepor
     s = traj.s_matrix()
     u = traj.u_matrix()
     s_x = d1(s, h)
-    energy = energy_monitor(traj, kappa, s=s, s_x=s_x)
+    # one smoothed modulus for the energy and the primitive, which works in
+    # it; it is released before the other monitors run
+    modulus = smoothed_abs(s_x, kappa)
+    energy = energy_monitor(traj, kappa, s=s, s_x=s_x, modulus=modulus)
+    primitive_w14_l43 = _primitive_w14_series(traj.times, s_x, h, kappa, modulus)
+    del modulus
     # test functions vanish at the configured final time, so partial runs stay defined
     test_fns = default_test_functions(traj.grid, config.t_end)
     report = DiagnosticsReport(
@@ -347,7 +401,7 @@ def build_report(traj: Trajectory, config: SimulationConfig) -> DiagnosticsRepor
         st_l43=_st_l43_series(traj.times, s, h),
         sx_l83_linf=_mixed_norm_series(traj.times, s_x, h, 8.0 / 3.0, math.inf),
         flux_grad_l43=_mixed_norm_series(traj.times, _flux_gradients(s_x, h), h, 4.0 / 3.0, 4.0 / 3.0),
-        primitive_w14_l43=_primitive_w14_series(traj.times, s_x, h, kappa),
+        primitive_w14_l43=primitive_w14_l43,
         weak_residuals=weak_residual_series(traj, config.material, test_fns, s=s, u=u, s_x=s_x),
         cross_check=_cross_check_series(traj, config, s, s_x),
     )

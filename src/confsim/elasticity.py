@@ -20,9 +20,10 @@ kernel is separable, u1(min) u2(max) / c, so the quadrature is one prefix sum
 weighted by u2(x) and one suffix sum weighted by u1(x); neither path holds an
 n x n matrix, and both solve a (K, n) stack of frames in one call, each frame
 bit for bit as alone.  ``solve_elasticity``, the simulator's per-step solve,
-is the FD solve of the displacement equation.  ``fd_residual`` and the FD
-solve's refinement step apply the one cached operator of ``_fd_operator``,
-and both of the FD solve's solves use its LU factors, cached with it.
+is the FD solve of the displacement equation.  ``fd_residual``, of one frame
+or a stack, and the FD solve's refinement step apply the one cached operator
+of ``_fd_operator``, and both of the FD solve's solves use its LU factors,
+cached with it.
 """
 
 from __future__ import annotations
@@ -196,11 +197,16 @@ def solve_fd(rhs: np.ndarray, grid: Grid) -> np.ndarray:
     return u
 
 
-def fd_residual(u: np.ndarray, rhs: np.ndarray, grid: Grid) -> float:
-    """Max-norm residual of the discrete interior equations for a candidate u."""
-    r = _fd_apply(u, _fd_operator(grid))[1:-1]
-    r -= rhs[1:-1]
-    return float(np.abs(r, out=r).max()) if r.size else 0.0
+def fd_residual(u: np.ndarray, rhs: np.ndarray, grid: Grid) -> float | np.ndarray:
+    """Max-norm residual of the discrete interior equations for a candidate u.
+
+    ``u`` and ``rhs`` may be (K, n) stacks of frames: the result is then the
+    (K,) array of the frames' residuals, each the bits of its frame alone.
+    """
+    r = _fd_apply(u, _fd_operator(grid))[..., 1:-1]
+    r -= rhs[..., 1:-1]
+    residuals = np.abs(r, out=r).max(axis=-1)
+    return float(residuals) if residuals.ndim == 0 else residuals
 
 
 @lru_cache(maxsize=8)

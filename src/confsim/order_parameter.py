@@ -96,11 +96,13 @@ def smoothed_abs(p, kappa: float):
     return np.hypot(np.asarray(p, dtype=float), kappa) if np.ndim(p) else float(np.hypot(p, kappa))
 
 
-def smoothed_abs_primitive(p, kappa: float):
+def smoothed_abs_primitive(p, kappa: float, *, modulus: Optional[np.ndarray] = None):
     """Integral of the smoothed modulus from 0 to p, in closed form.
 
     Equals (p*sqrt(p^2+kappa^2) + kappa^2*asinh(p/kappa))/2, an odd function
-    of p that reduces to p|p|/2 at kappa = 0.
+    of p that reduces to p|p|/2 at kappa = 0.  A caller that holds
+    ``modulus`` = smoothed_abs(p, kappa) of an array p may pass it; for
+    kappa != 0 the result, the same bits, is then written over it.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim == 0:
@@ -112,7 +114,7 @@ def smoothed_abs_primitive(p, kappa: float):
         out = np.multiply(p, 0.5)
         out *= np.abs(p)
         return out
-    out = np.hypot(p, kappa)
+    out = np.hypot(p, kappa) if modulus is None else modulus
     out *= p
     term = np.divide(p, kappa)
     np.arcsinh(term, out=term)

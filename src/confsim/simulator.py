@@ -3,8 +3,10 @@
 A single simulation is self-contained and deterministic: the schedule is a
 pure function of the step index, there is no randomness, and identical configs
 produce bit-identical outputs.  Every step solves elasticity by finite
-differences and every recorded frame's FD residual is kept; a "both-verify"
-run also checks each recorded frame against the Green quadrature.
+differences.  ``Simulation.run`` checks the frames recorded since its last
+call in one stacked pass: one FD residual of their u against the right-hand
+sides their steps solved, and on "both-verify" one Green quadrature of their
+mollified S; the largest of each is the largest of its frames' own values.
 ``march`` advances simulations that share grid, schedule, material, body
 force and elasticity path in lockstep, as (B, n) arrays, each member
 bit-identical to its run alone; ``Simulation.run`` is its one-member case.
@@ -89,28 +91,60 @@ class Simulation:
         self.frame_steps: list[int] = []
         self.residual_max = 0.0
         self.discrepancy_max = None
+        # what the next frame check reads of the frames recorded since the
+        # last one: the FD right-hand sides, and on "both-verify" the mollified S
+        self._unchecked_rhs: list[np.ndarray] = []
+        self._unchecked_s_moll: list[np.ndarray] = []
 
-    def _record_frame(self, u: np.ndarray, s_moll: np.ndarray, b: np.ndarray, rhs: np.ndarray):
-        """Save S and u; track u's FD residual against ``rhs``, on "both-verify" its gap to the Green path."""
+    def _record_frame(self, u: np.ndarray, s_moll: np.ndarray, rhs: np.ndarray):
+        """Save S and u, and keep what ``_check_frames`` reads: u's FD ``rhs``, on "both-verify" ``s_moll``."""
         # every step makes new s and u arrays, so the frames need no copy
         self.times.append(self.time)
         self.s_frames.append(ScalarField(self.grid, self.s))
         self.u_frames.append(ScalarField(self.grid, u))
         self.frame_steps.append(self.step_index)
-        self.residual_max = max(self.residual_max, fd_residual(u, rhs, self.grid))
+        self._unchecked_rhs.append(rhs)
         if self.config.elasticity_path == "both-verify":
+            self._unchecked_s_moll.append(s_moll)
+
+    def _check_frames(self):
+        """Fold the frames recorded since the last call into the residual and discrepancy maxima.
+
+        One FD residual of the stacked u against their right-hand sides, and
+        on "both-verify" one Green quadrature of their mollified S against the
+        body force at their times.  Each row of a stacked pass is the bits of
+        its frame alone, and the maxima fold the frames in order, so both are
+        those of a check per frame.
+        """
+        count = len(self._unchecked_rhs)
+        if not count:
+            return
+        grid = self.grid
+        u = np.array([frame.values for frame in self.u_frames[-count:]])
+        self.residual_max = max(self.residual_max, *fd_residual(u, np.array(self._unchecked_rhs), grid).tolist())
+        if self._unchecked_s_moll:
+            b = self.config.body.evaluate(np.array(self.times[-count:])[:, None], grid)
             # looked up on the module, where bench/tracer.py wraps it
-            u_green = elasticity.solve_green(GreenKernel(self.grid.a, self.grid.d),
-                                             ScalarField(self.grid, s_moll), b, self.config.material)
-            self.discrepancy_max = max(self.discrepancy_max or 0.0, float(np.max(np.abs(u - u_green))))
+            u_green = elasticity.solve_green(GreenKernel(grid.a, grid.d),
+                                             ScalarField(grid, np.array(self._unchecked_s_moll)), b,
+                                             self.config.material)
+            # np.abs(u - u_green), in place
+            gap = np.subtract(u, u_green, out=u_green)
+            gaps = np.max(np.abs(gap, out=gap), axis=-1).tolist()
+            self.discrepancy_max = max(self.discrepancy_max or 0.0, *gaps)
+        self._unchecked_rhs.clear()
+        self._unchecked_s_moll.clear()
 
     def run(self, until_step: Optional[int] = None) -> RunResult:
         """March to ``until_step`` (the final step when None) and report every frame recorded so far.
 
         A second call continues where the first stopped; after a rejected
         step, or once the run is at its stop, it marches nothing further.
+        The frames recorded since the last call are checked here
+        (``_check_frames``).
         """
         march([self], until_step)
+        self._check_frames()
         traj = Trajectory(
             np.array(self.times), list(self.s_frames), list(self.u_frames), np.array(self.frame_steps)
         )
@@ -176,17 +210,16 @@ def _rows(batch: np.ndarray):
 
 
 def _solve_for_u(sims: list[Simulation], t: float):
-    """Displacements of the members at time t: (u, rhs, s_moll, b), batched by ``_stack``."""
+    """Displacements of the members at time t: (u, rhs, s_moll), batched by ``_stack``."""
     cfg = sims[0].config
     s_moll = _stack([mollify(sim.mollifier, t) for sim in sims])
-    b = cfg.body.evaluate(t, cfg.grid)
-    u, rhs = solve_elasticity(s_moll, b, cfg.grid, cfg.material)
-    return u, rhs, s_moll, b
+    u, rhs = solve_elasticity(s_moll, cfg.body.evaluate(t, cfg.grid), cfg.grid, cfg.material)
+    return u, rhs, s_moll
 
 
-def _record_frames(sims: list[Simulation], u, rhs, s_moll, b):
+def _record_frames(sims: list[Simulation], u, rhs, s_moll):
     for sim, u_row, rhs_row, moll_row in zip(sims, _rows(u), _rows(rhs), _rows(s_moll)):
-        sim._record_frame(u_row, moll_row, b, rhs_row)
+        sim._record_frame(u_row, moll_row, rhs_row)
 
 
 def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
@@ -197,10 +230,9 @@ def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
     arrays (``_stack``).  Each time step makes one derivative pair, one
     driving force, one order-parameter step (one solve of size B*n), one
     body force and one elasticity solve with B right-hand sides; each member
-    mollifies and pushes its own window.  A recorded frame's FD residual is
-    taken against the right-hand side of that solve, and on "both-verify"
-    the Green quadrature checks the recorded frames only
-    (``Simulation._record_frame``).
+    mollifies and pushes its own window.  A recorded frame keeps the
+    right-hand side of that solve, and on "both-verify" its mollified S, for
+    the frame check of the member's next ``Simulation.run`` call.
     A member whose step is rejected stops there with its own termination
     while the others go on, and a member that already stopped on a rejected
     step is left as it is.  Every member records the frames, S and u of its
@@ -217,8 +249,8 @@ def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
                          "initial data, and stand at the same step")
     fresh = [sim for sim in active if sim.u is None]
     if fresh:
-        u, rhs, s_moll, b = _solve_for_u(fresh, lead.time)
-        _record_frames(fresh, u, rhs, s_moll, b)
+        u, rhs, s_moll = _solve_for_u(fresh, lead.time)
+        _record_frames(fresh, u, rhs, s_moll)
         for sim, row in zip(fresh, _rows(u)):
             sim.u = row
 
@@ -262,10 +294,9 @@ def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
                 sim.step_index, sim.time, sim.s = step, time, row
                 sim.mollifier.push(row, time)
             s_moll = _stack([mollify(sim.mollifier, time) for sim in active])
-        b = body.evaluate(time, grid)
-        u, rhs = solve_elasticity(s_moll, b, grid, material)
+        u, rhs = solve_elasticity(s_moll, body.evaluate(time, grid), grid, material)
         if step % save_every == 0 or step == stop:
-            _record_frames(active, u, rhs, s_moll, b)
+            _record_frames(active, u, rhs, s_moll)
     for sim, row in zip(active, _rows(u)):
         sim.u = row
 
@@ -301,8 +332,15 @@ def write_run(out_dir, result: RunResult):
 
     ``S.csv`` and ``u.csv`` hold one row per saved frame: its step, its time
     and the field at every node, under the header ``step,time,<x_0>,...``.
+    A directory that holds ``frames/``, the one-file-per-frame layout of
+    earlier versions, raises ``FieldFileError`` naming it before anything is
+    written: that directory would stay beside the new run, unread.
     """
     out = Path(out_dir)
+    stale = out / "frames"
+    if stale.exists():
+        raise FieldFileError(f"{stale}: the frame files of an earlier version's run directory; "
+                             "write the run to another directory")
     out.mkdir(parents=True, exist_ok=True)
     traj = result.trajectory
     # step is an integer, which csv_text writes without a point

@@ -445,6 +445,25 @@ class TestCliRun:
         meta = (tmp_path / "out" / "meta.txt").read_text()
         assert "termination = step-rejected" in meta
 
+    def test_run_into_old_layout_directory_exits_one(self, tmp_path, capsys):
+        # the layout of earlier versions: frames/S_<k>.csv, frames/u_<k>.csv and frames/index.csv
+        out = tmp_path / "out"
+        (out / "frames").mkdir(parents=True)
+        old = {"S_000000.csv": "0,1\n", "u_000000.csv": "0,1\n", "index.csv": "k,step,time\n0,0,0\n"}
+        for name, text in old.items():
+            (out / "frames" / name).write_text(text)
+        cfg_path = write_config(tmp_path, FAST)
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: {out / 'frames'}: the frame files of an earlier version's run directory; "
+            "write the run to another directory"
+        ]
+        assert captured.out == ""
+        # nothing deleted, nothing written
+        assert sorted(p.name for p in out.iterdir()) == ["frames"]
+        assert {p.name: p.read_text() for p in (out / "frames").iterdir()} == old
+
     def test_meta_reparses_to_same_config(self, tmp_path):
         cfg_path = write_config(tmp_path, FAST)
         main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])

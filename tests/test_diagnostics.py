@@ -309,21 +309,28 @@ class TestMonitorsMatchFrameLoops:
         assert np.array_equal(result.report.max_abs_s, want)
 
 
+def frame_integrands(traj, material, k):
+    """S, the flux |S_x|S_x/2 and the kinetic term of frame k, computed on that frame alone."""
+    h, x = traj.grid.h, traj.grid.x
+    s, u = traj.s_frames[k].values, traj.u_frames[k].values
+    s_x = d1(s, h)
+    return s, flux_field(s, h), driving_force(u, d1(u, h), s, s_x, x, material) * np.abs(s_x)
+
+
 def frame_loop_weak_residual_series(traj, material, test_functions):
-    """The per-frame, per-test-function loop that weak_residual_series replaced."""
+    """The per-frame, per-test-function loop of trapezoids that weak_residual_series replaced."""
     h, x = traj.grid.h, traj.grid.x
     nt, nphi = len(traj.times), len(test_functions)
     pairs = np.zeros((4, nt, nphi))
     for k in range(nt):
-        t, s, u = traj.times[k], traj.s_frames[k].values, traj.u_frames[k].values
-        s_x = d1(s, h)
-        flux = flux_field(s, h)
-        kinetic = driving_force(u, d1(u, h), s, s_x, x, material) * np.abs(s_x)
+        t = traj.times[k]
+        s, flux, kinetic = frame_integrands(traj, material, k)
         for m, tf in enumerate(test_functions):
-            pairs[0, k, m] = trapezoid(s * tf.phi_t(t, x), dx=h)
-            pairs[1, k, m] = trapezoid(flux * tf.phi_x(t, x), dx=h)
-            pairs[2, k, m] = trapezoid(kinetic * tf.phi(t, x), dx=h)
-            pairs[3, k, m] = trapezoid(s * tf.phi(t, x), dx=h)
+            phi = tf.time(t) * tf.space(x)
+            pairs[0, k, m] = trapezoid(s * (tf.time_t(t) * tf.space(x)), dx=h)
+            pairs[1, k, m] = trapezoid(flux * (tf.time(t) * tf.space_x(x)), dx=h)
+            pairs[2, k, m] = trapezoid(kinetic * phi, dx=h)
+            pairs[3, k, m] = trapezoid(s * phi, dx=h)
     cnu = material.c * material.nu
     residuals = np.zeros((nt, nphi))
     for m in range(nphi):
@@ -332,23 +339,94 @@ def frame_loop_weak_residual_series(traj, material, test_functions):
     return residuals
 
 
+def fsum_weak_residual_series(traj, material, test_functions):
+    """The weak residual with every sum taken by math.fsum, and its scale.
+
+    Returns (residuals, scale), both (K, M): scale is the same sum of the
+    absolute values of all its terms, the quantity a roundoff bound of any
+    summation order is a multiple of.
+    """
+    h, x, times = traj.grid.h, traj.grid.x, traj.times
+    w = np.full(len(x), h)
+    w[0] = w[-1] = 0.5 * h
+    cnu = material.c * material.nu
+    nt, nphi = len(times), len(test_functions)
+    residuals, scale = np.zeros((nt, nphi)), np.zeros((nt, nphi))
+    # per frame and test function: the four pairings and their absolute sums
+    pairs, abs_pairs = np.zeros((4, nt, nphi)), np.zeros((4, nt, nphi))
+    for k in range(nt):
+        t = times[k]
+        s, flux, kinetic = frame_integrands(traj, material, k)
+        for m, tf in enumerate(test_functions):
+            a, a_t, b, b_x = tf.time(t), tf.time_t(t), tf.space(x), tf.space_x(x)
+            for i, (f, g) in enumerate(((s, a_t * b), (flux, a * b_x), (kinetic, a * b), (s, a * b))):
+                terms = (w * f * g).tolist()
+                pairs[i, k, m] = math.fsum(terms)
+                abs_pairs[i, k, m] = math.fsum(map(abs, terms))
+    signs = (1.0, -cnu, -1.0)
+    for m in range(nphi):
+        terms, abs_terms = [], []
+        for k in range(1, nt):
+            half_dt = 0.5 * (times[k] - times[k - 1])
+            for i, sign in enumerate(signs):
+                terms += [sign * half_dt * pairs[i, k, m], sign * half_dt * pairs[i, k - 1, m]]
+                abs_terms += [abs(sign) * half_dt * abs_pairs[i, k, m], abs(sign) * half_dt * abs_pairs[i, k - 1, m]]
+            residuals[k, m] = math.fsum(terms + [pairs[3, 0, m], -pairs[3, k, m]])
+            scale[k, m] = math.fsum(abs_terms + [abs_pairs[3, 0, m], abs_pairs[3, k, m]])
+    return residuals, scale
+
+
+def polynomial_test_functions(grid, t_end):
+    """Separable test functions other than the default sines: (T - t)^2 (x - a)(d - x) and (T - t) (x - a)^2 (d - x)."""
+    a, d = grid.a, grid.d
+    return [
+        diagnostics.TestFunction(
+            time=lambda t: (t_end - t) ** 2,
+            time_t=lambda t: -2.0 * (t_end - t),
+            space=lambda x: (x - a) * (d - x),
+            space_x=lambda x: a + d - 2.0 * x,
+            label="quadratic",
+        ),
+        diagnostics.TestFunction(
+            time=lambda t: t_end - t,
+            time_t=lambda t: -1.0,
+            space=lambda x: (x - a) ** 2 * (d - x),
+            space_x=lambda x: (x - a) * (2.0 * d + a - 3.0 * x),
+            label="cubic",
+        ),
+    ]
+
+
+WEAK_RESIDUAL_RUNS = [
+    dict(n=65, save_every=1),
+    dict(n=129, save_every=5, t_end=6e-3, body=BodyForce(family="ramp", amplitude=0.1, rate=5.0)),
+    dict(n=513, save_every=4, lam=-0.3, family="bump"),
+]
+
+
 class TestWeakResidual:
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            dict(n=65, save_every=1),
-            dict(n=129, save_every=5, t_end=6e-3, body=BodyForce(family="ramp", amplitude=0.1, rate=5.0)),
-            dict(n=513, save_every=4, lam=-0.3, family="bump"),
-        ],
-    )
-    def test_series_matches_frame_loop_bit_for_bit(self, kw):
+    # largest error of a series against the fsum pairing, in units of eps
+    # times the absolute scale of its terms (fsum_weak_residual_series)
+    ROUNDOFF_ULPS = 8.0
+
+    def assert_within_roundoff(self, got, want, scale):
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= self.ROUNDOFF_ULPS * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("fns_of", [default_test_functions, polynomial_test_functions], ids=["sines", "polys"])
+    @pytest.mark.parametrize("kw", WEAK_RESIDUAL_RUNS)
+    def test_series_and_frame_loop_within_roundoff_of_fsum_pairing(self, kw, fns_of):
         cfg = make_config(**kw)
         traj = run(cfg).trajectory
-        fns = default_test_functions(cfg.grid, cfg.t_end)
+        fns = fns_of(cfg.grid, cfg.t_end)
+        want, scale = fsum_weak_residual_series(traj, cfg.material, fns)
         got = weak_residual_series(traj, cfg.material, fns)
-        want = frame_loop_weak_residual_series(traj, cfg.material, fns)
         assert got.shape == (len(traj.times), len(fns))
-        assert np.array_equal(got, want)
+        assert np.all(got[0] == 0.0)
+        self.assert_within_roundoff(got, want, scale)
+        # the frame loop of trapezoids meets the same bound, so the two are
+        # within twice it of each other
+        self.assert_within_roundoff(frame_loop_weak_residual_series(traj, cfg.material, fns), want, scale)
 
     def test_zero_run_residual_zero(self):
         traj = zero_trajectory()
@@ -357,13 +435,8 @@ class TestWeakResidual:
 
     def test_zero_test_function(self):
         traj = diffusion_trajectory(steps=5)
-        from confsim.diagnostics import TestFunction
-
-        zero_fn = TestFunction(
-            phi=lambda t, x: np.zeros_like(x),
-            phi_t=lambda t, x: np.zeros_like(x),
-            phi_x=lambda t, x: np.zeros_like(x),
-            label="zero",
+        zero_fn = diagnostics.TestFunction(
+            time=np.zeros_like, time_t=np.zeros_like, space=np.zeros_like, space_x=np.zeros_like, label="zero"
         )
         res = weak_residual(traj, MAT, [zero_fn])
         assert res[0] == 0.0

@@ -23,8 +23,8 @@ from confsim.simulator import (
     write_run,
 )
 from confsim import elasticity
-from confsim.elasticity import GreenKernel, solve_fd, solve_green
-from confsim.grid_field import ScalarField, Trajectory
+from confsim.elasticity import GreenKernel, elastic_rhs, fd_residual, solve_fd, solve_green
+from confsim.grid_field import ScalarField, Trajectory, d1
 from confsim.order_parameter import BLOCK, mollify
 
 from conftest import make_config
@@ -105,7 +105,8 @@ class TestElasticityPaths:
         assert result.path_discrepancy_max is not None
         assert result.path_discrepancy_max < max(1e-6, 5.0 * cfg.grid.h**2)
 
-    def test_both_verify_solves_green_once_per_saved_frame(self, monkeypatch):
+    def test_both_verify_solves_green_once_per_run_call(self, monkeypatch):
+        # one stacked quadrature per run() call, of the frames recorded since the last call
         green = elasticity.solve_green
         calls = []
 
@@ -113,15 +114,30 @@ class TestElasticityPaths:
             calls.append(args)
             return green(*args)
 
+        def stacked_frames():
+            frames = [args[1].values.shape for args in calls]
+            calls.clear()
+            return frames
+
         monkeypatch.setattr(elasticity, "solve_green", counting)
         cfg = make_config(path="both-verify")
-        result = run(cfg)
+        n = cfg.grid.n
         assert cfg.n_steps == 20
-        assert len(calls) == len(result.trajectory.times) == 5
-        calls.clear()
+        sim = Simulation(cfg)
+        sim.run(until_step=8)
+        assert sim.frame_steps == [0, 5, 8]
+        assert stacked_frames() == [(3, n)]
+        result = sim.run()
+        assert len(result.trajectory.times) == 6
+        assert stacked_frames() == [(3, n)]
+        sim.run()
+        assert stacked_frames() == []
         sims = [Simulation(cfg), Simulation(replace(cfg, reg=replace(cfg.reg, kappa=0.5)))]
         march(sims)
-        assert len(calls) == sum(len(sim.times) for sim in sims) == 10
+        assert stacked_frames() == []
+        for member in sims:
+            member.run()
+        assert stacked_frames() == [(5, n)] * 2
 
     def test_both_verify_gap_uses_each_frames_mollified_s_and_body_force(self):
         cfg = make_config(path="both-verify", t_end=2e-3, save_every=1)
@@ -144,6 +160,84 @@ class TestElasticityPaths:
         assert checked.report.to_csv_text() == direct.report.to_csv_text()
         assert checked.elasticity_residual_max == direct.elasticity_residual_max
         assert direct.path_discrepancy_max is None and checked.path_discrepancy_max > 0.0
+
+
+def frame_check(sim):
+    """FD residual and Green gap of a member's current frame, each computed on that frame alone."""
+    cfg = sim.config
+    grid = cfg.grid
+    s_moll = mollify(sim.mollifier, sim.time)
+    b = cfg.body.evaluate(sim.time, grid)
+    rhs = elastic_rhs(d1(s_moll, grid.h), b, cfg.material)
+    u_green = solve_green(GreenKernel(grid.a, grid.d), ScalarField(grid, s_moll), b, cfg.material)
+    return fd_residual(sim.u, rhs, grid), float(np.max(np.abs(sim.u - u_green)))
+
+
+def checks_frame_by_frame(configs, splits=()):
+    """Each member's (step, FD residual, Green gap) of every saved frame, marched step by step.
+
+    A run split at a step saves a frame there as well.
+    """
+    sims = [Simulation(cfg) for cfg in configs]
+    checks = [[] for _ in sims]
+    stop = configs[0].n_steps
+    for step in range(stop + 1):
+        march(sims, until_step=step)
+        if step % configs[0].save_every == 0 or step == stop or step in splits:
+            for found, sim in zip(checks, sims):
+                found.append((step, *frame_check(sim)))
+    return checks
+
+
+def maxima(checks, through_step=None):
+    """The residual and gap maxima over the frames checked through ``through_step``."""
+    kept = [check for check in checks if through_step is None or check[0] <= through_step]
+    return max(r for _, r, _ in kept), max(g for _, _, g in kept)
+
+
+RAMP = BodyForce(family="ramp", amplitude=0.2, rate=5.0)
+
+
+class TestStackedFrameChecks:
+    """run() checks its new frames in one stacked pass; the maxima are those of a check per frame, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "kw", [dict(save_every=3), dict(save_every=1, body=RAMP)], ids=["lone", "ramp"]
+    )
+    def test_lone_run(self, kw):
+        cfg = make_config(path="both-verify", t_end=4e-3, **kw)
+        [checks] = checks_frame_by_frame([cfg])
+        result = Simulation(cfg).run()
+        assert len(checks) == len(result.trajectory.times)
+        assert (result.elasticity_residual_max, result.path_discrepancy_max) == maxima(checks)
+        direct = Simulation(replace(cfg, elasticity_path="direct")).run()
+        assert direct.elasticity_residual_max == result.elasticity_residual_max
+        assert direct.path_discrepancy_max is None
+
+    @pytest.mark.parametrize("body", [None, RAMP], ids=["zero", "ramp"])
+    def test_lockstep_members(self, body):
+        configs = [
+            make_config(path="both-verify", t_end=4e-3, save_every=2, kappa=k, amplitude=a, body=body)
+            for k, a in ((0.25, 0.8), (0.5, 0.6), (0.125, 0.7))
+        ]
+        checks = checks_frame_by_frame(configs)
+        sims = [Simulation(cfg) for cfg in configs]
+        march(sims)
+        for sim, found in zip(sims, checks):
+            result = sim.run()
+            assert (result.elasticity_residual_max, result.path_discrepancy_max) == maxima(found)
+
+    def test_split_run(self):
+        cfg = make_config(path="both-verify", t_end=4e-3, save_every=2, body=RAMP)
+        splits = (5, 6, 13)
+        [checks] = checks_frame_by_frame([cfg], splits)
+        sim = Simulation(cfg)
+        for split in splits:
+            part = sim.run(until_step=split)
+            assert (part.elasticity_residual_max, part.path_discrepancy_max) == maxima(checks, split)
+        result = sim.run()
+        assert [step for step, _, _ in checks] == sim.frame_steps
+        assert (result.elasticity_residual_max, result.path_discrepancy_max) == maxima(checks)
 
 
 class TestSnapshotRestart:
