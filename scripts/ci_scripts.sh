@@ -41,13 +41,39 @@ confsim run --out run-ramp --set run.elasticity_path=both-verify --set run.save_
 # allocator's mmap threshold, and the report's in-place kernels run end to end
 confsim run --out run-dense --set run.save_every=1 --set run.t_end=0.03
 # a run directory of the one-file-per-frame layout of earlier versions: writing a run into
-# it must exit 1 and leave its frames/ in place
+# it must exit 1, leave its frames/ in place and write nothing
 mkdir -p run-old-layout/frames
 echo "k,step,time" > run-old-layout/frames/index.csv
 status=0
 confsim run --out run-old-layout --set run.t_end=0.002 || status=$?
-if [ "$status" -ne 1 ] || [ ! -f run-old-layout/frames/index.csv ] || [ -e run-old-layout/S.csv ]; then
+if [ "$status" -ne 1 ] || [ ! -f run-old-layout/frames/index.csv ] || [ -e run-old-layout/fields.npz ]; then
   echo "run into an old-layout directory exited $status, expected 1 with frames/ left in place" >&2
+  exit 1
+fi
+# a run directory of the one-table-per-field layout of earlier versions (S.csv): writing a run
+# into it and checking it must each exit 1, and S.csv stays in place
+mkdir -p run-table-layout
+printf 'step,time,1,2\n0,0,0.5,0.5\n' > run-table-layout/S.csv
+status=0
+confsim run --out run-table-layout --set run.t_end=0.002 || status=$?
+if [ "$status" -ne 1 ] || [ ! -f run-table-layout/S.csv ] || [ -e run-table-layout/fields.npz ]; then
+  echo "run into an S.csv directory exited $status, expected 1 with S.csv left in place" >&2
+  exit 1
+fi
+status=0
+confsim check-reduction --run run-table-layout || status=$?
+if [ "$status" -ne 1 ] || [ ! -f run-table-layout/S.csv ]; then
+  echo "check-reduction on an S.csv directory exited $status, expected 1 with S.csv left in place" >&2
+  exit 1
+fi
+# a one-step run whose mollifier window, reg.kappa_m / reg.dt = 2.5e8 steps, cannot be held:
+# refused from the config with exit 1 and one error line, before any array is allocated
+status=0
+timeout 60 env PYTHONPATH="$root/src" python3 -m confsim.cli run --out run-unholdable --set reg.dt=1e-9 \
+  --set run.t_end=1e-9 2> unholdable.err || status=$?
+if [ "$status" -ne 1 ] || [ "$(grep -c '^error: ' unholdable.err)" -ne 1 ] || [ "$(wc -l < unholdable.err)" -ne 1 ]; then
+  echo "run on an unholdable mollifier window exited $status, expected 1 with one error line" >&2
+  cat unholdable.err >&2
   exit 1
 fi
 # a 100-step mollifier window that fills at step 99 and stays full for 300 steps: the
@@ -58,7 +84,7 @@ tensor=(--set material.tensor.family=diagonal --set material.tensor.mu0=2 --set 
         --set grid.n=33)
 confsim run --out run-tensor "${tensor[@]}" --set run.t_end=0.002
 confsim check-reduction --run run-tensor
-# a shorter run written over it: S.csv and u.csv are replaced, and read back whole
+# a shorter run written over it: fields.npz is replaced, and read back whole
 confsim run --out run-tensor "${tensor[@]}" --set run.t_end=0.001
 confsim check-reduction --run run-tensor
 # a copy whose meta.txt config was edited after the run: its config_hash no longer

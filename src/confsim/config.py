@@ -27,7 +27,7 @@ import numpy as np
 
 from .grid_field import FLOAT_SLOT, Grid
 from .material import AssumptionViolated, MaterialParams, TensorSpec
-from .order_parameter import MAX_STEPS, RegularizationParams
+from .order_parameter import MAX_MOLLIFIER_FLOATS, MAX_STEPS, RegularizationParams, mollifier_floats, window_length
 
 
 class ConfigInvalid(ValueError):
@@ -160,6 +160,13 @@ class SimulationConfig:
             raise ConfigInvalid(
                 f"run.t_end / reg.dt = {steps:.3g} steps exceeds the ceiling of {MAX_STEPS}; "
                 "raise reg.dt or lower run.t_end"
+            )
+        m = window_length(self.reg.kappa_m, self.reg.dt)
+        floats = mollifier_floats(m, self.n_steps + 1, self.grid.n)
+        if floats > MAX_MOLLIFIER_FLOATS:
+            raise ConfigInvalid(
+                f"mollifier window reg.kappa_m / reg.dt = {m} steps: up to {floats * 8 / 2**30:.3g} GiB exceeds "
+                f"the ceiling of {MAX_MOLLIFIER_FLOATS * 8 / 2**30:g} GiB; raise reg.dt or lower reg.kappa_m"
             )
 
     @cached_property

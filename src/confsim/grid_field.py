@@ -6,8 +6,8 @@ stencils and norms therefore serve one frame of shape (n,) and a stack of
 frames of shape (K, n), row by row.  ``ScalarField`` pairs values with their
 grid only at the edge: in the frames of a ``Trajectory``, and as the
 argument of the Green quadrature, which takes a frame or a stack.
-``csv_text`` writes every table confsim writes; the run directory's layout
-is ``simulator``'s.
+``csv_text`` writes every CSV table confsim writes; the run directory's
+layout is ``simulator``'s.
 
 Quadrature is the local ``trapezoid``, which does scipy's arithmetic bit for
 bit.  From scipy the package uses only LAPACK ``dgtsv`` behind
@@ -45,7 +45,7 @@ class UnsupportedExponent(ValueError):
 
 
 class FieldFileError(ValueError):
-    """A run file is malformed, or a field table was written on a different grid."""
+    """A run directory's file is damaged, of an earlier layout, or was written on a different grid."""
 
 
 def _load_flapack():

@@ -23,8 +23,10 @@ from .grid_field import d1, tridiag_solve
 from .material import MaterialParams
 
 
-# Ceiling on the mollifier window length and on the step count of one run.
+# Ceilings on the mollifier window length and on the step count of one run,
+# and on the floats its mollifier holds (``mollifier_floats``): 2 GiB.
 MAX_STEPS = 2**31
+MAX_MOLLIFIER_FLOATS = 2**28
 
 # Steps per block of the full-window mollifier (a window of m < BLOCK
 # steps works in blocks of m).  One ``mollify`` call on a full 1250-frame
@@ -124,11 +126,18 @@ def smoothed_abs_primitive(p, kappa: float, *, modulus: Optional[np.ndarray] = N
     return out
 
 
-def _causal_bump(tau: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(tau)
-    inside = (tau >= 0.0) & (tau < 1.0)
-    out[inside] = np.exp(-1.0 / (1.0 - tau[inside] ** 2))
-    return out
+def mollifier_floats(m: int, frames: int, n: int) -> int:
+    """Upper bound on the floats a ``MollifierState`` of window m holds over ``frames`` pushes of n nodes.
+
+    The weights and their tabulation's temporaries, 3m; the ring, 2 min(m, frames) n; once the
+    window fills, the block weights and their index array, 2Lm with L = min(BLOCK, m), a block's
+    zero-padded window, mn, and its products, Ln.
+    """
+    total = 3 * m + 2 * min(m, frames) * n
+    if frames >= m:
+        rows = min(BLOCK, m)
+        total += 2 * rows * m + (m + rows) * n
+    return total
 
 
 class MollifierState:
@@ -171,8 +180,9 @@ class MollifierState:
         self.kappa_m = kappa_m
         self.dt = dt
         m = window_length(kappa_m, dt)
+        # the causal bump exp(-1/(1 - tau^2)) at the lags tau = j/m, all in [0, 1)
         tau = np.arange(m) / m
-        w = _causal_bump(tau)
+        w = np.exp(-1.0 / (1.0 - tau**2))
         self.weights = w / w.sum()
         self._rows = m if max_frames is None else max(1, min(m, max_frames))
         self._buf: Optional[np.ndarray] = None

@@ -13,8 +13,8 @@ bit-identical to its run alone; ``Simulation.run`` is its one-member case.
 Snapshots capture the mollifier history window, the current time and the
 config hash, so a restarted run continues exactly.  A finished run carries its
 diagnostics report; ``write_run``/``load_run`` persist it with the config echo
-and one table per field, ``S.csv`` and ``u.csv``, a row per saved frame.  The
-run directory's layout is known to this module alone.  The typed config lives
+and the saved frames in one numpy archive, ``fields.npz``.  The run
+directory's layout is known to this module alone.  The typed config lives
 in ``config`` and the monitors in ``diagnostics``, both below this module.
 """
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -29,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import diagnostics, elasticity
-from .grid_field import FLOAT_SLOT, FieldFileError, ScalarField, Trajectory, csv_text, d1
+from .grid_field import FLOAT_SLOT, FieldFileError, ScalarField, Trajectory, d1
 from .order_parameter import MollifierState, StepRejected, driving_force, mollify, semi_implicit_step
 from .elasticity import GreenKernel, fd_residual, solve_elasticity
 # BodyForce is not used here by name: bench/tracer.py reaches it as simulator.BodyForce.
@@ -327,26 +328,29 @@ def load_snapshot(path, config: SimulationConfig) -> Simulation:
 # --- run-directory persistence ---------------------------------------------
 
 
-def write_run(out_dir, result: RunResult):
-    """Persist the field tables, diagnostics and metadata under ``out_dir``, over any earlier run there.
+# Field files of earlier layouts, which write_run and load_run refuse: one table per field, then one file per frame.
+EARLIER_LAYOUTS = ("S.csv", "u.csv", "frames")
 
-    ``S.csv`` and ``u.csv`` hold one row per saved frame: its step, its time
-    and the field at every node, under the header ``step,time,<x_0>,...``.
-    A directory that holds ``frames/``, the one-file-per-frame layout of
-    earlier versions, raises ``FieldFileError`` naming it before anything is
-    written: that directory would stay beside the new run, unread.
+
+def _refuse_earlier_layout(out: Path):
+    for name in EARLIER_LAYOUTS:
+        if (out / name).exists():
+            raise FieldFileError(f"{out / name}: a field file of an earlier version's run directory, "
+                                 "which this version neither reads nor writes over")
+
+
+def write_run(out_dir, result: RunResult):
+    """Persist the fields, diagnostics and metadata under ``out_dir``, over any earlier run there.
+
+    ``fields.npz`` is one uncompressed numpy archive of the frames' ``step`` and
+    ``time`` (K,), the nodes ``x`` (n,), and ``S`` and ``u`` (K, n).  A directory of
+    an earlier layout raises ``FieldFileError`` before anything is written.
     """
     out = Path(out_dir)
-    stale = out / "frames"
-    if stale.exists():
-        raise FieldFileError(f"{stale}: the frame files of an earlier version's run directory; "
-                             "write the run to another directory")
+    _refuse_earlier_layout(out)
     out.mkdir(parents=True, exist_ok=True)
     traj = result.trajectory
-    # step is an integer, which csv_text writes without a point
-    header = ("step", "time", *(FLOAT_SLOT % x for x in traj.grid.x.tolist()))
-    for name, values in (("S", traj.s_matrix()), ("u", traj.u_matrix())):
-        (out / f"{name}.csv").write_text(csv_text(header, (traj.steps, traj.times, *values.T.tolist())))
+    np.savez(out / "fields.npz", step=traj.steps, time=traj.times, x=traj.grid.x, S=traj.s_matrix(), u=traj.u_matrix())
     (out / "diagnostics.csv").write_text(result.report.to_csv_text())
     meta = [
         "# confsim run metadata",
@@ -360,56 +364,18 @@ def write_run(out_dir, result: RunResult):
     (out / "meta.txt").write_text("\n".join(meta) + "\n")
 
 
-def _read_field_table(path: Path, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Steps, times and (frames, nodes) values of a field table written by ``write_run``.
-
-    Raises ``FieldFileError`` naming the file when the x header is not the
-    nodes of ``grid`` bit for bit (17 significant digits read back exactly),
-    a row is ragged or holds a value that does not parse, or the times do not
-    increase strictly.  The first time need not be 0: a run resumed from a
-    snapshot starts at the snapshot's time.
-    """
-    header, *rows = path.read_text().splitlines() or [""]
-    names = header.split(",")
-    if names[:2] != ["step", "time"]:
-        raise FieldFileError(f"{path}: header does not start with 'step,time'")
-    try:
-        x = np.array(names[2:], dtype=float)
-    except ValueError as exc:
-        raise FieldFileError(f"{path}: x header: {exc}") from None
-    if len(x) != grid.n:
-        raise FieldFileError(f"{path}: expected {grid.n} nodes, got {len(x)}")
-    if not np.array_equal(x, grid.x):
-        raise FieldFileError(f"{path}: x header differs from the grid on [{grid.a:g}, {grid.d:g}]")
-    if not rows:
-        raise FieldFileError(f"{path}: no frames")
-    steps = np.empty(len(rows), dtype=int)
-    times = np.empty(len(rows))
-    values = np.empty((len(rows), grid.n))
-    # row by row, so that a short row cannot borrow values from the next
-    for k, line in enumerate(rows):
-        cells = line.split(",")
-        if len(cells) != grid.n + 2:
-            raise FieldFileError(f"{path}: line {k + 2}: expected {grid.n + 2} values, got {len(cells)}")
-        try:
-            steps[k], times[k], values[k] = int(cells[0]), float(cells[1]), cells[2:]
-        except ValueError as exc:
-            raise FieldFileError(f"{path}: line {k + 2}: {exc}") from None
-    if not np.all(np.diff(times) > 0):
-        raise FieldFileError(f"{path}: times do not increase strictly")
-    return steps, times, values
-
-
 def load_run(run_dir):
     """Read back a persisted run: (trajectory, config, diagnostics text).
 
-    Raises ``FieldFileError`` naming the file when ``meta.txt`` has no
-    ``[config]`` line, the config below that line does not parse (a key
-    that an older version wrote, say), or its ``config_hash`` is missing or
-    is not the digest of that config, a field table is damaged or of another
-    grid, or ``S.csv`` and ``u.csv`` disagree on their steps or times.
+    Raises ``FieldFileError`` naming the file for an earlier layout's field
+    file, a ``meta.txt`` without ``[config]``, whose config does not parse (a
+    key an older version wrote, say) or whose ``config_hash`` is not its
+    digest, and a ``fields.npz`` that is damaged, lacks a member, has one of
+    another dtype or shape, nodes other than the grid's bit for bit, or times
+    not strictly increasing (the first may follow 0: a resumed run's does).
     """
     out = Path(run_dir)
+    _refuse_earlier_layout(out)
     meta_path = out / "meta.txt"
     head, sep, config_text = meta_path.read_text().partition("[config]")
     if not sep:
@@ -425,10 +391,26 @@ def load_run(run_dir):
     if stated != [config_digest(config)]:
         raise FieldFileError(f"{meta_path}: config_hash differs from the digest of its [config] section")
     grid = config.grid
-    steps, times, s = _read_field_table(out / "S.csv", grid)
-    u_steps, u_times, u = _read_field_table(out / "u.csv", grid)
-    if not (np.array_equal(u_steps, steps) and np.array_equal(u_times, times)):
-        raise FieldFileError(f"{out / 'u.csv'}: steps or times differ from those of S.csv")
+    path = out / "fields.npz"
+    try:
+        with open(path, "rb") as file:
+            fields = np.load(file, allow_pickle=False)
+            steps, times, x, s, u = (fields[name] for name in ("step", "time", "x", "S", "u"))
+    # none an OSError: a damaged zip (its CRC catches a flipped byte), an empty file, an object or
+    # missing member, a plain .npy (an array, which a member's name indexes with an IndexError)
+    except (zipfile.BadZipFile, EOFError, ValueError, LookupError) as exc:
+        raise FieldFileError(f"{path}: {exc}") from None
+    if not np.issubdtype(steps.dtype, np.integer) or any(a.dtype != np.float64 for a in (times, x, s, u)):
+        raise FieldFileError(f"{path}: expected an integer step and float64 time, x, S and u, got "
+                             f"{steps.dtype}, {times.dtype}, {x.dtype}, {s.dtype} and {u.dtype}")
+    k = len(s) if s.ndim == 2 else 0
+    if not (k >= 1 and s.shape == u.shape == (k, grid.n) and steps.shape == times.shape == (k,)):
+        raise FieldFileError(f"{path}: expected S and u of shape (K >= 1, {grid.n}) and step and time of "
+                             f"shape (K,), got {s.shape}, {u.shape}, {steps.shape} and {times.shape}")
+    if not np.array_equal(x, grid.x):
+        raise FieldFileError(f"{path}: x differs from the nodes of the grid on [{grid.a:g}, {grid.d:g}]")
+    if not np.all(np.diff(times) > 0):
+        raise FieldFileError(f"{path}: times do not increase strictly")
     traj = Trajectory(
         times, [ScalarField(grid, row) for row in s], [ScalarField(grid, row) for row in u], steps
     )

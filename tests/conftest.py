@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from confsim.grid_field import Grid
@@ -30,6 +31,14 @@ def make_config(
         init=InitialData(family=family, amplitude=amplitude),
         body=body or BodyForce(),
     )
+
+
+def edit_fields(path, edit):
+    """Write the run archive ``fields.npz`` at ``path`` again, its members as ``edit`` leaves them in a dict."""
+    with np.load(path) as fields:
+        members = dict(fields)
+    edit(members)
+    np.savez(path, **members)
 
 
 @pytest.fixture

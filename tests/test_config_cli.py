@@ -1,9 +1,11 @@
 import re
+import zipfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from confsim import simulator
 from confsim.cli import main
 from confsim.config import (
     _CATALOG,
@@ -21,8 +23,11 @@ from confsim.config import (
     parse_config_text,
     parse_pairs,
 )
+from confsim.grid_field import Grid
 from confsim.material import ElasticityTensor, TensorSpec
 from confsim.simulator import load_run
+
+from conftest import edit_fields
 
 FAST = [
     "grid.n = 33",
@@ -101,6 +106,42 @@ def write_config(tmp_path, lines, name="case.cfg"):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def write_old_layout(out, layout) -> dict:
+    """Write an earlier version's field files under ``out``; return the tree ``read_tree`` reads.
+
+    "frames" is the one-file-per-frame layout (frames/S_<k>.csv, frames/u_<k>.csv
+    and frames/index.csv), "S.csv" the table of one field per file.
+    """
+    if layout == "frames":
+        (out / "frames").mkdir(parents=True, exist_ok=True)
+        old = {"S_000000.csv": "0,1\n", "u_000000.csv": "0,1\n", "index.csv": "k,step,time\n0,0,0\n"}
+        for name, text in old.items():
+            (out / "frames" / name).write_text(text)
+    else:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / layout).write_text("step,time,1,2\n0,0,0.5,0.5\n")
+    return read_tree(out)
+
+
+def read_tree(root) -> dict:
+    """The files under ``root``, by path relative to it, with their bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def edit_frames(path, edit):
+    """Apply ``edit`` to each member of ``fields.npz`` at ``path`` with a row per frame: all but x."""
+    edit_fields(path, lambda m: m.update({k: edit(v) for k, v in m.items() if k != "x"}))
+
+
+def flip_last_byte_of_s(path):
+    """Flip one bit of the last byte of S's data, which sits right before u's entry in the archive."""
+    with zipfile.ZipFile(path) as archive:
+        offset = archive.getinfo("u.npy").header_offset - 1
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0x01
+    path.write_bytes(bytes(data))
 
 
 class TestParsing:
@@ -317,8 +358,8 @@ class TestCliRun:
         out = tmp_path / "out"
         assert (out / "meta.txt").exists()
         assert (out / "diagnostics.csv").exists()
-        assert (out / "S.csv").exists() and (out / "u.csv").exists()
-        assert not (out / "frames").exists()
+        assert (out / "fields.npz").exists()
+        assert not any((out / name).exists() for name in ("S.csv", "u.csv", "frames"))
         stdout = capsys.readouterr().out
         assert "max principle margin" in stdout
         assert "elasticity residual : " in stdout
@@ -441,28 +482,39 @@ class TestCliRun:
         assert code == 2
         # diagnostics and the frames recorded so far are still flushed
         assert (tmp_path / "out" / "diagnostics.csv").exists()
-        assert len((tmp_path / "out" / "S.csv").read_text().splitlines()) == 2
+        with np.load(tmp_path / "out" / "fields.npz") as fields:
+            assert fields["S"].shape == fields["u"].shape == (1, 33)
         meta = (tmp_path / "out" / "meta.txt").read_text()
         assert "termination = step-rejected" in meta
 
-    def test_run_into_old_layout_directory_exits_one(self, tmp_path, capsys):
-        # the layout of earlier versions: frames/S_<k>.csv, frames/u_<k>.csv and frames/index.csv
+    @pytest.mark.parametrize("layout", ["frames", "S.csv"])
+    def test_run_into_old_layout_directory_exits_one(self, tmp_path, capsys, layout):
         out = tmp_path / "out"
-        (out / "frames").mkdir(parents=True)
-        old = {"S_000000.csv": "0,1\n", "u_000000.csv": "0,1\n", "index.csv": "k,step,time\n0,0,0\n"}
-        for name, text in old.items():
-            (out / "frames" / name).write_text(text)
+        old = write_old_layout(out, layout)
         cfg_path = write_config(tmp_path, FAST)
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
-            f"error: {out / 'frames'}: the frame files of an earlier version's run directory; "
-            "write the run to another directory"
+            f"error: {out / layout}: a field file of an earlier version's run directory, "
+            "which this version neither reads nor writes over"
         ]
         assert captured.out == ""
         # nothing deleted, nothing written
-        assert sorted(p.name for p in out.iterdir()) == ["frames"]
-        assert {p.name: p.read_text() for p in (out / "frames").iterdir()} == old
+        assert read_tree(out) == old
+
+    def test_unholdable_mollifier_window_exits_one(self, tmp_path, capsys, monkeypatch):
+        # a one-step run whose window of reg.kappa_m / reg.dt = 2.5e8 steps would tabulate 2 GB arrays
+        def refuse(*args, **kwargs):
+            raise AssertionError("the mollifier was built")
+
+        monkeypatch.setattr(simulator, "MollifierState", refuse)
+        argv = ["run", "--out", str(tmp_path / "out"), "--set", "reg.dt=1e-9", "--set", "run.t_end=1e-9"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "reg.kappa_m / reg.dt = 250000000 steps" in err[0] and "exceeds the ceiling of 2 GiB" in err[0]
+        assert captured.out == "" and not (tmp_path / "out").exists()
 
     def test_meta_reparses_to_same_config(self, tmp_path):
         cfg_path = write_config(tmp_path, FAST)
@@ -635,45 +687,53 @@ class TestCliTools:
         assert "residual" not in captured.out
         return err[0]
 
-    def test_damaged_run_directory_exits_one(self, tmp_path, capsys):
-        # the layout of earlier versions: frames/S_<k>.csv, frames/u_<k>.csv and frames/index.csv
+    @pytest.mark.parametrize("layout", ["frames", "S.csv"])
+    def test_damaged_run_directory_exits_one(self, tmp_path, capsys, layout):
+        # an earlier version's field files beside the run's own: refused, and nothing deleted
         run_dir = self.tensor_run(tmp_path)
         out = tmp_path / "out"
-        (out / "frames").mkdir()
-        for name in ("S", "u"):
-            (out / f"{name}.csv").rename(out / "frames" / f"{name}_000000.csv")
-        (out / "frames" / "index.csv").write_text("k,step,time\n0,0,0\n")
+        write_old_layout(out, layout)
+        before = read_tree(out)
         error = self.check_reduction_error(run_dir, capsys)
-        assert str(out / "S.csv") in error
+        assert error.startswith(f"error: {out / layout}: a field file of an earlier version's run directory")
+        assert read_tree(out) == before
 
     @pytest.mark.parametrize(
-        "file, edit, message",
+        "damage, message",
         [
-            ("u.csv", None, "No such file"),
-            ("S.csv", lambda text: text.replace(",0\n", "\n", 1), "line 2: expected 35 values, got 34"),
+            (lambda path: path.unlink(), "No such file or directory"),
+            (lambda path: path.write_bytes(path.read_bytes()[:-100]), "File is not a zip file"),
+            (flip_last_byte_of_s, "Bad CRC-32 for file 'S.npy'"),
+            (lambda path: path.write_bytes(b""), "No data left in file"),
+            (lambda path: edit_fields(path, lambda m: m.pop("u")), "u is not a file in the archive"),
             (
-                "u.csv",
-                lambda text: text.replace("step,time,1,", "step,time,1.0000000000000002,", 1),
-                "x header differs from the grid on [1, 2]",
+                lambda path: edit_fields(path, lambda m: m.update(S=m["S"].astype(np.float32))),
+                "got int64, float64, float64, float32 and float64",
             ),
-            ("u.csv", lambda text: text.replace("\n10,", "\n11,", 1), "steps or times differ from those of"),
-            ("S.csv", lambda text: text.replace("step,", "step;", 1), "header does not start with 'step,time'"),
-            ("u.csv", lambda text: text.splitlines()[0] + "\n", "no frames"),
-            # a copy of the last row: dt = 0 between the last two frames
-            ("S.csv", lambda text: text + text.splitlines()[-1] + "\n", "times do not increase strictly"),
+            (
+                lambda path: edit_fields(path, lambda m: m.update(x=np.array(["a"] * 33, dtype=object))),
+                "Object arrays cannot be loaded when allow_pickle=False",
+            ),
+            (
+                lambda path: edit_fields(path, lambda m: m.update(u=m["u"][:, :-1])),
+                "expected S and u of shape (K >= 1, 33) and step and time of shape (K,), got (6, 33), (6, 32)",
+            ),
+            (
+                lambda path: edit_fields(path, lambda m: m.update(x=Grid(1.0, 2.5, 33).x)),
+                "x differs from the nodes of the grid on [1, 2]",
+            ),
+            # a copy of the last frame: dt = 0 between the last two frames
+            (lambda path: edit_frames(path, lambda v: np.concatenate([v, v[-1:]])), "times do not increase strictly"),
         ],
         ids=[
-            "missing_u", "ragged_row", "other_grid_x", "steps_differ", "header_with_semicolon", "header_only",
-            "repeated_time",
+            "missing_file", "truncated", "flipped_byte", "empty", "missing_member", "float32_S", "object_member",
+            "wrong_shape", "other_grid_x", "repeated_time",
         ],
     )
-    def test_damaged_field_table_exits_one(self, tmp_path, capsys, file, edit, message):
+    def test_damaged_fields_exits_one(self, tmp_path, capsys, damage, message):
         run_dir = self.tensor_run(tmp_path)
-        path = tmp_path / "out" / file
-        if edit is None:
-            path.unlink()
-        else:
-            path.write_text(edit(path.read_text()))
+        path = tmp_path / "out" / "fields.npz"
+        damage(path)
         error = self.check_reduction_error(run_dir, capsys)
         assert str(path) in error and message in error
 
@@ -726,10 +786,7 @@ class TestCliTools:
     def test_run_need_not_start_at_time_zero(self, tmp_path):
         # a run resumed from a snapshot saves its first frame at the snapshot's time
         run_dir = self.tensor_run(tmp_path)
-        for name in ("S", "u"):
-            path = tmp_path / "out" / f"{name}.csv"
-            header, _, *rows = path.read_text().splitlines()
-            path.write_text("\n".join([header, *rows]) + "\n")
+        edit_frames(tmp_path / "out" / "fields.npz", lambda v: v[1:])
         traj, _, _ = load_run(run_dir)
         assert traj.times[0] > 0.0 and len(traj.times) == 5
 

@@ -1,9 +1,9 @@
 import math
 import re
 import tempfile
+import zipfile
 from dataclasses import replace
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +29,7 @@ from confsim.grid_field import (
 )
 from confsim import simulator
 
-from conftest import make_config
+from conftest import edit_fields, make_config
 
 
 def field(grid, fn):
@@ -354,18 +354,15 @@ class TestTridiagSolve:
         assert np.shares_memory(got, work)
 
 
-FLOAT_FMT = "{:.17g}"
-
-
-def reference_field_table(grid, steps, times, values):
-    """A per-line writer of a run's field table, kept as the reference for write_run's S.csv and u.csv."""
-    lines = [",".join(["step", "time"] + [FLOAT_FMT.format(x) for x in grid.x])]
-    for step, t, row in zip(steps, times, values):
-        lines.append(",".join([str(int(step)), FLOAT_FMT.format(t)] + [FLOAT_FMT.format(v) for v in row]))
-    return "\n".join(lines) + "\n"
-
-
 SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf, 1.0 / 3.0]
+
+# float64 bit patterns a text format cannot carry or that sit at its edges:
+# -0.0, the smallest and largest subnormals, +-inf, quiet and signalling nans
+# with payloads and a negative nan with every payload bit set
+SPECIAL_BITS = [
+    0x8000000000000000, 0x0000000000000001, 0x000FFFFFFFFFFFFF, 0x7FF0000000000000, 0xFFF0000000000000,
+    0x7FF8000000000001, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF,
+]
 
 
 def same_bits(a, b):
@@ -391,28 +388,26 @@ def with_frames(result, s, u, times=None):
     return replace(result, trajectory=frames)
 
 
-def rewrite(path, edit):
-    path.write_text(edit(path.read_text()))
-
-
 class TestSerialization:
-    """The run's field tables, S.csv and u.csv: their bytes, their read-back and the reader's checks."""
+    """The run's fields, one ``fields.npz``: its members, their read-back and the reader's checks."""
 
     def test_field_round_trip(self, tmp_path):
-        # one row per frame under step, time and the grid's nodes; every column reads back exactly
+        # step, time, the grid's nodes and (frames, nodes) S and u, each read back exactly by plain numpy
         result = simulator.run(make_config(n=33, t_end=2e-3, save_every=2))
         simulator.write_run(tmp_path, result)
         traj = result.trajectory
-        for name, want in (("S.csv", traj.s_matrix()), ("u.csv", traj.u_matrix())):
-            header, *rows = (tmp_path / name).read_text().splitlines()
-            assert header.split(",")[:2] == ["step", "time"]
-            assert same_bits([float(x) for x in header.split(",")[2:]], traj.grid.x)
-            table = np.array([row.split(",") for row in rows], dtype=float)
-            assert [row.split(",")[0] for row in rows] == [str(k) for k in traj.steps]
-            assert same_bits(table[:, 1], traj.times) and same_bits(table[:, 2:], want)
+        with np.load(tmp_path / "fields.npz", allow_pickle=False) as fields:
+            assert sorted(fields.files) == ["S", "step", "time", "u", "x"]
+            assert fields["step"].dtype == np.int64 and np.array_equal(fields["step"], traj.steps)
+            for name, want in (("time", traj.times), ("x", traj.grid.x), ("S", traj.s_matrix()),
+                               ("u", traj.u_matrix())):
+                assert fields[name].dtype == np.float64 and same_bits(fields[name], want)
+        # uncompressed: each member's bytes are stored as they are
+        with zipfile.ZipFile(tmp_path / "fields.npz") as archive:
+            assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
 
     @pytest.mark.parametrize("n", [4, 129, 2049])
-    def test_same_bytes_and_bits_as_reference(self, tmp_path, n):
+    def test_extreme_values_read_back_bit_for_bit(self, tmp_path, n):
         result = simulator.run(make_config(n=n, t_end=4e-4, save_every=1))
         rng = np.random.default_rng(n)
         values = rng.normal(size=(2, 3, n)) * 10.0 ** rng.integers(-300, 300, size=(2, 3, n))
@@ -420,73 +415,69 @@ class TestSerialization:
         rng.shuffle(values.reshape(-1))
         times = np.array([0.0, 0.1 + 0.2, 1e300])
         simulator.write_run(tmp_path, with_frames(result, values[0], values[1], times))
-        grid, steps = result.trajectory.grid, result.trajectory.steps
-        for name, want in zip(("S.csv", "u.csv"), values):
-            assert (tmp_path / name).read_bytes() == reference_field_table(grid, steps, times, want).encode()
         traj, _, _ = simulator.load_run(tmp_path)
         assert same_bits(traj.s_matrix(), values[0]) and same_bits(traj.u_matrix(), values[1])
         assert same_bits(traj.times, times)
+        assert np.array_equal(traj.steps, result.trajectory.steps)
         assert all(f.values.flags.c_contiguous for f in traj.s_frames + traj.u_frames)
 
     @settings(max_examples=40, deadline=None)
-    @given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=8, max_size=80))
-    def test_random_values_match_reference(self, values):
-        n = len(values) // 2
-        # canonical nan: the text "nan" carries no sign or payload
-        values = np.where(np.isnan(values), np.nan, values)[: 2 * n].reshape(2, 1, n)
+    @given(bits=st.lists(st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(SPECIAL_BITS)),
+                         min_size=8, max_size=80))
+    def test_every_bit_pattern_round_trips(self, bits):
+        # no canonical nan: the archive keeps a nan's sign and payload
+        n = len(bits) // 2
+        values = np.array(bits[: 2 * n], dtype=np.uint64).view(np.float64).reshape(2, 1, n)
         result = _one_frame_run(n)
         with tempfile.TemporaryDirectory() as tmp:
             simulator.write_run(tmp, with_frames(result, values[0], values[1]))
-            grid, traj = result.trajectory.grid, result.trajectory
-            for name, want in zip(("S.csv", "u.csv"), values):
-                text = reference_field_table(grid, traj.steps, traj.times, want)
-                assert (Path(tmp) / name).read_text() == text
             back, _, _ = simulator.load_run(tmp)
-        assert same_bits(back.s_matrix(), values[0]) and same_bits(back.u_matrix(), values[1])
+        assert np.array_equal(back.s_matrix().view(np.uint64), values[0].view(np.uint64))
+        assert np.array_equal(back.u_matrix().view(np.uint64), values[1].view(np.uint64))
 
-    def test_deleted_line_names_the_file(self, tmp_path):
+    def test_short_member_names_the_file(self, tmp_path):
+        # S and u share one step and one time column, so a frame missing from one is a shape error
         simulator.write_run(tmp_path, simulator.run(make_config(n=33, t_end=2e-3, save_every=2)))
-        rewrite(tmp_path / "S.csv", lambda text: "".join(text.splitlines(keepends=True)[:3]))
-        with pytest.raises(FieldFileError, match=r"u\.csv: steps or times differ from those of .*S\.csv"):
+        edit_fields(tmp_path / "fields.npz", lambda members: members.update(S=members["S"][:2]))
+        message = "expected S and u of shape (K >= 1, 33) and step and time of shape (K,), got (2, 33), (6, 33)"
+        with pytest.raises(FieldFileError, match=r"fields\.npz: " + re.escape(message)):
             simulator.load_run(tmp_path)
 
     def test_other_grid_rejected(self, tmp_path):
         for name, grid in (("mine", (1.0, 2.0, 33)), ("wider", (1.0, 2.5, 33)), ("finer", (1.0, 2.0, 65))):
             cfg = replace(make_config(n=33, t_end=4e-4, save_every=1), grid=Grid(*grid))
             simulator.write_run(tmp_path / name, simulator.run(cfg))
-        (tmp_path / "mine" / "u.csv").write_bytes((tmp_path / "wider" / "u.csv").read_bytes())
-        with pytest.raises(FieldFileError, match=r"u\.csv: x header differs from the grid on \[1, 2\]"):
+        fields = tmp_path / "mine" / "fields.npz"
+        fields.write_bytes((tmp_path / "wider" / "fields.npz").read_bytes())
+        with pytest.raises(FieldFileError, match=r"fields\.npz: x differs from the nodes of the grid on \[1, 2\]"):
             simulator.load_run(tmp_path / "mine")
-        (tmp_path / "mine" / "S.csv").write_bytes((tmp_path / "finer" / "S.csv").read_bytes())
-        with pytest.raises(FieldFileError, match=r"S\.csv: expected 33 nodes, got 65"):
+        fields.write_bytes((tmp_path / "finer" / "fields.npz").read_bytes())
+        with pytest.raises(FieldFileError, match=r"fields\.npz: expected S and u of shape \(K >= 1, 33\)"):
             simulator.load_run(tmp_path / "mine")
 
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda text: text.replace("step,time", "step;time"), "header does not start with 'step,time'"),
-            (lambda text: text.replace(",0\n", ",zero\n", 1), "line 2: could not convert string to float: 'zero'"),
-            (lambda text: text.replace(",0\n", "\n", 1), "line 2: expected 11 values, got 10"),
+            (lambda m: m.update(step=m["step"].astype(float)), "expected an integer step and float64 time, x, S "
+             "and u, got float64, float64, float64, float64 and float64"),
+            (lambda m: m.update(u=m["u"].astype(np.float32)), "got int64, float64, float64, float64 and float32"),
+            (lambda m: m.update(time=m["time"][:, None]), "got (3, 9), (3, 9), (3,) and (3, 1)"),
+            (lambda m: m.update({k: v[:0] for k, v in m.items() if k != "x"}), "got (0, 9), (0, 9), (0,) and (0,)"),
         ],
-        ids=["header", "value", "missing-value"],
+        ids=["float_step", "float32_u", "time_column", "no_frames"],
     )
-    def test_malformed_file_names_the_file(self, tmp_path, edit, message):
+    def test_malformed_member_names_the_file(self, tmp_path, edit, message):
         simulator.write_run(tmp_path, simulator.run(make_config(n=9, t_end=4e-4, save_every=1)))
-        rewrite(tmp_path / "u.csv", edit)
-        with pytest.raises(FieldFileError, match=r"u\.csv: " + re.escape(message)):
+        edit_fields(tmp_path / "fields.npz", edit)
+        with pytest.raises(FieldFileError, match=r"fields\.npz: .*" + re.escape(message)):
             simulator.load_run(tmp_path)
 
-    def test_run_written_by_reference_writer_loads_bit_identically(self, tmp_path):
+    def test_run_directory_holds_three_files(self, tmp_path):
         result = simulator.run(make_config(n=33, t_end=2e-3, save_every=1))
-        simulator.write_run(tmp_path / "new", result)
-        simulator.write_run(tmp_path / "ref", result)
+        simulator.write_run(tmp_path, result)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["diagnostics.csv", "fields.npz", "meta.txt"]
+        back, _, diag_text = simulator.load_run(tmp_path)
         traj = result.trajectory
-        for name, values in (("S.csv", traj.s_matrix()), ("u.csv", traj.u_matrix())):
-            (tmp_path / "ref" / name).write_text(reference_field_table(traj.grid, traj.steps, traj.times, values))
-        assert sorted(p.name for p in (tmp_path / "new").iterdir()) == ["S.csv", "diagnostics.csv", "meta.txt", "u.csv"]
-        for ref_file in (tmp_path / "ref").iterdir():
-            assert ref_file.read_bytes() == (tmp_path / "new" / ref_file.name).read_bytes()
-        back, _, diag_text = simulator.load_run(tmp_path / "ref")
         assert same_bits(back.s_matrix(), traj.s_matrix())
         assert same_bits(back.u_matrix(), traj.u_matrix())
         assert same_bits(back.times, traj.times)

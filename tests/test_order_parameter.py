@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,20 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from confsim import config
 from confsim.grid_field import Grid, d1
 from confsim.material import MaterialParams, double_well
 from confsim.order_parameter import (
     BLOCK,
+    MAX_MOLLIFIER_FLOATS,
     InsufficientHistory,
     MollifierState,
     RegularizationParams,
     StepRejected,
     driving_force,
+    mollifier_floats,
     mollify,
     semi_implicit_step,
     smoothed_abs,
     smoothed_abs_primitive,
+    window_length,
 )
+
+from conftest import make_config
 
 GRID = Grid(1.0, 2.0, 101)
 
@@ -297,6 +305,49 @@ class TestStepCeiling:
             RegularizationParams(kappa=0.25, dt=1e-300)
         with pytest.raises(ValueError, match="exceeds the ceiling"):
             MollifierState(kappa_m=1.0, dt=1e-300)
+
+
+class TestMollifierMemory:
+    """A config whose mollifier needs more than ``MAX_MOLLIFIER_FLOATS`` is refused before a run builds it."""
+
+    @pytest.mark.parametrize(
+        "kappa_m, t_end", [(0.1, 0.05), (0.1, 0.3), (0.02, 0.3)], ids=["filling", "fills", "fills_short_window"]
+    )
+    def test_ceiling_at_its_boundary(self, monkeypatch, kappa_m, t_end):
+        cfg = make_config(n=33, dt=1e-3, t_end=t_end, kappa_m=kappa_m)
+        floats = mollifier_floats(window_length(kappa_m, 1e-3), cfg.n_steps + 1, 33)
+        monkeypatch.setattr(config, "MAX_MOLLIFIER_FLOATS", floats)
+        replace(cfg)
+        monkeypatch.setattr(config, "MAX_MOLLIFIER_FLOATS", floats - 1)
+        with pytest.raises(config.ConfigInvalid, match=r"reg\.kappa_m / reg\.dt = .* exceeds the ceiling"):
+            replace(cfg)
+
+    def test_estimate_of_the_probe_exceeds_the_ceiling(self):
+        # a one-step run on a window of 2.5e8 steps: its weights alone are 2 GB
+        m = window_length(0.25, 1e-9)
+        assert m == 250_000_000 and mollifier_floats(m, 2, 65) == 3 * m + 4 * 65 > MAX_MOLLIFIER_FLOATS
+
+    @pytest.mark.parametrize(
+        "m, frames, n",
+        # the last two are dominated by the weights and by the block weights with their index
+        [(100, 40, 129), (100, 230, 129), (20, 90, 129), (1, 5, 129), (100_000, 3, 129), (1000, 1100, 4)],
+    )
+    def test_estimate_bounds_the_traced_peak(self, m, frames, n):
+        # a run's pushes and calls: the window fills mid-block at frames >= m, and blocks start after
+        dt = 1e-3
+        row = np.ones(n)
+        tracemalloc.start()
+        try:
+            state = MollifierState(kappa_m=m * dt, dt=dt, max_frames=frames)
+            for k in range(frames):
+                state.push(row, k * dt)
+                mollify(state, k * dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.window_size == m
+        # plus 64 KiB for Python objects, array headers and numpy's own small buffers
+        assert peak <= 8 * mollifier_floats(m, frames, n) + 2**16
 
 
 class TestDrivingForce:

@@ -2,8 +2,8 @@
 
 The writers each table had before are kept here as references, and the
 files written today must match them byte for byte: ``diagnostics.csv``,
-``study.csv`` and ``refinement.csv``.  The run's field tables ``S.csv`` and
-``u.csv`` have their byte reference in ``tests/test_grid_field.py``.
+``study.csv`` and ``refinement.csv``.  The run's fields are no table: they
+are ``fields.npz``, whose checks are in ``tests/test_grid_field.py``.
 """
 
 import dataclasses
@@ -173,7 +173,7 @@ class TestStaleFrames:
         assert (len(long.trajectory.times), len(short.trajectory.times)) == (21, 3)
         write_run(tmp_path, long)
         write_run(tmp_path, short)
-        assert sorted(os.listdir(tmp_path)) == ["S.csv", "diagnostics.csv", "meta.txt", "u.csv"]
+        assert sorted(os.listdir(tmp_path)) == ["diagnostics.csv", "fields.npz", "meta.txt"]
         traj, _, diag_text = load_run(tmp_path)
         assert np.array_equal(traj.s_matrix(), short.trajectory.s_matrix())
         assert np.array_equal(traj.u_matrix(), short.trajectory.u_matrix())
@@ -187,4 +187,5 @@ class TestStaleFrames:
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         write_run(tmp_path, result)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-        assert len((tmp_path / "S.csv").read_text().splitlines()) == 1 + len(result.trajectory.times)
+        with np.load(tmp_path / "fields.npz") as fields:
+            assert len(fields["S"]) == len(fields["u"]) == len(result.trajectory.times)
