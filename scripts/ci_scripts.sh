@@ -120,3 +120,21 @@ confsim study --out study-both-verify --set "study.kappas=0.5 0.25 0.125" --set 
 # frames in one stacked FD residual, and its report pairs the weak residual's test functions
 PYTHONWARNINGS=error::RuntimeWarning confsim study --out study-ramp --set "study.kappas=0.5 0.25 0.125" \
   --set run.save_every=1 --set run.t_end=0.004 --set body.family=ramp --set body.amplitude=0.2 --set body.rate=5
+# the march_long run split at step 1500, inside its full 1250-frame window: saved to a snapshot,
+# resumed and finished, it ends on the whole run's last S and u bit for bit
+PYTHONWARNINGS=error::RuntimeWarning PYTHONPATH="$root/src" python3 -c '
+import numpy as np
+from confsim.config import parse_config_text
+from confsim.order_parameter import window_length
+from confsim.simulator import Simulation, load_snapshot, save_snapshot
+cfg = parse_config_text("run.t_end = 0.4\nrun.save_every = 100\n")
+assert cfg.n_steps == 2000 and window_length(cfg.reg.kappa_m, cfg.reg.dt) == 1250
+whole = Simulation(cfg).run().trajectory
+first = Simulation(cfg)
+first.run(until_step=1500)
+save_snapshot("march_long.snap", first)
+resumed = load_snapshot("march_long.snap", cfg).run().trajectory
+assert resumed.steps[0] == 1500 and resumed.steps[-1] == whole.steps[-1] == 2000
+assert np.array_equal(resumed.s_frames[-1].values, whole.s_frames[-1].values)
+assert np.array_equal(resumed.u_frames[-1].values, whole.u_frames[-1].values)
+'

@@ -24,10 +24,10 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
     write_study_csv(out / "study.csv", result)
     print(f"wrote {out / 'study.csv'}")
-    print("kappa      D_kappa      D_primitive")
+    print("kappa      D_kappa")
     for row in result.rows:
         tag = " (reference)" if row.is_reference else ""
-        print(f"{row.kappa:<10.5g} {row.d_kappa:<12.4e} {row.d_primitive:<12.4e}{tag}")
+        print(f"{row.kappa:<10.5g} {row.d_kappa:<12.4e}{tag}")
     print(f"strictly decreasing: {result.strictly_decreasing}")
 
 

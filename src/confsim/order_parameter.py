@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid_field import d1, tridiag_solve
 from .material import MaterialParams
@@ -130,13 +131,13 @@ def mollifier_floats(m: int, frames: int, n: int) -> int:
     """Upper bound on the floats a ``MollifierState`` of window m holds over ``frames`` pushes of n nodes.
 
     The weights and their tabulation's temporaries, 3m; the ring, 2 min(m, frames) n; once the
-    window fills, the block weights and their index array, 2Lm with L = min(BLOCK, m), a block's
-    zero-padded window, mn, and its products, Ln.
+    window fills, the block weights, Lm with L = min(BLOCK, m), a block's zero-padded window, mn,
+    and its products, Ln.
     """
     total = 3 * m + 2 * min(m, frames) * n
     if frames >= m:
         rows = min(BLOCK, m)
-        total += 2 * rows * m + (m + rows) * n
+        total += rows * m + (m + rows) * n
     return total
 
 
@@ -238,7 +239,8 @@ class MollifierState:
         if self._block_start != start:
             if self._block_weights is None:
                 padded = np.concatenate([self.weights, np.zeros(rows)])
-                self._block_weights = padded[np.add.outer(np.arange(rows), np.arange(m))]
+                # row j is padded[j:j + m], a strided view copied
+                self._block_weights = sliding_window_view(padded, m)[:rows].copy()
             if j:
                 block_frames = np.zeros_like(frames)
                 block_frames[:m - j] = frames[j:]
@@ -246,9 +248,6 @@ class MollifierState:
             self._products = self._block_weights @ frames
             self._block_start = start
         return j, self._products
-
-    def state_arrays(self) -> list[np.ndarray]:
-        return [a.copy() for a in self.frames]
 
     def restore(self, arrays, t: float, pushed: int):
         """Refill the window from ``arrays``, most recent first, whose newest

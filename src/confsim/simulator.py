@@ -10,18 +10,17 @@ mollified S; the largest of each is the largest of its frames' own values.
 ``march`` advances simulations that share grid, schedule, material, body
 force and elasticity path in lockstep, as (B, n) arrays, each member
 bit-identical to its run alone; ``Simulation.run`` is its one-member case.
-Snapshots capture the mollifier history window, the current time and the
-config hash, so a restarted run continues exactly.  A finished run carries its
-diagnostics report; ``write_run``/``load_run`` persist it with the config echo
-and the saved frames in one numpy archive, ``fields.npz``.  The run
-directory's layout is known to this module alone.  The typed config lives
-in ``config`` and the monitors in ``diagnostics``, both below this module.
+A finished run carries its diagnostics report; ``write_run``/``load_run``
+persist it with the config echo and the saved frames in one numpy archive,
+``fields.npz``.  A snapshot is a numpy archive of the step, the mollifier
+window and the config hash, so a restarted run continues exactly; one
+reader, ``_read_arrays``, opens both.  Their layouts are known to this
+module alone.  The typed config lives in ``config`` and the monitors in
+``diagnostics``, both below this module.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import diagnostics, elasticity
 from .grid_field import FLOAT_SLOT, FieldFileError, ScalarField, Trajectory, d1
-from .order_parameter import MollifierState, StepRejected, driving_force, mollify, semi_implicit_step
+from .order_parameter import MollifierState, StepRejected, driving_force, mollify, semi_implicit_step, window_length
 from .elasticity import GreenKernel, fd_residual, solve_elasticity
 # BodyForce is not used here by name: bench/tracer.py reaches it as simulator.BodyForce.
 from .config import (
@@ -39,7 +38,7 @@ from .config import (
     parse_config_text,
 )
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class ChecksumMismatch(RuntimeError):
@@ -78,11 +77,11 @@ class Simulation:
             self.s = config.init.build(self.grid)
             self.mollifier.push(self.s, 0.0)
         else:
-            self.step_index = _restore["step_index"]
-            arrays = _restore["history"]
+            self.step_index, window = _restore
             # a run pushes its initial state and then one frame per step
-            self.mollifier.restore(arrays, _restore["time"], self.step_index + 1)
-            self.s = np.array(arrays[0], dtype=float)
+            self.mollifier.restore(window, config.step_time(self.step_index), self.step_index + 1)
+            # a copy, so the first frame of the resumed run does not hold the whole window
+            self.s = window[0].copy()
         self.time = config.step_time(self.step_index)
         self.u: Optional[np.ndarray] = None  # displacement of the current state, once solved
         self.termination = Termination("completed")
@@ -157,29 +156,6 @@ class Simulation:
             path_discrepancy_max=self.discrepancy_max,
             config=self.config,
         )
-
-    # --- snapshot support -------------------------------------------------
-
-    def snapshot_payload(self) -> dict:
-        return {
-            "format": "confsim-snapshot",
-            "version": SNAPSHOT_VERSION,
-            "config_hash": config_digest(self.config),
-            "step_index": self.step_index,
-            "time": self.time,
-            "grid": {"a": self.grid.a, "d": self.grid.d, "n": self.grid.n},
-            "history": [a.tolist() for a in self.mollifier.state_arrays()],
-        }
-
-    @classmethod
-    def from_payload(cls, config: SimulationConfig, payload: dict) -> "Simulation":
-        if payload.get("version") != SNAPSHOT_VERSION:
-            raise VersionMismatch(
-                f"snapshot version {payload.get('version')} != {SNAPSHOT_VERSION}"
-            )
-        if payload["config_hash"] != config_digest(config):
-            raise ChecksumMismatch("snapshot was produced by a different config")
-        return cls(config, _restore=payload)
 
 
 def run(config: SimulationConfig) -> RunResult:
@@ -305,24 +281,48 @@ def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
 # --- snapshot files --------------------------------------------------------
 
 
-def _payload_checksum(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+def _read_arrays(path, names) -> tuple:
+    """The members ``names`` of the numpy archive at ``path``, never unpickled; ``FieldFileError`` naming the
+    file for each error numpy raises on a damaged one, none an ``OSError``: a damaged zip (its CRC catches a
+    flipped byte), an empty file, an object or missing member, a plain .npy (an array, indexed by a name with
+    an IndexError)."""
+    try:
+        with open(path, "rb") as file:
+            archive = np.load(file, allow_pickle=False)
+            return tuple(archive[name] for name in names)
+    except (zipfile.BadZipFile, EOFError, ValueError, LookupError) as exc:
+        raise FieldFileError(f"{path}: {exc}") from None
 
 
 def save_snapshot(path, sim: Simulation):
-    payload = sim.snapshot_payload()
-    doc = dict(payload)
-    doc["checksum"] = _payload_checksum(payload)
-    Path(path).write_text(json.dumps(doc))
+    """Write what ``sim`` resumes from to ``path`` as one numpy archive: ``version``, ``config_hash``, ``step``
+    and ``window``, the mollifier frames, newest first.  Into an open file, so numpy adds no .npz to the name."""
+    with open(path, "wb") as file:
+        np.savez(file, version=SNAPSHOT_VERSION, config_hash=config_digest(sim.config), step=sim.step_index,
+                 window=sim.mollifier.frames)
 
 
 def load_snapshot(path, config: SimulationConfig) -> Simulation:
-    doc = json.loads(Path(path).read_text())
-    stated = doc.pop("checksum", None)
-    if stated is None or stated != _payload_checksum(doc):
-        raise ChecksumMismatch(f"snapshot {path} failed its checksum")
-    return Simulation.from_payload(config, doc)
+    """The simulation saved at ``path`` by ``save_snapshot``, to continue under ``config``; ``FieldFileError``
+    naming the file for a JSON snapshot of earlier versions, a damaged archive, or a ``step`` or ``window``
+    that does not fit the config."""
+    with open(path, "rb") as file:
+        if file.read(1) == b"{":
+            raise FieldFileError(f"{path}: an earlier version's JSON snapshot, which this version does not read")
+    version, config_hash, step, window = _read_arrays(path, ("version", "config_hash", "step", "window"))
+    # tolist() of a 0-d member is its scalar, and of any other a list, which equals neither
+    if version.tolist() != SNAPSHOT_VERSION:
+        raise VersionMismatch(f"{path}: snapshot version {version} != {SNAPSHOT_VERSION}")
+    if config_hash.tolist() != config_digest(config):
+        raise ChecksumMismatch(f"{path}: snapshot was produced by a different config")
+    if not (step.ndim == 0 and np.issubdtype(step.dtype, np.integer) and 0 <= step <= config.n_steps):
+        raise FieldFileError(f"{path}: expected an integer step in [0, {config.n_steps}], "
+                             f"got {step} of dtype {step.dtype}")
+    rows = min(window_length(config.reg.kappa_m, config.reg.dt), int(step) + 1)
+    if window.dtype != np.float64 or window.shape != (rows, config.grid.n):
+        raise FieldFileError(f"{path}: expected a float64 window of shape {(rows, config.grid.n)} at step {step}, "
+                             f"got {window.dtype} of shape {window.shape}")
+    return Simulation(config, _restore=(int(step), window))
 
 
 # --- run-directory persistence ---------------------------------------------
@@ -392,14 +392,7 @@ def load_run(run_dir):
         raise FieldFileError(f"{meta_path}: config_hash differs from the digest of its [config] section")
     grid = config.grid
     path = out / "fields.npz"
-    try:
-        with open(path, "rb") as file:
-            fields = np.load(file, allow_pickle=False)
-            steps, times, x, s, u = (fields[name] for name in ("step", "time", "x", "S", "u"))
-    # none an OSError: a damaged zip (its CRC catches a flipped byte), an empty file, an object or
-    # missing member, a plain .npy (an array, which a member's name indexes with an IndexError)
-    except (zipfile.BadZipFile, EOFError, ValueError, LookupError) as exc:
-        raise FieldFileError(f"{path}: {exc}") from None
+    steps, times, x, s, u = _read_arrays(path, ("step", "time", "x", "S", "u"))
     if not np.issubdtype(steps.dtype, np.integer) or any(a.dtype != np.float64 for a in (times, x, s, u)):
         raise FieldFileError(f"{path}: expected an integer step and float64 time, x, S and u, got "
                              f"{steps.dtype}, {times.dtype}, {x.dtype}, {s.dtype} and {u.dtype}")

@@ -18,7 +18,7 @@ from .material import MaterialParams
 from .order_parameter import semi_implicit_step
 from .elasticity import solve_fd
 from .config import SimulationConfig, StudyConfig
-from .diagnostics import NonFiniteReport, energy_monitor, flux_field, primitive_field, weak_residual
+from .diagnostics import NonFiniteReport, energy_monitor, flux_field, weak_residual
 from .simulator import RunResult, Simulation, Termination, march
 
 # A member whose report overflowed to inf or nan; it has no fail time.
@@ -35,7 +35,6 @@ class StudyRow:
     h: float
     dt: float
     d_kappa: float
-    d_primitive: float
     max_principle_margin: float
     sup_energy: float
     weak_residual_max: float
@@ -114,23 +113,19 @@ def run_study(study: StudyConfig) -> StudyResult:
     for i, (kappa, res) in enumerate(zip(study.kappas, results)):
         cfg = study.member_config(i)
         termination = member_termination(res)
-        d_kappa = d_prim = margin = sup_energy = math.nan
+        d_kappa = margin = sup_energy = math.nan
         if res is not None:
             traj = res.trajectory
             margin = res.report.max_principle_margin
             sup_energy = energy_monitor(traj, kappa).sup_grad
             if termination.status == "completed" and ref_completed:
                 d_kappa = flux_distance(traj, ref.trajectory)
-                h = traj.grid.h
-                diff = primitive_field(traj.s_matrix(), h, kappa) - flux_field(ref.trajectory.s_matrix(), h)
-                d_prim = norm_lp_time_lq_space(traj.times, diff, h, 4.0 / 3.0, 2.0)
         rows.append(
             StudyRow(
                 kappa=kappa,
                 h=cfg.grid.h,
                 dt=cfg.reg.dt,
                 d_kappa=d_kappa,
-                d_primitive=d_prim,
                 max_principle_margin=margin,
                 sup_energy=sup_energy,
                 weak_residual_max=member_weak_residual(res),

@@ -34,7 +34,8 @@ def make_config(
 
 
 def edit_fields(path, edit):
-    """Write the run archive ``fields.npz`` at ``path`` again, its members as ``edit`` leaves them in a dict."""
+    """Write the numpy archive at ``path`` (a run's ``fields.npz``, a snapshot) again, its members as ``edit``
+    leaves them in a dict."""
     with np.load(path) as fields:
         members = dict(fields)
     edit(members)

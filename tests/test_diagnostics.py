@@ -590,8 +590,7 @@ class TestKappaStudy:
         bad = result.rows[1]
         assert bad.termination == OVERFLOWED and bad.termination.fail_time is None
         assert (bad.kappa, bad.h, bad.dt) == (0.25, plain.rows[1].h, plain.rows[1].dt)
-        for value in (bad.d_kappa, bad.d_primitive, bad.max_principle_margin, bad.sup_energy,
-                      bad.weak_residual_max):
+        for value in (bad.d_kappa, bad.max_principle_margin, bad.sup_energy, bad.weak_residual_max):
             assert math.isnan(value)
         assert not result.strictly_decreasing
         for i in (0, 2):
@@ -600,9 +599,9 @@ class TestKappaStudy:
             assert row.sup_energy == want.sup_energy
             assert row.weak_residual_max == want.weak_residual_max
             if bad.is_reference:
-                assert math.isnan(row.d_kappa) and math.isnan(row.d_primitive)
+                assert math.isnan(row.d_kappa)
             else:
-                assert row.d_kappa == want.d_kappa and row.d_primitive == want.d_primitive
+                assert row.d_kappa == want.d_kappa
 
     def test_study_csv_matches_members_run_one_by_one(self, tmp_path, monkeypatch):
         spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_WORKLOADS)

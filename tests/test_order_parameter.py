@@ -258,10 +258,9 @@ class TestMollifierRingBuffer:
         whole = MollifierState(kappa_m=7 * dt, dt=dt)
         for k, values in enumerate(history[:pushes]):
             whole.push(values, k * dt)
-        arrays = whole.state_arrays()
-        assert len(arrays) == min(pushes, 7)
+        assert len(whole.frames) == min(pushes, 7)
         restored = MollifierState(kappa_m=7 * dt, dt=dt)
-        restored.restore([a.tolist() for a in arrays], (pushes - 1) * dt, pushes)
+        restored.restore(whole.frames, (pushes - 1) * dt, pushes)
         for k, values in enumerate(history[pushes:], start=pushes):
             for state in (whole, restored):
                 state.push(values, k * dt)
@@ -280,7 +279,7 @@ class TestMollifierRingBuffer:
             whole.push(values, k * dt)
             mollify(whole, k * dt)
         restored = MollifierState(kappa_m=100 * dt, dt=dt)
-        restored.restore(whole.state_arrays(), (pushes - 1) * dt, pushes)
+        restored.restore(whole.frames, (pushes - 1) * dt, pushes)
         assert np.array_equal(mollify(restored, (pushes - 1) * dt), mollify(whole, (pushes - 1) * dt))
         for k, values in enumerate(history[pushes:], start=pushes):
             for state in (whole, restored):
@@ -296,7 +295,23 @@ class TestMollifierRingBuffer:
             assert (state._block_weights is None) == (k < 99)
         w = state.weights
         assert state._block_weights.shape == (BLOCK, 100)
-        assert np.array_equal(state._block_weights[5], np.concatenate([w[5:], np.zeros(5)]))
+        assert np.array_equal(state._block_weights, [np.concatenate([w[j:], np.zeros(j)]) for j in range(BLOCK)])
+
+    def test_first_full_window_call_peak(self):
+        # m = 4000, n = 33: the window fills at step 31 of its block, so the call builds W, (L, m), from
+        # the zero-padded weights, (m + L,), and forms the block's products, (L, n), from a zero-padded
+        # window, (m, n); an index array for W would add L*m more
+        m, n, dt = 4000, 33, 1e-3
+        state = MollifierState(kappa_m=m * dt, dt=dt)
+        for k in range(m):
+            state.push(np.ones(n), k * dt)
+        tracemalloc.start()
+        try:
+            mollify(state, (m - 1) * dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (BLOCK * m + (m + BLOCK) * (n + 1)) + 2**16
 
 
 class TestStepCeiling:
@@ -327,9 +342,15 @@ class TestMollifierMemory:
         m = window_length(0.25, 1e-9)
         assert m == 250_000_000 and mollifier_floats(m, 2, 65) == 3 * m + 4 * 65 > MAX_MOLLIFIER_FLOATS
 
+    def test_estimate_once_the_window_fills(self):
+        # the block weights, L*m floats, a block's zero-padded window and its products
+        m, n = 100, 129
+        assert mollifier_floats(m, m - 1, n) == 3 * m + 2 * (m - 1) * n
+        assert mollifier_floats(m, m, n) == 3 * m + 2 * m * n + BLOCK * m + (m + BLOCK) * n
+
     @pytest.mark.parametrize(
         "m, frames, n",
-        # the last two are dominated by the weights and by the block weights with their index
+        # the last two are dominated by the weights and by the block weights
         [(100, 40, 129), (100, 230, 129), (20, 90, 129), (1, 5, 129), (100_000, 3, 129), (1000, 1100, 4)],
     )
     def test_estimate_bounds_the_traced_peak(self, m, frames, n):

@@ -1,5 +1,7 @@
 import functools
+import json
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +11,10 @@ from hypothesis import strategies as st
 
 from dataclasses import replace
 
-from confsim.config import BodyForce, InitialData, parse_config_text
+from confsim.config import BodyForce, InitialData, config_digest, parse_config_text
 from confsim.diagnostics import NonFiniteReport
 from confsim.simulator import (
+    SNAPSHOT_VERSION,
     ChecksumMismatch,
     Simulation,
     VersionMismatch,
@@ -24,10 +27,25 @@ from confsim.simulator import (
 )
 from confsim import elasticity
 from confsim.elasticity import GreenKernel, elastic_rhs, fd_residual, solve_fd, solve_green
-from confsim.grid_field import ScalarField, Trajectory, d1
+from confsim.grid_field import FieldFileError, ScalarField, Trajectory, d1
 from confsim.order_parameter import BLOCK, mollify
 
-from conftest import make_config
+from conftest import edit_fields, make_config
+
+
+def flip_byte_before(path, member):
+    """Flip one bit of the byte before ``member``'s entry in the archive at ``path``: the last data byte of the
+    member written before it."""
+    with zipfile.ZipFile(path) as archive:
+        offset = archive.getinfo(member).header_offset - 1
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def with_members(**members):
+    """A damage that writes the archive at its path again with ``members`` in place of its own."""
+    return lambda path: edit_fields(path, lambda m: m.update(members))
 
 
 class TestRestState:
@@ -334,32 +352,71 @@ class TestSnapshotRestart:
         assert restored.time == sim.time
         assert np.array_equal(restored.s, sim.s)
 
-    def test_corrupted_byte_detected(self, tmp_path, desk_config):
+    def test_snapshot_members(self, tmp_path, desk_config):
+        # one numpy archive under the name given, no .npz added, whose time is the config's at its step
         sim = Simulation(desk_config)
         sim.run(until_step=5)
-        path = tmp_path / "snap.json"
+        path = tmp_path / "snap"
         save_snapshot(path, sim)
-        blob = bytearray(path.read_bytes())
-        pos = blob.index(b'"time"') + 10
-        blob[pos:pos + 1] = b"9" if blob[pos:pos + 1] != b"9" else b"8"
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ChecksumMismatch):
+        assert [p.name for p in tmp_path.iterdir()] == ["snap"]
+        with np.load(path, allow_pickle=False) as snapshot:
+            assert snapshot.files == ["version", "config_hash", "step", "window"]
+            assert snapshot["version"] == SNAPSHOT_VERSION == 2
+            assert snapshot["config_hash"] == config_digest(desk_config)
+            assert snapshot["step"] == 5 and np.issubdtype(snapshot["step"].dtype, np.integer)
+            window = snapshot["window"]
+        assert window.dtype == np.float64 and np.array_equal(window, sim.mollifier.frames)
+        assert load_snapshot(path, desk_config).time == desk_config.step_time(5) == sim.time
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda path: path.write_bytes(path.read_bytes()[:-100]), "File is not a zip file"),
+            (lambda path: flip_byte_before(path, "window.npy"), "Bad CRC-32 for file 'step.npy'"),
+            (lambda path: path.write_bytes(b""), "No data left in file"),
+            (lambda path: edit_fields(path, lambda m: m.pop("window")), "window is not a file in the archive"),
+            (
+                lambda path: edit_fields(path, lambda m: m.update(window=m["window"].astype(np.float32))),
+                "expected a float64 window of shape (6, 65) at step 5, got float32 of shape (6, 65)",
+            ),
+            (
+                lambda path: edit_fields(path, lambda m: m.update(window=m["window"][1:])),
+                "expected a float64 window of shape (6, 65) at step 5, got float64 of shape (5, 65)",
+            ),
+            (
+                lambda path: edit_fields(path, lambda m: m.update(window=m["window"][:, :-1])),
+                "got float64 of shape (6, 64)",
+            ),
+            (with_members(step=np.int64(21)), "in [0, 20], got 21 of dtype int64"),
+            (with_members(step=np.int64(-1)), "in [0, 20], got -1 of dtype int64"),
+            (with_members(step=np.float64(5)), "got 5.0 of dtype float64"),
+            (with_members(step=np.arange(5)), "got [0 1 2 3 4] of dtype"),
+            (
+                lambda path: path.write_text(json.dumps({"format": "confsim-snapshot", "version": 1, "history": []})),
+                "an earlier version's JSON snapshot",
+            ),
+        ],
+        ids=[
+            "truncated", "flipped_byte", "empty", "missing_member", "float32_window", "rows_for_step", "other_n",
+            "step_past_the_end", "negative_step", "float_step", "step_array", "json_snapshot",
+        ],
+    )
+    def test_damaged_snapshot_names_the_file(self, tmp_path, desk_config, damage, message):
+        sim = Simulation(desk_config)
+        sim.run(until_step=5)
+        path = tmp_path / "snap.npz"
+        save_snapshot(path, sim)
+        damage(path)
+        with pytest.raises(FieldFileError) as info:
             load_snapshot(path, desk_config)
+        assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+        assert "pickle" not in str(info.value)
 
     def test_version_mismatch(self, tmp_path, desk_config):
-        import json
-
-        sim = Simulation(desk_config)
-        path = tmp_path / "snap.json"
-        save_snapshot(path, sim)
-        doc = json.loads(path.read_text())
-        doc.pop("checksum")
-        doc["version"] = 99
-        from confsim.simulator import _payload_checksum
-
-        doc["checksum"] = _payload_checksum(doc)
-        path.write_text(json.dumps(doc))
-        with pytest.raises(VersionMismatch):
+        path = tmp_path / "snap.npz"
+        save_snapshot(path, Simulation(desk_config))
+        with_members(version=np.int64(99))(path)
+        with pytest.raises(VersionMismatch, match="snapshot version 99 != 2"):
             load_snapshot(path, desk_config)
 
     def test_wrong_config_rejected(self, tmp_path, desk_config):
