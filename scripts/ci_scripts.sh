@@ -120,6 +120,12 @@ confsim study --out study-both-verify --set "study.kappas=0.5 0.25 0.125" --set 
 # frames in one stacked FD residual, and its report pairs the weak residual's test functions
 PYTHONWARNINGS=error::RuntimeWarning confsim study --out study-ramp --set "study.kappas=0.5 0.25 0.125" \
   --set run.save_every=1 --set run.t_end=0.004 --set body.family=ramp --set body.amplitude=0.2 --set body.rate=5
+# the body-force families fixed in time, whose b/mu each march computes once: a constant force
+# checked against the Green quadrature, and a lockstep study under a polynomial one
+PYTHONWARNINGS=error::RuntimeWarning confsim run --out run-constant --set run.elasticity_path=both-verify \
+  --set run.t_end=0.004 --set body.family=constant --set body.amplitude=0.3
+PYTHONWARNINGS=error::RuntimeWarning confsim study --out study-poly --set "study.kappas=0.5 0.25 0.125" \
+  --set run.t_end=0.004 --set body.family=poly --set "body.coeffs=0.1 0.2 -0.3"
 # the march_long run split at step 1500, inside its full 1250-frame window: saved to a snapshot,
 # resumed and finished, it ends on the whole run's last S and u bit for bit
 PYTHONWARNINGS=error::RuntimeWarning PYTHONPATH="$root/src" python3 -c '

@@ -107,6 +107,11 @@ class BodyForce:
         if self.family not in ("zero", "constant", "poly", "ramp"):
             raise ConfigInvalid(f"unknown body-force family {self.family!r}")
 
+    @property
+    def time_independent(self) -> bool:
+        """Whether every time gives the same values: all families but ramp."""
+        return self.family != "ramp"
+
     def evaluate(self, t, grid: Grid) -> np.ndarray:
         """Nodal values at time ``t``: (n,) at one time, (K, n) at a (K, 1) column of times.
 

@@ -23,17 +23,20 @@ bit for bit as alone.  ``solve_elasticity``, the simulator's per-step solve,
 is the FD solve of the displacement equation.  ``fd_residual``, of one frame
 or a stack, and the FD solve's refinement step apply the one cached operator
 of ``_fd_operator``, and both of the FD solve's solves use its LU factors,
-cached with it.
+cached with it.  A caller that solves on one grid step after step builds
+the operator, lam/mu and 2h once (``elastic_constants``) and passes them
+to ``solve_elasticity``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .grid_field import Grid, ScalarField, d1, tridiag_factor, tridiag_factor_solve
+from .grid_field import Grid, ScalarField, d1, scalar_array, tridiag_factor, tridiag_factor_solve
 from .material import MaterialParams
 
 
@@ -124,13 +127,18 @@ def homogeneous_solutions(a: float, d: float):
     return kernel.u1, kernel.u2
 
 
-def elastic_rhs(s_x: np.ndarray, b: np.ndarray, params: MaterialParams) -> np.ndarray:
+def elastic_rhs(
+    s_x: np.ndarray, b: np.ndarray, params: MaterialParams, *,
+    b_mu: Optional[np.ndarray] = None, lam_mu: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """(lam/mu) * s_x + b/mu, the right-hand side of the displacement equation.
 
-    ``b`` is one row of nodal values or has the shape of ``s_x``.
+    ``b`` is one row of nodal values or has the shape of ``s_x``.  A caller
+    that holds b/mu may pass it as ``b_mu``, and b is then not read; one
+    that solves many times may pass lam/mu as a 0-d array, ``lam_mu``.
     """
-    rhs = np.multiply(s_x, params.lam / params.mu)
-    rhs += np.divide(b, params.mu)
+    rhs = np.multiply(s_x, params.lam / params.mu if lam_mu is None else lam_mu)
+    rhs += np.divide(b, params.mu) if b_mu is None else b_mu
     return rhs
 
 
@@ -150,7 +158,11 @@ def _fd_operator(grid: Grid):
     upper = np.append(0.0, 1.0 / h**2 + 1.0 / (xi * h))
     for band in (lower, diag, upper):
         band.flags.writeable = False
-    return lower, diag, upper, tridiag_factor(lower, diag, upper)
+    try:
+        factors = tridiag_factor(lower, diag, upper)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - operator is invertible
+        raise SingularSystem(str(exc)) from exc
+    return lower, diag, upper, factors
 
 
 def _fd_apply(u: np.ndarray, operator) -> np.ndarray:
@@ -166,33 +178,35 @@ def _fd_apply(u: np.ndarray, operator) -> np.ndarray:
     return out
 
 
-def solve_fd(rhs: np.ndarray, grid: Grid) -> np.ndarray:
+def solve_fd(rhs: np.ndarray, grid: Grid, *, operator: Optional[tuple] = None) -> np.ndarray:
     """Tridiagonal solve of u'' + (2/x) u' - (2/x^2) u = rhs, u = 0 at both ends.
 
     ``rhs`` may be a (B, n) stack: its rows go to LAPACK as B right-hand
     sides of one solve, and each row's u equals its own solve bit for bit.
     Both solves, the first and the refinement step, use the operator's
-    cached factors.
+    cached factors.  A caller that solves many times on one grid may pass
+    the ``operator``, ``_fd_operator(grid)``, which is then not looked up.
     """
-    try:
+    if operator is None:
         operator = _fd_operator(grid)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - operator is invertible
-        raise SingularSystem(str(exc)) from exc
     factors = operator[3]
     # u starts as rhs with the boundary data 0 at the end nodes; the
     # transposes put the node axis first, and hand LAPACK a stack's rows as
-    # the columns it solves for, in the array itself
+    # the columns it solves for, in the array itself.  A lone row is its own
+    # node axis, without the cost of a transposed view.
+    lone = rhs.ndim == 1
     u = np.array(rhs, dtype=float, order="C")
-    nodes = u.T
+    nodes = u if lone else u.T
     nodes[0] = nodes[-1] = 0.0
-    u = tridiag_factor_solve(factors, u.T, overwrite=True).T
+    nodes = tridiag_factor_solve(factors, nodes, overwrite=True)
+    u = nodes if lone else nodes.T
     # one step of iterative refinement keeps the discrete residual near
     # roundoff even on fine grids, where plain elimination leaves O(n*eps/h^2);
     # the right-hand side is 0 at the end nodes, and x - 0.0 is x bit for bit
     residual = _fd_apply(u, operator)
-    residual.T[1:-1] -= rhs.T[1:-1]
-    u -= tridiag_factor_solve(factors, residual.T, overwrite=True).T
-    nodes = u.T
+    residual_nodes = residual if lone else residual.T
+    residual_nodes[1:-1] -= (rhs if lone else rhs.T)[1:-1]
+    nodes -= tridiag_factor_solve(factors, residual_nodes, overwrite=True)
     nodes[0] = nodes[-1] = 0.0
     return u
 
@@ -306,15 +320,38 @@ def solve_green(
     return u
 
 
+class ElasticConstants(NamedTuple):
+    """What every FD solve of a run on one grid uses, built once by ``elastic_constants``.
+
+    The FD operator and its LU factors (``_fd_operator``), and lam/mu and
+    the grid's 2h as float64 0-d arrays (``scalar_array``).  Passed to
+    ``solve_elasticity`` as ``constants``, they give its own bits.
+    """
+
+    operator: tuple
+    lam_mu: np.ndarray
+    two_h: np.ndarray
+
+
+def elastic_constants(grid: Grid, params: MaterialParams) -> ElasticConstants:
+    """The ``ElasticConstants`` of ``grid`` and ``params``."""
+    return ElasticConstants(_fd_operator(grid), scalar_array(params.lam / params.mu), scalar_array(2.0 * grid.h))
+
+
 def solve_elasticity(
-    s_moll: np.ndarray, b: np.ndarray, grid: Grid, params: MaterialParams
+    s_moll: np.ndarray, b: np.ndarray, grid: Grid, params: MaterialParams, *,
+    b_mu: Optional[np.ndarray] = None, constants: Optional[ElasticConstants] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The displacement u by the FD solve, and the right-hand side it solved.
 
     ``s_moll`` may be a (B, n) stack of members under the one body force
     ``b``; u is then (B, n), solved in one call.  The result is
     ``(u, rhs)``: rhs is the ``elastic_rhs`` the FD solve was given, for a
-    caller that checks u's FD residual.
+    caller that checks u's FD residual.  A caller that solves many times
+    may pass b/mu as ``b_mu`` (see ``elastic_rhs``) and the
+    ``elastic_constants`` of grid and params.
     """
-    rhs = elastic_rhs(d1(s_moll, grid.h), b, params)
-    return solve_fd(rhs, grid), rhs
+    if constants is None:
+        constants = elastic_constants(grid, params)
+    rhs = elastic_rhs(d1(s_moll, grid.h, two_h=constants.two_h), b, params, b_mu=b_mu, lam_mu=constants.lam_mu)
+    return solve_fd(rhs, grid, operator=constants.operator), rhs

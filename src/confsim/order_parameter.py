@@ -8,19 +8,21 @@ Euler and the reaction explicitly, guarded by a maximum-increment check.
 The mollifier averages S over a causal window of m steps held in a ring
 buffer; once the window is full it works in blocks of min(``BLOCK``, m)
 steps, one matrix-matrix product per block in place of one window-long
-matrix-vector product per step (``MollifierState``, ``mollify``).
+matrix-vector product per step (``MollifierState``, ``mollify``).  What
+the driving force and the step compute alike at every step of a run, the
+curvature row and their scalars, a caller builds once (``step_constants``).
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid_field import d1, tridiag_solve
+from .grid_field import d1, scalar_array, tridiag_solve
 from .material import MaterialParams
 
 
@@ -38,6 +40,9 @@ MAX_MOLLIFIER_FLOATS = 2**28
 BLOCK = 64
 
 _FLOAT_MAX = sys.float_info.max
+
+# the literals of driving_force and semi_implicit_step
+_ONE, _TWO = scalar_array(1.0), scalar_array(2.0)
 
 
 def window_length(kappa_m: float, dt: float) -> int:
@@ -130,15 +135,14 @@ def smoothed_abs_primitive(p, kappa: float, *, modulus: Optional[np.ndarray] = N
 def mollifier_floats(m: int, frames: int, n: int) -> int:
     """Upper bound on the floats a ``MollifierState`` of window m holds over ``frames`` pushes of n nodes.
 
-    The weights and their tabulation's temporaries, 3m; the ring, 2 min(m, frames) n; once the
-    window fills, the block weights, Lm with L = min(BLOCK, m), a block's zero-padded window, mn,
-    and its products, Ln.
+    The weights and their tabulation's temporaries, 3m; the ring, frames n while it cannot wrap
+    (frames < m), 2mn mirrored once it can; once the window fills, the block weights, Lm with
+    L = min(BLOCK, m), a block's zero-padded window, mn, and its products, Ln.
     """
-    total = 3 * m + 2 * min(m, frames) * n
-    if frames >= m:
-        rows = min(BLOCK, m)
-        total += rows * m + (m + rows) * n
-    return total
+    if frames < m:
+        return 3 * m + frames * n
+    rows = min(BLOCK, m)
+    return 3 * m + 2 * m * n + rows * m + (m + rows) * n
 
 
 class MollifierState:
@@ -150,12 +154,15 @@ class MollifierState:
     fewer frames than the window needs are available (early time), the missing
     mass is assigned to the oldest frame, which equals the initial state.
 
-    The frames live in one mirrored ring buffer of shape (2r, n), allocated
-    on the first push, where r is the window length m capped at
-    ``max_frames``: 2*r*n floats.  Each push moves ``head`` down by one (mod r)
-    and writes the frame at rows ``head`` and ``head + r``, so ``frames`` is
-    always the contiguous view ``buf[head:head + k]``, which ``mollify``
-    reads without copying.  A run pushes at most n_steps + 1 frames, which
+    The frames live in one ring buffer, allocated on the first push, of r
+    rows, the window length m capped at ``max_frames``.  Each push moves
+    ``head`` down by one (mod r) and writes the frame at row ``head``, so
+    ``frames`` is the contiguous view ``buf[head:head + k]``, which
+    ``mollify`` reads without copying.  A ring of r = m rows wraps once full,
+    so it is mirrored: (2r, n), each frame written at rows ``head`` and
+    ``head + r`` too.  A ring of r < m rows cannot wrap, since the push after
+    its r-th raises, so it is (r, n), each frame written once, and
+    ``head + k`` is always r.  A run pushes at most n_steps + 1 frames, which
     is the ``max_frames`` it passes.
 
     A full window is averaged in blocks of L = min(BLOCK, m) steps that
@@ -186,6 +193,7 @@ class MollifierState:
         w = np.exp(-1.0 / (1.0 - tau**2))
         self.weights = w / w.sum()
         self._rows = m if max_frames is None else max(1, min(m, max_frames))
+        self._mirrored = self._rows == m  # only a ring of the whole window can wrap
         self._buf: Optional[np.ndarray] = None
         self._read_only: Optional[np.ndarray] = None  # a read-only view of _buf
         self._head = 0
@@ -216,7 +224,7 @@ class MollifierState:
     def push(self, values: np.ndarray, t: float):
         rows = self._rows
         if self._buf is None:
-            self._buf = np.empty((2 * rows, len(values)))
+            self._buf = np.empty((2 * rows if self._mirrored else rows, len(values)))
             # its slices are read-only without a flag set on each (0.7 us a call)
             self._read_only = self._buf.view()
             self._read_only.flags.writeable = False
@@ -224,7 +232,8 @@ class MollifierState:
             raise ValueError(f"mollifier buffer holds at most {rows} frames (max_frames)")
         self._head = (self._head - 1) % rows
         self._buf[self._head] = values
-        self._buf[self._head + rows] = values
+        if self._mirrored:
+            self._buf[self._head + rows] = values
         self._count = min(self._count + 1, rows)
         self._pushed += 1
         self.time = t
@@ -288,6 +297,33 @@ def mollify(state: MollifierState, t: float) -> np.ndarray:
     return values
 
 
+class StepConstants(NamedTuple):
+    """What every step of a run computes to the same value, built once by ``step_constants``.
+
+    The curvature row 2*c*nu/x of ``driving_force``, and the scalars of
+    ``d1``, ``driving_force`` and ``semi_implicit_step`` as float64 0-d
+    arrays (``scalar_array``).  Passed as ``constants``, they give the
+    kernels' own bits.
+    """
+
+    curvature: np.ndarray
+    two_h: np.ndarray
+    h_sq: np.ndarray
+    c: np.ndarray
+    c_nu: np.ndarray
+    e: np.ndarray
+    minus_lam: np.ndarray
+    two_well_weight: np.ndarray
+
+
+def step_constants(x: np.ndarray, h: float, params: MaterialParams) -> StepConstants:
+    """The ``StepConstants`` of a run on the nodes ``x`` of spacing ``h``."""
+    curvature = np.divide(2.0 * params.c * params.nu, x)
+    curvature.flags.writeable = False
+    scalars = (2.0 * h, h**2, params.c, params.c * params.nu, params.e, -params.lam, 2.0 * params.well_weight)
+    return StepConstants(curvature, *map(scalar_array, scalars))
+
+
 def driving_force(
     u: np.ndarray,
     u_x: np.ndarray,
@@ -295,33 +331,42 @@ def driving_force(
     s_x: np.ndarray,
     x: np.ndarray,
     params: MaterialParams,
+    *,
+    constants: Optional[StepConstants] = None,
 ) -> np.ndarray:
     """Configurational driving force acting on the order parameter.
 
     Pointwise c*(-lam*(u_x + 2u/x) + e*s + well'(s)) minus the curvature-like
     correction 2*c*nu/x * s_x; bounded because the grid keeps x >= a > 0.
     The fields may be single frames or (frames, nodes) stacks over the nodes x.
+    A caller that steps many times may pass the ``step_constants`` of x and
+    ``params``.
     """
+    if constants is None:
+        curvature = np.divide(2.0 * params.c * params.nu, x)
+        two_well_weight, minus_lam, e, c = 2.0 * params.well_weight, -params.lam, params.e, params.c
+    else:
+        curvature, two_well_weight = constants.curvature, constants.two_well_weight
+        minus_lam, e, c = constants.minus_lam, constants.e, constants.c
     # In place, with the operations and grouping of
     #   well_prime = 2.0 * W * s * (1.0 - s) * (1.0 - 2.0 * s)   (material.double_well's derivative)
     #   f1 = c * (-lam * (u_x + 2.0 * u / x) + e * s + well_prime)
     #   f1 - (2.0 * c * nu / x) * s_x
-    well_prime = np.multiply(s, 2.0 * params.well_weight)
-    term = np.subtract(1.0, s)
+    well_prime = np.multiply(s, two_well_weight)
+    term = np.subtract(_ONE, s)
     well_prime *= term
-    np.multiply(s, 2.0, out=term)
-    np.subtract(1.0, term, out=term)
+    np.multiply(s, _TWO, out=term)
+    np.subtract(_ONE, term, out=term)
     well_prime *= term
-    elastic = np.multiply(u, 2.0)
+    elastic = np.multiply(u, _TWO)
     elastic /= x
     elastic += u_x
-    elastic *= -params.lam
-    np.multiply(s, params.e, out=term)
+    elastic *= minus_lam
+    np.multiply(s, e, out=term)
     # u and s may differ in a leading axis of length one, so this sum takes their broadcast shape
     f1 = elastic + term
     f1 += well_prime
-    f1 *= params.c
-    curvature = np.divide(2.0 * params.c * params.nu, x)
+    f1 *= c
     np.multiply(curvature, s_x, out=term)
     f1 -= term
     return f1
@@ -345,6 +390,8 @@ def semi_implicit_step(
     kappa,
     guard: float,
     s_x: Optional[np.ndarray] = None,
+    *,
+    constants: Optional[StepConstants] = None,
 ) -> np.ndarray:
     """One frozen-coefficient step of the regularized evolution equation.
 
@@ -352,8 +399,9 @@ def semi_implicit_step(
     (bounded below by c*nu*kappa, so the system is never singular), diffusion
     is advanced by backward Euler, the reaction -force*(|s_x|_kappa - kappa)
     explicitly.  Boundary values are pinned to exactly zero.  ``s_x`` is
-    d1(s, h), passed by a caller that has already computed it.  A step whose
-    largest increment exceeds ``guard`` raises ``StepRejected``.
+    d1(s, h), passed by a caller that has already computed it, as may be the
+    ``step_constants`` of h and ``material``, and ``kappa`` as a 0-d array.
+    A step whose largest increment exceeds ``guard`` raises ``StepRejected``.
 
     ``s`` may also be a (B, n) batch of members that share everything but
     ``kappa``, then a (B, 1) column.  Their B systems are solved as one of
@@ -363,7 +411,10 @@ def semi_implicit_step(
     is not finite each row is solved again on its own.
     """
     if s_x is None:
-        s_x = d1(s, h)
+        s_x = d1(s, h, two_h=None if constants is None else constants.two_h)
+    c_nu, h_sq = (material.c * material.nu, h**2) if constants is None else (constants.c_nu, constants.h_sq)
+    # the end nodes of a lone row by plain index, which costs less than an ellipsis
+    first, last = (0, -1) if s.ndim == 1 else ((..., 0), (..., -1))
     # In place, with the operations and grouping of
     #   mod = hypot(s_x, kappa);  coef = c * nu * mod
     #   rhs = s + dt * (-force * (mod - kappa))
@@ -372,29 +423,29 @@ def semi_implicit_step(
     # symmetric in sign, so s - dt * (force * y) is s + dt * (-force * y) bit
     # for bit.  Every node is computed and the end nodes are then overwritten.
     mod = np.hypot(s_x, kappa)
-    coef = np.multiply(mod, material.c * material.nu)
+    coef = np.multiply(mod, c_nu)
     reaction = mod  # dt * force * (mod - kappa), in mod's array
     reaction -= kappa
     reaction *= force
     reaction *= dt
     rhs = np.subtract(s, reaction, out=reaction)
-    rhs[..., 0] = 0.0
-    rhs[..., -1] = 0.0
+    rhs[first] = 0.0
+    rhs[last] = 0.0
 
     beta = coef
     beta *= dt
-    beta /= h**2
+    beta /= h_sq
     # rows 0 and n-1 of each member are identity rows that pin the boundary
     # values, so the diagonal is (1, 1 + 2 beta, 1), the sub-diagonal
     # (-beta, 0) and the super-diagonal (0, -beta): two overlapping views of
     # one array; a batch is the same two views of the flattened rows
-    diag = np.multiply(beta, 2.0)
-    diag += 1.0
-    diag[..., 0] = 1.0
-    diag[..., -1] = 1.0
+    diag = np.multiply(beta, _TWO)
+    diag += _ONE
+    diag[first] = 1.0
+    diag[last] = 1.0
     off = np.negative(beta, out=beta)
-    off[..., 0] = 0.0
-    off[..., -1] = 0.0
+    off[first] = 0.0
+    off[last] = 0.0
     # the cap also rejects an infinite increment when the guard is infinite
     limit = min(guard, _FLOAT_MAX)
     if s.ndim == 1:
@@ -404,7 +455,8 @@ def semi_implicit_step(
         new[0] = 0.0
         new[-1] = 0.0
         change = new - s
-        increment = np.abs(change, out=change).max()
+        # the maximum's ufunc itself, without ndarray.max's Python-level wrapper
+        increment = np.maximum.reduce(np.abs(change, out=change))
         if not increment <= limit:
             raise StepRejected(float(increment), guard)
         return new

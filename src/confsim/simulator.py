@@ -10,6 +10,12 @@ mollified S; the largest of each is the largest of its frames' own values.
 ``march`` advances simulations that share grid, schedule, material, body
 force and elasticity path in lockstep, as (B, n) arrays, each member
 bit-identical to its run alone; ``Simulation.run`` is its one-member case.
+Each ``march`` call builds once what every step would compute alike and
+hands it to the step's functions as keywords, to the same bits: the
+curvature row 2 c nu / x and the step's scalars as 0-d arrays
+(``step_constants``), the FD operator with its LU factors and lam/mu
+(``elastic_constants``), a lone member's kappa, and for a body force fixed
+in time (every family but ramp) its values and b/mu.
 A finished run carries its diagnostics report; ``write_run``/``load_run``
 persist it with the config echo and the saved frames in one numpy archive,
 ``fields.npz``.  A snapshot is a numpy archive of the step, the mollifier
@@ -29,9 +35,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import diagnostics, elasticity
-from .grid_field import FLOAT_SLOT, FieldFileError, ScalarField, Trajectory, d1
-from .order_parameter import MollifierState, StepRejected, driving_force, mollify, semi_implicit_step, window_length
-from .elasticity import GreenKernel, fd_residual, solve_elasticity
+from .grid_field import FLOAT_SLOT, FieldFileError, ScalarField, Trajectory, d1, scalar_array
+from .order_parameter import (
+    MollifierState, StepRejected, driving_force, mollify, semi_implicit_step, step_constants, window_length,
+)
+from .elasticity import GreenKernel, elastic_constants, fd_residual, solve_elasticity
 # BodyForce is not used here by name: bench/tracer.py reaches it as simulator.BodyForce.
 from .config import (
     BodyForce, ConfigInvalid, ParseError, SimulationConfig, ValidationError, config_digest, config_echo,
@@ -231,22 +239,30 @@ def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
         for sim, row in zip(fresh, _rows(u)):
             sim.u = row
 
-    # what the members share, looked up once
+    # what the members share, looked up once, and what every step would compute alike, built once
     grid, material, reg, body = cfg.grid, cfg.material, cfg.reg, cfg.body
-    h, x, save_every, step_time = grid.h, grid.x, cfg.save_every, cfg.step_time
+    h, x, save_every, step_time, guard = grid.h, grid.x, cfg.save_every, cfg.step_time, reg.increment_guard
+    constants = step_constants(x, h, material)
+    elastic = elastic_constants(grid, material)
+    two_h = constants.two_h
+    # a body force fixed in time is evaluated once, and b/mu with it
+    b = b_mu = None
+    if body.time_independent:
+        b = body.evaluate(lead.time, grid)
+        b_mu = np.divide(b, material.mu)
     stop = cfg.n_steps if until_step is None else min(until_step, cfg.n_steps)
     step, time = lead.step_index, lead.time
     s = _stack([sim.s for sim in active])
     u = _stack([sim.u for sim in active])
     # a lone member steps with its own reg.kappa, a batch with a column of them
     lone = s.ndim == 1
-    kappa = reg.kappa if lone else np.array([[sim.config.reg.kappa] for sim in active])
+    kappa = scalar_array(reg.kappa) if lone else np.array([[sim.config.reg.kappa] for sim in active])
     while step < stop:
-        s_x = d1(s, h)
-        force = driving_force(u, d1(u, h), s, s_x, x, material)
+        s_x = d1(s, h, two_h=two_h)
+        force = driving_force(u, d1(u, h, two_h=two_h), s, s_x, x, material, constants=constants)
         t_next = step_time(step + 1)
         try:
-            s = semi_implicit_step(s, force, h, material, t_next - time, kappa, reg.increment_guard, s_x)
+            s = semi_implicit_step(s, force, h, material, t_next - time, kappa, guard, s_x, constants=constants)
         except StepRejected as exc:
             rejected = np.ones(1, dtype=bool) if exc.rejected is None else exc.rejected
             for sim, row, stopped in zip(active, _rows(u), rejected):
@@ -271,7 +287,9 @@ def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
                 sim.step_index, sim.time, sim.s = step, time, row
                 sim.mollifier.push(row, time)
             s_moll = _stack([mollify(sim.mollifier, time) for sim in active])
-        u, rhs = solve_elasticity(s_moll, body.evaluate(time, grid), grid, material)
+        if b_mu is None:
+            b = body.evaluate(time, grid)
+        u, rhs = solve_elasticity(s_moll, b, grid, material, b_mu=b_mu, constants=elastic)
         if step % save_every == 0 or step == stop:
             _record_frames(active, u, rhs, s_moll)
     for sim, row in zip(active, _rows(u)):

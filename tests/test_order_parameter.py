@@ -250,6 +250,20 @@ class TestMollifierRingBuffer:
         with pytest.raises(ValueError, match="at most 5 frames"):
             state.push(bump(), 6 * dt)
 
+    @pytest.mark.parametrize("max_frames, rows", [(5, 5), (36, 36), (37, 74), (90, 74), (None, 74)])
+    def test_only_a_ring_that_can_wrap_is_mirrored(self, max_frames, rows):
+        # a ring of fewer rows than the 37-step window raises before it wraps, so it holds each frame once
+        dt = 1e-3
+        state = MollifierState(kappa_m=37 * dt, dt=dt, max_frames=max_frames)
+        ref = DequeMollifier(state.weights)
+        rng = np.random.default_rng(rows)
+        for k in range(min(max_frames or 90, 90)):
+            values = rng.normal(size=GRID.n)
+            state.push(values, k * dt)
+            ref.push(values)
+            assert np.array_equal(state.frames, np.stack(ref.frames))
+        assert state._buf.shape == (rows, GRID.n)
+
     @pytest.mark.parametrize("pushes", [3, 7, 20])
     def test_restore_continues_bit_for_bit(self, pushes):
         dt = 1e-3
@@ -340,12 +354,13 @@ class TestMollifierMemory:
     def test_estimate_of_the_probe_exceeds_the_ceiling(self):
         # a one-step run on a window of 2.5e8 steps: its weights alone are 2 GB
         m = window_length(0.25, 1e-9)
-        assert m == 250_000_000 and mollifier_floats(m, 2, 65) == 3 * m + 4 * 65 > MAX_MOLLIFIER_FLOATS
+        assert m == 250_000_000 and mollifier_floats(m, 2, 65) == 3 * m + 2 * 65 > MAX_MOLLIFIER_FLOATS
 
     def test_estimate_once_the_window_fills(self):
-        # the block weights, L*m floats, a block's zero-padded window and its products
+        # the block weights, L*m floats, a block's zero-padded window and its products; and the
+        # ring mirrored, since it can wrap, where one that cannot is held once
         m, n = 100, 129
-        assert mollifier_floats(m, m - 1, n) == 3 * m + 2 * (m - 1) * n
+        assert mollifier_floats(m, m - 1, n) == 3 * m + (m - 1) * n
         assert mollifier_floats(m, m, n) == 3 * m + 2 * m * n + BLOCK * m + (m + BLOCK) * n
 
     @pytest.mark.parametrize(

@@ -525,6 +525,50 @@ class TestLockstep:
             march([Simulation(make_config()), ahead])
 
 
+BODY_FAMILIES = {
+    "zero": BodyForce(),
+    "constant": BodyForce(family="constant", amplitude=0.3),
+    "poly": BodyForce(family="poly", coeffs=(0.1, 0.2, -0.3)),
+    "ramp": BodyForce(family="ramp", amplitude=0.2, rate=5.0),
+}
+
+
+class TestPerRunConstants:
+    """``march`` builds the FD operator and a time-independent body force once per call, not once per step."""
+
+    @staticmethod
+    def count_calls(monkeypatch, owner, name):
+        calls = []
+        plain = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return plain(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("family", sorted(BODY_FAMILIES))
+    def test_calls_per_march(self, monkeypatch, members, family):
+        configs = [make_config(t_end=4e-3, kappa=k, body=BODY_FAMILIES[family]) for k in (0.25, 0.5, 0.125)[:members]]
+        assert configs[0].n_steps == 20
+        sims = [Simulation(cfg) for cfg in configs]
+        operators = self.count_calls(monkeypatch, elasticity, "_fd_operator")
+        bodies = self.count_calls(monkeypatch, BodyForce, "evaluate")
+        march(sims, until_step=12)
+        march(sims)
+        assert all(sim.step_index == 20 for sim in sims)
+        # each call: the operator for the t = 0 solve of a fresh member and for its steps
+        assert len(operators) <= 2 * 2
+        if family == "ramp":
+            # the t = 0 solve and one per step
+            assert len(bodies) == 1 + 20
+        else:
+            # the t = 0 solve and once per call
+            assert len(bodies) == 1 + 2
+
+
 class TestGuard:
     def test_rejected_step_reported_with_partial_frames(self):
         cfg = make_config(increment_guard=1e-12)

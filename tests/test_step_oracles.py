@@ -2,12 +2,15 @@
 
 ``d1``, ``driving_force``, ``semi_implicit_step`` and ``solve_fd`` do their
 arithmetic in place on arrays they allocate, and ``solve_fd`` solves with
-the LU factors cached with the FD operator.  The expressions and the two
-``dgtsv`` solves they were written as are kept here as references, and the
-functions must equal them bit for bit, signed zeros included: on drawn
-states, on a batch with a non-finite row, and along whole runs.  The
-functions must leave their inputs unwritten, and a run's recorded frames
-must own their memory.
+the LU factors cached with the FD operator.  ``march`` hands them, and
+``elastic_rhs``, what it builds once per run: the step's constants, the FD
+operator and a body force's b/mu.  The expressions and the two ``dgtsv``
+solves they were written as are kept here as references, which accept
+those keywords and ignore them, computing every constant from their plain
+arguments; the functions must equal them bit for bit, signed zeros
+included: on drawn states, on a batch with a non-finite row, and along
+whole runs under each body-force family's path.  The functions must leave
+their inputs unwritten, and a run's recorded frames must own their memory.
 """
 
 import sys
@@ -19,17 +22,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confsim import elasticity, simulator
-from confsim.config import InitialData
-from confsim.elasticity import solve_fd
+from confsim.config import BodyForce, InitialData
+from confsim.elasticity import _fd_operator, solve_fd
 from confsim.grid_field import Grid, d1, tridiag_solve
 from confsim.material import MaterialParams
-from confsim.order_parameter import StepRejected, driving_force, semi_implicit_step
+from confsim.order_parameter import StepRejected, driving_force, semi_implicit_step, step_constants
 from confsim.simulator import Simulation, march
 
 from conftest import make_config
 
 
-def reference_d1(v, h):
+def reference_d1(v, h, **ignored):
     out = np.empty_like(v)
     vt, ot = v.T, out.T
     ot[1:-1] = (vt[2:] - vt[:-2]) / (2.0 * h)
@@ -38,7 +41,7 @@ def reference_d1(v, h):
     return out
 
 
-def reference_driving_force(u, u_x, s, s_x, x, params):
+def reference_driving_force(u, u_x, s, s_x, x, params, **ignored):
     well_prime = 2.0 * params.well_weight * s * (1.0 - s) * (1.0 - 2.0 * s)
     f1 = params.c * (-params.lam * (u_x + 2.0 * u / x) + params.e * s + well_prime)
     return f1 - (2.0 * params.c * params.nu / x) * s_x
@@ -51,7 +54,7 @@ def _reference_pin_ends(solution, s):
     return new, np.abs(new - s).max(axis=-1)
 
 
-def reference_semi_implicit_step(s, force, h, material, dt, kappa, guard, s_x=None):
+def reference_semi_implicit_step(s, force, h, material, dt, kappa, guard, s_x=None, **ignored):
     if s_x is None:
         s_x = reference_d1(s, h)
     mod = np.hypot(s_x, kappa)
@@ -82,7 +85,7 @@ def reference_semi_implicit_step(s, force, h, material, dt, kappa, guard, s_x=No
     return new
 
 
-def reference_solve_fd(rhs, grid):
+def reference_solve_fd(rhs, grid, **ignored):
     """Two gtsv solves, the second the refinement step, on bands assembled per call."""
     n, h, xi = grid.n, grid.h, grid.x[1:-1]
     diag = np.ones(n)
@@ -99,6 +102,10 @@ def reference_solve_fd(rhs, grid):
     u[..., 0] = 0.0
     u[..., -1] = 0.0
     return u
+
+
+def reference_elastic_rhs(s_x, b, params, **ignored):
+    return (params.lam / params.mu) * s_x + b / params.mu
 
 
 def same_bits(a, b):
@@ -153,17 +160,20 @@ def step_states(draw):
 
 class TestAgainstExpressions:
     @settings(max_examples=60, deadline=None)
-    @given(state=step_states())
-    def test_d1(self, state):
+    @given(state=step_states(), pass_two_h=st.booleans())
+    def test_d1(self, state, pass_two_h):
         grid, s, *_ = state
-        assert same_bits(d1(s, grid.h), reference_d1(s, grid.h))
+        got = d1(s, grid.h, two_h=step_constants(grid.x, grid.h, make_config().material).two_h) if pass_two_h \
+            else d1(s, grid.h)
+        assert same_bits(got, reference_d1(s, grid.h))
 
     @settings(max_examples=60, deadline=None)
-    @given(state=step_states())
-    def test_driving_force(self, state):
+    @given(state=step_states(), pass_constants=st.booleans())
+    def test_driving_force(self, state, pass_constants):
         grid, s, u, _, material, *_ = state
         s_x, u_x = d1(s, grid.h), d1(u, grid.h)
-        got = driving_force(u, u_x, s, s_x, grid.x, material)
+        constants = step_constants(grid.x, grid.h, material) if pass_constants else None
+        got = driving_force(u, u_x, s, s_x, grid.x, material, constants=constants)
         assert same_bits(got, reference_driving_force(u, u_x, s, s_x, grid.x, material))
 
     def test_driving_force_of_a_batch_of_one_under_a_lone_displacement(self):
@@ -178,19 +188,25 @@ class TestAgainstExpressions:
         assert same_bits(got, reference_driving_force(*args))
 
     @settings(max_examples=80, deadline=None)
-    @given(state=step_states(), pass_s_x=st.booleans())
-    def test_semi_implicit_step(self, state, pass_s_x):
+    @given(state=step_states(), pass_s_x=st.booleans(), pass_constants=st.booleans())
+    def test_semi_implicit_step(self, state, pass_s_x, pass_constants):
         grid, s, _, force, material, step = state
         s_x = d1(s, grid.h) if pass_s_x else None
         args = (s, force, grid.h, material, *step)
-        got = step_outcome(semi_implicit_step, *args, s_x=s_x)
-        assert_same_outcome(got, step_outcome(reference_semi_implicit_step, *args, s_x=s_x))
+        want = step_outcome(reference_semi_implicit_step, *args, s_x=s_x)
+        if pass_constants:
+            # as march passes them: the run's constants, and a lone row's kappa as a 0-d array
+            dt, kappa, guard = step
+            args = (s, force, grid.h, material, dt, np.array(kappa), guard)
+        constants = step_constants(grid.x, grid.h, material) if pass_constants else None
+        assert_same_outcome(step_outcome(semi_implicit_step, *args, s_x=s_x, constants=constants), want)
 
     @settings(max_examples=40, deadline=None)
-    @given(state=step_states())
-    def test_solve_fd(self, state):
+    @given(state=step_states(), pass_operator=st.booleans())
+    def test_solve_fd(self, state, pass_operator):
         grid, s, u, *_ = state
-        assert same_bits(solve_fd(u, grid), reference_solve_fd(u, grid))
+        got = solve_fd(u, grid, operator=_fd_operator(grid)) if pass_operator else solve_fd(u, grid)
+        assert same_bits(got, reference_solve_fd(u, grid))
 
     @pytest.mark.parametrize("where", ["force", "s"])
     def test_batch_with_a_non_finite_row(self, where):
@@ -217,6 +233,7 @@ def run_on_reference_functions(monkeypatch, march_them):
             (simulator, "driving_force", reference_driving_force),
             (simulator, "semi_implicit_step", reference_semi_implicit_step),
             (elasticity, "d1", reference_d1),
+            (elasticity, "elastic_rhs", reference_elastic_rhs),
             (elasticity, "solve_fd", reference_solve_fd),
         ):
             patch.setattr(module, name, reference)
@@ -233,24 +250,48 @@ def assert_same_runs(got, want):
         assert a.path_discrepancy_max == b.path_discrepancy_max
 
 
+# a body force fixed in time, whose b/mu march computes once, and one it evaluates every step
+BODIES = {
+    "zero": BodyForce(),
+    "constant": BodyForce(family="constant", amplitude=-0.3),
+    "ramp": BodyForce(family="ramp", amplitude=0.2, rate=-40.0),
+}
+
+
 class TestRunsAgainstExpressions:
     """Whole runs, so that the functions meet every state a run reaches."""
 
     @pytest.mark.parametrize("n, path", [(129, "direct"), (33, "both-verify"), (2049, "direct")])
     def test_lone_run(self, monkeypatch, n, path):
         cfg = make_config(n=n, t_end=2e-3 if n == 2049 else 8e-3, kappa_m=1e-3, path=path)
-        got = [simulator.run(cfg)]
-        assert_same_runs(got, run_on_reference_functions(monkeypatch, lambda: [simulator.run(cfg)]))
+        assert_same_lone_runs(monkeypatch, cfg)
+
+    @pytest.mark.parametrize("body, path", [("constant", "direct"), ("ramp", "both-verify")])
+    def test_lone_run_under_body_force(self, monkeypatch, body, path):
+        assert_same_lone_runs(monkeypatch, make_config(n=129, t_end=8e-3, kappa_m=1e-3, path=path, body=BODIES[body]))
 
     def test_lockstep_batch(self, monkeypatch):
-        configs = [make_config(n=65, t_end=8e-3, kappa=k, kappa_m=1e-3) for k in (0.5, 0.0625, 0.25)]
+        assert_same_batches(monkeypatch, BODIES["zero"])
 
-        def march_them():
-            sims = [Simulation(cfg) for cfg in configs]
-            march(sims)
-            return [sim.run() for sim in sims]
+    @pytest.mark.parametrize("body", ["constant", "ramp"])
+    def test_lockstep_batch_under_body_force(self, monkeypatch, body):
+        assert_same_batches(monkeypatch, BODIES[body])
 
-        assert_same_runs(march_them(), run_on_reference_functions(monkeypatch, march_them))
+
+def assert_same_lone_runs(monkeypatch, cfg):
+    got = [simulator.run(cfg)]
+    assert_same_runs(got, run_on_reference_functions(monkeypatch, lambda: [simulator.run(cfg)]))
+
+
+def assert_same_batches(monkeypatch, body):
+    configs = [make_config(n=65, t_end=8e-3, kappa=k, kappa_m=1e-3, body=body) for k in (0.5, 0.0625, 0.25)]
+
+    def march_them():
+        sims = [Simulation(cfg) for cfg in configs]
+        march(sims)
+        return [sim.run() for sim in sims]
+
+    assert_same_runs(march_them(), run_on_reference_functions(monkeypatch, march_them))
 
 
 def read_only(*arrays):
@@ -299,6 +340,7 @@ class TestNoAliasing:
         assert len(frames) == 3 * 2 * 16
         for i, frame in enumerate(frames):
             assert not any(np.shares_memory(frame, other) for other in frames[i + 1:])
-            # the whole ring buffer, both of its mirrored halves
+            # the whole ring buffer, both halves of its mirror: a window of 5 steps in a run of 16
+            # frames can wrap
             assert not any(np.shares_memory(frame, sim.mollifier._buf) for sim in [lone, *batch])
 
