@@ -12,7 +12,9 @@ from .material import (
     free_energy,
     scalar_coefficients,
 )
-from .elasticity import GreenKernel, elastic_rhs, homogeneous_solutions, solve_fd, solve_green
+from .elasticity import (
+    GreenKernel, elastic_constants, elastic_rhs, fd_operator, homogeneous_solutions, solve_fd, solve_green,
+)
 from .order_parameter import (
     MollifierState,
     RegularizationParams,
@@ -22,6 +24,7 @@ from .order_parameter import (
     semi_implicit_step,
     smoothed_abs,
     smoothed_abs_primitive,
+    step_constants,
 )
 from .reduction3d import RadialLift, lift_fields, residual_elasticity_3d, residual_order_3d
 from .config import (

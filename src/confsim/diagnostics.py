@@ -33,8 +33,8 @@ from .grid_field import (
     Grid, ScalarField, Trajectory, csv_text, d1, d2, norm_l2, norm_lp_time_lq_space, space_norms, trapezoid,
 )
 from .material import MaterialParams
-from .order_parameter import driving_force, smoothed_abs, smoothed_abs_primitive
-from .elasticity import GreenKernel, elastic_rhs, solve_fd, solve_green
+from .order_parameter import driving_force, smoothed_abs, smoothed_abs_primitive, step_constants
+from .elasticity import GreenKernel, elastic_constants, elastic_rhs, solve_fd, solve_green
 from .config import SimulationConfig
 
 
@@ -330,7 +330,7 @@ def weak_residual_series(
 
     # driving_force(...) * np.abs(s_x), in place; each (K, n) integrand is
     # released once paired
-    kinetic = driving_force(u, d1(u, h), s, s_x, x, material)
+    kinetic = driving_force(u, d1(u, h), s, s_x, step_constants(x, h, material))
     kinetic *= np.abs(s_x)
     pair_force = time * (kinetic @ space)
     del kinetic
@@ -369,9 +369,11 @@ def _cross_check_series(traj: Trajectory, config: SimulationConfig, s: np.ndarra
     stacked S frames and ``s_x`` d1 of them.
     """
     grid = traj.grid
+    material = config.material
+    elastic = elastic_constants(grid, material)
     b = config.body.evaluate(traj.times[:, None], grid)
-    u_fd = solve_fd(elastic_rhs(s_x, b, config.material), grid)
-    u_green = solve_green(GreenKernel(grid.a, grid.d), ScalarField(grid, s), b, config.material)
+    u_fd = solve_fd(elastic_rhs(s_x, np.divide(b, material.mu), elastic.lam_mu), elastic.operator)
+    u_green = solve_green(GreenKernel(grid.a, grid.d), ScalarField(grid, s), b, material)
     # np.abs(u_fd - u_green), in place
     gap = np.subtract(u_fd, u_green, out=u_fd)
     return np.max(np.abs(gap, out=gap), axis=-1)

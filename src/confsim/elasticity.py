@@ -22,17 +22,17 @@ n x n matrix, and both solve a (K, n) stack of frames in one call, each frame
 bit for bit as alone.  ``solve_elasticity``, the simulator's per-step solve,
 is the FD solve of the displacement equation.  ``fd_residual``, of one frame
 or a stack, and the FD solve's refinement step apply the one cached operator
-of ``_fd_operator``, and both of the FD solve's solves use its LU factors,
-cached with it.  A caller that solves on one grid step after step builds
-the operator, lam/mu and 2h once (``elastic_constants``) and passes them
-to ``solve_elasticity``.
+of ``fd_operator``, and both of the FD solve's solves use its LU factors,
+cached with it.  ``solve_fd`` takes that operator, ``elastic_rhs`` takes
+b/mu and lam/mu, and ``solve_elasticity`` takes b/mu and the grid's
+constants built once (``elastic_constants``): each is the one way in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,23 +127,19 @@ def homogeneous_solutions(a: float, d: float):
     return kernel.u1, kernel.u2
 
 
-def elastic_rhs(
-    s_x: np.ndarray, b: np.ndarray, params: MaterialParams, *,
-    b_mu: Optional[np.ndarray] = None, lam_mu: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def elastic_rhs(s_x: np.ndarray, b_mu: np.ndarray, lam_mu) -> np.ndarray:
     """(lam/mu) * s_x + b/mu, the right-hand side of the displacement equation.
 
-    ``b`` is one row of nodal values or has the shape of ``s_x``.  A caller
-    that holds b/mu may pass it as ``b_mu``, and b is then not read; one
-    that solves many times may pass lam/mu as a 0-d array, ``lam_mu``.
+    ``b_mu`` is b/mu, one row of nodal values or in the shape of ``s_x``, and
+    ``lam_mu`` is lam/mu, a float or a 0-d array.
     """
-    rhs = np.multiply(s_x, params.lam / params.mu if lam_mu is None else lam_mu)
-    rhs += np.divide(b, params.mu) if b_mu is None else b_mu
+    rhs = np.multiply(s_x, lam_mu)
+    rhs += b_mu
     return rhs
 
 
 @lru_cache(maxsize=8)
-def _fd_operator(grid: Grid):
+def fd_operator(grid: Grid):
     """Sub-, main and super-diagonals of the FD operator and its LU factors, built once per grid.
 
     Rows 0 and n-1 pin the boundary values; rows 1..n-2 carry the stencil.
@@ -166,7 +162,7 @@ def _fd_operator(grid: Grid):
 
 
 def _fd_apply(u: np.ndarray, operator) -> np.ndarray:
-    """The FD operator of ``_fd_operator`` applied to u along its last axis."""
+    """The FD operator of ``fd_operator`` applied to u along its last axis."""
     lower, diag, upper, _ = operator
     out = diag * u
     term = upper * u[..., 1:]
@@ -178,17 +174,14 @@ def _fd_apply(u: np.ndarray, operator) -> np.ndarray:
     return out
 
 
-def solve_fd(rhs: np.ndarray, grid: Grid, *, operator: Optional[tuple] = None) -> np.ndarray:
+def solve_fd(rhs: np.ndarray, operator: tuple) -> np.ndarray:
     """Tridiagonal solve of u'' + (2/x) u' - (2/x^2) u = rhs, u = 0 at both ends.
 
-    ``rhs`` may be a (B, n) stack: its rows go to LAPACK as B right-hand
-    sides of one solve, and each row's u equals its own solve bit for bit.
-    Both solves, the first and the refinement step, use the operator's
-    cached factors.  A caller that solves many times on one grid may pass
-    the ``operator``, ``_fd_operator(grid)``, which is then not looked up.
+    ``operator`` is the grid's ``fd_operator``.  ``rhs`` may be a (B, n)
+    stack: its rows go to LAPACK as B right-hand sides of one solve, and each
+    row's u equals its own solve bit for bit.  Both solves, the first and the
+    refinement step, use the operator's cached factors.
     """
-    if operator is None:
-        operator = _fd_operator(grid)
     factors = operator[3]
     # u starts as rhs with the boundary data 0 at the end nodes; the
     # transposes put the node axis first, and hand LAPACK a stack's rows as
@@ -217,7 +210,7 @@ def fd_residual(u: np.ndarray, rhs: np.ndarray, grid: Grid) -> float | np.ndarra
     ``u`` and ``rhs`` may be (K, n) stacks of frames: the result is then the
     (K,) array of the frames' residuals, each the bits of its frame alone.
     """
-    r = _fd_apply(u, _fd_operator(grid))[..., 1:-1]
+    r = _fd_apply(u, fd_operator(grid))[..., 1:-1]
     r -= rhs[..., 1:-1]
     residuals = np.abs(r, out=r).max(axis=-1)
     return float(residuals) if residuals.ndim == 0 else residuals
@@ -323,35 +316,34 @@ def solve_green(
 class ElasticConstants(NamedTuple):
     """What every FD solve of a run on one grid uses, built once by ``elastic_constants``.
 
-    The FD operator and its LU factors (``_fd_operator``), and lam/mu and
-    the grid's 2h as float64 0-d arrays (``scalar_array``).  Passed to
-    ``solve_elasticity`` as ``constants``, they give its own bits.
+    The FD operator and its LU factors (``fd_operator``), lam/mu and the
+    grid's 2h as float64 0-d arrays (``scalar_array``), and its spacing h.
     """
 
     operator: tuple
     lam_mu: np.ndarray
     two_h: np.ndarray
+    h: float
 
 
 def elastic_constants(grid: Grid, params: MaterialParams) -> ElasticConstants:
     """The ``ElasticConstants`` of ``grid`` and ``params``."""
-    return ElasticConstants(_fd_operator(grid), scalar_array(params.lam / params.mu), scalar_array(2.0 * grid.h))
+    return ElasticConstants(
+        fd_operator(grid), scalar_array(params.lam / params.mu), scalar_array(2.0 * grid.h), grid.h
+    )
 
 
 def solve_elasticity(
-    s_moll: np.ndarray, b: np.ndarray, grid: Grid, params: MaterialParams, *,
-    b_mu: Optional[np.ndarray] = None, constants: Optional[ElasticConstants] = None,
+    s_moll: np.ndarray, b_mu: np.ndarray, constants: ElasticConstants
 ) -> tuple[np.ndarray, np.ndarray]:
     """The displacement u by the FD solve, and the right-hand side it solved.
 
-    ``s_moll`` may be a (B, n) stack of members under the one body force
-    ``b``; u is then (B, n), solved in one call.  The result is
-    ``(u, rhs)``: rhs is the ``elastic_rhs`` the FD solve was given, for a
-    caller that checks u's FD residual.  A caller that solves many times
-    may pass b/mu as ``b_mu`` (see ``elastic_rhs``) and the
-    ``elastic_constants`` of grid and params.
+    ``b_mu`` is the body force over mu (see ``elastic_rhs``) and
+    ``constants`` the ``elastic_constants`` of the grid and material.
+    ``s_moll`` may be a (B, n) stack of members under one body force; u is
+    then (B, n), solved in one call.  The result is ``(u, rhs)``: rhs is the
+    ``elastic_rhs`` the FD solve was given, for a caller that checks u's FD
+    residual.
     """
-    if constants is None:
-        constants = elastic_constants(grid, params)
-    rhs = elastic_rhs(d1(s_moll, grid.h, two_h=constants.two_h), b, params, b_mu=b_mu, lam_mu=constants.lam_mu)
-    return solve_fd(rhs, grid, operator=constants.operator), rhs
+    rhs = elastic_rhs(d1(s_moll, constants.h, two_h=constants.two_h), b_mu, constants.lam_mu)
+    return solve_fd(rhs, constants.operator), rhs

@@ -10,7 +10,8 @@ buffer; once the window is full it works in blocks of min(``BLOCK``, m)
 steps, one matrix-matrix product per block in place of one window-long
 matrix-vector product per step (``MollifierState``, ``mollify``).  What
 the driving force and the step compute alike at every step of a run, the
-curvature row and their scalars, a caller builds once (``step_constants``).
+nodes, the curvature row and their scalars, is built once per run
+(``step_constants``) and is the one way those kernels take it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid_field import d1, scalar_array, tridiag_solve
+from .grid_field import scalar_array, tridiag_solve
 from .material import MaterialParams
 
 
@@ -300,12 +301,12 @@ def mollify(state: MollifierState, t: float) -> np.ndarray:
 class StepConstants(NamedTuple):
     """What every step of a run computes to the same value, built once by ``step_constants``.
 
-    The curvature row 2*c*nu/x of ``driving_force``, and the scalars of
-    ``d1``, ``driving_force`` and ``semi_implicit_step`` as float64 0-d
-    arrays (``scalar_array``).  Passed as ``constants``, they give the
-    kernels' own bits.
+    The nodes x, the curvature row 2*c*nu/x of ``driving_force``, and the
+    scalars of ``d1``, ``driving_force`` and ``semi_implicit_step`` as
+    float64 0-d arrays (``scalar_array``).
     """
 
+    x: np.ndarray
     curvature: np.ndarray
     two_h: np.ndarray
     h_sq: np.ndarray
@@ -321,53 +322,39 @@ def step_constants(x: np.ndarray, h: float, params: MaterialParams) -> StepConst
     curvature = np.divide(2.0 * params.c * params.nu, x)
     curvature.flags.writeable = False
     scalars = (2.0 * h, h**2, params.c, params.c * params.nu, params.e, -params.lam, 2.0 * params.well_weight)
-    return StepConstants(curvature, *map(scalar_array, scalars))
+    return StepConstants(x, curvature, *map(scalar_array, scalars))
 
 
 def driving_force(
-    u: np.ndarray,
-    u_x: np.ndarray,
-    s: np.ndarray,
-    s_x: np.ndarray,
-    x: np.ndarray,
-    params: MaterialParams,
-    *,
-    constants: Optional[StepConstants] = None,
+    u: np.ndarray, u_x: np.ndarray, s: np.ndarray, s_x: np.ndarray, constants: StepConstants
 ) -> np.ndarray:
     """Configurational driving force acting on the order parameter.
 
     Pointwise c*(-lam*(u_x + 2u/x) + e*s + well'(s)) minus the curvature-like
     correction 2*c*nu/x * s_x; bounded because the grid keeps x >= a > 0.
-    The fields may be single frames or (frames, nodes) stacks over the nodes x.
-    A caller that steps many times may pass the ``step_constants`` of x and
-    ``params``.
+    The fields may be single frames or (frames, nodes) stacks over the nodes
+    x of the ``step_constants``.
     """
-    if constants is None:
-        curvature = np.divide(2.0 * params.c * params.nu, x)
-        two_well_weight, minus_lam, e, c = 2.0 * params.well_weight, -params.lam, params.e, params.c
-    else:
-        curvature, two_well_weight = constants.curvature, constants.two_well_weight
-        minus_lam, e, c = constants.minus_lam, constants.e, constants.c
     # In place, with the operations and grouping of
     #   well_prime = 2.0 * W * s * (1.0 - s) * (1.0 - 2.0 * s)   (material.double_well's derivative)
     #   f1 = c * (-lam * (u_x + 2.0 * u / x) + e * s + well_prime)
     #   f1 - (2.0 * c * nu / x) * s_x
-    well_prime = np.multiply(s, two_well_weight)
+    well_prime = np.multiply(s, constants.two_well_weight)
     term = np.subtract(_ONE, s)
     well_prime *= term
     np.multiply(s, _TWO, out=term)
     np.subtract(_ONE, term, out=term)
     well_prime *= term
     elastic = np.multiply(u, _TWO)
-    elastic /= x
+    elastic /= constants.x
     elastic += u_x
-    elastic *= minus_lam
-    np.multiply(s, e, out=term)
+    elastic *= constants.minus_lam
+    np.multiply(s, constants.e, out=term)
     # u and s may differ in a leading axis of length one, so this sum takes their broadcast shape
     f1 = elastic + term
     f1 += well_prime
-    f1 *= c
-    np.multiply(curvature, s_x, out=term)
+    f1 *= constants.c
+    np.multiply(constants.curvature, s_x, out=term)
     f1 -= term
     return f1
 
@@ -382,16 +369,7 @@ def _pin_ends(solution: np.ndarray, s: np.ndarray):
 
 
 def semi_implicit_step(
-    s: np.ndarray,
-    force: np.ndarray,
-    h: float,
-    material: MaterialParams,
-    dt: float,
-    kappa,
-    guard: float,
-    s_x: Optional[np.ndarray] = None,
-    *,
-    constants: Optional[StepConstants] = None,
+    s: np.ndarray, force: np.ndarray, dt: float, kappa, guard: float, s_x: np.ndarray, constants: StepConstants
 ) -> np.ndarray:
     """One frozen-coefficient step of the regularized evolution equation.
 
@@ -399,9 +377,9 @@ def semi_implicit_step(
     (bounded below by c*nu*kappa, so the system is never singular), diffusion
     is advanced by backward Euler, the reaction -force*(|s_x|_kappa - kappa)
     explicitly.  Boundary values are pinned to exactly zero.  ``s_x`` is
-    d1(s, h), passed by a caller that has already computed it, as may be the
-    ``step_constants`` of h and ``material``, and ``kappa`` as a 0-d array.
-    A step whose largest increment exceeds ``guard`` raises ``StepRejected``.
+    d1(s, h), ``constants`` the ``step_constants`` of the run, and ``kappa``
+    a float or a 0-d array.  A step whose largest increment exceeds ``guard``
+    raises ``StepRejected``.
 
     ``s`` may also be a (B, n) batch of members that share everything but
     ``kappa``, then a (B, 1) column.  Their B systems are solved as one of
@@ -410,9 +388,6 @@ def semi_implicit_step(
     bit for bit.  Across those rows 0 * inf is nan, so when a row's solution
     is not finite each row is solved again on its own.
     """
-    if s_x is None:
-        s_x = d1(s, h, two_h=None if constants is None else constants.two_h)
-    c_nu, h_sq = (material.c * material.nu, h**2) if constants is None else (constants.c_nu, constants.h_sq)
     # the end nodes of a lone row by plain index, which costs less than an ellipsis
     first, last = (0, -1) if s.ndim == 1 else ((..., 0), (..., -1))
     # In place, with the operations and grouping of
@@ -423,7 +398,7 @@ def semi_implicit_step(
     # symmetric in sign, so s - dt * (force * y) is s + dt * (-force * y) bit
     # for bit.  Every node is computed and the end nodes are then overwritten.
     mod = np.hypot(s_x, kappa)
-    coef = np.multiply(mod, c_nu)
+    coef = np.multiply(mod, constants.c_nu)
     reaction = mod  # dt * force * (mod - kappa), in mod's array
     reaction -= kappa
     reaction *= force
@@ -434,7 +409,7 @@ def semi_implicit_step(
 
     beta = coef
     beta *= dt
-    beta /= h_sq
+    beta /= constants.h_sq
     # rows 0 and n-1 of each member are identity rows that pin the boundary
     # values, so the diagonal is (1, 1 + 2 beta, 1), the sub-diagonal
     # (-beta, 0) and the super-diagonal (0, -beta): two overlapping views of

@@ -10,12 +10,13 @@ mollified S; the largest of each is the largest of its frames' own values.
 ``march`` advances simulations that share grid, schedule, material, body
 force and elasticity path in lockstep, as (B, n) arrays, each member
 bit-identical to its run alone; ``Simulation.run`` is its one-member case.
-Each ``march`` call builds once what every step would compute alike and
-hands it to the step's functions as keywords, to the same bits: the
-curvature row 2 c nu / x and the step's scalars as 0-d arrays
-(``step_constants``), the FD operator with its LU factors and lam/mu
-(``elastic_constants``), a lone member's kappa, and for a body force fixed
-in time (every family but ramp) its values and b/mu.
+Each ``march`` call builds once what every step would compute alike, and
+the step's functions take it as their one input of constants: the nodes,
+the curvature row 2 c nu / x and the step's scalars as 0-d arrays
+(``step_constants``), and the FD operator with its LU factors, lam/mu and
+h (``elastic_constants``); it builds a lone member's kappa once too, and
+for a body force fixed in time (every family but ramp) its b/mu, which
+it divides afresh at every step for a ramp.
 A finished run carries its diagnostics report; ``write_run``/``load_run``
 persist it with the config echo and the saved frames in one numpy archive,
 ``fields.npz``.  A snapshot is a numpy archive of the step, the mollifier
@@ -194,11 +195,16 @@ def _rows(batch: np.ndarray):
     return (batch,) if batch.ndim == 1 else batch
 
 
-def _solve_for_u(sims: list[Simulation], t: float):
-    """Displacements of the members at time t: (u, rhs, s_moll), batched by ``_stack``."""
-    cfg = sims[0].config
+def _body_over_mu(config: SimulationConfig, t: float) -> np.ndarray:
+    """b/mu at time t, the body force as ``solve_elasticity`` takes it."""
+    return np.divide(config.body.evaluate(t, config.grid), config.material.mu)
+
+
+def _solve_for_u(sims: list[Simulation], t: float, elastic):
+    """Displacements of the members at time t on the run's ``elastic_constants``: (u, rhs, s_moll), batched by
+    ``_stack``."""
     s_moll = _stack([mollify(sim.mollifier, t) for sim in sims])
-    u, rhs = solve_elasticity(s_moll, cfg.body.evaluate(t, cfg.grid), cfg.grid, cfg.material)
+    u, rhs = solve_elasticity(s_moll, _body_over_mu(sims[0].config, t), elastic)
     return u, rhs, s_moll
 
 
@@ -232,24 +238,22 @@ def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
     if any(_lockstep_key(sim.config) != key or sim.step_index != lead.step_index for sim in active):
         raise ValueError("simulations marched together must share all config but kappa, kappa_m and "
                          "initial data, and stand at the same step")
+    # what the members share, looked up once, and what every step would compute alike, built once
+    grid, material, reg = cfg.grid, cfg.material, cfg.reg
+    h, save_every, step_time, guard = grid.h, cfg.save_every, cfg.step_time, reg.increment_guard
+    constants = step_constants(grid.x, h, material)
+    elastic = elastic_constants(grid, material)
+    two_h = constants.two_h
     fresh = [sim for sim in active if sim.u is None]
     if fresh:
-        u, rhs, s_moll = _solve_for_u(fresh, lead.time)
+        u, rhs, s_moll = _solve_for_u(fresh, lead.time, elastic)
         _record_frames(fresh, u, rhs, s_moll)
         for sim, row in zip(fresh, _rows(u)):
             sim.u = row
-
-    # what the members share, looked up once, and what every step would compute alike, built once
-    grid, material, reg, body = cfg.grid, cfg.material, cfg.reg, cfg.body
-    h, x, save_every, step_time, guard = grid.h, grid.x, cfg.save_every, cfg.step_time, reg.increment_guard
-    constants = step_constants(x, h, material)
-    elastic = elastic_constants(grid, material)
-    two_h = constants.two_h
-    # a body force fixed in time is evaluated once, and b/mu with it
-    b = b_mu = None
-    if body.time_independent:
-        b = body.evaluate(lead.time, grid)
-        b_mu = np.divide(b, material.mu)
+    # b/mu of a body force fixed in time is divided once, a ramp's at every step
+    fixed = cfg.body.time_independent
+    if fixed:
+        b_mu = _body_over_mu(cfg, lead.time)
     stop = cfg.n_steps if until_step is None else min(until_step, cfg.n_steps)
     step, time = lead.step_index, lead.time
     s = _stack([sim.s for sim in active])
@@ -259,10 +263,10 @@ def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
     kappa = scalar_array(reg.kappa) if lone else np.array([[sim.config.reg.kappa] for sim in active])
     while step < stop:
         s_x = d1(s, h, two_h=two_h)
-        force = driving_force(u, d1(u, h, two_h=two_h), s, s_x, x, material, constants=constants)
+        force = driving_force(u, d1(u, h, two_h=two_h), s, s_x, constants)
         t_next = step_time(step + 1)
         try:
-            s = semi_implicit_step(s, force, h, material, t_next - time, kappa, guard, s_x, constants=constants)
+            s = semi_implicit_step(s, force, t_next - time, kappa, guard, s_x, constants)
         except StepRejected as exc:
             rejected = np.ones(1, dtype=bool) if exc.rejected is None else exc.rejected
             for sim, row, stopped in zip(active, _rows(u), rejected):
@@ -287,9 +291,9 @@ def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
                 sim.step_index, sim.time, sim.s = step, time, row
                 sim.mollifier.push(row, time)
             s_moll = _stack([mollify(sim.mollifier, time) for sim in active])
-        if b_mu is None:
-            b = body.evaluate(time, grid)
-        u, rhs = solve_elasticity(s_moll, b, grid, material, b_mu=b_mu, constants=elastic)
+        if not fixed:
+            b_mu = _body_over_mu(cfg, time)
+        u, rhs = solve_elasticity(s_moll, b_mu, elastic)
         if step % save_every == 0 or step == stop:
             _record_frames(active, u, rhs, s_moll)
     for sim, row in zip(active, _rows(u)):

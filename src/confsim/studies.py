@@ -13,10 +13,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid_field import Grid, Trajectory, csv_text, norm_lp_time_lq_space
+from .grid_field import Grid, Trajectory, csv_text, d1, norm_lp_time_lq_space
 from .material import MaterialParams
-from .order_parameter import semi_implicit_step
-from .elasticity import solve_fd
+from .order_parameter import semi_implicit_step, step_constants
+from .elasticity import fd_operator, solve_fd
 from .config import SimulationConfig, StudyConfig
 from .diagnostics import NonFiniteReport, energy_monitor, flux_field, weak_residual
 from .simulator import RunResult, Simulation, Termination, march
@@ -196,7 +196,7 @@ def elasticity_errors(a: float, d: float, grid_sizes: Sequence[int], quadratic: 
     errors = []
     for n in grid_sizes:
         grid = Grid(a, d, n)
-        u = solve_fd(g_star(grid.x), grid)
+        u = solve_fd(g_star(grid.x), fd_operator(grid))
         errors.append(float(np.max(np.abs(u - u_star(grid.x)))))
     return errors
 
@@ -227,12 +227,13 @@ def _explicit_reference(
 
 
 def _implicit_forcefree(
-    s0: np.ndarray, h: float, material: MaterialParams, kappa: float, t_end: float, dt: float
+    s0: np.ndarray, grid: Grid, material: MaterialParams, kappa: float, t_end: float, dt: float
 ) -> np.ndarray:
+    constants = step_constants(grid.x, grid.h, material)
     zero = np.zeros_like(s0)
     s = s0
     for _ in range(int(round(t_end / dt))):
-        s = semi_implicit_step(s, zero, h, material, dt, kappa, 1e9)
+        s = semi_implicit_step(s, zero, dt, kappa, 1e9, d1(s, grid.h, two_h=constants.two_h), constants)
     return s
 
 
@@ -282,7 +283,7 @@ def mms_convergence(
     ref_fine = _explicit_reference(s0, grid.h, material, kappa, t_end, dt_ref / 2.0)
     ref = 2.0 * ref_fine - ref_coarse
     dt_errors = [
-        float(np.max(np.abs(_implicit_forcefree(s0, grid.h, material, kappa, t_end, dt) - ref)))
+        float(np.max(np.abs(_implicit_forcefree(s0, grid, material, kappa, t_end, dt) - ref)))
         for dt in dts
     ]
     dt_slope = fit_slope(dts, dt_errors)
@@ -299,7 +300,7 @@ def mms_convergence(
         s = 0.5 * np.sin(math.pi * (g.x - a) / (d - a))
         s[0] = s[-1] = 0.0
         dt = 1.0e-3 / 4.0**level
-        return _implicit_forcefree(s, g.h, material, kappa, t_end_h, dt), g.h
+        return _implicit_forcefree(s, g, material, kappa, t_end_h, dt), g.h
 
     fine, _ = run_level(ref_level)
     h_errors = []

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from confsim.grid_field import Grid, ScalarField, d1
 from confsim.material import MaterialParams
 from confsim.order_parameter import smoothed_abs_primitive
-from confsim.elasticity import GreenKernel, elastic_rhs, solve_fd, solve_green
+from confsim.elasticity import GreenKernel, elastic_rhs, fd_operator, solve_fd, solve_green
 from confsim.diagnostics import build_report, energy_monitor
 from confsim.config import BodyForce, StudyConfig
 from confsim.simulator import Simulation, load_run, load_snapshot, run, save_snapshot, write_run
@@ -87,7 +87,7 @@ def test_criterion_02_elasticity_cross_oracle():
         cb = rng.uniform(-1, 1, 3)
         s = sum(c * np.sin((m + 1) * math.pi * xi) for m, c in enumerate(cs))
         b = sum(c * xi**m for m, c in enumerate(cb))
-        u_fd = solve_fd(elastic_rhs(d1(s, grid.h), b, mat), grid)
+        u_fd = solve_fd(elastic_rhs(d1(s, grid.h), b / mat.mu, mat.lam / mat.mu), fd_operator(grid))
         u_gr = solve_green(kernel, ScalarField(grid, s), b, mat)
         worst = max(worst, float(np.max(np.abs(u_fd - u_gr))))
 

@@ -19,6 +19,7 @@ from confsim.order_parameter import (
     driving_force,
     semi_implicit_step,
     smoothed_abs,
+    step_constants,
 )
 from confsim.config import BodyForce, StudyConfig, parse_config_text
 from confsim.diagnostics import (
@@ -68,9 +69,10 @@ def diffusion_trajectory(amp=0.7, steps=20, dt=2e-4, kappa=0.25):
     v = amp * np.sin(math.pi * xi)
     v[0] = v[-1] = 0.0
     zero = np.zeros(GRID.n)
+    constants = step_constants(GRID.x, GRID.h, MAT)
     frames = [v]
     for _ in range(steps):
-        frames.append(semi_implicit_step(frames[-1], zero, GRID.h, MAT, dt, kappa, 1.0))
+        frames.append(semi_implicit_step(frames[-1], zero, dt, kappa, 1.0, d1(frames[-1], GRID.h), constants))
     times = np.arange(steps + 1) * dt
     z = ScalarField(GRID, zero)
     return Trajectory(
@@ -314,7 +316,7 @@ def frame_integrands(traj, material, k):
     h, x = traj.grid.h, traj.grid.x
     s, u = traj.s_frames[k].values, traj.u_frames[k].values
     s_x = d1(s, h)
-    return s, flux_field(s, h), driving_force(u, d1(u, h), s, s_x, x, material) * np.abs(s_x)
+    return s, flux_field(s, h), driving_force(u, d1(u, h), s, s_x, step_constants(x, h, material)) * np.abs(s_x)
 
 
 def frame_loop_weak_residual_series(traj, material, test_functions):

@@ -9,9 +9,10 @@ from confsim.material import MaterialParams
 from confsim.elasticity import (
     GreenKernel,
     OutOfDomain,
-    _fd_operator,
     _green_weights,
+    elastic_constants,
     elastic_rhs,
+    fd_operator,
     fd_residual,
     homogeneous_solutions,
     solve_elasticity,
@@ -122,14 +123,13 @@ class TestElasticRhs:
     def test_zero_fields(self):
         grid = Grid(A, D, 17)
         z = np.zeros(grid.n)
-        assert np.all(elastic_rhs(z, z, params()) == 0.0)
+        assert np.all(elastic_rhs(z, z, elastic_constants(grid, params()).lam_mu) == 0.0)
 
     def test_lambda_zero_reduces_to_body_term(self):
         grid = Grid(A, D, 17)
         rng = np.random.default_rng(5)
         s_x, b = rng.normal(size=(2, grid.n))
-        p = params(mu=2.0, lam=0.0)
-        out = elastic_rhs(s_x, b, p)
+        out = elastic_rhs(s_x, b / 2.0, elastic_constants(grid, params(mu=2.0, lam=0.0)).lam_mu)
         assert np.array_equal(out, b / 2.0)
 
     def test_matches_pointwise_formula(self):
@@ -137,7 +137,7 @@ class TestElasticRhs:
         rng = np.random.default_rng(6)
         s_x, b = rng.normal(size=(2, grid.n))
         p = params()
-        out = elastic_rhs(s_x, b, p)
+        out = elastic_rhs(s_x, b / p.mu, elastic_constants(grid, p).lam_mu)
         expected = (p.lam / p.mu) * s_x + b / p.mu
         assert np.max(np.abs(out - expected)) < 1e-15
 
@@ -145,7 +145,7 @@ class TestElasticRhs:
 class TestDirectSolve:
     def test_zero_rhs_gives_zero(self):
         grid = Grid(A, D, 65)
-        u = solve_fd(np.zeros(grid.n), grid)
+        u = solve_fd(np.zeros(grid.n), fd_operator(grid))
         assert np.all(u == 0.0)
 
     def test_quadratic_is_reproduced_exactly(self):
@@ -155,7 +155,7 @@ class TestDirectSolve:
         u_star = (grid.x - A) * (D - grid.x)
         up = (A + D) - 2.0 * grid.x
         g = -2.0 + 2.0 * up / grid.x - 2.0 * u_star / grid.x**2
-        u = solve_fd(g, grid)
+        u = solve_fd(g, fd_operator(grid))
         assert np.max(np.abs(u - u_star)) < 1e-11
 
     def test_sine_convergence_rate(self):
@@ -163,7 +163,7 @@ class TestDirectSolve:
         for n in (65, 129, 257):
             grid = Grid(A, D, n)
             u_star, g = sine_case(grid)
-            u = solve_fd(g, grid)
+            u = solve_fd(g, fd_operator(grid))
             errs.append(np.max(np.abs(u - u_star)))
             hs.append(grid.h)
         rate = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -174,20 +174,20 @@ class TestDirectSolve:
         rng = np.random.default_rng(7)
         g1, g2 = rng.normal(size=(2, grid.n))
         alpha, beta = 1.7, -0.6
-        lhs = solve_fd(alpha * g1 + beta * g2, grid)
-        rhs = alpha * solve_fd(g1, grid) + beta * solve_fd(g2, grid)
+        lhs = solve_fd(alpha * g1 + beta * g2, fd_operator(grid))
+        rhs = alpha * solve_fd(g1, fd_operator(grid)) + beta * solve_fd(g2, fd_operator(grid))
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_discrete_residual(self):
         grid = Grid(A, D, 129)
         rng = np.random.default_rng(8)
         g = rng.normal(size=grid.n)
-        u = solve_fd(g, grid)
+        u = solve_fd(g, fd_operator(grid))
         assert fd_residual(u, g, grid) < 1e-12
 
     def test_operator_built_once_per_grid(self):
-        operator = _fd_operator(Grid(A, D, 65))
-        assert operator is _fd_operator(Grid(A, D, 65))
+        operator = fd_operator(Grid(A, D, 65))
+        assert operator is fd_operator(Grid(A, D, 65))
         lower, diag, upper, factors = operator
         assert len(factors) == 5  # gttrf's dl, d, du, du2 and ipiv
         assert not any(array.flags.writeable for array in (lower, diag, upper, *factors))
@@ -210,23 +210,23 @@ class TestDirectSolve:
         au[1:] += lower * u[:-1]
         u -= tridiag_solve(lower, diag, upper, au - vec)
         u[0] = u[-1] = 0.0
-        assert np.array_equal(solve_fd(g, grid), u)
+        assert np.array_equal(solve_fd(g, fd_operator(grid)), u)
 
     @pytest.mark.parametrize("n", [4, 129, 2049])
     def test_stack_matches_rows_bit_for_bit(self, n):
         grid = Grid(A, D, n)
         g = np.random.default_rng(n + 1).normal(size=(5, n))
-        u = solve_fd(g, grid)
+        u = solve_fd(g, fd_operator(grid))
         assert u.shape == (5, n)
         for k in range(5):
-            assert np.array_equal(u[k], solve_fd(g[k], grid))
+            assert np.array_equal(u[k], solve_fd(g[k], fd_operator(grid)))
 
     def test_discrete_energy_identity(self):
         # sum (x^2 u_x^2 + 2 u^2) h = -sum x^2 g u h up to O(h^2)
         def mismatch(n):
             grid = Grid(A, D, n)
             _, g = sine_case(grid)
-            u = solve_fd(g, grid)
+            u = solve_fd(g, fd_operator(grid))
             u_x = d1(u, grid.h)
             lhs = trapezoid(grid.x**2 * u_x**2 + 2.0 * u**2, dx=grid.h)
             rhs = -trapezoid(grid.x**2 * g * u, dx=grid.h)
@@ -255,7 +255,7 @@ class TestGreenSolve:
             coeff_b = rng.uniform(-1, 1, 3)
             s = sum(c * np.sin((m + 1) * math.pi * xi) for m, c in enumerate(coeff_s))
             b = sum(c * xi**m for m, c in enumerate(coeff_b))
-            u_direct = solve_fd(elastic_rhs(d1(s, grid.h), b, p), grid)
+            u_direct = solve_fd(elastic_rhs(d1(s, grid.h), b / p.mu, p.lam / p.mu), fd_operator(grid))
             u_green = solve_green(kernel, ScalarField(grid, s), b, p)
             assert np.max(np.abs(u_direct - u_green)) < tol
 
@@ -368,10 +368,11 @@ class TestSolveElasticity:
         grid = Grid(A, D, 65)
         rng = np.random.default_rng(21)
         s = rng.normal(size=(3, grid.n))
-        b = rng.normal(size=grid.n)
-        u, rhs = solve_elasticity(s, b, grid, params())
+        b_mu = rng.normal(size=grid.n)
+        constants = elastic_constants(grid, params())
+        u, rhs = solve_elasticity(s, b_mu, constants)
         assert u.shape == rhs.shape == (3, grid.n)
         for k in range(3):
-            u_k, rhs_k = solve_elasticity(s[k], b, grid, params())
+            u_k, rhs_k = solve_elasticity(s[k], b_mu, constants)
             assert np.array_equal(u[k], u_k)
             assert np.array_equal(rhs[k], rhs_k)

@@ -25,6 +25,7 @@ from confsim.order_parameter import (
     semi_implicit_step,
     smoothed_abs,
     smoothed_abs_primitive,
+    step_constants,
     window_length,
 )
 
@@ -37,6 +38,15 @@ def material(**kw):
     base = dict(c=1.0, nu=0.1, mu=2.0, lam=0.2, e=0.06, well_weight=1.0)
     base.update(kw)
     return MaterialParams(**base)
+
+
+def constants(mat):
+    return step_constants(GRID.x, GRID.h, mat)
+
+
+def take_step(s, force, mat, dt, kappa, guard, s_x=None):
+    """``semi_implicit_step`` on GRID, with s_x = d1(s) unless it is given."""
+    return semi_implicit_step(s, force, dt, kappa, guard, d1(s, GRID.h) if s_x is None else s_x, constants(mat))
 
 
 def bump(grid=GRID, amp=0.5):
@@ -389,7 +399,7 @@ class TestMollifierMemory:
 class TestDrivingForce:
     def test_rest_state(self):
         z = np.zeros(GRID.n)
-        out = driving_force(z, z, z, z, GRID.x, material())
+        out = driving_force(z, z, z, z, constants(material()))
         assert np.all(out == 0.0)
 
     def test_half_state_reduces_to_misfit_term(self):
@@ -397,14 +407,14 @@ class TestDrivingForce:
         # nu must stay positive; kill the gradient correction via s_x = 0
         z = np.zeros(GRID.n)
         half = np.full(GRID.n, 0.5)
-        out = driving_force(z, z, half, z, GRID.x, mat)
+        out = driving_force(z, z, half, z, constants(mat))
         assert np.max(np.abs(out - mat.c * mat.e * 0.5)) < 1e-14
 
     def test_matches_pointwise_formula(self):
         rng = np.random.default_rng(12)
         mat = material()
         u, u_x, s, s_x = rng.normal(size=(4, GRID.n))
-        out = driving_force(u, u_x, s, s_x, GRID.x, mat)
+        out = driving_force(u, u_x, s, s_x, constants(mat))
         well_prime = 2.0 * mat.well_weight * s * (1 - s) * (1 - 2 * s)
         expected = mat.c * (-mat.lam * (u_x + 2 * u / GRID.x) + mat.e * s + well_prime)
         expected -= (2 * mat.c * mat.nu / GRID.x) * s_x
@@ -417,30 +427,30 @@ class TestDrivingForce:
         _, well_prime = double_well(s, mat.well_weight)
         expected = mat.c * (-mat.lam * (u_x + 2.0 * u / GRID.x) + mat.e * s + well_prime)
         expected = expected - (2.0 * mat.c * mat.nu / GRID.x) * s_x
-        assert np.array_equal(driving_force(u, u_x, s, s_x, GRID.x, mat), expected)
+        assert np.array_equal(driving_force(u, u_x, s, s_x, constants(mat)), expected)
 
     def test_stack_matches_rows_bit_for_bit(self):
         rng = np.random.default_rng(14)
         mat = material()
         u, s = rng.normal(size=(2, 6, GRID.n))
-        out = driving_force(u, d1(u, GRID.h), s, d1(s, GRID.h), GRID.x, mat)
+        out = driving_force(u, d1(u, GRID.h), s, d1(s, GRID.h), constants(mat))
         assert out.shape == (6, GRID.n)
         for k in range(6):
-            row = driving_force(u[k], d1(u[k], GRID.h), s[k], d1(s[k], GRID.h), GRID.x, mat)
+            row = driving_force(u[k], d1(u[k], GRID.h), s[k], d1(s[k], GRID.h), constants(mat))
             assert np.array_equal(out[k], row)
 
 
 class TestSemiImplicitStep:
     def test_rest_state_is_fixed_point(self):
         z = np.zeros(GRID.n)
-        out = semi_implicit_step(z, z, GRID.h, material(), 1e-3, 0.25, 1.0)
+        out = take_step(z, z, material(), 1e-3, 0.25, 1.0)
         assert np.all(out == 0.0)
 
     def test_maximum_principle_with_zero_force(self):
         s = bump(amp=0.7)
         mat = material()
         zero = np.zeros(GRID.n)
-        out = semi_implicit_step(s, zero, GRID.h, mat, 5e-4, 0.25, 1.0)
+        out = take_step(s, zero, mat, 5e-4, 0.25, 1.0)
         assert np.max(np.abs(out)) <= np.max(np.abs(s)) + 1e-12
         # oracle: many tiny explicit steps land near the implicit result
         oracle = s
@@ -455,7 +465,7 @@ class TestSemiImplicitStep:
         force = np.cos(2 * GRID.x)
         diffs = []
         for dt in (1e-6, 5e-7):
-            implicit = semi_implicit_step(s, force, GRID.h, mat, dt, 0.25, 1.0)
+            implicit = take_step(s, force, mat, dt, 0.25, 1.0)
             explicit = explicit_euler(s, force, mat, 0.25, dt)
             diffs.append(np.max(np.abs(implicit - explicit)))
         assert diffs[0] < 1e-8
@@ -465,7 +475,7 @@ class TestSemiImplicitStep:
         rng = np.random.default_rng(13)
         s = bump(amp=0.5)
         force = rng.normal(size=GRID.n)
-        out = semi_implicit_step(s, force, GRID.h, material(), 1e-4, 0.1, 1.0)
+        out = take_step(s, force, material(), 1e-4, 0.1, 1.0)
         assert out[0] == 0.0
         assert out[-1] == 0.0
 
@@ -473,14 +483,14 @@ class TestSemiImplicitStep:
         s = bump(amp=0.9)
         mat = material()
         for dt in (1e-3, 1e-1, 10.0):
-            out = semi_implicit_step(s, np.zeros(GRID.n), GRID.h, mat, dt, 0.25, 1e9)
+            out = take_step(s, np.zeros(GRID.n), mat, dt, 0.25, 1e9)
             assert np.max(np.abs(out)) <= np.max(np.abs(s)) + 1e-12
 
     def test_guard_trips(self):
         s = bump(amp=0.9)
         force = np.full(GRID.n, -50.0)
         with pytest.raises(StepRejected) as err:
-            semi_implicit_step(s, force, GRID.h, material(), 1.0, 0.25, 0.5)
+            take_step(s, force, material(), 1.0, 0.25, 0.5)
         assert err.value.increment > 0.5
 
     def test_batch_matches_rows_bit_for_bit(self):
@@ -489,9 +499,9 @@ class TestSemiImplicitStep:
         s = np.stack([bump(amp=a) for a in (0.9, 0.5, 0.2)])
         force = rng.normal(size=s.shape)
         s_x = d1(s, GRID.h)
-        out = semi_implicit_step(s, force, GRID.h, material(), 1e-4, kappas, 1.0, s_x)
+        out = take_step(s, force, material(), 1e-4, kappas, 1.0, s_x)
         for k, kappa in enumerate(kappas[:, 0]):
-            row = semi_implicit_step(s[k], force[k], GRID.h, material(), 1e-4, kappa, 1.0)
+            row = take_step(s[k], force[k], material(), 1e-4, kappa, 1.0)
             assert np.array_equal(out[k], row)
 
     @pytest.mark.parametrize("where", ["force", "s"])
@@ -503,10 +513,10 @@ class TestSemiImplicitStep:
         mat = material()
         with np.errstate(all="ignore"):
             with pytest.raises(StepRejected) as alone:
-                semi_implicit_step(s[0], force[0], GRID.h, mat, 1e-4, 0.25, 1.0)
-            row1 = semi_implicit_step(s[1], force[1], GRID.h, mat, 1e-4, 0.125, 1.0)
+                take_step(s[0], force[0], mat, 1e-4, 0.25, 1.0)
+            row1 = take_step(s[1], force[1], mat, 1e-4, 0.125, 1.0)
             with pytest.raises(StepRejected) as batch:
-                semi_implicit_step(s, force, GRID.h, mat, 1e-4, np.array([[0.25], [0.125]]), 1.0)
+                take_step(s, force, mat, 1e-4, np.array([[0.25], [0.125]]), 1.0)
         assert batch.value.rejected.tolist() == [True, False]
         assert np.array_equal(batch.value.increment, alone.value.increment, equal_nan=True)
         assert np.array_equal(batch.value.new[1], row1)
@@ -516,10 +526,10 @@ class TestSemiImplicitStep:
         force = np.stack([np.full(GRID.n, -50.0), np.zeros(GRID.n)])
         step = (1.0, 0.25, 0.5)  # dt, kappa, guard
         with pytest.raises(StepRejected) as err:
-            semi_implicit_step(s, force, GRID.h, material(), *step)
+            take_step(s, force, material(), *step)
         assert err.value.rejected.tolist() == [True, False]
         assert err.value.increment > 0.5
-        assert np.array_equal(err.value.new[1], semi_implicit_step(s[1], force[1], GRID.h, material(), *step))
+        assert np.array_equal(err.value.new[1], take_step(s[1], force[1], material(), *step))
 
     def test_param_invariants(self):
         with pytest.raises(ValueError, match="kappa must lie in"):

@@ -31,7 +31,9 @@ from confsim.diagnostics import (
     flux_field,
     weak_residual_series,
 )
-from confsim.elasticity import GreenKernel, _green_weights, elastic_rhs, fd_residual, solve_fd, solve_green
+from confsim.elasticity import (
+    GreenKernel, _green_weights, elastic_rhs, fd_operator, fd_residual, solve_fd, solve_green,
+)
 from confsim.grid_field import Grid, ScalarField, Trajectory, d1
 from confsim.order_parameter import mollify
 from confsim.simulator import Simulation, march
@@ -77,7 +79,9 @@ def reference_cross_check_series(traj, config):
     grid = traj.grid
     kernel = GreenKernel(grid.a, grid.d)
     b = np.array([reference_body_evaluate(config.body, float(t), grid) for t in traj.times])
-    u_fd = solve_fd(elastic_rhs(d1(traj.s_matrix(), grid.h), b, config.material), grid)
+    material = config.material
+    rhs = elastic_rhs(d1(traj.s_matrix(), grid.h), b / material.mu, material.lam / material.mu)
+    u_fd = solve_fd(rhs, fd_operator(grid))
     out = np.zeros(len(traj.times))
     for k, s in enumerate(traj.s_frames):
         u_green = reference_solve_green(kernel, s, b[k], config.material)
@@ -307,8 +311,8 @@ class TestRecordedResidual:
         for step in range(configs[0].n_steps + 1):
             march(sims, until_step=step)
             for sim, found in zip(sims, residuals):
-                b = body.evaluate(sim.time, grid)
-                rhs = elastic_rhs(d1(mollify(sim.mollifier, sim.time), grid.h), b, material)
+                b_mu = body.evaluate(sim.time, grid) / material.mu
+                rhs = elastic_rhs(d1(mollify(sim.mollifier, sim.time), grid.h), b_mu, material.lam / material.mu)
                 found.append(fd_residual(sim.u, rhs, grid))
         for sim, found in zip(sims, residuals):
             result = sim.run()

@@ -2,15 +2,19 @@
 
 ``d1``, ``driving_force``, ``semi_implicit_step`` and ``solve_fd`` do their
 arithmetic in place on arrays they allocate, and ``solve_fd`` solves with
-the LU factors cached with the FD operator.  ``march`` hands them, and
-``elastic_rhs``, what it builds once per run: the step's constants, the FD
-operator and a body force's b/mu.  The expressions and the two ``dgtsv``
-solves they were written as are kept here as references, which accept
-those keywords and ignore them, computing every constant from their plain
-arguments; the functions must equal them bit for bit, signed zeros
-included: on drawn states, on a batch with a non-finite row, and along
-whole runs under each body-force family's path.  The functions must leave
-their inputs unwritten, and a run's recorded frames must own their memory.
+the LU factors cached with the FD operator.  They, ``elastic_rhs`` and
+``solve_elasticity`` take what ``march`` builds once per run: the step's
+constants (``step_constants``), the FD operator, lam/mu and h
+(``elastic_constants``, ``fd_operator``) and a body force's b/mu.  The
+expressions and the two ``dgtsv`` solves they were written as are kept here
+as references, and so are builders of those constants, which compute every
+field and the FD bands from the plain values as Python floats and plain
+rows.  The reference functions read only what the reference builders
+built.  The library's builders must equal the reference builders, and its
+functions the reference functions, bit for bit, signed zeros included: on
+drawn states, on a batch with a non-finite row, and along whole runs under
+each body-force family's path.  The functions must leave their inputs
+unwritten, and a run's recorded frames must own their memory.
 """
 
 import sys
@@ -23,13 +27,38 @@ from hypothesis import strategies as st
 
 from confsim import elasticity, simulator
 from confsim.config import BodyForce, InitialData
-from confsim.elasticity import _fd_operator, solve_fd
-from confsim.grid_field import Grid, d1, tridiag_solve
+from confsim.elasticity import (
+    ElasticConstants, elastic_constants, elastic_rhs, fd_operator, solve_elasticity, solve_fd,
+)
+from confsim.grid_field import Grid, d1, tridiag_factor, tridiag_solve
 from confsim.material import MaterialParams
-from confsim.order_parameter import StepRejected, driving_force, semi_implicit_step, step_constants
+from confsim.order_parameter import (
+    StepConstants, StepRejected, driving_force, semi_implicit_step, step_constants,
+)
 from confsim.simulator import Simulation, march
 
 from conftest import make_config
+
+
+def reference_step_constants(x, h, params):
+    return StepConstants(
+        x=x, curvature=2.0 * params.c * params.nu / x, two_h=2.0 * h, h_sq=h**2, c=params.c,
+        c_nu=params.c * params.nu, e=params.e, minus_lam=-params.lam, two_well_weight=2.0 * params.well_weight,
+    )
+
+
+def reference_fd_operator(grid):
+    """The FD bands assembled from the nodes, and gttrf's factors of them."""
+    n, h, xi = grid.n, grid.h, grid.x[1:-1]
+    diag = np.ones(n)
+    diag[1:-1] = -2.0 / h**2 - 2.0 / xi**2
+    lower = np.append(1.0 / h**2 - 1.0 / (xi * h), 0.0)
+    upper = np.append(0.0, 1.0 / h**2 + 1.0 / (xi * h))
+    return lower, diag, upper, tridiag_factor(lower, diag, upper)
+
+
+def reference_elastic_constants(grid, params):
+    return ElasticConstants(reference_fd_operator(grid), params.lam / params.mu, 2.0 * grid.h, grid.h)
 
 
 def reference_d1(v, h, **ignored):
@@ -41,10 +70,10 @@ def reference_d1(v, h, **ignored):
     return out
 
 
-def reference_driving_force(u, u_x, s, s_x, x, params, **ignored):
-    well_prime = 2.0 * params.well_weight * s * (1.0 - s) * (1.0 - 2.0 * s)
-    f1 = params.c * (-params.lam * (u_x + 2.0 * u / x) + params.e * s + well_prime)
-    return f1 - (2.0 * params.c * params.nu / x) * s_x
+def reference_driving_force(u, u_x, s, s_x, k):
+    well_prime = k.two_well_weight * s * (1.0 - s) * (1.0 - 2.0 * s)
+    f1 = k.c * (k.minus_lam * (u_x + 2.0 * u / k.x) + k.e * s + well_prime)
+    return f1 - k.curvature * s_x
 
 
 def _reference_pin_ends(solution, s):
@@ -54,17 +83,15 @@ def _reference_pin_ends(solution, s):
     return new, np.abs(new - s).max(axis=-1)
 
 
-def reference_semi_implicit_step(s, force, h, material, dt, kappa, guard, s_x=None, **ignored):
-    if s_x is None:
-        s_x = reference_d1(s, h)
+def reference_semi_implicit_step(s, force, dt, kappa, guard, s_x, k):
     mod = np.hypot(s_x, kappa)
-    coef = material.c * material.nu * mod
+    coef = k.c_nu * mod
     rhs = s.copy()
     reaction = -force * (mod - kappa)
     rhs[..., 1:-1] += dt * reaction[..., 1:-1]
     rhs[..., 0] = 0.0
     rhs[..., -1] = 0.0
-    beta = dt * coef[..., 1:-1] / h**2
+    beta = dt * coef[..., 1:-1] / k.h_sq
     diag = np.ones(s.shape)
     diag[..., 1:-1] += 2.0 * beta
     off = np.zeros(s.shape)
@@ -85,13 +112,9 @@ def reference_semi_implicit_step(s, force, h, material, dt, kappa, guard, s_x=No
     return new
 
 
-def reference_solve_fd(rhs, grid, **ignored):
-    """Two gtsv solves, the second the refinement step, on bands assembled per call."""
-    n, h, xi = grid.n, grid.h, grid.x[1:-1]
-    diag = np.ones(n)
-    diag[1:-1] = -2.0 / h**2 - 2.0 / xi**2
-    lower = np.append(1.0 / h**2 - 1.0 / (xi * h), 0.0)
-    upper = np.append(0.0, 1.0 / h**2 + 1.0 / (xi * h))
+def reference_solve_fd(rhs, operator):
+    """Two gtsv solves, the second the refinement step, on the operator's bands."""
+    lower, diag, upper, _ = operator
     vec = np.zeros(rhs.shape)
     vec[..., 1:-1] = rhs[..., 1:-1]
     u = tridiag_solve(lower, diag, upper, vec.T).T
@@ -104,8 +127,8 @@ def reference_solve_fd(rhs, grid, **ignored):
     return u
 
 
-def reference_elastic_rhs(s_x, b, params, **ignored):
-    return (params.lam / params.mu) * s_x + b / params.mu
+def reference_elastic_rhs(s_x, b_mu, lam_mu):
+    return lam_mu * s_x + b_mu
 
 
 def same_bits(a, b):
@@ -118,10 +141,10 @@ def same_bits(a, b):
     )
 
 
-def step_outcome(step, *args, **kwargs):
+def step_outcome(step, *args):
     """(accepted?, new, increment, rejected rows) of one step, rejected or not."""
     try:
-        return True, step(*args, **kwargs), None, None
+        return True, step(*args), None, None
     except StepRejected as exc:
         return False, exc.new, exc.increment, exc.rejected
 
@@ -131,6 +154,12 @@ def assert_same_outcome(got, want):
     for g, w in zip(got[1:3], want[1:3]):
         assert (g is None and w is None) or same_bits(g, w)
     assert (got[3] is None and want[3] is None) or np.array_equal(got[3], want[3])
+
+
+materials = st.builds(
+    MaterialParams, c=st.floats(0.1, 2.0), nu=st.floats(0.01, 1.0), mu=st.floats(0.1, 5.0),
+    lam=st.floats(-1.0, 1.0), e=st.floats(0.0, 0.5), well_weight=st.floats(0.01, 3.0),
+)
 
 
 @st.composite
@@ -148,17 +177,32 @@ def step_states(draw):
     s, u, force = amplitude * rng.uniform(-1.0, 1.0, size=(3, *shape))
     if draw(st.booleans()):
         s[..., 0] = s[..., -1] = 0.0  # a state the step produced
-    material = MaterialParams(
-        c=draw(st.floats(0.1, 2.0)), nu=draw(st.floats(0.01, 1.0)), mu=2.0,
-        lam=draw(st.floats(-1.0, 1.0)), e=draw(st.floats(0.0, 0.5)), well_weight=draw(st.floats(0.01, 3.0)),
-    )
     dt = draw(st.sampled_from([1e-5, 2e-4, 1e-2]))
     kappa = draw(st.floats(1e-3, 1.0)) if rows is None else rng.uniform(1e-3, 1.0, size=(rows, 1))
     guard = draw(st.sampled_from([1e-3, 1.0, np.inf]))
-    return grid, s, u, force, material, (dt, kappa, guard)
+    return grid, s, u, force, draw(materials), (dt, kappa, guard)
 
 
 class TestAgainstExpressions:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.floats(0.05, 2.0), length=st.floats(0.05, 3.0), n=st.integers(4, 2049), material=materials,
+    )
+    def test_builders(self, a, length, n, material):
+        grid = Grid(a, a + length, n)
+        pairs = (
+            (step_constants(grid.x, grid.h, material), reference_step_constants(grid.x, grid.h, material)),
+            (elastic_constants(grid, material), reference_elastic_constants(grid, material)),
+        )
+        for got, want in pairs:
+            assert got._fields == want._fields
+            for name, g, w in zip(got._fields, got, want):
+                if name == "operator":
+                    assert all(same_bits(*pair) for pair in zip(g[:3], w[:3], strict=True))
+                    assert all(same_bits(*pair) for pair in zip(g[3], w[3], strict=True))
+                else:
+                    assert same_bits(g, w), name
+
     @settings(max_examples=60, deadline=None)
     @given(state=step_states(), pass_two_h=st.booleans())
     def test_d1(self, state, pass_two_h):
@@ -168,13 +212,12 @@ class TestAgainstExpressions:
         assert same_bits(got, reference_d1(s, grid.h))
 
     @settings(max_examples=60, deadline=None)
-    @given(state=step_states(), pass_constants=st.booleans())
-    def test_driving_force(self, state, pass_constants):
+    @given(state=step_states())
+    def test_driving_force(self, state):
         grid, s, u, _, material, *_ = state
-        s_x, u_x = d1(s, grid.h), d1(u, grid.h)
-        constants = step_constants(grid.x, grid.h, material) if pass_constants else None
-        got = driving_force(u, u_x, s, s_x, grid.x, material, constants=constants)
-        assert same_bits(got, reference_driving_force(u, u_x, s, s_x, grid.x, material))
+        fields = (u, d1(u, grid.h), s, d1(s, grid.h))
+        got = driving_force(*fields, step_constants(grid.x, grid.h, material))
+        assert same_bits(got, reference_driving_force(*fields, reference_step_constants(grid.x, grid.h, material)))
 
     def test_driving_force_of_a_batch_of_one_under_a_lone_displacement(self):
         # a batch that rejected all members but one keeps S as (1, n) while u is (n,)
@@ -182,31 +225,24 @@ class TestAgainstExpressions:
         rng = np.random.default_rng(3)
         s, u = rng.uniform(-1.0, 1.0, size=(1, grid.n)), rng.uniform(-1.0, 1.0, size=grid.n)
         material = make_config().material
-        args = (u, d1(u, grid.h), s, d1(s, grid.h), grid.x, material)
-        got = driving_force(*args)
+        fields = (u, d1(u, grid.h), s, d1(s, grid.h))
+        got = driving_force(*fields, step_constants(grid.x, grid.h, material))
         assert got.shape == (1, grid.n)
-        assert same_bits(got, reference_driving_force(*args))
+        assert same_bits(got, reference_driving_force(*fields, reference_step_constants(grid.x, grid.h, material)))
 
     @settings(max_examples=80, deadline=None)
-    @given(state=step_states(), pass_s_x=st.booleans(), pass_constants=st.booleans())
-    def test_semi_implicit_step(self, state, pass_s_x, pass_constants):
+    @given(state=step_states())
+    def test_semi_implicit_step(self, state):
         grid, s, _, force, material, step = state
-        s_x = d1(s, grid.h) if pass_s_x else None
-        args = (s, force, grid.h, material, *step)
-        want = step_outcome(reference_semi_implicit_step, *args, s_x=s_x)
-        if pass_constants:
-            # as march passes them: the run's constants, and a lone row's kappa as a 0-d array
-            dt, kappa, guard = step
-            args = (s, force, grid.h, material, dt, np.array(kappa), guard)
-        constants = step_constants(grid.x, grid.h, material) if pass_constants else None
-        assert_same_outcome(step_outcome(semi_implicit_step, *args, s_x=s_x, constants=constants), want)
+        args = (s, force, *step, d1(s, grid.h))
+        want = step_outcome(reference_semi_implicit_step, *args, reference_step_constants(grid.x, grid.h, material))
+        assert_same_outcome(step_outcome(semi_implicit_step, *args, step_constants(grid.x, grid.h, material)), want)
 
     @settings(max_examples=40, deadline=None)
-    @given(state=step_states(), pass_operator=st.booleans())
-    def test_solve_fd(self, state, pass_operator):
+    @given(state=step_states())
+    def test_solve_fd(self, state):
         grid, s, u, *_ = state
-        got = solve_fd(u, grid, operator=_fd_operator(grid)) if pass_operator else solve_fd(u, grid)
-        assert same_bits(got, reference_solve_fd(u, grid))
+        assert same_bits(solve_fd(u, fd_operator(grid)), reference_solve_fd(u, reference_fd_operator(grid)))
 
     @pytest.mark.parametrize("where", ["force", "s"])
     def test_batch_with_a_non_finite_row(self, where):
@@ -217,18 +253,22 @@ class TestAgainstExpressions:
         force = np.random.default_rng(11).uniform(-0.5, 0.5, size=s.shape)
         {"force": force, "s": s}[where][0, 40] = np.inf
         kappa = np.array([[0.25], [0.125], [0.5]])
-        args = (s, force, grid.h, make_config().material, 1e-4, kappa, 1.0)
+        material = make_config().material
         with np.errstate(all="ignore"):
-            got = step_outcome(semi_implicit_step, *args)
-            want = step_outcome(reference_semi_implicit_step, *args)
+            args = (s, force, 1e-4, kappa, 1.0, d1(s, grid.h))
+            got = step_outcome(semi_implicit_step, *args, step_constants(grid.x, grid.h, material))
+            want = step_outcome(reference_semi_implicit_step, *args, reference_step_constants(grid.x, grid.h, material))
         assert not got[0] and got[3].tolist() == [True, False, False]
         assert_same_outcome(got, want)
 
 
 def run_on_reference_functions(monkeypatch, march_them):
-    """What ``march_them()`` returns when the step's functions are the reference expressions."""
+    """What ``march_them()`` returns when the step's functions and the builders of their constants are the
+    references."""
     with monkeypatch.context() as patch:
         for module, name, reference in (
+            (simulator, "step_constants", reference_step_constants),
+            (simulator, "elastic_constants", reference_elastic_constants),
             (simulator, "d1", reference_d1),
             (simulator, "driving_force", reference_driving_force),
             (simulator, "semi_implicit_step", reference_semi_implicit_step),
@@ -310,15 +350,18 @@ class TestNoAliasing:
         shape = (grid.n,) if rows is None else (rows, grid.n)
         s, u, force = read_only(*rng.uniform(-0.5, 0.5, size=(3, *shape)))
         s_x, u_x = read_only(d1(s, grid.h), d1(u, grid.h))
+        (b_mu,) = read_only(rng.uniform(-0.5, 0.5, size=grid.n))
         kappa = reg.kappa if rows is None else read_only(np.array([[0.5], [0.25], [0.125]]))[0]
-        inputs = [s, u, force, s_x, u_x, grid.x] + ([] if rows is None else [kappa])
-        step = (reg.dt, kappa, reg.increment_guard)
+        constants, elastic = step_constants(grid.x, grid.h, material), elastic_constants(grid, material)
+        inputs = [s, u, force, s_x, u_x, b_mu, *constants, *elastic.operator[:3], *elastic.operator[3]]
+        inputs += [] if rows is None else [kappa]
         outputs = [
             d1(s, grid.h),
-            driving_force(u, u_x, s, s_x, grid.x, material),
-            semi_implicit_step(s, force, grid.h, material, *step, s_x=s_x),
-            semi_implicit_step(s, force, grid.h, material, *step),
-            solve_fd(u, grid),
+            driving_force(u, u_x, s, s_x, constants),
+            semi_implicit_step(s, force, reg.dt, kappa, reg.increment_guard, s_x, constants),
+            elastic_rhs(s_x, b_mu, elastic.lam_mu),
+            solve_fd(u, elastic.operator),
+            *solve_elasticity(s, b_mu, elastic),
         ]
         for out in outputs:
             assert out.flags.writeable
