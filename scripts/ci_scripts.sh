@@ -76,6 +76,17 @@ if [ "$status" -ne 1 ] || [ "$(grep -c '^error: ' unholdable.err)" -ne 1 ] || [ 
   cat unholdable.err >&2
   exit 1
 fi
+# 1e8 nodes at the default run, whose 101 frames never fill the 1250-step window: the ring of
+# 101 rows is refused with exit 1 and one error line that names grid.n and run.t_end
+status=0
+timeout 60 env PYTHONPATH="$root/src" python3 -m confsim.cli run --out run-large-grid --set grid.n=100000000 \
+  2> large-grid.err || status=$?
+if [ "$status" -ne 1 ] || [ "$(grep -c '^error: .*grid\.n' large-grid.err)" -ne 1 ] \
+  || [ "$(grep -c 'run\.t_end' large-grid.err)" -ne 1 ] || [ "$(wc -l < large-grid.err)" -ne 1 ]; then
+  echo "run on grid.n=100000000 exited $status, expected 1 with one error line naming grid.n and run.t_end" >&2
+  cat large-grid.err >&2
+  exit 1
+fi
 # a 100-step mollifier window that fills at step 99 and stays full for 300 steps: the
 # full-window average in blocks of order_parameter.BLOCK steps, over several blocks
 PYTHONWARNINGS=error::RuntimeWarning confsim run --out run-full-window --set reg.kappa_m=0.02 --set run.t_end=0.08

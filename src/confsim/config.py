@@ -167,11 +167,26 @@ class SimulationConfig:
                 "raise reg.dt or lower run.t_end"
             )
         m = window_length(self.reg.kappa_m, self.reg.dt)
-        floats = mollifier_floats(m, self.n_steps + 1, self.grid.n)
+        frames = self.n_steps + 1
+        floats = mollifier_floats(m, frames, self.grid.n)
         if floats > MAX_MOLLIFIER_FLOATS:
+            # name the keys that can lower the estimate enough; reg.dt shortens both the window
+            # and the run.  A window that fills holds about 3mn floats.  One that cannot fill holds
+            # its weights, 3m, and a ring of one row per frame; lowering reg.kappa_m helps only if
+            # the ring alone fits, and run.t_end or grid.n only if the weights alone fit.
+            weights = mollifier_floats(m, frames, 0)
+            fills = frames >= m
+            lower = []
+            if fills or floats - weights <= MAX_MOLLIFIER_FLOATS:
+                lower.append("reg.kappa_m")
+            if weights <= MAX_MOLLIFIER_FLOATS:
+                lower += ["grid.n"] if fills else ["run.t_end", "grid.n"]
             raise ConfigInvalid(
                 f"mollifier window reg.kappa_m / reg.dt = {m} steps: up to {floats * 8 / 2**30:.3g} GiB exceeds "
-                f"the ceiling of {MAX_MOLLIFIER_FLOATS * 8 / 2**30:g} GiB; raise reg.dt or lower reg.kappa_m"
+                f"the ceiling of {MAX_MOLLIFIER_FLOATS * 8 / 2**30:g} GiB"
+                + ("" if fills else f" (the window does not fill in the run's {frames} frames)")
+                + "; raise reg.dt"
+                + (" or lower " + " or ".join(lower) if lower else "")
             )
 
     @cached_property

@@ -1,20 +1,21 @@
 """Runtime monitors: bound quantities, weak-form residuals, report assembly.
 
-Every monitor is a pure function of (trajectory, parameters): recomputing a
-report from persisted frames reproduces diagnostics.csv bit-exactly.  The
-monitors track the quantities that stay bounded uniformly in the gradient
-regularization: the gradient energy, the accumulated degenerate dissipation,
-the time-derivative and flux-gradient norms, and the integral identity
-residual against a fixed basket of separable space-time test functions
-a(t) b(x).  Each one applies the grid-on-last-axis stencils and norms to all
-frames together, on (frames, nodes) arrays.  ``build_report`` stacks S and u
-and takes S_x = d1(S) and the smoothed modulus of S_x once per report and
-hands them to the monitors; a monitor called alone stacks what it needs
-itself.  The weak residual pairs all frames with all test functions in three
-(frames, nodes) @ (nodes, functions) products, and the elasticity
-cross-check solves every frame in one FD call and one Green call.  Running
-(cumulative) series are one pass over per-frame values, so every monitor
-costs O(frames x nodes).
+Every monitor is a pure function of the stacked frames and parameters:
+recomputing a report from persisted frames reproduces diagnostics.csv
+bit-exactly.  The monitors track the quantities that stay bounded uniformly
+in the gradient regularization: the gradient energy, the accumulated
+degenerate dissipation, the time-derivative and flux-gradient norms, and
+the integral identity residual against five separable space-time sine modes
+a(t) b_m(x).  Each one applies the grid-on-last-axis stencils and norms to
+all frames together, on the (frames, nodes) arrays it takes as arguments.
+Two entry points take a trajectory and stack its frames once:
+``build_report`` stacks S and u and takes S_x = d1(S) and the smoothed
+modulus of S_x and hands them to every monitor, and ``weak_residual``
+stacks what the weak residual reads.  The weak residual pairs all frames
+with all modes in three (frames, nodes) @ (nodes, modes) products, and the
+elasticity cross-check solves every frame in one FD call and one Green
+call.  Running (cumulative) series are one pass over per-frame values, so
+every monitor costs O(frames x nodes).
 The monitors do their arithmetic in place, with the operations and grouping
 of the plain expressions written beside them, so that a report of many
 frames allocates few (frames, nodes) arrays and its bits are the
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -38,49 +38,12 @@ from .elasticity import GreenKernel, elastic_constants, elastic_rhs, solve_fd, s
 from .config import SimulationConfig
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """Separable space-time test function phi(t, x) = time(t) * space(x).
-
-    ``time`` and ``time_t`` (its derivative) take an array of times and
-    ``space`` and ``space_x`` (its derivative) an array of nodes; each returns
-    its values at those points, or a constant that stands for all of them.
-    phi should vanish at x = a, d and at the last time the identity is read.
-    """
-
-    time: Callable
-    time_t: Callable
-    space: Callable
-    space_x: Callable
-    label: str
-
-
-def default_test_functions(grid: Grid, t_end: float, count: int = 5) -> list[TestFunction]:
-    """(1 - t/t_end) sin(m pi (x - a)/(d - a)) for m = 1 .. count."""
-    fns = []
-    length = grid.d - grid.a
-
-    def time(t):
-        return 1.0 - t / t_end
-
-    def time_t(t):
-        return -1.0 / t_end
-
-    for m in range(1, count + 1):
-        km = m * math.pi / length
-
-        def space(x, km=km, a=grid.a):
-            return np.sin(km * (x - a))
-
-        def space_x(x, km=km, a=grid.a):
-            return km * np.cos(km * (x - a))
-
-        fns.append(TestFunction(time, time_t, space, space_x, f"mode{m}"))
-    return fns
-
-
 class NonFiniteReport(ValueError):
     """A monitor series holds inf or nan: the run overflowed."""
+
+
+# The weak residual's test functions: the sine modes m = 1 .. MODES (``weak_residual_series``).
+MODES = 5
 
 
 # The columns of diagnostics.csv in file order, (csv name, report attribute); the
@@ -109,7 +72,7 @@ class DiagnosticsReport:
     sx_l83_linf: np.ndarray
     flux_grad_l43: np.ndarray
     primitive_w14_l43: np.ndarray
-    weak_residuals: np.ndarray  # (n_frames, n_test_functions)
+    weak_residuals: np.ndarray  # (n_frames, MODES)
     cross_check: np.ndarray
 
     def validate(self):
@@ -181,42 +144,14 @@ def _cumulative_time_trapz(times: np.ndarray, series: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class EnergySeries:
-    times: np.ndarray
-    grad_norm_sq: np.ndarray
-    dissipation: np.ndarray
-
-    @property
-    def sup_grad(self) -> float:
-        return float(np.max(self.grad_norm_sq))
-
-    @property
-    def total_dissipation(self) -> float:
-        return float(self.dissipation[-1])
-
-
 def energy_monitor(
-    traj: Trajectory,
-    kappa: float,
-    *,
-    s: Optional[np.ndarray] = None,
-    s_x: Optional[np.ndarray] = None,
-    modulus: Optional[np.ndarray] = None,
-) -> EnergySeries:
-    """Gradient energy and accumulated degenerate dissipation.
+    times: np.ndarray, s: np.ndarray, s_x: np.ndarray, modulus: np.ndarray, h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient energy and accumulated degenerate dissipation, (grad_norm_sq, dissipation).
 
-    ``s`` and ``s_x``, the stacked S frames and d1 of them, and ``modulus``
-    = smoothed_abs(s_x, kappa), which the call leaves as it is, are computed
-    from the trajectory unless the caller passes them.
+    ``s`` is the stacked S frames, ``s_x`` = d1(s, h) and ``modulus`` =
+    smoothed_abs(s_x, kappa); the call leaves each as it is.
     """
-    h = traj.grid.h
-    if s is None:
-        s = traj.s_matrix()
-    if s_x is None:
-        s_x = d1(s, h)
-    if modulus is None:
-        modulus = smoothed_abs(s_x, kappa)
     grad_sq = norm_l2(s_x, h) ** 2
     # smoothed_abs(s_x, kappa) * d2(s, h) ** 2, in place (a product is the
     # same bits in either order)
@@ -224,7 +159,7 @@ def energy_monitor(
     integrand **= 2
     integrand *= modulus
     integrand = trapezoid(integrand, dx=h, axis=-1, overwrite_y=True)
-    return EnergySeries(traj.times, grad_sq, _cumulative_time_trapz(traj.times, integrand))
+    return grad_sq, _cumulative_time_trapz(times, integrand)
 
 
 def _st_l43_series(times: np.ndarray, s: np.ndarray, h: float) -> np.ndarray:
@@ -256,12 +191,12 @@ def _mixed_norm_series(times: np.ndarray, values: np.ndarray, h: float, p: float
 
 
 def _primitive_w14_series(
-    times: np.ndarray, s_x: np.ndarray, h: float, kappa: float, modulus: Optional[np.ndarray] = None
+    times: np.ndarray, s_x: np.ndarray, h: float, kappa: float, modulus: np.ndarray
 ) -> np.ndarray:
     """Cumulative L^{4/3}(0, t_k; W^{1,4/3}) norm of the gradient primitive, from S_x of every frame.
 
-    A caller that holds ``modulus`` = smoothed_abs(s_x, kappa) may pass it
-    for the call to work in; it no longer reads it afterwards.
+    The call works in ``modulus`` = smoothed_abs(s_x, kappa), which it
+    leaves overwritten.
     """
     p = 4.0 / 3.0
     prim = smoothed_abs_primitive(s_x, kappa, modulus=modulus)
@@ -275,58 +210,44 @@ def _primitive_w14_series(
     return _cumulative_time_trapz(times, integrand) ** (1.0 / p)
 
 
-def _tabulate(factors: Sequence[Callable], points: np.ndarray) -> np.ndarray:
-    """(points, M) table whose column m holds ``factors[m]`` at every point."""
-    table = np.empty((len(points), len(factors)))
-    for m, factor in enumerate(factors):
-        table[:, m] = factor(points)
-    return table
-
-
 def weak_residual_series(
-    traj: Trajectory,
+    times: np.ndarray,
+    s: np.ndarray,
+    u: np.ndarray,
+    s_x: np.ndarray,
+    grid: Grid,
     material: MaterialParams,
-    test_functions: Sequence[TestFunction],
-    *,
-    s: Optional[np.ndarray] = None,
-    u: Optional[np.ndarray] = None,
-    s_x: Optional[np.ndarray] = None,
+    t_end: float,
 ) -> np.ndarray:
-    """Integral-identity residual accumulated over [0, t_k], one column per test function.
+    """Integral-identity residual accumulated over [0, t_k], one column per sine mode.
 
     The identity pairs the solution against phi_t, the flux |S_x|S_x/2 against
     phi_x and the kinetic term against phi; a boundary correction -(S(t),phi(t))
     makes every row meaningful, and the final row (where phi vanishes) is the
-    residual of the weak formulation itself.  The stacked frames ``s`` and
-    ``u`` and ``s_x`` = d1(s) are computed from the trajectory unless the
-    caller passes them.
+    residual of the weak formulation itself.  ``s`` and ``u`` are the stacked
+    frames at ``times`` and ``s_x`` = d1(s).
 
-    Every phi is a(t) b(x), so the space pairings of all frames and test
-    functions are three (K, n) @ (n, M) products with the (n, M) tables of b
-    and b_x, the trapezoid weights folded in: (S, phi_t) = a_t (S, b),
-    (S, phi) = a (S, b), (flux, phi_x) = a (flux, b_x) and
-    (kinetic, phi) = a (kinetic, b), with a and a_t tabulated on the saved
-    times as (K, M) arrays.
+    The test functions are phi_m = a(t) b_m(x) for m = 1 .. MODES, with
+    a = 1 - t/t_end, a_t = -1/t_end, b_m = sin(k_m (x - a)) and
+    b_m,x = k_m cos(k_m (x - a)), k_m = m pi/(d - a).  So the space pairings
+    of all frames and modes are three (K, n) @ (n, M) products with the
+    tables of b and b_x, the trapezoid weights folded in: (S, phi_t) =
+    a_t (S, b), (S, phi) = a (S, b), (flux, phi_x) = a (flux, b_x) and
+    (kinetic, phi) = a (kinetic, b).
     """
-    h = traj.grid.h
-    x = traj.grid.x
-    times = traj.times
+    h, x = grid.h, grid.x
     cnu = material.c * material.nu
-
-    if s is None:
-        s = traj.s_matrix()
-    if u is None:
-        u = traj.u_matrix()
-    if s_x is None:
-        s_x = d1(s, h)
     weights = np.full((len(x), 1), h)
     weights[0] = weights[-1] = 0.5 * h
-    space = _tabulate([tf.space for tf in test_functions], x)
+    k = np.arange(1, MODES + 1) * math.pi / (grid.d - grid.a)
+    phase = (x - grid.a)[:, None] * k
+    space = np.sin(phase)
     space *= weights
-    space_x = _tabulate([tf.space_x for tf in test_functions], x)
+    space_x = np.cos(phase)
+    space_x *= k
     space_x *= weights
-    time = _tabulate([tf.time for tf in test_functions], times)
-    time_t = _tabulate([tf.time_t for tf in test_functions], times)
+    time = (1.0 - times / t_end)[:, None]
+    time_t = -1.0 / t_end
 
     # driving_force(...) * np.abs(s_x), in place; each (K, n) integrand is
     # released once paired
@@ -344,34 +265,32 @@ def weak_residual_series(
     return a_cum - cnu * b_cum - c_cum + boundary[0] - boundary
 
 
-def weak_residual(
-    traj: Trajectory,
-    material: MaterialParams,
-    test_functions: Optional[Sequence[TestFunction]] = None,
-) -> np.ndarray:
-    """Final residual of the integral identity, one value per test function.
+def weak_residual(traj: Trajectory, material: MaterialParams) -> np.ndarray:
+    """Final residual of the integral identity, one value per sine mode.
 
-    The default test functions vanish at the last saved time, so they need a
-    trajectory that spans a positive time: at least two frames.
+    The modes vanish at the last saved time, so they need a trajectory that
+    spans a positive time: at least two frames.
     """
-    if test_functions is None:
-        if len(traj.times) < 2:
-            raise ValueError("the default test functions need at least two frames")
-        test_functions = default_test_functions(traj.grid, float(traj.times[-1]))
-    return weak_residual_series(traj, material, test_functions)[-1]
+    if len(traj.times) < 2:
+        raise ValueError("the weak residual's sine modes need at least two frames")
+    s = traj.s_matrix()
+    s_x = d1(s, traj.grid.h)
+    return weak_residual_series(
+        traj.times, s, traj.u_matrix(), s_x, traj.grid, material, float(traj.times[-1])
+    )[-1]
 
 
-def _cross_check_series(traj: Trajectory, config: SimulationConfig, s: np.ndarray, s_x: np.ndarray) -> np.ndarray:
+def _cross_check_series(times: np.ndarray, s: np.ndarray, s_x: np.ndarray, config: SimulationConfig) -> np.ndarray:
     """Max-norm gap between the two elasticity paths applied to each saved frame.
 
     One body-force evaluation, one FD solve and one Green quadrature take
     every frame at once, each row equal to its frame's own; ``s`` is the
-    stacked S frames and ``s_x`` d1 of them.
+    stacked S frames at ``times`` and ``s_x`` d1 of them.
     """
-    grid = traj.grid
+    grid = config.grid
     material = config.material
     elastic = elastic_constants(grid, material)
-    b = config.body.evaluate(traj.times[:, None], grid)
+    b = config.body.evaluate(times[:, None], grid)
     u_fd = solve_fd(elastic_rhs(s_x, np.divide(b, material.mu), elastic.lam_mu), elastic.operator)
     u_green = solve_green(GreenKernel(grid.a, grid.d), ScalarField(grid, s), b, material)
     # np.abs(u_fd - u_green), in place
@@ -382,7 +301,9 @@ def _cross_check_series(traj: Trajectory, config: SimulationConfig, s: np.ndarra
 def build_report(traj: Trajectory, config: SimulationConfig) -> DiagnosticsReport:
     """Assemble the full per-save-time report from a trajectory and its config."""
     kappa = config.reg.kappa
-    h = traj.grid.h
+    grid = traj.grid
+    h = grid.h
+    times = traj.times
     # one stack of each field and one S_x, shared by every monitor
     s = traj.s_matrix()
     u = traj.u_matrix()
@@ -390,22 +311,21 @@ def build_report(traj: Trajectory, config: SimulationConfig) -> DiagnosticsRepor
     # one smoothed modulus for the energy and the primitive, which works in
     # it; it is released before the other monitors run
     modulus = smoothed_abs(s_x, kappa)
-    energy = energy_monitor(traj, kappa, s=s, s_x=s_x, modulus=modulus)
-    primitive_w14_l43 = _primitive_w14_series(traj.times, s_x, h, kappa, modulus)
+    grad_norm_sq, dissipation = energy_monitor(times, s, s_x, modulus, h)
+    primitive_w14_l43 = _primitive_w14_series(times, s_x, h, kappa, modulus)
     del modulus
-    # test functions vanish at the configured final time, so partial runs stay defined
-    test_fns = default_test_functions(traj.grid, config.t_end)
     report = DiagnosticsReport(
-        times=traj.times.copy(),
+        times=times.copy(),
         max_abs_s=np.max(np.abs(s), axis=-1),
-        grad_norm_sq=energy.grad_norm_sq,
-        dissipation=energy.dissipation,
-        st_l43=_st_l43_series(traj.times, s, h),
-        sx_l83_linf=_mixed_norm_series(traj.times, s_x, h, 8.0 / 3.0, math.inf),
-        flux_grad_l43=_mixed_norm_series(traj.times, _flux_gradients(s_x, h), h, 4.0 / 3.0, 4.0 / 3.0),
+        grad_norm_sq=grad_norm_sq,
+        dissipation=dissipation,
+        st_l43=_st_l43_series(times, s, h),
+        sx_l83_linf=_mixed_norm_series(times, s_x, h, 8.0 / 3.0, math.inf),
+        flux_grad_l43=_mixed_norm_series(times, _flux_gradients(s_x, h), h, 4.0 / 3.0, 4.0 / 3.0),
         primitive_w14_l43=primitive_w14_l43,
-        weak_residuals=weak_residual_series(traj, config.material, test_fns, s=s, u=u, s_x=s_x),
-        cross_check=_cross_check_series(traj, config, s, s_x),
+        # the modes vanish at the configured final time, so partial runs stay defined
+        weak_residuals=weak_residual_series(times, s, u, s_x, grid, config.material, config.t_end),
+        cross_check=_cross_check_series(times, s, s_x, config),
     )
     report.validate()
     return report

@@ -15,7 +15,7 @@ import numpy as np
 
 from .grid_field import Grid, Trajectory, csv_text, d1, norm_lp_time_lq_space
 from .material import MaterialParams
-from .order_parameter import semi_implicit_step, step_constants
+from .order_parameter import semi_implicit_step, smoothed_abs, step_constants
 from .elasticity import fd_operator, solve_fd
 from .config import SimulationConfig, StudyConfig
 from .diagnostics import NonFiniteReport, energy_monitor, flux_field, weak_residual
@@ -117,7 +117,11 @@ def run_study(study: StudyConfig) -> StudyResult:
         if res is not None:
             traj = res.trajectory
             margin = res.report.max_principle_margin
-            sup_energy = energy_monitor(traj, kappa).sup_grad
+            h = traj.grid.h
+            s = traj.s_matrix()
+            s_x = d1(s, h)
+            grad_norm_sq, _ = energy_monitor(traj.times, s, s_x, smoothed_abs(s_x, kappa), h)
+            sup_energy = float(np.max(grad_norm_sq))
             if termination.status == "completed" and ref_completed:
                 d_kappa = flux_distance(traj, ref.trajectory)
         rows.append(

@@ -12,7 +12,7 @@ from scipy.integrate import quad
 
 from confsim.grid_field import Grid, ScalarField, d1
 from confsim.material import MaterialParams
-from confsim.order_parameter import smoothed_abs_primitive
+from confsim.order_parameter import smoothed_abs, smoothed_abs_primitive
 from confsim.elasticity import GreenKernel, elastic_rhs, fd_operator, solve_fd, solve_green
 from confsim.diagnostics import build_report, energy_monitor
 from confsim.config import BodyForce, StudyConfig
@@ -116,9 +116,12 @@ def test_criterion_03_maximum_principle_matrix():
 def test_criterion_04_energy_uniformity(kappa_sweep_runs):
     sups, diss = [], []
     for kappa in KAPPA_SWEEP:
-        series = energy_monitor(kappa_sweep_runs[kappa].trajectory, kappa)
-        sups.append(series.sup_grad)
-        diss.append(series.total_dissipation)
+        traj = kappa_sweep_runs[kappa].trajectory
+        s = traj.s_matrix()
+        s_x = d1(s, traj.grid.h)
+        grad_norm_sq, dissipation = energy_monitor(traj.times, s, s_x, smoothed_abs(s_x, kappa), traj.grid.h)
+        sups.append(float(np.max(grad_norm_sq)))
+        diss.append(float(dissipation[-1]))
     finite = all(np.isfinite(v) for v in sups + diss)
     ratio_s = max(sups) / min(sups)
     ratio_d = max(diss) / min(diss)

@@ -516,6 +516,23 @@ class TestCliRun:
         assert "reg.kappa_m / reg.dt = 250000000 steps" in err[0] and "exceeds the ceiling of 2 GiB" in err[0]
         assert captured.out == "" and not (tmp_path / "out").exists()
 
+    def test_mollifier_ring_of_a_large_grid_exits_one(self, tmp_path, capsys, monkeypatch):
+        # 1e8 nodes at the default run: its 101 frames never fill the 1250-step window, so the
+        # estimate is the ring of 101 rows, which grid.n and run.t_end bound and reg.kappa_m does not
+        def refuse(*args, **kwargs):
+            raise AssertionError("the mollifier was built")
+
+        monkeypatch.setattr(simulator, "MollifierState", refuse)
+        argv = ["run", "--out", str(tmp_path / "out"), "--set", "grid.n=100000000"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "reg.kappa_m / reg.dt = 1250 steps" in err[0] and "exceeds the ceiling of 2 GiB" in err[0]
+        assert "does not fill in the run's 101 frames" in err[0]
+        assert err[0].endswith("; raise reg.dt or lower run.t_end or grid.n")
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
     def test_meta_reparses_to_same_config(self, tmp_path):
         cfg_path = write_config(tmp_path, FAST)
         main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])

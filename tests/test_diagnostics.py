@@ -29,7 +29,6 @@ from confsim.diagnostics import (
     _primitive_w14_series,
     _st_l43_series,
     build_report,
-    default_test_functions,
     energy_monitor,
     flux_field,
     primitive_field,
@@ -50,11 +49,21 @@ from confsim import studies
 from confsim.diagnostics import NonFiniteReport
 
 from conftest import make_config
+from test_report_oracles import closure_sine_modes
+from test_step_oracles import same_bits
 
 BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 GRID = Grid(1.0, 2.0, 65)
 MAT = MaterialParams(c=1.0, nu=0.1, mu=2.0, lam=0.2, e=0.06, well_weight=1.0)
+
+
+def bench_config_text(workload, seed, quick=False):
+    """The config text of a bench workload (``bench/workloads.py``)."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.config_text(workload, seed, quick)
 
 
 def zero_trajectory(n_frames=5, t_end=1e-2):
@@ -78,6 +87,19 @@ def diffusion_trajectory(amp=0.7, steps=20, dt=2e-4, kappa=0.25):
     return Trajectory(
         times, [ScalarField(GRID, f) for f in frames], [z] * (steps + 1), np.arange(steps + 1)
     )
+
+
+def energy_of(traj, kappa):
+    """(grad_norm_sq, dissipation) of a trajectory, from its own stacks."""
+    s = traj.s_matrix()
+    s_x = d1(s, traj.grid.h)
+    return energy_monitor(traj.times, s, s_x, smoothed_abs(s_x, kappa), traj.grid.h)
+
+
+def weak_residual_series_of(traj, material, t_end):
+    """The weak residual series of a trajectory, from its own stacks."""
+    s = traj.s_matrix()
+    return weak_residual_series(traj.times, s, traj.u_matrix(), d1(s, traj.grid.h), traj.grid, material, t_end)
 
 
 def report_of(traj, t_end=None):
@@ -114,13 +136,13 @@ class TestMaxPrinciple:
 
 class TestEnergyMonitor:
     def test_zero_run(self):
-        series = energy_monitor(zero_trajectory(), kappa=0.25)
-        assert np.all(series.grad_norm_sq == 0.0)
-        assert np.all(series.dissipation == 0.0)
+        grad_norm_sq, dissipation = energy_of(zero_trajectory(), kappa=0.25)
+        assert np.all(grad_norm_sq == 0.0)
+        assert np.all(dissipation == 0.0)
 
     def test_dissipation_nondecreasing(self):
-        series = energy_monitor(diffusion_trajectory(), kappa=0.25)
-        assert np.all(np.diff(series.dissipation) >= 0.0)
+        _, dissipation = energy_of(diffusion_trajectory(), kappa=0.25)
+        assert np.all(np.diff(dissipation) >= 0.0)
 
 
 class TestAprioriNorms:
@@ -174,7 +196,8 @@ class TestFluxAndPrimitive:
         result = run(make_config(kappa=kappa, t_end=8e-3, save_every=1))
         traj = result.trajectory
         assert len(traj.times) == 41
-        got = _primitive_w14_series(traj.times, d1(traj.s_matrix(), traj.grid.h), traj.grid.h, kappa)
+        s_x = d1(traj.s_matrix(), traj.grid.h)
+        got = _primitive_w14_series(traj.times, s_x, traj.grid.h, kappa, smoothed_abs(s_x, kappa))
         want = primitive_w14_prefix_loop(traj, kappa)
         assert got[0] == want[0] == 0.0
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
@@ -255,10 +278,10 @@ class TestMonitorsMatchFrameLoops:
 
     def test_energy(self, stacked_run):
         cfg, result = stacked_run
-        series = energy_monitor(result.trajectory, cfg.reg.kappa)
-        grad_sq, dissipation = energy_loop(result.trajectory, cfg.reg.kappa)
-        np.testing.assert_allclose(series.grad_norm_sq, grad_sq, rtol=1e-14, atol=0.0)
-        assert np.array_equal(series.dissipation, dissipation)
+        grad_norm_sq, dissipation = energy_of(result.trajectory, cfg.reg.kappa)
+        want_grad_sq, want_dissipation = energy_loop(result.trajectory, cfg.reg.kappa)
+        np.testing.assert_allclose(grad_norm_sq, want_grad_sq, rtol=1e-14, atol=0.0)
+        assert np.array_equal(dissipation, want_dissipation)
 
     def test_st_l43(self, stacked_run):
         _, result = stacked_run
@@ -378,27 +401,6 @@ def fsum_weak_residual_series(traj, material, test_functions):
     return residuals, scale
 
 
-def polynomial_test_functions(grid, t_end):
-    """Separable test functions other than the default sines: (T - t)^2 (x - a)(d - x) and (T - t) (x - a)^2 (d - x)."""
-    a, d = grid.a, grid.d
-    return [
-        diagnostics.TestFunction(
-            time=lambda t: (t_end - t) ** 2,
-            time_t=lambda t: -2.0 * (t_end - t),
-            space=lambda x: (x - a) * (d - x),
-            space_x=lambda x: a + d - 2.0 * x,
-            label="quadratic",
-        ),
-        diagnostics.TestFunction(
-            time=lambda t: t_end - t,
-            time_t=lambda t: -1.0,
-            space=lambda x: (x - a) ** 2 * (d - x),
-            space_x=lambda x: (x - a) * (2.0 * d + a - 3.0 * x),
-            label="cubic",
-        ),
-    ]
-
-
 WEAK_RESIDUAL_RUNS = [
     dict(n=65, save_every=1),
     dict(n=129, save_every=5, t_end=6e-3, body=BodyForce(family="ramp", amplitude=0.1, rate=5.0)),
@@ -415,14 +417,14 @@ class TestWeakResidual:
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= self.ROUNDOFF_ULPS * np.finfo(float).eps * scale)
 
-    @pytest.mark.parametrize("fns_of", [default_test_functions, polynomial_test_functions], ids=["sines", "polys"])
+    @pytest.mark.parametrize("fns_of", [closure_sine_modes], ids=["sines"])
     @pytest.mark.parametrize("kw", WEAK_RESIDUAL_RUNS)
     def test_series_and_frame_loop_within_roundoff_of_fsum_pairing(self, kw, fns_of):
         cfg = make_config(**kw)
         traj = run(cfg).trajectory
         fns = fns_of(cfg.grid, cfg.t_end)
         want, scale = fsum_weak_residual_series(traj, cfg.material, fns)
-        got = weak_residual_series(traj, cfg.material, fns)
+        got = weak_residual_series_of(traj, cfg.material, cfg.t_end)
         assert got.shape == (len(traj.times), len(fns))
         assert np.all(got[0] == 0.0)
         self.assert_within_roundoff(got, want, scale)
@@ -435,14 +437,6 @@ class TestWeakResidual:
         res = weak_residual(traj, MAT)
         assert np.max(np.abs(res)) < 1e-12
 
-    def test_zero_test_function(self):
-        traj = diffusion_trajectory(steps=5)
-        zero_fn = diagnostics.TestFunction(
-            time=np.zeros_like, time_t=np.zeros_like, space=np.zeros_like, space_x=np.zeros_like, label="zero"
-        )
-        res = weak_residual(traj, MAT, [zero_fn])
-        assert res[0] == 0.0
-
     def test_one_frame_with_default_test_functions_raises(self):
         traj = diffusion_trajectory(steps=0)
         assert len(traj.times) == 1
@@ -453,8 +447,7 @@ class TestWeakResidual:
 
     def test_series_starts_at_zero(self, desk_config):
         result = run(desk_config)
-        fns = default_test_functions(desk_config.grid, desk_config.t_end)
-        series = weak_residual_series(result.trajectory, desk_config.material, fns)
+        series = weak_residual_series_of(result.trajectory, desk_config.material, desk_config.t_end)
         assert np.max(np.abs(series[0])) == 0.0
 
     def test_refinement_decreases_residual(self):
@@ -575,6 +568,34 @@ class TestKappaStudy:
         assert np.isnan(member.d_kappa) and np.isnan(member.weak_residual_max)
         assert not result.strictly_decreasing
 
+    @pytest.mark.parametrize(
+        "text, rejected",
+        [
+            (bench_config_text("kappa_study", 0, quick=True), 0),
+            # the last member trips the guard part way
+            ("study.kappas = 0.5 0.25 0.03125\nstudy.reference = 0\nreg.increment_guard = 0.05\n"
+             "body.family = ramp\nbody.rate = 1e5\n", 1),
+        ],
+        ids=["kappa_study", "rejected_member"],
+    )
+    def test_rows_equal_their_members_reports(self, monkeypatch, text, rejected):
+        # each completed member's row holds its report's values, bit for bit
+        study = parse_config_text(text)
+        members = []
+        plain_run_members = studies.run_members
+
+        def recording(study):
+            members.extend(plain_run_members(study))
+            return members
+
+        monkeypatch.setattr(studies, "run_members", recording)
+        result = run_study(study)
+        completed = [(row, res) for row, res in zip(result.rows, members) if row.termination.status == "completed"]
+        assert len(members) == len(result.rows) == len(study.kappas) == len(completed) + rejected
+        for row, res in completed:
+            for name in ("sup_energy", "weak_residual_max", "max_principle_margin"):
+                assert same_bits(getattr(row, name), getattr(res.report, name)), name
+
     @pytest.mark.parametrize("reference", [-1, 1])
     def test_overflowed_member_keeps_a_row(self, monkeypatch, reference):
         base = make_config(n=33, t_end=2e-3, dt=2e-4, save_every=2)
@@ -606,10 +627,7 @@ class TestKappaStudy:
                 assert row.d_kappa == want.d_kappa
 
     def test_study_csv_matches_members_run_one_by_one(self, tmp_path, monkeypatch):
-        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_WORKLOADS)
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
-        study = parse_config_text(workloads.config_text("kappa_study", 0))
+        study = parse_config_text(bench_config_text("kappa_study", 0))
         write_study_csv(tmp_path / "lockstep.csv", run_study(study))
 
         def one_by_one(study):

@@ -361,6 +361,37 @@ class TestMollifierMemory:
         with pytest.raises(config.ConfigInvalid, match=r"reg\.kappa_m / reg\.dt = .* exceeds the ceiling"):
             replace(cfg)
 
+    @pytest.mark.parametrize(
+        "kappa_m, t_end, part, offset, advice",
+        [
+            # a window of m = 100 steps that fills in a 301-frame run: about 3mn floats
+            (0.1, 0.3, "floats", -1, "raise reg.dt or lower reg.kappa_m or grid.n"),
+            (0.1, 0.3, "weights", 0, "raise reg.dt or lower reg.kappa_m or grid.n"),
+            (0.1, 0.3, "weights", -1, "raise reg.dt or lower reg.kappa_m"),
+            # one that does not fill in 51 frames: 3m = 300 weights and a ring of 51 x 33 floats
+            (0.1, 0.05, "floats", -1, "raise reg.dt or lower reg.kappa_m or run.t_end or grid.n"),
+            (0.1, 0.05, "ring", 0, "raise reg.dt or lower reg.kappa_m or run.t_end or grid.n"),
+            (0.1, 0.05, "ring", -1, "raise reg.dt or lower run.t_end or grid.n"),
+            # nor in 3 frames, where the weights are the larger part
+            (0.1, 0.002, "weights", 0, "raise reg.dt or lower reg.kappa_m or run.t_end or grid.n"),
+            (0.1, 0.002, "weights", -1, "raise reg.dt or lower reg.kappa_m"),
+            (0.1, 0.002, "ring", -1, "raise reg.dt"),
+        ],
+    )
+    def test_message_names_the_keys_that_lower_the_estimate(self, monkeypatch, kappa_m, t_end, part, offset, advice):
+        cfg = make_config(n=33, dt=1e-3, t_end=t_end, kappa_m=kappa_m)
+        m, frames = window_length(kappa_m, 1e-3), cfg.n_steps + 1
+        floats, weights = mollifier_floats(m, frames, 33), mollifier_floats(m, frames, 0)
+        # the ceiling at the whole estimate, at its weights (3m, and the block weights of a full
+        # window) or at the rest, the floats of the nodes
+        parts = {"floats": floats, "weights": weights, "ring": floats - weights}
+        monkeypatch.setattr(config, "MAX_MOLLIFIER_FLOATS", parts[part] + offset)
+        with pytest.raises(config.ConfigInvalid, match=r"reg\.kappa_m / reg\.dt = .* exceeds the ceiling") as err:
+            replace(cfg)
+        message = str(err.value)
+        assert message.split("; ")[-1] == advice
+        assert ("does not fill" in message) == (frames < m)
+
     def test_estimate_of_the_probe_exceeds_the_ceiling(self):
         # a one-step run on a window of 2.5e8 steps: its weights alone are 2 GB
         m = window_length(0.25, 1e-9)

@@ -1,16 +1,21 @@
 """The one-pass report against the per-frame, per-monitor code it replaced.
 
-``build_report`` stacks S and u once, takes S_x = d1(S) once and hands them
-to every monitor; its elasticity cross-check evaluates the body force for a
-column of times and makes one FD solve and one Green quadrature for all
-frames.  The code it was written as is kept here as references: a Green
-quadrature of one frame per call, a body force of one time per call, the
-per-frame cross-check loop, and monitors that each stack the frames and take
-d1 themselves.  The report must equal them byte for byte, the stacked
-quadrature must equal its rows bit for bit, signed zeros included, and a
-saved frame's FD residual must be the one of the right-hand side its step
-solved against.
-"""
+``build_report`` stacks S and u once, takes S_x = d1(S) and the smoothed
+modulus once and hands them to every monitor; its elasticity cross-check
+evaluates the body force for a column of times and makes one FD solve and
+one Green quadrature for all frames; its weak residual tabulates the five
+sine modes directly.  The code it was written as is kept here as
+references: a Green quadrature of one frame per call, a body force of one
+time per call, the per-frame cross-check loop, the sine modes as closures
+tabulated column by column, and monitors that each get stacks, S_x and
+modulus of their own, so that a monitor writing into an input another one
+reads changes the bytes.  The report must equal them byte for byte, the
+stacked quadrature must equal its rows bit for bit, signed zeros included,
+and a saved frame's FD residual must be the one of the right-hand side its
+step solved against."""
+
+import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -22,11 +27,11 @@ from confsim.config import BodyForce
 from confsim.diagnostics import (
     DiagnosticsReport,
     NonFiniteReport,
+    _cumulative_time_trapz,
     _mixed_norm_series,
     _primitive_w14_series,
     _st_l43_series,
     build_report,
-    default_test_functions,
     energy_monitor,
     flux_field,
     weak_residual_series,
@@ -35,7 +40,7 @@ from confsim.elasticity import (
     GreenKernel, _green_weights, elastic_rhs, fd_operator, fd_residual, solve_fd, solve_green,
 )
 from confsim.grid_field import Grid, ScalarField, Trajectory, d1
-from confsim.order_parameter import mollify
+from confsim.order_parameter import driving_force, mollify, smoothed_abs, step_constants
 from confsim.simulator import Simulation, march
 
 from conftest import make_config
@@ -89,23 +94,101 @@ def reference_cross_check_series(traj, config):
     return out
 
 
+class Mode(NamedTuple):
+    """A separable test function phi(t, x) = time(t) * space(x) as closures.
+
+    ``time`` and ``time_t`` (its derivative) take an array of times and
+    ``space`` and ``space_x`` (its derivative) an array of nodes; each returns
+    its values at those points, or a constant that stands for all of them.
+    """
+
+    time: Callable
+    time_t: Callable
+    space: Callable
+    space_x: Callable
+
+
+def closure_sine_modes(grid, t_end, count=5):
+    """(1 - t/t_end) sin(m pi (x - a)/(d - a)) for m = 1 .. count, one closure per factor."""
+    length = grid.d - grid.a
+
+    def time(t):
+        return 1.0 - t / t_end
+
+    def time_t(t):
+        return -1.0 / t_end
+
+    modes = []
+    for m in range(1, count + 1):
+        km = m * math.pi / length
+
+        def space(x, km=km, a=grid.a):
+            return np.sin(km * (x - a))
+
+        def space_x(x, km=km, a=grid.a):
+            return km * np.cos(km * (x - a))
+
+        modes.append(Mode(time, time_t, space, space_x))
+    return modes
+
+
+def tabulate(factors, points):
+    """(points, M) table whose column m holds ``factors[m]`` at every point."""
+    table = np.empty((len(points), len(factors)))
+    for m, factor in enumerate(factors):
+        table[:, m] = factor(points)
+    return table
+
+
+def reference_weak_residual_series(traj, material, modes):
+    """The weak residual against the modes' tables, tabulated column by column from closures."""
+    h, x, times = traj.grid.h, traj.grid.x, traj.times.copy()
+    s, u = traj.s_matrix(), traj.u_matrix()
+    s_x = d1(s, h)
+    weights = np.full((len(x), 1), h)
+    weights[0] = weights[-1] = 0.5 * h
+    space = tabulate([m.space for m in modes], x) * weights
+    space_x = tabulate([m.space_x for m in modes], x) * weights
+    time = tabulate([m.time for m in modes], times)
+    time_t = tabulate([m.time_t for m in modes], times)
+    kinetic = driving_force(u, d1(u, h), s, s_x, step_constants(x, h, material)) * np.abs(s_x)
+    s_space = s @ space
+    a_cum = _cumulative_time_trapz(times, time_t * s_space)
+    b_cum = _cumulative_time_trapz(times, time * (flux_field(s, h) @ space_x))
+    c_cum = _cumulative_time_trapz(times, time * (kinetic @ space))
+    boundary = time * s_space
+    return a_cum - material.c * material.nu * b_cum - c_cum + boundary[0] - boundary
+
+
 def reference_build_report(traj, config):
-    """Every monitor called alone, so that each stacks the frames and takes d1 itself."""
+    """Every monitor on inputs of its own: fresh stacks of the frames, S_x, modulus and times."""
     kappa = config.reg.kappa
     h = traj.grid.h
-    s = traj.s_matrix()
-    energy = energy_monitor(traj, kappa)
-    test_fns = default_test_functions(traj.grid, config.t_end)
+
+    def times():
+        return traj.times.copy()
+
+    def s():
+        return traj.s_matrix()
+
+    def s_x():
+        return d1(traj.s_matrix(), h)
+
+    def modulus():
+        return smoothed_abs(s_x(), kappa)
+
+    grad_norm_sq, dissipation = energy_monitor(times(), s(), s_x(), modulus(), h)
+    modes = closure_sine_modes(traj.grid, config.t_end)
     report = DiagnosticsReport(
-        times=traj.times.copy(),
-        max_abs_s=np.max(np.abs(s), axis=-1),
-        grad_norm_sq=energy.grad_norm_sq,
-        dissipation=energy.dissipation,
-        st_l43=_st_l43_series(traj.times, s, h),
-        sx_l83_linf=_mixed_norm_series(traj.times, d1(s, h), h, 8.0 / 3.0, np.inf),
-        flux_grad_l43=_mixed_norm_series(traj.times, d1(2.0 * flux_field(s, h), h), h, 4.0 / 3.0, 4.0 / 3.0),
-        primitive_w14_l43=_primitive_w14_series(traj.times, d1(s, h), h, kappa),
-        weak_residuals=weak_residual_series(traj, config.material, test_fns),
+        times=times(),
+        max_abs_s=np.max(np.abs(s()), axis=-1),
+        grad_norm_sq=grad_norm_sq,
+        dissipation=dissipation,
+        st_l43=_st_l43_series(times(), s(), h),
+        sx_l83_linf=_mixed_norm_series(times(), s_x(), h, 8.0 / 3.0, np.inf),
+        flux_grad_l43=_mixed_norm_series(times(), d1(2.0 * flux_field(s(), h), h), h, 4.0 / 3.0, 4.0 / 3.0),
+        primitive_w14_l43=_primitive_w14_series(times(), s_x(), h, kappa, modulus()),
+        weak_residuals=reference_weak_residual_series(traj, config.material, modes),
         cross_check=reference_cross_check_series(traj, config),
     )
     report.validate()
@@ -167,6 +250,26 @@ class TestAgainstReferences:
         want = reference_build_report(traj, config)
         assert got.to_csv_text() == want.to_csv_text()
         assert same_bits(got.cross_check, want.cross_check)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.floats(1e-3, 10.0), length=st.floats(1e-3, 10.0), n=st.integers(4, 2049),
+           frames=st.sampled_from([1, 2, 201]), span=st.floats(1e-5, 10.0), at_last_frame=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sine_tables_equal_the_closure_basis(self, a, length, n, frames, span, at_last_frame, seed):
+        # the weak residual of the direct tables against the closure basis, tabulated column by
+        # column, on any grid and save times: equal bits mean equal tables
+        grid = Grid(a, a + length, n)
+        rng = np.random.default_rng(seed)
+        times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, span, frames - 1))])
+        t_end = float(times[-1]) if at_last_frame and frames > 1 else span * rng.uniform(1.0, 2.0)
+        s, u = rng.uniform(-1.0, 1.0, size=(2, frames, n))
+        material = make_config(lam=float(rng.uniform(-1.0, 1.0))).material
+        got = weak_residual_series(times, s, u, d1(s, grid.h), grid, material, t_end)
+        want = reference_weak_residual_series(
+            trajectory_of(grid, times, s, u), material, closure_sine_modes(grid, t_end)
+        )
+        assert got.shape == (frames, diagnostics.MODES)
+        assert same_bits(got, want)
 
     @settings(max_examples=60, deadline=None)
     @given(body=bodies(), n=st.sampled_from([4, 33, 129, 2049]), frames=st.sampled_from([1, 2, 201]),
