@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Run the example scripts and every confsim CLI subcommand end to end, in a
+# Run the example script and every confsim CLI subcommand end to end, in a
 # fresh temporary directory that is removed afterwards.  CI runs this with
 # PYTHONWARNINGS=error::RuntimeWarning, so that a stray numpy warning fails a
 # script as it fails the suite.
@@ -15,9 +15,12 @@ confsim() {
   PYTHONPATH="$root/src" python3 -m confsim.cli "$@"
 }
 
-for script in run_demo kappa_study refinement_study; do
-  python3 "$root/scripts/$script.py"
-done
+# the default run, and the default config's five-member kappa study
+confsim run --out run-default
+confsim study --out study-default --set "study.kappas=0.5 0.25 0.125 0.0625 0.03125"
+python3 "$root/scripts/refinement_study.py"
+# the code-line count of each module of src/confsim
+python3 "$root/scripts/code_lines.py"
 confsim run --out run-both-verify --set run.elasticity_path=both-verify --set run.t_end=0.004
 # the Green quadrature is the oracle only: a run that asks to march on it must exit 1
 status=0
@@ -124,6 +127,17 @@ confsim mms
 confsim study --out study-kappa --set "study.kappas=0.5 0.25 0.125" --set run.t_end=0.004
 confsim study --out study-refinement --set "study.kappas=0.5 0.25" --set reg.kappa=0.5 --set study.h_factor=2 \
   --set grid.n=33 --set run.t_end=0.004
+# a refinement study has no reference member: setting study.reference there must exit 1
+# with one error line that names it
+status=0
+confsim study --out study-refinement-reference --set "study.kappas=0.5 0.25" --set reg.kappa=0.5 \
+  --set study.h_factor=2 --set grid.n=17 --set run.t_end=0.002 --set study.reference=0 2> reference.err || status=$?
+if [ "$status" -ne 1 ] || [ "$(grep -c '^error: .*study\.reference' reference.err)" -ne 1 ] \
+  || [ "$(wc -l < reference.err)" -ne 1 ]; then
+  echo "refinement study with study.reference exited $status, expected 1 with one error line naming it" >&2
+  cat reference.err >&2
+  exit 1
+fi
 # a lockstep study checked against the Green quadrature on every member's saved frames
 confsim study --out study-both-verify --set "study.kappas=0.5 0.25 0.125" --set run.elasticity_path=both-verify \
   --set run.t_end=0.004

@@ -22,15 +22,12 @@ from .config import (
 )
 from .diagnostics import NonFiniteReport
 from .elasticity import GreenKernel
-from .grid_field import FieldFileError, csv_text
+from .grid_field import FieldFileError
 from .reduction3d import RadialLift, random_shell_points, residual_elasticity_3d, residual_order_3d
 from .simulator import Simulation, load_run, write_run
-from .studies import (
-    member_termination, member_weak_residual, mms_convergence, run_members, run_study, write_study_csv,
-)
+from .studies import mms_convergence, run_study, write_refinement_csv, write_study_csv
 
 _INPUT_ERRORS = (ParseError, ValidationError, ConfigInvalid, FieldFileError, OSError)
-_REFINEMENT_COLUMNS = ("kappa", "h", "dt", "weak_residual_max")
 
 
 def _load(args, want) -> object:
@@ -83,29 +80,23 @@ def _cmd_study(args) -> int:
     study = _load(args, StudyConfig)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if study.is_refinement:
-        results = run_members(study)
-        terminations = [member_termination(res) for res in results]
-        rows = []
-        print("kappa      h           dt          weak_res")
-        for i, res in enumerate(results):
-            cfg = study.member_config(i)
-            wr = member_weak_residual(res)
-            tag = _rejected_tag(terminations[i])
-            print(f"{cfg.reg.kappa:<10.5g} {cfg.grid.h:<11.5g} {cfg.reg.dt:<11.5g} {wr:.4e}{tag}")
-            rows.append((cfg.reg.kappa, cfg.grid.h, cfg.reg.dt, wr))
-        (out / "refinement.csv").write_text(csv_text(_REFINEMENT_COLUMNS, list(zip(*rows))))
-        return _members_exit(terminations)
     result = run_study(study)
-    write_study_csv(out / "study.csv", result)
-    print("kappa      D_kappa      margin       sup_energy   weak_res")
-    for r in result.rows:
-        tag = " (ref)" if r.is_reference else ""
-        print(
-            f"{r.kappa:<10.5g} {r.d_kappa:<12.4e} {r.max_principle_margin:<12.4e} "
-            f"{r.sup_energy:<12.6g} {r.weak_residual_max:<.4e}{tag}{_rejected_tag(r.termination)}"
-        )
-    print(f"distance sequence strictly decreasing: {result.strictly_decreasing}")
+    if study.is_refinement:
+        print("kappa      h           dt          weak_res")
+        for r in result.rows:
+            tag = _rejected_tag(r.termination)
+            print(f"{r.kappa:<10.5g} {r.h:<11.5g} {r.dt:<11.5g} {r.weak_residual_max:.4e}{tag}")
+        write_refinement_csv(out / "refinement.csv", result)
+    else:
+        write_study_csv(out / "study.csv", result)
+        print("kappa      D_kappa      margin       sup_energy   weak_res")
+        for r in result.rows:
+            tag = " (ref)" if r.is_reference else ""
+            print(
+                f"{r.kappa:<10.5g} {r.d_kappa:<12.4e} {r.max_principle_margin:<12.4e} "
+                f"{r.sup_energy:<12.6g} {r.weak_residual_max:<.4e}{tag}{_rejected_tag(r.termination)}"
+            )
+        print(f"distance sequence strictly decreasing: {result.strictly_decreasing}")
     return _members_exit(r.termination for r in result.rows)
 
 

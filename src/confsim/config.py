@@ -8,10 +8,11 @@ gives each key's type, its default and the attribute of the built config that
 holds it, and parsing, building and the echo all read it.  Parsing is strict:
 unknown keys are rejected so sweep typos cannot silently fall back to
 defaults, and so are keys the config would not read (material scalars next to
-a tensor family, tensor keys of another family).  ``echo_lines`` renders a
-config canonically (every key it reads, sorted, floats at 17 significant
-digits) and re-parsing the echo reproduces an equal config;
-``config_digest``, the run hash, is taken over that text.
+a tensor family, tensor keys of another family, ``study.reference`` in a
+refinement study).  ``echo_lines`` renders a config canonically (every key
+it reads, sorted, floats at 17 significant digits) and re-parsing the echo
+reproduces an equal config; ``config_digest``, the run hash, is taken over
+that text.
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ class StudyConfig:
     With the default unit factors all members share the grid and time step
     (the setting in which reference distances are defined).  Factors above one
     refine the mesh and the step per member, turning the sequence into a
-    simultaneous refinement path.
+    simultaneous refinement path, which has no reference member.
     """
 
     base: SimulationConfig
@@ -444,9 +445,14 @@ def build_config(raw: dict):
         if "study.kappas" not in raw:
             raise ValidationError("study", "study config requires study.kappas")
         try:
-            return StudyConfig(base=sim, **_part_kwargs(raw, "study"))
+            study = StudyConfig(base=sim, **_part_kwargs(raw, "study"))
         except ValueError as exc:
             raise ValidationError("study", str(exc)) from exc
+        if study.is_refinement and "study.reference" in raw:
+            raise ValidationError(
+                "study", "study.reference is not read by a refinement study (study.h_factor or study.dt_factor > 1)"
+            )
+        return study
     return sim
 
 
@@ -478,6 +484,8 @@ def echo_lines(config) -> list[str]:
         "init": sim.init, "body": sim.body, "run": sim, "study": study,
     }
     unread = () if spec is None else (*_SCALAR_MATERIAL_KEYS, *_unread_tensor_keys(spec.family))
+    if study is not None and study.is_refinement:
+        unread += ("study.reference",)
     lines = []
     for key in sorted(_CATALOG):
         kind, _, part, attr = _CATALOG[key]

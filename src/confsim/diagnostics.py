@@ -8,10 +8,10 @@ degenerate dissipation, the time-derivative and flux-gradient norms, and
 the integral identity residual against five separable space-time sine modes
 a(t) b_m(x).  Each one applies the grid-on-last-axis stencils and norms to
 all frames together, on the (frames, nodes) arrays it takes as arguments.
-Two entry points take a trajectory and stack its frames once:
-``build_report`` stacks S and u and takes S_x = d1(S) and the smoothed
-modulus of S_x and hands them to every monitor, and ``weak_residual``
-stacks what the weak residual reads.  The weak residual pairs all frames
+Only ``build_report`` takes a trajectory: it stacks S and u once, takes
+S_x = d1(S) and the smoothed modulus of S_x once and hands them to every
+monitor.  ``weak_residual``, the final row a study reads, takes the stacks
+its caller already holds.  The weak residual pairs all frames
 with all modes in three (frames, nodes) @ (nodes, modes) products, and the
 elasticity cross-check solves every frame in one FD call and one Green
 call.  Running (cumulative) series are one pass over per-frame values, so
@@ -265,19 +265,18 @@ def weak_residual_series(
     return a_cum - cnu * b_cum - c_cum + boundary[0] - boundary
 
 
-def weak_residual(traj: Trajectory, material: MaterialParams) -> np.ndarray:
+def weak_residual(
+    times: np.ndarray, s: np.ndarray, u: np.ndarray, s_x: np.ndarray, grid: Grid, material: MaterialParams
+) -> np.ndarray:
     """Final residual of the integral identity, one value per sine mode.
 
-    The modes vanish at the last saved time, so they need a trajectory that
-    spans a positive time: at least two frames.
+    ``s`` and ``u`` are the stacked frames at ``times`` and ``s_x`` = d1(s).
+    The modes vanish at the last saved time, so they need frames that span a
+    positive time: at least two.
     """
-    if len(traj.times) < 2:
+    if len(times) < 2:
         raise ValueError("the weak residual's sine modes need at least two frames")
-    s = traj.s_matrix()
-    s_x = d1(s, traj.grid.h)
-    return weak_residual_series(
-        traj.times, s, traj.u_matrix(), s_x, traj.grid, material, float(traj.times[-1])
-    )[-1]
+    return weak_residual_series(times, s, u, s_x, grid, material, float(times[-1]))[-1]
 
 
 def _cross_check_series(times: np.ndarray, s: np.ndarray, s_x: np.ndarray, config: SimulationConfig) -> np.ndarray:

@@ -1,7 +1,12 @@
 """Study harnesses: regularization refinement, mesh/time refinement, manufactured solutions.
 
-The members of a study on one grid march in lockstep (``simulator.march``);
-the members of a refinement study, whose grids differ, march one at a time.
+``run_study`` is the one path for both study kinds, and both study tables
+(``study.csv`` and ``refinement.csv``) are its rows.  The members of a study
+on one grid march in lockstep (``simulator.march``); the members of a
+refinement study, whose grids differ, march one at a time.  Each member's S
+and u are stacked once and S_x = d1(S) is taken once; the energy, the weak
+residual and the signed flux all read those stacks, and the reference's flux
+is computed once per study.
 """
 
 from __future__ import annotations
@@ -13,20 +18,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid_field import Grid, Trajectory, csv_text, d1, norm_lp_time_lq_space
+from .grid_field import Grid, csv_text, d1, norm_lp_time_lq_space
 from .material import MaterialParams
-from .order_parameter import semi_implicit_step, smoothed_abs, step_constants
+from .order_parameter import semi_implicit_step, smoothed_abs, smoothed_abs_primitive, step_constants
 from .elasticity import fd_operator, solve_fd
 from .config import SimulationConfig, StudyConfig
-from .diagnostics import NonFiniteReport, energy_monitor, flux_field, weak_residual
+from .diagnostics import NonFiniteReport, energy_monitor, weak_residual
 from .simulator import RunResult, Simulation, Termination, march
 
 # A member whose report overflowed to inf or nan; it has no fail time.
 OVERFLOWED = Termination("overflowed")
-
-
-class MismatchedGrids(ValueError):
-    pass
 
 
 @dataclass
@@ -48,13 +49,9 @@ class StudyResult:
     strictly_decreasing: bool
 
 
-def flux_distance(traj_a: Trajectory, traj_b: Trajectory) -> float:
-    """L^{4/3}-in-time, L^2-in-space distance of the signed flux |S_x|S_x/2."""
-    if traj_a.grid != traj_b.grid or len(traj_a.times) != len(traj_b.times):
-        raise MismatchedGrids("study members must share grid and save schedule")
-    h = traj_a.grid.h
-    diff = flux_field(traj_a.s_matrix(), h) - flux_field(traj_b.s_matrix(), h)
-    return norm_lp_time_lq_space(traj_a.times, diff, h, 4.0 / 3.0, 2.0)
+def flux_distance(times: np.ndarray, flux_a: np.ndarray, flux_b: np.ndarray, h: float) -> float:
+    """L^{4/3}-in-time, L^2-in-space distance between two stacks of the signed flux |S_x|S_x/2."""
+    return norm_lp_time_lq_space(times, flux_a - flux_b, h, 4.0 / 3.0, 2.0)
 
 
 def run_members(study: StudyConfig) -> list[Optional[RunResult]]:
@@ -80,40 +77,26 @@ def run_members(study: StudyConfig) -> list[Optional[RunResult]]:
     return results
 
 
-def member_termination(res: Optional[RunResult]) -> Termination:
-    return OVERFLOWED if res is None else res.termination
-
-
-def member_weak_residual(res: Optional[RunResult]) -> float:
-    """Largest final weak-form residual of a member; nan if it was rejected or overflowed."""
-    if member_termination(res).status != "completed":
-        return math.nan
-    return float(np.max(np.abs(weak_residual(res.trajectory, res.config.material))))
-
-
 def run_study(study: StudyConfig) -> StudyResult:
-    """Run every member, then measure each member's flux distance to the reference.
+    """Run every member (``run_members``), then measure each one's row.
 
-    Members march in lockstep (``run_members``); aggregation is a
-    deterministic reduction over their results.  Reference distances need a
-    shared grid and save schedule, so refinement factors are rejected.  A
-    rejected member stops early and an overflowed member has no report: their
-    distances are nan (every member's are when the reference is one), an
-    overflowed member's other columns are nan too, and the sequence does not
-    count as decreasing.
+    A member's S and u are stacked once and S_x = d1(S) taken once; its
+    energy, its weak residual and its signed flux read them.  A rejected
+    member stops early and an overflowed member has no report: their weak
+    residuals are nan, an overflowed member's other columns are nan too, and
+    the sequence does not count as decreasing.  On one grid, each completed
+    member's D_kappa is its flux distance to the reference's (every member's
+    is nan when the reference did not complete).  A refinement study's
+    members do not share a grid: it has no reference row, its distances are
+    nan and it never counts as decreasing.
     """
-    if study.is_refinement:
-        raise MismatchedGrids("reference distances need unit refinement factors")
     results = run_members(study)
-
-    ref_idx = study.reference % len(study.kappas)
-    ref = results[ref_idx]
-    ref_completed = member_termination(ref).status == "completed"
-    rows = []
+    rows, fluxes = [], []
     for i, (kappa, res) in enumerate(zip(study.kappas, results)):
         cfg = study.member_config(i)
-        termination = member_termination(res)
-        d_kappa = margin = sup_energy = math.nan
+        termination = OVERFLOWED if res is None else res.termination
+        margin = sup_energy = weak_residual_max = math.nan
+        flux = None
         if res is not None:
             traj = res.trajectory
             margin = res.report.max_principle_margin
@@ -122,35 +105,52 @@ def run_study(study: StudyConfig) -> StudyResult:
             s_x = d1(s, h)
             grad_norm_sq, _ = energy_monitor(traj.times, s, s_x, smoothed_abs(s_x, kappa), h)
             sup_energy = float(np.max(grad_norm_sq))
-            if termination.status == "completed" and ref_completed:
-                d_kappa = flux_distance(traj, ref.trajectory)
+            if termination.status == "completed":
+                residual = weak_residual(traj.times, s, traj.u_matrix(), s_x, traj.grid, res.config.material)
+                weak_residual_max = float(np.max(np.abs(residual)))
+                flux = smoothed_abs_primitive(s_x, 0.0)
         rows.append(
             StudyRow(
-                kappa=kappa,
-                h=cfg.grid.h,
-                dt=cfg.reg.dt,
-                d_kappa=d_kappa,
-                max_principle_margin=margin,
-                sup_energy=sup_energy,
-                weak_residual_max=member_weak_residual(res),
-                is_reference=(i == ref_idx),
+                kappa=kappa, h=cfg.grid.h, dt=cfg.reg.dt, d_kappa=math.nan, max_principle_margin=margin,
+                sup_energy=sup_energy, weak_residual_max=weak_residual_max, is_reference=False,
                 termination=termination,
             )
         )
+        fluxes.append(flux)
+    if study.is_refinement:
+        return StudyResult(rows, False)
 
+    ref_idx = study.reference % len(rows)
+    rows[ref_idx].is_reference = True
+    ref_flux = fluxes[ref_idx]
+    if ref_flux is not None:
+        times = results[ref_idx].trajectory.times
+        for row, flux in zip(rows, fluxes):
+            if flux is not None:
+                row.d_kappa = flux_distance(times, flux, ref_flux, row.h)
     all_completed = all(r.termination.status == "completed" for r in rows)
     distances = [r.d_kappa for r in rows if not r.is_reference]
     decreasing = all_completed and all(b < a for a, b in zip(distances, distances[1:]))
     return StudyResult(rows, decreasing)
 
 
-# The columns of study.csv in file order, each the StudyRow field of its name in lower case.
+# The columns of study.csv and of refinement.csv in file order, each the
+# StudyRow field of its name in lower case.
 _STUDY_COLUMNS = ("kappa", "h", "dt", "D_kappa", "max_principle_margin", "sup_energy", "weak_residual_max")
+_REFINEMENT_COLUMNS = ("kappa", "h", "dt", "weak_residual_max")
+
+
+def _write_rows(path, rows: list[StudyRow], header: Sequence[str]):
+    columns = [[getattr(r, field) for r in rows] for field in map(str.lower, header)]
+    Path(path).write_text(csv_text(header, columns))
 
 
 def write_study_csv(path, result: StudyResult):
-    columns = [[getattr(r, field) for r in result.rows] for field in map(str.lower, _STUDY_COLUMNS)]
-    Path(path).write_text(csv_text(_STUDY_COLUMNS, columns))
+    _write_rows(path, result.rows, _STUDY_COLUMNS)
+
+
+def write_refinement_csv(path, result: StudyResult):
+    _write_rows(path, result.rows, _REFINEMENT_COLUMNS)
 
 
 def halving_study(base: SimulationConfig, levels: int) -> StudyConfig:
@@ -160,7 +160,7 @@ def halving_study(base: SimulationConfig, levels: int) -> StudyConfig:
 
 
 def weak_residual_refinement(base: SimulationConfig, levels: int = 3) -> list[float]:
-    return [member_weak_residual(r) for r in run_members(halving_study(base, levels))]
+    return [row.weak_residual_max for row in run_study(halving_study(base, levels)).rows]
 
 
 # --- manufactured solutions --------------------------------------------------

@@ -277,6 +277,11 @@ class TestCatalog:
         assert {k: echoed[k] for k in known} == {k: expected[k] for k in known}
         assert parse_config_text(config_echo(cfg)) == cfg
 
+    def test_refinement_echo_omits_the_reference(self):
+        cfg = parse_config_text("\n".join(CATALOG_CASES["study.h_factor"]))
+        assert not any(line.startswith("study.reference") for line in echo_lines(cfg))
+        assert parse_config_text(config_echo(cfg)) == cfg
+
     def test_isotropic_keys_are_echoed(self):
         spec = TensorSpec("isotropic", lambda_l=0.5, mu_l=0.75, misfit_iso=0.1)
         cfg = replace(parse_config_text("\n".join(DIAGONAL)), tensor_spec=spec)
@@ -569,6 +574,20 @@ class TestCliStudy:
         assert main(argv) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: study: study.reference = {reference} is out of range for 2 kappas"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "factor, reference", [("study.h_factor", "0"), ("study.dt_factor", "0"), ("study.h_factor", "-1")]
+    )
+    def test_reference_of_a_refinement_study_exits_one(self, tmp_path, capsys, factor, reference):
+        # a refinement study has no reference member, so the key is not read
+        argv = ["study", "--out", str(tmp_path / "out"), "--set", "study.kappas=0.5 0.25", "--set", "reg.kappa=0.5",
+                "--set", f"{factor}=2", "--set", "grid.n=17", "--set", "run.t_end=0.002",
+                "--set", f"study.reference={reference}"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: study: study.reference is not read by a refinement study (study.h_factor or study.dt_factor > 1)"
         ]
         assert not (tmp_path / "out").exists()
 

@@ -1,3 +1,4 @@
+import collections
 import importlib.util
 import math
 import tempfile
@@ -37,8 +38,6 @@ from confsim.diagnostics import (
 )
 from confsim.simulator import Simulation, run, write_run, load_run
 from confsim.studies import (
-    MismatchedGrids,
-    flux_distance,
     OVERFLOWED,
     mms_convergence,
     run_study,
@@ -100,6 +99,12 @@ def weak_residual_series_of(traj, material, t_end):
     """The weak residual series of a trajectory, from its own stacks."""
     s = traj.s_matrix()
     return weak_residual_series(traj.times, s, traj.u_matrix(), d1(s, traj.grid.h), traj.grid, material, t_end)
+
+
+def weak_residual_of(traj, material):
+    """The final weak residual of a trajectory, from its own stacks."""
+    s = traj.s_matrix()
+    return weak_residual(traj.times, s, traj.u_matrix(), d1(s, traj.grid.h), traj.grid, material)
 
 
 def report_of(traj, t_end=None):
@@ -434,7 +439,7 @@ class TestWeakResidual:
 
     def test_zero_run_residual_zero(self):
         traj = zero_trajectory()
-        res = weak_residual(traj, MAT)
+        res = weak_residual_of(traj, MAT)
         assert np.max(np.abs(res)) < 1e-12
 
     def test_one_frame_with_default_test_functions_raises(self):
@@ -443,7 +448,7 @@ class TestWeakResidual:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a RuntimeWarning would fail here
             with pytest.raises(ValueError, match="at least two frames"):
-                weak_residual(traj, MAT)
+                weak_residual_of(traj, MAT)
 
     def test_series_starts_at_zero(self, desk_config):
         result = run(desk_config)
@@ -637,13 +642,57 @@ class TestKappaStudy:
         write_study_csv(tmp_path / "serial.csv", run_study(study))
         assert (tmp_path / "lockstep.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
-    def test_mismatched_grids_raise(self):
-        t1 = diffusion_trajectory(steps=3)
-        other_grid = Grid(1.0, 2.0, 33)
-        z = ScalarField(other_grid, np.zeros(other_grid.n))
-        t2 = Trajectory(t1.times[:4], [z] * 4, [z] * 4, np.arange(4))
-        with pytest.raises(MismatchedGrids):
-            flux_distance(t1, t2)
+    def test_each_member_is_stacked_once(self, monkeypatch):
+        # S and u are stacked once for a member's report and once for its row,
+        # and run_study takes S_x = d1(S) once per member
+        study = parse_config_text(bench_config_text("kappa_study", 0, quick=True))
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(Trajectory, "s_matrix", counting("s_matrix", Trajectory.s_matrix))
+        monkeypatch.setattr(Trajectory, "u_matrix", counting("u_matrix", Trajectory.u_matrix))
+        monkeypatch.setattr(studies, "d1", counting("d1", studies.d1))
+        result = run_study(study)
+        members = len(study.kappas)
+        assert members == 5 and all(r.termination.status == "completed" for r in result.rows)
+        assert calls["s_matrix"] <= 2 * members and calls["u_matrix"] <= 2 * members
+        assert calls["d1"] == members
+
+    @pytest.mark.parametrize("refinement", [False, True], ids=["rejected_member", "refinement"])
+    def test_distances_pair_only_members_of_one_grid_and_schedule(self, monkeypatch, refinement):
+        # a member that stopped early has fewer frames and a refinement member
+        # another grid: neither is paired with the reference
+        study = parse_config_text(
+            "study.kappas = 0.5 0.25 0.03125\nreg.increment_guard = 0.05\nbody.family = ramp\nbody.rate = 1e5\n"
+            + ("study.h_factor = 2\n" if refinement else "study.reference = 0\n")
+        )
+        pairs = []
+        plain_flux_distance = studies.flux_distance
+
+        def recording(times, flux_a, flux_b, h):
+            pairs.append((len(times), flux_a.shape, flux_b.shape))
+            return plain_flux_distance(times, flux_a, flux_b, h)
+
+        monkeypatch.setattr(studies, "flux_distance", recording)
+        result = run_study(study)
+        completed = [r.termination.status == "completed" for r in result.rows]
+        assert completed == [True, True, False]
+        assert [r.is_reference for r in result.rows] == [not refinement, False, False]
+        assert not result.strictly_decreasing
+        assert math.isnan(result.rows[2].d_kappa)
+        if refinement:
+            assert pairs == []
+            assert all(math.isnan(r.d_kappa) for r in result.rows)
+        else:
+            assert len(pairs) == 2
+            assert all(shape_a == shape_b == (k, study.base.grid.n) for k, shape_a, shape_b in pairs)
+            assert result.rows[0].d_kappa == 0.0 and result.rows[1].d_kappa > 0.0
 
     def test_study_config_invariants(self):
         base = make_config()
@@ -664,8 +713,10 @@ class TestKappaStudy:
         assert member.reg.dt == pytest.approx(2e-4)
         assert member.reg.kappa == 0.25
         assert member.reg.kappa_m == 0.25  # coupled width follows kappa
-        with pytest.raises(MismatchedGrids):
-            run_study(study)
+        result = run_study(study)
+        assert [(r.kappa, r.h, r.dt) for r in result.rows] == [(0.5, 1.0 / 32, 4e-4), (0.25, 1.0 / 64, 2e-4)]
+        assert not any(r.is_reference for r in result.rows) and not result.strictly_decreasing
+        assert all(math.isnan(r.d_kappa) for r in result.rows)
 
 
 class TestManufacturedConvergence:

@@ -17,12 +17,13 @@ import pytest
 from confsim import diagnostics
 from confsim.cli import main
 from confsim.config import parse_config, parse_config_text
-from confsim.diagnostics import DiagnosticsReport, NonFiniteReport
-from confsim.grid_field import csv_text
+from confsim.diagnostics import DiagnosticsReport, NonFiniteReport, weak_residual_series
+from confsim.grid_field import csv_text, d1
 from confsim.simulator import load_run, run, write_run
-from confsim.studies import member_weak_residual, run_members, run_study, write_study_csv
+from confsim.studies import halving_study, run_members, run_study, weak_residual_refinement, write_study_csv
 
 from conftest import make_config
+from test_step_oracles import same_bits
 
 FMT = "{:.17g}"
 
@@ -69,12 +70,24 @@ def reference_study_csv(result):
     return "\n".join(lines) + "\n"
 
 
+def reference_weak_residual_max(res):
+    """A member's largest final weak residual from its own frames; nan unless it completed."""
+    if res is None or res.termination.status != "completed":
+        return math.nan
+    traj = res.trajectory
+    s = traj.s_matrix()
+    series = weak_residual_series(
+        traj.times, s, traj.u_matrix(), d1(s, traj.grid.h), traj.grid, res.config.material, float(traj.times[-1])
+    )
+    return float(np.max(np.abs(series[-1])))
+
+
 def reference_refinement_csv(study, results):
     """The f-string lines of the refinement branch of ``confsim study`` that csv_text replaced."""
     lines = ["kappa,h,dt,weak_residual_max"]
     for i, res in enumerate(results):
         cfg = study.member_config(i)
-        wr = member_weak_residual(res)
+        wr = reference_weak_residual_max(res)
         lines.append(f"{cfg.reg.kappa:.17g},{cfg.grid.h:.17g},{cfg.reg.dt:.17g},{wr:.17g}")
     return "\n".join(lines) + "\n"
 
@@ -162,6 +175,29 @@ class TestStudyTables:
         study = parse_config(cfg_path)
         want = reference_refinement_csv(study, run_members(study))
         assert (tmp_path / "out" / "refinement.csv").read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("guard", ["1e9", "1e-12"], ids=["completed", "rejected"])
+    def test_refinement_rows_are_the_table_and_the_refinement_values(self, tmp_path, guard):
+        base_text = (
+            "grid.n = 17\nrun.t_end = 2e-3\nreg.dt = 2e-4\nrun.save_every = 2\nreg.kappa = 0.5\n"
+            f"reg.increment_guard = {guard}\n"
+        )
+        cfg_path = tmp_path / "refine.cfg"
+        cfg_path.write_text(base_text + "study.kappas = 0.5 0.25 0.125\nstudy.h_factor = 2\nstudy.dt_factor = 2\n")
+        study = parse_config(cfg_path)
+        base = parse_config_text(base_text)
+        assert study == halving_study(base, 3)
+        rows = run_study(study).rows
+        code = main(["study", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == (0 if guard == "1e9" else 2)
+        table = (tmp_path / "out" / "refinement.csv").read_text().splitlines()
+        assert table[0] == "kappa,h,dt,weak_residual_max" and len(table) == len(rows) + 1
+        for line, row in zip(table[1:], rows):
+            want = (row.kappa, row.h, row.dt, row.weak_residual_max)
+            assert all(same_bits(float(v), w) for v, w in zip(line.split(","), want)), line
+        values = weak_residual_refinement(base, levels=3)
+        assert all(same_bits(v, row.weak_residual_max) for v, row in zip(values, rows))
+        assert len(values) == len(rows)
 
 
 class TestStaleFrames:
