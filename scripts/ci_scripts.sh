@@ -93,6 +93,16 @@ fi
 # a 100-step mollifier window that fills at step 99 and stays full for 300 steps: the
 # full-window average in blocks of order_parameter.BLOCK steps, over several blocks
 PYTHONWARNINGS=error::RuntimeWarning confsim run --out run-full-window --set reg.kappa_m=0.02 --set run.t_end=0.08
+# a tensor key with no tensor family is not read: the run must exit 1 with one error line
+# that names material.tensor.family
+status=0
+confsim run --out run-no-family --set material.tensor.mu0=2 2> no-family.err || status=$?
+if [ "$status" -ne 1 ] || [ "$(grep -c '^error: .*material\.tensor\.family' no-family.err)" -ne 1 ] \
+  || [ "$(wc -l < no-family.err)" -ne 1 ]; then
+  echo "run on material.tensor.mu0 with no tensor family exited $status, expected 1 with one error line naming it" >&2
+  cat no-family.err >&2
+  exit 1
+fi
 # a tensor run: its echo in meta.txt is re-parsed by load_run
 tensor=(--set material.tensor.family=diagonal --set material.tensor.mu0=2 --set material.misfit_iso=0.1
         --set grid.n=33)

@@ -29,11 +29,10 @@ from .order_parameter import (
 from .reduction3d import RadialLift, lift_fields, residual_elasticity_3d, residual_order_3d
 from .config import (
     BodyForce,
+    ConfigInvalid,
     InitialData,
-    ParseError,
     SimulationConfig,
     StudyConfig,
-    ValidationError,
     default_config,
     parse_config,
     parse_config_text,

@@ -16,10 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    ConfigInvalid, ParseError, SimulationConfig, StudyConfig, ValidationError, apply_overrides,
-    build_config, parse_config,
-)
+from .config import ConfigInvalid, SimulationConfig, StudyConfig, apply_overrides, build_config, parse_config
 from .diagnostics import NonFiniteReport
 from .elasticity import GreenKernel
 from .grid_field import FieldFileError
@@ -27,7 +24,7 @@ from .reduction3d import RadialLift, random_shell_points, residual_elasticity_3d
 from .simulator import Simulation, load_run, write_run
 from .studies import mms_convergence, run_study, write_refinement_csv, write_study_csv
 
-_INPUT_ERRORS = (ParseError, ValidationError, ConfigInvalid, FieldFileError, OSError)
+_INPUT_ERRORS = (ConfigInvalid, FieldFileError, OSError)
 
 
 def _load(args, want) -> object:
@@ -36,10 +33,7 @@ def _load(args, want) -> object:
     else:
         cfg = build_config(apply_overrides({}, args.set))
     if not isinstance(cfg, want):
-        raise ValidationError(
-            "config_kind",
-            f"expected a {'study' if want is StudyConfig else 'simulation'} config",
-        )
+        raise ConfigInvalid(f"config_kind: expected a {'study' if want is StudyConfig else 'simulation'} config")
     return cfg
 
 
@@ -133,23 +127,19 @@ def _cmd_verify_green(args) -> int:
 
 def _cmd_check_reduction(args) -> int:
     if args.samples < 1:
-        raise ValidationError("samples", f"--samples must be at least 1, got {args.samples}")
+        raise ConfigInvalid(f"samples: --samples must be at least 1, got {args.samples}")
     if not args.h3 > 0:
-        raise ValidationError("h3", f"--h3 must be positive, got {args.h3}")
+        raise ConfigInvalid(f"h3: --h3 must be positive, got {args.h3}")
     traj, cfg, _ = load_run(args.run)
     if cfg.tensor_spec is None:
-        raise ValidationError(
-            "tensor_spec", "check-reduction needs a run configured with material.tensor.*"
-        )
+        raise ConfigInvalid("tensor_spec: check-reduction needs a run configured with material.tensor.*")
     width = cfg.grid.d - cfg.grid.a
     if not 6 * args.h3 < width:
         # samples keep 3*h3 from each wall, so the shell must be wider than 6*h3
-        raise ValidationError(
-            "h3", f"--h3 = {args.h3} needs 6*h3 < d - a = {width:g}; sample margin is 3*h3"
-        )
+        raise ConfigInvalid(f"h3: --h3 = {args.h3} needs 6*h3 < d - a = {width:g}; sample margin is 3*h3")
     tensor, misfit = cfg.tensor_spec.build()
     if len(traj.times) < 2:
-        raise ValidationError("frames", "need at least two saved frames")
+        raise ConfigInvalid("frames: need at least two saved frames")
     k = len(traj.times) - 1
     s, u = traj.s_matrix(), traj.u_matrix()
     b0 = cfg.body.evaluate(float(traj.times[k - 1]), cfg.grid)

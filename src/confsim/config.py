@@ -4,22 +4,29 @@
 and ``StudyConfig`` are the validated schema every layer above this one
 consumes.  The file format is one ``key = value`` pair per line, ``#``
 comments, flat dotted keys.  ``_CATALOG`` is the single table of keys: it
-gives each key's type, its default and the attribute of the built config that
-holds it, and parsing, building and the echo all read it.  Parsing is strict:
-unknown keys are rejected so sweep typos cannot silently fall back to
-defaults, and so are keys the config would not read (material scalars next to
-a tensor family, tensor keys of another family, ``study.reference`` in a
-refinement study).  ``echo_lines`` renders a config canonically (every key
-it reads, sorted, floats at 17 significant digits) and re-parsing the echo
-reproduces an equal config; ``config_digest``, the run hash, is taken over
-that text.
+gives each key's type and the attribute of the built config that holds it,
+and parsing, building and the echo all read it.  A key's default is the one
+its part's class holds (``Grid``, ``MaterialParams``, ``RegularizationParams``,
+``InitialData``, ``BodyForce``, ``TensorSpec``, ``StudyConfig`` and the run
+fields of ``SimulationConfig``): a part is built from the keys that were set
+and its class fills in the rest.  Parsing is strict: unknown keys are
+rejected so sweep typos cannot silently fall back to defaults, and so are
+the keys a config does not read, which ``_unread_keys`` alone names (material
+scalars next to a tensor family, tensor keys of another family or of no
+family, ``study.reference`` in a refinement study).  ``echo_lines`` renders a
+config canonically (every key it reads, sorted, floats at 17 significant
+digits) and re-parsing the echo reproduces an equal config;
+``config_digest``, the run hash, is taken over that text.  Every input error
+is a ``ConfigInvalid`` whose message leads with where it was found: the line
+of the file, or the invariant that failed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Optional
@@ -32,20 +39,16 @@ from .order_parameter import MAX_MOLLIFIER_FLOATS, MAX_STEPS, RegularizationPara
 
 
 class ConfigInvalid(ValueError):
-    pass
+    """Bad input: a config that does not parse or validate, or a command-line value out of range."""
 
 
-class ParseError(ValueError):
-    def __init__(self, line: int, column: int, message: str):
-        self.line = line
-        self.column = column
-        super().__init__(f"line {line}, column {column}: {message}")
-
-
-class ValidationError(ValueError):
-    def __init__(self, invariant: str, message: str):
-        self.invariant = invariant
-        super().__init__(f"{invariant}: {message}")
+@contextmanager
+def _invariant(name: str):
+    """Raise a ValueError of the block as a ConfigInvalid that names the invariant ``name``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigInvalid(f"{name}: {exc}") from exc
 
 
 def _smooth_ramp(s: np.ndarray) -> np.ndarray:
@@ -142,14 +145,16 @@ class BodyForce:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    grid: Grid
-    material: MaterialParams
-    reg: RegularizationParams
-    t_end: float
-    save_every: int
-    elasticity_path: str
-    init: InitialData
-    body: BodyForce
+    """One run; with no arguments, the default run."""
+
+    grid: Grid = field(default_factory=Grid)
+    material: MaterialParams = field(default_factory=MaterialParams)
+    reg: RegularizationParams = field(default_factory=RegularizationParams)
+    t_end: float = 0.02
+    save_every: int = 10
+    elasticity_path: str = "direct"
+    init: InitialData = field(default_factory=InitialData)
+    body: BodyForce = field(default_factory=BodyForce)
     tensor_spec: Optional[TensorSpec] = None
 
     def __post_init__(self):
@@ -200,6 +205,10 @@ class SimulationConfig:
         return self.t_end if n >= self.n_steps else n * self.reg.dt
 
 
+# the error for a reference set in a refinement study, by code or by key
+_REFINEMENT_REFERENCE = "study.reference is not read by a refinement study (study.h_factor or study.dt_factor > 1)"
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """A family of runs over a decreasing regularization sequence.
@@ -207,7 +216,8 @@ class StudyConfig:
     With the default unit factors all members share the grid and time step
     (the setting in which reference distances are defined).  Factors above one
     refine the mesh and the step per member, turning the sequence into a
-    simultaneous refinement path, which has no reference member.
+    simultaneous refinement path, which has no reference member: its
+    ``reference`` stays -1.
     """
 
     base: SimulationConfig
@@ -231,6 +241,8 @@ class StudyConfig:
             raise ValueError(f"study.reference = {self.reference} is out of range for {len(ks)} kappas")
         for index in range(len(ks)):
             self.member_config(index)  # a refined member must be a valid config too
+        if self.is_refinement and self.reference != -1:
+            raise ValueError(_REFINEMENT_REFERENCE)
 
     @property
     def is_refinement(self) -> bool:
@@ -253,50 +265,49 @@ class StudyConfig:
         )
 
 
-# key -> (kind, default, part, field): the value's type, its default (None
-# means "optional, absent unless set") and the attribute of the built config
-# that holds it.  The part is a component of the SimulationConfig ("run" is the
-# SimulationConfig itself) or "study", the StudyConfig.
+# key -> (kind, part, field): the value's type and the attribute of the built
+# config that holds it.  The part is a component of the SimulationConfig
+# ("run" is the SimulationConfig itself) or "study", the StudyConfig.
 _CATALOG = {
-    "grid.a": ("float", 1.0, "grid", "a"),
-    "grid.d": ("float", 2.0, "grid", "d"),
-    "grid.n": ("int", 129, "grid", "n"),
-    "material.c": ("float", 1.0, "material", "c"),
-    "material.nu": ("float", 0.1, "material", "nu"),
-    "material.well_weight": ("float", 1.0, "material", "well_weight"),
-    "material.mu": ("float", 2.0, "material", "mu"),
-    "material.lambda": ("float", 0.2, "material", "lam"),
-    "material.e": ("float", 0.06, "material", "e"),
-    "material.tensor.family": ("str", None, "tensor_spec", "family"),
-    "material.tensor.mu0": ("float", None, "tensor_spec", "mu0"),
-    "material.tensor.lambda_L": ("float", None, "tensor_spec", "lambda_l"),
-    "material.tensor.mu_L": ("float", None, "tensor_spec", "mu_l"),
-    "material.tensor.entries": ("floats", None, "tensor_spec", "entries"),
-    "material.misfit": ("floats", None, "tensor_spec", "misfit"),
-    "material.misfit_iso": ("float", None, "tensor_spec", "misfit_iso"),
-    "reg.kappa": ("float", 0.25, "reg", "kappa"),
-    "reg.kappa_m": ("float", None, "reg", "kappa_m"),
-    "reg.dt": ("float", 2.0e-4, "reg", "dt"),
-    "reg.increment_guard": ("float", 1.0, "reg", "increment_guard"),
-    "run.t_end": ("float", 0.02, "run", "t_end"),
-    "run.save_every": ("int", 10, "run", "save_every"),
-    "run.elasticity_path": ("str", "direct", "run", "elasticity_path"),
-    "init.family": ("str", "plateau", "init", "family"),
-    "init.amplitude": ("float", 0.8, "init", "amplitude"),
-    "init.support_lo": ("float", 0.3, "init", "support_lo"),
-    "init.support_hi": ("float", 0.7, "init", "support_hi"),
-    "init.shoulder": ("float", 0.15, "init", "shoulder"),
-    "body.family": ("str", "zero", "body", "family"),
-    "body.amplitude": ("float", 0.0, "body", "amplitude"),
-    "body.coeffs": ("floats", (0.0,), "body", "coeffs"),
-    "body.rate": ("float", 0.0, "body", "rate"),
-    "study.kappas": ("floats", None, "study", "kappas"),
-    "study.reference": ("int", -1, "study", "reference"),
-    "study.h_factor": ("int", 1, "study", "h_factor"),
-    "study.dt_factor": ("int", 1, "study", "dt_factor"),
+    "grid.a": ("float", "grid", "a"),
+    "grid.d": ("float", "grid", "d"),
+    "grid.n": ("int", "grid", "n"),
+    "material.c": ("float", "material", "c"),
+    "material.nu": ("float", "material", "nu"),
+    "material.well_weight": ("float", "material", "well_weight"),
+    "material.mu": ("float", "material", "mu"),
+    "material.lambda": ("float", "material", "lam"),
+    "material.e": ("float", "material", "e"),
+    "material.tensor.family": ("str", "tensor_spec", "family"),
+    "material.tensor.mu0": ("float", "tensor_spec", "mu0"),
+    "material.tensor.lambda_L": ("float", "tensor_spec", "lambda_l"),
+    "material.tensor.mu_L": ("float", "tensor_spec", "mu_l"),
+    "material.tensor.entries": ("floats", "tensor_spec", "entries"),
+    "material.misfit": ("floats", "tensor_spec", "misfit"),
+    "material.misfit_iso": ("float", "tensor_spec", "misfit_iso"),
+    "reg.kappa": ("float", "reg", "kappa"),
+    "reg.kappa_m": ("float", "reg", "kappa_m"),
+    "reg.dt": ("float", "reg", "dt"),
+    "reg.increment_guard": ("float", "reg", "increment_guard"),
+    "run.t_end": ("float", "run", "t_end"),
+    "run.save_every": ("int", "run", "save_every"),
+    "run.elasticity_path": ("str", "run", "elasticity_path"),
+    "init.family": ("str", "init", "family"),
+    "init.amplitude": ("float", "init", "amplitude"),
+    "init.support_lo": ("float", "init", "support_lo"),
+    "init.support_hi": ("float", "init", "support_hi"),
+    "init.shoulder": ("float", "init", "shoulder"),
+    "body.family": ("str", "body", "family"),
+    "body.amplitude": ("float", "body", "amplitude"),
+    "body.coeffs": ("floats", "body", "coeffs"),
+    "body.rate": ("float", "body", "rate"),
+    "study.kappas": ("floats", "study", "kappas"),
+    "study.reference": ("int", "study", "reference"),
+    "study.h_factor": ("int", "study", "h_factor"),
+    "study.dt_factor": ("int", "study", "dt_factor"),
 }
 
-# derived from the tensor when a tensor family is given, so not set then
+# derived from the tensor when a tensor family is given, so not read then
 _SCALAR_MATERIAL_KEYS = ("material.mu", "material.lambda", "material.e")
 
 # the tensor keys each family reads; a family's config may set no other
@@ -307,9 +318,38 @@ _FAMILY_KEYS = {
 }
 
 
-def _unread_tensor_keys(family: str) -> list[str]:
-    """The tensor keys that ``family`` does not read: those of the other families."""
-    return [key for fam, keys in _FAMILY_KEYS.items() if fam != family for key in keys]
+def _unread_keys(family: Optional[str], study: Optional["StudyConfig"]) -> dict:
+    """The keys a config does not read, in the order they are refused, each with the error for setting it.
+
+    ``family`` is the config's tensor family (None: scalar material) and
+    ``study`` its StudyConfig (None: a run).  The material keys depend on the
+    family alone, the study keys on the kind of config alone.
+    """
+    if family is None:
+        unread = {
+            key: f"tensor_spec: {key} requires material.tensor.family"
+            for key, (_, part, _) in _CATALOG.items() if part == "tensor_spec"
+        }
+    else:
+        unread = {key: f"tensor_spec: {key} conflicts with material.tensor.family; scalars are derived"
+                  for key in _SCALAR_MATERIAL_KEYS}
+        if family in _FAMILY_KEYS:  # an unknown family is named by TensorSpec.build
+            unread.update(
+                (key, f"tensor_spec: {key} is not read by tensor family {family!r}")
+                for other, keys in _FAMILY_KEYS.items() if other != family for key in keys
+            )
+    if study is None:  # never refused: setting a study key makes the config a study
+        unread.update((key, f"study: {key} is read by a study only") for key in _CATALOG if key.startswith("study."))
+    elif study.is_refinement:
+        unread["study.reference"] = f"study: {_REFINEMENT_REFERENCE}"
+    return unread
+
+
+def _refuse_unread(raw: dict, unread: dict, parts) -> None:
+    """Refuse the first key of ``parts`` that ``raw`` sets and the config does not read."""
+    for key, message in unread.items():
+        if key in raw and _CATALOG[key][1] in parts:
+            raise ConfigInvalid(message)
 
 
 def _convert(key: str, raw: str):
@@ -335,22 +375,21 @@ def parse_pairs(text: str) -> dict:
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
-        if not stripped:
+        if not stripped or stripped == "[config]":
             continue
-        if stripped == "[config]":
-            continue
+        at = f"line {lineno}, column 1"
         if "=" not in stripped:
-            raise ParseError(lineno, 1, f"expected 'key = value', got {stripped!r}")
+            raise ConfigInvalid(f"{at}: expected 'key = value', got {stripped!r}")
         key, value = stripped.split("=", 1)
         key = key.strip()
         if key not in _CATALOG:
-            raise ValidationError("unknown_key", f"unknown config key {key!r}")
+            raise ConfigInvalid(f"unknown_key: unknown config key {key!r}")
         if key in raw:
-            raise ParseError(lineno, 1, f"duplicate key {key!r}")
+            raise ConfigInvalid(f"{at}: duplicate key {key!r}")
         try:
             raw[key] = _convert(key, value.strip())
         except ValueError as exc:
-            raise ParseError(lineno, 1, str(exc)) from exc
+            raise ConfigInvalid(f"{at}: {exc}") from exc
     return raw
 
 
@@ -358,11 +397,11 @@ def apply_overrides(raw: dict, overrides) -> dict:
     out = dict(raw)
     for item in overrides or ():
         if "=" not in item:
-            raise ValidationError("override_format", f"override {item!r} is not key=value")
+            raise ConfigInvalid(f"override_format: override {item!r} is not key=value")
         key, value = item.split("=", 1)
         key = key.strip()
         if key not in _CATALOG:
-            raise ValidationError("unknown_key", f"override references unknown key {key!r}")
+            raise ConfigInvalid(f"unknown_key: override references unknown key {key!r}")
         try:
             out[key] = _convert(key, value.strip())
         except ValueError as exc:
@@ -370,65 +409,38 @@ def apply_overrides(raw: dict, overrides) -> dict:
     return out
 
 
-def _part_kwargs(raw: dict, part: str, skip=()) -> dict:
-    """Constructor arguments of one part: its keys' set values or their defaults."""
-    out = {}
-    for key, (_, default, key_part, attr) in _CATALOG.items():
-        if key_part == part and key not in skip:
-            value = raw.get(key, default)
-            if value is not None:
-                out[attr] = value
-    return out
+def _part_kwargs(raw: dict, part: str) -> dict:
+    """Constructor arguments of one part: the keys of it that were set; its class fills in the rest."""
+    return {attr: raw[key] for key, (_, key_part, attr) in _CATALOG.items() if key_part == part and key in raw}
 
 
 def _build_material(raw: dict) -> tuple[MaterialParams, Optional[TensorSpec]]:
     family = raw.get("material.tensor.family")
+    _refuse_unread(raw, _unread_keys(family, None), ("material", "tensor_spec"))
     if family is None:
-        for key, (_, _, part, _) in _CATALOG.items():
-            if part == "tensor_spec" and key in raw:
-                raise ValidationError("tensor_spec", f"{key} requires material.tensor.family")
-        try:
+        with _invariant("material"):
             return MaterialParams(**_part_kwargs(raw, "material")), None
-        except ValueError as exc:
-            raise ValidationError("material", str(exc)) from exc
-    for key in _SCALAR_MATERIAL_KEYS:
-        if key in raw:
-            raise ValidationError(
-                "tensor_spec", f"{key} conflicts with material.tensor.family; scalars are derived"
-            )
-    if family in _FAMILY_KEYS:  # an unknown family is named by TensorSpec.build
-        for key in _unread_tensor_keys(family):
-            if key in raw:
-                raise ValidationError("tensor_spec", f"{key} is not read by tensor family {family!r}")
     if ("material.misfit" in raw) == ("material.misfit_iso" in raw):
-        raise ValidationError(
-            "tensor_spec", "tensor family needs exactly one of material.misfit / material.misfit_iso"
-        )
+        raise ConfigInvalid("tensor_spec: tensor family needs exactly one of material.misfit / material.misfit_iso")
     spec = TensorSpec(**_part_kwargs(raw, "tensor_spec"))
     try:
         tensor, misfit = spec.build()
-        params = MaterialParams.from_tensors(
-            tensor, misfit, **_part_kwargs(raw, "material", skip=_SCALAR_MATERIAL_KEYS)
-        )
+        params = MaterialParams.from_tensors(tensor, misfit, **_part_kwargs(raw, "material"))
     except AssumptionViolated as exc:
-        raise ValidationError("tensor_assumptions", f"tensor fails structural conditions: {exc.failed}") from exc
+        raise ConfigInvalid(f"tensor_assumptions: tensor fails structural conditions: {exc.failed}") from exc
     except ValueError as exc:
-        raise ValidationError("tensor_spec", str(exc)) from exc
+        raise ConfigInvalid(f"tensor_spec: {exc}") from exc
     return params, spec
 
 
 def build_config(raw: dict):
     """Typed, fully validated config from raw pairs; study keys switch the type."""
-    try:
+    with _invariant("grid"):
         grid = Grid(**_part_kwargs(raw, "grid"))
-    except ValueError as exc:
-        raise ValidationError("grid", str(exc)) from exc
     material, tensor_spec = _build_material(raw)
-    try:
+    with _invariant("regularization"):
         reg = RegularizationParams(**_part_kwargs(raw, "reg"))
-    except ValueError as exc:
-        raise ValidationError("regularization", str(exc)) from exc
-    try:
+    with _invariant("config"):
         sim = SimulationConfig(
             grid=grid,
             material=material,
@@ -438,22 +450,14 @@ def build_config(raw: dict):
             tensor_spec=tensor_spec,
             **_part_kwargs(raw, "run"),
         )
-    except ValueError as exc:
-        raise ValidationError("config", str(exc)) from exc
-
-    if any(k.startswith("study.") for k in raw):
-        if "study.kappas" not in raw:
-            raise ValidationError("study", "study config requires study.kappas")
-        try:
-            study = StudyConfig(base=sim, **_part_kwargs(raw, "study"))
-        except ValueError as exc:
-            raise ValidationError("study", str(exc)) from exc
-        if study.is_refinement and "study.reference" in raw:
-            raise ValidationError(
-                "study", "study.reference is not read by a refinement study (study.h_factor or study.dt_factor > 1)"
-            )
-        return study
-    return sim
+    if not any(k.startswith("study.") for k in raw):
+        return sim
+    if "study.kappas" not in raw:
+        raise ConfigInvalid("study: study config requires study.kappas")
+    with _invariant("study"):
+        study = StudyConfig(base=sim, **_part_kwargs(raw, "study"))
+    _refuse_unread(raw, _unread_keys(raw.get("material.tensor.family"), study), ("study",))
+    return study
 
 
 def parse_config_text(text: str, overrides=None):
@@ -483,14 +487,12 @@ def echo_lines(config) -> list[str]:
         "grid": sim.grid, "material": sim.material, "tensor_spec": spec, "reg": sim.reg,
         "init": sim.init, "body": sim.body, "run": sim, "study": study,
     }
-    unread = () if spec is None else (*_SCALAR_MATERIAL_KEYS, *_unread_tensor_keys(spec.family))
-    if study is not None and study.is_refinement:
-        unread += ("study.reference",)
+    unread = _unread_keys(None if spec is None else spec.family, study)
     lines = []
     for key in sorted(_CATALOG):
-        kind, _, part, attr = _CATALOG[key]
-        if parts[part] is None or key in unread:
+        if key in unread:
             continue
+        kind, part, attr = _CATALOG[key]
         value = getattr(parts[part], attr)
         if value is not None:  # the misfit form that was not given
             lines.append(f"{key} = {_fmt(kind, value)}")

@@ -114,16 +114,6 @@ class DiagnosticsReport:
         return csv_text(header, columns)
 
 
-def primitive_field(s: np.ndarray, h: float, kappa: float) -> np.ndarray:
-    """Closed-form primitive of the smoothed modulus, evaluated at S_x."""
-    return smoothed_abs_primitive(d1(s, h), kappa)
-
-
-def flux_field(s: np.ndarray, h: float) -> np.ndarray:
-    """Signed flux |S_x|S_x/2, the kappa = 0 primitive."""
-    return primitive_field(s, h, 0.0)
-
-
 def _flux_gradients(s_x: np.ndarray, h: float) -> np.ndarray:
     """(|S_x|S_x)_x of every frame from its S_x; doubling the flux is exact."""
     flux = smoothed_abs_primitive(s_x, 0.0)

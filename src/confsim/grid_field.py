@@ -86,9 +86,9 @@ dgtsv, dgttrf, dgttrs = _flapack.dgtsv, _flapack.dgttrf, _flapack.dgttrs
 class Grid:
     """Nodes x_i = a + i*h on [a, d], h = (d - a)/(n - 1)."""
 
-    a: float
-    d: float
-    n: int
+    a: float = 1.0
+    d: float = 2.0
+    n: int = 129
 
     def __post_init__(self):
         if not (0 < self.a < self.d):

@@ -236,7 +236,7 @@ def scalar_coefficients(tensor: ElasticityTensor, misfit: MisfitStrain) -> tuple
     return mu, lam, tensor.quadratic_form(misfit.entries)
 
 
-def double_well(s, well_weight: float = 1.0):
+def double_well(s, well_weight: float):
     """Quartic double well W*s^2*(1-s)^2 with minima at 0 and 1.
 
     Returns (value, derivative); accepts scalars or arrays.
@@ -254,7 +254,7 @@ def free_energy(
     s: float,
     tensor: ElasticityTensor,
     misfit: MisfitStrain,
-    well_weight: float = 1.0,
+    well_weight: float,
 ) -> float:
     """0.5 * D(eps - misfit*s) . (eps - misfit*s) + well(s)."""
     eps = np.asarray(eps, dtype=float)
@@ -306,12 +306,12 @@ class MaterialParams:
     the double-well amplitude.
     """
 
-    c: float
-    nu: float
-    mu: float
-    lam: float
-    e: float
-    well_weight: float
+    c: float = 1.0
+    nu: float = 0.1
+    mu: float = 2.0
+    lam: float = 0.2
+    e: float = 0.06
+    well_weight: float = 1.0
 
     def __post_init__(self):
         if not self.c > 0:
@@ -326,13 +326,7 @@ class MaterialParams:
             raise ValueError(f"e must be nonnegative, got {self.e}")
 
     @classmethod
-    def from_tensors(
-        cls,
-        tensor: ElasticityTensor,
-        misfit: MisfitStrain,
-        c: float,
-        nu: float,
-        well_weight: float,
-    ) -> "MaterialParams":
+    def from_tensors(cls, tensor: ElasticityTensor, misfit: MisfitStrain, **scalars) -> "MaterialParams":
+        """mu, lam and e from the tensors; ``scalars`` sets any of c, nu and well_weight, the rest default."""
         mu, lam, e = scalar_coefficients(tensor, misfit)
-        return cls(c=c, nu=nu, mu=mu, lam=lam, e=e, well_weight=well_weight)
+        return cls(mu=mu, lam=lam, e=e, **scalars)

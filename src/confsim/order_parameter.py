@@ -81,8 +81,8 @@ class InsufficientHistory(RuntimeError):
 class RegularizationParams:
     """kappa in (0, 1], time step, mollifier width and increment guard."""
 
-    kappa: float
-    dt: float
+    kappa: float = 0.25
+    dt: float = 2.0e-4
     kappa_m: Optional[float] = None  # mollifier window width; defaults to kappa
     increment_guard: float = 1.0
 

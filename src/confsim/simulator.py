@@ -43,8 +43,7 @@ from .order_parameter import (
 from .elasticity import GreenKernel, elastic_constants, fd_residual, solve_elasticity
 # BodyForce is not used here by name: bench/tracer.py reaches it as simulator.BodyForce.
 from .config import (
-    BodyForce, ConfigInvalid, ParseError, SimulationConfig, ValidationError, config_digest, config_echo,
-    parse_config_text,
+    BodyForce, ConfigInvalid, SimulationConfig, config_digest, config_echo, parse_config_text,
 )
 
 SNAPSHOT_VERSION = 2
@@ -403,9 +402,9 @@ def load_run(run_dir):
     if not sep:
         raise FieldFileError(f"{meta_path}: no [config] line")
     try:
-        # a blank line for each line above [config] keeps a ParseError's line number the file's
+        # a blank line for each line above [config] keeps a parse error's line number the file's
         config = parse_config_text("\n" * head.count("\n") + config_text)
-    except (ParseError, ValidationError, ConfigInvalid) as exc:
+    except ConfigInvalid as exc:
         raise FieldFileError(f"{meta_path}: {exc}") from None
     stated = [line.partition(" = ")[2] for line in head.splitlines() if line.startswith("config_hash = ")]
     if not stated:

@@ -253,21 +253,16 @@ class MMSResult:
     h_errors: list[float]
 
 
-def mms_convergence(
-    a: float = 1.0,
-    d: float = 2.0,
-    material: Optional[MaterialParams] = None,
-    kappa: float = 0.25,
-) -> MMSResult:
-    """Observed convergence orders from three-level refinements.
+def mms_convergence() -> MMSResult:
+    """Observed convergence orders from three-level refinements, on the default run's shell, material and kappa.
 
     Covers the elasticity solve against closed-form displacements (order 2,
     plus the machine-exact quadratic case) and the force-free parabolic step:
     rate in dt against a tiny-step forward-Euler reference at fixed h, and
     rate in h on nested grids with dt tied to h^2.
     """
-    if material is None:
-        material = MaterialParams(c=1.0, nu=0.1, mu=2.0, lam=0.2, e=0.06, well_weight=1.0)
+    default = SimulationConfig()
+    a, d, material, kappa = default.grid.a, default.grid.d, default.material, default.reg.kappa
 
     sizes = [65, 129, 257]
     errs = elasticity_errors(a, d, sizes, quadratic=False)

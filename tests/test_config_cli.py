@@ -1,21 +1,20 @@
+import itertools
 import re
 import zipfile
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
 
-from confsim import simulator
+from confsim import material, simulator
 from confsim.cli import main
 from confsim.config import (
     _CATALOG,
     BodyForce,
     ConfigInvalid,
     InitialData,
-    ParseError,
     SimulationConfig,
     StudyConfig,
-    ValidationError,
     config_digest,
     config_echo,
     default_config,
@@ -24,7 +23,8 @@ from confsim.config import (
     parse_pairs,
 )
 from confsim.grid_field import Grid
-from confsim.material import ElasticityTensor, TensorSpec
+from confsim.material import ElasticityTensor, MaterialParams, TensorSpec
+from confsim.order_parameter import RegularizationParams
 from confsim.simulator import load_run
 
 from conftest import edit_fields
@@ -100,6 +100,40 @@ FAMILY_LINES = {
 }
 # no isotropic tensor passes the structural conditions, so no parsed config sets these
 ISOTROPIC_KEYS = ("material.tensor.lambda_L", "material.tensor.mu_L")
+# the class of each catalog part, whose field defaults are its keys' defaults
+PART_CLASSES = {
+    "grid": Grid, "material": MaterialParams, "tensor_spec": TensorSpec, "reg": RegularizationParams,
+    "run": SimulationConfig, "init": InitialData, "body": BodyForce, "study": StudyConfig,
+}
+# the axes of the rule for the keys a config does not read: its tensor family and its kind
+RULE_FAMILIES = {
+    "no family": [],
+    **{
+        family: [f"material.tensor.family = {family}", *lines, "material.misfit_iso = 0.1"]
+        for family, lines in FAMILY_LINES.items()
+    },
+}
+RULE_KINDS = {"run": [], "kappa study": STUDY, "refinement": [*STUDY, "study.h_factor = 2"]}
+# a valid non-default value of each catalog key
+CASE_VALUES = {
+    **{key: lines[0].split(" = ", 1)[1] for key, lines in CATALOG_CASES.items()},
+    **dict(line.split(" = ", 1) for line in FAMILY_LINES["isotropic"]),
+}
+
+
+def key_default(key):
+    """The default of ``key`` that its part's class states; None where the class has none."""
+    _, part, attr = _CATALOG[key]
+    default = next(f.default for f in fields(PART_CLASSES[part]) if f.name == attr)
+    return None if default is MISSING else default
+
+
+def parse_outcome(lines, overrides=None):
+    """The config that ``lines`` with ``overrides`` parse to, or the text of the error that refuses them."""
+    try:
+        return parse_config_text("\n".join(lines), overrides)
+    except ConfigInvalid as exc:
+        return str(exc)
 
 
 def write_config(tmp_path, lines, name="case.cfg"):
@@ -154,37 +188,42 @@ class TestParsing:
         assert cfg.reg.kappa_m == 0.25
         assert cfg.material.mu == 2.0
         assert cfg.elasticity_path == "direct"
-        # the families' own defaults are the catalog's
-        assert (cfg.init, cfg.body) == (InitialData(), BodyForce())
+
+    def test_each_part_defaults_to_the_empty_config(self):
+        # a part's class holds its keys' defaults: built with no arguments, it is the empty config's part
+        cfg = parse_config_text("")
+        assert SimulationConfig() == cfg
+        parts = (cfg.grid, cfg.material, cfg.reg, cfg.init, cfg.body)
+        assert (Grid(), MaterialParams(), RegularizationParams(), InitialData(), BodyForce()) == parts
+        study = parse_config_text("\n".join(STUDY))
+        assert StudyConfig(base=SimulationConfig(), kappas=study.kappas) == study
 
     def test_comments_and_blanks(self):
         cfg = parse_config_text("# comment\n\ngrid.n = 65  # trailing\n")
         assert cfg.grid.n == 65
 
     def test_parse_error_carries_line(self):
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(ConfigInvalid, match="^line 2, column 1: expected 'key = value'"):
             parse_config_text("grid.a = 1.0\nthis is broken\n")
-        assert err.value.line == 2
 
     def test_bad_number_reported(self):
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(ConfigInvalid, match="^line 1, column 1: cannot parse value for grid.a"):
             parse_config_text("grid.a = wide\n")
-        assert err.value.line == 1
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValidationError, match="unknown config key"):
+        with pytest.raises(ConfigInvalid, match="^unknown_key: unknown config key"):
             parse_config_text("grid.q = 3\n")
 
     def test_duplicate_key_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ConfigInvalid, match="^line 2, column 1: duplicate key 'grid.n'"):
             parse_config_text("grid.n = 65\ngrid.n = 33\n")
 
     def test_kappa_range_enforced(self):
-        with pytest.raises(ValidationError, match="kappa must lie in"):
+        with pytest.raises(ConfigInvalid, match="^regularization: kappa must lie in"):
             parse_config_text("reg.kappa = 1.5\n")
 
     def test_interval_order_enforced(self):
-        with pytest.raises(ValidationError, match="0 < a < d"):
+        with pytest.raises(ConfigInvalid, match="^grid: require 0 < a < d"):
             parse_config_text("grid.a = 2.0\ngrid.d = 1.0\n")
 
     def test_overrides(self):
@@ -200,7 +239,7 @@ class TestParsing:
                 "--set", override]
         assert main(argv) == 1
         assert "non-finite value" in capsys.readouterr().err
-        with pytest.raises(ParseError, match="non-finite"):
+        with pytest.raises(ConfigInvalid, match="^line 1, column 1: .*non-finite"):
             parse_config_text(override.replace("=", " = ") + "\n")
 
     def test_bad_override_value_names_the_override(self, tmp_path, capsys):
@@ -214,7 +253,7 @@ class TestParsing:
             parse_config_text("", overrides=["grid.n=6.5"])
 
     def test_override_unknown_key(self):
-        with pytest.raises(ValidationError, match="unknown key"):
+        with pytest.raises(ConfigInvalid, match="^unknown_key: override references unknown key"):
             parse_config_text("", overrides=["nope=1"])
 
 
@@ -267,12 +306,12 @@ class TestCatalog:
     def test_key_is_echoed_and_round_trips(self, key):
         lines = CATALOG_CASES[key]
         given = parse_pairs("\n".join(lines))
-        assert given[key] != _CATALOG[key][1]
+        assert given[key] != key_default(key)
         cfg = parse_config_text("\n".join(lines))
         echoed = parse_pairs(config_echo(cfg))
         assert echoed[key] == given[key]
         # every other echoed key reads back as set or as its default
-        expected = {k: given.get(k, default) for k, (_, default, _, _) in _CATALOG.items()}
+        expected = {k: given.get(k, key_default(k)) for k in _CATALOG}
         known = [k for k in echoed if expected[k] is not None]
         assert {k: echoed[k] for k in known} == {k: expected[k] for k in known}
         assert parse_config_text(config_echo(cfg)) == cfg
@@ -282,6 +321,48 @@ class TestCatalog:
         assert not any(line.startswith("study.reference") for line in echo_lines(cfg))
         assert parse_config_text(config_echo(cfg)) == cfg
 
+    @pytest.mark.parametrize("kind", RULE_KINDS)
+    @pytest.mark.parametrize("family", RULE_FAMILIES)
+    @pytest.mark.parametrize("key", sorted(_CATALOG))
+    def test_a_set_key_is_refused_exactly_when_the_echo_omits_it(self, monkeypatch, key, family, kind):
+        if family == "isotropic":
+            # no isotropic tensor passes the structural conditions; with the default material's
+            # scalars in their place, its configs parse and show the rule too
+            monkeypatch.setattr(material, "scalar_coefficients", lambda tensor, misfit: (2.0, 0.2, 0.06))
+        lines = RULE_FAMILIES[family] + RULE_KINDS[kind]
+        echoed = dict(line.split(" = ", 1) for line in echo_lines(parse_config_text("\n".join(lines))))
+        # an echoed key is set to the value the config holds, any other to a valid non-default value
+        unset = parse_outcome(lines)
+        got = parse_outcome(lines, [f"{key}={echoed.get(key, CASE_VALUES[key])}"])
+        if kind == "run" and key == "study.kappas":
+            assert isinstance(got, StudyConfig)  # it makes the run a study, whose echo holds it
+        elif key in echoed:
+            assert got == unset
+        else:
+            assert isinstance(got, str) and got != unset
+
+    def test_unequal_configs_have_unequal_digests(self):
+        configs = [default_config()] + [parse_config_text("\n".join(lines)) for lines in CATALOG_CASES.values()]
+        for a, b in itertools.combinations(configs, 2):
+            assert (a == b) == (config_digest(a) == config_digest(b))
+
+    @pytest.mark.parametrize("h_factor, dt_factor", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("reference", [-2, -1, 0, 1])
+    def test_code_built_study_round_trips_or_is_refused(self, reference, h_factor, dt_factor):
+        def build():
+            return StudyConfig(
+                base=default_config(), kappas=(0.5, 0.25), reference=reference, h_factor=h_factor,
+                dt_factor=dt_factor,
+            )
+
+        if (h_factor > 1 or dt_factor > 1) and reference != -1:
+            message = "study.reference is not read by a refinement study (study.h_factor or study.dt_factor > 1)"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
+        else:
+            cfg = build()
+            assert parse_config_text(config_echo(cfg)) == cfg
+
     def test_isotropic_keys_are_echoed(self):
         spec = TensorSpec("isotropic", lambda_l=0.5, mu_l=0.75, misfit_iso=0.1)
         cfg = replace(parse_config_text("\n".join(DIAGONAL)), tensor_spec=spec)
@@ -289,7 +370,7 @@ class TestCatalog:
         assert "material.tensor.lambda_L = 0.5" in lines
         assert "material.tensor.mu_L = 0.75" in lines
         assert not any(line.startswith("material.tensor.mu0") for line in lines)
-        with pytest.raises(ValidationError, match="structural conditions"):
+        with pytest.raises(ConfigInvalid, match="^tensor_assumptions: tensor fails structural conditions"):
             parse_config_text(config_echo(cfg))
 
 
@@ -301,7 +382,7 @@ class TestTensorValidation:
             "material.tensor.mu_L = 1\n"
             "material.misfit_iso = 0.1\n"
         )
-        with pytest.raises(ValidationError, match="zero_unless_k_equals_j"):
+        with pytest.raises(ConfigInvalid, match="^tensor_assumptions: .*zero_unless_k_equals_j"):
             parse_config_text(text)
 
     def test_error_names_only_the_failed_gate_conditions(self, tmp_path, capsys):
@@ -319,7 +400,7 @@ class TestTensorValidation:
 
     def test_scalar_keys_conflict_with_tensor(self):
         text = "material.tensor.family = diagonal\nmaterial.tensor.mu0 = 1\nmaterial.misfit_iso = 0.1\nmaterial.mu = 3\n"
-        with pytest.raises(ValidationError, match="conflicts"):
+        with pytest.raises(ConfigInvalid, match="^tensor_spec: material.mu conflicts"):
             parse_config_text(text)
 
     @pytest.mark.parametrize(
@@ -347,11 +428,11 @@ class TestTensorValidation:
 
     def test_unknown_family_is_named_before_foreign_keys(self):
         text = "material.tensor.family = cubic\nmaterial.tensor.lambda_L = 1\nmaterial.misfit_iso = 0.1\n"
-        with pytest.raises(ValidationError, match="unknown tensor family 'cubic'"):
+        with pytest.raises(ConfigInvalid, match="^tensor_spec: unknown tensor family 'cubic'"):
             parse_config_text(text)
 
     def test_misfit_required(self):
-        with pytest.raises(ValidationError, match="misfit"):
+        with pytest.raises(ConfigInvalid, match="^tensor_spec: tensor family needs exactly one of material.misfit"):
             parse_config_text("material.tensor.family = diagonal\nmaterial.tensor.mu0 = 1\n")
 
 

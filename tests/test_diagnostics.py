@@ -20,6 +20,7 @@ from confsim.order_parameter import (
     driving_force,
     semi_implicit_step,
     smoothed_abs,
+    smoothed_abs_primitive,
     step_constants,
 )
 from confsim.config import BodyForce, StudyConfig, parse_config_text
@@ -31,8 +32,6 @@ from confsim.diagnostics import (
     _st_l43_series,
     build_report,
     energy_monitor,
-    flux_field,
-    primitive_field,
     weak_residual,
     weak_residual_series,
 )
@@ -178,7 +177,8 @@ def primitive_w14_prefix_loop(traj, kappa):
     p = 4.0 / 3.0
     per_frame = []
     for f in traj.s_frames:
-        prim = primitive_field(f.values, h, kappa)
+        g = d1(f.values, h)
+        prim = 0.5 * (g * np.hypot(g, kappa) + kappa**2 * np.arcsinh(g / kappa))
         norm_p = trapezoid(np.abs(prim) ** p, dx=h)
         norm_dp = trapezoid(np.abs(d1(prim, h)) ** p, dx=h)
         per_frame.append((norm_p + norm_dp) ** (1.0 / p))
@@ -193,8 +193,8 @@ class TestFluxAndPrimitive:
     def test_flux_is_half_signed_square_of_gradient(self):
         s = diffusion_trajectory(steps=3).s_matrix()
         g = d1(s, GRID.h)
-        assert np.array_equal(flux_field(s, GRID.h), 0.5 * np.abs(g) * g)
-        assert np.array_equal(2.0 * flux_field(s, GRID.h), np.abs(g) * g)
+        assert np.array_equal(smoothed_abs_primitive(g, 0.0), 0.5 * np.abs(g) * g)
+        assert np.array_equal(2.0 * smoothed_abs_primitive(g, 0.0), np.abs(g) * g)
 
     @pytest.mark.parametrize("kappa", [0.25, 0.03125])
     def test_primitive_series_matches_prefix_loop(self, kappa):
@@ -298,7 +298,7 @@ class TestMonitorsMatchFrameLoops:
         _, result = stacked_run
         traj = result.trajectory
         h = traj.grid.h
-        want = [d1(2.0 * flux_field(f.values, h), h) for f in traj.s_frames]
+        want = [d1(2.0 * (0.5 * g * np.abs(g)), h) for g in (d1(f.values, h) for f in traj.s_frames)]
         assert np.array_equal(_flux_gradients(d1(traj.s_matrix(), h), h), np.array(want))
 
     def test_mixed_norms(self, stacked_run):
@@ -344,7 +344,7 @@ def frame_integrands(traj, material, k):
     h, x = traj.grid.h, traj.grid.x
     s, u = traj.s_frames[k].values, traj.u_frames[k].values
     s_x = d1(s, h)
-    return s, flux_field(s, h), driving_force(u, d1(u, h), s, s_x, step_constants(x, h, material)) * np.abs(s_x)
+    return s, 0.5 * s_x * np.abs(s_x), driving_force(u, d1(u, h), s, s_x, step_constants(x, h, material)) * np.abs(s_x)
 
 
 def frame_loop_weak_residual_series(traj, material, test_functions):

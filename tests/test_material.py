@@ -222,8 +222,8 @@ class TestAssumptionChecks:
 
 class TestDoubleWell:
     def test_minima(self):
-        assert double_well(0.0) == (0.0, 0.0)
-        assert double_well(1.0) == (0.0, 0.0)
+        assert double_well(0.0, 1.0) == (0.0, 0.0)
+        assert double_well(1.0, 1.0) == (0.0, 0.0)
 
     def test_symmetry_point(self):
         value, deriv = double_well(0.5, well_weight=1.0)
@@ -252,10 +252,10 @@ class TestFreeEnergy:
         misfit = MisfitStrain.spherical(0.1)
         for s in (0.0, 1.0):
             eps = misfit.entries * s
-            assert free_energy(eps, s, tensor, misfit) == pytest.approx(0.0, abs=1e-15)
+            assert free_energy(eps, s, tensor, misfit, 1.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_everything(self):
-        assert free_energy(np.zeros((3, 3)), 0.0, ElasticityTensor.zeros(), MisfitStrain.zeros()) == 0.0
+        assert free_energy(np.zeros((3, 3)), 0.0, ElasticityTensor.zeros(), MisfitStrain.zeros(), 1.0) == 0.0
 
     def test_matches_brute_force_summation(self):
         rng = np.random.default_rng(42)
