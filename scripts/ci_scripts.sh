@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Run the example script and every confsim CLI subcommand end to end, in a
+# Run every confsim CLI subcommand end to end, and the code-line count, in a
 # fresh temporary directory that is removed afterwards.  CI runs this with
 # PYTHONWARNINGS=error::RuntimeWarning, so that a stray numpy warning fails a
 # script as it fails the suite.
@@ -18,7 +18,10 @@ confsim() {
 # the default run, and the default config's five-member kappa study
 confsim run --out run-default
 confsim study --out study-default --set "study.kappas=0.5 0.25 0.125 0.0625 0.03125"
-python3 "$root/scripts/refinement_study.py"
+# (h, dt, kappa) halved together over three levels: the weak residual decreases level over level
+confsim study --out study-halving --set grid.n=33 --set reg.kappa=1 --set reg.dt=4e-4 --set run.t_end=0.02 \
+  --set run.save_every=2 --set init.amplitude=0.5 --set "study.kappas=1 0.5 0.25" --set study.h_factor=2 \
+  --set study.dt_factor=2
 # the code-line count of each module of src/confsim
 python3 "$root/scripts/code_lines.py"
 confsim run --out run-both-verify --set run.elasticity_path=both-verify --set run.t_end=0.004
@@ -103,11 +106,23 @@ if [ "$status" -ne 1 ] || [ "$(grep -c '^error: .*material\.tensor\.family' no-f
   cat no-family.err >&2
   exit 1
 fi
+# a tensor family with its key unset: the run must exit 1 with one error line that names it
+status=0
+confsim run --out run-no-mu0 --set material.tensor.family=diagonal --set material.misfit_iso=0.1 \
+  2> no-mu0.err || status=$?
+if [ "$status" -ne 1 ] || [ "$(grep -c '^error: .*material\.tensor\.mu0' no-mu0.err)" -ne 1 ] \
+  || [ "$(wc -l < no-mu0.err)" -ne 1 ]; then
+  echo "diagonal tensor run with no material.tensor.mu0 exited $status, expected 1 with one error line naming it" >&2
+  cat no-mu0.err >&2
+  exit 1
+fi
 # a tensor run: its echo in meta.txt is re-parsed by load_run
 tensor=(--set material.tensor.family=diagonal --set material.tensor.mu0=2 --set material.misfit_iso=0.1
         --set grid.n=33)
 confsim run --out run-tensor "${tensor[@]}" --set run.t_end=0.002
 confsim check-reduction --run run-tensor
+# every sample point of the 3D check in one pass, at 2000 points
+confsim check-reduction --run run-tensor --samples 2000
 # a shorter run written over it: fields.npz is replaced, and read back whole
 confsim run --out run-tensor "${tensor[@]}" --set run.t_end=0.001
 confsim check-reduction --run run-tensor

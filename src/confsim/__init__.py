@@ -13,7 +13,7 @@ from .material import (
     scalar_coefficients,
 )
 from .elasticity import (
-    GreenKernel, elastic_constants, elastic_rhs, fd_operator, homogeneous_solutions, solve_fd, solve_green,
+    GreenKernel, elastic_constants, elastic_rhs, fd_operator, solve_fd, solve_green,
 )
 from .order_parameter import (
     MollifierState,

@@ -9,7 +9,9 @@ and parsing, building and the echo all read it.  A key's default is the one
 its part's class holds (``Grid``, ``MaterialParams``, ``RegularizationParams``,
 ``InitialData``, ``BodyForce``, ``TensorSpec``, ``StudyConfig`` and the run
 fields of ``SimulationConfig``): a part is built from the keys that were set
-and its class fills in the rest.  Parsing is strict: unknown keys are
+and its class fills in the rest.  The keys a tensor family reads
+(``_FAMILY_KEYS``) have no default, and a config that leaves one unset is
+refused by name.  Parsing is strict: unknown keys are
 rejected so sweep typos cannot silently fall back to defaults, and so are
 the keys a config does not read, which ``_unread_keys`` alone names (material
 scalars next to a tensor family, tensor keys of another family or of no
@@ -420,6 +422,9 @@ def _build_material(raw: dict) -> tuple[MaterialParams, Optional[TensorSpec]]:
     if family is None:
         with _invariant("material"):
             return MaterialParams(**_part_kwargs(raw, "material")), None
+    missing = [key for key in _FAMILY_KEYS.get(family, ()) if key not in raw]
+    if missing:
+        raise ConfigInvalid(f"tensor_spec: tensor family {family!r} needs {' and '.join(missing)}")
     if ("material.misfit" in raw) == ("material.misfit_iso" in raw):
         raise ConfigInvalid("tensor_spec: tensor family needs exactly one of material.misfit / material.misfit_iso")
     spec = TensorSpec(**_part_kwargs(raw, "tensor_spec"))

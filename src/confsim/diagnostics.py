@@ -279,9 +279,9 @@ def _cross_check_series(times: np.ndarray, s: np.ndarray, s_x: np.ndarray, confi
     grid = config.grid
     material = config.material
     elastic = elastic_constants(grid, material)
-    b = config.body.evaluate(times[:, None], grid)
-    u_fd = solve_fd(elastic_rhs(s_x, np.divide(b, material.mu), elastic.lam_mu), elastic.operator)
-    u_green = solve_green(GreenKernel(grid.a, grid.d), ScalarField(grid, s), b, material)
+    b_mu = np.divide(config.body.evaluate(times[:, None], grid), material.mu)
+    u_fd = solve_fd(elastic_rhs(s_x, b_mu, elastic.lam_mu), elastic.operator)
+    u_green = solve_green(GreenKernel(grid.a, grid.d), ScalarField(grid, s), b_mu, elastic.lam_mu)
     # np.abs(u_fd - u_green), in place
     gap = np.subtract(u_fd, u_green, out=u_fd)
     return np.max(np.abs(gap, out=gap), axis=-1)

@@ -26,6 +26,7 @@ of ``fd_operator``, and both of the FD solve's solves use its LU factors,
 cached with it.  ``solve_fd`` takes that operator, ``elastic_rhs`` takes
 b/mu and lam/mu, and ``solve_elasticity`` takes b/mu and the grid's
 constants built once (``elastic_constants``): each is the one way in.
+``solve_green`` takes b/mu and lam/mu as ``elastic_rhs`` does.
 """
 
 from __future__ import annotations
@@ -108,23 +109,16 @@ class GreenKernel:
         return float(out) if out.ndim == 0 else out
 
     def operator_residual(self, x, y):
-        """(x^2 G_x)_x - 2 G evaluated off the diagonal with analytic derivatives."""
+        """(x^2 G_x)_x - 2 G off the diagonal with analytic derivatives; x and y may be arrays of pairs."""
         self._check(x, y)
-        if x == y:
+        x = np.asarray(x, dtype=float)
+        if np.any(x == y):
             raise ValueError("operator residual is defined off the diagonal only")
-        if x < y:
-            f, fp, fpp = self.u1(x), self.u1_prime(x), self.u1_second(x)
-            other = self.u2(y)
-        else:
-            f, fp, fpp = self.u2(x), self.u2_prime(x), self.u2_second(x)
-            other = self.u1(y)
+        # x < y takes u1 at x and u2 at y, x > y the other way round
+        below = (self.u1(x), self.u1_prime(x), self.u1_second(x), self.u2(y))
+        above = (self.u2(x), self.u2_prime(x), self.u2_second(x), self.u1(y))
+        f, fp, fpp, other = (np.where(x < y, lo, hi) for lo, hi in zip(below, above))
         return (x**2 * fpp + 2.0 * x * fp - 2.0 * f) * other / self.norm_const
-
-
-def homogeneous_solutions(a: float, d: float):
-    """Closed-form solutions of (x^2 u')' - 2u = 0 vanishing at a and at d."""
-    kernel = GreenKernel(a, d)
-    return kernel.u1, kernel.u2
 
 
 def elastic_rhs(s_x: np.ndarray, b_mu: np.ndarray, lam_mu) -> np.ndarray:
@@ -262,9 +256,7 @@ def _green_weights(grid: Grid):
     return table
 
 
-def solve_green(
-    kernel: GreenKernel, s_moll: ScalarField, b: np.ndarray, params: MaterialParams
-) -> np.ndarray:
+def solve_green(kernel: GreenKernel, s_moll: ScalarField, b_mu: np.ndarray, lam_mu) -> np.ndarray:
     """Quadrature evaluation of the kernel representation of the displacement.
 
     Uses the integrated-by-parts form in which only the (mollified) order
@@ -272,24 +264,24 @@ def solve_green(
     The separable kernel turns the quadrature into one prefix and one suffix
     sum (see ``_green_weights``), O(n) per frame.  ``s_moll`` carries its grid
     as a ``ScalarField`` of one frame or a stack of frames, such as (K, n);
-    ``b`` holds nodal values on that grid, one row or a row per frame.  The
-    sums run along the last axis, and a cumulative sum adds in order, so each
-    frame of a stack equals its own solve bit for bit.
+    ``b_mu`` is b/mu and ``lam_mu`` lam/mu, as ``elastic_rhs`` takes them:
+    b/mu holds nodal values on that grid, one row or a row per frame, and is
+    only read.  The sums run along the last axis, and a cumulative sum adds in
+    order, so each frame of a stack equals its own solve bit for bit.
     """
     grid = s_moll.grid
-    if b.ndim == 0 or b.shape[-1] != grid.n:
-        raise ValueError(f"expected {grid.n} body-force values, got {b.shape}")
+    if b_mu.ndim == 0 or b_mu.shape[-1] != grid.n:
+        raise ValueError(f"expected {grid.n} body-force values, got {b_mu.shape}")
     if (kernel.a, kernel.d) != (grid.a, grid.d):
         raise ValueError("kernel interval does not match the grid")
     u1, u2, b_left, s_left, b_right, s_right, diag = _green_weights(grid)
-    b_mu = b / params.mu
-    s_lam = np.multiply(s_moll.values, params.lam / params.mu)
+    s_lam = np.multiply(s_moll.values, lam_mu)
     # In place, with the operations and grouping of
     #   left = (b_left * b_mu - s_left * s_lam).cumsum(axis=-1)
     #   right[..., :-1] = (b_right * b_mu - s_right * s_lam)[..., :0:-1].cumsum(axis=-1)[..., ::-1]
     #   u = u2 * left + u1 * right + diag * s_lam
     # that is prefix sums over j <= i, and suffix sums over j > i by a
-    # reversed cumulative sum shifted by one node.  b is one row or a row
+    # reversed cumulative sum shifted by one node.  b/mu is one row or a row
     # per frame, so s_lam has the shape of the sums.
     shape = s_lam.shape
     term = np.multiply(s_lam, s_left)
@@ -297,7 +289,7 @@ def solve_green(
     left -= term
     np.cumsum(left, axis=-1, out=left)
     np.multiply(s_lam, s_right, out=term)
-    weighted = np.multiply(b_mu, b_right, out=b_mu if b_mu.shape == shape else np.empty(shape))
+    weighted = np.multiply(b_mu, b_right, out=np.empty(shape))
     weighted -= term
     right = term
     np.cumsum(weighted[..., :0:-1], axis=-1, out=right[..., -2::-1])

@@ -122,8 +122,8 @@ class ElasticityTensor:
         return cls(d)
 
     def apply(self, eps: np.ndarray) -> np.ndarray:
-        """Map a symmetric 3x3 strain to the 3x3 stress sum_ij entries[i,j,k,l]*eps[i,j]."""
-        return np.einsum("ijkl,ij->kl", self.entries, np.asarray(eps, dtype=float))
+        """Map a symmetric 3x3 strain, or a (..., 3, 3) stack, to the stress sum_ij entries[i,j,k,l]*eps[..., i,j]."""
+        return np.einsum("ijkl,...ij->...kl", self.entries, np.asarray(eps, dtype=float))
 
     def quadratic_form(self, eps: np.ndarray) -> float:
         eps = np.asarray(eps, dtype=float)
@@ -270,9 +270,10 @@ class TensorSpec:
     """Declarative stiffness/misfit selection, as read from a config file."""
 
     family: str  # diagonal | isotropic | entries
-    mu0: float = 0.0
-    lambda_l: float = 0.0
-    mu_l: float = 0.0
+    # a family's keys have no default: a config names each one its family reads
+    mu0: Optional[float] = None
+    lambda_l: Optional[float] = None
+    mu_l: Optional[float] = None
     entries: Optional[tuple] = None
     misfit: Optional[tuple] = None  # 9 entries, row major
     misfit_iso: Optional[float] = None

@@ -7,6 +7,9 @@ re-solving in 3D.  All differencing uses an orthonormal frame adapted to each
 sample point (radial direction plus a tangential completion); for radial
 fields the residual norms are then independent of the tangential choice and
 of rigid rotations of the sample set, up to floating-point roundoff.
+Points are (..., 3) arrays: ``lift_fields`` and ``sample_frame`` take a
+batch, and each residual evaluates all P sample points, and their stencils,
+in one pass, returning one value per point.
 Nodal frames are interpolated by ``UniformSpline.not_a_knot``, a local
 not-a-knot cubic spline solved with ``tridiag_solve``.  A ``RadialLift``
 holds the profiles and the stiffness and misfit tensors only; the reduced
@@ -113,25 +116,24 @@ class RadialLift:
 
 
 def lift_fields(lift: RadialLift, x: np.ndarray):
-    """Evaluate (u, S, b) at a 3D point in the open shell."""
+    """Evaluate (u, S, b) at points x of shape (..., 3) in the open shell: u and b are (..., 3), S is (...)."""
     x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if not (lift.a < r < lift.d):
-        raise OutOfDomain(f"|x| = {r} outside ({lift.a}, {lift.d})")
-    unit = x / r
-    return float(lift.u_hat(r)) * unit, float(lift.s_hat(r)), float(lift.b_hat(r)) * unit
+    r = np.linalg.norm(x, axis=-1)
+    inside = (lift.a < r) & (r < lift.d)
+    if not np.all(inside):
+        raise OutOfDomain(f"|x| = {r[~inside]} outside ({lift.a}, {lift.d})")
+    unit = x / r[..., None]
+    return lift.u_hat(r)[..., None] * unit, lift.s_hat(r), lift.b_hat(r)[..., None] * unit
 
 
 def sample_frame(x: np.ndarray) -> np.ndarray:
-    """Orthonormal frame (radial, two tangentials) at a point, rows are directions."""
+    """Orthonormal frames (radial, two tangentials) at points (..., 3): (..., 3, 3), rows are directions."""
     x = np.asarray(x, dtype=float)
-    radial = x / np.linalg.norm(x)
-    seed = np.zeros(3)
-    seed[int(np.argmin(np.abs(radial)))] = 1.0
-    t1 = seed - np.dot(seed, radial) * radial
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(radial, t1)
-    return np.stack([radial, t1, t2])
+    radial = x / np.linalg.norm(x, axis=-1, keepdims=True)
+    seed = np.eye(3)[np.argmin(np.abs(radial), axis=-1)]
+    t1 = seed - np.sum(seed * radial, axis=-1, keepdims=True) * radial
+    t1 /= np.linalg.norm(t1, axis=-1, keepdims=True)
+    return np.stack([radial, t1, np.cross(radial, t1)], axis=-2)
 
 
 def random_shell_points(a: float, d: float, count: int, rng, margin: float = 0.0) -> np.ndarray:
@@ -142,39 +144,27 @@ def random_shell_points(a: float, d: float, count: int, rng, margin: float = 0.0
     return vecs * radii[:, None]
 
 
-def _displacement(lift: RadialLift, y: np.ndarray) -> np.ndarray:
-    r = np.linalg.norm(y)
-    return float(lift.u_hat(r)) * (y / r)
+def _along_frame(field: Callable, x: np.ndarray, frame: np.ndarray, h3: float):
+    """``field`` at x - h3 e_k and x + h3 e_k for each row e_k of ``frame``, and their centered difference.
+
+    x is (..., 3) and frame broadcasts against (..., 3, 3).  Returns
+    (minus, plus, (plus - minus) / (2 h3)), each with the direction axis k
+    after the batch axes of x and before the axes of the field's values.
+    """
+    y = x[..., None, :]
+    minus, plus = field(y - h3 * frame), field(y + h3 * frame)
+    return minus, plus, (plus - minus) / (2.0 * h3)
 
 
-def _order_parameter(lift: RadialLift, y: np.ndarray) -> float:
-    return float(lift.s_hat(np.linalg.norm(y)))
+def _strain(lift: RadialLift, x: np.ndarray, frame: np.ndarray, h3: float) -> np.ndarray:
+    """Symmetric part of the centered-difference displacement gradient at points x, (..., 3, 3)."""
+    _, _, du = _along_frame(lambda y: lift_fields(lift, y)[0], x, frame, h3)
+    grad = np.einsum("...ki,...kj->...ij", du, frame)
+    return 0.5 * (grad + np.swapaxes(grad, -1, -2))
 
 
-def _grad_u(lift: RadialLift, y: np.ndarray, frame: np.ndarray, h3: float) -> np.ndarray:
-    grad = np.zeros((3, 3))
-    for k in range(3):
-        dv = (_displacement(lift, y + h3 * frame[k]) - _displacement(lift, y - h3 * frame[k])) / (
-            2.0 * h3
-        )
-        grad += np.outer(dv, frame[k])
-    return grad
-
-
-def _stress(lift: RadialLift, y: np.ndarray, frame: np.ndarray, h3: float) -> np.ndarray:
-    grad = _grad_u(lift, y, frame, h3)
-    eps = 0.5 * (grad + grad.T)
-    return lift.tensor.apply(eps - lift.misfit.entries * _order_parameter(lift, y))
-
-
-@dataclass
-class ElasticityResidual3D:
-    per_point: np.ndarray
-    max: float
-
-
-def residual_elasticity_3d(lift: RadialLift, points: np.ndarray, h3: float) -> ElasticityResidual3D:
-    """Max norm of  div(stress) - body force  over the sample points.
+def residual_elasticity_3d(lift: RadialLift, points: np.ndarray, h3: float) -> np.ndarray:
+    """Norm of  div(stress) - body force  at each sample point, a (P,) array.
 
     The balance is oriented so that lifting a solution of the reduced radial
     equation (where b = mu*(u'' + 2u'/r - 2u/r^2) - lam*S_r) gives a vanishing
@@ -182,28 +172,16 @@ def residual_elasticity_3d(lift: RadialLift, points: np.ndarray, h3: float) -> E
     order in h3); every stencil point of a sample reuses that sample's frame.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    norms = np.zeros(len(points))
-    for idx, x in enumerate(points):
-        frame = sample_frame(x)
-        div = np.zeros(3)
-        for k in range(3):
-            dt_mat = (
-                _stress(lift, x + h3 * frame[k], frame, h3)
-                - _stress(lift, x - h3 * frame[k], frame, h3)
-            ) / (2.0 * h3)
-            div += dt_mat @ frame[k]
-        r = np.linalg.norm(x)
-        b_vec = float(lift.b_hat(r)) * (x / r)
-        norms[idx] = np.linalg.norm(div - b_vec)
-    return ElasticityResidual3D(norms, float(np.max(norms)))
+    frame = sample_frame(points)
+    inner = frame[:, None]  # the sample's frame at each of its stencil points
 
+    def stress(y):
+        s = lift_fields(lift, y)[1][..., None, None]
+        return lift.tensor.apply(_strain(lift, y, inner, h3) - lift.misfit.entries * s)
 
-@dataclass
-class OrderResidual3D:
-    per_point: np.ndarray
-    max: float
-    identity_per_point: np.ndarray
-    identity_max: float
+    _, _, d_stress = _along_frame(stress, points, frame, h3)
+    div = np.einsum("...kij,...kj->...i", d_stress, frame)
+    return np.linalg.norm(div - lift_fields(lift, points)[2], axis=-1)
 
 
 def residual_order_3d(
@@ -213,45 +191,34 @@ def residual_order_3d(
     points: np.ndarray,
     material: MaterialParams,
     h3: float,
-) -> OrderResidual3D:
-    """Residual of the 3D evolution law between two lifted frames.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residual of the 3D evolution law between two lifted frames, and the strain-pairing gap, per sample.
 
     Time enters by a forward difference of the lifted order parameter; spatial
-    derivatives are centered differences at the first frame.  Also reports, per
-    sample, the gap in the algebraic identity that reduces the strain pairing
-    (D eps(grad u)) . misfit to lam * (u_hat' + 2 u_hat / r).  The pairing
-    uses the lift's tensors; lam, e and the kinetic constants come from
-    ``material``, which for a tensor config holds the scalars derived from
+    derivatives are centered differences at the first frame.  The second
+    (P,) array is, per sample, the gap in the algebraic identity that reduces
+    the strain pairing (D eps(grad u)) . misfit to lam * (u_hat' + 2 u_hat / r).
+    The pairing uses the lift's tensors; lam, e and the kinetic constants come
+    from ``material``, which for a tensor config holds the scalars derived from
     those same tensors (``MaterialParams.from_tensors``).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    res = np.zeros(len(points))
-    ident = np.zeros(len(points))
-    for idx, x in enumerate(points):
-        frame = sample_frame(x)
-        r = np.linalg.norm(x)
+    frame = sample_frame(points)
+    r = np.linalg.norm(points, axis=-1)
 
-        s0 = _order_parameter(lift0, x)
-        s_t = (_order_parameter(lift1, x) - s0) / dt
+    def order(y):
+        return lift_fields(lift0, y)[1]
 
-        grad_s = np.zeros(3)
-        lap_s = 0.0
-        for k in range(3):
-            sp = _order_parameter(lift0, x + h3 * frame[k])
-            sm = _order_parameter(lift0, x - h3 * frame[k])
-            grad_s += (sp - sm) / (2.0 * h3) * frame[k]
-            lap_s += (sp - 2.0 * s0 + sm) / h3**2
+    s0 = order(points)
+    s_t = (lift_fields(lift1, points)[1] - s0) / dt
+    s_minus, s_plus, ds = _along_frame(order, points, frame, h3)
+    lap_s = np.sum(s_plus - 2.0 * s0[:, None] + s_minus, axis=-1) / h3**2
 
-        grad = _grad_u(lift0, x, frame, h3)
-        eps = 0.5 * (grad + grad.T)
-        pairing = float(np.sum(lift0.tensor.apply(eps) * lift0.misfit.entries))
-        ident[idx] = abs(
-            pairing - material.lam * (float(lift0.u_hat_r(r)) + 2.0 * float(lift0.u_hat(r)) / r)
-        )
+    pairing = np.einsum("...kl,kl->...", lift0.tensor.apply(_strain(lift0, points, frame, h3)), lift0.misfit.entries)
+    identity = np.abs(pairing - material.lam * (lift0.u_hat_r(r) + 2.0 * lift0.u_hat(r) / r))
 
-        _, well_prime = double_well(s0, material.well_weight)
-        psi_s = -pairing + material.e * s0 + well_prime
-        res[idx] = abs(
-            s_t + material.c * (psi_s - material.nu * lap_s) * np.linalg.norm(grad_s)
-        )
-    return OrderResidual3D(res, float(np.max(res)), ident, float(np.max(ident)))
+    _, well_prime = double_well(s0, material.well_weight)
+    psi_s = -pairing + material.e * s0 + well_prime
+    # the frame is orthonormal, so |grad S| is the norm of the differences along its rows
+    evolution = np.abs(s_t + material.c * (psi_s - material.nu * lap_s) * np.linalg.norm(ds, axis=-1))
+    return evolution, identity

@@ -131,11 +131,12 @@ class Simulation:
         u = np.array([frame.values for frame in self.u_frames[-count:]])
         self.residual_max = max(self.residual_max, *fd_residual(u, np.array(self._unchecked_rhs), grid).tolist())
         if self._unchecked_s_moll:
-            b = self.config.body.evaluate(np.array(self.times[-count:])[:, None], grid)
+            material = self.config.material
+            b_mu = _body_over_mu(self.config, np.array(self.times[-count:])[:, None])
             # looked up on the module, where bench/tracer.py wraps it
             u_green = elasticity.solve_green(GreenKernel(grid.a, grid.d),
-                                             ScalarField(grid, np.array(self._unchecked_s_moll)), b,
-                                             self.config.material)
+                                             ScalarField(grid, np.array(self._unchecked_s_moll)), b_mu,
+                                             material.lam / material.mu)
             # np.abs(u - u_green), in place
             gap = np.subtract(u, u_green, out=u_green)
             gaps = np.max(np.abs(gap, out=gap), axis=-1).tolist()
@@ -194,8 +195,8 @@ def _rows(batch: np.ndarray):
     return (batch,) if batch.ndim == 1 else batch
 
 
-def _body_over_mu(config: SimulationConfig, t: float) -> np.ndarray:
-    """b/mu at time t, the body force as ``solve_elasticity`` takes it."""
+def _body_over_mu(config: SimulationConfig, t) -> np.ndarray:
+    """b/mu at time t, or at a (K, 1) column of times, the body force as ``solve_elasticity`` takes it."""
     return np.divide(config.body.evaluate(t, config.grid), config.material.mu)
 
 

@@ -431,6 +431,20 @@ class TestTensorValidation:
         with pytest.raises(ConfigInvalid, match="^tensor_spec: unknown tensor family 'cubic'"):
             parse_config_text(text)
 
+    @pytest.mark.parametrize(
+        "family, kept",
+        [pytest.param(family, [], id=family) for family in FAMILY_LINES]
+        + [pytest.param("isotropic", FAMILY_LINES["isotropic"][:1], id="isotropic-lambda_L-only")],
+    )
+    def test_unset_key_of_the_family_exits_one(self, tmp_path, capsys, family, kept):
+        cfg_path = write_config(tmp_path, [f"material.tensor.family = {family}", *kept, "material.misfit_iso = 0.1"])
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        missing = [line.split(" = ")[0] for line in FAMILY_LINES[family] if line not in kept]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: tensor_spec: tensor family '{family}' needs {' and '.join(missing)}"
+        ]
+        assert not (tmp_path / "out").exists()
+
     def test_misfit_required(self):
         with pytest.raises(ConfigInvalid, match="^tensor_spec: tensor family needs exactly one of material.misfit"):
             parse_config_text("material.tensor.family = diagonal\nmaterial.tensor.mu0 = 1\n")
