@@ -15,6 +15,21 @@ confsim() {
   PYTHONPATH="$root/src" python3 -m confsim.cli "$@"
 }
 
+# refused PATTERN COMMAND...: COMMAND must exit 1 with one stderr line, an "error:" line
+# matching PATTERN; the line is left in refused.err for further checks
+refused() {
+  local pattern="$1"
+  shift
+  local status=0
+  "$@" 2> refused.err || status=$?
+  if [ "$status" -ne 1 ] || [ "$(grep -c "^error: .*$pattern" refused.err)" -ne 1 ] \
+    || [ "$(wc -l < refused.err)" -ne 1 ]; then
+    echo "$* exited $status, expected 1 with one error line matching '$pattern'" >&2
+    cat refused.err >&2
+    exit 1
+  fi
+}
+
 # the default run, and the default config's five-member kappa study
 confsim run --out run-default
 confsim study --out study-default --set "study.kappas=0.5 0.25 0.125 0.0625 0.03125"
@@ -26,19 +41,9 @@ confsim study --out study-halving --set grid.n=33 --set reg.kappa=1 --set reg.dt
 python3 "$root/scripts/code_lines.py"
 confsim run --out run-both-verify --set run.elasticity_path=both-verify --set run.t_end=0.004
 # the Green quadrature is the oracle only: a run that asks to march on it must exit 1
-status=0
-confsim run --out run-green --set run.elasticity_path=green || status=$?
-if [ "$status" -ne 1 ]; then
-  echo "run on run.elasticity_path=green exited $status, expected 1" >&2
-  exit 1
-fi
+refused "elasticity path 'green'" confsim run --out run-green --set run.elasticity_path=green
 # every step is backward Euler: the implicitness weight of earlier versions is an unknown key
-status=0
-confsim run --out run-theta --set reg.theta=0.5 || status=$?
-if [ "$status" -ne 1 ]; then
-  echo "run on reg.theta=0.5 exited $status, expected 1" >&2
-  exit 1
-fi
+refused "reg\.theta" confsim run --out run-theta --set reg.theta=0.5
 # a time-dependent body force saved every step: the report's body force for a column of
 # times, its one Green quadrature of all frames, and each saved frame's reused FD rhs
 confsim run --out run-ramp --set run.elasticity_path=both-verify --set run.save_every=1 --set run.t_end=0.004 \
@@ -50,47 +55,36 @@ confsim run --out run-dense --set run.save_every=1 --set run.t_end=0.03
 # it must exit 1, leave its frames/ in place and write nothing
 mkdir -p run-old-layout/frames
 echo "k,step,time" > run-old-layout/frames/index.csv
-status=0
-confsim run --out run-old-layout --set run.t_end=0.002 || status=$?
-if [ "$status" -ne 1 ] || [ ! -f run-old-layout/frames/index.csv ] || [ -e run-old-layout/fields.npz ]; then
-  echo "run into an old-layout directory exited $status, expected 1 with frames/ left in place" >&2
+refused "run-old-layout/frames" confsim run --out run-old-layout --set run.t_end=0.002
+if [ ! -f run-old-layout/frames/index.csv ] || [ -e run-old-layout/fields.npz ]; then
+  echo "run into an old-layout directory did not leave frames/ in place and write nothing" >&2
   exit 1
 fi
 # a run directory of the one-table-per-field layout of earlier versions (S.csv): writing a run
 # into it and checking it must each exit 1, and S.csv stays in place
 mkdir -p run-table-layout
 printf 'step,time,1,2\n0,0,0.5,0.5\n' > run-table-layout/S.csv
-status=0
-confsim run --out run-table-layout --set run.t_end=0.002 || status=$?
-if [ "$status" -ne 1 ] || [ ! -f run-table-layout/S.csv ] || [ -e run-table-layout/fields.npz ]; then
-  echo "run into an S.csv directory exited $status, expected 1 with S.csv left in place" >&2
+refused "run-table-layout/S\.csv" confsim run --out run-table-layout --set run.t_end=0.002
+if [ ! -f run-table-layout/S.csv ] || [ -e run-table-layout/fields.npz ]; then
+  echo "run into an S.csv directory did not leave S.csv in place and write nothing" >&2
   exit 1
 fi
-status=0
-confsim check-reduction --run run-table-layout || status=$?
-if [ "$status" -ne 1 ] || [ ! -f run-table-layout/S.csv ]; then
-  echo "check-reduction on an S.csv directory exited $status, expected 1 with S.csv left in place" >&2
+refused "run-table-layout/S\.csv" confsim check-reduction --run run-table-layout
+if [ ! -f run-table-layout/S.csv ]; then
+  echo "check-reduction on an S.csv directory did not leave S.csv in place" >&2
   exit 1
 fi
 # a one-step run whose mollifier window, reg.kappa_m / reg.dt = 2.5e8 steps, cannot be held:
 # refused from the config with exit 1 and one error line, before any array is allocated
-status=0
-timeout 60 env PYTHONPATH="$root/src" python3 -m confsim.cli run --out run-unholdable --set reg.dt=1e-9 \
-  --set run.t_end=1e-9 2> unholdable.err || status=$?
-if [ "$status" -ne 1 ] || [ "$(grep -c '^error: ' unholdable.err)" -ne 1 ] || [ "$(wc -l < unholdable.err)" -ne 1 ]; then
-  echo "run on an unholdable mollifier window exited $status, expected 1 with one error line" >&2
-  cat unholdable.err >&2
-  exit 1
-fi
+refused "" timeout 60 env PYTHONPATH="$root/src" python3 -m confsim.cli run --out run-unholdable --set reg.dt=1e-9 \
+  --set run.t_end=1e-9
 # 1e8 nodes at the default run, whose 101 frames never fill the 1250-step window: the ring of
 # 101 rows is refused with exit 1 and one error line that names grid.n and run.t_end
-status=0
-timeout 60 env PYTHONPATH="$root/src" python3 -m confsim.cli run --out run-large-grid --set grid.n=100000000 \
-  2> large-grid.err || status=$?
-if [ "$status" -ne 1 ] || [ "$(grep -c '^error: .*grid\.n' large-grid.err)" -ne 1 ] \
-  || [ "$(grep -c 'run\.t_end' large-grid.err)" -ne 1 ] || [ "$(wc -l < large-grid.err)" -ne 1 ]; then
-  echo "run on grid.n=100000000 exited $status, expected 1 with one error line naming grid.n and run.t_end" >&2
-  cat large-grid.err >&2
+refused "grid\.n" timeout 60 env PYTHONPATH="$root/src" python3 -m confsim.cli run --out run-large-grid \
+  --set grid.n=100000000
+if [ "$(grep -c 'run\.t_end' refused.err)" -ne 1 ]; then
+  echo "run on grid.n=100000000: the error line does not name run.t_end" >&2
+  cat refused.err >&2
   exit 1
 fi
 # a 100-step mollifier window that fills at step 99 and stays full for 300 steps: the
@@ -98,22 +92,15 @@ fi
 PYTHONWARNINGS=error::RuntimeWarning confsim run --out run-full-window --set reg.kappa_m=0.02 --set run.t_end=0.08
 # a tensor key with no tensor family is not read: the run must exit 1 with one error line
 # that names material.tensor.family
-status=0
-confsim run --out run-no-family --set material.tensor.mu0=2 2> no-family.err || status=$?
-if [ "$status" -ne 1 ] || [ "$(grep -c '^error: .*material\.tensor\.family' no-family.err)" -ne 1 ] \
-  || [ "$(wc -l < no-family.err)" -ne 1 ]; then
-  echo "run on material.tensor.mu0 with no tensor family exited $status, expected 1 with one error line naming it" >&2
-  cat no-family.err >&2
-  exit 1
-fi
+refused "material\.tensor\.family" confsim run --out run-no-family --set material.tensor.mu0=2
 # a tensor family with its key unset: the run must exit 1 with one error line that names it
-status=0
-confsim run --out run-no-mu0 --set material.tensor.family=diagonal --set material.misfit_iso=0.1 \
-  2> no-mu0.err || status=$?
-if [ "$status" -ne 1 ] || [ "$(grep -c '^error: .*material\.tensor\.mu0' no-mu0.err)" -ne 1 ] \
-  || [ "$(wc -l < no-mu0.err)" -ne 1 ]; then
-  echo "diagonal tensor run with no material.tensor.mu0 exited $status, expected 1 with one error line naming it" >&2
-  cat no-mu0.err >&2
+refused "material\.tensor\.mu0" confsim run --out run-no-mu0 --set material.tensor.family=diagonal \
+  --set material.misfit_iso=0.1
+# a config file with an override on top: meta.txt echoes the override, not the file's value
+printf 'grid.n = 33\nrun.t_end = 0.002\ninit.amplitude = 0.8\n' > small.cfg
+confsim run --config small.cfg --set init.amplitude=0.5 --out run-config
+if ! grep -q '^init\.amplitude = 0\.5$' run-config/meta.txt || ! grep -q '^grid\.n = 33$' run-config/meta.txt; then
+  echo "run on --config small.cfg --set init.amplitude=0.5: meta.txt does not echo the file and the override" >&2
   exit 1
 fi
 # a tensor run: its echo in meta.txt is re-parsed by load_run
@@ -130,22 +117,12 @@ confsim check-reduction --run run-tensor
 # matches, so check-reduction must exit 1
 cp -r run-tensor run-tensor-edited
 sed -i 's/^material\.nu = .*/material.nu = 5/' run-tensor-edited/meta.txt
-status=0
-confsim check-reduction --run run-tensor-edited || status=$?
-if [ "$status" -ne 1 ]; then
-  echo "check-reduction on an edited meta.txt exited $status, expected 1" >&2
-  exit 1
-fi
+refused "config_hash" confsim check-reduction --run run-tensor-edited
 # a copy whose meta.txt names reg.theta, as run directories of earlier versions do
 cp -r run-tensor run-tensor-theta
 sed -i 's/^\[config\]$/[config]\nreg.theta = 1/' run-tensor-theta/meta.txt
 grep -q '^reg\.theta = 1$' run-tensor-theta/meta.txt
-status=0
-confsim check-reduction --run run-tensor-theta || status=$?
-if [ "$status" -ne 1 ]; then
-  echo "check-reduction on a meta.txt with reg.theta exited $status, expected 1" >&2
-  exit 1
-fi
+refused "reg\.theta" confsim check-reduction --run run-tensor-theta
 confsim verify-green
 confsim mms
 # both study tables: study.csv of a kappa study, refinement.csv of a refinement study
@@ -154,15 +131,8 @@ confsim study --out study-refinement --set "study.kappas=0.5 0.25" --set reg.kap
   --set grid.n=33 --set run.t_end=0.004
 # a refinement study has no reference member: setting study.reference there must exit 1
 # with one error line that names it
-status=0
-confsim study --out study-refinement-reference --set "study.kappas=0.5 0.25" --set reg.kappa=0.5 \
-  --set study.h_factor=2 --set grid.n=17 --set run.t_end=0.002 --set study.reference=0 2> reference.err || status=$?
-if [ "$status" -ne 1 ] || [ "$(grep -c '^error: .*study\.reference' reference.err)" -ne 1 ] \
-  || [ "$(wc -l < reference.err)" -ne 1 ]; then
-  echo "refinement study with study.reference exited $status, expected 1 with one error line naming it" >&2
-  cat reference.err >&2
-  exit 1
-fi
+refused "study\.reference" confsim study --out study-refinement-reference --set "study.kappas=0.5 0.25" \
+  --set reg.kappa=0.5 --set study.h_factor=2 --set grid.n=17 --set run.t_end=0.002 --set study.reference=0
 # a lockstep study checked against the Green quadrature on every member's saved frames
 confsim study --out study-both-verify --set "study.kappas=0.5 0.25 0.125" --set run.elasticity_path=both-verify \
   --set run.t_end=0.004

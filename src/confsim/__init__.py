@@ -33,8 +33,6 @@ from .config import (
     InitialData,
     SimulationConfig,
     StudyConfig,
-    default_config,
-    parse_config,
     parse_config_text,
 )
 from .diagnostics import DiagnosticsReport, build_report, energy_monitor, weak_residual
@@ -43,10 +41,9 @@ from .simulator import (
     Simulation,
     load_run,
     load_snapshot,
-    run,
     save_snapshot,
     write_run,
 )
-from .studies import mms_convergence, run_study, weak_residual_refinement
+from .studies import mms_convergence, run_study
 
 __version__ = "0.1.0"

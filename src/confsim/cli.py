@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigInvalid, SimulationConfig, StudyConfig, apply_overrides, build_config, parse_config
+from .config import ConfigInvalid, SimulationConfig, StudyConfig, parse_config_text
 from .diagnostics import NonFiniteReport
 from .elasticity import GreenKernel
 from .grid_field import FieldFileError
@@ -28,10 +28,7 @@ _INPUT_ERRORS = (ConfigInvalid, FieldFileError, OSError)
 
 
 def _load(args, want) -> object:
-    if args.config:
-        cfg = parse_config(args.config, overrides=args.set)
-    else:
-        cfg = build_config(apply_overrides({}, args.set))
+    cfg = parse_config_text(Path(args.config).read_text() if args.config else "", args.set)
     if not isinstance(cfg, want):
         raise ConfigInvalid(f"config_kind: expected a {'study' if want is StudyConfig else 'simulation'} config")
     return cfg

@@ -10,8 +10,10 @@ its part's class holds (``Grid``, ``MaterialParams``, ``RegularizationParams``,
 ``InitialData``, ``BodyForce``, ``TensorSpec``, ``StudyConfig`` and the run
 fields of ``SimulationConfig``): a part is built from the keys that were set
 and its class fills in the rest.  The keys a tensor family reads
-(``_FAMILY_KEYS``) have no default, and a config that leaves one unset is
-refused by name.  Parsing is strict: unknown keys are
+(``_FAMILY_KEYS``, the keys of ``material.FAMILY_FIELDS``) have no default,
+and a config that leaves one unset is refused by name.  A run's config with
+no argument is ``SimulationConfig()``; a file's text and its overrides are
+read by ``parse_config_text``.  Parsing is strict: unknown keys are
 rejected so sweep typos cannot silently fall back to defaults, and so are
 the keys a config does not read, which ``_unread_keys`` alone names (material
 scalars next to a tensor family, tensor keys of another family or of no
@@ -30,13 +32,12 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .grid_field import FLOAT_SLOT, Grid
-from .material import AssumptionViolated, MaterialParams, TensorSpec
+from .material import FAMILY_FIELDS, AssumptionViolated, MaterialParams, TensorSpec
 from .order_parameter import MAX_MOLLIFIER_FLOATS, MAX_STEPS, RegularizationParams, mollifier_floats, window_length
 
 
@@ -206,6 +207,10 @@ class SimulationConfig:
         """Time after step n; the last step lands on t_end exactly, not on n_steps * dt."""
         return self.t_end if n >= self.n_steps else n * self.reg.dt
 
+    def body_over_mu(self, t) -> np.ndarray:
+        """b/mu at time t, or at a (K, 1) column of times: the body force as the elasticity solves take it."""
+        return np.divide(self.body.evaluate(t, self.grid), self.material.mu)
+
 
 # the error for a reference set in a refinement study, by code or by key
 _REFINEMENT_REFERENCE = "study.reference is not read by a refinement study (study.h_factor or study.dt_factor > 1)"
@@ -312,12 +317,10 @@ _CATALOG = {
 # derived from the tensor when a tensor family is given, so not read then
 _SCALAR_MATERIAL_KEYS = ("material.mu", "material.lambda", "material.e")
 
-# the tensor keys each family reads; a family's config may set no other
-_FAMILY_KEYS = {
-    "diagonal": ("material.tensor.mu0",),
-    "isotropic": ("material.tensor.lambda_L", "material.tensor.mu_L"),
-    "entries": ("material.tensor.entries",),
-}
+# the keys of the tensor fields each family reads (material.FAMILY_FIELDS); a
+# family's config may set no other
+_TENSOR_KEYS = {attr: key for key, (_, part, attr) in _CATALOG.items() if part == "tensor_spec"}
+_FAMILY_KEYS = {family: tuple(_TENSOR_KEYS[name] for name in fields) for family, fields in FAMILY_FIELDS.items()}
 
 
 def _unread_keys(family: Optional[str], study: Optional["StudyConfig"]) -> dict:
@@ -335,7 +338,7 @@ def _unread_keys(family: Optional[str], study: Optional["StudyConfig"]) -> dict:
     else:
         unread = {key: f"tensor_spec: {key} conflicts with material.tensor.family; scalars are derived"
                   for key in _SCALAR_MATERIAL_KEYS}
-        if family in _FAMILY_KEYS:  # an unknown family is named by TensorSpec.build
+        if family in _FAMILY_KEYS:  # an unknown family is named by TensorSpec
             unread.update(
                 (key, f"tensor_spec: {key} is not read by tensor family {family!r}")
                 for other, keys in _FAMILY_KEYS.items() if other != family for key in keys
@@ -427,8 +430,8 @@ def _build_material(raw: dict) -> tuple[MaterialParams, Optional[TensorSpec]]:
         raise ConfigInvalid(f"tensor_spec: tensor family {family!r} needs {' and '.join(missing)}")
     if ("material.misfit" in raw) == ("material.misfit_iso" in raw):
         raise ConfigInvalid("tensor_spec: tensor family needs exactly one of material.misfit / material.misfit_iso")
-    spec = TensorSpec(**_part_kwargs(raw, "tensor_spec"))
     try:
+        spec = TensorSpec(**_part_kwargs(raw, "tensor_spec"))
         tensor, misfit = spec.build()
         params = MaterialParams.from_tensors(tensor, misfit, **_part_kwargs(raw, "material"))
     except AssumptionViolated as exc:
@@ -471,10 +474,6 @@ def parse_config_text(text: str, overrides=None):
     return build_config(raw)
 
 
-def parse_config(path, overrides=None):
-    return parse_config_text(Path(path).read_text(), overrides)
-
-
 def _fmt(kind: str, value) -> str:
     if kind == "float":
         return FLOAT_SLOT % value
@@ -511,7 +510,3 @@ def config_echo(config) -> str:
 
 def config_digest(config) -> str:
     return hashlib.sha256(config_echo(config).encode()).hexdigest()
-
-
-def default_config() -> SimulationConfig:
-    return build_config({})

@@ -148,7 +148,7 @@ def energy_monitor(
     integrand = d2(s, h)
     integrand **= 2
     integrand *= modulus
-    integrand = trapezoid(integrand, dx=h, axis=-1, overwrite_y=True)
+    integrand = trapezoid(integrand, h)
     return grad_sq, _cumulative_time_trapz(times, integrand)
 
 
@@ -162,7 +162,7 @@ def _st_l43_series(times: np.ndarray, s: np.ndarray, h: float) -> np.ndarray:
     np.abs(rate, out=rate)
     rate **= p
     out = np.zeros(len(times))
-    out[1:] = np.cumsum(dt * trapezoid(rate, dx=h, axis=-1, overwrite_y=True)) ** (1.0 / p)
+    out[1:] = np.cumsum(dt * trapezoid(rate, h)) ** (1.0 / p)
     return out
 
 
@@ -195,8 +195,8 @@ def _primitive_w14_series(
     for f in (prim, grad):
         np.abs(f, out=f)
         f **= p
-    integrand = trapezoid(prim, dx=h, axis=-1, overwrite_y=True)
-    integrand += trapezoid(grad, dx=h, axis=-1, overwrite_y=True)
+    integrand = trapezoid(prim, h)
+    integrand += trapezoid(grad, h)
     return _cumulative_time_trapz(times, integrand) ** (1.0 / p)
 
 
@@ -277,9 +277,8 @@ def _cross_check_series(times: np.ndarray, s: np.ndarray, s_x: np.ndarray, confi
     stacked S frames at ``times`` and ``s_x`` d1 of them.
     """
     grid = config.grid
-    material = config.material
-    elastic = elastic_constants(grid, material)
-    b_mu = np.divide(config.body.evaluate(times[:, None], grid), material.mu)
+    elastic = elastic_constants(grid, config.material)
+    b_mu = config.body_over_mu(times[:, None])
     u_fd = solve_fd(elastic_rhs(s_x, b_mu, elastic.lam_mu), elastic.operator)
     u_green = solve_green(GreenKernel(grid.a, grid.d), ScalarField(grid, s), b_mu, elastic.lam_mu)
     # np.abs(u_fd - u_green), in place

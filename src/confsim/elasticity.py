@@ -185,7 +185,7 @@ def solve_fd(rhs: np.ndarray, operator: tuple) -> np.ndarray:
     u = np.array(rhs, dtype=float, order="C")
     nodes = u if lone else u.T
     nodes[0] = nodes[-1] = 0.0
-    nodes = tridiag_factor_solve(factors, nodes, overwrite=True)
+    nodes = tridiag_factor_solve(factors, nodes)
     u = nodes if lone else nodes.T
     # one step of iterative refinement keeps the discrete residual near
     # roundoff even on fine grids, where plain elimination leaves O(n*eps/h^2);
@@ -193,7 +193,7 @@ def solve_fd(rhs: np.ndarray, operator: tuple) -> np.ndarray:
     residual = _fd_apply(u, operator)
     residual_nodes = residual if lone else residual.T
     residual_nodes[1:-1] -= (rhs if lone else rhs.T)[1:-1]
-    nodes -= tridiag_factor_solve(factors, residual_nodes, overwrite=True)
+    nodes -= tridiag_factor_solve(factors, residual_nodes)
     nodes[0] = nodes[-1] = 0.0
     return u
 

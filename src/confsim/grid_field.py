@@ -9,20 +9,23 @@ argument of the Green quadrature, which takes a frame or a stack.
 ``csv_text`` writes every CSV table confsim writes; the run directory's
 layout is ``simulator``'s.
 
-Quadrature is the local ``trapezoid``, which does scipy's arithmetic bit for
-bit.  From scipy the package uses only LAPACK ``dgtsv`` behind
-``tridiag_solve``, and ``dgttrf``/``dgttrs`` behind ``tridiag_factor`` and
-``tridiag_factor_solve`` for a matrix solved against many times, taken from
-scipy's compiled ``scipy.linalg._flapack`` extension loaded by file, so that a
-cold start does not run ``scipy.linalg``'s package init (about 0.3 s, almost
-all of it modules the package never uses).
+Quadrature along the nodes is the local ``trapezoid``, one in-place rule
+along the last axis that does scipy's arithmetic bit for bit; the mixed
+norm's time integral over uneven times writes out scipy's operations.  From
+scipy the package uses only LAPACK ``dgtsv`` behind ``tridiag_solve``, and
+``dgttrf``/``dgttrs`` behind ``tridiag_factor`` and ``tridiag_factor_solve``
+for a matrix solved against many times, taken from scipy's compiled
+``scipy.linalg._flapack`` extension loaded by file, so that a cold start does
+not run ``scipy.linalg``'s package init (about 0.3 s, almost all of it
+modules the package never uses).
 
-``d1``, ``d2``, ``trapezoid`` and the norms do their arithmetic in place on
-the arrays they allocate, with the operations and grouping of the plain
-expressions, so their bits are the expressions'; the step functions and the
-report's monitors built on them follow the same rule.  A (K, n) stack of a
-long run is larger than the C allocator's mmap threshold, so each temporary
-spared is a mapping, its page faults and its unmapping spared.
+``d1``, ``d2`` and the norms do their arithmetic in place on the arrays they
+allocate, and ``trapezoid`` in the array it is given, with the operations
+and grouping of the plain expressions, so their bits are the expressions';
+the step functions and the report's monitors built on them follow the same
+rule.  A (K, n) stack of a long run is larger than the C allocator's mmap
+threshold, so each temporary spared is a mapping, its page faults and its
+unmapping spared.
 """
 
 from __future__ import annotations
@@ -37,13 +40,6 @@ from functools import cached_property
 from typing import Optional
 import numpy as np
 import scipy
-
-SUPPORTED_EXPONENTS = (4.0 / 3.0, 2.0, 8.0 / 3.0, math.inf)
-
-
-class UnsupportedExponent(ValueError):
-    pass
-
 
 class FieldFileError(ValueError):
     """A run directory's file is damaged, of an earlier layout, or was written on a different grid."""
@@ -178,16 +174,15 @@ def scalar_array(value: float) -> np.ndarray:
 def _interior(v: np.ndarray, out: np.ndarray):
     """The values a 3-point stencil reads and the interior nodes it writes, node axis first.
 
-    A C-contiguous stack is taken as one flattened row, so that the
-    interior of every row is one pass; the values that pass leaves at each
-    row junction are end nodes, which the end stencils then overwrite.  A
-    lone row is its own node axis, without the cost of a transposed view.
+    A stack is taken as one flattened row, so that the interior of every
+    row is one pass (``reshape(-1)`` copies a stack that is not C-contiguous,
+    with the same values); the values that pass leaves at each row junction
+    are end nodes, which the end stencils then overwrite.  A lone row is its
+    own node axis.
     """
     if v.ndim == 1:
         return v, out[1:-1]
-    if v.flags.c_contiguous:
-        return v.reshape(-1), out.reshape(-1)[1:-1]
-    return v.T, out.T[1:-1]
+    return v.reshape(-1), out.reshape(-1)[1:-1]
 
 
 def d1(v: np.ndarray, h: float, *, two_h: Optional[np.ndarray] = None) -> np.ndarray:
@@ -267,68 +262,47 @@ def tridiag_factor(lower, diag, upper) -> tuple:
     return tuple(factors)
 
 
-def tridiag_factor_solve(factors: tuple, rhs, overwrite: bool = False) -> np.ndarray:
-    """Solve with the factors of ``tridiag_factor``; ``rhs`` as for ``tridiag_solve``.
+def tridiag_factor_solve(factors: tuple, rhs) -> np.ndarray:
+    """Solve with the factors of ``tridiag_factor``; ``rhs`` as for ``tridiag_solve``, worked in where it can be.
 
     LAPACK gttrs applies the multipliers and back substitution that gtsv
     applies while it eliminates, so the solution equals ``tridiag_solve``'s
-    bit for bit.  ``rhs`` is left unchanged unless ``overwrite`` is set:
-    LAPACK then works in ``rhs`` itself when it is Fortran-contiguous
-    float64, such as the transpose of a C-contiguous (K, n) stack, and the
-    solution is returned in it.
+    bit for bit.  LAPACK works in ``rhs`` itself when it is Fortran-contiguous
+    float64, such as the transpose of a C-contiguous (K, n) stack, and returns
+    the solution in it, so the caller no longer reads ``rhs``.
     """
     # positional: trans "N" (the matrix itself), then overwrite_b
-    x, info = dgttrs(*factors, rhs, "N", overwrite)
+    x, info = dgttrs(*factors, rhs, "N", True)
     if info != 0:  # pragma: no cover - gttrs fails only on malformed arguments
         raise ValueError(f"LAPACK gttrs info {info}")
     return x
 
 
-def trapezoid(y, x=None, dx: float = 1.0, axis: int = -1, *, overwrite_y: bool = False):
-    """Composite trapezoid rule along ``axis``, spacing ``dx`` or ``np.diff(x)``.
+def trapezoid(y, dx: float):
+    """Composite trapezoid rule along the last axis with spacing ``dx``, worked in ``y``.
 
-    The same operations in the same order as ``scipy.integrate.trapezoid``, so
-    the result is bit-identical to it.  With ``overwrite_y`` the rule may work
-    in ``y`` itself, which the caller then no longer reads: it does so for a
-    C-contiguous float64 ``y`` integrated along its last axis with ``dx``.
+    The operations in the order of ``scipy.integrate.trapezoid(y, dx=dx)``,
+    so for a C-contiguous float64 ``y`` the result is bit-identical to it.
+    The rule works in ``np.ascontiguousarray(y, dtype=float)``: a
+    C-contiguous float64 ``y`` is overwritten, and the caller no longer reads
+    it; any other ``y`` is copied to that layout first.
     """
-    y = np.asarray(y)
-    if overwrite_y and x is None and y.dtype == np.float64 and y.flags.c_contiguous and axis in (-1, y.ndim - 1):
-        # the terms over the flattened rows, each written over the first node
-        # of its pair: numpy runs this forward overlap without a copy (it would
-        # copy rather than misread), and the term left on each row's last node
-        # joins two rows and is not summed
-        flat = y.reshape(-1)
-        total = flat[:-1]
-        np.add(flat[1:], total, out=total)
-        total *= dx
-        total /= 2.0
-        return np.sum(y[..., :-1], axis=-1)
-    upper = [slice(None)] * y.ndim
-    lower = [slice(None)] * y.ndim
-    upper[axis] = slice(1, None)
-    lower[axis] = slice(None, -1)
-    if x is None:
-        d = dx
-    else:
-        # a 1-D x runs along ``axis``
-        shape = [1] * y.ndim
-        shape[axis] = -1
-        d = np.diff(np.asarray(x, dtype=float)).reshape(shape)
-    # In place in one temporary, with the operations and grouping of
-    # d * (y[upper] + y[lower]) / 2.0; integers add exactly before the product
-    total = np.add(y[tuple(upper)], y[tuple(lower)])
-    if total.dtype == np.float64:
-        total *= d
-        total /= 2.0
-    else:
-        total = d * total / 2.0
-    return np.sum(total, axis=axis)
+    y = np.ascontiguousarray(y, dtype=float)
+    # the terms over the flattened rows, each written over the first node of
+    # its pair: numpy runs this forward overlap without a copy (it would copy
+    # rather than misread), and the term left on each row's last node joins
+    # two rows and is not summed
+    flat = y.reshape(-1)
+    total = flat[:-1]
+    np.add(flat[1:], total, out=total)
+    total *= dx
+    total /= 2.0
+    return np.sum(y[..., :-1], axis=-1)
 
 
 def norm_l2(v: np.ndarray, h: float):
     """Trapezoid L^2 norm along the last axis: a float for one frame, an array for a stack."""
-    return np.sqrt(trapezoid(v**2, dx=h, axis=-1, overwrite_y=True))
+    return np.sqrt(trapezoid(v**2, h))
 
 
 def space_norms(values: np.ndarray, h: float, q: float):
@@ -336,26 +310,23 @@ def space_norms(values: np.ndarray, h: float, q: float):
     magnitude = np.abs(values)
     if q == math.inf:
         return np.max(magnitude, axis=-1)
-    if magnitude.dtype == np.float64:
-        # the in-place power takes the ufunc of ``** q``: numpy's square for q = 2
-        magnitude **= q
-    else:
-        magnitude = magnitude**q
-    return trapezoid(magnitude, dx=h, axis=-1, overwrite_y=True) ** (1.0 / q)
+    # the in-place power takes the ufunc of ``** q``: numpy's square for q = 2
+    magnitude **= q
+    return trapezoid(magnitude, h) ** (1.0 / q)
 
 
 def norm_lp_time_lq_space(times: np.ndarray, values: np.ndarray, h: float, p: float, q: float) -> float:
-    """Mixed norm (int ||f(t)||_q^p dt)^(1/p) of a (frames, nodes) array, trapezoid in both variables."""
-    for exponent in (p, q):
-        if not any(abs(exponent - s) < 1e-14 or (exponent == math.inf and s == math.inf) for s in SUPPORTED_EXPONENTS):
-            raise UnsupportedExponent(f"exponent {exponent} not supported")
-    times = np.asarray(times, dtype=float)
-    if len(times) != len(values):
-        raise ValueError("times and fields must have equal length")
+    """Mixed norm (int ||f(t)||_q^p dt)^(1/p) of a (frames, nodes) array, trapezoid in both variables.
+
+    p = inf is the largest space norm.  The time integral over the (possibly
+    uneven) ``times`` is scipy's ``trapezoid(..., x=times)`` arithmetic.
+    """
     per_frame = space_norms(values, h, q)
     if p == math.inf:
         return float(np.max(per_frame))
-    return float(trapezoid(per_frame**p, times)) ** (1.0 / p)
+    y = per_frame**p
+    d = np.diff(np.asarray(times, dtype=float))
+    return float(np.sum(d * (y[1:] + y[:-1]) / 2.0)) ** (1.0 / p)
 
 
 # Every float confsim writes, for the % operator: 17 significant digits read

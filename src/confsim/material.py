@@ -265,37 +265,52 @@ def free_energy(
     return 0.5 * tensor.quadratic_form(elastic) + value
 
 
+# The ``TensorSpec`` fields each tensor family reads, the one statement of them.
+FAMILY_FIELDS = {
+    "diagonal": ("mu0",),
+    "isotropic": ("lambda_l", "mu_l"),
+    "entries": ("entries",),
+}
+
+
 @dataclass(frozen=True)
 class TensorSpec:
-    """Declarative stiffness/misfit selection, as read from a config file."""
+    """Declarative stiffness/misfit selection, as read from a config file.
 
-    family: str  # diagonal | isotropic | entries
-    # a family's keys have no default: a config names each one its family reads
+    ``family`` is a key of ``FAMILY_FIELDS``.  A family's fields have no
+    default: the spec sets each one its family reads, and exactly one misfit
+    form, ``misfit`` (9 entries, row major) or the spherical ``misfit_iso``.
+    """
+
+    family: str
     mu0: Optional[float] = None
     lambda_l: Optional[float] = None
     mu_l: Optional[float] = None
     entries: Optional[tuple] = None
-    misfit: Optional[tuple] = None  # 9 entries, row major
+    misfit: Optional[tuple] = None
     misfit_iso: Optional[float] = None
+
+    def __post_init__(self):
+        if self.family not in FAMILY_FIELDS:
+            raise ValueError(f"unknown tensor family {self.family!r}")
+        missing = [name for name in FAMILY_FIELDS[self.family] if getattr(self, name) is None]
+        if missing:
+            raise ValueError(f"tensor family {self.family!r} needs {' and '.join(missing)}")
+        if (self.misfit is None) == (self.misfit_iso is None):
+            raise ValueError("tensor spec needs exactly one of misfit / misfit_iso")
 
     def build(self) -> tuple[ElasticityTensor, MisfitStrain]:
         if self.family == "diagonal":
             tensor = ElasticityTensor.diagonal_family(self.mu0)
         elif self.family == "isotropic":
             tensor = ElasticityTensor.isotropic(self.lambda_l, self.mu_l)
-        elif self.family == "entries":
-            if self.entries is None or len(self.entries) != 81:
+        else:
+            if len(self.entries) != 81:
                 raise ValueError("entries family requires exactly 81 values")
             tensor = ElasticityTensor(np.asarray(self.entries, dtype=float).reshape(3, 3, 3, 3))
-        else:
-            raise ValueError(f"unknown tensor family {self.family!r}")
-        if self.misfit is not None:
-            strain = MisfitStrain(np.asarray(self.misfit, dtype=float).reshape(3, 3))
-        elif self.misfit_iso is not None:
-            strain = MisfitStrain.spherical(self.misfit_iso)
-        else:
-            raise ValueError("tensor spec requires a misfit strain")
-        return tensor, strain
+        if self.misfit is None:
+            return tensor, MisfitStrain.spherical(self.misfit_iso)
+        return tensor, MisfitStrain(np.asarray(self.misfit, dtype=float).reshape(3, 3))
 
 
 @dataclass(frozen=True)

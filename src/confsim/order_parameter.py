@@ -102,7 +102,7 @@ class RegularizationParams:
 
 def smoothed_abs(p, kappa: float):
     """sqrt(kappa^2 + p^2); equals |p| at kappa = 0 and is >= max(|p|, kappa)."""
-    return np.hypot(np.asarray(p, dtype=float), kappa) if np.ndim(p) else float(np.hypot(p, kappa))
+    return np.hypot(p, kappa)
 
 
 def smoothed_abs_primitive(p, kappa: float, *, modulus: Optional[np.ndarray] = None):

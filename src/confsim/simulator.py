@@ -16,7 +16,9 @@ the curvature row 2 c nu / x and the step's scalars as 0-d arrays
 (``step_constants``), and the FD operator with its LU factors, lam/mu and
 h (``elastic_constants``); it builds a lone member's kappa once too, and
 for a body force fixed in time (every family but ramp) its b/mu, which
-it divides afresh at every step for a ramp.
+it divides afresh at every step for a ramp.  A call with no first frame to
+record and no step to take, such as a study member's ``Simulation.run``
+after the lockstep march, builds none of it.
 A finished run carries its diagnostics report; ``write_run``/``load_run``
 persist it with the config echo and the saved frames in one numpy archive,
 ``fields.npz``.  A snapshot is a numpy archive of the step, the mollifier
@@ -131,12 +133,11 @@ class Simulation:
         u = np.array([frame.values for frame in self.u_frames[-count:]])
         self.residual_max = max(self.residual_max, *fd_residual(u, np.array(self._unchecked_rhs), grid).tolist())
         if self._unchecked_s_moll:
-            material = self.config.material
-            b_mu = _body_over_mu(self.config, np.array(self.times[-count:])[:, None])
+            b_mu = self.config.body_over_mu(np.array(self.times[-count:])[:, None])
             # looked up on the module, where bench/tracer.py wraps it
             u_green = elasticity.solve_green(GreenKernel(grid.a, grid.d),
                                              ScalarField(grid, np.array(self._unchecked_s_moll)), b_mu,
-                                             material.lam / material.mu)
+                                             elastic_constants(grid, self.config.material).lam_mu)
             # np.abs(u - u_green), in place
             gap = np.subtract(u, u_green, out=u_green)
             gaps = np.max(np.abs(gap, out=gap), axis=-1).tolist()
@@ -167,11 +168,6 @@ class Simulation:
         )
 
 
-def run(config: SimulationConfig) -> RunResult:
-    """Run a configured simulation to its final time."""
-    return Simulation(config).run()
-
-
 def _lockstep_key(config: SimulationConfig) -> tuple:
     """What members marched together share: the config but kappa, kappa_m and the initial data."""
     reg = config.reg
@@ -195,16 +191,11 @@ def _rows(batch: np.ndarray):
     return (batch,) if batch.ndim == 1 else batch
 
 
-def _body_over_mu(config: SimulationConfig, t) -> np.ndarray:
-    """b/mu at time t, or at a (K, 1) column of times, the body force as ``solve_elasticity`` takes it."""
-    return np.divide(config.body.evaluate(t, config.grid), config.material.mu)
-
-
 def _solve_for_u(sims: list[Simulation], t: float, elastic):
     """Displacements of the members at time t on the run's ``elastic_constants``: (u, rhs, s_moll), batched by
     ``_stack``."""
     s_moll = _stack([mollify(sim.mollifier, t) for sim in sims])
-    u, rhs = solve_elasticity(s_moll, _body_over_mu(sims[0].config, t), elastic)
+    u, rhs = solve_elasticity(s_moll, sims[0].config.body_over_mu(t), elastic)
     return u, rhs, s_moll
 
 
@@ -238,6 +229,9 @@ def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
     if any(_lockstep_key(sim.config) != key or sim.step_index != lead.step_index for sim in active):
         raise ValueError("simulations marched together must share all config but kappa, kappa_m and "
                          "initial data, and stand at the same step")
+    stop = cfg.n_steps if until_step is None else min(until_step, cfg.n_steps)
+    if lead.step_index >= stop and all(sim.u is not None for sim in active):
+        return  # no first frame to record and no step to take
     # what the members share, looked up once, and what every step would compute alike, built once
     grid, material, reg = cfg.grid, cfg.material, cfg.reg
     h, save_every, step_time, guard = grid.h, cfg.save_every, cfg.step_time, reg.increment_guard
@@ -253,8 +247,7 @@ def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
     # b/mu of a body force fixed in time is divided once, a ramp's at every step
     fixed = cfg.body.time_independent
     if fixed:
-        b_mu = _body_over_mu(cfg, lead.time)
-    stop = cfg.n_steps if until_step is None else min(until_step, cfg.n_steps)
+        b_mu = cfg.body_over_mu(lead.time)
     step, time = lead.step_index, lead.time
     s = _stack([sim.s for sim in active])
     u = _stack([sim.u for sim in active])
@@ -292,7 +285,7 @@ def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
                 sim.mollifier.push(row, time)
             s_moll = _stack([mollify(sim.mollifier, time) for sim in active])
         if not fixed:
-            b_mu = _body_over_mu(cfg, time)
+            b_mu = cfg.body_over_mu(time)
         u, rhs = solve_elasticity(s_moll, b_mu, elastic)
         if step % save_every == 0 or step == stop:
             _record_frames(active, u, rhs, s_moll)

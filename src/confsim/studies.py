@@ -159,10 +159,6 @@ def halving_study(base: SimulationConfig, levels: int) -> StudyConfig:
     return StudyConfig(base=base, kappas=kappas, h_factor=2, dt_factor=2)
 
 
-def weak_residual_refinement(base: SimulationConfig, levels: int = 3) -> list[float]:
-    return [row.weak_residual_max for row in run_study(halving_study(base, levels)).rows]
-
-
 # --- manufactured solutions --------------------------------------------------
 
 

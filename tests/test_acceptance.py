@@ -16,8 +16,8 @@ from confsim.order_parameter import smoothed_abs, smoothed_abs_primitive
 from confsim.elasticity import GreenKernel, elastic_rhs, fd_operator, solve_fd, solve_green
 from confsim.diagnostics import build_report, energy_monitor
 from confsim.config import BodyForce, StudyConfig
-from confsim.simulator import Simulation, load_run, load_snapshot, run, save_snapshot, write_run
-from confsim.studies import elasticity_errors, fit_slope, run_study, weak_residual_refinement
+from confsim.simulator import Simulation, load_run, load_snapshot, save_snapshot, write_run
+from confsim.studies import elasticity_errors, fit_slope, halving_study, run_study
 from confsim.reduction3d import random_shell_points, residual_elasticity_3d, residual_order_3d
 
 from conftest import make_config
@@ -40,7 +40,7 @@ def kappa_sweep_runs():
     out = {}
     for kappa in KAPPA_SWEEP:
         cfg = make_config(n=129, kappa=kappa, dt=2e-4, t_end=0.02, save_every=10)
-        out[kappa] = run(cfg)
+        out[kappa] = Simulation(cfg).run()
     return out
 
 
@@ -108,7 +108,7 @@ def test_criterion_03_maximum_principle_matrix():
                     n=129, kappa=kappa, dt=2e-4, t_end=0.02, save_every=10,
                     family=family, body=body,
                 )
-                worst = max(worst, run(cfg).report.max_principle_margin)
+                worst = max(worst, Simulation(cfg).run().report.max_principle_margin)
     ok = worst <= 1e-8
     report(3, ok, f"max-principle margin over 12-run matrix: {worst:.2e}")
 
@@ -154,7 +154,7 @@ def test_criterion_06_kappa_convergence():
 
 def test_criterion_07_weak_residual_refinement():
     base = make_config(n=33, kappa=1.0, dt=4e-4, t_end=0.02, save_every=2, amplitude=0.5)
-    values = weak_residual_refinement(base, levels=3)
+    values = [row.weak_residual_max for row in run_study(halving_study(base, levels=3)).rows]
     monotone = all(b < a for a, b in zip(values, values[1:]))
     ok = monotone and values[-1] < 1e-3
     report(7, ok, f"weak residual per level: {['%.3e' % v for v in values]}")

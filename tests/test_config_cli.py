@@ -17,7 +17,6 @@ from confsim.config import (
     StudyConfig,
     config_digest,
     config_echo,
-    default_config,
     echo_lines,
     parse_config_text,
     parse_pairs,
@@ -182,7 +181,7 @@ class TestParsing:
     def test_empty_config_gives_documented_defaults(self):
         cfg = parse_config_text("")
         assert isinstance(cfg, SimulationConfig)
-        assert cfg == default_config()
+        assert cfg == SimulationConfig()
         assert cfg.grid.n == 129
         assert cfg.reg.kappa == 0.25
         assert cfg.reg.kappa_m == 0.25
@@ -288,12 +287,12 @@ class TestEchoRoundTrip:
         assert parse_config_text("\n".join(echo_lines(cfg))) == cfg
 
     def test_digest_is_stable(self):
-        cfg = default_config()
+        cfg = SimulationConfig()
         assert config_digest(cfg) == config_digest(parse_config_text(config_echo(cfg)))
 
     def test_digest_is_pinned(self):
         # the echo bytes are a run's identity in meta.txt: changing them is a format change
-        assert config_digest(default_config()) == (
+        assert config_digest(SimulationConfig()) == (
             "450e1c24661df6221c58fdd4f7c2f689bc831c93a18133f3cadcf22caf4fe497"
         )
         assert config_digest(parse_config_text("\n".join(DIAGONAL))) == (
@@ -342,7 +341,7 @@ class TestCatalog:
             assert isinstance(got, str) and got != unset
 
     def test_unequal_configs_have_unequal_digests(self):
-        configs = [default_config()] + [parse_config_text("\n".join(lines)) for lines in CATALOG_CASES.values()]
+        configs = [SimulationConfig()] + [parse_config_text("\n".join(lines)) for lines in CATALOG_CASES.values()]
         for a, b in itertools.combinations(configs, 2):
             assert (a == b) == (config_digest(a) == config_digest(b))
 
@@ -351,7 +350,7 @@ class TestCatalog:
     def test_code_built_study_round_trips_or_is_refused(self, reference, h_factor, dt_factor):
         def build():
             return StudyConfig(
-                base=default_config(), kappas=(0.5, 0.25), reference=reference, h_factor=h_factor,
+                base=SimulationConfig(), kappas=(0.5, 0.25), reference=reference, h_factor=h_factor,
                 dt_factor=dt_factor,
             )
 

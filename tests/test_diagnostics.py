@@ -35,12 +35,12 @@ from confsim.diagnostics import (
     weak_residual,
     weak_residual_series,
 )
-from confsim.simulator import Simulation, run, write_run, load_run
+from confsim.simulator import Simulation, write_run, load_run
 from confsim.studies import (
     OVERFLOWED,
+    halving_study,
     mms_convergence,
     run_study,
-    weak_residual_refinement,
     write_study_csv,
 )
 from confsim import studies
@@ -167,7 +167,7 @@ class TestAprioriNorms:
             assert a <= b + 1e-15
 
     def test_all_finite_on_default_run(self, desk_config):
-        result = run(desk_config)
+        result = Simulation(desk_config).run()
         assert all(np.isfinite(v) for v in apriori_row(result.report))
 
 
@@ -198,7 +198,7 @@ class TestFluxAndPrimitive:
 
     @pytest.mark.parametrize("kappa", [0.25, 0.03125])
     def test_primitive_series_matches_prefix_loop(self, kappa):
-        result = run(make_config(kappa=kappa, t_end=8e-3, save_every=1))
+        result = Simulation(make_config(kappa=kappa, t_end=8e-3, save_every=1)).run()
         traj = result.trajectory
         assert len(traj.times) == 41
         s_x = d1(traj.s_matrix(), traj.grid.h)
@@ -271,7 +271,7 @@ def st_l43_loop(traj):
 )
 def stacked_run(request):
     cfg = make_config(**request.param)
-    return cfg, run(cfg)
+    return cfg, Simulation(cfg).run()
 
 
 class TestMonitorsMatchFrameLoops:
@@ -426,7 +426,7 @@ class TestWeakResidual:
     @pytest.mark.parametrize("kw", WEAK_RESIDUAL_RUNS)
     def test_series_and_frame_loop_within_roundoff_of_fsum_pairing(self, kw, fns_of):
         cfg = make_config(**kw)
-        traj = run(cfg).trajectory
+        traj = Simulation(cfg).run().trajectory
         fns = fns_of(cfg.grid, cfg.t_end)
         want, scale = fsum_weak_residual_series(traj, cfg.material, fns)
         got = weak_residual_series_of(traj, cfg.material, cfg.t_end)
@@ -451,13 +451,13 @@ class TestWeakResidual:
                 weak_residual_of(traj, MAT)
 
     def test_series_starts_at_zero(self, desk_config):
-        result = run(desk_config)
+        result = Simulation(desk_config).run()
         series = weak_residual_series_of(result.trajectory, desk_config.material, desk_config.t_end)
         assert np.max(np.abs(series[0])) == 0.0
 
     def test_refinement_decreases_residual(self):
         base = make_config(n=33, kappa=1.0, dt=4e-4, t_end=0.02, save_every=2, amplitude=0.5)
-        values = weak_residual_refinement(base, levels=2)
+        values = [row.weak_residual_max for row in run_study(halving_study(base, levels=2)).rows]
         assert values[1] < values[0]
 
 
@@ -499,7 +499,7 @@ class TestReportRecompute:
         assert report.to_csv_text() == reference_csv_text(report)
 
     def test_report_recomputed_from_persisted_frames_is_bit_exact(self, tmp_path, desk_config):
-        result = run(desk_config)
+        result = Simulation(desk_config).run()
         write_run(tmp_path / "out", result)
         traj, cfg, diag_text = load_run(tmp_path / "out")
         rebuilt = build_report(traj, cfg)
@@ -515,7 +515,7 @@ class TestReportRecompute:
     def test_recompute_from_disk_is_bit_exact_for_random_configs(self, n, save_every, steps, path):
         cfg = make_config(n=n, t_end=steps * 2e-4, save_every=save_every, path=path)
         with tempfile.TemporaryDirectory() as tmp:
-            write_run(Path(tmp) / "out", run(cfg))
+            write_run(Path(tmp) / "out", Simulation(cfg).run())
             traj, loaded, diag_text = load_run(Path(tmp) / "out")
         assert build_report(traj, loaded).to_csv_text() == diag_text
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from confsim.material import (
     ASSUMPTION_TOL,
     AssumptionViolated,
+    FAMILY_FIELDS,
     ElasticityTensor,
     MaterialParams,
     MisfitStrain,
@@ -326,6 +327,28 @@ class TestParamsAndSpec:
             TensorSpec(family="entries", entries=(1.0, 2.0), misfit_iso=0.1).build()
         with pytest.raises(ValueError):
             TensorSpec(family="diagonal", mu0=1.0).build()
+
+    @pytest.mark.parametrize(
+        "family, fields", [("diagonal", "mu0"), ("isotropic", "lambda_l and mu_l"), ("entries", "entries")]
+    )
+    def test_tensor_spec_names_its_familys_unset_fields(self, family, fields):
+        assert " and ".join(FAMILY_FIELDS[family]) == fields
+        with pytest.raises(ValueError, match=f"^tensor family '{family}' needs {fields}$"):
+            TensorSpec(family, misfit_iso=0.1)
+        # one field set: the message names the others only
+        first, *rest = FAMILY_FIELDS[family]
+        if rest:
+            with pytest.raises(ValueError, match=f"^tensor family '{family}' needs {' and '.join(rest)}$"):
+                TensorSpec(family, misfit_iso=0.1, **{first: 1.0})
+
+    def test_tensor_spec_refuses_an_unknown_family_and_a_misfit_count_other_than_one(self):
+        with pytest.raises(ValueError, match="^unknown tensor family 'cubic'$"):
+            TensorSpec("cubic", mu0=1.0, misfit_iso=0.1)
+        message = "^tensor spec needs exactly one of misfit / misfit_iso$"
+        with pytest.raises(ValueError, match=message):
+            TensorSpec("diagonal", mu0=1.0)
+        with pytest.raises(ValueError, match=message):
+            TensorSpec("diagonal", mu0=1.0, misfit=tuple(np.eye(3).ravel()), misfit_iso=0.1)
 
     def test_misfit_must_be_symmetric(self):
         with pytest.raises(ValueError, match="symmetric"):

@@ -6,7 +6,7 @@ from confsim.config import parse_config_text
 from confsim.material import ElasticityTensor, double_well
 from confsim.grid_field import Grid
 from confsim.elasticity import OutOfDomain
-from confsim.simulator import run
+from confsim.simulator import Simulation
 from confsim.reduction3d import (
     RadialLift,
     UniformSpline,
@@ -108,7 +108,7 @@ def tensor_run_lifts():
         "material.tensor.family = diagonal\nmaterial.tensor.mu0 = 2\nmaterial.misfit_iso = 0.1\n"
         "grid.n = 33\nrun.t_end = 0.01\nrun.save_every = 5\n"
     )
-    traj = run(cfg).trajectory
+    traj = Simulation(cfg).run().trajectory
     tensor, misfit = cfg.tensor_spec.build()
     s, u = traj.s_matrix(), traj.u_matrix()
     lifts = [
@@ -318,7 +318,7 @@ class TestOrderResidual:
                 n=(65 - 1) * f + 1, kappa=0.25 / f, dt=2e-4 / f,
                 t_end=0.01, save_every=5, amplitude=0.5,
             )
-            res = run(cfg)
+            res = Simulation(cfg).run()
             traj = res.trajectory
             k = len(traj.times) - 1
             lifts = []

@@ -357,7 +357,7 @@ def counting(monkeypatch, owners, name):
 class TestOnePass:
     @pytest.mark.parametrize("path", ["direct", "both-verify"])
     def test_one_green_call_and_one_stack_per_report(self, monkeypatch, path):
-        result = simulator.run(make_config(path=path, t_end=4e-3, save_every=2))
+        result = simulator.Simulation(make_config(path=path, t_end=4e-3, save_every=2)).run()
         frames = len(result.trajectory.times)
         assert frames == 11
         green = counting(monkeypatch, [diagnostics, elasticity], "solve_green")
@@ -373,7 +373,7 @@ class TestOnePass:
 
     def test_one_body_force_evaluation_per_report(self, monkeypatch):
         cfg = make_config(t_end=4e-3, save_every=1, body=BodyForce(family="ramp", amplitude=0.1, rate=3.0))
-        result = simulator.run(cfg)
+        result = simulator.Simulation(cfg).run()
         times = []
         plain = BodyForce.evaluate
 

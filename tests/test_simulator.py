@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dataclasses import replace
 
-from confsim.config import BodyForce, InitialData, config_digest, parse_config_text
+from confsim.config import BodyForce, InitialData, StudyConfig, config_digest, parse_config_text
 from confsim.diagnostics import NonFiniteReport
 from confsim.simulator import (
     SNAPSHOT_VERSION,
@@ -21,14 +21,14 @@ from confsim.simulator import (
     load_run,
     load_snapshot,
     march,
-    run,
     save_snapshot,
     write_run,
 )
-from confsim import elasticity
+from confsim import elasticity, simulator
 from confsim.elasticity import GreenKernel, elastic_rhs, fd_operator, fd_residual, solve_fd, solve_green
 from confsim.grid_field import FieldFileError, ScalarField, Trajectory, d1
 from confsim.order_parameter import BLOCK, mollify
+from confsim.studies import run_study
 
 from conftest import edit_fields, make_config
 
@@ -51,7 +51,7 @@ def with_members(**members):
 class TestRestState:
     def test_everything_stays_zero(self):
         cfg = make_config(amplitude=0.0)
-        result = run(cfg)
+        result = Simulation(cfg).run()
         assert result.termination.status == "completed"
         assert np.all(result.trajectory.s_matrix() == 0.0)
         assert np.all(result.trajectory.u_matrix() == 0.0)
@@ -61,7 +61,7 @@ class TestDecoupling:
     def test_lambda_zero_makes_u_depend_on_body_only(self):
         body = BodyForce(family="constant", amplitude=0.3)
         cfg = make_config(lam=0.0, body=body)
-        result = run(cfg)
+        result = Simulation(cfg).run()
         grid = cfg.grid
         b = body.evaluate(0.0, grid)
         u_expected = solve_fd(b / cfg.material.mu, fd_operator(grid))
@@ -71,7 +71,7 @@ class TestDecoupling:
 
 class TestTrajectoryContract:
     def test_frames_and_times(self, desk_config):
-        result = run(desk_config)
+        result = Simulation(desk_config).run()
         traj = result.trajectory
         traj.validate(t_end=desk_config.t_end)
         for frames in (traj.s_matrix(), traj.u_matrix()):
@@ -83,7 +83,7 @@ class TestTrajectoryContract:
         cfg = make_config(n=17, dt=7e-4, t_end=0.07, save_every=50)
         assert cfg.n_steps == 100
         assert cfg.step_time(cfg.n_steps) == cfg.t_end
-        traj = run(cfg).trajectory
+        traj = Simulation(cfg).run().trajectory
         traj.validate(t_end=cfg.t_end)
         assert list(traj.times) == [0.0, 50 * 7e-4, 0.07]
 
@@ -91,7 +91,7 @@ class TestTrajectoryContract:
         # t_end / dt rounds to zero steps; the one step lands on t_end
         cfg = make_config(n=17, t_end=1e-13)
         assert cfg.n_steps == 1
-        traj = run(cfg).trajectory
+        traj = Simulation(cfg).run().trajectory
         traj.validate(t_end=cfg.t_end)
         assert list(traj.times) == [0.0, 1e-13]
         assert list(traj.steps) == [0, 1]
@@ -105,12 +105,12 @@ class TestTrajectoryContract:
         assert cfg.n_steps == 100
 
     def test_saved_u_frames_satisfy_discrete_equation(self, desk_config):
-        result = run(desk_config)
+        result = Simulation(desk_config).run()
         assert result.elasticity_residual_max < 1e-10
 
     def test_determinism(self, desk_config):
-        r1 = run(desk_config)
-        r2 = run(desk_config)
+        r1 = Simulation(desk_config).run()
+        r2 = Simulation(desk_config).run()
         assert np.array_equal(r1.trajectory.s_matrix(), r2.trajectory.s_matrix())
         assert np.array_equal(r1.trajectory.u_matrix(), r2.trajectory.u_matrix())
         assert r1.report.to_csv_text() == r2.report.to_csv_text()
@@ -119,7 +119,7 @@ class TestTrajectoryContract:
 class TestElasticityPaths:
     def test_both_verify_records_discrepancy(self):
         cfg = make_config(path="both-verify")
-        result = run(cfg)
+        result = Simulation(cfg).run()
         assert result.path_discrepancy_max is not None
         assert result.path_discrepancy_max < max(1e-6, 5.0 * cfg.grid.h**2)
 
@@ -172,8 +172,8 @@ class TestElasticityPaths:
 
     def test_both_verify_run_equals_direct_run(self):
         cfg = make_config(path="both-verify", t_end=0.01, save_every=3, kappa=0.125)
-        checked = run(cfg)
-        direct = run(replace(cfg, elasticity_path="direct"))
+        checked = Simulation(cfg).run()
+        direct = Simulation(replace(cfg, elasticity_path="direct")).run()
         assert np.array_equal(checked.trajectory.s_matrix(), direct.trajectory.s_matrix())
         assert np.array_equal(checked.trajectory.u_matrix(), direct.trajectory.u_matrix())
         assert checked.report.to_csv_text() == direct.report.to_csv_text()
@@ -570,11 +570,24 @@ class TestPerRunConstants:
             # the t = 0 solve and once per call
             assert len(bodies) == 1 + 2
 
+    @pytest.mark.parametrize("family", sorted(BODY_FAMILIES))
+    def test_a_march_with_no_step_to_take_builds_nothing(self, monkeypatch, family):
+        # after a study's lockstep march, each member's run() has no first frame to record and no step to take
+        base = make_config(n=33, t_end=2e-3, save_every=2, body=BODY_FAMILIES[family])
+        study = StudyConfig(base=base, kappas=(0.5, 0.25, 0.125, 0.0625, 0.03125))
+        constants = self.count_calls(monkeypatch, simulator, "step_constants")
+        bodies = self.count_calls(monkeypatch, BodyForce, "evaluate")
+        run_study(study)
+        assert len(constants) == 1
+        # the lockstep march's t = 0 solve and its steps' b/mu (once, or once per step for a ramp),
+        # then one evaluation of every frame in each member's report
+        assert len(bodies) == 1 + (base.n_steps if family == "ramp" else 1) + len(study.kappas)
+
 
 class TestGuard:
     def test_rejected_step_reported_with_partial_frames(self):
         cfg = make_config(increment_guard=1e-12)
-        result = run(cfg)
+        result = Simulation(cfg).run()
         assert result.termination.status == "step-rejected"
         assert result.termination.fail_time is not None
         assert len(result.trajectory.times) >= 1
@@ -584,17 +597,17 @@ class TestOverflow:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_report_is_typed(self):
         with pytest.raises(NonFiniteReport, match="non-finite"):
-            run(make_config(amplitude=1e308, t_end=1e-3))
+            Simulation(make_config(amplitude=1e308, t_end=1e-3)).run()
         assert issubclass(NonFiniteReport, ValueError)
 
 
 def run_with_frames(n: int, frames: int):
     """A run on n nodes that saves ``frames`` frames; a one-frame run is one whose step 0 is rejected."""
     if frames == 1:
-        result = run(make_config(n=n, increment_guard=1e-12))
+        result = Simulation(make_config(n=n, increment_guard=1e-12)).run()
         assert result.termination.status == "step-rejected"
     else:
-        result = run(make_config(n=n, t_end=(frames - 1) * 2e-4, save_every=1))
+        result = Simulation(make_config(n=n, t_end=(frames - 1) * 2e-4, save_every=1)).run()
     assert len(result.trajectory.times) == frames
     return result
 
@@ -630,7 +643,7 @@ class TestRunPersistence:
         assert np.array_equal(back.steps, steps)
 
     def test_write_and_load_round_trip(self, tmp_path, desk_config):
-        result = run(desk_config)
+        result = Simulation(desk_config).run()
         write_run(tmp_path / "out", result)
         traj, cfg, diag_text = load_run(tmp_path / "out")
         assert cfg == desk_config

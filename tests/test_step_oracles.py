@@ -319,8 +319,8 @@ class TestRunsAgainstExpressions:
 
 
 def assert_same_lone_runs(monkeypatch, cfg):
-    got = [simulator.run(cfg)]
-    assert_same_runs(got, run_on_reference_functions(monkeypatch, lambda: [simulator.run(cfg)]))
+    got = [simulator.Simulation(cfg).run()]
+    assert_same_runs(got, run_on_reference_functions(monkeypatch, lambda: [simulator.Simulation(cfg).run()]))
 
 
 def assert_same_batches(monkeypatch, body):
