@@ -96,6 +96,12 @@ refused "material\.tensor\.family" confsim run --out run-no-family --set materia
 # a tensor family with its key unset: the run must exit 1 with one error line that names it
 refused "material\.tensor\.mu0" confsim run --out run-no-mu0 --set material.tensor.family=diagonal \
   --set material.misfit_iso=0.1
+# an unknown tensor family with no misfit form: the misfit count is checked before the family,
+# so the run must exit 1 with one error line that names material.misfit
+refused "material\.misfit" confsim run --out run-unknown-family --set material.tensor.family=cubic
+# an entries family of 80 numbers: the run must exit 1 with one error line that names 81 values
+refused "81 values" confsim run --out run-entries-80 --set material.tensor.family=entries \
+  --set "material.tensor.entries=$(seq -s ' ' 80)" --set material.misfit_iso=0.1
 # a config file with an override on top: meta.txt echoes the override, not the file's value
 printf 'grid.n = 33\nrun.t_end = 0.002\ninit.amplitude = 0.8\n' > small.cfg
 confsim run --config small.cfg --set init.amplitude=0.5 --out run-config

@@ -6,7 +6,6 @@ from .material import (
     ElasticityTensor,
     MaterialParams,
     MisfitStrain,
-    TensorSpec,
     check_tensor_assumptions,
     double_well,
     free_energy,
@@ -33,6 +32,7 @@ from .config import (
     InitialData,
     SimulationConfig,
     StudyConfig,
+    TensorSpec,
     parse_config_text,
 )
 from .diagnostics import DiagnosticsReport, build_report, energy_monitor, weak_residual

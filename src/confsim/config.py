@@ -1,28 +1,30 @@
 """Typed run and study configs, and the key-value files they are read from.
 
-``SimulationConfig`` (with its ``InitialData`` and ``BodyForce`` families)
-and ``StudyConfig`` are the validated schema every layer above this one
-consumes.  The file format is one ``key = value`` pair per line, ``#``
-comments, flat dotted keys.  ``_CATALOG`` is the single table of keys: it
-gives each key's type and the attribute of the built config that holds it,
-and parsing, building and the echo all read it.  A key's default is the one
-its part's class holds (``Grid``, ``MaterialParams``, ``RegularizationParams``,
-``InitialData``, ``BodyForce``, ``TensorSpec``, ``StudyConfig`` and the run
-fields of ``SimulationConfig``): a part is built from the keys that were set
-and its class fills in the rest.  The keys a tensor family reads
-(``_FAMILY_KEYS``, the keys of ``material.FAMILY_FIELDS``) have no default,
-and a config that leaves one unset is refused by name.  A run's config with
-no argument is ``SimulationConfig()``; a file's text and its overrides are
-read by ``parse_config_text``.  Parsing is strict: unknown keys are
-rejected so sweep typos cannot silently fall back to defaults, and so are
-the keys a config does not read, which ``_unread_keys`` alone names (material
-scalars next to a tensor family, tensor keys of another family or of no
-family, ``study.reference`` in a refinement study).  ``echo_lines`` renders a
-config canonically (every key it reads, sorted, floats at 17 significant
-digits) and re-parsing the echo reproduces an equal config;
-``config_digest``, the run hash, is taken over that text.  Every input error
-is a ``ConfigInvalid`` whose message leads with where it was found: the line
-of the file, or the invariant that failed.
+``SimulationConfig`` (with its ``InitialData``, ``BodyForce`` and
+``TensorSpec`` families) and ``StudyConfig`` are the validated schema every
+layer above this one consumes.  The file format is one ``key = value`` pair
+per line, ``#`` comments, flat dotted keys.  ``_CATALOG`` is the single
+table of keys: it gives each key's type and the attribute of the built
+config that holds it, and parsing, building and the echo all read it.  A
+key's default is the one its part's class holds (``Grid``,
+``MaterialParams``, ``RegularizationParams``, ``InitialData``,
+``BodyForce``, ``TensorSpec``, ``StudyConfig`` and the run fields of
+``SimulationConfig``): a part is built from the keys that were set and its
+class fills in the rest.  The keys each tensor family reads are stated once,
+in ``_TENSOR_FAMILIES``, with the tensor built from them; they have no
+default, and ``TensorSpec`` alone refuses, by key, a family's unset key, a
+misfit count other than one and an unknown family.  A run's config with no
+argument is ``SimulationConfig()``; a file's text and its overrides are read
+by ``parse_config_text``.  Parsing is strict: unknown keys are rejected so
+sweep typos cannot silently fall back to defaults, and so are the keys a
+config does not read, which ``_unread_keys`` alone names (material scalars
+next to a tensor family, tensor keys of another family or of no family,
+``study.reference`` in a refinement study).  ``echo_lines`` renders a config
+canonically (every key it reads, sorted, floats at 17 significant digits)
+and re-parsing the echo reproduces an equal config; ``config_digest``, the
+run hash, is taken over that text.  Every input error is a ``ConfigInvalid``
+whose message leads with where it was found: the line of the file, or the
+invariant that failed.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .grid_field import FLOAT_SLOT, Grid
-from .material import FAMILY_FIELDS, AssumptionViolated, MaterialParams, TensorSpec
+from .material import AssumptionViolated, ElasticityTensor, MaterialParams, MisfitStrain
 from .order_parameter import MAX_MOLLIFIER_FLOATS, MAX_STEPS, RegularizationParams, mollifier_floats, window_length
 
 
@@ -144,6 +146,58 @@ class BodyForce:
         else:  # ramp
             values = np.full(shape, self.amplitude + self.rate * t)
         return values
+
+
+def _entries_tensor(entries: tuple) -> ElasticityTensor:
+    """The tensor of 81 entries in row-major order."""
+    if len(entries) != 81:
+        raise ConfigInvalid("entries family requires exactly 81 values")
+    return ElasticityTensor(np.reshape(entries, (3, 3, 3, 3)))
+
+
+# tensor family -> (the config keys of the TensorSpec fields it reads, the
+# tensor built from their values in that order); the one statement of both
+_TENSOR_FAMILIES = {
+    "diagonal": (("material.tensor.mu0",), ElasticityTensor.diagonal_family),
+    "isotropic": (("material.tensor.lambda_L", "material.tensor.mu_L"), ElasticityTensor.isotropic),
+    "entries": (("material.tensor.entries",), _entries_tensor),
+}
+
+
+@dataclass(frozen=True)
+class TensorSpec:
+    """Stiffness tensor and misfit strain of a tensor family, as a config names them.
+
+    ``family`` is a key of ``_TENSOR_FAMILIES``.  A family's fields have no
+    default: the spec sets each one its family reads, and exactly one misfit
+    form, ``misfit`` (9 entries, row major) or the spherical ``misfit_iso``.
+    Errors name the config keys, in the order a config's are checked.
+    """
+
+    family: str
+    mu0: Optional[float] = None
+    lambda_l: Optional[float] = None
+    mu_l: Optional[float] = None
+    entries: Optional[tuple] = None
+    misfit: Optional[tuple] = None
+    misfit_iso: Optional[float] = None
+
+    def __post_init__(self):
+        keys = _TENSOR_FAMILIES[self.family][0] if self.family in _TENSOR_FAMILIES else ()
+        missing = [key for key in keys if getattr(self, _CATALOG[key][2]) is None]
+        if missing:
+            raise ConfigInvalid(f"tensor family {self.family!r} needs {' and '.join(missing)}")
+        if (self.misfit is None) == (self.misfit_iso is None):
+            raise ConfigInvalid("tensor family needs exactly one of material.misfit / material.misfit_iso")
+        if self.family not in _TENSOR_FAMILIES:
+            raise ConfigInvalid(f"unknown tensor family {self.family!r}")
+
+    def build(self) -> tuple[ElasticityTensor, MisfitStrain]:
+        keys, make = _TENSOR_FAMILIES[self.family]
+        tensor = make(*(getattr(self, _CATALOG[key][2]) for key in keys))
+        if self.misfit is None:
+            return tensor, MisfitStrain.spherical(self.misfit_iso)
+        return tensor, MisfitStrain(np.asarray(self.misfit, dtype=float).reshape(3, 3))
 
 
 @dataclass(frozen=True)
@@ -317,11 +371,6 @@ _CATALOG = {
 # derived from the tensor when a tensor family is given, so not read then
 _SCALAR_MATERIAL_KEYS = ("material.mu", "material.lambda", "material.e")
 
-# the keys of the tensor fields each family reads (material.FAMILY_FIELDS); a
-# family's config may set no other
-_TENSOR_KEYS = {attr: key for key, (_, part, attr) in _CATALOG.items() if part == "tensor_spec"}
-_FAMILY_KEYS = {family: tuple(_TENSOR_KEYS[name] for name in fields) for family, fields in FAMILY_FIELDS.items()}
-
 
 def _unread_keys(family: Optional[str], study: Optional["StudyConfig"]) -> dict:
     """The keys a config does not read, in the order they are refused, each with the error for setting it.
@@ -338,10 +387,10 @@ def _unread_keys(family: Optional[str], study: Optional["StudyConfig"]) -> dict:
     else:
         unread = {key: f"tensor_spec: {key} conflicts with material.tensor.family; scalars are derived"
                   for key in _SCALAR_MATERIAL_KEYS}
-        if family in _FAMILY_KEYS:  # an unknown family is named by TensorSpec
+        if family in _TENSOR_FAMILIES:  # an unknown family is named by TensorSpec
             unread.update(
                 (key, f"tensor_spec: {key} is not read by tensor family {family!r}")
-                for other, keys in _FAMILY_KEYS.items() if other != family for key in keys
+                for other, (keys, _) in _TENSOR_FAMILIES.items() if other != family for key in keys
             )
     if study is None:  # never refused: setting a study key makes the config a study
         unread.update((key, f"study: {key} is read by a study only") for key in _CATALOG if key.startswith("study."))
@@ -425,15 +474,9 @@ def _build_material(raw: dict) -> tuple[MaterialParams, Optional[TensorSpec]]:
     if family is None:
         with _invariant("material"):
             return MaterialParams(**_part_kwargs(raw, "material")), None
-    missing = [key for key in _FAMILY_KEYS.get(family, ()) if key not in raw]
-    if missing:
-        raise ConfigInvalid(f"tensor_spec: tensor family {family!r} needs {' and '.join(missing)}")
-    if ("material.misfit" in raw) == ("material.misfit_iso" in raw):
-        raise ConfigInvalid("tensor_spec: tensor family needs exactly one of material.misfit / material.misfit_iso")
     try:
         spec = TensorSpec(**_part_kwargs(raw, "tensor_spec"))
-        tensor, misfit = spec.build()
-        params = MaterialParams.from_tensors(tensor, misfit, **_part_kwargs(raw, "material"))
+        params = MaterialParams.from_tensors(*spec.build(), **_part_kwargs(raw, "material"))
     except AssumptionViolated as exc:
         raise ConfigInvalid(f"tensor_assumptions: tensor fails structural conditions: {exc.failed}") from exc
     except ValueError as exc:

@@ -321,6 +321,8 @@ def norm_lp_time_lq_space(times: np.ndarray, values: np.ndarray, h: float, p: fl
     p = inf is the largest space norm.  The time integral over the (possibly
     uneven) ``times`` is scipy's ``trapezoid(..., x=times)`` arithmetic.
     """
+    if len(times) != len(values):
+        raise ValueError(f"{len(times)} times for {len(values)} frames")
     per_frame = space_norms(values, h, q)
     if p == math.inf:
         return float(np.max(per_frame))

@@ -3,9 +3,9 @@
 A rank-4 stiffness tensor maps symmetric strain matrices to stress.  For the
 radial reduction to be exact the tensor and the misfit strain have to satisfy
 six structural conditions; ``check_tensor_assumptions`` tests all of them
-entrywise, as one table of violation masks, and reports per-condition
-pass/fail with the first offending index instead of raising.  When the
-conditions hold, three scalars fully describe the coupling:
+entrywise, as one table of violation masks, and returns a dict of each
+condition's first offending index (None where it holds) instead of raising.
+When the conditions hold, three scalars fully describe the coupling:
 
 * ``mu``      -- the common diagonal value of C_il = D_ij^jl,
 * ``lam``     -- the common diagonal value of E_kl = sum_ij D_ij^kl eps_ij,
@@ -13,7 +13,7 @@ conditions hold, three scalars fully describe the coupling:
 
 ``scalar_coefficients`` extracts them and ``MaterialParams.from_tensors``
 stores them; ``MaterialParams`` is the one place every layer above reads
-them from.
+them from.  ``config.TensorSpec`` builds the tensor and misfit a config names.
 
 Entries are stored positionally as ``entries[i, j, k, l]`` where (i, j) are
 the contraction indices against a strain and (k, l) index the output stress.
@@ -22,7 +22,6 @@ the contraction indices against a strain and (k, l) index the output stress.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -46,41 +45,11 @@ SCALAR_GATE = CONDITION_NAMES[1:]
 class AssumptionViolated(ValueError):
     """Raised when scalar extraction is requested for an unsuitable tensor."""
 
-    def __init__(self, report: "AssumptionReport"):
+    def __init__(self, report: dict):
         self.report = report
         # the gate conditions that fail, each with its first offending index
-        self.failed = ", ".join(
-            f"{c.name} at {c.first_violation}" for c in report.conditions if not c.passed and c.name in SCALAR_GATE
-        )
+        self.failed = ", ".join(f"{name} at {report[name]}" for name in SCALAR_GATE if report[name] is not None)
         super().__init__(f"tensor assumptions violated: {self.failed}")
-
-
-@dataclass(frozen=True)
-class ConditionResult:
-    name: str
-    passed: bool
-    # index tuple of the first offending entry; 4 indices into the stiffness
-    # tensor, or 2 indices into the misfit-coupling matrix E (all 0-based)
-    first_violation: Optional[tuple] = None
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    conditions: tuple[ConditionResult, ...]
-
-    def __getitem__(self, name: str) -> ConditionResult:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.conditions)
-
-    @property
-    def scalars_defined(self) -> bool:
-        return all(self[name].passed for name in SCALAR_GATE)
 
 
 @dataclass(frozen=True)
@@ -96,10 +65,6 @@ class ElasticityTensor:
         if not np.all(np.isfinite(arr)):
             raise ValueError("stiffness tensor entries must be finite")
         object.__setattr__(self, "entries", arr)
-
-    @classmethod
-    def zeros(cls) -> "ElasticityTensor":
-        return cls(np.zeros((3, 3, 3, 3)))
 
     @classmethod
     def diagonal_family(cls, mu0: float) -> "ElasticityTensor":
@@ -167,20 +132,19 @@ class MisfitStrain:
         object.__setattr__(self, "entries", 0.5 * (arr + arr.T))
 
     @classmethod
-    def zeros(cls) -> "MisfitStrain":
-        return cls(np.zeros((3, 3)))
-
-    @classmethod
     def spherical(cls, beta: float) -> "MisfitStrain":
         return cls(beta * np.eye(3))
 
 
-def check_tensor_assumptions(tensor: ElasticityTensor, misfit: MisfitStrain) -> AssumptionReport:
+def check_tensor_assumptions(tensor: ElasticityTensor, misfit: MisfitStrain) -> dict:
     """Test the six structural conditions to absolute tolerance 1e-12.
 
-    A failing condition is a report entry, never an exception.  Each
-    condition is a boolean violation mask plus the map from the mask's first
-    offending index, in lexicographic order, to the reported index.
+    The report maps each name of ``CONDITION_NAMES``, in that order, to the
+    index tuple of its first offending entry (0-based: 4 indices into the
+    stiffness tensor, or 2 into the misfit-coupling matrix E), or to None
+    where the condition holds; a failing condition is never an exception.
+    Each condition is a boolean violation mask plus the map from the mask's
+    first offending index, in lexicographic order, to the reported index.
     """
     d = tensor.entries
     tol = ASSUMPTION_TOL
@@ -212,13 +176,12 @@ def check_tensor_assumptions(tensor: ElasticityTensor, misfit: MisfitStrain) -> 
         "misfit_coupling_offdiagonal_zero": (off & (np.abs(e_mat) > tol), same),
         "misfit_coupling_isotropic": (np.abs(e_diag - e_diag[0]) > tol, lambda k: (k, k)),
     }
-    results = []
+    report = {}
     for name in CONDITION_NAMES:
         mask, place = table[name]
         bad = np.argwhere(mask)
-        first = place(*(int(v) for v in bad[0])) if len(bad) else None
-        results.append(ConditionResult(name, first is None, first))
-    return AssumptionReport(tuple(results))
+        report[name] = place(*(int(v) for v in bad[0])) if len(bad) else None
+    return report
 
 
 def scalar_coefficients(tensor: ElasticityTensor, misfit: MisfitStrain) -> tuple[float, float, float]:
@@ -229,7 +192,7 @@ def scalar_coefficients(tensor: ElasticityTensor, misfit: MisfitStrain) -> tuple
             fails; the exception carries the full report.
     """
     report = check_tensor_assumptions(tensor, misfit)
-    if not report.scalars_defined:
+    if any(report[name] is not None for name in SCALAR_GATE):
         raise AssumptionViolated(report)
     mu = float(tensor.entries[0, 0, 0, 0])  # C_00 via the j = 0 representative
     lam = float(tensor.apply(misfit.entries)[0, 0])
@@ -263,54 +226,6 @@ def free_energy(
     elastic = eps - misfit.entries * s
     value, _ = double_well(s, well_weight)
     return 0.5 * tensor.quadratic_form(elastic) + value
-
-
-# The ``TensorSpec`` fields each tensor family reads, the one statement of them.
-FAMILY_FIELDS = {
-    "diagonal": ("mu0",),
-    "isotropic": ("lambda_l", "mu_l"),
-    "entries": ("entries",),
-}
-
-
-@dataclass(frozen=True)
-class TensorSpec:
-    """Declarative stiffness/misfit selection, as read from a config file.
-
-    ``family`` is a key of ``FAMILY_FIELDS``.  A family's fields have no
-    default: the spec sets each one its family reads, and exactly one misfit
-    form, ``misfit`` (9 entries, row major) or the spherical ``misfit_iso``.
-    """
-
-    family: str
-    mu0: Optional[float] = None
-    lambda_l: Optional[float] = None
-    mu_l: Optional[float] = None
-    entries: Optional[tuple] = None
-    misfit: Optional[tuple] = None
-    misfit_iso: Optional[float] = None
-
-    def __post_init__(self):
-        if self.family not in FAMILY_FIELDS:
-            raise ValueError(f"unknown tensor family {self.family!r}")
-        missing = [name for name in FAMILY_FIELDS[self.family] if getattr(self, name) is None]
-        if missing:
-            raise ValueError(f"tensor family {self.family!r} needs {' and '.join(missing)}")
-        if (self.misfit is None) == (self.misfit_iso is None):
-            raise ValueError("tensor spec needs exactly one of misfit / misfit_iso")
-
-    def build(self) -> tuple[ElasticityTensor, MisfitStrain]:
-        if self.family == "diagonal":
-            tensor = ElasticityTensor.diagonal_family(self.mu0)
-        elif self.family == "isotropic":
-            tensor = ElasticityTensor.isotropic(self.lambda_l, self.mu_l)
-        else:
-            if len(self.entries) != 81:
-                raise ValueError("entries family requires exactly 81 values")
-            tensor = ElasticityTensor(np.asarray(self.entries, dtype=float).reshape(3, 3, 3, 3))
-        if self.misfit is None:
-            return tensor, MisfitStrain.spherical(self.misfit_iso)
-        return tensor, MisfitStrain(np.asarray(self.misfit, dtype=float).reshape(3, 3))
 
 
 @dataclass(frozen=True)

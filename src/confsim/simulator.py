@@ -3,8 +3,8 @@
 A single simulation is self-contained and deterministic: the schedule is a
 pure function of the step index, there is no randomness, and identical configs
 produce bit-identical outputs.  Every step solves elasticity by finite
-differences.  ``Simulation.run`` checks the frames recorded since its last
-call in one stacked pass: one FD residual of their u against the right-hand
+differences.  Each ``Simulation.run`` call checks every frame recorded so
+far in one stacked pass: one FD residual of their u against the right-hand
 sides their steps solved, and on "both-verify" one Green quadrature of their
 mollified S; the largest of each is the largest of its frames' own values.
 ``march`` advances simulations that share grid, schedule, material, body
@@ -99,12 +99,10 @@ class Simulation:
         self.s_frames: list[ScalarField] = []
         self.u_frames: list[ScalarField] = []
         self.frame_steps: list[int] = []
-        self.residual_max = 0.0
-        self.discrepancy_max = None
-        # what the next frame check reads of the frames recorded since the
-        # last one: the FD right-hand sides, and on "both-verify" the mollified S
-        self._unchecked_rhs: list[np.ndarray] = []
-        self._unchecked_s_moll: list[np.ndarray] = []
+        # what run() checks each frame against: the FD right-hand side its u
+        # solved, and on "both-verify" its mollified S
+        self._rhs: list[np.ndarray] = []
+        self._s_moll: list[np.ndarray] = []
 
     def _record_frame(self, u: np.ndarray, s_moll: np.ndarray, rhs: np.ndarray):
         """Save S and u, and keep what ``_check_frames`` reads: u's FD ``rhs``, on "both-verify" ``s_moll``."""
@@ -113,48 +111,40 @@ class Simulation:
         self.s_frames.append(ScalarField(self.grid, self.s))
         self.u_frames.append(ScalarField(self.grid, u))
         self.frame_steps.append(self.step_index)
-        self._unchecked_rhs.append(rhs)
+        self._rhs.append(rhs)
         if self.config.elasticity_path == "both-verify":
-            self._unchecked_s_moll.append(s_moll)
+            self._s_moll.append(s_moll)
 
-    def _check_frames(self):
-        """Fold the frames recorded since the last call into the residual and discrepancy maxima.
+    def _check_frames(self) -> tuple[float, Optional[float]]:
+        """The residual and, on "both-verify", the discrepancy maxima of every frame recorded so far.
 
         One FD residual of the stacked u against their right-hand sides, and
         on "both-verify" one Green quadrature of their mollified S against the
         body force at their times.  Each row of a stacked pass is the bits of
-        its frame alone, and the maxima fold the frames in order, so both are
-        those of a check per frame.
+        its frame alone, so both maxima are those of a check per frame.
         """
-        count = len(self._unchecked_rhs)
-        if not count:
-            return
         grid = self.grid
-        u = np.array([frame.values for frame in self.u_frames[-count:]])
-        self.residual_max = max(self.residual_max, *fd_residual(u, np.array(self._unchecked_rhs), grid).tolist())
-        if self._unchecked_s_moll:
-            b_mu = self.config.body_over_mu(np.array(self.times[-count:])[:, None])
-            # looked up on the module, where bench/tracer.py wraps it
-            u_green = elasticity.solve_green(GreenKernel(grid.a, grid.d),
-                                             ScalarField(grid, np.array(self._unchecked_s_moll)), b_mu,
-                                             elastic_constants(grid, self.config.material).lam_mu)
-            # np.abs(u - u_green), in place
-            gap = np.subtract(u, u_green, out=u_green)
-            gaps = np.max(np.abs(gap, out=gap), axis=-1).tolist()
-            self.discrepancy_max = max(self.discrepancy_max or 0.0, *gaps)
-        self._unchecked_rhs.clear()
-        self._unchecked_s_moll.clear()
+        u = np.array([frame.values for frame in self.u_frames])
+        residual_max = float(np.max(fd_residual(u, np.array(self._rhs), grid)))
+        if not self._s_moll:
+            return residual_max, None
+        b_mu = self.config.body_over_mu(np.array(self.times)[:, None])
+        # looked up on the module, where bench/tracer.py wraps it
+        u_green = elasticity.solve_green(GreenKernel(grid.a, grid.d), ScalarField(grid, np.array(self._s_moll)),
+                                         b_mu, elastic_constants(grid, self.config.material).lam_mu)
+        # np.abs(u - u_green), in place
+        gap = np.subtract(u, u_green, out=u_green)
+        return residual_max, float(np.max(np.abs(gap, out=gap)))
 
     def run(self, until_step: Optional[int] = None) -> RunResult:
         """March to ``until_step`` (the final step when None) and report every frame recorded so far.
 
         A second call continues where the first stopped; after a rejected
         step, or once the run is at its stop, it marches nothing further.
-        The frames recorded since the last call are checked here
-        (``_check_frames``).
+        Every call checks every frame recorded so far (``_check_frames``).
         """
         march([self], until_step)
-        self._check_frames()
+        residual_max, discrepancy_max = self._check_frames()
         traj = Trajectory(
             np.array(self.times), list(self.s_frames), list(self.u_frames), np.array(self.frame_steps)
         )
@@ -162,8 +152,8 @@ class Simulation:
             trajectory=traj,
             report=diagnostics.build_report(traj, self.config),
             termination=self.termination,
-            elasticity_residual_max=self.residual_max,
-            path_discrepancy_max=self.discrepancy_max,
+            elasticity_residual_max=residual_max,
+            path_discrepancy_max=discrepancy_max,
             config=self.config,
         )
 
@@ -214,7 +204,7 @@ def march(sims: Sequence[Simulation], until_step: Optional[int] = None):
     body force and one elasticity solve with B right-hand sides; each member
     mollifies and pushes its own window.  A recorded frame keeps the
     right-hand side of that solve, and on "both-verify" its mollified S, for
-    the frame check of the member's next ``Simulation.run`` call.
+    the frame check of the member's ``Simulation.run`` calls.
     A member whose step is rejected stops there with its own termination
     while the others go on, and a member that already stopped on a rejected
     step is left as it is.  Every member records the frames, S and u of its

@@ -15,6 +15,7 @@ from confsim.config import (
     InitialData,
     SimulationConfig,
     StudyConfig,
+    TensorSpec,
     config_digest,
     config_echo,
     echo_lines,
@@ -22,7 +23,7 @@ from confsim.config import (
     parse_pairs,
 )
 from confsim.grid_field import Grid
-from confsim.material import ElasticityTensor, MaterialParams, TensorSpec
+from confsim.material import ElasticityTensor, MaterialParams
 from confsim.order_parameter import RegularizationParams
 from confsim.simulator import load_run
 
@@ -447,6 +448,40 @@ class TestTensorValidation:
     def test_misfit_required(self):
         with pytest.raises(ConfigInvalid, match="^tensor_spec: tensor family needs exactly one of material.misfit"):
             parse_config_text("material.tensor.family = diagonal\nmaterial.tensor.mu0 = 1\n")
+
+    @pytest.mark.parametrize(
+        "lines, error",
+        [
+            pytest.param(
+                ["material.tensor.family = cubic"],
+                "tensor family needs exactly one of material.misfit / material.misfit_iso",
+                id="unknown-family-no-misfit",
+            ),
+            pytest.param(
+                ["material.tensor.family = isotropic", "material.tensor.lambda_L = 1"],
+                "tensor family 'isotropic' needs material.tensor.mu_L",
+                id="unset-key-no-misfit",
+            ),
+            pytest.param(
+                [*DIAGONAL, "material.misfit = 0.1 0 0 0 0.1 0 0 0 0.1"],
+                "tensor family needs exactly one of material.misfit / material.misfit_iso",
+                id="both-misfit-forms",
+            ),
+            pytest.param(
+                ["material.tensor.family = entries", f"material.tensor.entries = {' '.join(['1'] * 80)}",
+                 "material.misfit_iso = 0.1"],
+                "entries family requires exactly 81 values",
+                id="entries-80-values",
+            ),
+        ],
+    )
+    def test_multi_fault_tensor_config_names_its_first_fault(self, tmp_path, capsys, lines, error):
+        # a config's faults are checked in a fixed order: a known family's unset keys, the misfit
+        # count, an unknown family, then the values themselves
+        cfg_path = write_config(tmp_path, lines)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: tensor_spec: {error}"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestCliRun:

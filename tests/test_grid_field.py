@@ -209,6 +209,14 @@ class TestNorms:
         got = norm_lp_time_lq_space([0.0, t_end], np.stack([f, f]), grid.h, 2.0, 2.0)
         assert got == pytest.approx(math.sqrt(t_end) * norm_l2(f, grid.h), rel=1e-12)
 
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_mixed_norm_refuses_times_and_frames_of_other_lengths(self, p):
+        # 2 times for 3 frames would broadcast into a wrong number (1.414 at p = 2)
+        with pytest.raises(ValueError, match="^2 times for 3 frames$"):
+            norm_lp_time_lq_space([0.0, 1.0], np.ones((3, 9)), 0.125, p, 2.0)
+        with pytest.raises(ValueError, match="^3 times for 2 frames$"):
+            norm_lp_time_lq_space([0.0, 0.5, 1.0], np.ones((2, 9)), 0.125, p, 2.0)
+
 
 class TestTrapezoid:
     """The local rule against scipy's, which stays in the tests as the oracle."""

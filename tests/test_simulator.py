@@ -124,7 +124,7 @@ class TestElasticityPaths:
         assert result.path_discrepancy_max < max(1e-6, 5.0 * cfg.grid.h**2)
 
     def test_both_verify_solves_green_once_per_run_call(self, monkeypatch):
-        # one stacked quadrature per run() call, of the frames recorded since the last call
+        # one stacked quadrature per run() call, of every frame recorded so far
         green = elasticity.solve_green
         calls = []
 
@@ -147,9 +147,11 @@ class TestElasticityPaths:
         assert stacked_frames() == [(3, n)]
         result = sim.run()
         assert len(result.trajectory.times) == 6
-        assert stacked_frames() == [(3, n)]
-        sim.run()
-        assert stacked_frames() == []
+        assert stacked_frames() == [(6, n)]
+        again = sim.run()
+        assert stacked_frames() == [(6, n)]
+        assert again.path_discrepancy_max == result.path_discrepancy_max
+        assert again.elasticity_residual_max == result.elasticity_residual_max
         sims = [Simulation(cfg), Simulation(replace(cfg, reg=replace(cfg.reg, kappa=0.5)))]
         march(sims)
         assert stacked_frames() == []
