@@ -90,18 +90,10 @@ fi
 # a 100-step mollifier window that fills at step 99 and stays full for 300 steps: the
 # full-window average in blocks of order_parameter.BLOCK steps, over several blocks
 PYTHONWARNINGS=error::RuntimeWarning confsim run --out run-full-window --set reg.kappa_m=0.02 --set run.t_end=0.08
-# a tensor key with no tensor family is not read: the run must exit 1 with one error line
-# that names material.tensor.family
-refused "material\.tensor\.family" confsim run --out run-no-family --set material.tensor.mu0=2
-# a tensor family with its key unset: the run must exit 1 with one error line that names it
-refused "material\.tensor\.mu0" confsim run --out run-no-mu0 --set material.tensor.family=diagonal \
-  --set material.misfit_iso=0.1
-# an unknown tensor family with no misfit form: the misfit count is checked before the family,
-# so the run must exit 1 with one error line that names material.misfit
-refused "material\.misfit" confsim run --out run-unknown-family --set material.tensor.family=cubic
-# an entries family of 80 numbers: the run must exit 1 with one error line that names 81 values
-refused "81 values" confsim run --out run-entries-80 --set material.tensor.family=entries \
-  --set "material.tensor.entries=$(seq -s ' ' 80)" --set material.misfit_iso=0.1
+# the stiffness-tensor input of earlier versions is gone: a config file that sets one of its
+# keys must exit 1 with one error line, the unknown-key line
+printf 'material.tensor.family = diagonal\n' > tensor.cfg
+refused "unknown config key 'material\.tensor\.family'" confsim run --config tensor.cfg --out run-tensor-key
 # a config file with an override on top: meta.txt echoes the override, not the file's value
 printf 'grid.n = 33\nrun.t_end = 0.002\ninit.amplitude = 0.8\n' > small.cfg
 confsim run --config small.cfg --set init.amplitude=0.5 --out run-config
@@ -109,26 +101,29 @@ if ! grep -q '^init\.amplitude = 0\.5$' run-config/meta.txt || ! grep -q '^grid\
   echo "run on --config small.cfg --set init.amplitude=0.5: meta.txt does not echo the file and the override" >&2
   exit 1
 fi
-# a tensor run: its echo in meta.txt is re-parsed by load_run
-tensor=(--set material.tensor.family=diagonal --set material.tensor.mu0=2 --set material.misfit_iso=0.1
-        --set grid.n=33)
-confsim run --out run-tensor "${tensor[@]}" --set run.t_end=0.002
-confsim check-reduction --run run-tensor
+# the 3D check of a run with the default material, lifted from its scalars: its echo in
+# meta.txt is re-parsed by load_run
+confsim run --out run-lift --set grid.n=33 --set run.t_end=0.002
+confsim check-reduction --run run-lift
 # every sample point of the 3D check in one pass, at 2000 points
-confsim check-reduction --run run-tensor --samples 2000
+confsim check-reduction --run run-lift --samples 2000
 # a shorter run written over it: fields.npz is replaced, and read back whole
-confsim run --out run-tensor "${tensor[@]}" --set run.t_end=0.001
-confsim check-reduction --run run-tensor
+confsim run --out run-lift --set grid.n=33 --set run.t_end=0.001
+confsim check-reduction --run run-lift
 # a copy whose meta.txt config was edited after the run: its config_hash no longer
 # matches, so check-reduction must exit 1
-cp -r run-tensor run-tensor-edited
-sed -i 's/^material\.nu = .*/material.nu = 5/' run-tensor-edited/meta.txt
-refused "config_hash" confsim check-reduction --run run-tensor-edited
+cp -r run-lift run-lift-edited
+sed -i 's/^material\.nu = .*/material.nu = 5/' run-lift-edited/meta.txt
+refused "config_hash" confsim check-reduction --run run-lift-edited
 # a copy whose meta.txt names reg.theta, as run directories of earlier versions do
-cp -r run-tensor run-tensor-theta
-sed -i 's/^\[config\]$/[config]\nreg.theta = 1/' run-tensor-theta/meta.txt
-grep -q '^reg\.theta = 1$' run-tensor-theta/meta.txt
-refused "reg\.theta" confsim check-reduction --run run-tensor-theta
+cp -r run-lift run-lift-theta
+sed -i 's/^\[config\]$/[config]\nreg.theta = 1/' run-lift-theta/meta.txt
+grep -q '^reg\.theta = 1$' run-lift-theta/meta.txt
+refused "reg\.theta" confsim check-reduction --run run-lift-theta
+# a run whose e is not 3 * lambda**2 / mu has no 3D lift: check-reduction must exit 1 with
+# one error line that names material.e
+confsim run --out run-no-lift --set grid.n=33 --set run.t_end=0.001 --set material.e=0.07
+refused "material\.e" confsim check-reduction --run run-no-lift
 confsim verify-green
 confsim mms
 # both study tables: study.csv of a kappa study, refinement.csv of a refinement study

@@ -1,16 +1,7 @@
 """Radial phase-transition simulator with configurational-force coupling."""
 
 from .grid_field import Grid, ScalarField, Trajectory, d1, d2, norm_l2
-from .material import (
-    AssumptionViolated,
-    ElasticityTensor,
-    MaterialParams,
-    MisfitStrain,
-    check_tensor_assumptions,
-    double_well,
-    free_energy,
-    scalar_coefficients,
-)
+from .material import ElasticityTensor, MaterialParams, MisfitStrain, double_well
 from .elasticity import (
     GreenKernel, elastic_constants, elastic_rhs, fd_operator, solve_fd, solve_green,
 )
@@ -32,7 +23,6 @@ from .config import (
     InitialData,
     SimulationConfig,
     StudyConfig,
-    TensorSpec,
     parse_config_text,
 )
 from .diagnostics import DiagnosticsReport, build_report, energy_monitor, weak_residual

@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Exit codes are the machine-readable channel: 0 success, 1 bad input (a
-config or validation failure, or a damaged run directory), 2 numerical
-failure (a rejected step, or a run whose monitors overflowed to inf or nan).
-stdout carries human-readable tables only; outputs land in the directory
-given by --out.  numpy's floating-point warnings are silenced while a command
-runs, so an overflow reaches stderr as one ``error:`` line.
+config or validation failure, a damaged run directory, or a run with no 3D
+lift), 2 numerical failure (a rejected step, or a run whose monitors
+overflowed to inf or nan).  stdout carries human-readable tables only;
+outputs land in the directory given by --out.  numpy's floating-point
+warnings are silenced while a command runs, so an overflow reaches stderr as
+one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from .config import ConfigInvalid, SimulationConfig, StudyConfig, parse_config_t
 from .diagnostics import NonFiniteReport
 from .elasticity import GreenKernel
 from .grid_field import FieldFileError
-from .reduction3d import RadialLift, random_shell_points, residual_elasticity_3d, residual_order_3d
+from .reduction3d import NoLift, RadialLift, random_shell_points, residual_elasticity_3d, residual_order_3d
 from .simulator import Simulation, load_run, write_run
 from .studies import mms_convergence, run_study, write_refinement_csv, write_study_csv
 
-_INPUT_ERRORS = (ConfigInvalid, FieldFileError, OSError)
+_INPUT_ERRORS = (ConfigInvalid, FieldFileError, NoLift, OSError)
 
 
 def _load(args, want) -> object:
@@ -122,21 +123,20 @@ def _cmd_check_reduction(args) -> int:
     if not args.h3 > 0:
         raise ConfigInvalid(f"h3: --h3 must be positive, got {args.h3}")
     traj, cfg, _ = load_run(args.run)
-    if cfg.tensor_spec is None:
-        raise ConfigInvalid("tensor_spec: check-reduction needs a run configured with material.tensor.*")
     width = cfg.grid.d - cfg.grid.a
     if not 6 * args.h3 < width:
         # samples keep 3*h3 from each wall, so the shell must be wider than 6*h3
         raise ConfigInvalid(f"h3: --h3 = {args.h3} needs 6*h3 < d - a = {width:g}; sample margin is 3*h3")
-    tensor, misfit = cfg.tensor_spec.build()
     if len(traj.times) < 2:
         raise ConfigInvalid("frames: need at least two saved frames")
     k = len(traj.times) - 1
-    s, u = traj.s_matrix(), traj.u_matrix()
-    b0 = cfg.body.evaluate(float(traj.times[k - 1]), cfg.grid)
-    lift0 = RadialLift.from_frames(cfg.grid, u[k - 1], s[k - 1], b0, tensor, misfit)
-    b1 = cfg.body.evaluate(float(traj.times[k]), cfg.grid)
-    lift1 = RadialLift.from_frames(cfg.grid, u[k], s[k], b1, tensor, misfit)
+    lift0, lift1 = (
+        RadialLift.from_frames(
+            cfg.grid, traj.u_frames[i].values, traj.s_frames[i].values,
+            cfg.body.evaluate(float(traj.times[i]), cfg.grid), cfg.material,
+        )
+        for i in (k - 1, k)
+    )
     dt = float(traj.times[k] - traj.times[k - 1])
 
     rng = np.random.default_rng(11)

@@ -1,30 +1,25 @@
 """Typed run and study configs, and the key-value files they are read from.
 
-``SimulationConfig`` (with its ``InitialData``, ``BodyForce`` and
-``TensorSpec`` families) and ``StudyConfig`` are the validated schema every
-layer above this one consumes.  The file format is one ``key = value`` pair
-per line, ``#`` comments, flat dotted keys.  ``_CATALOG`` is the single
-table of keys: it gives each key's type and the attribute of the built
-config that holds it, and parsing, building and the echo all read it.  A
-key's default is the one its part's class holds (``Grid``,
-``MaterialParams``, ``RegularizationParams``, ``InitialData``,
-``BodyForce``, ``TensorSpec``, ``StudyConfig`` and the run fields of
-``SimulationConfig``): a part is built from the keys that were set and its
-class fills in the rest.  The keys each tensor family reads are stated once,
-in ``_TENSOR_FAMILIES``, with the tensor built from them; they have no
-default, and ``TensorSpec`` alone refuses, by key, a family's unset key, a
-misfit count other than one and an unknown family.  A run's config with no
+``SimulationConfig`` (with its ``InitialData`` and ``BodyForce`` families)
+and ``StudyConfig`` are the validated schema every layer above this one
+consumes.  The file format is one ``key = value`` pair per line, ``#``
+comments, flat dotted keys.  ``_CATALOG`` is the single table of keys: it
+gives each key's type and the attribute of the built config that holds it,
+and parsing, building and the echo all read it.  A key's default is the one
+its part's class holds (``Grid``, ``MaterialParams``,
+``RegularizationParams``, ``InitialData``, ``BodyForce``, ``StudyConfig``
+and the run fields of ``SimulationConfig``): a part is built from the keys
+that were set and its class fills in the rest.  A run's config with no
 argument is ``SimulationConfig()``; a file's text and its overrides are read
 by ``parse_config_text``.  Parsing is strict: unknown keys are rejected so
 sweep typos cannot silently fall back to defaults, and so are the keys a
-config does not read, which ``_unread_keys`` alone names (material scalars
-next to a tensor family, tensor keys of another family or of no family,
-``study.reference`` in a refinement study).  ``echo_lines`` renders a config
-canonically (every key it reads, sorted, floats at 17 significant digits)
-and re-parsing the echo reproduces an equal config; ``config_digest``, the
-run hash, is taken over that text.  Every input error is a ``ConfigInvalid``
-whose message leads with where it was found: the line of the file, or the
-invariant that failed.
+config does not read, which ``_unread_keys`` alone names (a study key of a
+run, ``study.reference`` in a refinement study).  ``echo_lines`` renders a
+config canonically (every key it reads, sorted, floats at 17 significant
+digits) and re-parsing the echo reproduces an equal config;
+``config_digest``, the run hash, is taken over that text.  Every input error
+is a ``ConfigInvalid`` whose message leads with where it was found: the line
+of the file, or the invariant that failed.
 """
 
 from __future__ import annotations
@@ -34,12 +29,11 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
 from .grid_field import FLOAT_SLOT, Grid
-from .material import AssumptionViolated, ElasticityTensor, MaterialParams, MisfitStrain
+from .material import MaterialParams
 from .order_parameter import MAX_MOLLIFIER_FLOATS, MAX_STEPS, RegularizationParams, mollifier_floats, window_length
 
 
@@ -148,58 +142,6 @@ class BodyForce:
         return values
 
 
-def _entries_tensor(entries: tuple) -> ElasticityTensor:
-    """The tensor of 81 entries in row-major order."""
-    if len(entries) != 81:
-        raise ConfigInvalid("entries family requires exactly 81 values")
-    return ElasticityTensor(np.reshape(entries, (3, 3, 3, 3)))
-
-
-# tensor family -> (the config keys of the TensorSpec fields it reads, the
-# tensor built from their values in that order); the one statement of both
-_TENSOR_FAMILIES = {
-    "diagonal": (("material.tensor.mu0",), ElasticityTensor.diagonal_family),
-    "isotropic": (("material.tensor.lambda_L", "material.tensor.mu_L"), ElasticityTensor.isotropic),
-    "entries": (("material.tensor.entries",), _entries_tensor),
-}
-
-
-@dataclass(frozen=True)
-class TensorSpec:
-    """Stiffness tensor and misfit strain of a tensor family, as a config names them.
-
-    ``family`` is a key of ``_TENSOR_FAMILIES``.  A family's fields have no
-    default: the spec sets each one its family reads, and exactly one misfit
-    form, ``misfit`` (9 entries, row major) or the spherical ``misfit_iso``.
-    Errors name the config keys, in the order a config's are checked.
-    """
-
-    family: str
-    mu0: Optional[float] = None
-    lambda_l: Optional[float] = None
-    mu_l: Optional[float] = None
-    entries: Optional[tuple] = None
-    misfit: Optional[tuple] = None
-    misfit_iso: Optional[float] = None
-
-    def __post_init__(self):
-        keys = _TENSOR_FAMILIES[self.family][0] if self.family in _TENSOR_FAMILIES else ()
-        missing = [key for key in keys if getattr(self, _CATALOG[key][2]) is None]
-        if missing:
-            raise ConfigInvalid(f"tensor family {self.family!r} needs {' and '.join(missing)}")
-        if (self.misfit is None) == (self.misfit_iso is None):
-            raise ConfigInvalid("tensor family needs exactly one of material.misfit / material.misfit_iso")
-        if self.family not in _TENSOR_FAMILIES:
-            raise ConfigInvalid(f"unknown tensor family {self.family!r}")
-
-    def build(self) -> tuple[ElasticityTensor, MisfitStrain]:
-        keys, make = _TENSOR_FAMILIES[self.family]
-        tensor = make(*(getattr(self, _CATALOG[key][2]) for key in keys))
-        if self.misfit is None:
-            return tensor, MisfitStrain.spherical(self.misfit_iso)
-        return tensor, MisfitStrain(np.asarray(self.misfit, dtype=float).reshape(3, 3))
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """One run; with no arguments, the default run."""
@@ -212,7 +154,6 @@ class SimulationConfig:
     elasticity_path: str = "direct"
     init: InitialData = field(default_factory=InitialData)
     body: BodyForce = field(default_factory=BodyForce)
-    tensor_spec: Optional[TensorSpec] = None
 
     def __post_init__(self):
         if not self.t_end > 0:
@@ -339,13 +280,6 @@ _CATALOG = {
     "material.mu": ("float", "material", "mu"),
     "material.lambda": ("float", "material", "lam"),
     "material.e": ("float", "material", "e"),
-    "material.tensor.family": ("str", "tensor_spec", "family"),
-    "material.tensor.mu0": ("float", "tensor_spec", "mu0"),
-    "material.tensor.lambda_L": ("float", "tensor_spec", "lambda_l"),
-    "material.tensor.mu_L": ("float", "tensor_spec", "mu_l"),
-    "material.tensor.entries": ("floats", "tensor_spec", "entries"),
-    "material.misfit": ("floats", "tensor_spec", "misfit"),
-    "material.misfit_iso": ("float", "tensor_spec", "misfit_iso"),
     "reg.kappa": ("float", "reg", "kappa"),
     "reg.kappa_m": ("float", "reg", "kappa_m"),
     "reg.dt": ("float", "reg", "dt"),
@@ -368,42 +302,16 @@ _CATALOG = {
     "study.dt_factor": ("int", "study", "dt_factor"),
 }
 
-# derived from the tensor when a tensor family is given, so not read then
-_SCALAR_MATERIAL_KEYS = ("material.mu", "material.lambda", "material.e")
 
-
-def _unread_keys(family: Optional[str], study: Optional["StudyConfig"]) -> dict:
+def _unread_keys(study: StudyConfig | None) -> dict:
     """The keys a config does not read, in the order they are refused, each with the error for setting it.
 
-    ``family`` is the config's tensor family (None: scalar material) and
-    ``study`` its StudyConfig (None: a run).  The material keys depend on the
-    family alone, the study keys on the kind of config alone.
+    ``study`` is the config's StudyConfig (None: a run).  Setting a study key
+    is never refused in a run: it makes the config a study.
     """
-    if family is None:
-        unread = {
-            key: f"tensor_spec: {key} requires material.tensor.family"
-            for key, (_, part, _) in _CATALOG.items() if part == "tensor_spec"
-        }
-    else:
-        unread = {key: f"tensor_spec: {key} conflicts with material.tensor.family; scalars are derived"
-                  for key in _SCALAR_MATERIAL_KEYS}
-        if family in _TENSOR_FAMILIES:  # an unknown family is named by TensorSpec
-            unread.update(
-                (key, f"tensor_spec: {key} is not read by tensor family {family!r}")
-                for other, (keys, _) in _TENSOR_FAMILIES.items() if other != family for key in keys
-            )
-    if study is None:  # never refused: setting a study key makes the config a study
-        unread.update((key, f"study: {key} is read by a study only") for key in _CATALOG if key.startswith("study."))
-    elif study.is_refinement:
-        unread["study.reference"] = f"study: {_REFINEMENT_REFERENCE}"
-    return unread
-
-
-def _refuse_unread(raw: dict, unread: dict, parts) -> None:
-    """Refuse the first key of ``parts`` that ``raw`` sets and the config does not read."""
-    for key, message in unread.items():
-        if key in raw and _CATALOG[key][1] in parts:
-            raise ConfigInvalid(message)
+    if study is None:
+        return {key: f"study: {key} is read by a study only" for key in _CATALOG if key.startswith("study.")}
+    return {"study.reference": f"study: {_REFINEMENT_REFERENCE}"} if study.is_refinement else {}
 
 
 def _convert(key: str, raw: str):
@@ -468,27 +376,12 @@ def _part_kwargs(raw: dict, part: str) -> dict:
     return {attr: raw[key] for key, (_, key_part, attr) in _CATALOG.items() if key_part == part and key in raw}
 
 
-def _build_material(raw: dict) -> tuple[MaterialParams, Optional[TensorSpec]]:
-    family = raw.get("material.tensor.family")
-    _refuse_unread(raw, _unread_keys(family, None), ("material", "tensor_spec"))
-    if family is None:
-        with _invariant("material"):
-            return MaterialParams(**_part_kwargs(raw, "material")), None
-    try:
-        spec = TensorSpec(**_part_kwargs(raw, "tensor_spec"))
-        params = MaterialParams.from_tensors(*spec.build(), **_part_kwargs(raw, "material"))
-    except AssumptionViolated as exc:
-        raise ConfigInvalid(f"tensor_assumptions: tensor fails structural conditions: {exc.failed}") from exc
-    except ValueError as exc:
-        raise ConfigInvalid(f"tensor_spec: {exc}") from exc
-    return params, spec
-
-
 def build_config(raw: dict):
     """Typed, fully validated config from raw pairs; study keys switch the type."""
     with _invariant("grid"):
         grid = Grid(**_part_kwargs(raw, "grid"))
-    material, tensor_spec = _build_material(raw)
+    with _invariant("material"):
+        material = MaterialParams(**_part_kwargs(raw, "material"))
     with _invariant("regularization"):
         reg = RegularizationParams(**_part_kwargs(raw, "reg"))
     with _invariant("config"):
@@ -498,7 +391,6 @@ def build_config(raw: dict):
             reg=reg,
             init=InitialData(**_part_kwargs(raw, "init")),
             body=BodyForce(**_part_kwargs(raw, "body")),
-            tensor_spec=tensor_spec,
             **_part_kwargs(raw, "run"),
         )
     if not any(k.startswith("study.") for k in raw):
@@ -507,7 +399,9 @@ def build_config(raw: dict):
         raise ConfigInvalid("study: study config requires study.kappas")
     with _invariant("study"):
         study = StudyConfig(base=sim, **_part_kwargs(raw, "study"))
-    _refuse_unread(raw, _unread_keys(raw.get("material.tensor.family"), study), ("study",))
+    for key, message in _unread_keys(study).items():
+        if key in raw:
+            raise ConfigInvalid(message)
     return study
 
 
@@ -529,20 +423,16 @@ def echo_lines(config) -> list[str]:
     """Canonical rendering: every key the config reads, sorted, defaults resolved."""
     study = config if isinstance(config, StudyConfig) else None
     sim = config.base if study is not None else config
-    spec = sim.tensor_spec
     parts = {
-        "grid": sim.grid, "material": sim.material, "tensor_spec": spec, "reg": sim.reg,
+        "grid": sim.grid, "material": sim.material, "reg": sim.reg,
         "init": sim.init, "body": sim.body, "run": sim, "study": study,
     }
-    unread = _unread_keys(None if spec is None else spec.family, study)
+    unread = _unread_keys(study)
     lines = []
     for key in sorted(_CATALOG):
-        if key in unread:
-            continue
-        kind, part, attr = _CATALOG[key]
-        value = getattr(parts[part], attr)
-        if value is not None:  # the misfit form that was not given
-            lines.append(f"{key} = {_fmt(kind, value)}")
+        if key not in unread:
+            kind, part, attr = _CATALOG[key]
+            lines.append(f"{key} = {_fmt(kind, getattr(parts[part], attr))}")
     return lines
 
 

@@ -210,12 +210,6 @@ class MollifierState:
         return len(self.weights)
 
     @property
-    def first_moment(self) -> float:
-        """Mean lag of the kernel, in time units."""
-        lags = np.arange(self.window_size) * self.dt
-        return float(np.dot(self.weights, lags))
-
-    @property
     def frames(self) -> np.ndarray:
         """Buffered frames, most recent first: a read-only (k, n) view, k <= window_size."""
         if self._buf is None:

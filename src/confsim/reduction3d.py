@@ -15,10 +15,16 @@ not-a-knot cubic spline solved with ``tridiag_solve``.  A ``RadialLift``
 holds the profiles and the stiffness and misfit tensors only; the reduced
 scalars lam and e are read from the ``MaterialParams`` given to
 ``residual_order_3d``, the same values the radial run marched with.
+``RadialLift.from_frames`` derives a run's tensors from those scalars: the
+stiffness ``ElasticityTensor.diagonal_family(mu)`` with the misfit
+``MisfitStrain.spherical(lam / mu)``, the one pair the reduction's structural
+conditions admit.  That pair reduces to (mu, lam, 3 lam^2 / mu), so a run
+whose e is any other value has no 3D lift and is refused with ``NoLift``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,6 +33,10 @@ import numpy as np
 from .grid_field import Grid, tridiag_solve
 from .material import ElasticityTensor, MaterialParams, MisfitStrain, double_well
 from .elasticity import OutOfDomain
+
+
+class NoLift(ValueError):
+    """A run whose material has no 3D lift: its e is not 3 lam^2 / mu."""
 
 
 @dataclass(frozen=True)
@@ -105,13 +115,25 @@ class RadialLift:
         u_frame: np.ndarray,
         s_frame: np.ndarray,
         b_frame: np.ndarray,
-        tensor: ElasticityTensor,
-        misfit: MisfitStrain,
+        material: MaterialParams,
     ) -> "RadialLift":
-        """Not-a-knot cubic interpolation of nodal frames on ``grid``; reproduces nodal values exactly."""
+        """Not-a-knot cubic interpolation of nodal frames on ``grid``; reproduces nodal values exactly.
+
+        The tensors are ``diagonal_family(mu)`` and ``spherical(lam / mu)`` of
+        ``material``.  They reduce to e = 3 lam^2 / mu; any other e, beyond a
+        relative 1e-12, raises NoLift.
+        """
+        mu, lam, e = material.mu, material.lam, material.e
+        reduced = 3.0 * lam**2 / mu
+        if not math.isclose(e, reduced, rel_tol=1e-12):
+            raise NoLift(
+                f"lift: material.e = {e:.15g} is not 3 * material.lambda**2 / material.mu = {reduced:.15g}; "
+                "the run is a 1D model with no 3D lift"
+            )
         u_sp = UniformSpline.not_a_knot(grid, u_frame)
         s_sp = UniformSpline.not_a_knot(grid, s_frame)
         b_sp = UniformSpline.not_a_knot(grid, b_frame)
+        tensor, misfit = ElasticityTensor.diagonal_family(mu), MisfitStrain.spherical(lam / mu)
         return cls(grid.a, grid.d, u_sp, u_sp.derivative(), s_sp, b_sp, tensor, misfit)
 
 
@@ -199,8 +221,8 @@ def residual_order_3d(
     (P,) array is, per sample, the gap in the algebraic identity that reduces
     the strain pairing (D eps(grad u)) . misfit to lam * (u_hat' + 2 u_hat / r).
     The pairing uses the lift's tensors; lam, e and the kinetic constants come
-    from ``material``, which for a tensor config holds the scalars derived from
-    those same tensors (``MaterialParams.from_tensors``).
+    from ``material``, whose scalars ``RadialLift.from_frames`` derived those
+    same tensors from.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     frame = sample_frame(points)

@@ -1,12 +1,12 @@
 import itertools
 import re
 import zipfile
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
-from confsim import material, simulator
+from confsim import simulator
 from confsim.cli import main
 from confsim.config import (
     _CATALOG,
@@ -15,7 +15,6 @@ from confsim.config import (
     InitialData,
     SimulationConfig,
     StudyConfig,
-    TensorSpec,
     config_digest,
     config_echo,
     echo_lines,
@@ -23,7 +22,7 @@ from confsim.config import (
     parse_pairs,
 )
 from confsim.grid_field import Grid
-from confsim.material import ElasticityTensor, MaterialParams
+from confsim.material import MaterialParams
 from confsim.order_parameter import RegularizationParams
 from confsim.simulator import load_run
 
@@ -37,12 +36,6 @@ FAST = [
 ]
 
 
-DIAGONAL = [
-    "material.tensor.family = diagonal",
-    "material.tensor.mu0 = 2",
-    "material.misfit_iso = 0.1",
-]
-ENTRIES = " ".join(str(v) for v in ElasticityTensor.diagonal_family(1.5).entries.ravel())
 STUDY = ["study.kappas = 0.5 0.25"]
 
 # a valid non-default value of each catalog key, then the keys that value needs
@@ -56,21 +49,6 @@ CATALOG_CASES = {
     "material.mu": ["material.mu = 3"],
     "material.lambda": ["material.lambda = 0.37"],
     "material.e": ["material.e = 0.1"],
-    "material.tensor.family": DIAGONAL,
-    "material.tensor.mu0": [
-        "material.tensor.mu0 = 2.5", "material.tensor.family = diagonal", "material.misfit_iso = 0.1",
-    ],
-    "material.tensor.entries": [
-        f"material.tensor.entries = {ENTRIES}", "material.tensor.family = entries",
-        "material.misfit_iso = 0.1",
-    ],
-    "material.misfit": [
-        "material.misfit = 0.1 0 0 0 0.1 0 0 0 0.1", "material.tensor.family = diagonal",
-        "material.tensor.mu0 = 2",
-    ],
-    "material.misfit_iso": [
-        "material.misfit_iso = 0.2", "material.tensor.family = diagonal", "material.tensor.mu0 = 2",
-    ],
     "reg.kappa": ["reg.kappa = 0.125"],
     "reg.kappa_m": ["reg.kappa_m = 0.01"],
     "reg.dt": ["reg.dt = 1e-4"],
@@ -92,33 +70,25 @@ CATALOG_CASES = {
     "study.h_factor": ["study.h_factor = 2", *STUDY],
     "study.dt_factor": ["study.dt_factor = 2", *STUDY],
 }
-# the keys each tensor family reads, with values it accepts
-FAMILY_LINES = {
-    "diagonal": ["material.tensor.mu0 = 2"],
-    "isotropic": ["material.tensor.lambda_L = 0", "material.tensor.mu_L = 1"],
-    "entries": [f"material.tensor.entries = {ENTRIES}"],
+# the keys of the stiffness-tensor input of earlier versions, each with a value it took
+REMOVED_KEYS = {
+    "material.tensor.family": "diagonal",
+    "material.tensor.mu0": "2",
+    "material.tensor.lambda_L": "1",
+    "material.tensor.mu_L": "1",
+    "material.tensor.entries": " ".join(["1"] * 81),
+    "material.misfit": "0.1 0 0 0 0.1 0 0 0 0.1",
+    "material.misfit_iso": "0.1",
 }
-# no isotropic tensor passes the structural conditions, so no parsed config sets these
-ISOTROPIC_KEYS = ("material.tensor.lambda_L", "material.tensor.mu_L")
 # the class of each catalog part, whose field defaults are its keys' defaults
 PART_CLASSES = {
-    "grid": Grid, "material": MaterialParams, "tensor_spec": TensorSpec, "reg": RegularizationParams,
+    "grid": Grid, "material": MaterialParams, "reg": RegularizationParams,
     "run": SimulationConfig, "init": InitialData, "body": BodyForce, "study": StudyConfig,
 }
-# the axes of the rule for the keys a config does not read: its tensor family and its kind
-RULE_FAMILIES = {
-    "no family": [],
-    **{
-        family: [f"material.tensor.family = {family}", *lines, "material.misfit_iso = 0.1"]
-        for family, lines in FAMILY_LINES.items()
-    },
-}
+# the axis of the rule for the keys a config does not read: its kind
 RULE_KINDS = {"run": [], "kappa study": STUDY, "refinement": [*STUDY, "study.h_factor = 2"]}
-# a valid non-default value of each catalog key
-CASE_VALUES = {
-    **{key: lines[0].split(" = ", 1)[1] for key, lines in CATALOG_CASES.items()},
-    **dict(line.split(" = ", 1) for line in FAMILY_LINES["isotropic"]),
-}
+# a valid non-default value of each catalog key, and a value of each removed key
+CASE_VALUES = {**{key: lines[0].split(" = ", 1)[1] for key, lines in CATALOG_CASES.items()}, **REMOVED_KEYS}
 
 
 def key_default(key):
@@ -262,26 +232,6 @@ class TestEchoRoundTrip:
         cfg = parse_config_text("reg.kappa = 0.125\nmaterial.lambda = 0.37\n")
         assert parse_config_text("\n".join(echo_lines(cfg))) == cfg
 
-    def test_tensor_config(self):
-        text = (
-            "material.tensor.family = diagonal\n"
-            "material.tensor.mu0 = 2\n"
-            "material.misfit_iso = 0.1\n"
-        )
-        cfg = parse_config_text(text)
-        assert cfg.material.mu == pytest.approx(2.0)
-        assert cfg.material.lam == pytest.approx(0.2)
-        assert cfg.material.e == pytest.approx(0.06)
-        assert parse_config_text("\n".join(echo_lines(cfg))) == cfg
-
-    def test_entries_tensor_round_trip(self):
-        from confsim.material import ElasticityTensor
-
-        flat = " ".join(str(v) for v in ElasticityTensor.diagonal_family(1.5).entries.ravel())
-        text = f"material.tensor.entries = {flat}\nmaterial.tensor.family = entries\nmaterial.misfit_iso = 0.2\n"
-        cfg = parse_config_text(text)
-        assert parse_config_text("\n".join(echo_lines(cfg))) == cfg
-
     def test_study_config(self):
         cfg = parse_config_text("study.kappas = 0.5 0.25 0.125\n")
         assert isinstance(cfg, StudyConfig)
@@ -296,13 +246,10 @@ class TestEchoRoundTrip:
         assert config_digest(SimulationConfig()) == (
             "450e1c24661df6221c58fdd4f7c2f689bc831c93a18133f3cadcf22caf4fe497"
         )
-        assert config_digest(parse_config_text("\n".join(DIAGONAL))) == (
-            "940bb31f3d236006d64b1490ea58decec2092c8caf5bc118df092d50f8964b95"
-        )
 
 
 class TestCatalog:
-    @pytest.mark.parametrize("key", sorted(set(_CATALOG) - set(ISOTROPIC_KEYS)))
+    @pytest.mark.parametrize("key", sorted(_CATALOG))
     def test_key_is_echoed_and_round_trips(self, key):
         lines = CATALOG_CASES[key]
         given = parse_pairs("\n".join(lines))
@@ -322,20 +269,17 @@ class TestCatalog:
         assert parse_config_text(config_echo(cfg)) == cfg
 
     @pytest.mark.parametrize("kind", RULE_KINDS)
-    @pytest.mark.parametrize("family", RULE_FAMILIES)
-    @pytest.mark.parametrize("key", sorted(_CATALOG))
-    def test_a_set_key_is_refused_exactly_when_the_echo_omits_it(self, monkeypatch, key, family, kind):
-        if family == "isotropic":
-            # no isotropic tensor passes the structural conditions; with the default material's
-            # scalars in their place, its configs parse and show the rule too
-            monkeypatch.setattr(material, "scalar_coefficients", lambda tensor, misfit: (2.0, 0.2, 0.06))
-        lines = RULE_FAMILIES[family] + RULE_KINDS[kind]
+    @pytest.mark.parametrize("key", sorted(_CATALOG) + list(REMOVED_KEYS))
+    def test_a_set_key_is_refused_exactly_when_the_echo_omits_it(self, key, kind):
+        lines = RULE_KINDS[kind]
         echoed = dict(line.split(" = ", 1) for line in echo_lines(parse_config_text("\n".join(lines))))
         # an echoed key is set to the value the config holds, any other to a valid non-default value
         unset = parse_outcome(lines)
         got = parse_outcome(lines, [f"{key}={echoed.get(key, CASE_VALUES[key])}"])
         if kind == "run" and key == "study.kappas":
             assert isinstance(got, StudyConfig)  # it makes the run a study, whose echo holds it
+        elif key in REMOVED_KEYS:  # no config reads it: the unknown-key line
+            assert got == f"unknown_key: override references unknown key {key!r}"
         elif key in echoed:
             assert got == unset
         else:
@@ -362,127 +306,6 @@ class TestCatalog:
         else:
             cfg = build()
             assert parse_config_text(config_echo(cfg)) == cfg
-
-    def test_isotropic_keys_are_echoed(self):
-        spec = TensorSpec("isotropic", lambda_l=0.5, mu_l=0.75, misfit_iso=0.1)
-        cfg = replace(parse_config_text("\n".join(DIAGONAL)), tensor_spec=spec)
-        lines = echo_lines(cfg)
-        assert "material.tensor.lambda_L = 0.5" in lines
-        assert "material.tensor.mu_L = 0.75" in lines
-        assert not any(line.startswith("material.tensor.mu0") for line in lines)
-        with pytest.raises(ConfigInvalid, match="^tensor_assumptions: tensor fails structural conditions"):
-            parse_config_text(config_echo(cfg))
-
-
-class TestTensorValidation:
-    def test_isotropic_fails_structural_conditions(self):
-        text = (
-            "material.tensor.family = isotropic\n"
-            "material.tensor.lambda_L = 1\n"
-            "material.tensor.mu_L = 1\n"
-            "material.misfit_iso = 0.1\n"
-        )
-        with pytest.raises(ConfigInvalid, match="^tensor_assumptions: .*zero_unless_k_equals_j"):
-            parse_config_text(text)
-
-    def test_error_names_only_the_failed_gate_conditions(self, tmp_path, capsys):
-        # the diagonal family with one entry off the k == j pattern; full_symmetry fails too but does not gate
-        entries = ElasticityTensor.diagonal_family(1.5).entries.copy()
-        entries[0, 1, 2, 0] = 0.5
-        values = " ".join(repr(float(v)) for v in entries.ravel())
-        argv = ["run", "--out", str(tmp_path / "out"), "--set", "material.tensor.family=entries",
-                "--set", f"material.tensor.entries={values}", "--set", "material.misfit_iso=0.1"]
-        assert main(argv) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            "error: tensor_assumptions: tensor fails structural conditions: zero_unless_k_equals_j at (0, 1, 2, 0)"
-        ]
-        assert not (tmp_path / "out").exists()
-
-    def test_scalar_keys_conflict_with_tensor(self):
-        text = "material.tensor.family = diagonal\nmaterial.tensor.mu0 = 1\nmaterial.misfit_iso = 0.1\nmaterial.mu = 3\n"
-        with pytest.raises(ConfigInvalid, match="^tensor_spec: material.mu conflicts"):
-            parse_config_text(text)
-
-    @pytest.mark.parametrize(
-        "family, foreign",
-        [
-            pytest.param(family, line, id=f"{family}-{line.split(' = ')[0]}")
-            for family in FAMILY_LINES
-            for other, lines in FAMILY_LINES.items()
-            if other != family
-            for line in lines
-        ],
-    )
-    def test_key_of_another_family_exits_one(self, tmp_path, capsys, family, foreign):
-        lines = [f"material.tensor.family = {family}", *FAMILY_LINES[family], "material.misfit_iso = 0.1"]
-        cfg_path = write_config(tmp_path, lines + [foreign])
-        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
-        key = foreign.split(" = ")[0]
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: tensor_spec: {key} is not read by tensor family '{family}'"
-        ]
-        assert not (tmp_path / "out").exists()
-        if family != "isotropic":  # no isotropic tensor passes the structural conditions
-            cfg = parse_config_text("\n".join(lines))
-            assert parse_config_text(config_echo(cfg)) == cfg
-
-    def test_unknown_family_is_named_before_foreign_keys(self):
-        text = "material.tensor.family = cubic\nmaterial.tensor.lambda_L = 1\nmaterial.misfit_iso = 0.1\n"
-        with pytest.raises(ConfigInvalid, match="^tensor_spec: unknown tensor family 'cubic'"):
-            parse_config_text(text)
-
-    @pytest.mark.parametrize(
-        "family, kept",
-        [pytest.param(family, [], id=family) for family in FAMILY_LINES]
-        + [pytest.param("isotropic", FAMILY_LINES["isotropic"][:1], id="isotropic-lambda_L-only")],
-    )
-    def test_unset_key_of_the_family_exits_one(self, tmp_path, capsys, family, kept):
-        cfg_path = write_config(tmp_path, [f"material.tensor.family = {family}", *kept, "material.misfit_iso = 0.1"])
-        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
-        missing = [line.split(" = ")[0] for line in FAMILY_LINES[family] if line not in kept]
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: tensor_spec: tensor family '{family}' needs {' and '.join(missing)}"
-        ]
-        assert not (tmp_path / "out").exists()
-
-    def test_misfit_required(self):
-        with pytest.raises(ConfigInvalid, match="^tensor_spec: tensor family needs exactly one of material.misfit"):
-            parse_config_text("material.tensor.family = diagonal\nmaterial.tensor.mu0 = 1\n")
-
-    @pytest.mark.parametrize(
-        "lines, error",
-        [
-            pytest.param(
-                ["material.tensor.family = cubic"],
-                "tensor family needs exactly one of material.misfit / material.misfit_iso",
-                id="unknown-family-no-misfit",
-            ),
-            pytest.param(
-                ["material.tensor.family = isotropic", "material.tensor.lambda_L = 1"],
-                "tensor family 'isotropic' needs material.tensor.mu_L",
-                id="unset-key-no-misfit",
-            ),
-            pytest.param(
-                [*DIAGONAL, "material.misfit = 0.1 0 0 0 0.1 0 0 0 0.1"],
-                "tensor family needs exactly one of material.misfit / material.misfit_iso",
-                id="both-misfit-forms",
-            ),
-            pytest.param(
-                ["material.tensor.family = entries", f"material.tensor.entries = {' '.join(['1'] * 80)}",
-                 "material.misfit_iso = 0.1"],
-                "entries family requires exactly 81 values",
-                id="entries-80-values",
-            ),
-        ],
-    )
-    def test_multi_fault_tensor_config_names_its_first_fault(self, tmp_path, capsys, lines, error):
-        # a config's faults are checked in a fixed order: a known family's unset keys, the misfit
-        # count, an unknown family, then the values themselves
-        cfg_path = write_config(tmp_path, lines)
-        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err.splitlines() == [f"error: tensor_spec: {error}"]
-        assert not (tmp_path / "out").exists()
-
 
 class TestCliRun:
     def test_run_success(self, tmp_path, capsys):
@@ -805,22 +628,27 @@ class TestCliTools:
         assert "symmetry" in out
         assert "derivative jump" in out
 
-    def tensor_run(self, tmp_path):
-        lines = FAST + [
-            "material.tensor.family = diagonal",
-            "material.tensor.mu0 = 2",
-            "material.misfit_iso = 0.1",
-        ]
-        cfg_path = write_config(tmp_path, lines)
+    def saved_run(self, tmp_path, *overrides):
+        cfg_path = write_config(tmp_path, FAST + list(overrides))
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
         return str(tmp_path / "out")
 
     def test_check_reduction(self, tmp_path, capsys):
-        run_dir = self.tensor_run(tmp_path)
+        # the default material's e = 0.06 lies 2.3e-16 from 3 * lam**2 / mu, inside the lift's tolerance
+        material = MaterialParams()
+        assert material.e != 3.0 * material.lam**2 / material.mu
+        run_dir = self.saved_run(tmp_path)
         code = main(["check-reduction", "--run", run_dir, "--samples", "10", "--h3", "0.005"])
         assert code == 0
         out = capsys.readouterr().out
         assert "elasticity balance" in out
+
+    def test_check_reduction_refuses_a_run_with_no_lift(self, tmp_path, capsys):
+        run_dir = self.saved_run(tmp_path, "material.e = 0.07")
+        assert self.check_reduction_error(run_dir, capsys) == (
+            "error: lift: material.e = 0.07 is not 3 * material.lambda**2 / material.mu = 0.06; "
+            "the run is a 1D model with no 3D lift"
+        )
 
     @pytest.mark.parametrize(
         "flag, value, invariant",
@@ -835,7 +663,7 @@ class TestCliTools:
         ],
     )
     def test_check_reduction_bad_arguments_exit_one(self, tmp_path, capsys, flag, value, invariant):
-        run_dir = self.tensor_run(tmp_path)
+        run_dir = self.saved_run(tmp_path)
         capsys.readouterr()
         assert main(["check-reduction", "--run", run_dir, flag, value]) == 1
         captured = capsys.readouterr()
@@ -855,7 +683,7 @@ class TestCliTools:
     @pytest.mark.parametrize("layout", ["frames", "S.csv"])
     def test_damaged_run_directory_exits_one(self, tmp_path, capsys, layout):
         # an earlier version's field files beside the run's own: refused, and nothing deleted
-        run_dir = self.tensor_run(tmp_path)
+        run_dir = self.saved_run(tmp_path)
         out = tmp_path / "out"
         write_old_layout(out, layout)
         before = read_tree(out)
@@ -896,7 +724,7 @@ class TestCliTools:
         ],
     )
     def test_damaged_fields_exits_one(self, tmp_path, capsys, damage, message):
-        run_dir = self.tensor_run(tmp_path)
+        run_dir = self.saved_run(tmp_path)
         path = tmp_path / "out" / "fields.npz"
         damage(path)
         error = self.check_reduction_error(run_dir, capsys)
@@ -927,11 +755,17 @@ class TestCliTools:
                 lambda text: text.replace("[config]\n", "[config]\nreg.theta = 1\n"),
                 "meta.txt: unknown_key: unknown config key 'reg.theta'",
             ),
+            # the stiffness-tensor input of earlier versions
+            (
+                "meta.txt",
+                lambda text: text.replace("[config]\n", "[config]\nmaterial.tensor.family = diagonal\n"),
+                "meta.txt: unknown_key: unknown config key 'material.tensor.family'",
+            ),
         ],
-        ids=["meta_without_config", "config_edited", "meta_without_hash", "green_path", "theta_key"],
+        ids=["meta_without_config", "config_edited", "meta_without_hash", "green_path", "theta_key", "tensor_key"],
     )
     def test_damaged_run_metadata_exits_one(self, tmp_path, capsys, name, damage, message):
-        run_dir = self.tensor_run(tmp_path)
+        run_dir = self.saved_run(tmp_path)
         path = tmp_path / "out" / name
         text = path.read_text()
         assert damage(text) != text
@@ -939,7 +773,7 @@ class TestCliTools:
         assert message in self.check_reduction_error(run_dir, capsys)
 
     def test_parse_error_names_the_line_of_meta_txt(self, tmp_path, capsys):
-        run_dir = self.tensor_run(tmp_path)
+        run_dir = self.saved_run(tmp_path)
         path = tmp_path / "out" / "meta.txt"
         lines = path.read_text().splitlines()
         lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith("material.nu = "))
@@ -950,15 +784,10 @@ class TestCliTools:
 
     def test_run_need_not_start_at_time_zero(self, tmp_path):
         # a run resumed from a snapshot saves its first frame at the snapshot's time
-        run_dir = self.tensor_run(tmp_path)
+        run_dir = self.saved_run(tmp_path)
         edit_frames(tmp_path / "out" / "fields.npz", lambda v: v[1:])
         traj, _, _ = load_run(run_dir)
         assert traj.times[0] > 0.0 and len(traj.times) == 5
-
-    def test_check_reduction_requires_tensor_config(self, tmp_path):
-        cfg_path = write_config(tmp_path, FAST)
-        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
-        assert main(["check-reduction", "--run", str(tmp_path / "out")]) == 1
 
     def test_mms_command(self, capsys):
         assert main(["mms"]) == 0

@@ -156,7 +156,8 @@ class TestMollifier:
             state.push(t * ones, t)
         t_now = times[-1]
         out = mollify(state, t_now)
-        expected = t_now - state.first_moment
+        # the kernel's first moment: its mean lag, in time units
+        expected = t_now - float(np.dot(state.weights, np.arange(state.window_size) * dt))
         assert np.max(np.abs(out - expected)) < 1e-14
 
     def test_early_history_padded_with_initial_frame(self):

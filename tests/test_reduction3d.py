@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
 from confsim.config import parse_config_text
-from confsim.material import ElasticityTensor, double_well
+from confsim.material import ElasticityTensor, MaterialParams, double_well
 from confsim.grid_field import Grid
 from confsim.elasticity import OutOfDomain
 from confsim.simulator import Simulation
 from confsim.reduction3d import (
+    NoLift,
     RadialLift,
     UniformSpline,
     lift_fields,
@@ -31,6 +34,7 @@ from manufactured import (
     s_hat,
     u_hat,
 )
+from tensor_oracle import brute_force_report, brute_force_scalars, passes_gate
 
 
 def reference_residual_elasticity_3d(lift, points, h3):
@@ -102,17 +106,15 @@ def reference_residual_order_3d(lift0, lift1, dt, points, material, h3):
     return res, ident
 
 
-def tensor_run_lifts():
-    """Lifts of the last two saved frames of a diagonal-tensor run, their time step and material."""
-    cfg = parse_config_text(
-        "material.tensor.family = diagonal\nmaterial.tensor.mu0 = 2\nmaterial.misfit_iso = 0.1\n"
-        "grid.n = 33\nrun.t_end = 0.01\nrun.save_every = 5\n"
-    )
+def run_lifts():
+    """Lifts of the last two saved frames of a default-material run, their time step and material."""
+    cfg = parse_config_text("grid.n = 33\nrun.t_end = 0.01\nrun.save_every = 5\n")
     traj = Simulation(cfg).run().trajectory
-    tensor, misfit = cfg.tensor_spec.build()
-    s, u = traj.s_matrix(), traj.u_matrix()
     lifts = [
-        RadialLift.from_frames(cfg.grid, u[k], s[k], cfg.body.evaluate(float(traj.times[k]), cfg.grid), tensor, misfit)
+        RadialLift.from_frames(
+            cfg.grid, traj.u_frames[k].values, traj.s_frames[k].values,
+            cfg.body.evaluate(float(traj.times[k]), cfg.grid), cfg.material,
+        )
         for k in (-2, -1)
     ]
     return lifts, float(traj.times[-1] - traj.times[-2]), cfg.material
@@ -157,9 +159,27 @@ class TestLift:
         grid = Grid(A, D, 65)
         uf = u_hat(grid.x)
         sf = s_hat(grid.x)
-        lift = RadialLift.from_frames(grid, uf, sf, matched_body(grid.x), TENSOR, MISFIT)
+        lift = RadialLift.from_frames(grid, uf, sf, matched_body(grid.x), MAT)
         assert np.max(np.abs(lift.u_hat(grid.x) - uf)) < 1e-14
         assert np.max(np.abs(lift.s_hat(grid.x) - sf)) < 1e-14
+
+    @pytest.mark.parametrize("mu, lam", [(2.0, 0.2), (3.0, -0.45), (0.7, 0.0), (1.3, 0.3)])
+    def test_from_frames_lifts_with_the_pair_that_reduces_to_the_run(self, mu, lam):
+        # the pair passes the structural conditions and gives back the run's (mu, lam, e)
+        grid = Grid(A, D, 9)
+        material = MaterialParams(mu=mu, lam=lam, e=3.0 * lam**2 / mu)
+        lift = RadialLift.from_frames(grid, u_hat(grid.x), s_hat(grid.x), matched_body(grid.x), material)
+        d, eps = lift.tensor.entries, lift.misfit.entries
+        assert passes_gate(brute_force_report(d, eps))
+        got = brute_force_scalars(d, eps)
+        assert got == pytest.approx((mu, lam, material.e), rel=1e-14, abs=1e-16)
+
+    @pytest.mark.parametrize("e", [0.07, 0.0, 0.06 * (1 + 1e-11)])
+    def test_from_frames_refuses_a_run_with_no_lift(self, e):
+        grid = Grid(A, D, 9)
+        message = rf"^lift: material\.e = {e:.15g} is not 3 \* material\.lambda\*\*2 / material\.mu = 0\.06; "
+        with pytest.raises(NoLift, match=message):
+            RadialLift.from_frames(grid, u_hat(grid.x), s_hat(grid.x), matched_body(grid.x), replace(MAT, e=e))
 
     def test_sample_frame_is_orthonormal(self):
         rng = np.random.default_rng(22)
@@ -326,7 +346,7 @@ class TestOrderResidual:
                 b = cfg.body.evaluate(float(traj.times[idx]), traj.grid)
                 lifts.append(
                     RadialLift.from_frames(
-                        cfg.grid, traj.u_frames[idx].values, traj.s_frames[idx].values, b, TENSOR, MISFIT
+                        cfg.grid, traj.u_frames[idx].values, traj.s_frames[idx].values, b, cfg.material
                     )
                 )
             dt_frames = float(traj.times[k] - traj.times[k - 1])
@@ -355,8 +375,8 @@ class TestAgainstPerPointReference:
         for g, w in zip(got, want):
             self.assert_close(g, w)
 
-    def test_tensor_run_frames(self):
-        (lift0, lift1), dt, material = tensor_run_lifts()
+    def test_run_frames(self):
+        (lift0, lift1), dt, material = run_lifts()
         h3 = 0.005
         pts = random_shell_points(A, D, 60, np.random.default_rng(34), margin=3 * h3)
         self.assert_close(residual_elasticity_3d(lift0, pts, h3), reference_residual_elasticity_3d(lift0, pts, h3))
