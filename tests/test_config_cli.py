@@ -89,6 +89,8 @@ PART_CLASSES = {
 RULE_KINDS = {"run": [], "kappa study": STUDY, "refinement": [*STUDY, "study.h_factor = 2"]}
 # a valid non-default value of each catalog key, and a value of each removed key
 CASE_VALUES = {**{key: lines[0].split(" = ", 1)[1] for key, lines in CATALOG_CASES.items()}, **REMOVED_KEYS}
+# where a key is set: a line of the config text, or a --set override; each has its own unknown-key line
+SOURCES = {"file": "unknown_key: unknown config key {!r}", "--set": "unknown_key: override references unknown key {!r}"}
 
 
 def key_default(key):
@@ -104,6 +106,13 @@ def parse_outcome(lines, overrides=None):
         return parse_config_text("\n".join(lines), overrides)
     except ConfigInvalid as exc:
         return str(exc)
+
+
+def set_key_outcome(lines, key, value, source):
+    """The outcome of ``lines`` with ``key`` set to ``value`` from ``source``; a file line replaces the key's own."""
+    if source == "--set":
+        return parse_outcome(lines, [f"{key}={value}"])
+    return parse_outcome([line for line in lines if line.split(" = ", 1)[0] != key] + [f"{key} = {value}"])
 
 
 def write_config(tmp_path, lines, name="case.cfg"):
@@ -249,12 +258,16 @@ class TestEchoRoundTrip:
 
 
 class TestCatalog:
+    @pytest.mark.parametrize("source", SOURCES)
     @pytest.mark.parametrize("key", sorted(_CATALOG))
-    def test_key_is_echoed_and_round_trips(self, key):
+    def test_key_is_echoed_and_round_trips(self, key, source):
         lines = CATALOG_CASES[key]
         given = parse_pairs("\n".join(lines))
         assert given[key] != key_default(key)
-        cfg = parse_config_text("\n".join(lines))
+        if source == "--set":
+            cfg = parse_config_text("", [line.replace(" = ", "=", 1) for line in lines])
+        else:
+            cfg = parse_config_text("\n".join(lines))
         echoed = parse_pairs(config_echo(cfg))
         assert echoed[key] == given[key]
         # every other echoed key reads back as set or as its default
@@ -268,18 +281,19 @@ class TestCatalog:
         assert not any(line.startswith("study.reference") for line in echo_lines(cfg))
         assert parse_config_text(config_echo(cfg)) == cfg
 
+    @pytest.mark.parametrize("source", SOURCES)
     @pytest.mark.parametrize("kind", RULE_KINDS)
     @pytest.mark.parametrize("key", sorted(_CATALOG) + list(REMOVED_KEYS))
-    def test_a_set_key_is_refused_exactly_when_the_echo_omits_it(self, key, kind):
+    def test_a_set_key_is_refused_exactly_when_the_echo_omits_it(self, key, kind, source):
         lines = RULE_KINDS[kind]
         echoed = dict(line.split(" = ", 1) for line in echo_lines(parse_config_text("\n".join(lines))))
         # an echoed key is set to the value the config holds, any other to a valid non-default value
         unset = parse_outcome(lines)
-        got = parse_outcome(lines, [f"{key}={echoed.get(key, CASE_VALUES[key])}"])
+        got = set_key_outcome(lines, key, echoed.get(key, CASE_VALUES[key]), source)
         if kind == "run" and key == "study.kappas":
             assert isinstance(got, StudyConfig)  # it makes the run a study, whose echo holds it
-        elif key in REMOVED_KEYS:  # no config reads it: the unknown-key line
-            assert got == f"unknown_key: override references unknown key {key!r}"
+        elif key in REMOVED_KEYS:  # no config reads it: the unknown-key line of its source
+            assert got == SOURCES[source].format(key)
         elif key in echoed:
             assert got == unset
         else:
@@ -349,6 +363,23 @@ class TestCliRun:
             captured = capsys.readouterr()
             assert captured.err.splitlines() == [error]
             assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("command", ["run", "study"])
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_key_exits_one(self, tmp_path, capsys, key, command, source):
+        # the stiffness-tensor input of earlier versions: no config reads it
+        lines = FAST + STUDY * (command == "study")
+        if source == "--set":
+            args = [arg for line in lines for arg in ("--set", line.replace(" = ", "=", 1))]
+            args += ["--set", f"{key}={REMOVED_KEYS[key]}"]
+        else:
+            args = ["--config", str(write_config(tmp_path, lines + [f"{key} = {REMOVED_KEYS[key]}"]))]
+        assert main([command, "--out", str(tmp_path / "out"), *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: " + SOURCES[source].format(key)]
+        assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("path", ["direct", "both-verify"])
@@ -755,14 +786,20 @@ class TestCliTools:
                 lambda text: text.replace("[config]\n", "[config]\nreg.theta = 1\n"),
                 "meta.txt: unknown_key: unknown config key 'reg.theta'",
             ),
-            # the stiffness-tensor input of earlier versions
-            (
-                "meta.txt",
-                lambda text: text.replace("[config]\n", "[config]\nmaterial.tensor.family = diagonal\n"),
-                "meta.txt: unknown_key: unknown config key 'material.tensor.family'",
+            # each key of the stiffness-tensor input of earlier versions
+            *(
+                (
+                    "meta.txt",
+                    lambda text, key=key: text.replace("[config]\n", f"[config]\n{key} = {REMOVED_KEYS[key]}\n"),
+                    f"meta.txt: unknown_key: unknown config key {key!r}",
+                )
+                for key in REMOVED_KEYS
             ),
         ],
-        ids=["meta_without_config", "config_edited", "meta_without_hash", "green_path", "theta_key", "tensor_key"],
+        ids=[
+            "meta_without_config", "config_edited", "meta_without_hash", "green_path", "theta_key",
+            *(f"removed_key-{key}" for key in REMOVED_KEYS),
+        ],
     )
     def test_damaged_run_metadata_exits_one(self, tmp_path, capsys, name, damage, message):
         run_dir = self.saved_run(tmp_path)

@@ -46,16 +46,19 @@ class TestStructuralConditions:
         assert lam == pytest.approx(mu0 * beta, rel=1e-12, abs=1e-15)
         assert e == pytest.approx(3.0 * mu0 * beta**2, rel=1e-12, abs=1e-15)
 
+    # a perturbation of either sign: a condition compared without its absolute value misses one of them
+    @pytest.mark.parametrize("delta", [1e-6, -1e-6])
     @pytest.mark.parametrize("index", list(np.ndindex(3, 3, 3, 3)), ids=str)
-    def test_every_single_entry_perturbation_of_the_family_is_rejected(self, index):
+    def test_every_single_entry_perturbation_of_the_family_is_rejected(self, index, delta):
         d = DIAGONAL.copy()
-        d[index] += 1e-6
+        d[index] += delta
         assert not passes_gate(brute_force_report(d, MISFIT))
 
+    @pytest.mark.parametrize("delta", [1e-6, -1e-6])
     @pytest.mark.parametrize("index", [(i, j) for i in range(3) for j in range(i, 3)], ids=str)
-    def test_every_symmetric_perturbation_of_the_misfit_is_rejected(self, index):
+    def test_every_symmetric_perturbation_of_the_misfit_is_rejected(self, index, delta):
         eps = MISFIT.copy()
-        eps[index] += 1e-6
+        eps[index] += delta
         eps[index[::-1]] = eps[index]
         assert not passes_gate(brute_force_report(DIAGONAL, eps))
 

@@ -174,6 +174,18 @@ class TestLift:
         got = brute_force_scalars(d, eps)
         assert got == pytest.approx((mu, lam, material.e), rel=1e-14, abs=1e-16)
 
+    @pytest.mark.parametrize("offset", [-2e-12, -5e-13, 5e-13, 2e-12])
+    @pytest.mark.parametrize("mu, lam", [(2.0, 0.2), (3.0, -0.45), (0.7, 0.05), (1.3, 0.3)])
+    def test_from_frames_tolerance_is_a_relative_1e_12_on_either_side(self, mu, lam, offset):
+        grid = Grid(A, D, 9)
+        material = MaterialParams(mu=mu, lam=lam, e=3.0 * lam**2 / mu * (1.0 + offset))
+        frames = (u_hat(grid.x), s_hat(grid.x), matched_body(grid.x))
+        if abs(offset) < 1e-12:
+            assert RadialLift.from_frames(grid, *frames, material).tensor.entries[0, 0, 0, 0] == mu
+        else:
+            with pytest.raises(NoLift, match=r"^lift: material\.e = "):
+                RadialLift.from_frames(grid, *frames, material)
+
     @pytest.mark.parametrize("e", [0.07, 0.0, 0.06 * (1 + 1e-11)])
     def test_from_frames_refuses_a_run_with_no_lift(self, e):
         grid = Grid(A, D, 9)
