@@ -124,7 +124,10 @@ refused "reg\.theta" confsim check-reduction --run run-lift-theta
 # one error line that names material.e
 confsim run --out run-no-lift --set grid.n=33 --set run.t_end=0.001 --set material.e=0.07
 refused "material\.e" confsim check-reduction --run run-no-lift
-confsim verify-green
+# usage errors are bad input: a removed command and an unparsable flag value exit 1 with one
+# error line, not argparse's exit 2
+refused "invalid choice" confsim verify-green
+refused "invalid int" confsim check-reduction --run run-lift --samples abc
 confsim mms
 # both study tables: study.csv of a kappa study, refinement.csv of a refinement study
 confsim study --out study-kappa --set "study.kappas=0.5 0.25 0.125" --set run.t_end=0.004

@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Exit codes are the machine-readable channel: 0 success, 1 bad input (a
-config or validation failure, a damaged run directory, or a run with no 3D
-lift), 2 numerical failure (a rejected step, or a run whose monitors
-overflowed to inf or nan).  stdout carries human-readable tables only;
-outputs land in the directory given by --out.  numpy's floating-point
-warnings are silenced while a command runs, so an overflow reaches stderr as
-one ``error:`` line.
+command-line usage error, a config or validation failure, a damaged run
+directory, or a run with no 3D lift), 2 numerical failure (a rejected step,
+or a run whose monitors overflowed to inf or nan).  stdout carries
+human-readable tables only; outputs land in the directory given by --out.
+numpy's floating-point warnings are silenced while a command runs, so an
+overflow reaches stderr as one ``error:`` line, as does a usage error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from .config import ConfigInvalid, SimulationConfig, StudyConfig, parse_config_text
 from .diagnostics import NonFiniteReport
-from .elasticity import GreenKernel
 from .grid_field import FieldFileError
 from .reduction3d import NoLift, RadialLift, random_shell_points, residual_elasticity_3d, residual_order_3d
 from .simulator import Simulation, load_run, write_run
@@ -92,31 +91,6 @@ def _cmd_study(args) -> int:
     return _members_exit(r.termination for r in result.rows)
 
 
-def _cmd_verify_green(args) -> int:
-    cfg = _load(args, SimulationConfig)
-    kernel = GreenKernel(cfg.grid.a, cfg.grid.d)
-    rng = np.random.default_rng(7)
-    x, y = rng.uniform(cfg.grid.a, cfg.grid.d, size=(20, 2)).T
-
-    sym = np.max(np.abs(kernel.eval(x, y) - kernel.eval(y, x)))
-    bnd = np.max(np.abs([kernel.eval(kernel.a, y), kernel.eval(kernel.d, y)]))
-    interior = rng.uniform(cfg.grid.a + 0.05 * (cfg.grid.d - cfg.grid.a),
-                           cfg.grid.d - 0.05 * (cfg.grid.d - cfg.grid.a), size=20)
-    delta = 2.0e-4
-    g1 = kernel.eval_dx(interior + delta, interior) - kernel.eval_dx(interior - delta, interior)
-    g2 = kernel.eval_dx(interior + delta / 2, interior) - kernel.eval_dx(interior - delta / 2, interior)
-    jump_err = np.max(np.abs(2.0 * g2 - g1 - 1.0 / interior**2))
-    apart = np.abs(x - y) > 1e-3
-    op_res = np.max(np.abs(kernel.operator_residual(x[apart], y[apart])), initial=0.0)
-
-    print("property                 max error")
-    print(f"symmetry                 {sym:.3e}")
-    print(f"boundary vanishing       {bnd:.3e}")
-    print(f"derivative jump (extrap) {jump_err:.3e}")
-    print(f"operator residual        {op_res:.3e}")
-    return 0
-
-
 def _cmd_check_reduction(args) -> int:
     if args.samples < 1:
         raise ConfigInvalid(f"samples: --samples must be at least 1, got {args.samples}")
@@ -162,20 +136,25 @@ def _cmd_mms(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigInvalid, so they exit 1 as bad input."""
+
+    def error(self, message):
+        raise ConfigInvalid(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="confsim")
+    parser = _Parser(prog="confsim")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_default=None):
+    def common(p):
         p.add_argument("--config", help="config file path")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", default=[],
                        help="override a config key")
-        if out_default is not None:
-            p.add_argument("--out", default=out_default, help="output directory")
+        p.add_argument("--out", default="out", help="output directory")
 
-    common(sub.add_parser("run", help="run one simulation"), out_default="out")
-    common(sub.add_parser("study", help="run a regularization study"), out_default="out")
-    common(sub.add_parser("verify-green", help="kernel property report"))
+    common(sub.add_parser("run", help="run one simulation"))
+    common(sub.add_parser("study", help="run a regularization study"))
     pr = sub.add_parser("check-reduction", help="3D residuals of a persisted run")
     pr.add_argument("--run", required=True, help="run output directory")
     pr.add_argument("--samples", type=int, default=50)
@@ -188,15 +167,14 @@ def build_parser() -> argparse.ArgumentParser:
 _HANDLERS = {
     "run": _cmd_run,
     "study": _cmd_study,
-    "verify-green": _cmd_verify_green,
     "check-reduction": _cmd_check_reduction,
     "mms": _cmd_mms,
 }
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         with np.errstate(all="ignore"):
             return _HANDLERS[args.command](args)
     except _INPUT_ERRORS as exc:

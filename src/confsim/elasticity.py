@@ -27,6 +27,11 @@ cached with it.  ``solve_fd`` takes that operator, ``elastic_rhs`` takes
 b/mu and lam/mu, and ``solve_elasticity`` takes b/mu and the grid's
 constants built once (``elastic_constants``): each is the one way in.
 ``solve_green`` takes b/mu and lam/mu as ``elastic_rhs`` does.
+``GreenKernel`` holds only what ``_green_weights`` reads: u1, u2, their first
+derivatives and the constant above.  The kernel G(x, y) itself is not
+evaluated here; its properties are checked in the tests from these closed
+forms.  ``OutOfDomain``, which only ``lift_fields`` raises, is in
+``reduction3d``.
 """
 
 from __future__ import annotations
@@ -39,10 +44,6 @@ import numpy as np
 
 from .grid_field import Grid, ScalarField, d1, scalar_array, tridiag_factor, tridiag_factor_solve
 from .material import MaterialParams
-
-
-class OutOfDomain(ValueError):
-    pass
 
 
 class SingularSystem(RuntimeError):
@@ -71,54 +72,11 @@ class GreenKernel:
     def u1_prime(self, x):
         return 1.0 + 2.0 * self.a**3 / x**3
 
-    def u1_second(self, x):
-        return -6.0 * self.a**3 / x**4
-
     def u2(self, x):
         return x - self.d**3 / x**2
 
     def u2_prime(self, x):
         return 1.0 + 2.0 * self.d**3 / x**3
-
-    def u2_second(self, x):
-        return -6.0 * self.d**3 / x**4
-
-    def _check(self, *points):
-        for v in points:
-            if np.any(np.asarray(v) < self.a - 1e-12) or np.any(np.asarray(v) > self.d + 1e-12):
-                raise OutOfDomain(f"point {v} outside [{self.a}, {self.d}]")
-
-    def eval(self, x, y):
-        """G(x, y) = u1(min) u2(max) / norm_const."""
-        self._check(x, y)
-        lo = np.minimum(x, y)
-        hi = np.maximum(x, y)
-        return self.u1(lo) * self.u2(hi) / self.norm_const
-
-    def eval_dx(self, x, y):
-        """d/dx of the kernel, one-sided at x = y (lower branch there)."""
-        self._check(x, y)
-        x = np.asarray(x, dtype=float)
-        below = x <= y
-        out = np.where(
-            below,
-            self.u1_prime(x) * self.u2(np.maximum(x, y)),
-            self.u1(np.minimum(x, y)) * self.u2_prime(x),
-        )
-        out = out / self.norm_const
-        return float(out) if out.ndim == 0 else out
-
-    def operator_residual(self, x, y):
-        """(x^2 G_x)_x - 2 G off the diagonal with analytic derivatives; x and y may be arrays of pairs."""
-        self._check(x, y)
-        x = np.asarray(x, dtype=float)
-        if np.any(x == y):
-            raise ValueError("operator residual is defined off the diagonal only")
-        # x < y takes u1 at x and u2 at y, x > y the other way round
-        below = (self.u1(x), self.u1_prime(x), self.u1_second(x), self.u2(y))
-        above = (self.u2(x), self.u2_prime(x), self.u2_second(x), self.u1(y))
-        f, fp, fpp, other = (np.where(x < y, lo, hi) for lo, hi in zip(below, above))
-        return (x**2 * fpp + 2.0 * x * fp - 2.0 * f) * other / self.norm_const
 
 
 def elastic_rhs(s_x: np.ndarray, b_mu: np.ndarray, lam_mu) -> np.ndarray:

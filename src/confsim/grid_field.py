@@ -138,14 +138,6 @@ class Trajectory:
         self.times = np.asarray(self.times, dtype=float)
         self.steps = np.asarray(self.steps, dtype=int)
 
-    def validate(self, t_end: float | None = None):
-        if len(self.times) != len(self.s_frames) or len(self.times) != len(self.u_frames):
-            raise ValueError("frame count mismatch")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("save times must be strictly increasing")
-        if t_end is not None and self.times[-1] != t_end:
-            raise ValueError("last frame must be at t_end")
-
     @property
     def grid(self) -> Grid:
         return self.s_frames[0].grid

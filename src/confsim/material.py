@@ -48,10 +48,6 @@ class ElasticityTensor:
         """Map a symmetric 3x3 strain, or a (..., 3, 3) stack, to the stress sum_ij entries[i,j,k,l]*eps[..., i,j]."""
         return np.einsum("ijkl,...ij->...kl", self.entries, np.asarray(eps, dtype=float))
 
-    def quadratic_form(self, eps: np.ndarray) -> float:
-        eps = np.asarray(eps, dtype=float)
-        return float(np.einsum("ijkl,ij,kl->", self.entries, eps, eps))
-
 
 @dataclass(frozen=True)
 class MisfitStrain:

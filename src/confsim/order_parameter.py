@@ -186,8 +186,6 @@ class MollifierState:
     def __init__(self, kappa_m: float, dt: float, max_frames: Optional[int] = None):
         if kappa_m <= 0 or dt <= 0:
             raise ValueError("kappa_m and dt must be positive")
-        self.kappa_m = kappa_m
-        self.dt = dt
         m = window_length(kappa_m, dt)
         # the causal bump exp(-1/(1 - tau^2)) at the lags tau = j/m, all in [0, 1)
         tau = np.arange(m) / m

@@ -20,6 +20,8 @@ stiffness ``ElasticityTensor.diagonal_family(mu)`` with the misfit
 ``MisfitStrain.spherical(lam / mu)``, the one pair the reduction's structural
 conditions admit.  That pair reduces to (mu, lam, 3 lam^2 / mu), so a run
 whose e is any other value has no 3D lift and is refused with ``NoLift``.
+A point outside the open shell is refused with ``OutOfDomain``, defined here
+because ``lift_fields`` is its one raiser.
 """
 
 from __future__ import annotations
@@ -32,7 +34,10 @@ import numpy as np
 
 from .grid_field import Grid, tridiag_solve
 from .material import ElasticityTensor, MaterialParams, MisfitStrain, double_well
-from .elasticity import OutOfDomain
+
+
+class OutOfDomain(ValueError):
+    """A point handed to ``lift_fields`` outside the open shell a < |x| < d."""
 
 
 class NoLift(ValueError):

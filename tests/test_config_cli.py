@@ -653,11 +653,29 @@ class TestCliStudy:
 
 
 class TestCliTools:
-    def test_verify_green(self, capsys):
-        assert main(["verify-green"]) == 0
-        out = capsys.readouterr().out
-        assert "symmetry" in out
-        assert "derivative jump" in out
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify-green"], "invalid choice: 'verify-green'"),
+            (["check-reduction", "--run", "run", "--samples", "abc"], "invalid int value: 'abc'"),
+            (["check-reduction"], "the following arguments are required: --run"),
+            (["mms", "--set", "a=b"], "unrecognized arguments: --set a=b"),
+        ],
+        ids=["unknown-command", "bad-samples", "missing-run", "mms-set"],
+    )
+    def test_usage_error_exits_one(self, capsys, argv, message):
+        # a usage error is bad input: exit 1 with one error line, not argparse's exit 2
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: confsim") and message in lines[0]
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert "check-reduction" in capsys.readouterr().out
 
     def saved_run(self, tmp_path, *overrides):
         cfg_path = write_config(tmp_path, FAST + list(overrides))

@@ -28,7 +28,7 @@ from confsim.grid_field import (
 )
 from confsim import simulator
 
-from conftest import edit_fields, make_config
+from conftest import check_trajectory, edit_fields, make_config
 
 
 def field(grid, fn):
@@ -489,12 +489,12 @@ class TestSerialization:
         grid = Grid(1.0, 2.0, 5)
         z = ScalarField(grid, np.zeros(grid.n))
         traj = Trajectory(np.array([0.0, 0.5, 1.0]), [z] * 3, [z] * 3, np.array([0, 1, 2]))
-        traj.validate(t_end=1.0)
+        check_trajectory(traj, t_end=1.0)
         # a run resumed from a snapshot starts at the snapshot's time
-        Trajectory(np.array([0.1, 0.5]), [z] * 2, [z] * 2, np.array([1, 2])).validate(t_end=0.5)
+        check_trajectory(Trajectory(np.array([0.1, 0.5]), [z] * 2, [z] * 2, np.array([1, 2])), t_end=0.5)
         bad = Trajectory(np.array([0.1, 0.5, 0.5]), [z] * 3, [z] * 3, np.array([0, 1, 2]))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            bad.validate()
+        with pytest.raises(AssertionError, match="strictly increasing"):
+            check_trajectory(bad)
 
 
 class TestScalarField:

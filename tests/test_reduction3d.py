@@ -7,10 +7,10 @@ from scipy.interpolate import CubicSpline
 from confsim.config import parse_config_text
 from confsim.material import ElasticityTensor, MaterialParams, double_well
 from confsim.grid_field import Grid
-from confsim.elasticity import OutOfDomain
 from confsim.simulator import Simulation
 from confsim.reduction3d import (
     NoLift,
+    OutOfDomain,
     RadialLift,
     UniformSpline,
     lift_fields,

@@ -30,7 +30,7 @@ from confsim.grid_field import FieldFileError, ScalarField, Trajectory, d1
 from confsim.order_parameter import BLOCK, mollify
 from confsim.studies import run_study
 
-from conftest import edit_fields, make_config
+from conftest import check_trajectory, edit_fields, make_config
 
 
 def flip_byte_before(path, member):
@@ -73,7 +73,7 @@ class TestTrajectoryContract:
     def test_frames_and_times(self, desk_config):
         result = Simulation(desk_config).run()
         traj = result.trajectory
-        traj.validate(t_end=desk_config.t_end)
+        check_trajectory(traj, t_end=desk_config.t_end)
         for frames in (traj.s_matrix(), traj.u_matrix()):
             assert np.all(np.isfinite(frames))
             assert np.all(frames[:, [0, -1]] == 0.0)
@@ -84,7 +84,7 @@ class TestTrajectoryContract:
         assert cfg.n_steps == 100
         assert cfg.step_time(cfg.n_steps) == cfg.t_end
         traj = Simulation(cfg).run().trajectory
-        traj.validate(t_end=cfg.t_end)
+        check_trajectory(traj, t_end=cfg.t_end)
         assert list(traj.times) == [0.0, 50 * 7e-4, 0.07]
 
     def test_t_end_far_below_dt_takes_one_step(self):
@@ -92,7 +92,7 @@ class TestTrajectoryContract:
         cfg = make_config(n=17, t_end=1e-13)
         assert cfg.n_steps == 1
         traj = Simulation(cfg).run().trajectory
-        traj.validate(t_end=cfg.t_end)
+        check_trajectory(traj, t_end=cfg.t_end)
         assert list(traj.times) == [0.0, 1e-13]
         assert list(traj.steps) == [0, 1]
 
@@ -342,10 +342,10 @@ class TestSnapshotRestart:
         resumed = load_snapshot(tmp_path / "snap.json", cfg).run()
         traj = resumed.trajectory
         assert traj.times[0] == first.time > 0.0
-        traj.validate(t_end=cfg.t_end)
+        check_trajectory(traj, t_end=cfg.t_end)
         write_run(tmp_path / "run", resumed)
         back, _, _ = load_run(tmp_path / "run")
-        back.validate(t_end=cfg.t_end)
+        check_trajectory(back, t_end=cfg.t_end)
 
     def test_round_trip_equality(self, tmp_path, desk_config):
         sim = Simulation(desk_config)
